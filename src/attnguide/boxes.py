@@ -126,40 +126,41 @@ def parse_llm_boxes(text, frame_width_px=DEFAULT_FRAME_W, frame_height_px=DEFAUL
             records = ast.literal_eval(m.group(2))
         except (ValueError, SyntaxError) as exc:
             raise BoxParseError(f"malformed record literal: {exc}", line_no) from exc
+        frames[k] = (line_no, records)
+    return _build_prior(frames, background, frame_width_px, frame_height_px)
+
+
+def _build_prior(frames, background, frame_width_px, frame_height_px):
+    """Check per-frame records, assemble trajectories by id, clip to the frame.
+
+    ``frames`` maps the 1-based frame index to (source line or None, records).
+    """
+    for k, (line_no, records) in frames.items():
         if not isinstance(records, list):
-            raise BoxParseError("frame payload must be a list", line_no)
+            raise BoxParseError(f"frame {k} payload must be a list", line_no)
         seen_ids = set()
         for rec in records:
             _check_record(rec, line_no)
             if rec["id"] in seen_ids:
                 raise BoxParseError(f"duplicate id {rec['id']} within frame {k}", line_no)
             seen_ids.add(rec["id"])
-        frames[k] = records
 
     if not frames:
         raise BoxParseError("no 'Frame k:' lines found")
-    if background is None:
+    if not background:
         raise BoxParseError("missing 'Background keyword:' line")
     expected = list(range(1, len(frames) + 1))
     if sorted(frames) != expected:
         raise BoxParseError(f"frame indices {sorted(frames)} are not consecutive from 1")
 
-    ids = []
-    for k in expected:
-        for rec in frames[k]:
-            if rec["id"] not in ids:
-                ids.append(rec["id"])
+    by_id = [{rec["id"]: rec for rec in frames[k][1]} for k in expected]
     trajectories = []
-    for sid in ids:
-        boxes, name = [], None
-        for k in expected:
-            recs = [r for r in frames[k] if r["id"] == sid]
-            if not recs:
+    for sid in dict.fromkeys(sid for recs in by_id for sid in recs):
+        for k, recs in enumerate(by_id, start=1):
+            if sid not in recs:
                 raise BoxParseError(f"subject id {sid} missing from frame {k}")
-            if name is None:
-                name = recs[0]["name"]
-            boxes.append(list(recs[0]["box"]))
-        trajectories.append(BoxTrajectory(sid, name, boxes))
+        boxes = [list(recs[sid]["box"]) for recs in by_id]
+        trajectories.append(BoxTrajectory(sid, by_id[0][sid]["name"], boxes))
 
     prior = SpatialPriorSet(
         frame_width_px=frame_width_px,
@@ -177,12 +178,22 @@ def serialize_boxes(prior):
     lines = []
     for f in range(prior.frame_count):
         recs = ", ".join(
-            "{'id': %d, 'name': '%s', 'box': %s}" % (t.subject_id, t.name, t.boxes[f])
+            "{'id': %d, 'name': %r, 'box': %s}" % (t.subject_id, t.name, t.boxes[f])
             for t in prior.trajectories
         )
         lines.append(f"Frame {f + 1}: [{recs}]")
     lines.append(f"Background keyword: {prior.background_keyword}")
     return "\n".join(lines) + "\n"
+
+
+def _int_box(rec):
+    """A JSON record with its box coordinates coerced by int(); _check_record does the rest."""
+    if isinstance(rec, dict) and isinstance(rec.get("box"), list):
+        try:
+            return dict(rec, box=[int(v) for v in rec["box"]])
+        except (TypeError, ValueError, OverflowError):
+            raise BoxParseError(f"box must be four integers, got {rec['box']!r}") from None
+    return rec
 
 
 def load_structured_boxes(text):
@@ -191,25 +202,34 @@ def load_structured_boxes(text):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise BoxParseError(f"invalid JSON: {exc}", exc.lineno) from exc
+    if not isinstance(obj, dict):
+        raise BoxParseError("structured boxes must be a JSON object")
     try:
-        W, H = obj["frame_size"]
-        frames = obj["frames"]
-        background = obj["background"]
-    except (KeyError, ValueError) as exc:
-        raise BoxParseError(f"missing structured field: {exc}") from exc
-    lines = [
-        "Frame %d: [%s]" % (
-            k + 1,
-            ", ".join(
-                "{'id': %d, 'name': '%s', 'box': %s}"
-                % (r["id"], r["name"], [int(v) for v in r["box"]])
-                for r in recs
-            ),
-        )
-        for k, recs in enumerate(frames)
-    ]
-    lines.append(f"Background keyword: {background}")
-    return parse_llm_boxes("\n".join(lines), int(W), int(H))
+        W, H = (int(v) for v in obj["frame_size"])
+        frames, background = obj["frames"], obj["background"].strip()
+    except KeyError as exc:
+        raise BoxParseError(f"missing structured field: {exc}") from None
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise BoxParseError(f"malformed frame_size or background: {exc}") from None
+    if not isinstance(frames, list):
+        raise BoxParseError(f"frames must be a list of per-frame record lists, got {frames!r}")
+    by_index = {
+        k: (None, [_int_box(r) for r in recs] if isinstance(recs, list) else recs)
+        for k, recs in enumerate(frames, start=1)
+    }
+    return _build_prior(by_index, background, W, H)
+
+
+def static_two_box_prior(frames):
+    """Disjoint static left/right boxes covering the full frame height."""
+    return SpatialPriorSet(
+        frame_count=frames,
+        trajectories=[
+            BoxTrajectory(0, "left subject", [[0, 0, 288, 320]] * frames),
+            BoxTrajectory(1, "right subject", [[288, 0, 288, 320]] * frames),
+        ],
+        background_keyword="plain",
+    )
 
 
 def detect_and_parse(text):

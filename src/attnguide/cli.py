@@ -13,21 +13,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .autodiff import Tensor, finite_diff_check
-from .boxes import detect_and_parse, rasterize_masks, serialize_boxes, validate_trajectories
-from .denoiser import LinearAttentionStub, ToyDenoiser, ToyModelConfig
-from .errors import AttnGuideError, InputError, NumericError
-from .guidance import (
-    GuidanceConfig,
-    loss_bg,
-    loss_fg,
-    loss_neg,
-    loss_pos,
-    loss_sp,
-    loss_syt,
-    prepare_inputs,
-    run_guided_sampling,
+from .boxes import (
+    detect_and_parse,
+    rasterize_masks,
+    serialize_boxes,
+    static_two_box_prior,
+    validate_trajectories,
 )
+from .config import key_values, parse_value
+from .denoiser import ToyDenoiser, ToyModelConfig
+from .errors import AttnGuideError, DegenerateAttentionError, InputError, NumericError
+from .gradcheck import gradcheck_suites
+from .guidance import GuidanceConfig, GuidanceError, run_guided_sampling
 from .metrics import (
     DEFAULT_ABLATION_AXES,
     MetricsReport,
@@ -68,13 +65,11 @@ def _write_manifest(out_dir, config, seed, inputs, started, complete=True, extra
     (Path(out_dir) / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _model_from_args(args, ca_capture=None):
+def _model_from_args(args):
     cfg = ToyModelConfig.from_file(args.model_config) if getattr(args, "model_config", None) \
         else ToyModelConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if ca_capture is not None:
-        cfg = replace(cfg, ca_capture=ca_capture)
     return ToyDenoiser(cfg)
 
 
@@ -183,14 +178,10 @@ def cmd_generate(args):
 
     heat_dir = out_dir / "heatmaps"
     heat_dir.mkdir(exist_ok=True)
-    from .metrics import _CAView
-
-    grid = model.config.capture_grid
     for step, values in sorted(result.ca_records.items()):
-        view = _CAView(values, grid, grid)
         for noun, verb in result.column_pairs.pairs:
             for tok in (noun, verb):
-                render_heatmap(view, tok, 0, heat_dir / f"step{step}_tok{tok}.pgm",
+                render_heatmap(values, tok, 0, heat_dir / f"step{step}_tok{tok}.pgm",
                                upscale=args.upscale)
 
     unguided = config.lambda_sp == 0 and config.lambda_syt == 0
@@ -206,87 +197,9 @@ def _jsonable(d):
                 else v) for k, v in d.items()}
 
 
-def _gradcheck_suites(component, seed, corrupt=False):
-    """Yield (name, worst_relative_error, tolerance) triples."""
-    from .denoiser import TextEncoding  # noqa: F401  (documented surface)
-
-    cfg = ToyModelConfig(frames=2, latent_h=4, latent_w=4, latent_channels=2,
-                         levels=(("down", 4), ("mid", 2), ("up", 4)),
-                         token_budget=8, embed_dim=8, heads=2, seed=seed)
-    tokens = tokenize("a cat is sitting")
-    pairs = extract_pairs(tokens)
-    model = ToyDenoiser(cfg)
-    text = model.encode_text(tokens)
-    from .guidance import _pairs_to_columns
-
-    col_pairs = _pairs_to_columns(pairs, text.columns)
-    prior = _static_two_box_prior(cfg.frames, one_subject=True)
-    gcfg = GuidanceConfig(total_steps=cfg.total_steps)
-    masks = rasterize_masks(prior, cfg.capture_grid, cfg.capture_grid).rebind(
-        {0: col_pairs.pairs[0][0]})
-
-    rng = np.random.default_rng(seed)
-    z0 = rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
-
-    if component in ("stub", "all"):
-        stub = LinearAttentionStub(cfg, seed=seed)
-        ca_of = stub.ca_from_latent
-        for name, fn in _loss_probes(masks, col_pairs, gcfg):
-            err = _fd(lambda zt, fn=fn: fn(ca_of(zt)), z0, corrupt)
-            yield f"stub/{name}", err, 1e-6
-    if component in ("model", "all"):
-        def ca_of_model(zt):
-            return model.denoise_step(zt, 10, text)[1]
-        for name, fn in _loss_probes(masks, col_pairs, gcfg):
-            err = _fd(lambda zt, fn=fn: fn(ca_of_model(zt)), z0, corrupt)
-            yield f"model/{name}", err, 1e-4
-    if component in ("losses", "all"):
-        A0 = rng.uniform(0.05, 1.0, size=(cfg.frames, cfg.capture_grid ** 2, cfg.token_budget))
-        from .denoiser import CAMapStack
-
-        def view(at):
-            return CAMapStack(A=at, grid_h=cfg.capture_grid, grid_w=cfg.capture_grid)
-        for name, fn in _loss_probes(masks, col_pairs, gcfg):
-            err = _fd(lambda at, fn=fn: fn(view(at)), A0, corrupt)
-            yield f"losses/{name}", err, 1e-5
-
-
-def _loss_probes(masks, col_pairs, gcfg):
-    pair = col_pairs.pairs[0]
-    negs = col_pairs.negatives_for(pair)
-    return [
-        ("L_fg", lambda ca: loss_fg(ca, masks, col_pairs)),
-        ("L_bg", lambda ca: loss_bg(ca, masks, col_pairs)),
-        ("L_sp", lambda ca: loss_sp(ca, masks, col_pairs, gcfg)),
-        ("L_pos", lambda ca: loss_pos(ca, pair, gcfg.distance, gcfg.eps)),
-        ("L_neg", lambda ca: loss_neg(ca, pair, negs, gcfg.distance, gcfg.eps)),
-        ("L_syt", lambda ca: loss_syt(ca, col_pairs, gcfg)),
-    ]
-
-
-def _skew_identity(t):
-    # test hook: numerically the identity, but with a wrong gradient rule
-    return t._make(np.array(t.data), (t,), lambda g: (1.5 * g,))
-
-
-def _fd(fn, z0, corrupt):
-    probe = (lambda zt: fn(_skew_identity(zt))) if corrupt else fn
-    return finite_diff_check(probe, Tensor(z0), step=3e-5)
-
-
-def _static_two_box_prior(frames, one_subject=False):
-    from .boxes import BoxTrajectory, SpatialPriorSet
-
-    trajs = [BoxTrajectory(0, "left subject", [[0, 0, 288, 320]] * frames)]
-    if not one_subject:
-        trajs.append(BoxTrajectory(1, "right subject", [[288, 0, 288, 320]] * frames))
-    return SpatialPriorSet(frame_count=frames, trajectories=trajs,
-                           background_keyword="plain")
-
-
 def cmd_gradcheck(args):
     failures = []
-    for name, err, tol in _gradcheck_suites(args.component, args.seed or 0,
+    for name, err, tol in gradcheck_suites(args.component, args.seed or 0,
                                             corrupt=args.corrupt_gradient):
         status = "ok" if err <= tol else "FAIL"
         print(f"gradcheck {name}: worst_rel_err={err:.3e} tol={tol:.0e} {status}")
@@ -298,26 +211,13 @@ def cmd_gradcheck(args):
 
 
 def _parse_grid_file(path):
+    """Read `axis = v1, v2, ...` lines; values take the type of the axis's config field."""
     axes = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InputError(f"grid line {line_no}: want 'axis = v1, v2, ...'")
-        key, vals = (s.strip() for s in line.split("=", 1))
+    for line_no, key, vals in key_values(path):
         if key not in DEFAULT_ABLATION_AXES:
             raise InputError(f"grid line {line_no}: unknown axis {key!r}")
-        parsed = []
-        for v in vals.split(","):
-            v = v.strip()
-            if key in ("distance", "contrastive_form", "ca_capture"):
-                parsed.append(v)
-            elif key in ("t1", "t2", "iters_spatial_per_step", "iters_syntax_per_step"):
-                parsed.append(int(v))
-            else:
-                parsed.append(float(v))
-        axes[key] = parsed
+        cls = ToyModelConfig if key == "ca_capture" else GuidanceConfig
+        axes[key] = [parse_value(cls, key, v.strip(), line_no) for v in vals.split(",")]
     return axes
 
 
@@ -338,14 +238,12 @@ def cmd_ablate(args):
         cfg = mcfg if ca_capture is None else replace(mcfg, ca_capture=ca_capture)
         return ToyDenoiser(cfg)
 
-    prompt = args.prompt
-    frames = mcfg.frames
     prior = detect_and_parse(Path(args.boxes).read_text()) if args.boxes \
-        else _static_two_box_prior(max(frames, 2))
+        else static_two_box_prior(max(mcfg.frames, 2))
 
     complete = True
     try:
-        report = run_ablation(axes, base, seeds, prompt, prior, model_factory,
+        report = run_ablation(axes, base, seeds, args.prompt, prior, model_factory,
                               one_at_a_time=not args.cartesian, log=print)
     except KeyboardInterrupt:
         complete = False
@@ -360,15 +258,11 @@ def cmd_ablate(args):
 
 
 def cmd_render(args):
-    from .metrics import _CAView
-
     data = np.load(args.run_dir + "/ca_records.npz")
     key = f"step{args.step}"
     if key not in data:
         raise InputError(f"no CA snapshot for step {args.step} in {args.run_dir}")
-    grid = data["grid"]
-    view = _CAView(data[key], int(grid[0]), int(grid[1]))
-    render_heatmap(view, args.token, args.frame, args.out, upscale=args.upscale)
+    render_heatmap(data[key], args.token, args.frame, args.out, upscale=args.upscale)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -385,8 +279,6 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", default=None, help="guidance config (key = value)")
         p.add_argument("--model-config", default=None, help="model config (key = value)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; execution stays deterministic")
 
     p = sub.add_parser("parse-prompt", help="tokenize and extract noun/verb pairs")
     p.add_argument("prompt")
@@ -448,9 +340,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    from .errors import DegenerateAttentionError
-    from .guidance import GuidanceError
-
     try:
         return args.func(args)
     except (NumericError, DegenerateAttentionError, GuidanceError) as exc:

@@ -11,11 +11,12 @@ mean of the lowest-resolution down-path and up-path maps.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
+from .config import read_config
 from .errors import ContractError, DimensionError, InputError
 
 BEGIN, END, PAD = "<begin>", "<end>", "<pad>"
@@ -36,6 +37,12 @@ class ToyModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("frames", "latent_h", "latent_w", "latent_channels", "token_budget",
+                     "embed_dim", "heads", "total_steps"):
+            if getattr(self, name) < 1:
+                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
+        if any(g < 1 for _, g in self.levels):
+            raise InputError(f"levels grid sizes must be positive, got {self.levels}")
         tags = [tag for tag, _ in self.levels]
         wanted = self.ca_capture.split("+")
         for w in wanted:
@@ -53,23 +60,7 @@ class ToyModelConfig:
 
     @classmethod
     def from_file(cls, path):
-        kwargs = {}
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise InputError(f"bad config line (want key = value): {raw!r}")
-                key, val = (s.strip() for s in line.split("=", 1))
-                if key == "levels":
-                    pairs = [p.split(":") for p in val.split(",")]
-                    kwargs[key] = tuple((t.strip(), int(g)) for t, g in pairs)
-                elif key == "ca_capture":
-                    kwargs[key] = val
-                else:
-                    kwargs[key] = int(val)
-        return cls(**kwargs)
+        return read_config(cls, path)
 
 
 @dataclass

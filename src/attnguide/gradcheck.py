@@ -1,0 +1,85 @@
+"""Finite-difference gradient suites for the guidance losses.
+
+Each suite checks the six losses on a tiny one-subject scene, through the
+closed-form attention stub ("stub"), the full denoiser ("model"), or
+directly on random attention values ("losses").
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .autodiff import Tensor, finite_diff_check
+from .boxes import rasterize_masks, static_two_box_prior
+from .denoiser import CAMapStack, LinearAttentionStub, ToyDenoiser, ToyModelConfig
+from .guidance import (
+    GuidanceConfig,
+    _pairs_to_columns,
+    loss_bg,
+    loss_fg,
+    loss_neg,
+    loss_pos,
+    loss_sp,
+    loss_syt,
+)
+from .syntax import extract_pairs, tokenize
+
+
+def gradcheck_suites(component, seed, corrupt=False):
+    """Yield (name, worst_relative_error, tolerance) triples.
+
+    ``component`` is "stub", "model", "losses" or "all".  ``corrupt``
+    routes the input through an identity op with a wrong gradient rule, so
+    the suite must report failures.
+    """
+    cfg = ToyModelConfig(frames=2, latent_h=4, latent_w=4, latent_channels=2,
+                         levels=(("down", 4), ("mid", 2), ("up", 4)),
+                         token_budget=8, embed_dim=8, heads=2, seed=seed)
+    tokens = tokenize("a cat is sitting")
+    pairs = extract_pairs(tokens)
+    model = ToyDenoiser(cfg)
+    text = model.encode_text(tokens)
+    col_pairs = _pairs_to_columns(pairs, text.columns)
+    prior = static_two_box_prior(cfg.frames)
+    prior.trajectories = prior.trajectories[:1]
+    gcfg = GuidanceConfig(total_steps=cfg.total_steps)
+    masks = rasterize_masks(prior, cfg.capture_grid, cfg.capture_grid).rebind(
+        {0: col_pairs.pairs[0][0]})
+
+    rng = np.random.default_rng(seed)
+    z0 = rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
+    A0 = rng.uniform(0.05, 1.0, size=(cfg.frames, cfg.capture_grid ** 2, cfg.token_budget))
+    suites = {  # name -> (input -> CA stack, input, tolerance)
+        "stub": (LinearAttentionStub(cfg, seed=seed).ca_from_latent, z0, 1e-6),
+        "model": (lambda zt: model.denoise_step(zt, 10, text)[1], z0, 1e-4),
+        "losses": (lambda at: CAMapStack(A=at, grid_h=cfg.capture_grid,
+                                         grid_w=cfg.capture_grid), A0, 1e-5),
+    }
+    for suite, (ca_of, x0, tol) in suites.items():
+        if component in (suite, "all"):
+            for name, fn in _loss_probes(masks, col_pairs, gcfg):
+                err = _fd(lambda x, fn=fn: fn(ca_of(x)), x0, corrupt)
+                yield f"{suite}/{name}", err, tol
+
+
+def _loss_probes(masks, col_pairs, gcfg):
+    pair = col_pairs.pairs[0]
+    negs = col_pairs.negatives_for(pair)
+    return [
+        ("L_fg", lambda ca: loss_fg(ca, masks, col_pairs)),
+        ("L_bg", lambda ca: loss_bg(ca, masks, col_pairs)),
+        ("L_sp", lambda ca: loss_sp(ca, masks, col_pairs, gcfg)),
+        ("L_pos", lambda ca: loss_pos(ca, pair, gcfg.distance, gcfg.eps)),
+        ("L_neg", lambda ca: loss_neg(ca, pair, negs, gcfg.distance, gcfg.eps)),
+        ("L_syt", lambda ca: loss_syt(ca, col_pairs, gcfg)),
+    ]
+
+
+def _skew_identity(t):
+    # numerically the identity, but with a wrong gradient rule
+    return t._make(np.array(t.data), (t,), lambda g: (1.5 * g,))
+
+
+def _fd(fn, z0, corrupt):
+    probe = (lambda zt: fn(_skew_identity(zt))) if corrupt else fn
+    return finite_diff_check(probe, Tensor(z0), step=3e-5)

@@ -10,12 +10,14 @@ steps between scheduler updates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .autodiff import Tensor
 from .boxes import rasterize_masks, resample_frames
+from .config import read_config
 from .denoiser import DDIMSchedule, LatentState, ddim_step
 from .errors import (
     AttnGuideError,
@@ -57,6 +59,10 @@ class GuidanceConfig:
     negatives_exclude_other_pairs: bool = False
 
     def __post_init__(self):
+        reals = (self.lambda_fg, self.lambda_bg, self.lambda_sp, self.lambda_syt,
+                 self.alpha, self.eps)
+        if not all(math.isfinite(v) for v in reals):
+            raise InputError("loss weights, alpha and eps must be finite")
         if not 0 <= self.t1 <= self.t2 <= self.total_steps:
             raise InputError(
                 f"need 0 <= t1 <= t2 <= total_steps, got {self.t1}, {self.t2}, "
@@ -73,39 +79,10 @@ class GuidanceConfig:
 
     @classmethod
     def from_file(cls, path):
-        values = {}
-        bool_names = {f.name for f in fields(cls) if f.type == "bool" or isinstance(f.default, bool)}
-        for f in fields(cls):
-            values[f.name] = f.default
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise InputError(f"bad config line (want key = value): {raw!r}")
-                key, val = (s.strip() for s in line.split("=", 1))
-                if key not in values:
-                    raise InputError(f"unknown config key {key!r}")
-                values[key] = _coerce(key, val, bool_names)
-        return cls(**values)
+        return read_config(cls, path)
 
     def with_overrides(self, **overrides):
         return replace(self, **{k: v for k, v in overrides.items() if v is not None})
-
-
-def _coerce(key, val, bool_names):
-    if key in bool_names:
-        if val.lower() in ("true", "1", "yes"):
-            return True
-        if val.lower() in ("false", "0", "no"):
-            return False
-        raise InputError(f"bad boolean for {key!r}: {val!r}")
-    if key in ("distance", "contrastive_form"):
-        return val
-    if key in ("total_steps", "t1", "t2", "iters_spatial_per_step", "iters_syntax_per_step"):
-        return int(val)
-    return float(val)
 
 
 @dataclass
@@ -190,6 +167,21 @@ def dist(p_map, q_map, kind=KL_SYM, eps=1e-8):
 
 
 # -- spatial constraints ------------------------------------------------------
+
+
+def in_box_ratio(ca, masks, token_index, frame):
+    """Fraction of a token's attention mass inside its mask, in [0, 1].
+
+    ``ca`` holds CA map values [F, N, L]; ``masks`` is keyed by token index.
+    """
+    col = ca[frame, :, token_index]
+    total = col.sum()
+    if total <= 0:
+        raise DegenerateAttentionError(
+            f"token {token_index} frame {frame}: zero total attention mass"
+        )
+    m = masks.mask(token_index, frame).reshape(-1)
+    return float((col * m).sum() / total)
 
 
 def _mask_array(masks, noun, frames):
@@ -339,18 +331,6 @@ def _pairs_to_columns(pairs, columns):
     return mapped
 
 
-def _in_box_ratios(ca_values, masks, column_pairs):
-    out = {}
-    for noun, _ in column_pairs.pairs:
-        ratios = []
-        for f in range(ca_values.shape[0]):
-            col = ca_values[f, :, noun]
-            m = masks.mask(noun, f).reshape(-1)
-            ratios.append(float((col * m).sum() / col.sum()))
-        out[noun] = float(np.mean(ratios))
-    return out
-
-
 def prepare_inputs(prompt, priors, config, model):
     """Tokenize, pair, resample, rasterize, and bind masks to noun columns."""
     tokens = tokenize(prompt)
@@ -420,12 +400,15 @@ def run_guided_sampling(prompt, priors, config, model, seed, snapshot_steps=None
                         loss = loss_syt(ca, column_pairs, config)
                     value = loss.item()
                     state, gnorm = guide_latent(state, leaf, loss, lam, config.alpha)
+                    values = ca.A.data
+                    ratios = {
+                        noun: float(np.mean([in_box_ratio(values, masks, noun, f)
+                                             for f in range(values.shape[0])]))
+                        for noun, _ in column_pairs.pairs
+                    }
                 except AttnGuideError as exc:
                     raise GuidanceError(f"step {step} iteration {it}: {exc}") from exc
-                trace.add(TraceRecord(
-                    step, it, loss_name, value, gnorm,
-                    _in_box_ratios(ca.A.data, masks, column_pairs),
-                ))
+                trace.add(TraceRecord(step, it, loss_name, value, gnorm, ratios))
 
         eps_pred, ca, _ = model.denoise_step(Tensor(state.z), t, text)
         if step in snapshot_steps:

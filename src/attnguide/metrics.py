@@ -9,35 +9,30 @@ files stay byte-exact without an image dependency.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import ndimage
 
-from .autodiff import Tensor
-from .errors import ContractError, DegenerateAttentionError, InputError
-from .guidance import KL_SYM, dist, run_guided_sampling
+from .errors import ContractError, InputError
+from .guidance import KL_SYM, dist, in_box_ratio, run_guided_sampling
 
 
-def in_box_ratio(ca, masks, token_index, frame):
-    """Fraction of a token's attention mass inside its mask, in [0, 1]."""
-    values = ca.A.data if hasattr(ca, "A") else np.asarray(ca)
-    col = values[frame, :, token_index]
-    total = col.sum()
-    if total <= 0:
-        raise DegenerateAttentionError(
-            f"token {token_index} frame {frame}: zero total attention mass"
-        )
-    m = masks.mask(token_index, frame).reshape(-1)
-    return float((col * m).sum() / total)
+def _square_map(ca, token_index, frame):
+    """One token/frame column of [F, N, L] values as its side x side grid."""
+    col = ca[frame, :, token_index]
+    side = math.isqrt(col.size)
+    if side * side != col.size:
+        raise ContractError(f"{col.size} pixels do not form a square grid")
+    return col.reshape(side, side)
 
 
 def count_components(ca, token_index, frame, rel_threshold=0.5):
     """Count 4-connected components of the map binarized at rel_threshold*max."""
     if not 0 < rel_threshold < 1:
         raise ContractError("rel_threshold must lie in (0, 1)")
-    values = ca.A.data if hasattr(ca, "A") else np.asarray(ca)
-    grid = values[frame, :, token_index].reshape(ca.grid_h, ca.grid_w)
+    grid = _square_map(ca, token_index, frame)
     binary = grid >= rel_threshold * grid.max()
     _, n = ndimage.label(binary)  # default structure is 4-connectivity
     return int(n)
@@ -45,10 +40,8 @@ def count_components(ca, token_index, frame, rel_threshold=0.5):
 
 def verb_noun_alignment(ca, pair, kind=KL_SYM):
     """Frame-mean distance between a pair's noun and verb maps (lower is better)."""
-    values = ca.A.data if hasattr(ca, "A") else np.asarray(ca)
     i, j = pair
-    d = dist(Tensor(values[:, :, i]), Tensor(values[:, :, j]), kind)
-    return float(d.mean().item())
+    return float(dist(ca[:, :, i], ca[:, :, j], kind).mean().item())
 
 
 def render_heatmap(ca, token_index, frame, out_path, upscale=1):
@@ -59,8 +52,7 @@ def render_heatmap(ca, token_index, frame, out_path, upscale=1):
     """
     if upscale < 1:
         raise ContractError("upscale must be >= 1")
-    values = ca.A.data if hasattr(ca, "A") else np.asarray(ca)
-    grid = values[frame, :, token_index].reshape(ca.grid_h, ca.grid_w)
+    grid = _square_map(ca, token_index, frame)
     lo, hi = grid.min(), grid.max()
     if hi > lo:
         img = np.rint((grid - lo) / (hi - lo) * 255.0).astype(np.uint8)
@@ -121,7 +113,6 @@ def summarize_run(result):
     """Per-run proxy metrics from a SamplingResult's CA snapshots."""
     cfg = result.config
     out = {}
-    grid = result.mask_set.grid_h, result.mask_set.grid_w
 
     def snapshot_stats(step):
         values = result.ca_records.get(step)
@@ -131,12 +122,9 @@ def summarize_run(result):
         F = values.shape[0]
         for pair in result.column_pairs.pairs:
             noun, _ = pair
-            ratios.extend(
-                in_box_ratio(_CAView(values, *grid), result.mask_set, noun, f)
-                for f in range(F)
-            )
-            aligns.append(verb_noun_alignment(_CAView(values, *grid), pair))
-            comps.append(count_components(_CAView(values, *grid), noun, 0))
+            ratios.extend(in_box_ratio(values, result.mask_set, noun, f) for f in range(F))
+            aligns.append(verb_noun_alignment(values, pair))
+            comps.append(count_components(values, noun, 0))
         return {
             "mean_in_box_ratio": float(np.mean(ratios)),
             "mean_alignment": float(np.mean(aligns)),
@@ -149,19 +137,6 @@ def summarize_run(result):
             for k, v in stats.items():
                 out[f"{k}_{label}"] = v
     return out
-
-
-@dataclass
-class _CAView:
-    """Duck-typed CA stack over raw snapshot values."""
-
-    values: np.ndarray
-    grid_h: int
-    grid_w: int
-
-    @property
-    def A(self):
-        return Tensor(self.values)
 
 
 DEFAULT_ABLATION_AXES = {

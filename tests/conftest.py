@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from attnguide.boxes import BoxTrajectory, SpatialPriorSet
+from attnguide.boxes import static_two_box_prior  # noqa: F401  (shared by the tests)
 from attnguide.denoiser import ToyModelConfig
 
 # First in-context example of the box-generator prompt (woman/man, 8 frames).
@@ -35,18 +35,6 @@ Background keyword: garden
 """
 
 TEMPLATE_PROMPT = "a man is walking and a dog is running"
-
-
-def static_two_box_prior(frames):
-    """Disjoint static left/right boxes covering the full frame height."""
-    return SpatialPriorSet(
-        frame_count=frames,
-        trajectories=[
-            BoxTrajectory(0, "left subject", [[0, 0, 288, 320]] * frames),
-            BoxTrajectory(1, "right subject", [[288, 0, 288, 320]] * frames),
-        ],
-        background_keyword="plain",
-    )
 
 
 def tiny_model_config(**overrides):

@@ -9,7 +9,7 @@ import pytest
 
 from attnguide.autodiff import Tensor
 from attnguide.boxes import MaskSet, parse_llm_boxes, serialize_boxes, validate_trajectories
-from attnguide.cli import _gradcheck_suites
+from attnguide.gradcheck import gradcheck_suites
 from attnguide.denoiser import CAMapStack, ToyDenoiser, ToyModelConfig
 from attnguide.guidance import (
     KL_SYM,
@@ -132,7 +132,7 @@ def test_criterion_2_gradient_oracle():
     ok = True
     for component, tol in (("stub", 1e-6), ("model", 1e-4)):
         for seed in SEEDS:
-            for name, err, _ in _gradcheck_suites(component, seed):
+            for name, err, _ in gradcheck_suites(component, seed):
                 names.add(name.split("/")[1])
                 worst[component] = max(worst[component], err)
                 ok = ok and err <= tol

@@ -205,6 +205,61 @@ class TestAblate:
         assert "unknown axis" in capsys.readouterr().out
 
 
+def _structured(record=None, **overrides):
+    """A two-frame JSON box prior holding `record` in each frame."""
+    record = record or {"id": 0, "name": "walking man", "box": [0, 0, 288, 320]}
+    obj = {"frame_size": [576, 320], "frames": [[record]] * 2, "background": "room"}
+    obj.update(overrides)
+    return json.dumps(obj)
+
+
+# (file role, file contents): every one is a user input error and must exit 2.
+BAD_INPUTS = {
+    "model_unknown_key": ("model", "bogus = 3\n"),
+    "model_bad_levels": ("model", "levels = down8\n"),
+    "model_fractional_frames": ("model", "frames = 2.5\n"),
+    "model_zero_heads": ("model", "heads = 0\n"),
+    "model_negative_embed_dim": ("model", "embed_dim = -4\n"),
+    "model_zero_latent_h": ("model", "latent_h = 0\n"),
+    "guide_not_a_number": ("guide", "lambda_sp = abc\n"),
+    "guide_non_finite": ("guide", "lambda_sp = nan\nalpha = inf\n"),
+    "guide_bad_boolean": ("guide", "neg_includes_verb = maybe\n"),
+    "grid_not_an_integer": ("grid", "t1 = x\n"),
+    "boxes_string_id": ("boxes", _structured({"id": "0", "name": "man", "box": [0, 0, 9, 9]})),
+    "boxes_missing_name": ("boxes", _structured({"id": 0, "box": [0, 0, 9, 9]})),
+    "boxes_bad_box_value": ("boxes", _structured({"id": 0, "name": "m", "box": [0, "w", 0, 9]})),
+    "boxes_bad_frame_size": ("boxes", _structured(frame_size="wide")),
+    "boxes_bad_frames": ("boxes", _structured(frames=5)),
+}
+
+
+@pytest.mark.parametrize("role,text", BAD_INPUTS.values(), ids=list(BAD_INPUTS))
+def test_bad_input_is_one_parse_error(tmp_path, boxes_file, capsys, role, text):
+    path = tmp_path / f"{role}.txt"
+    path.write_text(text)
+    out_dir = str(tmp_path / "out")
+    argv = {
+        "model": ["generate", TEMPLATE_PROMPT, boxes_file, "--out", out_dir,
+                  "--model-config", str(path)],
+        "guide": ["generate", TEMPLATE_PROMPT, boxes_file, "--out", out_dir,
+                  "--config", str(path)],
+        "grid": ["ablate", "--grid", str(path), "--out", out_dir],
+        "boxes": ["parse-boxes", str(path)],
+    }[role]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    errors = [ln for ln in captured.out.splitlines() if ln.startswith("ERROR")]
+    assert len(errors) == 1 and errors[0].startswith("ERROR kind=parse")
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_structured_boxes_with_quote_in_name(tmp_path, capsys):
+    path = tmp_path / "boxes.json"
+    path.write_text(_structured({"id": 0, "name": "man's dog", "box": [0, 0, 9, 9]}))
+    assert main(["parse-boxes", str(path)]) == 0
+    assert "'name': \"man's dog\"" in capsys.readouterr().out
+
+
 class TestRender:
     def test_render_from_run_dir(self, tmp_path, small_run_args, capsys):
         assert main(small_run_args("run")) == 0

@@ -21,12 +21,6 @@ from attnguide.syntax import SyntaxPairs
 from conftest import TEMPLATE_PROMPT, static_two_box_prior, tiny_model_config
 
 
-def ca_stack(A):
-    A = np.asarray(A, dtype=float)
-    grid = int(np.sqrt(A.shape[1]))
-    return CAMapStack(A=Tensor(A), grid_h=grid, grid_w=grid)
-
-
 def mask_set(mask, frames=1, key=0):
     mask = np.asarray(mask, dtype=float)
     return MaskSet(mask.shape[0], mask.shape[1], {(key, f): mask for f in range(frames)})
@@ -34,7 +28,7 @@ def mask_set(mask, frames=1, key=0):
 
 class TestInBoxRatio:
     def test_uniform_half_mask(self):
-        ca = ca_stack(np.full((1, 4, 2), 0.5))
+        ca = np.full((1, 4, 2), 0.5)
         masks = mask_set([[1.0, 1.0], [0.0, 0.0]])
         assert abs(in_box_ratio(ca, masks, 0, 0) - 0.5) <= 1e-12
 
@@ -42,23 +36,23 @@ class TestInBoxRatio:
         A = np.zeros((1, 4, 1))
         A[0, :2, 0] = 0.5
         masks = mask_set([[1.0, 1.0], [0.0, 0.0]])
-        assert in_box_ratio(ca_stack(A), masks, 0, 0) == 1.0
+        assert in_box_ratio(A, masks, 0, 0) == 1.0
 
     def test_relates_to_loss_fg_by_square(self, rng):
         """loss_fg == frame-mean (1 - ratio)^2 for a single tracked noun."""
         for _ in range(100):
             A = rng.uniform(0.01, 1.0, size=(2, 4, 2))
-            ca = ca_stack(A)
             masks = mask_set(rng.integers(0, 2, size=(2, 2)).astype(float), frames=2)
             pairs = SyntaxPairs(pairs=[(0, 1)], negatives={(0, 1): frozenset()})
             expected = np.mean([
-                (1.0 - in_box_ratio(ca, masks, 0, f)) ** 2 for f in range(2)
+                (1.0 - in_box_ratio(A, masks, 0, f)) ** 2 for f in range(2)
             ])
+            ca = CAMapStack(A=Tensor(A), grid_h=2, grid_w=2)
             got = loss_fg(ca, masks, pairs, include_verbs=False).item()
             assert abs(np.sqrt(got) - np.sqrt(expected)) <= 1e-12
 
     def test_zero_mass_rejected(self):
-        ca = ca_stack(np.zeros((1, 4, 1)))
+        ca = np.zeros((1, 4, 1))
         with pytest.raises(DegenerateAttentionError):
             in_box_ratio(ca, mask_set(np.ones((2, 2))), 0, 0)
 
@@ -67,40 +61,54 @@ class TestCountComponents:
     def test_two_blobs(self):
         grid = np.zeros((4, 4))
         grid[0, 0] = grid[3, 3] = 1.0
-        ca = ca_stack(grid.reshape(1, 16, 1))
+        ca = grid.reshape(1, 16, 1)
         assert count_components(ca, 0, 0) == 2
 
     def test_single_blob(self):
         grid = np.zeros((4, 4))
         grid[1:3, 1:3] = 1.0
-        ca = ca_stack(grid.reshape(1, 16, 1))
+        ca = grid.reshape(1, 16, 1)
         assert count_components(ca, 0, 0) == 1
 
     def test_diagonal_cells_are_separate(self):
         """4-connectivity: diagonally touching cells are distinct components."""
         grid = np.zeros((4, 4))
         grid[0, 0] = grid[1, 1] = 1.0
-        ca = ca_stack(grid.reshape(1, 16, 1))
+        ca = grid.reshape(1, 16, 1)
         assert count_components(ca, 0, 0) == 2
 
     def test_threshold_bounds(self):
-        ca = ca_stack(np.ones((1, 16, 1)))
+        ca = np.ones((1, 16, 1))
         with pytest.raises(ContractError):
             count_components(ca, 0, 0, rel_threshold=1.0)
         with pytest.raises(ContractError):
             count_components(ca, 0, 0, rel_threshold=0.0)
+
+    def test_raw_snapshot_array(self):
+        """The [F, N, L] arrays in SamplingResult.ca_records are accepted as-is."""
+        res = _small_run()
+        values = res.ca_records[res.config.total_steps]
+        noun = res.column_pairs.pairs[0][0]
+        assert count_components(values, noun, 0) >= 1
+
+    def test_non_square_pixel_count_rejected(self, tmp_path):
+        ca = np.ones((1, 6, 1))
+        with pytest.raises(ContractError, match="square"):
+            count_components(ca, 0, 0)
+        with pytest.raises(ContractError, match="square"):
+            render_heatmap(ca, 0, 0, tmp_path / "x.pgm")
 
 
 class TestAlignment:
     def test_identical_maps_zero(self):
         A = np.zeros((2, 4, 2))
         A[..., 0] = A[..., 1] = 0.25
-        assert verb_noun_alignment(ca_stack(A), (0, 1)) <= 1e-12
+        assert verb_noun_alignment(A, (0, 1)) <= 1e-12
 
     def test_cosine_kind(self, rng):
         A = rng.uniform(0.05, 1.0, size=(2, 4, 2))
-        sym = verb_noun_alignment(ca_stack(A), (0, 1), kind=KL_SYM)
-        cos = verb_noun_alignment(ca_stack(A), (0, 1), kind=COSINE)
+        sym = verb_noun_alignment(A, (0, 1), kind=KL_SYM)
+        cos = verb_noun_alignment(A, (0, 1), kind=COSINE)
         assert sym >= 0 and cos >= 0
         assert sym != cos
 
@@ -109,19 +117,19 @@ class TestRenderHeatmap:
     def test_pixel_exact_fixture(self, tmp_path):
         A = np.array([[0.0], [1.0], [0.5], [0.25]]).reshape(1, 4, 1)
         path = tmp_path / "map.pgm"
-        render_heatmap(ca_stack(A), 0, 0, path)
+        render_heatmap(A, 0, 0, path)
         expected = b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64])
         assert path.read_bytes() == expected
 
     def test_constant_map_all_zeros(self, tmp_path):
         path = tmp_path / "flat.pgm"
-        render_heatmap(ca_stack(np.full((1, 4, 1), 0.3)), 0, 0, path)
+        render_heatmap(np.full((1, 4, 1), 0.3), 0, 0, path)
         assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes(4)
 
     def test_upscale(self, tmp_path):
         A = np.array([[0.0], [1.0], [1.0], [0.0]]).reshape(1, 4, 1)
         path = tmp_path / "up.pgm"
-        render_heatmap(ca_stack(A), 0, 0, path, upscale=2)
+        render_heatmap(A, 0, 0, path, upscale=2)
         body = path.read_bytes()
         assert body.startswith(b"P5\n4 4\n255\n")
         img = np.frombuffer(body[len(b"P5\n4 4\n255\n"):], dtype=np.uint8).reshape(4, 4)
@@ -131,13 +139,13 @@ class TestRenderHeatmap:
     def test_deterministic_bytes(self, tmp_path, rng):
         A = rng.uniform(size=(1, 16, 1))
         p1, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
-        render_heatmap(ca_stack(A), 0, 0, p1)
-        render_heatmap(ca_stack(A), 0, 0, p2)
+        render_heatmap(A, 0, 0, p1)
+        render_heatmap(A, 0, 0, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_upscale(self, tmp_path):
         with pytest.raises(ContractError):
-            render_heatmap(ca_stack(np.ones((1, 4, 1))), 0, 0, tmp_path / "x.pgm", upscale=0)
+            render_heatmap(np.ones((1, 4, 1)), 0, 0, tmp_path / "x.pgm", upscale=0)
 
 
 class TestReport:
