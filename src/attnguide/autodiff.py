@@ -41,7 +41,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("tensor contains non-finite values")
         arr.flags.writeable = False
         self.data = arr
@@ -74,10 +74,10 @@ class Tensor:
         return other if isinstance(other, Tensor) else Tensor(other)
 
     def _make(self, data, parents, backward):
-        needs = any(p.requires_grad for p in parents)
-        if not needs:
-            return Tensor(data)
-        return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
+        for p in parents:
+            if p.requires_grad:
+                return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
+        return Tensor(data)
 
     # -- elementwise ------------------------------------------------------
 
@@ -87,7 +87,8 @@ class Tensor:
         out_data = self.data + other.data
 
         def backward(g):
-            return (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape))
+            return (_unbroadcast(g, self.shape) if self.requires_grad else None,
+                    _unbroadcast(g, other.shape) if other.requires_grad else None)
 
         assert out_data.shape == shape
         return self._make(out_data, (self, other), backward)
@@ -109,7 +110,8 @@ class Tensor:
         a, b = self, other
 
         def backward(g):
-            return (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape))
+            return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                    _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
         return self._make(a.data * b.data, (a, b), backward)
 
@@ -122,8 +124,9 @@ class Tensor:
 
         def backward(g):
             return (
-                _unbroadcast(g / b.data, a.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+                _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad
+                else None,
             )
 
         return self._make(a.data / b.data, (a, b), backward)
@@ -226,9 +229,11 @@ class Tensor:
             ) from exc
 
         def backward(g):
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape) \
+                if a.requires_grad else None
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape) \
+                if b.requires_grad else None
+            return ga, gb
 
         return self._make(out, (a, b), backward)
 
@@ -253,27 +258,25 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into ``.grad`` of every grad-requiring leaf."""
         if self.size != 1:
             raise ContractError(f"backward requires a scalar loss, got shape {self.shape}")
+        # Tensors hash and compare by identity, so they key the sets and dicts.
         topo, seen = [], set()
+        stack = [(self, False)]
+        while stack:
+            n, done = stack.pop()
+            if done:
+                topo.append(n)
+                continue
+            if n in seen:
+                continue
+            seen.add(n)
+            stack.append((n, True))
+            for p in n._parents:
+                if p.requires_grad and p not in seen:
+                    stack.append((p, False))
 
-        def visit(node):
-            stack = [(node, False)]
-            while stack:
-                n, done = stack.pop()
-                if done:
-                    topo.append(n)
-                    continue
-                if id(n) in seen:
-                    continue
-                seen.add(id(n))
-                stack.append((n, True))
-                for p in n._parents:
-                    if p.requires_grad and id(p) not in seen:
-                        stack.append((p, False))
-
-        visit(self)
-        grads = {id(self): np.ones(self.shape)}
+        grads = {self: np.ones(self.shape)}
         for node in reversed(topo):
-            g = grads.get(id(node))
+            g = grads.pop(node, None)
             if g is None:
                 continue
             node.grad = g
@@ -282,10 +285,10 @@ class Tensor:
             for parent, pg in zip(node._parents, node._backward(g)):
                 if not parent.requires_grad:
                     continue
-                if id(parent) in grads:
-                    grads[id(parent)] = grads[id(parent)] + pg
+                if parent in grads:
+                    grads[parent] = grads[parent] + pg
                 else:
-                    grads[id(parent)] = pg
+                    grads[parent] = pg
 
 
 def matmul(a, b):

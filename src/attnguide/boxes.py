@@ -62,9 +62,22 @@ class MaskSet:
     grid_w: int
     masks: dict  # (key, frame) -> binary np.ndarray [grid_h, grid_w]
     warnings: list = field(default_factory=list)
+    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def mask(self, key, frame):
         return self.masks[(key, frame)]
+
+    def stacked(self, key, frames):
+        """Masks of frames 0..frames-1 for `key` as one read-only [frames, grid_h*grid_w] array.
+
+        Built on first use and then shared; `masks` is not changed after a set is built.
+        """
+        M = self._stacks.get((key, frames))
+        if M is None:
+            M = np.stack([self.mask(key, f).reshape(-1) for f in range(frames)])
+            M.flags.writeable = False
+            self._stacks[(key, frames)] = M
+        return M
 
     def rebind(self, id_to_key):
         """Re-key masks, e.g. from subject id to prompt token index."""

@@ -20,7 +20,7 @@ from .boxes import (
     static_two_box_prior,
     validate_trajectories,
 )
-from .config import key_values, parse_value
+from .config import key_values, parse_value, read_text
 from .denoiser import ToyDenoiser, ToyModelConfig
 from .errors import AttnGuideError, DegenerateAttentionError, InputError, NumericError
 from .gradcheck import gradcheck_suites
@@ -98,7 +98,7 @@ def cmd_parse_prompt(args):
 
 
 def cmd_parse_boxes(args):
-    prior = detect_and_parse(Path(args.file).read_text())
+    prior = detect_and_parse(read_text(args.file))
     print(f"frames={prior.frame_count} trajectories={len(prior.trajectories)} "
           f"frame_size={prior.frame_width_px}x{prior.frame_height_px} "
           f"background={prior.background_keyword}")
@@ -109,7 +109,7 @@ def cmd_parse_boxes(args):
 
 
 def cmd_validate_boxes(args):
-    prior = detect_and_parse(Path(args.file).read_text())
+    prior = detect_and_parse(read_text(args.file))
     violations = validate_trajectories(prior, max_step_px=args.max_step_px,
                                        allow_offscreen=args.allow_offscreen)
     for v in violations:
@@ -123,7 +123,7 @@ def cmd_rasterize(args):
         grid_h, grid_w = (int(v) for v in args.grid.lower().split("x"))
     except ValueError:
         raise InputError(f"--grid wants HxW, got {args.grid!r}")
-    prior = detect_and_parse(Path(args.file).read_text())
+    prior = detect_and_parse(read_text(args.file))
     masks = rasterize_masks(prior, grid_h, grid_w)
     for w in masks.warnings:
         print(f"warning: {w}")
@@ -140,7 +140,7 @@ def cmd_rasterize(args):
 
 def cmd_generate(args):
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    prior = detect_and_parse(Path(args.boxes).read_text())
+    prior = detect_and_parse(read_text(args.boxes))
     violations = validate_trajectories(prior, max_step_px=args.max_step_px)
     if violations and not args.force:
         for v in violations:
@@ -238,7 +238,7 @@ def cmd_ablate(args):
         cfg = mcfg if ca_capture is None else replace(mcfg, ca_capture=ca_capture)
         return ToyDenoiser(cfg)
 
-    prior = detect_and_parse(Path(args.boxes).read_text()) if args.boxes \
+    prior = detect_and_parse(read_text(args.boxes)) if args.boxes \
         else static_two_box_prior(max(mcfg.frames, 2))
 
     complete = True

@@ -15,9 +15,17 @@ from .errors import InputError
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
+def read_text(path):
+    """The contents of a UTF-8 text file; bytes that do not decode are an input error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def key_values(path):
     """Yield (line_no, key, value) for each setting line of a file."""
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

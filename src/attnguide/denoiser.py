@@ -43,6 +43,9 @@ class ToyModelConfig:
                 raise InputError(f"{name} must be positive, got {getattr(self, name)}")
         if any(g < 1 for _, g in self.levels):
             raise InputError(f"levels grid sizes must be positive, got {self.levels}")
+        if any(g > min(self.latent_h, self.latent_w) for _, g in self.levels):
+            raise InputError(f"levels grids {self.levels} exceed the "
+                             f"{self.latent_h}x{self.latent_w} latent")
         tags = [tag for tag, _ in self.levels]
         wanted = self.ca_capture.split("+")
         for w in wanted:
@@ -168,6 +171,8 @@ class ToyDenoiser:
             "scale": 1.0 / np.sqrt(dt),
         }
         self._out = Tensor(rng.normal(0, 1.0 / np.sqrt(C), (C, C)))
+        self._text_emb = None
+        self._text_kv = {}
 
     # -- text ---------------------------------------------------------------
 
@@ -202,13 +207,27 @@ class ToyDenoiser:
 
     # -- forward ------------------------------------------------------------
 
-    def _cross_attention(self, x, emb, tag):
+    def _keys_values(self, emb):
+        """Per level: the text keys [dh, L] of each head and the values [L, C].
+
+        They depend only on the text, so they are computed once per embedding
+        and reused while the same `emb` Tensor comes back (Tensors are
+        immutable, and holding `emb` keeps its identity from being reused).
+        """
+        if emb is not self._text_emb:
+            self._text_kv = {
+                tag: ([(emb @ wk).transpose(1, 0) for wk in w["wk"]], emb @ w["wv"])
+                for tag, w in self._weights.items()
+            }
+            self._text_emb = emb
+        return self._text_kv
+
+    def _cross_attention(self, x, keys, tag):
         w = self._weights[tag]
         scale = 1.0 / np.sqrt(self._dh)
         maps = []
-        for wq, wk in zip(w["wq"], w["wk"]):
+        for wq, k in zip(w["wq"], keys):
             q = x @ wq                               # [F, N, dh]
-            k = (emb @ wk).transpose(1, 0)           # [dh, L]
             maps.append((q @ k) * scale)
         A = maps[0].softmax_lastdim()
         for m in maps[1:]:
@@ -226,6 +245,7 @@ class ToyDenoiser:
         if z.shape != expected:
             raise DimensionError(f"latent shape {z.shape}, model expects {expected}")
         emb = text.emb if isinstance(text, TextEncoding) else Tensor._wrap(text)
+        text_kv = self._keys_values(emb)
         tau = t / cfg.total_steps
 
         F, C = cfg.frames, cfg.latent_channels
@@ -235,9 +255,10 @@ class ToyDenoiser:
         for tag, g in cfg.levels:
             P, U = self._pool[g], self._unpool[g]
             x = P @ h                                 # [F, g*g, C]
-            A = self._cross_attention(x, emb, tag)
+            keys, values = text_kv[tag]
+            A = self._cross_attention(x, keys, tag)
             captured[tag] = (A, g)
-            out = A @ (emb @ self._weights[tag]["wv"])
+            out = A @ values
             h = (h + (U @ out) * self._weights[tag]["mix"]
                  + self._weights[tag]["tau_bias"] * tau).tanh()
             if tag == "mid":

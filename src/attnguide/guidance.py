@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -139,6 +140,19 @@ def _normalize_lastdim(t, eps):
     return (te.transpose(perm) * (1.0 / s)).transpose(inv)
 
 
+def _check_maps(values, axis=-1):
+    """Reject maps (slices along the pixel `axis`) that are negative somewhere or all zero."""
+    if np.any(values < 0):
+        raise DegenerateAttentionError("attention map has negative entries")
+    if np.any(values.sum(axis=axis) <= 0):
+        raise DegenerateAttentionError("attention map slice is all zero")
+
+
+def _check_columns(ca, columns):
+    """`_check_maps` over the CA columns [F, N] of the given tokens, in one pass."""
+    _check_maps(ca.A.data[..., sorted(columns)], axis=-2)
+
+
 def dist(p_map, q_map, kind=KL_SYM, eps=1e-8):
     """Distance between attention maps along the last (pixel) axis.
 
@@ -146,11 +160,13 @@ def dist(p_map, q_map, kind=KL_SYM, eps=1e-8):
     works on the raw maps (and is therefore scale invariant).
     """
     p, q = Tensor._wrap(p_map), Tensor._wrap(q_map)
-    for m in (p.data, q.data):
-        if np.any(m < 0):
-            raise DegenerateAttentionError("attention map has negative entries")
-        if np.any(m.sum(axis=-1) <= 0):
-            raise DegenerateAttentionError("attention map slice is all zero")
+    _check_maps(p.data)
+    _check_maps(q.data)
+    return _dist(p, q, kind, eps)
+
+
+def _dist(p, q, kind, eps):
+    """`dist` on Tensors whose maps the caller has already checked."""
     if kind == COSINE:
         dot = (p * q).sum(axis=-1)
         norm = (p.square().sum(axis=-1)).sqrt() * (q.square().sum(axis=-1)).sqrt()
@@ -184,9 +200,20 @@ def in_box_ratio(ca, masks, token_index, frame):
     return float((col * m).sum() / total)
 
 
-def _mask_array(masks, noun, frames):
-    rows = [masks.mask(noun, f).reshape(-1) for f in range(frames)]
-    return np.stack(rows)
+def in_box_ratios(ca, masks, token_index):
+    """`in_box_ratio` of one token for every frame at once: [F] ratios.
+
+    Each row is summed exactly as the single-frame form sums it, so the
+    values are bit-identical.
+    """
+    cols = np.ascontiguousarray(ca[:, :, token_index])      # [F, N]
+    totals = cols.sum(axis=1)
+    low = np.flatnonzero(totals <= 0)
+    if low.size:
+        raise DegenerateAttentionError(
+            f"token {token_index} frame {int(low[0])}: zero total attention mass"
+        )
+    return (cols * masks.stacked(token_index, cols.shape[0])).sum(axis=1) / totals
 
 
 def _tracked(pairs, include_verbs):
@@ -204,7 +231,7 @@ def _mass_terms(ca, masks, pairs, include_verbs, eps, outside):
     acc = None
     for token, noun in _tracked(pairs, include_verbs):
         col = A.take_lastdim(token)                     # [F, N]
-        M = _mask_array(masks, noun, F)
+        M = masks.stacked(noun, F)
         total = col.sum(axis=1)                         # [F]
         low = np.flatnonzero(total.data <= eps)
         if low.size:
@@ -245,25 +272,32 @@ def loss_sp(ca, masks, pairs, config):
 
 def loss_pos(ca, pair, kind=KL_SYM, eps=1e-8):
     """Frame-mean distance between a pair's noun map and verb map."""
+    _check_columns(ca, pair)
+    return _pos(ca, pair, kind, eps)
+
+
+def _pos(ca, pair, kind, eps):
     i, j = pair
-    p = ca.A.take_lastdim(i)
-    q = ca.A.take_lastdim(j)
-    return dist(p, q, kind, eps).mean()
+    return _dist(ca.A.take_lastdim(i), ca.A.take_lastdim(j), kind, eps).mean()
 
 
 def loss_neg(ca, pair, negatives, kind=KL_SYM, eps=1e-8, include_verb=False):
     """Summed frame-mean distance from the noun map to each negative map."""
-    if not negatives:
-        import warnings
+    if negatives:
+        _check_columns(ca, {*pair, *negatives} if include_verb else {pair[0], *negatives})
+    return _neg(ca, pair, negatives, kind, eps, include_verb)
 
-        warnings.warn("empty negative set; loss_neg is 0", stacklevel=2)
+
+def _neg(ca, pair, negatives, kind, eps, include_verb):
+    if not negatives:
+        warnings.warn("empty negative set; loss_neg is 0", stacklevel=3)
         return Tensor(0.0)
     i, j = pair
     anchors = [i, j] if include_verb else [i]
     acc = None
     for u in sorted(negatives):
         for a in anchors:
-            d = dist(ca.A.take_lastdim(a), ca.A.take_lastdim(u), kind, eps).mean()
+            d = _dist(ca.A.take_lastdim(a), ca.A.take_lastdim(u), kind, eps).mean()
             acc = d if acc is None else acc + d
     return acc
 
@@ -272,13 +306,12 @@ def loss_syt(ca, pairs, config):
     """Contrastive ratio summed over pairs (or plain sum in SUM form)."""
     if not pairs.pairs:
         raise ContractError("loss_syt needs at least one noun/verb pair")
+    _check_columns(ca, {c for pair in pairs.pairs for c in (*pair, *pairs.negatives_for(pair))})
     acc = None
     for pair in pairs.pairs:
-        pos = loss_pos(ca, pair, config.distance, config.eps)
-        neg = loss_neg(
-            ca, pair, pairs.negatives_for(pair), config.distance, config.eps,
-            include_verb=config.neg_includes_verb,
-        )
+        pos = _pos(ca, pair, config.distance, config.eps)
+        neg = _neg(ca, pair, pairs.negatives_for(pair), config.distance, config.eps,
+                   config.neg_includes_verb)
         denom = pos + neg
         if config.contrastive_form == SUM:
             term = denom
@@ -400,12 +433,8 @@ def run_guided_sampling(prompt, priors, config, model, seed, snapshot_steps=None
                         loss = loss_syt(ca, column_pairs, config)
                     value = loss.item()
                     state, gnorm = guide_latent(state, leaf, loss, lam, config.alpha)
-                    values = ca.A.data
-                    ratios = {
-                        noun: float(np.mean([in_box_ratio(values, masks, noun, f)
-                                             for f in range(values.shape[0])]))
-                        for noun, _ in column_pairs.pairs
-                    }
+                    ratios = {noun: float(in_box_ratios(ca.A.data, masks, noun).mean())
+                              for noun, _ in column_pairs.pairs}
                 except AttnGuideError as exc:
                     raise GuidanceError(f"step {step} iteration {it}: {exc}") from exc
                 trace.add(TraceRecord(step, it, loss_name, value, gnorm, ratios))

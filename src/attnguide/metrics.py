@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ContractError, InputError
-from .guidance import KL_SYM, dist, in_box_ratio, run_guided_sampling
+from .guidance import KL_SYM, dist, in_box_ratio, in_box_ratios, run_guided_sampling  # noqa: F401
 
 
 def _square_map(ca, token_index, frame):
@@ -119,10 +119,9 @@ def summarize_run(result):
         if values is None:
             return None
         ratios, aligns, comps = [], [], []
-        F = values.shape[0]
         for pair in result.column_pairs.pairs:
             noun, _ = pair
-            ratios.extend(in_box_ratio(values, result.mask_set, noun, f) for f in range(F))
+            ratios.extend(in_box_ratios(values, result.mask_set, noun))
             aligns.append(verb_noun_alignment(values, pair))
             comps.append(count_components(values, noun, 0))
         return {

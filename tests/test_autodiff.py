@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,20 @@ class TestBackward:
         (y * y).sum().backward()  # d/dz (3z)^2 = 18 z
         assert np.allclose(z.grad, [36.0])
 
+    def test_constants_get_no_gradient(self, rng):
+        z = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4)))
+        b = Tensor(rng.uniform(1.0, 2.0, size=(3,)))
+        outs = [z @ w, w.transpose(1, 0) @ z.transpose(1, 0), z + b, b * z,
+                z / b, b / (z.square() + 1.0)]
+        for out in outs:
+            parents = out._backward(np.ones(out.shape))
+            assert [g is None for g in parents] == [not p.requires_grad for p in out._parents]
+        loss = sum((out.sum() for out in outs), Tensor(0.0))
+        loss.backward()
+        assert z.grad is not None
+        assert w.grad is None and b.grad is None
+
 
 class TestBroadcast:
     def test_trailing_expansion_allowed(self, rng):
@@ -119,6 +135,12 @@ class TestFiniteness:
     def test_inf_rejected_from_op(self):
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             Tensor([1e308]) * Tensor([1e308])
+
+    def test_large_finite_values_accepted_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = Tensor([1e308, 1e308])  # finite, though their sum overflows
+        assert t.data.tolist() == [1e308, 1e308]
 
 
 class TestFiniteDiff:

@@ -221,22 +221,26 @@ BAD_INPUTS = {
     "model_zero_heads": ("model", "heads = 0\n"),
     "model_negative_embed_dim": ("model", "embed_dim = -4\n"),
     "model_zero_latent_h": ("model", "latent_h = 0\n"),
+    "model_levels_exceed_latent": ("model", "latent_h = 4\nlatent_w = 4\n"),
+    "model_not_utf8": ("model", b"\xff\xfeframes = 2\n"),
     "guide_not_a_number": ("guide", "lambda_sp = abc\n"),
     "guide_non_finite": ("guide", "lambda_sp = nan\nalpha = inf\n"),
     "guide_bad_boolean": ("guide", "neg_includes_verb = maybe\n"),
     "grid_not_an_integer": ("grid", "t1 = x\n"),
+    "grid_not_utf8": ("grid", b"t1 = 1, \xe9\n"),
     "boxes_string_id": ("boxes", _structured({"id": "0", "name": "man", "box": [0, 0, 9, 9]})),
     "boxes_missing_name": ("boxes", _structured({"id": 0, "box": [0, 0, 9, 9]})),
     "boxes_bad_box_value": ("boxes", _structured({"id": 0, "name": "m", "box": [0, "w", 0, 9]})),
     "boxes_bad_frame_size": ("boxes", _structured(frame_size="wide")),
     "boxes_bad_frames": ("boxes", _structured(frames=5)),
+    "boxes_not_utf8": ("boxes", b"\xff\xfe" + WOMAN_MAN_BOXES.encode()),
 }
 
 
 @pytest.mark.parametrize("role,text", BAD_INPUTS.values(), ids=list(BAD_INPUTS))
 def test_bad_input_is_one_parse_error(tmp_path, boxes_file, capsys, role, text):
     path = tmp_path / f"{role}.txt"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     out_dir = str(tmp_path / "out")
     argv = {
         "model": ["generate", TEMPLATE_PROMPT, boxes_file, "--out", out_dir,

@@ -80,6 +80,21 @@ class TestDenoiseStep:
             outs.append((eps.data.tobytes(), ca.A.data.tobytes()))
         assert outs[0] == outs[1]
 
+    def test_reused_model_matches_fresh_model_per_prompt(self, model, rng):
+        """Text keys/values cached for one prompt must not leak into the next."""
+        z = _latent(model.config, rng)
+        prompts = ("a cat is sitting", "a dog is running", "a cat is sitting")
+        for prompt in prompts:
+            fresh = ToyDenoiser(tiny_model_config())
+            outs = []
+            for m in (model, fresh):
+                enc = m.encode_text(tokenize(prompt))
+                for leaf in (Tensor(z), Tensor(z, requires_grad=True)):
+                    eps, ca, ta = m.denoise_step(leaf, t=2, text=enc)
+                    outs.append((eps.data.tobytes(), ca.A.data.tobytes(),
+                                 ta.T_attn.data.tobytes()))
+            assert outs[:2] == outs[2:]
+
     def test_latent_sensitivity(self, model, rng):
         enc = model.encode_text(tokenize("a cat is sitting"))
         z = _latent(model.config, rng)

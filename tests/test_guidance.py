@@ -222,6 +222,17 @@ class TestSyntaxLosses:
         with pytest.raises(ContractError):
             loss_syt(uniform_ca(), SyntaxPairs(), GuidanceConfig())
 
+    @pytest.mark.parametrize("column", [0, 1, 2])  # noun, verb, negative
+    @pytest.mark.parametrize("defect", ["negative", "all_zero"])
+    def test_degenerate_used_column_rejected(self, rng, column, defect):
+        A = rng.uniform(0.05, 1.0, size=(2, 4, 4))
+        if defect == "negative":
+            A[1, 2, column] = -0.1
+        else:
+            A[1, :, column] = 0.0
+        with pytest.raises(DegenerateAttentionError):
+            loss_syt(ca_stack(A), single_pair(), GuidanceConfig())
+
     def test_gradient_against_finite_differences(self, rng):
         base = rng.uniform(0.05, 1.0, size=(2, 4, 3))
         cfg = GuidanceConfig()
@@ -386,6 +397,16 @@ class TestRunGuidedSampling:
             eps, _, _ = model.denoise_step(Tensor(state.z), schedule.t_for_step(step), text)
             state = ddim_step(state, eps, step, schedule)
         assert res.final_state.z.tobytes() == state.z.tobytes()
+
+    def test_reused_model_matches_fresh_model_per_prompt(self):
+        cfg = GuidanceConfig(total_steps=12, t1=2, t2=5, iters_spatial_per_step=2)
+        prior = static_two_box_prior(2)
+        shared = ToyDenoiser(tiny_model_config(total_steps=12))
+        for prompt in (TEMPLATE_PROMPT, "a cat is sitting and a woman is jumping"):
+            fresh = ToyDenoiser(tiny_model_config(total_steps=12))
+            a, b = (run_guided_sampling(prompt, prior, cfg, m, seed=4) for m in (shared, fresh))
+            assert a.final_state.z.tobytes() == b.final_state.z.tobytes()
+            assert a.trace.to_jsonl() == b.trace.to_jsonl()
 
     def test_guidance_changes_trajectory(self):
         guided = self._run(seed=3)

@@ -5,7 +5,14 @@ from attnguide.autodiff import Tensor
 from attnguide.boxes import MaskSet
 from attnguide.denoiser import CAMapStack, ToyDenoiser
 from attnguide.errors import ContractError, DegenerateAttentionError, InputError
-from attnguide.guidance import COSINE, KL_SYM, GuidanceConfig, loss_fg, run_guided_sampling
+from attnguide.guidance import (
+    COSINE,
+    KL_SYM,
+    GuidanceConfig,
+    in_box_ratios,
+    loss_fg,
+    run_guided_sampling,
+)
 from attnguide.metrics import (
     DEFAULT_ABLATION_AXES,
     MetricsReport,
@@ -55,6 +62,19 @@ class TestInBoxRatio:
         ca = np.zeros((1, 4, 1))
         with pytest.raises(DegenerateAttentionError):
             in_box_ratio(ca, mask_set(np.ones((2, 2))), 0, 0)
+
+    def test_all_frames_match_per_frame_form_bit_exactly(self, rng):
+        A = rng.uniform(0.0, 1.0, size=(5, 64, 3))
+        masks = MaskSet(8, 8, {(1, f): rng.integers(0, 2, size=(8, 8)).astype(float)
+                               for f in range(5)})
+        got = in_box_ratios(A, masks, 1)
+        assert got.tolist() == [in_box_ratio(A, masks, 1, f) for f in range(5)]
+
+    def test_all_frames_name_the_zero_mass_frame(self):
+        A = np.full((3, 4, 1), 0.25)
+        A[2] = 0.0
+        with pytest.raises(DegenerateAttentionError, match="frame 2"):
+            in_box_ratios(A, mask_set(np.ones((2, 2)), frames=3), 0)
 
 
 class TestCountComponents:

@@ -89,10 +89,12 @@ def model_configs(draw):
     positive = st.integers(1, 10**6)
     tags = draw(st.lists(st.text(string.ascii_lowercase, min_size=1, max_size=5),
                          min_size=1, max_size=4, unique=True))
+    levels = tuple((tag, draw(st.integers(1, 64))) for tag in tags)
+    latent = st.integers(max(g for _, g in levels), 10**6)  # no grid exceeds the latent
     return ToyModelConfig(
-        frames=draw(positive), latent_h=draw(positive), latent_w=draw(positive),
+        frames=draw(positive), latent_h=draw(latent), latent_w=draw(latent),
         latent_channels=draw(positive),
-        levels=tuple((tag, draw(st.integers(1, 64))) for tag in tags),
+        levels=levels,
         ca_capture=draw(st.sampled_from(tags)), token_budget=draw(positive),
         embed_dim=draw(positive), heads=draw(positive), total_steps=draw(positive),
         seed=draw(st.integers(0, 2**32 - 1)),
