@@ -34,6 +34,31 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
+def sum_grad(g, axis, shape):
+    """Gradient of a sum over ``axis`` (None: every axis) spread back to ``shape``."""
+    if axis is not None:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape).copy()
+
+
+def softmax(x):
+    """Softmax of a float array along its last axis (max-shifted)."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_grad(out, g):
+    """Gradient through a softmax with result ``out`` for the result's gradient ``g``."""
+    return out * (g - (g * out).sum(axis=-1, keepdims=True))
+
+
+def check_finite(*arrays):
+    """Raise ``NumericError`` unless every value of every array is finite."""
+    for arr in arrays:
+        if not np.isfinite(arr).all():
+            raise NumericError("tensor contains non-finite values")
+
+
 class Tensor:
     """Immutable float64 tensor, optionally a node in the autodiff graph."""
 
@@ -41,8 +66,11 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise NumericError("tensor contains non-finite values")
+        if arr.flags.writeable and (arr is data or arr.base is not None):
+            # The caller's array (or a view of it): copy rather than freeze it.
+            # Order "K" keeps a transposed layout, and so the order of later sums.
+            arr = arr.copy(order="K")
+        check_finite(arr)
         arr.flags.writeable = False
         self.data = arr
         self.requires_grad = requires_grad
@@ -73,7 +101,19 @@ class Tensor:
     def _wrap(other):
         return other if isinstance(other, Tensor) else Tensor(other)
 
-    def _make(self, data, parents, backward):
+    @staticmethod
+    def node(data, parents, backward):
+        """Wrap the fresh result ``data`` of an operation on ``parents``.
+
+        ``data`` is marked read-only and kept, not copied, so it must be an
+        array (or numpy scalar) no one else holds.  ``backward(g)`` maps the
+        gradient of the result to a tuple with one entry per parent: its
+        gradient, or None for a parent without ``requires_grad``.  The result
+        is a graph node when some parent requires a gradient, otherwise a
+        constant.  Fused operations build their nodes through this too.
+        """
+        data = np.asarray(data)
+        data.flags.writeable = False
         for p in parents:
             if p.requires_grad:
                 return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
@@ -91,12 +131,12 @@ class Tensor:
                     _unbroadcast(g, other.shape) if other.requires_grad else None)
 
         assert out_data.shape == shape
-        return self._make(out_data, (self, other), backward)
+        return self.node(out_data, (self, other), backward)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make(-self.data, (self,), lambda g: (-g,))
+        return self.node(-self.data, (self,), lambda g: (-g,))
 
     def __sub__(self, other):
         return self + (-self._wrap(other))
@@ -113,7 +153,7 @@ class Tensor:
             return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
                     _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
-        return self._make(a.data * b.data, (a, b), backward)
+        return self.node(a.data * b.data, (a, b), backward)
 
     __rmul__ = __mul__
 
@@ -129,13 +169,13 @@ class Tensor:
                 else None,
             )
 
-        return self._make(a.data / b.data, (a, b), backward)
+        return self.node(a.data / b.data, (a, b), backward)
 
     def __rtruediv__(self, other):
         return self._wrap(other) / self
 
     def square(self):
-        return self._make(self.data ** 2, (self,), lambda g: (2.0 * self.data * g,))
+        return self.node(self.data ** 2, (self,), lambda g: (2.0 * self.data * g,))
 
     def log(self):
         out = np.log(self.data)
@@ -143,19 +183,19 @@ class Tensor:
         def backward(g):
             return (g / self.data,)
 
-        return self._make(out, (self,), backward)
+        return self.node(out, (self,), backward)
 
     def exp(self):
         out = np.exp(self.data)
-        return self._make(out, (self,), lambda g: (g * out,))
+        return self.node(out, (self,), lambda g: (g * out,))
 
     def sqrt(self):
         out = np.sqrt(self.data)
-        return self._make(out, (self,), lambda g: (g * 0.5 / out,))
+        return self.node(out, (self,), lambda g: (g * 0.5 / out,))
 
     def tanh(self):
         out = np.tanh(self.data)
-        return self._make(out, (self,), lambda g: (g * (1.0 - out * out),))
+        return self.node(out, (self,), lambda g: (g * (1.0 - out * out),))
 
     # -- shape ops ---------------------------------------------------------
 
@@ -163,7 +203,7 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         src = self.shape
-        return self._make(
+        return self.node(
             self.data.reshape(shape), (self,), lambda g: (g.reshape(src),)
         )
 
@@ -171,24 +211,16 @@ class Tensor:
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         inv = np.argsort(axes)
-        return self._make(
+        return self.node(
             self.data.transpose(axes), (self,), lambda g: (g.transpose(inv),)
         )
 
     def sum(self, axis=None, keepdims=False):
         out = self.data.sum(axis=axis, keepdims=keepdims)
         src_shape = self.shape
-
-        def backward(g):
-            if axis is None:
-                return (np.broadcast_to(g, src_shape).copy(),)
-            ax = axis if isinstance(axis, tuple) else (axis,)
-            gg = g
-            if not keepdims:
-                gg = np.expand_dims(g, ax)
-            return (np.broadcast_to(gg, src_shape).copy(),)
-
-        return self._make(out, (self,), backward)
+        return self.node(
+            out, (self,), lambda g: (sum_grad(g, None if keepdims else axis, src_shape),)
+        )
 
     def mean(self, axis=None, keepdims=False):
         n = self.size if axis is None else self.shape[axis]
@@ -206,7 +238,7 @@ class Tensor:
             full[..., index] = g
             return (full,)
 
-        return self._make(out, (self,), backward)
+        return self.node(out, (self,), backward)
 
     # -- linear algebra -----------------------------------------------------
 
@@ -235,22 +267,15 @@ class Tensor:
                 if b.requires_grad else None
             return ga, gb
 
-        return self._make(out, (a, b), backward)
+        return self.node(out, (a, b), backward)
 
     __matmul__ = matmul
 
     def softmax_lastdim(self):
         if self.data.ndim < 1 or self.shape[-1] < 1:
             raise DimensionError(f"softmax needs a non-empty last dim, got {self.shape}")
-        shifted = self.data - self.data.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        out = e / e.sum(axis=-1, keepdims=True)
-
-        def backward(g):
-            dot = (g * out).sum(axis=-1, keepdims=True)
-            return (out * (g - dot),)
-
-        return self._make(out, (self,), backward)
+        out = softmax(self.data)
+        return self.node(out, (self,), lambda g: (softmax_grad(out, g),))
 
     # -- reverse pass --------------------------------------------------------
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, check_finite, softmax, softmax_grad
 from .config import read_config
 from .errors import ContractError, DimensionError, InputError
 
@@ -223,17 +223,40 @@ class ToyDenoiser:
         return self._text_kv
 
     def _cross_attention(self, x, keys, tag):
-        w = self._weights[tag]
-        scale = 1.0 / np.sqrt(self._dh)
-        maps = []
-        for wq, k in zip(w["wq"], keys):
-            q = x @ wq                               # [F, N, dh]
-            maps.append((q @ k) * scale)
-        A = maps[0].softmax_lastdim()
+        """Head-mean of softmax((x @ wq) @ k * scale) over the heads, as one graph node.
+
+        The node runs the numpy operations of the composite per-head form and
+        replays its backward, summing the heads' gradients into ``x`` in head
+        order, so values and gradients are bit-identical to that form.
+        """
+        wqs = self._weights[tag]["wq"]
+        scale = np.asarray(1.0 / np.sqrt(self._dh))
+        mean = np.asarray(1.0 / len(wqs))
+        xd = x.data
+        products, logits = [], []
+        for wq, k in zip(wqs, keys):
+            q = xd @ wq.data                         # [F, N, dh]
+            qk = q @ k.data                          # [F, N, L]
+            products += [q, qk]
+            logits.append(qk * scale)
+        maps = [softmax(s) for s in logits]
+        total, partial = maps[0], []
         for m in maps[1:]:
-            A = A + m.softmax_lastdim()
-        A = A * (1.0 / len(maps))
-        return A
+            total = total + m
+            partial.append(total)
+        A = total * mean
+        check_finite(*products, *logits, *maps, *partial, A)
+
+        def backward(g):
+            g = g * mean
+            gx = None
+            for wq, k, m in zip(wqs, keys, maps):
+                g_q = (softmax_grad(m, g) * scale) @ np.swapaxes(k.data, -1, -2)
+                g_xh = g_q @ np.swapaxes(wq.data, -1, -2)
+                gx = g_xh if gx is None else gx + g_xh
+            return (gx,)
+
+        return Tensor.node(A, (x,), backward)
 
     def denoise_step(self, z, t, text):
         """One UNet-ish evaluation: (noise_pred, CA stack, TA map)."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, check_finite, sum_grad
 from .boxes import rasterize_masks, resample_frames
 from .config import read_config
 from .denoiser import DDIMSchedule, LatentState, ddim_step
@@ -24,6 +24,7 @@ from .errors import (
     AttnGuideError,
     ContractError,
     DegenerateAttentionError,
+    DimensionError,
     InputError,
     NumericError,
 )
@@ -124,22 +125,6 @@ class GuidanceTrace:
 # -- distance functions -----------------------------------------------------
 
 
-def _normalize_lastdim(t, eps):
-    """Scale last-dim slices to sum to 1 (after eps smoothing).
-
-    The tensor engine only broadcasts trailing dims, so the slice axis is
-    rotated to the front, scaled, and rotated back.
-    """
-    te = t + eps
-    s = te.sum(axis=-1)
-    if te.data.ndim <= 1:
-        return te / s
-    ndim = te.data.ndim
-    perm = (ndim - 1,) + tuple(range(ndim - 1))
-    inv = tuple(range(1, ndim)) + (0,)
-    return (te.transpose(perm) * (1.0 / s)).transpose(inv)
-
-
 def _check_maps(values, axis=-1):
     """Reject maps (slices along the pixel `axis`) that are negative somewhere or all zero."""
     if np.any(values < 0):
@@ -166,20 +151,127 @@ def dist(p_map, q_map, kind=KL_SYM, eps=1e-8):
 
 
 def _dist(p, q, kind, eps):
-    """`dist` on Tensors whose maps the caller has already checked."""
+    """`dist` on Tensors whose maps the caller has already checked, as one graph node.
+
+    The node runs the numpy operations of the composite form (eps smoothing,
+    normalising with the slice axis rotated to the front, logs, products and
+    sums, or the cosine's products, sums and square roots) and its backward
+    replays that form's backward in the order `Tensor.backward` took, so
+    values and gradients are bit-identical to it.
+    """
+    if p.shape != q.shape:
+        raise DimensionError(f"maps of shapes {p.shape} and {q.shape} differ")
     if kind == COSINE:
-        dot = (p * q).sum(axis=-1)
-        norm = (p.square().sum(axis=-1)).sqrt() * (q.square().sum(axis=-1)).sqrt()
-        return 1.0 - dot / norm
-    pn = _normalize_lastdim(p, eps)
-    qn = _normalize_lastdim(q, eps)
-    kl_pq = (pn * (pn.log() - qn.log())).sum(axis=-1)
-    if kind == KL_FWD:
-        return kl_pq
-    if kind == KL_SYM:
-        kl_qp = (qn * (qn.log() - pn.log())).sum(axis=-1)
-        return (kl_pq + kl_qp) * 0.5
-    raise InputError(f"unknown distance kind {kind!r}")
+        return _cosine(p, q)
+    if kind not in (KL_SYM, KL_FWD):
+        raise InputError(f"unknown distance kind {kind!r}")
+    return _kl(p, q, kind == KL_SYM, np.asarray(eps, dtype=np.float64))
+
+
+_ONE = np.asarray(1.0)
+_HALF = np.asarray(0.5)
+
+
+def _normalized(x, eps):
+    """Each last-axis slice of `x + eps` scaled to sum 1: (result, saved values).
+
+    Above one dimension the slice axis is rotated to the front, scaled by the
+    reciprocal sums and rotated back; these views decide the memory layout
+    of every later product and sum.
+    """
+    te = x + eps
+    s = te.sum(axis=-1)
+    if te.ndim <= 1:
+        return te / s, (te, s)
+    perm, inv = _slice_axis_first(te.ndim)
+    r = _ONE / s
+    return (te.transpose(perm) * r).transpose(inv), (te, s, r)
+
+
+def _slice_axis_first(ndim):
+    """Axis orders that move the last axis to the front, and back."""
+    return (ndim - 1,) + tuple(range(ndim - 1)), tuple(range(1, ndim)) + (0,)
+
+
+def _normalized_grad(g, saved):
+    """Gradient through `_normalized` for the gradient `g` of its result."""
+    if len(saved) == 2:
+        te, s = saved
+        g_te = g / s
+        g_s = (-g * te / (s * s)).sum(axis=0)
+    else:
+        te, s, r = saved
+        perm, inv = _slice_axis_first(te.ndim)
+        g_m = g.transpose(perm)
+        g_te = (g_m * r).transpose(inv)
+        g_r = (g_m * te.transpose(perm)).sum(axis=0)
+        g_s = -g_r * _ONE / (s * s)
+    return g_te + sum_grad(g_s, -1, te.shape)
+
+
+def _kl(p, q, symmetric, eps):
+    pn, p_saved = _normalized(p.data, eps)
+    qn, q_saved = _normalized(q.data, eps)
+    lp, lq = np.log(pn), np.log(qn)
+    d1 = lp + -lq  # Tensor subtraction is `a + (-b)`
+    p1 = pn * d1
+    out = p1.sum(axis=-1)
+    finite = [*p_saved, pn, *q_saved, qn, lp, lq, d1, p1, out]
+    if symmetric:
+        d2 = lq + -lp
+        p2 = qn * d2
+        kl_qp = p2.sum(axis=-1)
+        total = out + kl_qp
+        out = total * _HALF
+        finite += [d2, p2, kl_qp, total, out]
+    check_finite(*finite)
+
+    def backward(g):
+        # pn and qn feed three ops each under KL_SYM; their gradients are
+        # added as the composite added them: (first two) + the third.
+        if symmetric:
+            g = g * _HALF
+        g_p1 = sum_grad(g, -1, p1.shape)
+        g_d1 = g_p1 * pn
+        g_pn = g_p1 * d1 + g_d1 / pn
+        g_qn = -g_d1 / qn
+        if symmetric:
+            g_p2 = sum_grad(g, -1, p2.shape)
+            g_d2 = g_p2 * qn
+            g_qn = g_qn + g_p2 * d2 + g_d2 / qn
+            g_pn = g_pn + -g_d2 / pn
+        g_p, g_q = _normalized_grad(g_pn, p_saved), _normalized_grad(g_qn, q_saved)
+        return (g_q, g_p) if symmetric else (g_p, g_q)
+
+    # The parent order makes `Tensor.backward` reach p and q, and so the
+    # nodes upstream of them, in the order it reached them in the composite
+    # form, which fixes the order of the sums at shared upstream nodes.
+    return Tensor.node(out, (q, p) if symmetric else (p, q), backward)
+
+
+def _cosine(p, q):
+    x, y = p.data, q.data
+    xy = x * y
+    dot = xy.sum(axis=-1)
+    xx, yy = x ** 2, y ** 2
+    sx, sy = xx.sum(axis=-1), yy.sum(axis=-1)
+    nx, ny = np.sqrt(sx), np.sqrt(sy)
+    norm = nx * ny
+    ratio = dot / norm
+    out = _ONE + -ratio
+    check_finite(xy, dot, xx, sx, nx, yy, sy, ny, norm, ratio, out)
+
+    def backward(g):
+        g_ratio = -g
+        g_xy = sum_grad(g_ratio / norm, -1, xy.shape)
+        g_norm = -g_ratio * dot / (norm * norm)
+        g_sx = g_norm * ny * 0.5 / nx
+        g_sy = g_norm * nx * 0.5 / ny
+        g_p = g_xy * y + 2.0 * x * sum_grad(g_sx, -1, xx.shape)
+        g_q = g_xy * x + 2.0 * y * sum_grad(g_sy, -1, yy.shape)
+        return g_p, g_q
+
+    return Tensor.node(out, (p, q), backward)
 
 
 # -- spatial constraints ------------------------------------------------------
@@ -230,24 +322,48 @@ def _mass_terms(ca, masks, pairs, include_verbs, eps, outside):
     F = A.shape[0]
     acc = None
     for token, noun in _tracked(pairs, include_verbs):
-        col = A.take_lastdim(token)                     # [F, N]
-        M = masks.stacked(noun, F)
-        total = col.sum(axis=1)                         # [F]
-        low = np.flatnonzero(total.data <= eps)
-        if low.size:
-            raise DegenerateAttentionError(
-                f"token {token} frame {int(low[0])}: total attention mass <= {eps}"
-            )
-        if outside:
-            # literal (1 - M) form; equals the fg deficit for binary masks
-            term = ((col * (1.0 - M)).sum(axis=1) / total).square()
-        else:
-            term = (1.0 - (col * M).sum(axis=1) / total).square()
-        total_term = term.sum()
-        acc = total_term if acc is None else acc + total_term
+        term = _mass_term(A.take_lastdim(token), masks.stacked(noun, F), token, eps, outside)
+        acc = term if acc is None else acc + term
     if acc is None:
         return Tensor(0.0)
     return acc * (1.0 / F)
+
+
+def _mass_term(col, M, token, eps, outside):
+    """One token's squared mass ratio summed over frames, as one graph node.
+
+    ``col`` is the token's CA column [F, N] and ``M`` its masks [F, N].  The
+    fg term is (1 - in/total)^2 and the bg term (out/total)^2, with the bg
+    weight in the literal (1 - M) form, which equals the fg deficit for
+    binary masks.  The node runs the numpy operations of the composite form
+    and replays its backward, so values and gradients are bit-identical.
+    """
+    c = col.data
+    if M.shape != c.shape:
+        raise DimensionError(f"masks of shape {M.shape} for a CA column of shape {c.shape}")
+    total = c.sum(axis=1)
+    low = np.flatnonzero(total <= eps)
+    if low.size:
+        check_finite(total)  # a non-finite total is a NumericError first
+        raise DegenerateAttentionError(
+            f"token {token} frame {int(low[0])}: total attention mass <= {eps}"
+        )
+    weight = 1.0 - M if outside else M
+    weighted = c * weight
+    mass = weighted.sum(axis=1)
+    ratio = mass / total
+    base = ratio if outside else _ONE + -ratio
+    sq = base ** 2
+    out = sq.sum()
+    check_finite(total, weight, weighted, mass, ratio, base, sq, out)
+
+    def backward(g):
+        g_base = 2.0 * base * sum_grad(g, None, sq.shape)
+        g_ratio = g_base if outside else -g_base
+        g_total = -g_ratio * mass / (total * total)
+        return (sum_grad(g_ratio / total, 1, c.shape) * weight + sum_grad(g_total, 1, c.shape),)
+
+    return Tensor.node(out, (col,), backward)
 
 
 def loss_fg(ca, masks, pairs, include_verbs=True, eps=1e-8):

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from attnguide.autodiff import Tensor, finite_diff_check, matmul, softmax_lastdim
+from attnguide.autodiff import Tensor, check_finite, finite_diff_check, matmul, softmax_lastdim
 from attnguide.errors import ContractError, DimensionError, NumericError
 
 
@@ -141,6 +141,38 @@ class TestFiniteness:
             warnings.simplefilter("error")
             t = Tensor([1e308, 1e308])  # finite, though their sum overflows
         assert t.data.tolist() == [1e308, 1e308]
+
+
+    def test_check_finite_checks_every_array(self):
+        check_finite(np.ones(2), np.zeros((2, 2)))
+        with pytest.raises(NumericError):
+            check_finite(np.ones(2), np.array([1.0, np.inf]))
+
+
+class TestOwnership:
+    def test_caller_array_stays_writeable(self):
+        a = np.zeros(3)
+        t = Tensor(a)
+        a[0] = 1.0
+        assert t.data.tolist() == [0.0, 0.0, 0.0]
+        assert not t.data.flags.writeable
+
+    def test_caller_view_is_copied(self):
+        a = np.zeros((2, 3))
+        t = Tensor(a[1])
+        a[1, 0] = 1.0
+        assert a.flags.writeable and t.data.tolist() == [0.0, 0.0, 0.0]
+
+    def test_transposed_input_keeps_its_layout(self, rng):
+        a = rng.normal(size=(3, 4))
+        t = Tensor(a.T)
+        assert t.data.flags.f_contiguous and not t.data.flags.c_contiguous
+        assert t.data.tobytes() == a.T.tobytes()
+
+    def test_node_result_is_kept_not_copied(self):
+        out = np.arange(3.0)
+        t = Tensor.node(out, (Tensor([1.0], requires_grad=True),), lambda g: (g.sum(),))
+        assert t.data is out and not out.flags.writeable and t.requires_grad
 
 
 class TestFiniteDiff:

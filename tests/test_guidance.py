@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from attnguide.autodiff import Tensor, finite_diff_check
-from attnguide.boxes import MaskSet
+from attnguide.boxes import MaskSet, parse_llm_boxes
 from attnguide.denoiser import CAMapStack, DDIMSchedule, LatentState, LinearAttentionStub, ToyDenoiser, ddim_step
 from attnguide.errors import (
     ContractError,
@@ -32,7 +34,7 @@ from attnguide.guidance import (
 )
 from attnguide.syntax import SyntaxPairs
 
-from conftest import TEMPLATE_PROMPT, static_two_box_prior, tiny_model_config
+from conftest import TEMPLATE_PROMPT, WOMAN_MAN_BOXES, static_two_box_prior, tiny_model_config
 
 
 def ca_stack(A):
@@ -445,3 +447,62 @@ class TestPrepareInputs:
         model = ToyDenoiser(tiny_model_config())
         with pytest.raises(InputError, match="trajectories"):
             prepare_inputs("a cat is sitting", static_two_box_prior(2), GuidanceConfig(), model)
+
+
+class TestBitExactness:
+    """Pins of the guided run's bytes and of the graph's size.
+
+    The guided dynamics amplify a rounding change in any op (a 1e-15 nudge
+    of the latent moves the final latent by 4e-2), so a changed summation
+    order anywhere shows up as a changed digest.  The digests were recorded
+    with the composite, unfused graph (numpy 2 with OpenBLAS, x86-64); a
+    different BLAS build may round matmuls differently.
+    """
+
+    @staticmethod
+    def _digest(res):
+        h = hashlib.sha256(res.final_state.z.tobytes())
+        h.update(res.trace.to_jsonl().encode())
+        return h.hexdigest()
+
+    def test_default_run_digest(self):
+        res = run_guided_sampling(TEMPLATE_PROMPT, parse_llm_boxes(WOMAN_MAN_BOXES),
+                                  GuidanceConfig(), ToyDenoiser(), seed=0)
+        assert self._digest(res) == (
+            "ac2cd5484e7a8a94fea640f741b6fe012cfa169e03382f491634b6bf002bb807")
+
+    @pytest.mark.parametrize("guidance_overrides,model_overrides,digest", [
+        (dict(distance=COSINE, contrastive_form=SUM), dict(ca_capture="mid"),
+         "9f36b4f6778b537dcb3451190ee38b195c6a6de5fc9a20df504d77f0e0de68f5"),
+        (dict(distance=KL_FWD, neg_includes_verb=True), dict(ca_capture="up", heads=3),
+         "479b471cc550729b8deedafbf650e6baf4a2c5e5fe1f2e81395839dacfcf28dd"),
+        (dict(apply_spatial_to_verbs=False), dict(ca_capture="down", heads=4),
+         "b2bc86ef2f15e07e8529f1195a40d0df9d2ca6895f9daee31ffa93c8cb258e8e"),
+    ])
+    def test_variant_run_digest(self, guidance_overrides, model_overrides, digest):
+        cfg = GuidanceConfig(total_steps=12, t1=2, t2=6, iters_spatial_per_step=3,
+                             **guidance_overrides)
+        model = ToyDenoiser(tiny_model_config(total_steps=12, **model_overrides))
+        res = run_guided_sampling(TEMPLATE_PROMPT, static_two_box_prior(2), cfg, model, seed=5)
+        assert self._digest(res) == digest
+
+    @staticmethod
+    def _graph_nodes(loss):
+        """Nodes `Tensor.backward` visits from `loss`."""
+        seen, stack = {loss}, [loss]
+        while stack:
+            for parent in stack.pop()._parents:
+                if parent.requires_grad and parent not in seen:
+                    seen.add(parent)
+                    stack.append(parent)
+        return len(seen)
+
+    def test_graph_nodes_per_iteration(self, rng):
+        model, config = ToyDenoiser(), GuidanceConfig()
+        _, _, pairs, text, masks = prepare_inputs(
+            TEMPLATE_PROMPT, parse_llm_boxes(WOMAN_MAN_BOXES), config, model)
+        cfg = model.config
+        z = rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
+        _, ca, _ = model.denoise_step(Tensor(z, requires_grad=True), 45, text)
+        assert self._graph_nodes(loss_sp(ca, masks, pairs, config)) <= 65
+        assert self._graph_nodes(loss_syt(ca, pairs, config)) <= 135
