@@ -42,7 +42,7 @@ def main():
     masks = rasterize_masks(eight, 8, 8)
     for sid in (0, 1):
         print(f"subject {sid}, frame 0:")
-        for row in masks.mask(sid, 0).astype(int):
+        for row in masks.masks[sid][0].astype(int):
             print("  " + "".join("#" if v else "." for v in row))
         print()
 

@@ -9,6 +9,8 @@ verb's map toward its noun's.
 Run with:  python3 demos/guided_run.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from attnguide import (
@@ -54,7 +56,7 @@ def main():
     config = GuidanceConfig(lambda_syt=120.0)
     guided = run_guided_sampling(PROMPT, prior, config, model, seed=0)
     free = run_guided_sampling(
-        PROMPT, prior, config.with_overrides(lambda_sp=0.0, lambda_syt=0.0),
+        PROMPT, prior, replace(config, lambda_sp=0.0, lambda_syt=0.0),
         model, seed=0,
     )
 

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .autodiff import Tensor, finite_diff_check, matmul, softmax_lastdim
+from .autodiff import Tensor, finite_diff_check
 from .boxes import (
     BoxTrajectory,
     MaskSet,
@@ -14,11 +14,9 @@ from .boxes import (
     validate_trajectories,
 )
 from .denoiser import (
-    CAMapStack,
     DDIMSchedule,
     LatentState,
     LinearAttentionStub,
-    TAMap,
     ToyDenoiser,
     ToyModelConfig,
     ddim_step,
@@ -44,18 +42,18 @@ from .metrics import (
     run_ablation,
     verb_noun_alignment,
 )
-from .syntax import SyntaxPairs, Token, TokenSequence, extract_pairs, tokenize
+from .syntax import SyntaxPairs, Token, extract_pairs, tokenize
 
 __all__ = [
-    "Tensor", "finite_diff_check", "matmul", "softmax_lastdim",
+    "Tensor", "finite_diff_check",
     "BoxTrajectory", "MaskSet", "SpatialPriorSet", "parse_llm_boxes", "rasterize_masks",
     "resample_frames", "serialize_boxes", "validate_trajectories",
-    "CAMapStack", "DDIMSchedule", "LatentState", "LinearAttentionStub",
-    "TAMap", "ToyDenoiser", "ToyModelConfig", "ddim_step",
+    "DDIMSchedule", "LatentState", "LinearAttentionStub",
+    "ToyDenoiser", "ToyModelConfig", "ddim_step",
     "GuidanceConfig", "GuidanceTrace", "dist", "guide_latent",
     "loss_bg", "loss_fg", "loss_neg", "loss_pos", "loss_sp", "loss_syt",
     "run_guided_sampling",
     "MetricsReport", "count_components", "in_box_ratio", "render_heatmap",
     "run_ablation", "verb_noun_alignment",
-    "SyntaxPairs", "Token", "TokenSequence", "extract_pairs", "tokenize",
+    "SyntaxPairs", "Token", "extract_pairs", "tokenize",
 ]

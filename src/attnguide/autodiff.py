@@ -316,14 +316,6 @@ class Tensor:
                     grads[parent] = pg
 
 
-def matmul(a, b):
-    return Tensor._wrap(a).matmul(b)
-
-
-def softmax_lastdim(x):
-    return Tensor._wrap(x).softmax_lastdim()
-
-
 def finite_diff_check(f, z, step=1e-3):
     """Max relative error between analytic and central-difference gradients.
 

@@ -60,30 +60,17 @@ class Violation:
 class MaskSet:
     grid_h: int
     grid_w: int
-    masks: dict  # (key, frame) -> binary np.ndarray [grid_h, grid_w]
+    masks: dict  # key -> binary np.ndarray [F, grid_h, grid_w]
     warnings: list = field(default_factory=list)
-    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def mask(self, key, frame):
-        return self.masks[(key, frame)]
-
-    def stacked(self, key, frames):
-        """Masks of frames 0..frames-1 for `key` as one read-only [frames, grid_h*grid_w] array.
-
-        Built on first use and then shared; `masks` is not changed after a set is built.
-        """
-        M = self._stacks.get((key, frames))
-        if M is None:
-            M = np.stack([self.mask(key, f).reshape(-1) for f in range(frames)])
-            M.flags.writeable = False
-            self._stacks[(key, frames)] = M
-        return M
+    def stacked(self, key):
+        """The masks of `key` as an [F, grid_h * grid_w] view."""
+        M = self.masks[key]
+        return M.reshape(M.shape[0], -1)
 
     def rebind(self, id_to_key):
         """Re-key masks, e.g. from subject id to prompt token index."""
-        remapped = {
-            (id_to_key[k], f): m for (k, f), m in self.masks.items() if k in id_to_key
-        }
+        remapped = {id_to_key[k]: m for k, m in self.masks.items() if k in id_to_key}
         return MaskSet(self.grid_h, self.grid_w, remapped, list(self.warnings))
 
 
@@ -324,14 +311,16 @@ def rasterize_masks(prior, grid_h, grid_w):
     cy = (np.arange(grid_h) + 0.5) * (H / grid_h)
     masks, warnings = {}, []
     for traj in prior.trajectories:
+        stack = np.zeros((len(traj.boxes), grid_h, grid_w))
         for f, (x, y, w, h) in enumerate(traj.boxes):
             inside_x = (cx >= x) & (cx < x + w)
             inside_y = (cy >= y) & (cy < y + h)
-            mask = (inside_y[:, None] & inside_x[None, :]).astype(np.float64)
-            if not mask.any():
+            stack[f] = inside_y[:, None] & inside_x[None, :]
+            if not stack[f].any():
                 warnings.append(
                     f"all-zero mask for subject {traj.subject_id} frame {f} "
                     f"(box {[x, y, w, h]} at {grid_h}x{grid_w})"
                 )
-            masks[(traj.subject_id, f)] = mask
+        stack.flags.writeable = False
+        masks[traj.subject_id] = stack
     return MaskSet(grid_h, grid_w, masks, warnings)

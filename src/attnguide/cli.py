@@ -128,13 +128,15 @@ def cmd_rasterize(args):
     for w in masks.warnings:
         print(f"warning: {w}")
     if args.out:
-        np.savez(args.out, **{f"s{k}_f{f}": m for (k, f), m in masks.masks.items()})
+        np.savez(args.out, **{f"s{k}_f{f}": m for k, stack in masks.masks.items()
+                              for f, m in enumerate(stack)})
         print(f"wrote {args.out}")
     else:
-        for (sid, f), m in sorted(masks.masks.items()):
-            print(f"subject={sid} frame={f}")
-            for row in m.astype(int):
-                print("".join(str(v) for v in row))
+        for sid in sorted(masks.masks):
+            for f, m in enumerate(masks.masks[sid]):
+                print(f"subject={sid} frame={f}")
+                for row in m.astype(int):
+                    print("".join(str(v) for v in row))
     return EXIT_OK
 
 
@@ -158,7 +160,7 @@ def cmd_generate(args):
 
     (out_dir / "trace.jsonl").write_text(result.trace.to_jsonl())
     report = MetricsReport(config_echo={"guidance": asdict(config),
-                                        "model": _jsonable(asdict(model.config))})
+                                        "model": asdict(model.config)})
     row = {"seed": seed, "prompt": args.prompt}
     row.update(summarize_run(result))
     report.add_row(**row)
@@ -185,16 +187,11 @@ def cmd_generate(args):
                                upscale=args.upscale)
 
     unguided = config.lambda_sp == 0 and config.lambda_syt == 0
-    _write_manifest(out_dir, {"guidance": asdict(config), "model": _jsonable(asdict(model.config))},
+    _write_manifest(out_dir, {"guidance": asdict(config), "model": asdict(model.config)},
                     seed, [args.boxes] + ([args.config] if args.config else []),
                     started, extra={"unguided": unguided, "prompt": args.prompt})
     print(f"ok records={len(result.trace.records)} out={out_dir}")
     return EXIT_OK
-
-
-def _jsonable(d):
-    return {k: (list(map(list, v)) if isinstance(v, tuple) and v and isinstance(v[0], tuple)
-                else v) for k, v in d.items()}
 
 
 def cmd_gradcheck(args):

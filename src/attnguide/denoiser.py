@@ -4,8 +4,8 @@ Per frame, a shared encoder-bottleneck-decoder runs cross-attention
 against the text embedding at every resolution level, with one temporal
 attention block at the bottleneck.  Weights are seeded random constants
 (the guidance operates on a frozen model); only the latent is
-differentiable.  The returned cross-attention stack is the head-averaged
-mean of the lowest-resolution down-path and up-path maps.
+differentiable.  The returned cross-attention maps A [F, N, L] are the
+head-averaged maps of the captured levels, averaged over those levels.
 """
 
 from __future__ import annotations
@@ -70,19 +70,6 @@ class ToyModelConfig:
 class LatentState:
     z: np.ndarray  # [F, C, h, w]
     timestep_index: int
-
-
-@dataclass
-class CAMapStack:
-    A: Tensor  # [F, N, L]
-    grid_h: int
-    grid_w: int
-    layer_tag: str = ""
-
-
-@dataclass
-class TAMap:
-    T_attn: Tensor  # [N, F, F]
 
 
 @dataclass
@@ -176,10 +163,10 @@ class ToyDenoiser:
 
     # -- text ---------------------------------------------------------------
 
-    def encode_text(self, tokens, seed=None):
+    def encode_text(self, tokens):
         """Deterministic per-word embedding table lookup, padded to budget."""
         cfg = self.config
-        seed = cfg.seed if seed is None else seed
+        seed = cfg.seed
         words = [t.text for t in tokens]
         if len(words) + 2 > cfg.token_budget:
             raise InputError(
@@ -227,25 +214,26 @@ class ToyDenoiser:
 
         The node runs the numpy operations of the composite per-head form and
         replays its backward, summing the heads' gradients into ``x`` in head
-        order, so values and gradients are bit-identical to that form.
+        order, so values and gradients are bit-identical to that form.  Each
+        intermediate is checked as it is made, so of each head only its
+        softmax map (which the backward needs) outlives the loop.
         """
         wqs = self._weights[tag]["wq"]
         scale = np.asarray(1.0 / np.sqrt(self._dh))
         mean = np.asarray(1.0 / len(wqs))
         xd = x.data
-        products, logits = [], []
+        maps, total = [], None
         for wq, k in zip(wqs, keys):
             q = xd @ wq.data                         # [F, N, dh]
             qk = q @ k.data                          # [F, N, L]
-            products += [q, qk]
-            logits.append(qk * scale)
-        maps = [softmax(s) for s in logits]
-        total, partial = maps[0], []
-        for m in maps[1:]:
-            total = total + m
-            partial.append(total)
+            s = qk * scale
+            check_finite(q, qk, s)
+            m = softmax(s)
+            maps.append(m)
+            total = m if total is None else total + m
+            check_finite(m, total)
         A = total * mean
-        check_finite(*products, *logits, *maps, *partial, A)
+        check_finite(A)
 
         def backward(g):
             g = g * mean
@@ -259,7 +247,7 @@ class ToyDenoiser:
         return Tensor.node(A, (x,), backward)
 
     def denoise_step(self, z, t, text):
-        """One UNet-ish evaluation: (noise_pred, CA stack, TA map)."""
+        """One UNet-ish evaluation: (noise_pred, CA maps A [F, N, L], TA maps [N, F, F])."""
         cfg = self.config
         if not 0 <= t < cfg.total_steps:
             raise ContractError(f"timestep {t} outside [0, {cfg.total_steps})")
@@ -280,24 +268,21 @@ class ToyDenoiser:
             x = P @ h                                 # [F, g*g, C]
             keys, values = text_kv[tag]
             A = self._cross_attention(x, keys, tag)
-            captured[tag] = (A, g)
+            captured[tag] = A
             out = A @ values
             h = (h + (U @ out) * self._weights[tag]["mix"]
                  + self._weights[tag]["tau_bias"] * tau).tanh()
             if tag == "mid":
-                h, ta = self._temporal_block(h, P, U, g)
+                h, ta = self._temporal_block(h, P, U)
 
         eps = (h @ self._out).transpose(0, 2, 1).reshape(*z.shape)
         wanted = cfg.ca_capture.split("+")
-        A_cap = captured[wanted[0]][0]
+        A_cap = captured[wanted[0]]
         for wname in wanted[1:]:
-            A_cap = A_cap + captured[wname][0]
-        A_cap = A_cap * (1.0 / len(wanted))
-        grid = captured[wanted[0]][1]
-        ca = CAMapStack(A=A_cap, grid_h=grid, grid_w=grid, layer_tag=cfg.ca_capture)
-        return eps, ca, ta
+            A_cap = A_cap + captured[wname]
+        return eps, A_cap * (1.0 / len(wanted)), ta
 
-    def _temporal_block(self, h, P, U, g):
+    def _temporal_block(self, h, P, U):
         w = self._temporal
         x = P @ h                                     # [F, N, C]
         y = x.transpose(1, 0, 2)                      # [N, F, C]
@@ -305,7 +290,7 @@ class ToyDenoiser:
         T_attn = logits.softmax_lastdim()             # [N, F, F]
         out = (T_attn @ (y @ w["wv"])).transpose(1, 0, 2)
         h = (h + (U @ out) * 0.5).tanh()
-        return h, TAMap(T_attn=T_attn)
+        return h, T_attn
 
 
 class LinearAttentionStub:
@@ -318,9 +303,7 @@ class LinearAttentionStub:
     def __init__(self, config=None, weights=None, bias=None, seed=1):
         self.config = config or ToyModelConfig()
         cfg = self.config
-        g = cfg.capture_grid
-        self.grid = g
-        self._P = Tensor(_pool_matrix(g, cfg.latent_h, cfg.latent_w))
+        self._P = Tensor(_pool_matrix(cfg.capture_grid, cfg.latent_h, cfg.latent_w))
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x57AB]))
         if weights is None:
             weights = rng.normal(0, 1.0, (cfg.latent_channels, cfg.token_budget))
@@ -335,8 +318,7 @@ class LinearAttentionStub:
         F, C = cfg.frames, cfg.latent_channels
         h = z.reshape(F, C, cfg.latent_h * cfg.latent_w).transpose(0, 2, 1)
         logits = (self._P @ h) @ self.weights + self.bias     # [F, N, L]
-        A = logits.softmax_lastdim()
-        return CAMapStack(A=A, grid_h=self.grid, grid_w=self.grid, layer_tag="stub")
+        return logits.softmax_lastdim()
 
     def logits_from_latent(self, z):
         z = Tensor._wrap(z)

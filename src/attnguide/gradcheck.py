@@ -11,7 +11,7 @@ import numpy as np
 
 from .autodiff import Tensor, finite_diff_check
 from .boxes import rasterize_masks, static_two_box_prior
-from .denoiser import CAMapStack, LinearAttentionStub, ToyDenoiser, ToyModelConfig
+from .denoiser import LinearAttentionStub, ToyDenoiser, ToyModelConfig
 from .guidance import (
     GuidanceConfig,
     _pairs_to_columns,
@@ -49,11 +49,10 @@ def gradcheck_suites(component, seed, corrupt=False):
     rng = np.random.default_rng(seed)
     z0 = rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
     A0 = rng.uniform(0.05, 1.0, size=(cfg.frames, cfg.capture_grid ** 2, cfg.token_budget))
-    suites = {  # name -> (input -> CA stack, input, tolerance)
+    suites = {  # name -> (input -> CA maps A, input, tolerance)
         "stub": (LinearAttentionStub(cfg, seed=seed).ca_from_latent, z0, 1e-6),
         "model": (lambda zt: model.denoise_step(zt, 10, text)[1], z0, 1e-4),
-        "losses": (lambda at: CAMapStack(A=at, grid_h=cfg.capture_grid,
-                                         grid_w=cfg.capture_grid), A0, 1e-5),
+        "losses": (lambda at: at, A0, 1e-5),
     }
     for suite, (ca_of, x0, tol) in suites.items():
         if component in (suite, "all"):
@@ -66,12 +65,12 @@ def _loss_probes(masks, col_pairs, gcfg):
     pair = col_pairs.pairs[0]
     negs = col_pairs.negatives_for(pair)
     return [
-        ("L_fg", lambda ca: loss_fg(ca, masks, col_pairs)),
-        ("L_bg", lambda ca: loss_bg(ca, masks, col_pairs)),
-        ("L_sp", lambda ca: loss_sp(ca, masks, col_pairs, gcfg)),
-        ("L_pos", lambda ca: loss_pos(ca, pair, gcfg.distance, gcfg.eps)),
-        ("L_neg", lambda ca: loss_neg(ca, pair, negs, gcfg.distance, gcfg.eps)),
-        ("L_syt", lambda ca: loss_syt(ca, col_pairs, gcfg)),
+        ("L_fg", lambda A: loss_fg(A, masks, col_pairs)),
+        ("L_bg", lambda A: loss_bg(A, masks, col_pairs)),
+        ("L_sp", lambda A: loss_sp(A, masks, col_pairs, gcfg)),
+        ("L_pos", lambda A: loss_pos(A, pair, gcfg.distance, gcfg.eps)),
+        ("L_neg", lambda A: loss_neg(A, pair, negs, gcfg.distance, gcfg.eps)),
+        ("L_syt", lambda A: loss_syt(A, col_pairs, gcfg)),
     ]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,9 +83,6 @@ class GuidanceConfig:
     def from_file(cls, path):
         return read_config(cls, path)
 
-    def with_overrides(self, **overrides):
-        return replace(self, **{k: v for k, v in overrides.items() if v is not None})
-
 
 @dataclass
 class TraceRecord:
@@ -133,9 +130,9 @@ def _check_maps(values, axis=-1):
         raise DegenerateAttentionError("attention map slice is all zero")
 
 
-def _check_columns(ca, columns):
+def _check_columns(A, columns):
     """`_check_maps` over the CA columns [F, N] of the given tokens, in one pass."""
-    _check_maps(ca.A.data[..., sorted(columns)], axis=-2)
+    _check_maps(A.data[..., sorted(columns)], axis=-2)
 
 
 def dist(p_map, q_map, kind=KL_SYM, eps=1e-8):
@@ -288,7 +285,7 @@ def in_box_ratio(ca, masks, token_index, frame):
         raise DegenerateAttentionError(
             f"token {token_index} frame {frame}: zero total attention mass"
         )
-    m = masks.mask(token_index, frame).reshape(-1)
+    m = masks.masks[token_index][frame].reshape(-1)
     return float((col * m).sum() / total)
 
 
@@ -305,7 +302,15 @@ def in_box_ratios(ca, masks, token_index):
         raise DegenerateAttentionError(
             f"token {token_index} frame {int(low[0])}: zero total attention mass"
         )
-    return (cols * masks.stacked(token_index, cols.shape[0])).sum(axis=1) / totals
+    return (cols * _frame_masks(masks, token_index, cols.shape)).sum(axis=1) / totals
+
+
+def _frame_masks(masks, key, shape):
+    """The masks of `key` as [F, N] for CA columns of `shape`; any other shape is an error."""
+    M = masks.stacked(key)
+    if M.shape != shape:
+        raise DimensionError(f"masks of shape {M.shape} for a CA column of shape {shape}")
+    return M
 
 
 def _tracked(pairs, include_verbs):
@@ -317,12 +322,12 @@ def _tracked(pairs, include_verbs):
     return tracked
 
 
-def _mass_terms(ca, masks, pairs, include_verbs, eps, outside):
-    A = ca.A
+def _mass_terms(A, masks, pairs, include_verbs, eps, outside):
     F = A.shape[0]
     acc = None
     for token, noun in _tracked(pairs, include_verbs):
-        term = _mass_term(A.take_lastdim(token), masks.stacked(noun, F), token, eps, outside)
+        col = A.take_lastdim(token)
+        term = _mass_term(col, _frame_masks(masks, noun, col.shape), token, eps, outside)
         acc = term if acc is None else acc + term
     if acc is None:
         return Tensor(0.0)
@@ -339,8 +344,6 @@ def _mass_term(col, M, token, eps, outside):
     and replays its backward, so values and gradients are bit-identical.
     """
     c = col.data
-    if M.shape != c.shape:
-        raise DimensionError(f"masks of shape {M.shape} for a CA column of shape {c.shape}")
     total = c.sum(axis=1)
     low = np.flatnonzero(total <= eps)
     if low.size:
@@ -366,45 +369,45 @@ def _mass_term(col, M, token, eps, outside):
     return Tensor.node(out, (col,), backward)
 
 
-def loss_fg(ca, masks, pairs, include_verbs=True, eps=1e-8):
+def loss_fg(A, masks, pairs, include_verbs=True, eps=1e-8):
     """Squared deficit of in-box attention mass, frame-averaged."""
-    return _mass_terms(ca, masks, pairs, include_verbs, eps, outside=False)
+    return _mass_terms(A, masks, pairs, include_verbs, eps, outside=False)
 
 
-def loss_bg(ca, masks, pairs, include_verbs=True, eps=1e-8):
+def loss_bg(A, masks, pairs, include_verbs=True, eps=1e-8):
     """Squared out-of-box attention mass ratio, frame-averaged."""
-    return _mass_terms(ca, masks, pairs, include_verbs, eps, outside=True)
+    return _mass_terms(A, masks, pairs, include_verbs, eps, outside=True)
 
 
-def loss_sp(ca, masks, pairs, config):
+def loss_sp(A, masks, pairs, config):
     """Weighted spatial constraint: lambda_fg * fg + lambda_bg * bg."""
-    fg = loss_fg(ca, masks, pairs, config.apply_spatial_to_verbs, config.eps)
-    bg = loss_bg(ca, masks, pairs, config.apply_spatial_to_verbs, config.eps)
+    fg = loss_fg(A, masks, pairs, config.apply_spatial_to_verbs, config.eps)
+    bg = loss_bg(A, masks, pairs, config.apply_spatial_to_verbs, config.eps)
     return fg * config.lambda_fg + bg * config.lambda_bg
 
 
 # -- syntax contrastive constraint --------------------------------------------
 
 
-def loss_pos(ca, pair, kind=KL_SYM, eps=1e-8):
+def loss_pos(A, pair, kind=KL_SYM, eps=1e-8):
     """Frame-mean distance between a pair's noun map and verb map."""
-    _check_columns(ca, pair)
-    return _pos(ca, pair, kind, eps)
+    _check_columns(A, pair)
+    return _pos(A, pair, kind, eps)
 
 
-def _pos(ca, pair, kind, eps):
+def _pos(A, pair, kind, eps):
     i, j = pair
-    return _dist(ca.A.take_lastdim(i), ca.A.take_lastdim(j), kind, eps).mean()
+    return _dist(A.take_lastdim(i), A.take_lastdim(j), kind, eps).mean()
 
 
-def loss_neg(ca, pair, negatives, kind=KL_SYM, eps=1e-8, include_verb=False):
+def loss_neg(A, pair, negatives, kind=KL_SYM, eps=1e-8, include_verb=False):
     """Summed frame-mean distance from the noun map to each negative map."""
     if negatives:
-        _check_columns(ca, {*pair, *negatives} if include_verb else {pair[0], *negatives})
-    return _neg(ca, pair, negatives, kind, eps, include_verb)
+        _check_columns(A, {*pair, *negatives} if include_verb else {pair[0], *negatives})
+    return _neg(A, pair, negatives, kind, eps, include_verb)
 
 
-def _neg(ca, pair, negatives, kind, eps, include_verb):
+def _neg(A, pair, negatives, kind, eps, include_verb):
     if not negatives:
         warnings.warn("empty negative set; loss_neg is 0", stacklevel=3)
         return Tensor(0.0)
@@ -413,20 +416,20 @@ def _neg(ca, pair, negatives, kind, eps, include_verb):
     acc = None
     for u in sorted(negatives):
         for a in anchors:
-            d = _dist(ca.A.take_lastdim(a), ca.A.take_lastdim(u), kind, eps).mean()
+            d = _dist(A.take_lastdim(a), A.take_lastdim(u), kind, eps).mean()
             acc = d if acc is None else acc + d
     return acc
 
 
-def loss_syt(ca, pairs, config):
+def loss_syt(A, pairs, config):
     """Contrastive ratio summed over pairs (or plain sum in SUM form)."""
     if not pairs.pairs:
         raise ContractError("loss_syt needs at least one noun/verb pair")
-    _check_columns(ca, {c for pair in pairs.pairs for c in (*pair, *pairs.negatives_for(pair))})
+    _check_columns(A, {c for pair in pairs.pairs for c in (*pair, *pairs.negatives_for(pair))})
     acc = None
     for pair in pairs.pairs:
-        pos = _pos(ca, pair, config.distance, config.eps)
-        neg = _neg(ca, pair, pairs.negatives_for(pair), config.distance, config.eps,
+        pos = _pos(A, pair, config.distance, config.eps)
+        neg = _neg(A, pair, pairs.negatives_for(pair), config.distance, config.eps,
                    config.neg_includes_verb)
         denom = pos + neg
         if config.contrastive_form == SUM:
@@ -542,22 +545,22 @@ def run_guided_sampling(prompt, priors, config, model, seed, snapshot_steps=None
             for it in range(1, iters + 1):
                 try:
                     leaf = Tensor(state.z, requires_grad=True)
-                    _, ca, _ = model.denoise_step(leaf, t, text)
+                    _, A, _ = model.denoise_step(leaf, t, text)
                     if loss_name == "spatial":
-                        loss = loss_sp(ca, masks, column_pairs, config)
+                        loss = loss_sp(A, masks, column_pairs, config)
                     else:
-                        loss = loss_syt(ca, column_pairs, config)
+                        loss = loss_syt(A, column_pairs, config)
                     value = loss.item()
                     state, gnorm = guide_latent(state, leaf, loss, lam, config.alpha)
-                    ratios = {noun: float(in_box_ratios(ca.A.data, masks, noun).mean())
+                    ratios = {noun: float(in_box_ratios(A.data, masks, noun).mean())
                               for noun, _ in column_pairs.pairs}
                 except AttnGuideError as exc:
                     raise GuidanceError(f"step {step} iteration {it}: {exc}") from exc
                 trace.add(TraceRecord(step, it, loss_name, value, gnorm, ratios))
 
-        eps_pred, ca, _ = model.denoise_step(Tensor(state.z), t, text)
+        eps_pred, A, _ = model.denoise_step(Tensor(state.z), t, text)
         if step in snapshot_steps:
-            ca_records[step] = ca.A.data.copy()
+            ca_records[step] = A.data.copy()
         state = ddim_step(state, eps_pred, step, schedule)
         z_trajectory.append(state.z.copy())
 

@@ -14,11 +14,6 @@ from importlib import resources
 
 from .errors import ExtractionError, InputError
 
-NOUN = "NOUN"
-VERB = "VERB"
-OTHER = "OTHER"
-SPECIAL = "SPECIAL"
-
 _ARTICLES = {"a", "an", "the"}
 _COPULAS = {"is", "are", "was", "were"}
 
@@ -27,25 +22,6 @@ _COPULAS = {"is", "are", "was", "were"}
 class Token:
     text: str
     index: int
-    tag: str = OTHER
-
-
-@dataclass
-class TokenSequence:
-    tokens: list
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def __len__(self):
-        return len(self.tokens)
-
-    def __getitem__(self, i):
-        return self.tokens[i]
-
-    @property
-    def words(self):
-        return [t.text for t in self.tokens]
 
 
 @dataclass
@@ -89,7 +65,7 @@ def tokenize(prompt):
             words.append(word)
     if not words:
         raise InputError("prompt contains no words after normalization")
-    return TokenSequence([Token(w, i) for i, w in enumerate(words)])
+    return [Token(w, i) for i, w in enumerate(words)]
 
 
 def _split_clauses(tokens):
@@ -158,21 +134,10 @@ def extract_pairs(tokens, negatives_exclude_other_pairs=False):
     if len(set(used)) != len(used):
         raise ExtractionError("a token index appears in two pairs")
 
-    all_indices = {t.index for t in tokens if t.tag != SPECIAL}
+    all_indices = {t.index for t in tokens}
     pair_members = set(used)
     result = SyntaxPairs(pairs=pairs)
     for pair in pairs:
         excluded = set(pair) | (pair_members if negatives_exclude_other_pairs else set(pair))
         result.negatives[pair] = frozenset(sorted(all_indices - excluded))
     return result
-
-
-def tagged(tokens, pairs):
-    """Re-tag a TokenSequence from extracted pairs (NOUN/VERB/OTHER)."""
-    nouns = {p[0] for p in pairs.pairs}
-    verbs = {p[1] for p in pairs.pairs}
-    out = []
-    for tok in tokens:
-        tag = NOUN if tok.index in nouns else VERB if tok.index in verbs else tok.tag
-        out.append(Token(tok.text, tok.index, tag))
-    return TokenSequence(out)

@@ -10,7 +10,7 @@ import pytest
 from attnguide.autodiff import Tensor
 from attnguide.boxes import MaskSet, parse_llm_boxes, serialize_boxes, validate_trajectories
 from attnguide.gradcheck import gradcheck_suites
-from attnguide.denoiser import CAMapStack, ToyDenoiser, ToyModelConfig
+from attnguide.denoiser import ToyDenoiser, ToyModelConfig
 from attnguide.guidance import (
     KL_SYM,
     GuidanceConfig,
@@ -48,14 +48,12 @@ def _report(n, ok, detail):
 
 
 def _ca(A):
-    A = np.asarray(A, dtype=float)
-    grid = int(np.sqrt(A.shape[1]))
-    return CAMapStack(A=Tensor(A), grid_h=grid, grid_w=grid)
+    return Tensor(np.asarray(A, dtype=float))
 
 
 def _masks(mask, frames, key=0):
     mask = np.asarray(mask, dtype=float)
-    return MaskSet(mask.shape[0], mask.shape[1], {(key, f): mask for f in range(frames)})
+    return MaskSet(mask.shape[0], mask.shape[1], {key: np.stack([mask] * frames)})
 
 
 def _pair(negatives=(2,)):

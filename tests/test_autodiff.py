@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from attnguide.autodiff import Tensor, check_finite, finite_diff_check, matmul, softmax_lastdim
+from attnguide.autodiff import Tensor, check_finite, finite_diff_check
 from attnguide.errors import ContractError, DimensionError, NumericError
 
 
@@ -18,47 +18,47 @@ class TestMatmul:
         assert np.array_equal((m @ Tensor(np.eye(2))).data, m.data)
 
     def test_hand_oracle(self):
-        out = matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0], [6.0]]))
+        out = Tensor([[1.0, 2.0], [3.0, 4.0]]) @ Tensor([[5.0], [6.0]])
         assert np.array_equal(out.data, [[17.0], [39.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
+            Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 2)))
 
     def test_batched(self, rng):
         a = rng.normal(size=(3, 4, 5))
         b = rng.normal(size=(5, 2))
-        out = matmul(Tensor(a), Tensor(b))
+        out = Tensor(a) @ Tensor(b)
         assert np.allclose(out.data, a @ b)
 
 
 class TestSoftmax:
     def test_symmetry(self):
-        assert np.allclose(softmax_lastdim(Tensor([0.0, 0.0])).data, [0.5, 0.5])
+        assert np.allclose(Tensor([0.0, 0.0]).softmax_lastdim().data, [0.5, 0.5])
 
     def test_shift_invariance(self, rng):
         x = rng.normal(size=(4, 6))
-        a = softmax_lastdim(Tensor(x)).data
-        b = softmax_lastdim(Tensor(x + 123.456)).data
+        a = Tensor(x).softmax_lastdim().data
+        b = Tensor(x + 123.456).softmax_lastdim().data
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_constant_slice(self):
-        out = softmax_lastdim(Tensor([3.7, 3.7, 3.7])).data
+        out = Tensor([3.7, 3.7, 3.7]).softmax_lastdim().data
         assert np.allclose(out, [1 / 3] * 3, atol=1e-15)
 
     def test_closed_form(self):
-        out = softmax_lastdim(Tensor([np.log(1.0), np.log(3.0)])).data
+        out = Tensor([np.log(1.0), np.log(3.0)]).softmax_lastdim().data
         assert np.allclose(out, [0.25, 0.75], atol=1e-15)
 
     def test_sums_to_one(self, rng):
         x = rng.normal(scale=20.0, size=(5, 3, 7))
-        s = softmax_lastdim(Tensor(x)).data
+        s = Tensor(x).softmax_lastdim().data
         assert np.max(np.abs(s.sum(axis=-1) - 1.0)) <= 1e-12
         assert np.all(s >= 0)
 
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
-            softmax_lastdim(Tensor(np.ones((2, 0))))
+            Tensor(np.ones((2, 0))).softmax_lastdim()
 
 
 class TestBackward:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -98,6 +99,24 @@ class TestParseCommands:
         assert main(["rasterize", boxes_file, "--grid", "4x4", "--out", str(out)]) == 0
         data = np.load(out)
         assert "s0_f0" in data and data["s0_f0"].shape == (4, 4)
+
+    def test_rasterize_output_pinned(self, boxes_file, tmp_path, capsys):
+        """Stdout (warnings and mask rows) and the npz arrays, keys in order, byte for byte."""
+        assert main(["rasterize", boxes_file, "--grid", "4x4"]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == (
+            "094af1a9927d1b35a8402d2cd886b2d5168361863dcbb8742b5fc960d8add591")
+        out = tmp_path / "masks.npz"
+        assert main(["rasterize", boxes_file, "--grid", "4x4", "--out", str(out)]) == 0
+        data = np.load(out)
+        h = hashlib.sha256()
+        for key in data.files:
+            a = data[key]
+            for part in (key, str(a.dtype), str(a.shape)):
+                h.update(part.encode())
+            h.update(a.tobytes())
+        assert h.hexdigest() == (
+            "3bbc462bbbe352eaf0fdbf421b34c77adcf0768583063692d66463aef574a5c6")
 
     def test_rasterize_bad_grid(self, boxes_file, capsys):
         assert main(["rasterize", boxes_file, "--grid", "4by4"]) == 2

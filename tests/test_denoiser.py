@@ -65,10 +65,10 @@ class TestDenoiseStep:
         _, ca, ta = model.denoise_step(_latent(model.config, rng), t=1, text=enc)
         cfg = model.config
         g = cfg.capture_grid
-        assert ca.A.shape == (cfg.frames, g * g, cfg.token_budget)
-        assert np.max(np.abs(ca.A.data.sum(axis=-1) - 1.0)) <= 1e-12
-        assert np.all(ca.A.data >= 0)
-        assert np.max(np.abs(ta.T_attn.data.sum(axis=-1) - 1.0)) <= 1e-12
+        assert ca.shape == (cfg.frames, g * g, cfg.token_budget)
+        assert np.max(np.abs(ca.data.sum(axis=-1) - 1.0)) <= 1e-12
+        assert np.all(ca.data >= 0)
+        assert np.max(np.abs(ta.data.sum(axis=-1) - 1.0)) <= 1e-12
 
     def test_deterministic_across_instances(self, rng):
         z = _latent(tiny_model_config(), rng)
@@ -77,7 +77,7 @@ class TestDenoiseStep:
             m = ToyDenoiser(tiny_model_config())
             enc = m.encode_text(tokenize("a cat is sitting"))
             eps, ca, _ = m.denoise_step(z, t=3, text=enc)
-            outs.append((eps.data.tobytes(), ca.A.data.tobytes()))
+            outs.append((eps.data.tobytes(), ca.data.tobytes()))
         assert outs[0] == outs[1]
 
     def test_reused_model_matches_fresh_model_per_prompt(self, model, rng):
@@ -91,8 +91,8 @@ class TestDenoiseStep:
                 enc = m.encode_text(tokenize(prompt))
                 for leaf in (Tensor(z), Tensor(z, requires_grad=True)):
                     eps, ca, ta = m.denoise_step(leaf, t=2, text=enc)
-                    outs.append((eps.data.tobytes(), ca.A.data.tobytes(),
-                                 ta.T_attn.data.tobytes()))
+                    outs.append((eps.data.tobytes(), ca.data.tobytes(),
+                                 ta.data.tobytes()))
             assert outs[:2] == outs[2:]
 
     def test_latent_sensitivity(self, model, rng):
@@ -100,7 +100,7 @@ class TestDenoiseStep:
         z = _latent(model.config, rng)
         _, ca_a, _ = model.denoise_step(z, t=1, text=enc)
         _, ca_b, _ = model.denoise_step(z + 0.5, t=1, text=enc)
-        assert np.abs(ca_a.A.data - ca_b.A.data).max() > 0
+        assert np.abs(ca_a.data - ca_b.data).max() > 0
 
     def test_timestep_sensitivity(self, model, rng):
         enc = model.encode_text(tokenize("a cat is sitting"))
@@ -123,7 +123,7 @@ class TestDenoiseStep:
             m = ToyDenoiser(tiny_model_config(ca_capture=cap))
             enc = m.encode_text(tokenize("a cat is sitting"))
             _, ca, _ = m.denoise_step(z, t=1, text=enc)
-            maps[cap] = ca.A.data
+            maps[cap] = ca.data
         assert maps["down"].shape == maps["up"].shape
         assert np.allclose(maps["down+up"], 0.5 * (maps["down"] + maps["up"]))
 
@@ -133,7 +133,7 @@ class TestDenoiseStep:
 
         def f(z):
             eps, ca, _ = model.denoise_step(z, t=1, text=enc)
-            return ca.A.square().sum() + eps.square().sum() * 0.01
+            return ca.square().sum() + eps.square().sum() * 0.01
 
         assert finite_diff_check(f, Tensor(base), step=1e-4) <= 1e-5
 
@@ -200,7 +200,7 @@ class TestStub:
             bias=np.zeros(cfg.token_budget),
         )
         ca = stub.ca_from_latent(_latent(cfg, rng))
-        assert np.allclose(ca.A.data, 1.0 / cfg.token_budget, atol=1e-15)
+        assert np.allclose(ca.data, 1.0 / cfg.token_budget, atol=1e-15)
 
     def test_logits_linear_in_latent(self, rng):
         cfg = tiny_model_config()
@@ -216,7 +216,7 @@ class TestStub:
         stub = LinearAttentionStub(cfg, seed=3)
         base = _latent(cfg, rng)
         err = finite_diff_check(
-            lambda z: stub.ca_from_latent(z).A.square().sum(), Tensor(base), step=1e-4
+            lambda z: stub.ca_from_latent(z).square().sum(), Tensor(base), step=1e-4
         )
         assert err <= 1e-6
 

@@ -13,7 +13,7 @@ import pytest
 from attnguide import guidance
 from attnguide.autodiff import Tensor
 from attnguide.boxes import MaskSet
-from attnguide.denoiser import CAMapStack, ToyDenoiser
+from attnguide.denoiser import ToyDenoiser
 from attnguide.errors import DegenerateAttentionError, NumericError
 from attnguide.guidance import (
     COSINE,
@@ -109,9 +109,11 @@ def attention_values(rng, shape, zeros=0.1):
 def mask_set(rng, keys, frames, grid, fractional):
     masks = {}
     for key in keys:
+        stack = []
         for f in range(frames):
             m = rng.uniform(0.0, 1.0, (grid, grid))
-            masks[(key, f)] = m if fractional else (m < 0.5).astype(np.float64)
+            stack.append(m if fractional else (m < 0.5).astype(np.float64))
+        masks[key] = np.stack(stack)
     return MaskSet(grid, grid, masks)
 
 
@@ -150,7 +152,7 @@ def test_dist_matches_composite(kind, ndim):
 
 def loss_syt_run(vals, pairs, config):
     A = Tensor(vals, requires_grad=True)
-    loss = loss_syt(CAMapStack(A=A, grid_h=1, grid_w=vals.shape[1]), pairs, config)
+    loss = loss_syt(A, pairs, config)
     loss.backward()
     return loss.data, A.grad
 
@@ -178,7 +180,7 @@ def test_loss_syt_matches_composite(monkeypatch, kind, form, include_verb):
 
 def mass_run(loss_fn, vals, masks, pairs):
     A = Tensor(vals, requires_grad=True)
-    loss = loss_fn(CAMapStack(A=A, grid_h=masks.grid_h, grid_w=masks.grid_w), masks, pairs)
+    loss = loss_fn(A, masks, pairs)
     loss.backward()
     return loss.data, A.grad
 
@@ -238,8 +240,8 @@ def test_denoise_step_gradient_matches_composite(monkeypatch, heads):
     def run(z_vals, weights):
         z = Tensor(z_vals, requires_grad=True)
         eps, ca, _ = model.denoise_step(z, 20, text)
-        ((eps * weights).sum() + ca.A.square().sum()).backward()
-        return eps.data, ca.A.data, z.grad
+        ((eps * weights).sum() + ca.square().sum()).backward()
+        return eps.data, ca.data, z.grad
 
     for seed in range(10):
         rng = np.random.default_rng(seed)

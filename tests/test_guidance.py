@@ -5,10 +5,11 @@ import pytest
 
 from attnguide.autodiff import Tensor, finite_diff_check
 from attnguide.boxes import MaskSet, parse_llm_boxes
-from attnguide.denoiser import CAMapStack, DDIMSchedule, LatentState, LinearAttentionStub, ToyDenoiser, ddim_step
+from attnguide.denoiser import DDIMSchedule, LatentState, LinearAttentionStub, ToyDenoiser, ddim_step
 from attnguide.errors import (
     ContractError,
     DegenerateAttentionError,
+    DimensionError,
     InputError,
     NumericError,
 )
@@ -23,6 +24,7 @@ from attnguide.guidance import (
     TraceRecord,
     dist,
     guide_latent,
+    in_box_ratios,
     loss_bg,
     loss_fg,
     loss_neg,
@@ -38,9 +40,7 @@ from conftest import TEMPLATE_PROMPT, WOMAN_MAN_BOXES, static_two_box_prior, tin
 
 
 def ca_stack(A):
-    A = np.asarray(A, dtype=float)
-    grid = int(np.sqrt(A.shape[1]))
-    return CAMapStack(A=Tensor(A), grid_h=grid, grid_w=grid)
+    return Tensor(np.asarray(A, dtype=float))
 
 
 def single_pair(negatives=(2,)):
@@ -49,7 +49,7 @@ def single_pair(negatives=(2,)):
 
 def mask_set(mask, frames, key=0):
     mask = np.asarray(mask, dtype=float)
-    return MaskSet(mask.shape[0], mask.shape[1], {(key, f): mask for f in range(frames)})
+    return MaskSet(mask.shape[0], mask.shape[1], {key: np.stack([mask] * frames)})
 
 
 def uniform_ca(frames=2, pixels=4, tokens=3):
@@ -103,12 +103,21 @@ class TestSpatialLosses:
         with pytest.raises(DegenerateAttentionError, match="token 0"):
             loss_fg(ca_stack(A), masks, single_pair())
 
+    @pytest.mark.parametrize("mask_frames", [1, 3])
+    def test_frame_count_mismatch_rejected(self, mask_frames):
+        A = np.full((2, 4, 3), 1.0 / 3)
+        masks = mask_set(np.ones((2, 2)), frames=mask_frames)
+        with pytest.raises(DimensionError, match="masks of shape"):
+            in_box_ratios(A, masks, 0)
+        with pytest.raises(DimensionError, match="masks of shape"):
+            loss_fg(ca_stack(A), masks, single_pair())
+
     def test_gradient_against_finite_differences(self, rng):
         masks = mask_set(rng.integers(0, 2, size=(2, 2)).astype(float) * 0 + np.eye(2), frames=2)
         base = rng.uniform(0.05, 1.0, size=(2, 4, 3))
 
         def f(a):
-            return loss_fg(CAMapStack(A=a, grid_h=2, grid_w=2), masks, single_pair())
+            return loss_fg(a, masks, single_pair())
 
         assert finite_diff_check(f, Tensor(base), step=1e-5) <= 1e-6
 
@@ -240,7 +249,7 @@ class TestSyntaxLosses:
         cfg = GuidanceConfig()
 
         def f(a):
-            return loss_syt(CAMapStack(A=a, grid_h=2, grid_w=2), single_pair(), cfg)
+            return loss_syt(a, single_pair(), cfg)
 
         assert finite_diff_check(f, Tensor(base), step=1e-5) <= 1e-6
 
@@ -311,8 +320,6 @@ class TestConfig:
         cfg = GuidanceConfig.from_file(path)
         assert cfg.t1 == 3 and cfg.lambda_syt == 12.5
         assert cfg.distance == COSINE and cfg.apply_spatial_to_verbs is False
-        cfg2 = cfg.with_overrides(t1=4, lambda_syt=None)
-        assert cfg2.t1 == 4 and cfg2.lambda_syt == 12.5
 
     def test_from_file_unknown_key(self, tmp_path):
         path = tmp_path / "guide.cfg"
@@ -432,8 +439,7 @@ class TestPrepareInputs:
         assert pairs.pairs == [(1, 3), (6, 8)]
         assert column_pairs.pairs == [(2, 4), (7, 9)]
         g = model.config.capture_grid
-        left = masks.mask(2, 0).reshape(g, g)
-        right = masks.mask(7, 0).reshape(g, g) if masks.mask(7, 0).ndim == 1 else masks.mask(7, 0)
+        left, right = masks.masks[2][0], masks.masks[7][0]
         assert left[:, : g // 2].all() and not left[:, g // 2:].any()
         assert right[:, g // 2:].all() and not right[:, : g // 2].any()
 
@@ -441,7 +447,7 @@ class TestPrepareInputs:
         model = ToyDenoiser(tiny_model_config())  # 2 frames
         out = prepare_inputs(TEMPLATE_PROMPT, static_two_box_prior(8), GuidanceConfig(), model)
         masks = out[4]
-        assert (2, 1) in masks.masks  # second frame exists after resampling
+        assert masks.masks[2].shape[0] == 2  # second frame exists after resampling
 
     def test_pair_trajectory_count_mismatch(self):
         model = ToyDenoiser(tiny_model_config())

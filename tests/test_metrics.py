@@ -3,7 +3,7 @@ import pytest
 
 from attnguide.autodiff import Tensor
 from attnguide.boxes import MaskSet
-from attnguide.denoiser import CAMapStack, ToyDenoiser
+from attnguide.denoiser import ToyDenoiser
 from attnguide.errors import ContractError, DegenerateAttentionError, InputError
 from attnguide.guidance import (
     COSINE,
@@ -30,7 +30,7 @@ from conftest import TEMPLATE_PROMPT, static_two_box_prior, tiny_model_config
 
 def mask_set(mask, frames=1, key=0):
     mask = np.asarray(mask, dtype=float)
-    return MaskSet(mask.shape[0], mask.shape[1], {(key, f): mask for f in range(frames)})
+    return MaskSet(mask.shape[0], mask.shape[1], {key: np.stack([mask] * frames)})
 
 
 class TestInBoxRatio:
@@ -54,8 +54,7 @@ class TestInBoxRatio:
             expected = np.mean([
                 (1.0 - in_box_ratio(A, masks, 0, f)) ** 2 for f in range(2)
             ])
-            ca = CAMapStack(A=Tensor(A), grid_h=2, grid_w=2)
-            got = loss_fg(ca, masks, pairs, include_verbs=False).item()
+            got = loss_fg(Tensor(A), masks, pairs, include_verbs=False).item()
             assert abs(np.sqrt(got) - np.sqrt(expected)) <= 1e-12
 
     def test_zero_mass_rejected(self):
@@ -65,8 +64,8 @@ class TestInBoxRatio:
 
     def test_all_frames_match_per_frame_form_bit_exactly(self, rng):
         A = rng.uniform(0.0, 1.0, size=(5, 64, 3))
-        masks = MaskSet(8, 8, {(1, f): rng.integers(0, 2, size=(8, 8)).astype(float)
-                               for f in range(5)})
+        masks = MaskSet(8, 8, {1: np.stack([rng.integers(0, 2, size=(8, 8)).astype(float)
+                                            for f in range(5)])})
         got = in_box_ratios(A, masks, 1)
         assert got.tolist() == [in_box_ratio(A, masks, 1, f) for f in range(5)]
 

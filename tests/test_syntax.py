@@ -6,7 +6,7 @@ from attnguide.syntax import extract_pairs, tokenize
 
 def test_tokenize_simple():
     toks = tokenize("a man is walking")
-    assert toks.words == ["a", "man", "is", "walking"]
+    assert [t.text for t in toks] == ["a", "man", "is", "walking"]
     assert [t.index for t in toks] == [0, 1, 2, 3]
 
 
@@ -43,7 +43,7 @@ def test_compound_verb_object_is_negative_for_both_pairs():
     toks = tokenize("a woman is jumping and a boy is playing guitar")
     pairs = extract_pairs(toks)
     assert len(pairs.pairs) == 2
-    guitar = toks.words.index("guitar")
+    guitar = [t.text for t in toks].index("guitar")
     for pair in pairs.pairs:
         assert guitar in pairs.negatives_for(pair)
 
@@ -83,7 +83,7 @@ def test_idempotent_over_round_trip():
     prompt = "a woman is jumping and a boy is playing guitar"
     toks = tokenize(prompt)
     pairs = extract_pairs(toks)
-    again = extract_pairs(tokenize(" ".join(toks.words)))
+    again = extract_pairs(tokenize(" ".join([t.text for t in toks])))
     assert again.pairs == pairs.pairs
     assert again.negatives == pairs.negatives
 
