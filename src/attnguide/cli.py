@@ -66,19 +66,14 @@ def _write_manifest(out_dir, config, seed, inputs, started, complete=True, extra
 
 
 def _model_from_args(args):
-    cfg = ToyModelConfig.from_file(args.model_config) if getattr(args, "model_config", None) \
-        else ToyModelConfig()
+    cfg = ToyModelConfig.from_file(args.model_config) if args.model_config else ToyModelConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return ToyDenoiser(cfg)
 
 
-def _guidance_config(args, total_steps=None):
-    cfg = GuidanceConfig.from_file(args.config) if getattr(args, "config", None) \
-        else GuidanceConfig()
-    if total_steps is not None and cfg.total_steps != total_steps:
-        cfg = replace(cfg, total_steps=total_steps)
-    return cfg
+def _guidance_config(args):
+    return GuidanceConfig.from_file(args.config) if args.config else GuidanceConfig()
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -151,7 +146,7 @@ def cmd_generate(args):
                      f"{len(violations)} box violations (use --force to proceed)")
 
     model = _model_from_args(args)
-    config = _guidance_config(args, total_steps=model.config.total_steps)
+    config = _guidance_config(args)
     seed = args.seed if args.seed is not None else 0
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -221,7 +216,10 @@ def _parse_grid_file(path):
 def cmd_ablate(args):
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     axes = _parse_grid_file(args.grid) if args.grid else {}
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise InputError(f"--seeds wants comma-separated integers, got {args.seeds!r}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = _guidance_config(args)
@@ -273,7 +271,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", default=None, help="guidance config (key = value)")
         p.add_argument("--model-config", default=None, help="model config (key = value)")
 
@@ -304,6 +301,7 @@ def build_parser():
     p.add_argument("--force", action="store_true")
     p.add_argument("--max-step-px", type=int, default=60)
     p.add_argument("--upscale", type=int, default=8)
+    p.add_argument("--seed", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_generate)
 
@@ -313,7 +311,8 @@ def build_parser():
     p.add_argument("--corrupt-gradient", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("ablate", help="run a config sweep")
+    # no abbreviations, so `--seed` is not taken for `--seeds`
+    p = sub.add_parser("ablate", help="run a config sweep", allow_abbrev=False)
     p.add_argument("--grid", default=None, help="grid file (axis = v1, v2, ...)")
     p.add_argument("--seeds", default="0,1")
     p.add_argument("--out", required=True)

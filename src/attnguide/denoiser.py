@@ -75,6 +75,7 @@ class LatentState:
 @dataclass
 class TextEncoding:
     emb: Tensor  # [token_budget, embed_dim]
+    keys_values: dict  # level tag -> (per-head keys [dh, L], values [L, C])
     columns: dict  # prompt token index -> CA column
     special_columns: tuple
     token_count: int
@@ -158,13 +159,11 @@ class ToyDenoiser:
             "scale": 1.0 / np.sqrt(dt),
         }
         self._out = Tensor(rng.normal(0, 1.0 / np.sqrt(C), (C, C)))
-        self._text_emb = None
-        self._text_kv = {}
 
     # -- text ---------------------------------------------------------------
 
     def encode_text(self, tokens):
-        """Deterministic per-word embedding table lookup, padded to budget."""
+        """Per-word embedding lookup padded to budget, with each level's keys/values."""
         cfg = self.config
         seed = cfg.seed
         words = [t.text for t in tokens]
@@ -185,8 +184,10 @@ class ToyDenoiser:
         while len(rows) < cfg.token_budget:
             special.append(len(rows))
             rows.append(pad)
+        emb = Tensor(np.stack(rows))
         return TextEncoding(
-            emb=Tensor(np.stack(rows)),
+            emb=emb,
+            keys_values=self._keys_values(emb),
             columns=columns,
             special_columns=tuple(special),
             token_count=len(words),
@@ -195,19 +196,11 @@ class ToyDenoiser:
     # -- forward ------------------------------------------------------------
 
     def _keys_values(self, emb):
-        """Per level: the text keys [dh, L] of each head and the values [L, C].
-
-        They depend only on the text, so they are computed once per embedding
-        and reused while the same `emb` Tensor comes back (Tensors are
-        immutable, and holding `emb` keeps its identity from being reused).
-        """
-        if emb is not self._text_emb:
-            self._text_kv = {
-                tag: ([(emb @ wk).transpose(1, 0) for wk in w["wk"]], emb @ w["wv"])
-                for tag, w in self._weights.items()
-            }
-            self._text_emb = emb
-        return self._text_kv
+        """Per level: the text keys [dh, L] of each head and the values [L, C]."""
+        return {
+            tag: ([(emb @ wk).transpose(1, 0) for wk in w["wk"]], emb @ w["wv"])
+            for tag, w in self._weights.items()
+        }
 
     def _cross_attention(self, x, keys, tag):
         """Head-mean of softmax((x @ wq) @ k * scale) over the heads, as one graph node.
@@ -247,7 +240,10 @@ class ToyDenoiser:
         return Tensor.node(A, (x,), backward)
 
     def denoise_step(self, z, t, text):
-        """One UNet-ish evaluation: (noise_pred, CA maps A [F, N, L], TA maps [N, F, F])."""
+        """One UNet-ish evaluation of latent `z` at timestep `t` for the `TextEncoding` `text`.
+
+        Returns (noise_pred, CA maps A [F, N, L], TA maps [N, F, F]).
+        """
         cfg = self.config
         if not 0 <= t < cfg.total_steps:
             raise ContractError(f"timestep {t} outside [0, {cfg.total_steps})")
@@ -255,8 +251,6 @@ class ToyDenoiser:
         expected = (cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w)
         if z.shape != expected:
             raise DimensionError(f"latent shape {z.shape}, model expects {expected}")
-        emb = text.emb if isinstance(text, TextEncoding) else Tensor._wrap(text)
-        text_kv = self._keys_values(emb)
         tau = t / cfg.total_steps
 
         F, C = cfg.frames, cfg.latent_channels
@@ -266,7 +260,7 @@ class ToyDenoiser:
         for tag, g in cfg.levels:
             P, U = self._pool[g], self._unpool[g]
             x = P @ h                                 # [F, g*g, C]
-            keys, values = text_kv[tag]
+            keys, values = text.keys_values[tag]
             A = self._cross_attention(x, keys, tag)
             captured[tag] = A
             out = A @ values
@@ -313,14 +307,10 @@ class LinearAttentionStub:
         self.bias = Tensor(bias)
 
     def ca_from_latent(self, z):
-        z = Tensor._wrap(z)
-        cfg = self.config
-        F, C = cfg.frames, cfg.latent_channels
-        h = z.reshape(F, C, cfg.latent_h * cfg.latent_w).transpose(0, 2, 1)
-        logits = (self._P @ h) @ self.weights + self.bias     # [F, N, L]
-        return logits.softmax_lastdim()
+        return self.logits_from_latent(z).softmax_lastdim()
 
     def logits_from_latent(self, z):
+        """Affine attention logits [F, N, L] of the pooled latent."""
         z = Tensor._wrap(z)
         cfg = self.config
         h = z.reshape(cfg.frames, cfg.latent_channels, cfg.latent_h * cfg.latent_w)

@@ -10,19 +10,18 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, finite_diff_check
-from .boxes import rasterize_masks, static_two_box_prior
+from .boxes import static_two_box_prior
 from .denoiser import LinearAttentionStub, ToyDenoiser, ToyModelConfig
 from .guidance import (
     GuidanceConfig,
-    _pairs_to_columns,
     loss_bg,
     loss_fg,
     loss_neg,
     loss_pos,
     loss_sp,
     loss_syt,
+    prepare_inputs,
 )
-from .syntax import extract_pairs, tokenize
 
 
 def gradcheck_suites(component, seed, corrupt=False):
@@ -35,16 +34,11 @@ def gradcheck_suites(component, seed, corrupt=False):
     cfg = ToyModelConfig(frames=2, latent_h=4, latent_w=4, latent_channels=2,
                          levels=(("down", 4), ("mid", 2), ("up", 4)),
                          token_budget=8, embed_dim=8, heads=2, seed=seed)
-    tokens = tokenize("a cat is sitting")
-    pairs = extract_pairs(tokens)
     model = ToyDenoiser(cfg)
-    text = model.encode_text(tokens)
-    col_pairs = _pairs_to_columns(pairs, text.columns)
     prior = static_two_box_prior(cfg.frames)
     prior.trajectories = prior.trajectories[:1]
     gcfg = GuidanceConfig(total_steps=cfg.total_steps)
-    masks = rasterize_masks(prior, cfg.capture_grid, cfg.capture_grid).rebind(
-        {0: col_pairs.pairs[0][0]})
+    _, _, col_pairs, text, masks = prepare_inputs("a cat is sitting", prior, gcfg, model)
 
     rng = np.random.default_rng(seed)
     z0 = rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))

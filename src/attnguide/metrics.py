@@ -21,6 +21,10 @@ from .guidance import KL_SYM, dist, in_box_ratio, in_box_ratios, run_guided_samp
 
 def _square_map(ca, token_index, frame):
     """One token/frame column of [F, N, L] values as its side x side grid."""
+    F, _, L = ca.shape
+    if not (0 <= token_index < L and 0 <= frame < F):
+        raise ContractError(f"token {token_index} frame {frame} outside the "
+                            f"{L} columns and {F} frames of the CA maps")
     col = ca[frame, :, token_index]
     side = math.isqrt(col.size)
     if side * side != col.size:

@@ -217,6 +217,16 @@ class TestAblate:
         table = (tmp_path / "abl" / "ablation.txt").read_text()
         assert "t1" in table and "mean_alignment_final" in table
 
+    def test_non_integer_seeds_rejected(self, tmp_path, capsys):
+        assert main(["ablate", "--seeds", "a,b", "--out", str(tmp_path / "abl")]) == 2
+        errors = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("ERROR")]
+        assert len(errors) == 1 and errors[0].startswith("ERROR kind=parse")
+
+    def test_has_no_seed_option(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--seed", "7", "--out", str(tmp_path / "abl")])
+        assert exc.value.code == 2
+
     def test_unknown_axis_rejected(self, tmp_path, capsys):
         (tmp_path / "grid.txt").write_text("momentum = 0.9\n")
         assert main(["ablate", "--grid", str(tmp_path / "grid.txt"),
@@ -245,6 +255,7 @@ BAD_INPUTS = {
     "guide_not_a_number": ("guide", "lambda_sp = abc\n"),
     "guide_non_finite": ("guide", "lambda_sp = nan\nalpha = inf\n"),
     "guide_bad_boolean": ("guide", "neg_includes_verb = maybe\n"),
+    "guide_steps_differ_from_model": ("guide", "total_steps = 30\n"),
     "grid_not_an_integer": ("grid", "t1 = x\n"),
     "grid_not_utf8": ("grid", b"t1 = 1, \xe9\n"),
     "boxes_string_id": ("boxes", _structured({"id": "0", "name": "man", "box": [0, 0, 9, 9]})),
@@ -297,3 +308,15 @@ class TestRender:
         assert main(["render", str(tmp_path / "run"), "--token", "2",
                      "--step", "7", "--out", str(tmp_path / "x.pgm")]) == 2
         assert "no CA snapshot" in capsys.readouterr().out
+
+    def test_out_of_range_token_or_frame_rejected(self, tmp_path, small_run_args, capsys):
+        assert main(small_run_args("run")) == 0
+        capsys.readouterr()
+        for option, index in (("--token", "99"), ("--token", "-1"), ("--frame", "99")):
+            out = tmp_path / "x.pgm"
+            argv = ["render", str(tmp_path / "run"), "--token", "2", "--step", "12",
+                    "--out", str(out), option, index]
+            assert main(argv) == 2
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("ERROR kind=parse")
+            assert not out.exists()

@@ -81,7 +81,7 @@ class TestDenoiseStep:
         assert outs[0] == outs[1]
 
     def test_reused_model_matches_fresh_model_per_prompt(self, model, rng):
-        """Text keys/values cached for one prompt must not leak into the next."""
+        """A model run on other prompts first gives the bytes of a fresh model."""
         z = _latent(model.config, rng)
         prompts = ("a cat is sitting", "a dog is running", "a cat is sitting")
         for prompt in prompts:
@@ -94,6 +94,17 @@ class TestDenoiseStep:
                     outs.append((eps.data.tobytes(), ca.data.tobytes(),
                                  ta.data.tobytes()))
             assert outs[:2] == outs[2:]
+
+    def test_model_state_unchanged_by_use(self, model, rng):
+        """Encoding and denoising, with and without grad, leave the model as built."""
+        before = {k: id(v) for k, v in vars(model).items()}
+        z = _latent(model.config, rng)
+        for prompt in ("a cat is sitting", "a dog is running"):
+            enc = model.encode_text(tokenize(prompt))
+            for leaf in (Tensor(z), Tensor(z, requires_grad=True)):
+                eps, ca, _ = model.denoise_step(leaf, t=2, text=enc)
+            (eps.sum() + ca.sum()).backward()
+        assert {k: id(v) for k, v in vars(model).items()} == before
 
     def test_latent_sensitivity(self, model, rng):
         enc = model.encode_text(tokenize("a cat is sitting"))

@@ -13,7 +13,7 @@ import pytest
 from attnguide import guidance
 from attnguide.autodiff import Tensor
 from attnguide.boxes import MaskSet
-from attnguide.denoiser import ToyDenoiser
+from attnguide.denoiser import TextEncoding, ToyDenoiser
 from attnguide.errors import DegenerateAttentionError, NumericError
 from attnguide.guidance import (
     COSINE,
@@ -207,9 +207,8 @@ def test_mass_term_matches_composite(monkeypatch, loss_fn, fractional):
 # -- cross-attention --------------------------------------------------------------
 
 
-def cross_attention_run(fn, model, x_vals, weights, tag):
+def cross_attention_run(fn, model, x_vals, weights, keys, tag):
     x = Tensor(x_vals, requires_grad=True)
-    keys, _ = model._keys_values(model._text_emb)[tag]
     A = fn(model, x, keys, tag)
     (A * weights).sum().backward()
     return A.data, x.grad
@@ -221,12 +220,15 @@ def test_cross_attention_matches_composite(heads):
     cfg = model.config
     for seed in SEEDS:
         rng = np.random.default_rng([seed, heads])
-        model._keys_values(Tensor(rng.normal(size=(cfg.token_budget, cfg.embed_dim))))
+        kv = model._keys_values(Tensor(rng.normal(size=(cfg.token_budget, cfg.embed_dim))))
         for tag, g in cfg.levels:
             x_vals = rng.normal(0.0, 2.0, (cfg.frames, g * g, cfg.latent_channels))
             weights = rng.normal(size=(cfg.frames, g * g, cfg.token_budget))
-            fused = cross_attention_run(ToyDenoiser._cross_attention, model, x_vals, weights, tag)
-            composite = cross_attention_run(composite_cross_attention, model, x_vals, weights, tag)
+            keys = kv[tag][0]
+            fused = cross_attention_run(ToyDenoiser._cross_attention, model, x_vals, weights,
+                                        keys, tag)
+            composite = cross_attention_run(composite_cross_attention, model, x_vals, weights,
+                                            keys, tag)
             assert same_bytes(fused[0], composite[0])
             assert same_bytes(fused[1], composite[1])
 
@@ -235,7 +237,9 @@ def test_cross_attention_matches_composite(heads):
 def test_denoise_step_gradient_matches_composite(monkeypatch, heads):
     model = ToyDenoiser(tiny_model_config(heads=heads))
     cfg = model.config
-    text = Tensor(np.random.default_rng(0).normal(size=(cfg.token_budget, cfg.embed_dim)))
+    emb = Tensor(np.random.default_rng(0).normal(size=(cfg.token_budget, cfg.embed_dim)))
+    text = TextEncoding(emb, model._keys_values(emb), columns={}, special_columns=(),
+                        token_count=0)
 
     def run(z_vals, weights):
         z = Tensor(z_vals, requires_grad=True)

@@ -408,6 +408,7 @@ class TestRunGuidedSampling:
         assert res.final_state.z.tobytes() == state.z.tobytes()
 
     def test_reused_model_matches_fresh_model_per_prompt(self):
+        """Sampling with a model used on another prompt first gives a fresh model's bytes."""
         cfg = GuidanceConfig(total_steps=12, t1=2, t2=5, iters_spatial_per_step=2)
         prior = static_two_box_prior(2)
         shared = ToyDenoiser(tiny_model_config(total_steps=12))
