@@ -58,8 +58,6 @@ class Violation:
 
 @dataclass
 class MaskSet:
-    grid_h: int
-    grid_w: int
     masks: dict  # key -> binary np.ndarray [F, grid_h, grid_w]
     warnings: list = field(default_factory=list)
 
@@ -71,7 +69,7 @@ class MaskSet:
     def rebind(self, id_to_key):
         """Re-key masks, e.g. from subject id to prompt token index."""
         remapped = {id_to_key[k]: m for k, m in self.masks.items() if k in id_to_key}
-        return MaskSet(self.grid_h, self.grid_w, remapped, list(self.warnings))
+        return MaskSet(remapped, list(self.warnings))
 
 
 _FRAME_RE = re.compile(r"^Frame\s+(\d+)\s*:\s*(\[.*\])\s*$")
@@ -240,14 +238,14 @@ def detect_and_parse(text):
     return parse_llm_boxes(text)
 
 
-def validate_trajectories(prior, max_step_px=60, allow_offscreen=False):
-    """Diagnostic pass: out-of-frame, velocity, and degenerate-box checks."""
+def validate_trajectories(prior, max_step_px=60):
+    """Out-of-frame (loading clips boxes), velocity and degenerate-box checks."""
     violations = []
     W, H = prior.frame_width_px, prior.frame_height_px
     for traj in prior.trajectories:
         prev_center = None
         for f, (x, y, w, h) in enumerate(traj.boxes):
-            if not allow_offscreen and (x < 0 or y < 0 or x + w > W or y + h > H):
+            if x < 0 or y < 0 or x + w > W or y + h > H:
                 violations.append(Violation(
                     OUT_OF_FRAME, traj.subject_id, f,
                     f"box {[x, y, w, h]} exceeds {W}x{H} frame",
@@ -323,4 +321,4 @@ def rasterize_masks(prior, grid_h, grid_w):
                 )
         stack.flags.writeable = False
         masks[traj.subject_id] = stack
-    return MaskSet(grid_h, grid_w, masks, warnings)
+    return MaskSet(masks, warnings)

@@ -7,6 +7,7 @@ import hashlib
 import json
 import sys
 import time
+import zipfile
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -105,8 +106,9 @@ def cmd_parse_boxes(args):
 
 def cmd_validate_boxes(args):
     prior = detect_and_parse(read_text(args.file))
-    violations = validate_trajectories(prior, max_step_px=args.max_step_px,
-                                       allow_offscreen=args.allow_offscreen)
+    for w in prior.load_warnings:
+        print(f"warning: {w}")
+    violations = validate_trajectories(prior, max_step_px=args.max_step_px)
     for v in violations:
         print(f"violation kind={v.kind} subject={v.subject_id} frame={v.frame} {v.message}")
     print(f"violations={len(violations)}")
@@ -137,6 +139,8 @@ def cmd_rasterize(args):
 
 def cmd_generate(args):
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    if args.upscale < 1:
+        raise InputError(f"--upscale must be >= 1, got {args.upscale}")
     prior = detect_and_parse(read_text(args.boxes))
     violations = validate_trajectories(prior, max_step_px=args.max_step_px)
     if violations and not args.force:
@@ -148,10 +152,9 @@ def cmd_generate(args):
     model = _model_from_args(args)
     config = _guidance_config(args)
     seed = args.seed if args.seed is not None else 0
+    result = run_guided_sampling(args.prompt, prior, config, model, seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    result = run_guided_sampling(args.prompt, prior, config, model, seed)
 
     (out_dir / "trace.jsonl").write_text(result.trace.to_jsonl())
     report = MetricsReport(config_echo={"guidance": asdict(config),
@@ -220,8 +223,8 @@ def cmd_ablate(args):
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
         raise InputError(f"--seeds wants comma-separated integers, got {args.seeds!r}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if min(seeds) < 0:
+        raise InputError(f"--seeds must be non-negative, got {args.seeds!r}")
     base = _guidance_config(args)
 
     mcfg = ToyModelConfig.from_file(args.model_config) if args.model_config \
@@ -235,6 +238,8 @@ def cmd_ablate(args):
 
     prior = detect_and_parse(read_text(args.boxes)) if args.boxes \
         else static_two_box_prior(max(mcfg.frames, 2))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     complete = True
     try:
@@ -253,11 +258,15 @@ def cmd_ablate(args):
 
 
 def cmd_render(args):
-    data = np.load(args.run_dir + "/ca_records.npz")
-    key = f"step{args.step}"
-    if key not in data:
+    path = Path(args.run_dir) / "ca_records.npz"
+    try:
+        with np.load(path) as data:  # a lone .npy array is no context manager: TypeError
+            values = data.get(f"step{args.step}")
+    except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise InputError(f"{path} is not an npz archive: {exc}") from None
+    if values is None:
         raise InputError(f"no CA snapshot for step {args.step} in {args.run_dir}")
-    render_heatmap(data[key], args.token, args.frame, args.out, upscale=args.upscale)
+    render_heatmap(values, args.token, args.frame, args.out, upscale=args.upscale)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -285,7 +294,6 @@ def build_parser():
     p = sub.add_parser("validate-boxes", help="diagnose box trajectories")
     p.add_argument("file")
     p.add_argument("--max-step-px", type=int, default=60)
-    p.add_argument("--allow-offscreen", action="store_true")
     p.set_defaults(func=cmd_validate_boxes)
 
     p = sub.add_parser("rasterize", help="rasterize boxes to attention-grid masks")

@@ -33,14 +33,15 @@ class ToyModelConfig:
     token_budget: int = 16
     embed_dim: int = 32
     heads: int = 2
-    total_steps: int = 50
     seed: int = 0
 
     def __post_init__(self):
         for name in ("frames", "latent_h", "latent_w", "latent_channels", "token_budget",
-                     "embed_dim", "heads", "total_steps"):
+                     "embed_dim", "heads"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         if any(g < 1 for _, g in self.levels):
             raise InputError(f"levels grid sizes must be positive, got {self.levels}")
         if any(g > min(self.latent_h, self.latent_w) for _, g in self.levels):
@@ -77,8 +78,6 @@ class TextEncoding:
     emb: Tensor  # [token_budget, embed_dim]
     keys_values: dict  # level tag -> (per-head keys [dh, L], values [L, C])
     columns: dict  # prompt token index -> CA column
-    special_columns: tuple
-    token_count: int
 
 
 def _token_embedding(text, dim, seed):
@@ -98,11 +97,11 @@ def _pool_matrix(grid, latent_h, latent_w):
 
 
 class DDIMSchedule:
-    """Linear-beta schedule with the deterministic (eta = 0) DDIM update."""
+    """Linear-beta schedule (1e-4 to 0.02) with the deterministic (eta = 0) DDIM update."""
 
-    def __init__(self, total_steps=50, beta_start=1e-4, beta_end=0.02):
+    def __init__(self, total_steps=50):
         self.total_steps = total_steps
-        self.betas = np.linspace(beta_start, beta_end, total_steps)
+        self.betas = np.linspace(1e-4, 0.02, total_steps)
         self.alphas_cumprod = np.cumprod(1.0 - self.betas)
 
     def t_for_step(self, step):
@@ -177,21 +176,10 @@ class ToyDenoiser:
         for i, w in enumerate(words):
             columns[i] = len(rows)
             rows.append(_token_embedding(w, cfg.embed_dim, seed))
-        end_col = len(rows)
         rows.append(_token_embedding(END, cfg.embed_dim, seed))
-        pad = _token_embedding(PAD, cfg.embed_dim, seed)
-        special = [0, end_col]
-        while len(rows) < cfg.token_budget:
-            special.append(len(rows))
-            rows.append(pad)
+        rows += [_token_embedding(PAD, cfg.embed_dim, seed)] * (cfg.token_budget - len(rows))
         emb = Tensor(np.stack(rows))
-        return TextEncoding(
-            emb=emb,
-            keys_values=self._keys_values(emb),
-            columns=columns,
-            special_columns=tuple(special),
-            token_count=len(words),
-        )
+        return TextEncoding(emb, self._keys_values(emb), columns)
 
     # -- forward ------------------------------------------------------------
 
@@ -223,10 +211,13 @@ class ToyDenoiser:
             check_finite(q, qk, s)
             m = softmax(s)
             maps.append(m)
-            total = m if total is None else total + m
-            check_finite(m, total)
-        A = total * mean
-        check_finite(A)
+            if total is None:
+                total = m
+                check_finite(m)
+            else:
+                total = total + m
+                check_finite(m, total)
+        A = total * mean  # checked by Tensor.node
 
         def backward(g):
             g = g * mean
@@ -239,19 +230,20 @@ class ToyDenoiser:
 
         return Tensor.node(A, (x,), backward)
 
-    def denoise_step(self, z, t, text):
-        """One UNet-ish evaluation of latent `z` at timestep `t` for the `TextEncoding` `text`.
+    def denoise_step(self, z, tau, text):
+        """One UNet-ish evaluation of latent `z` for the `TextEncoding` `text`.
 
-        Returns (noise_pred, CA maps A [F, N, L], TA maps [N, F, F]).
+        ``tau`` in [0, 1) is the schedule progress: timestep index over the
+        schedule length, as the sampler computes it.  Returns (noise_pred,
+        CA maps A [F, N, L], TA maps [N, F, F]).
         """
         cfg = self.config
-        if not 0 <= t < cfg.total_steps:
-            raise ContractError(f"timestep {t} outside [0, {cfg.total_steps})")
+        if not 0 <= tau < 1:
+            raise ContractError(f"schedule progress {tau} outside [0, 1)")
         z = Tensor._wrap(z)
         expected = (cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w)
         if z.shape != expected:
             raise DimensionError(f"latent shape {z.shape}, model expects {expected}")
-        tau = t / cfg.total_steps
 
         F, C = cfg.frames, cfg.latent_channels
         HW = cfg.latent_h * cfg.latent_w

@@ -37,15 +37,15 @@ def gradcheck_suites(component, seed, corrupt=False):
     model = ToyDenoiser(cfg)
     prior = static_two_box_prior(cfg.frames)
     prior.trajectories = prior.trajectories[:1]
-    gcfg = GuidanceConfig(total_steps=cfg.total_steps)
-    _, _, col_pairs, text, masks = prepare_inputs("a cat is sitting", prior, gcfg, model)
+    gcfg = GuidanceConfig()
+    col_pairs, text, masks = prepare_inputs("a cat is sitting", prior, gcfg, model)
 
     rng = np.random.default_rng(seed)
     z0 = rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
     A0 = rng.uniform(0.05, 1.0, size=(cfg.frames, cfg.capture_grid ** 2, cfg.token_budget))
     suites = {  # name -> (input -> CA maps A, input, tolerance)
         "stub": (LinearAttentionStub(cfg, seed=seed).ca_from_latent, z0, 1e-6),
-        "model": (lambda zt: model.denoise_step(zt, 10, text)[1], z0, 1e-4),
+        "model": (lambda zt: model.denoise_step(zt, 10 / gcfg.total_steps, text)[1], z0, 1e-4),
         "losses": (lambda at: at, A0, 1e-5),
     }
     for suite, (ca_of, x0, tol) in suites.items():

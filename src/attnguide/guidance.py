@@ -65,10 +65,10 @@ class GuidanceConfig:
                  self.alpha, self.eps)
         if not all(math.isfinite(v) for v in reals):
             raise InputError("loss weights, alpha and eps must be finite")
-        if not 0 <= self.t1 <= self.t2 <= self.total_steps:
+        if not (0 <= self.t1 <= self.t2 <= self.total_steps and self.total_steps >= 1):
             raise InputError(
-                f"need 0 <= t1 <= t2 <= total_steps, got {self.t1}, {self.t2}, "
-                f"{self.total_steps}"
+                f"need 0 <= t1 <= t2 <= total_steps and total_steps >= 1, got {self.t1}, "
+                f"{self.t2}, {self.total_steps}"
             )
         if min(self.lambda_fg, self.lambda_bg, self.lambda_sp, self.lambda_syt) < 0:
             raise InputError("loss weights must be nonnegative")
@@ -213,15 +213,15 @@ def _kl(p, q, symmetric, eps):
     d1 = lp + -lq  # Tensor subtraction is `a + (-b)`
     p1 = pn * d1
     out = p1.sum(axis=-1)
-    finite = [*p_saved, pn, *q_saved, qn, lp, lq, d1, p1, out]
+    finite = [*p_saved, pn, *q_saved, qn, lp, lq, d1, p1]
     if symmetric:
         d2 = lq + -lp
         p2 = qn * d2
         kl_qp = p2.sum(axis=-1)
         total = out + kl_qp
+        finite += [out, d2, p2, kl_qp, total]
         out = total * _HALF
-        finite += [d2, p2, kl_qp, total, out]
-    check_finite(*finite)
+    check_finite(*finite)  # and Tensor.node checks `out`
 
     def backward(g):
         # pn and qn feed three ops each under KL_SYM; their gradients are
@@ -256,7 +256,7 @@ def _cosine(p, q):
     norm = nx * ny
     ratio = dot / norm
     out = _ONE + -ratio
-    check_finite(xy, dot, xx, sx, nx, yy, sy, ny, norm, ratio, out)
+    check_finite(xy, dot, xx, sx, nx, yy, sy, ny, norm, ratio)  # and Tensor.node checks `out`
 
     def backward(g):
         g_ratio = -g
@@ -358,7 +358,8 @@ def _mass_term(col, M, token, eps, outside):
     base = ratio if outside else _ONE + -ratio
     sq = base ** 2
     out = sq.sum()
-    check_finite(total, weight, weighted, mass, ratio, base, sq, out)
+    # Each array once: the bg term's `base` is `ratio`, and Tensor.node checks `out`.
+    check_finite(total, weight, weighted, mass, ratio, *([] if base is ratio else [base]), sq)
 
     def backward(g):
         g_base = 2.0 * base * sum_grad(g, None, sq.shape)
@@ -465,10 +466,8 @@ class SamplingResult:
     z_trajectory: list          # per-step latent after the scheduler update
     trace: GuidanceTrace
     ca_records: dict            # step -> CA map values [F, N, L]
-    pairs: SyntaxPairs          # prompt-index pairs
     column_pairs: SyntaxPairs   # CA-column pairs
     mask_set: object
-    text: object
     config: GuidanceConfig
 
 
@@ -502,28 +501,24 @@ def prepare_inputs(prompt, priors, config, model):
         traj.subject_id: noun
         for traj, (noun, _) in zip(priors.trajectories, column_pairs.pairs)
     }
-    masks = raw_masks.rebind(binding)
-    return tokens, pairs, column_pairs, text, masks
+    return column_pairs, text, raw_masks.rebind(binding)
 
 
-def run_guided_sampling(prompt, priors, config, model, seed, snapshot_steps=None):
+def run_guided_sampling(prompt, priors, config, model, seed):
     """Full guided DDIM run per the two-phase schedule.
 
     Steps 1..t1 apply the spatial loss ``iters_spatial_per_step`` times,
     steps t1+1..t2 apply the syntax loss ``iters_syntax_per_step`` times,
     later steps denoise freely.  Zero loss weights skip guidance entirely,
-    reproducing the unguided trajectory bit-exactly.
+    reproducing the unguided trajectory bit-exactly.  The CA maps of steps
+    1, t1, t2 and the last are kept in ``ca_records``.
     """
-    tokens, pairs, column_pairs, text, masks = prepare_inputs(prompt, priors, config, model)
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
+    column_pairs, text, masks = prepare_inputs(prompt, priors, config, model)
     cfg_m = model.config
-    if config.total_steps != cfg_m.total_steps:
-        raise InputError(
-            f"guidance schedule has {config.total_steps} steps, "
-            f"model has {cfg_m.total_steps}"
-        )
     schedule = DDIMSchedule(config.total_steps)
-    if snapshot_steps is None:
-        snapshot_steps = {1, config.t1, config.t2, config.total_steps} - {0}
+    snapshot_steps = {1, config.t1, config.t2, config.total_steps} - {0}
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A7E]))
     z0 = rng.normal(size=(cfg_m.frames, cfg_m.latent_channels, cfg_m.latent_h, cfg_m.latent_w))
@@ -532,7 +527,7 @@ def run_guided_sampling(prompt, priors, config, model, seed, snapshot_steps=None
     ca_records, z_trajectory = {}, []
 
     for step in range(1, config.total_steps + 1):
-        t = schedule.t_for_step(step)
+        tau = schedule.t_for_step(step) / config.total_steps
         if step <= config.t1 and config.lambda_sp > 0:
             phase = ("spatial", config.iters_spatial_per_step, config.lambda_sp)
         elif config.t1 < step <= config.t2 and config.lambda_syt > 0:
@@ -545,7 +540,7 @@ def run_guided_sampling(prompt, priors, config, model, seed, snapshot_steps=None
             for it in range(1, iters + 1):
                 try:
                     leaf = Tensor(state.z, requires_grad=True)
-                    _, A, _ = model.denoise_step(leaf, t, text)
+                    _, A, _ = model.denoise_step(leaf, tau, text)
                     if loss_name == "spatial":
                         loss = loss_sp(A, masks, column_pairs, config)
                     else:
@@ -558,7 +553,7 @@ def run_guided_sampling(prompt, priors, config, model, seed, snapshot_steps=None
                     raise GuidanceError(f"step {step} iteration {it}: {exc}") from exc
                 trace.add(TraceRecord(step, it, loss_name, value, gnorm, ratios))
 
-        eps_pred, A, _ = model.denoise_step(Tensor(state.z), t, text)
+        eps_pred, A, _ = model.denoise_step(Tensor(state.z), tau, text)
         if step in snapshot_steps:
             ca_records[step] = A.data.copy()
         state = ddim_step(state, eps_pred, step, schedule)
@@ -569,9 +564,7 @@ def run_guided_sampling(prompt, priors, config, model, seed, snapshot_steps=None
         z_trajectory=z_trajectory,
         trace=trace,
         ca_records=ca_records,
-        pairs=pairs,
         column_pairs=column_pairs,
         mask_set=masks,
-        text=text,
         config=config,
     )

@@ -53,7 +53,7 @@ def _ca(A):
 
 def _masks(mask, frames, key=0):
     mask = np.asarray(mask, dtype=float)
-    return MaskSet(mask.shape[0], mask.shape[1], {key: np.stack([mask] * frames)})
+    return MaskSet({key: np.stack([mask] * frames)})
 
 
 def _pair(negatives=(2,)):
@@ -162,10 +162,8 @@ def efficacy_runs():
     prior = static_two_box_prior(model.config.frames)
     runs = []
     for seed in SEEDS:
-        guided = run_guided_sampling(TEMPLATE_PROMPT, prior, guided_cfg, model,
-                                     seed, snapshot_steps={5, 25})
-        free = run_guided_sampling(TEMPLATE_PROMPT, prior, free_cfg, model,
-                                   seed, snapshot_steps={5, 25})
+        guided = run_guided_sampling(TEMPLATE_PROMPT, prior, guided_cfg, model, seed)
+        free = run_guided_sampling(TEMPLATE_PROMPT, prior, free_cfg, model, seed)
         runs.append((guided, free))
     return runs
 
@@ -226,7 +224,7 @@ def test_criterion_6_parser_fixtures():
 
 
 def test_criterion_7_noop_and_determinism():
-    model = ToyDenoiser(tiny_model_config(total_steps=12))
+    model = ToyDenoiser(tiny_model_config())
     free_cfg = GuidanceConfig(total_steps=12, t1=2, t2=4, lambda_sp=0.0, lambda_syt=0.0)
     prior = static_two_box_prior(2)
     a = run_guided_sampling(TEMPLATE_PROMPT, prior, free_cfg, model, seed=0)

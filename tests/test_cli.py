@@ -14,7 +14,6 @@ MODEL_CFG = (
     "latent_w = 4\n"
     "levels = down:4, mid:2, up:4\n"
     "embed_dim = 8\n"
-    "total_steps = 12\n"
 )
 GUIDE_CFG = (
     "total_steps = 12\n"
@@ -87,6 +86,15 @@ class TestParseCommands:
         assert "violations=1" in out
         assert main(["validate-boxes", str(path), "--max-step-px", "130"]) == 0
         assert "violations=0" in capsys.readouterr().out
+
+    def test_validate_boxes_reports_clipping(self, tmp_path, capsys):
+        path = tmp_path / "offscreen.txt"
+        path.write_text(_structured({"id": 0, "name": "man", "box": [-40, 0, 100, 320]}))
+        assert main(["validate-boxes", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == ("warning: clipped box of subject 0 frame 0: "
+                          "[-40, 0, 100, 320] -> [0, 0, 60, 320]")
+        assert out[-1] == "violations=0"
 
     def test_rasterize_stdout(self, boxes_file, capsys):
         assert main(["rasterize", boxes_file, "--grid", "4x4"]) == 0
@@ -178,6 +186,20 @@ class TestGenerate:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["unguided"] is True
 
+    @pytest.mark.parametrize("case", ["one_frame_boxes", "zero_upscale"])
+    def test_bad_input_writes_nothing(self, tmp_path, small_run_args, capsys, case):
+        argv = small_run_args("run")
+        if case == "one_frame_boxes":
+            boxes = tmp_path / "one_frame.txt"
+            boxes.write_text(WOMAN_MAN_BOXES.split("Frame 2:")[0] + "Background keyword: room\n")
+            argv[2] = str(boxes)
+        else:
+            argv += ["--upscale", "0"]
+        assert main(argv) == 2
+        errors = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("ERROR")]
+        assert len(errors) == 1 and errors[0].startswith("ERROR kind=parse")
+        assert not (tmp_path / "run").exists()
+
 
 class TestGradcheck:
     def test_stub_and_losses_pass(self, capsys):
@@ -222,6 +244,15 @@ class TestAblate:
         errors = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("ERROR")]
         assert len(errors) == 1 and errors[0].startswith("ERROR kind=parse")
 
+    @pytest.mark.parametrize("bad", ["--seeds", "--boxes", "--model-config", "--config"])
+    def test_bad_input_writes_nothing(self, tmp_path, capsys, bad):
+        (tmp_path / "bad.txt").write_text("bogus = 1\n")
+        value = "0,x" if bad == "--seeds" else str(tmp_path / "bad.txt")
+        assert main(["ablate", "--out", str(tmp_path / "abl"), bad, value]) == 2
+        errors = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("ERROR")]
+        assert len(errors) == 1 and errors[0].startswith("ERROR kind=parse")
+        assert not (tmp_path / "abl").exists()
+
     def test_has_no_seed_option(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["ablate", "--seed", "7", "--out", str(tmp_path / "abl")])
@@ -252,10 +283,12 @@ BAD_INPUTS = {
     "model_zero_latent_h": ("model", "latent_h = 0\n"),
     "model_levels_exceed_latent": ("model", "latent_h = 4\nlatent_w = 4\n"),
     "model_not_utf8": ("model", b"\xff\xfeframes = 2\n"),
+    "model_total_steps": ("model", "total_steps = 12\n"),  # the guidance config's field
+    "model_negative_seed": ("model", "seed = -1\n"),
     "guide_not_a_number": ("guide", "lambda_sp = abc\n"),
     "guide_non_finite": ("guide", "lambda_sp = nan\nalpha = inf\n"),
     "guide_bad_boolean": ("guide", "neg_includes_verb = maybe\n"),
-    "guide_steps_differ_from_model": ("guide", "total_steps = 30\n"),
+    "guide_zero_total_steps": ("guide", "total_steps = 0\nt1 = 0\nt2 = 0\n"),
     "grid_not_an_integer": ("grid", "t1 = x\n"),
     "grid_not_utf8": ("grid", b"t1 = 1, \xe9\n"),
     "boxes_string_id": ("boxes", _structured({"id": "0", "name": "man", "box": [0, 0, 9, 9]})),
@@ -320,3 +353,37 @@ class TestRender:
             lines = capsys.readouterr().out.splitlines()
             assert len(lines) == 1 and lines[0].startswith("ERROR kind=parse")
             assert not out.exists()
+
+    @pytest.mark.parametrize("body", [b"not an archive", b"", b"PK\x03\x04 cut short",
+                                      b"\x93NUMPY", "one .npy array"])
+    def test_unreadable_archive_rejected(self, tmp_path, capsys, body):
+        (tmp_path / "run").mkdir()
+        path = tmp_path / "run" / "ca_records.npz"
+        if isinstance(body, bytes):
+            path.write_bytes(body)
+        else:
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros((2, 4, 16)))
+        out = tmp_path / "x.pgm"
+        assert main(["render", str(tmp_path / "run"), "--token", "2", "--step", "1",
+                     "--out", str(out)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR kind=parse")
+        assert "not an npz archive" in lines[0]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", TEMPLATE_PROMPT, "BOXES", "--out", "OUT", "--seed", "-1"],
+    ["ablate", "--seeds", "-1", "--out", "OUT"],
+    ["gradcheck", "stub", "--seed", "-1"],
+], ids=["generate", "ablate", "gradcheck"])
+def test_negative_seed_is_one_parse_error(tmp_path, boxes_file, capsys, argv):
+    argv = [{"BOXES": boxes_file, "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    errors = [ln for ln in captured.out.splitlines() if ln.startswith("ERROR")]
+    assert len(errors) == 1 and errors[0].startswith("ERROR kind=parse")
+    assert "non-negative" in errors[0]
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out").exists()

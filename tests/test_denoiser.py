@@ -3,11 +3,15 @@ import pytest
 
 from attnguide.autodiff import Tensor, finite_diff_check
 from attnguide.denoiser import (
+    BEGIN,
+    END,
+    PAD,
     DDIMSchedule,
     LatentState,
     LinearAttentionStub,
     ToyDenoiser,
     ToyModelConfig,
+    _token_embedding,
     ddim_step,
 )
 from attnguide.errors import ContractError, DimensionError, InputError
@@ -47,11 +51,16 @@ class TestEncodeText:
         enc = model.encode_text(tokenize("a cat is sitting"))
         budget = model.config.token_budget
         assert enc.emb.shape == (budget, model.config.embed_dim)
-        assert enc.special_columns[0] == 0
-        assert enc.special_columns[1] == 5  # end marker right after the prompt
-        assert len(enc.special_columns) == budget - enc.token_count
-        pads = enc.emb.data[6:]
-        assert all(row.tobytes() == pads[0].tobytes() for row in pads)
+        assert sorted(enc.columns.values()) == [1, 2, 3, 4]
+
+        def row(word):
+            return _token_embedding(word, model.config.embed_dim, model.config.seed)
+
+        rows = enc.emb.data
+        assert rows[0].tobytes() == row(BEGIN).tobytes()
+        assert rows[5].tobytes() == row(END).tobytes()  # end marker right after the prompt
+        assert len(rows[6:]) == budget - 6
+        assert all(r.tobytes() == row(PAD).tobytes() for r in rows[6:])
 
     def test_budget_overflow(self, model):
         words = " ".join(["cat"] * (model.config.token_budget - 1))
@@ -62,7 +71,7 @@ class TestEncodeText:
 class TestDenoiseStep:
     def test_attention_rows_sum_to_one(self, model, rng):
         enc = model.encode_text(tokenize("a cat is sitting"))
-        _, ca, ta = model.denoise_step(_latent(model.config, rng), t=1, text=enc)
+        _, ca, ta = model.denoise_step(_latent(model.config, rng), tau=1 / 50, text=enc)
         cfg = model.config
         g = cfg.capture_grid
         assert ca.shape == (cfg.frames, g * g, cfg.token_budget)
@@ -76,7 +85,7 @@ class TestDenoiseStep:
         for _ in range(2):
             m = ToyDenoiser(tiny_model_config())
             enc = m.encode_text(tokenize("a cat is sitting"))
-            eps, ca, _ = m.denoise_step(z, t=3, text=enc)
+            eps, ca, _ = m.denoise_step(z, tau=3 / 50, text=enc)
             outs.append((eps.data.tobytes(), ca.data.tobytes()))
         assert outs[0] == outs[1]
 
@@ -90,7 +99,7 @@ class TestDenoiseStep:
             for m in (model, fresh):
                 enc = m.encode_text(tokenize(prompt))
                 for leaf in (Tensor(z), Tensor(z, requires_grad=True)):
-                    eps, ca, ta = m.denoise_step(leaf, t=2, text=enc)
+                    eps, ca, ta = m.denoise_step(leaf, tau=2 / 50, text=enc)
                     outs.append((eps.data.tobytes(), ca.data.tobytes(),
                                  ta.data.tobytes()))
             assert outs[:2] == outs[2:]
@@ -102,30 +111,31 @@ class TestDenoiseStep:
         for prompt in ("a cat is sitting", "a dog is running"):
             enc = model.encode_text(tokenize(prompt))
             for leaf in (Tensor(z), Tensor(z, requires_grad=True)):
-                eps, ca, _ = model.denoise_step(leaf, t=2, text=enc)
+                eps, ca, _ = model.denoise_step(leaf, tau=2 / 50, text=enc)
             (eps.sum() + ca.sum()).backward()
         assert {k: id(v) for k, v in vars(model).items()} == before
 
     def test_latent_sensitivity(self, model, rng):
         enc = model.encode_text(tokenize("a cat is sitting"))
         z = _latent(model.config, rng)
-        _, ca_a, _ = model.denoise_step(z, t=1, text=enc)
-        _, ca_b, _ = model.denoise_step(z + 0.5, t=1, text=enc)
+        _, ca_a, _ = model.denoise_step(z, tau=1 / 50, text=enc)
+        _, ca_b, _ = model.denoise_step(z + 0.5, tau=1 / 50, text=enc)
         assert np.abs(ca_a.data - ca_b.data).max() > 0
 
     def test_timestep_sensitivity(self, model, rng):
         enc = model.encode_text(tokenize("a cat is sitting"))
         z = _latent(model.config, rng)
-        eps_a, _, _ = model.denoise_step(z, t=1, text=enc)
-        eps_b, _, _ = model.denoise_step(z, t=40, text=enc)
+        eps_a, _, _ = model.denoise_step(z, tau=1 / 50, text=enc)
+        eps_b, _, _ = model.denoise_step(z, tau=40 / 50, text=enc)
         assert np.abs(eps_a.data - eps_b.data).max() > 0
 
     def test_shape_and_range_contracts(self, model, rng):
         enc = model.encode_text(tokenize("a cat is sitting"))
         with pytest.raises(DimensionError):
-            model.denoise_step(np.zeros((1, 1, 2, 2)), t=1, text=enc)
-        with pytest.raises(ContractError):
-            model.denoise_step(_latent(model.config, rng), t=50, text=enc)
+            model.denoise_step(np.zeros((1, 1, 2, 2)), tau=1 / 50, text=enc)
+        for tau in (1.0, -0.02, float("nan")):
+            with pytest.raises(ContractError):
+                model.denoise_step(_latent(model.config, rng), tau=tau, text=enc)
 
     def test_capture_variants_share_grid_shape(self, rng):
         z = _latent(tiny_model_config(), rng)
@@ -133,7 +143,7 @@ class TestDenoiseStep:
         for cap in ("down", "up", "down+up"):
             m = ToyDenoiser(tiny_model_config(ca_capture=cap))
             enc = m.encode_text(tokenize("a cat is sitting"))
-            _, ca, _ = m.denoise_step(z, t=1, text=enc)
+            _, ca, _ = m.denoise_step(z, tau=1 / 50, text=enc)
             maps[cap] = ca.data
         assert maps["down"].shape == maps["up"].shape
         assert np.allclose(maps["down+up"], 0.5 * (maps["down"] + maps["up"]))
@@ -143,7 +153,7 @@ class TestDenoiseStep:
         base = _latent(model.config, rng)
 
         def f(z):
-            eps, ca, _ = model.denoise_step(z, t=1, text=enc)
+            eps, ca, _ = model.denoise_step(z, tau=1 / 50, text=enc)
             return ca.square().sum() + eps.square().sum() * 0.01
 
         assert finite_diff_check(f, Tensor(base), step=1e-4) <= 1e-5

@@ -114,7 +114,7 @@ def mask_set(rng, keys, frames, grid, fractional):
             m = rng.uniform(0.0, 1.0, (grid, grid))
             stack.append(m if fractional else (m < 0.5).astype(np.float64))
         masks[key] = np.stack(stack)
-    return MaskSet(grid, grid, masks)
+    return MaskSet(masks)
 
 
 # -- distance -------------------------------------------------------------------
@@ -238,12 +238,11 @@ def test_denoise_step_gradient_matches_composite(monkeypatch, heads):
     model = ToyDenoiser(tiny_model_config(heads=heads))
     cfg = model.config
     emb = Tensor(np.random.default_rng(0).normal(size=(cfg.token_budget, cfg.embed_dim)))
-    text = TextEncoding(emb, model._keys_values(emb), columns={}, special_columns=(),
-                        token_count=0)
+    text = TextEncoding(emb, model._keys_values(emb), columns={})
 
     def run(z_vals, weights):
         z = Tensor(z_vals, requires_grad=True)
-        eps, ca, _ = model.denoise_step(z, 20, text)
+        eps, ca, _ = model.denoise_step(z, 20 / 50, text)
         ((eps * weights).sum() + ca.square().sum()).backward()
         return eps.data, ca.data, z.grad
 

@@ -49,7 +49,7 @@ def single_pair(negatives=(2,)):
 
 def mask_set(mask, frames, key=0):
     mask = np.asarray(mask, dtype=float)
-    return MaskSet(mask.shape[0], mask.shape[1], {key: np.stack([mask] * frames)})
+    return MaskSet({key: np.stack([mask] * frames)})
 
 
 def uniform_ca(frames=2, pixels=4, tokens=3):
@@ -310,6 +310,8 @@ class TestConfig:
             GuidanceConfig(distance="manhattan")
         with pytest.raises(InputError):
             GuidanceConfig(contrastive_form="product")
+        with pytest.raises(InputError, match="total_steps"):
+            GuidanceConfig(total_steps=0, t1=0, t2=0)
 
     def test_from_file_and_overrides(self, tmp_path):
         path = tmp_path / "guide.cfg"
@@ -349,7 +351,7 @@ class TestTrace:
 
 class TestRunGuidedSampling:
     def _run(self, guidance_overrides=None, model_overrides=None, seed=0):
-        model = ToyDenoiser(tiny_model_config(total_steps=12, **(model_overrides or {})))
+        model = ToyDenoiser(tiny_model_config(**(model_overrides or {})))
         cfg = GuidanceConfig(
             total_steps=12, t1=2, t2=5, iters_spatial_per_step=2,
             iters_syntax_per_step=1, **(guidance_overrides or {})
@@ -393,7 +395,7 @@ class TestRunGuidedSampling:
         res = self._run(guidance_overrides=dict(lambda_sp=0.0, lambda_syt=0.0), seed=3)
         assert res.trace.records == []
 
-        model = ToyDenoiser(tiny_model_config(total_steps=12))
+        model = ToyDenoiser(tiny_model_config())
         cfg_m = model.config
         from attnguide.syntax import tokenize
 
@@ -403,7 +405,7 @@ class TestRunGuidedSampling:
         z0 = rng.normal(size=(cfg_m.frames, cfg_m.latent_channels, cfg_m.latent_h, cfg_m.latent_w))
         state = LatentState(z0, 11)
         for step in range(1, 13):
-            eps, _, _ = model.denoise_step(Tensor(state.z), schedule.t_for_step(step), text)
+            eps, _, _ = model.denoise_step(Tensor(state.z), schedule.t_for_step(step) / 12, text)
             state = ddim_step(state, eps, step, schedule)
         assert res.final_state.z.tobytes() == state.z.tobytes()
 
@@ -411,9 +413,9 @@ class TestRunGuidedSampling:
         """Sampling with a model used on another prompt first gives a fresh model's bytes."""
         cfg = GuidanceConfig(total_steps=12, t1=2, t2=5, iters_spatial_per_step=2)
         prior = static_two_box_prior(2)
-        shared = ToyDenoiser(tiny_model_config(total_steps=12))
+        shared = ToyDenoiser(tiny_model_config())
         for prompt in (TEMPLATE_PROMPT, "a cat is sitting and a woman is jumping"):
-            fresh = ToyDenoiser(tiny_model_config(total_steps=12))
+            fresh = ToyDenoiser(tiny_model_config())
             a, b = (run_guided_sampling(prompt, prior, cfg, m, seed=4) for m in (shared, fresh))
             assert a.final_state.z.tobytes() == b.final_state.z.tobytes()
             assert a.trace.to_jsonl() == b.trace.to_jsonl()
@@ -423,21 +425,19 @@ class TestRunGuidedSampling:
         free = self._run(guidance_overrides=dict(lambda_sp=0.0, lambda_syt=0.0), seed=3)
         assert guided.final_state.z.tobytes() != free.final_state.z.tobytes()
 
-    def test_total_steps_mismatch_rejected(self):
-        model = ToyDenoiser(tiny_model_config(total_steps=12))
-        cfg = GuidanceConfig(total_steps=50)
-        with pytest.raises(InputError, match="steps"):
-            run_guided_sampling(TEMPLATE_PROMPT, static_two_box_prior(2), cfg, model, seed=0)
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed"):
+            self._run(seed=-1)
 
 
 class TestPrepareInputs:
     def test_binds_trajectories_in_order(self):
         model = ToyDenoiser(tiny_model_config())
         cfg = GuidanceConfig()
-        tokens, pairs, column_pairs, text, masks = prepare_inputs(
+        column_pairs, text, masks = prepare_inputs(
             TEMPLATE_PROMPT, static_two_box_prior(2), cfg, model
         )
-        assert pairs.pairs == [(1, 3), (6, 8)]
+        assert [text.columns[i] for i in (1, 3, 6, 8)] == [2, 4, 7, 9]  # pairs (1, 3), (6, 8)
         assert column_pairs.pairs == [(2, 4), (7, 9)]
         g = model.config.capture_grid
         left, right = masks.masks[2][0], masks.masks[7][0]
@@ -446,8 +446,8 @@ class TestPrepareInputs:
 
     def test_resamples_prior_frames(self):
         model = ToyDenoiser(tiny_model_config())  # 2 frames
-        out = prepare_inputs(TEMPLATE_PROMPT, static_two_box_prior(8), GuidanceConfig(), model)
-        masks = out[4]
+        _, _, masks = prepare_inputs(TEMPLATE_PROMPT, static_two_box_prior(8), GuidanceConfig(),
+                                     model)
         assert masks.masks[2].shape[0] == 2  # second frame exists after resampling
 
     def test_pair_trajectory_count_mismatch(self):
@@ -489,7 +489,7 @@ class TestBitExactness:
     def test_variant_run_digest(self, guidance_overrides, model_overrides, digest):
         cfg = GuidanceConfig(total_steps=12, t1=2, t2=6, iters_spatial_per_step=3,
                              **guidance_overrides)
-        model = ToyDenoiser(tiny_model_config(total_steps=12, **model_overrides))
+        model = ToyDenoiser(tiny_model_config(**model_overrides))
         res = run_guided_sampling(TEMPLATE_PROMPT, static_two_box_prior(2), cfg, model, seed=5)
         assert self._digest(res) == digest
 
@@ -506,10 +506,10 @@ class TestBitExactness:
 
     def test_graph_nodes_per_iteration(self, rng):
         model, config = ToyDenoiser(), GuidanceConfig()
-        _, _, pairs, text, masks = prepare_inputs(
+        pairs, text, masks = prepare_inputs(
             TEMPLATE_PROMPT, parse_llm_boxes(WOMAN_MAN_BOXES), config, model)
         cfg = model.config
         z = rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
-        _, ca, _ = model.denoise_step(Tensor(z, requires_grad=True), 45, text)
+        _, ca, _ = model.denoise_step(Tensor(z, requires_grad=True), 45 / 50, text)
         assert self._graph_nodes(loss_sp(ca, masks, pairs, config)) <= 65
         assert self._graph_nodes(loss_syt(ca, pairs, config)) <= 135

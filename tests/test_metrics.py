@@ -30,7 +30,7 @@ from conftest import TEMPLATE_PROMPT, static_two_box_prior, tiny_model_config
 
 def mask_set(mask, frames=1, key=0):
     mask = np.asarray(mask, dtype=float)
-    return MaskSet(mask.shape[0], mask.shape[1], {key: np.stack([mask] * frames)})
+    return MaskSet({key: np.stack([mask] * frames)})
 
 
 class TestInBoxRatio:
@@ -64,7 +64,7 @@ class TestInBoxRatio:
 
     def test_all_frames_match_per_frame_form_bit_exactly(self, rng):
         A = rng.uniform(0.0, 1.0, size=(5, 64, 3))
-        masks = MaskSet(8, 8, {1: np.stack([rng.integers(0, 2, size=(8, 8)).astype(float)
+        masks = MaskSet({1: np.stack([rng.integers(0, 2, size=(8, 8)).astype(float)
                                             for f in range(5)])})
         got = in_box_ratios(A, masks, 1)
         assert got.tolist() == [in_box_ratio(A, masks, 1, f) for f in range(5)]
@@ -194,7 +194,7 @@ class TestReport:
 
 
 def _small_run(**cfg_overrides):
-    model = ToyDenoiser(tiny_model_config(total_steps=8))
+    model = ToyDenoiser(tiny_model_config())
     cfg = GuidanceConfig(
         total_steps=8, t1=1, t2=3, iters_spatial_per_step=2,
         iters_syntax_per_step=1, **cfg_overrides
@@ -214,8 +214,7 @@ class TestSummarize:
 class TestAblation:
     def _factory(self, base_overrides=None):
         def make(capture):
-            overrides = dict(total_steps=8)
-            overrides.update(base_overrides or {})
+            overrides = dict(base_overrides or {})
             if capture is not None:
                 overrides["ca_capture"] = capture
             return ToyDenoiser(tiny_model_config(**overrides))

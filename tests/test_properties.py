@@ -96,14 +96,14 @@ def model_configs(draw):
         latent_channels=draw(positive),
         levels=levels,
         ca_capture=draw(st.sampled_from(tags)), token_budget=draw(positive),
-        embed_dim=draw(positive), heads=draw(positive), total_steps=draw(positive),
+        embed_dim=draw(positive), heads=draw(positive),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
 
 @st.composite
 def guidance_configs(draw):
-    total = draw(st.integers(0, 1000))
+    total = draw(st.integers(1, 1000))
     t2 = draw(st.integers(0, total))
     weight = st.floats(0.0, 1e6)
     positive = st.floats(0.0, 1e6, exclude_min=True)
