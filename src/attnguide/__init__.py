@@ -37,7 +37,6 @@ from .guidance import (
 from .metrics import (
     MetricsReport,
     count_components,
-    in_box_ratio,
     render_heatmap,
     run_ablation,
     verb_noun_alignment,
@@ -53,7 +52,7 @@ __all__ = [
     "GuidanceConfig", "GuidanceTrace", "dist", "guide_latent",
     "loss_bg", "loss_fg", "loss_neg", "loss_pos", "loss_sp", "loss_syt",
     "run_guided_sampling",
-    "MetricsReport", "count_components", "in_box_ratio", "render_heatmap",
+    "MetricsReport", "count_components", "render_heatmap",
     "run_ablation", "verb_noun_alignment",
     "SyntaxPairs", "Token", "extract_pairs", "tokenize",
 ]

@@ -59,6 +59,13 @@ def check_finite(*arrays):
             raise NumericError("tensor contains non-finite values")
 
 
+class _Parts(dict):
+    """The gradients a multi-output node's results hand its hub, by result index."""
+
+    def __add__(self, other):
+        return _Parts({**self, **other})
+
+
 class Tensor:
     """Immutable float64 tensor, optionally a node in the autodiff graph."""
 
@@ -119,21 +126,46 @@ class Tensor:
                 return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
         return Tensor(data)
 
+    @staticmethod
+    def nodes(results, parents, backward):
+        """Wrap the fresh results of one operation with several outputs, as ``node`` does.
+
+        With a gradient the results hand theirs to a hub node on ``parents``,
+        which ``backward`` reaches after them all: ``backward(*grads)`` gets
+        one per result, None where none arrived, and returns one per parent.
+        """
+        if not any(p.requires_grad for p in parents):
+            return tuple(Tensor.node(r, (), None) for r in results)
+        hub = Tensor.__new__(Tensor)  # no value of its own, so nothing to check
+        hub.data, hub.requires_grad, hub.grad, hub._parents = np.empty(0), True, None, parents
+        hub._backward = lambda parts: backward(*(parts.get(k) for k in range(len(results))))
+        return tuple(Tensor.node(r, (hub,), lambda g, k=k: (_Parts({k: g}),))
+                     for k, r in enumerate(results))
+
     # -- elementwise ------------------------------------------------------
 
-    def __add__(self, other):
-        other = self._wrap(other)
-        shape = _suffix_broadcast_shape(self.shape, other.shape)
-        out_data = self.data + other.data
+    def _elementwise(self, other, result, grad_a, grad_b):
+        """``result(a, b)`` of the operands' arrays, whose gradients are ``grad_*(g, a, b)``."""
+        a, b = self, self._wrap(other)
+        _suffix_broadcast_shape(a.shape, b.shape)
 
         def backward(g):
-            return (_unbroadcast(g, self.shape) if self.requires_grad else None,
-                    _unbroadcast(g, other.shape) if other.requires_grad else None)
+            return (_unbroadcast(grad_a(g, a.data, b.data), a.shape) if a.requires_grad else None,
+                    _unbroadcast(grad_b(g, a.data, b.data), b.shape) if b.requires_grad else None)
 
-        assert out_data.shape == shape
-        return self.node(out_data, (self, other), backward)
+        return self.node(result(a.data, b.data), (a, b), backward)
 
-    __radd__ = __add__
+    def __add__(self, other):
+        return self._elementwise(other, np.add, lambda g, a, b: g, lambda g, a, b: g)
+
+    def __mul__(self, other):
+        return self._elementwise(other, np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
+
+    def __truediv__(self, other):
+        return self._elementwise(other, np.divide, lambda g, a, b: g / b,
+                                 lambda g, a, b: -g * a / (b * b))
+
+    __radd__, __rmul__ = __add__, __mul__
 
     def __neg__(self):
         return self.node(-self.data, (self,), lambda g: (-g,))
@@ -144,58 +176,8 @@ class Tensor:
     def __rsub__(self, other):
         return self._wrap(other) + (-self)
 
-    def __mul__(self, other):
-        other = self._wrap(other)
-        _suffix_broadcast_shape(self.shape, other.shape)
-        a, b = self, other
-
-        def backward(g):
-            return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                    _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
-
-        return self.node(a.data * b.data, (a, b), backward)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._wrap(other)
-        _suffix_broadcast_shape(self.shape, other.shape)
-        a, b = self, other
-
-        def backward(g):
-            return (
-                _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad
-                else None,
-            )
-
-        return self.node(a.data / b.data, (a, b), backward)
-
     def __rtruediv__(self, other):
         return self._wrap(other) / self
-
-    def square(self):
-        return self.node(self.data ** 2, (self,), lambda g: (2.0 * self.data * g,))
-
-    def log(self):
-        out = np.log(self.data)
-
-        def backward(g):
-            return (g / self.data,)
-
-        return self.node(out, (self,), backward)
-
-    def exp(self):
-        out = np.exp(self.data)
-        return self.node(out, (self,), lambda g: (g * out,))
-
-    def sqrt(self):
-        out = np.sqrt(self.data)
-        return self.node(out, (self,), lambda g: (g * 0.5 / out,))
-
-    def tanh(self):
-        out = np.tanh(self.data)
-        return self.node(out, (self,), lambda g: (g * (1.0 - out * out),))
 
     # -- shape ops ---------------------------------------------------------
 
@@ -221,24 +203,6 @@ class Tensor:
         return self.node(
             out, (self,), lambda g: (sum_grad(g, None if keepdims else axis, src_shape),)
         )
-
-    def mean(self, axis=None, keepdims=False):
-        n = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    def take_lastdim(self, index):
-        """Select one slice along the last dimension (gradient scatters back)."""
-        if not 0 <= index < self.shape[-1]:
-            raise DimensionError(f"index {index} out of range for shape {self.shape}")
-        out = self.data[..., index]
-        src_shape = self.shape
-
-        def backward(g):
-            full = np.zeros(src_shape)
-            full[..., index] = g
-            return (full,)
-
-        return self.node(out, (self,), backward)
 
     # -- linear algebra -----------------------------------------------------
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -191,21 +192,17 @@ class ToyDenoiser:
         }
 
     def _cross_attention(self, x, keys, tag):
-        """Head-mean of softmax((x @ wq) @ k * scale) over the heads, as one graph node.
+        """Head-mean A of softmax((x @ wq) @ k * scale): (A, backward(g) -> x's gradient).
 
-        The node runs the numpy operations of the composite per-head form and
-        replays its backward, summing the heads' gradients into ``x`` in head
-        order, so values and gradients are bit-identical to that form.  Each
-        intermediate is checked as it is made, so of each head only its
-        softmax map (which the backward needs) outlives the loop.
+        Checks each intermediate but A as it is made; of each head only its
+        softmax map, which the backward needs, outlives the loop.
         """
         wqs = self._weights[tag]["wq"]
         scale = np.asarray(1.0 / np.sqrt(self._dh))
         mean = np.asarray(1.0 / len(wqs))
-        xd = x.data
         maps, total = [], None
         for wq, k in zip(wqs, keys):
-            q = xd @ wq.data                         # [F, N, dh]
+            q = x @ wq.data                          # [F, N, dh]
             qk = q @ k.data                          # [F, N, L]
             s = qk * scale
             check_finite(q, qk, s)
@@ -217,7 +214,6 @@ class ToyDenoiser:
             else:
                 total = total + m
                 check_finite(m, total)
-        A = total * mean  # checked by Tensor.node
 
         def backward(g):
             g = g * mean
@@ -226,16 +222,17 @@ class ToyDenoiser:
                 g_q = (softmax_grad(m, g) * scale) @ np.swapaxes(k.data, -1, -2)
                 g_xh = g_q @ np.swapaxes(wq.data, -1, -2)
                 gx = g_xh if gx is None else gx + g_xh
-            return (gx,)
+            return gx
 
-        return Tensor.node(A, (x,), backward)
+        return total * mean, backward
 
     def denoise_step(self, z, tau, text):
         """One UNet-ish evaluation of latent `z` for the `TextEncoding` `text`.
 
         ``tau`` in [0, 1) is the schedule progress: timestep index over the
         schedule length, as the sampler computes it.  Returns (noise_pred,
-        CA maps A [F, N, L], TA maps [N, F, F]).
+        CA maps A [F, N, L], TA maps [N, F, F]): one graph node (`Tensor.nodes`),
+        bit-identical to the chain of Tensor ops it replaces.
         """
         cfg = self.config
         if not 0 <= tau < 1:
@@ -245,38 +242,125 @@ class ToyDenoiser:
         if z.shape != expected:
             raise DimensionError(f"latent shape {z.shape}, model expects {expected}")
 
-        F, C = cfg.frames, cfg.latent_channels
-        HW = cfg.latent_h * cfg.latent_w
-        h = z.reshape(F, C, HW).transpose(0, 2, 1)   # [F, HW, C]
-        captured, ta = {}, None
+        F, C, HW = cfg.frames, cfg.latent_channels, cfg.latent_h * cfg.latent_w
+        h = z.data.reshape(F, C, HW).transpose(0, 2, 1)   # [F, HW, C]
+        grads, captured, ta = [], {}, None
         for tag, g in cfg.levels:
-            P, U = self._pool[g], self._unpool[g]
-            x = P @ h                                 # [F, g*g, C]
             keys, values = text.keys_values[tag]
-            A = self._cross_attention(x, keys, tag)
-            captured[tag] = A
-            out = A @ values
-            h = (h + (U @ out) * self._weights[tag]["mix"]
-                 + self._weights[tag]["tau_bias"] * tau).tanh()
+            w = self._weights[tag]
+            attention = partial(self._level_attention, keys, values.data, tag)
+            h, captured[tag], grad = self._block(h, g, attention, w["mix"],
+                                                 w["tau_bias"].data * tau, z.requires_grad)
+            grads.append((tag, grad))
             if tag == "mid":
-                h, ta = self._temporal_block(h, P, U)
+                h, ta, grad = self._block(h, g, self._temporal_attention, 0.5, None,
+                                          z.requires_grad)
+                grads.append((None, grad))
 
-        eps = (h @ self._out).transpose(0, 2, 1).reshape(*z.shape)
+        eps = (h @ self._out.data).transpose(0, 2, 1).reshape(z.shape)
         wanted = cfg.ca_capture.split("+")
         A_cap = captured[wanted[0]]
         for wname in wanted[1:]:
             A_cap = A_cap + captured[wname]
-        return eps, A_cap * (1.0 / len(wanted)), ta
+            check_finite(A_cap)
+        inv = 1.0 / len(wanted)
 
-    def _temporal_block(self, h, P, U):
+        def backward(g_eps, g_A, g_T=None):
+            g_h = None
+            if g_eps is not None:
+                g_h = g_eps.reshape(F, C, HW).transpose(0, 2, 1) @ self._out.data.T
+            g_cap = None if g_A is None else g_A * inv
+            for tag, grad in reversed(grads):
+                g_h = grad(g_h, g_T if tag is None else g_cap if tag in wanted else None)
+            return (g_h.transpose(0, 2, 1).reshape(z.shape),)
+
+        results = (eps, A_cap * inv) + (() if ta is None else (ta,))
+        eps, A, *rest = Tensor.nodes(results, (z,), backward)
+        return eps, A, (rest[0] if rest else None)
+
+    def _block(self, h, grid, attention, mix, bias, keep):
+        """tanh(h + (U @ out) * mix [+ bias]) for (out, maps, _) = attention(P @ h).
+
+        Returns (h, maps, backward(g_h, g_maps) or None without ``keep``); the
+        gradient at the input adds the update's part first, as the chain did.
+        """
+        P, U = self._pool[grid].data, self._unpool[grid].data
+        x = P @ h
+        check_finite(x)
+        out, maps, attention_grad = attention(x)
+        u = U @ out
+        m = u * mix
+        s = h + m
+        made = [u, m, s]
+        if bias is not None:
+            s = s + bias
+            made += [bias, s]
+        h_out = np.tanh(s)
+        check_finite(*made, h_out)
+        if not keep:
+            return h_out, maps, None
+
+        def backward(g_h, g_maps):
+            g_in = g_out = None
+            if g_h is not None:
+                g_in = g_h * (1.0 - h_out * h_out)
+                g_out = U.T @ (g_in * mix)
+            g_x = attention_grad(g_out, g_maps)
+            if g_x is None:
+                return g_in
+            g_x = P.T @ g_x
+            return g_x if g_in is None else g_in + g_x
+
+        return h_out, maps, backward
+
+    def _level_attention(self, keys, values, tag, x):
+        """`_block`'s attention at a level: (A @ values, A, backward)."""
+        A, ca_grad = self._cross_attention(x, keys, tag)
+        out = A @ values
+        check_finite(A, out)
+
+        def backward(g_out, g_A):
+            if g_out is not None:
+                g_Av = g_out @ values.T
+                g_A = g_Av if g_A is None else g_A + g_Av
+            return None if g_A is None else ca_grad(g_A)
+
+        return out, A, backward
+
+    def _temporal_attention(self, x):
+        """`_block`'s attention of each pixel over the frames: (out, T_attn, backward)."""
         w = self._temporal
-        x = P @ h                                     # [F, N, C]
         y = x.transpose(1, 0, 2)                      # [N, F, C]
-        logits = (y @ w["wq"]) @ (y @ w["wk"]).transpose(0, 2, 1) * w["scale"]
-        T_attn = logits.softmax_lastdim()             # [N, F, F]
-        out = (T_attn @ (y @ w["wv"])).transpose(1, 0, 2)
-        h = (h + (U @ out) * 0.5).tanh()
-        return h, T_attn
+        q = y @ w["wq"].data
+        k = y @ w["wk"].data
+        check_finite(q, k)
+        kt = k.transpose(0, 2, 1)
+        qk = q @ kt
+        logits = qk * w["scale"]
+        check_finite(qk, logits)
+        T_attn = softmax(logits)                      # [N, F, F]; checked by its Tensor
+        v = y @ w["wv"].data
+        check_finite(v)
+        tv = T_attn @ v
+        check_finite(tv)
+
+        def backward(g_out, g_T):
+            # y's three gradients add as (q + k) + v, the chain's order when the
+            # loss reaches T_attn through later layers before T_attn itself.
+            g_yv = None
+            if g_out is not None:
+                g_tv = g_out.transpose(1, 0, 2)
+                g_Tv = g_tv @ np.swapaxes(v, -1, -2)
+                g_T = g_Tv if g_T is None else g_T + g_Tv
+                g_yv = (np.swapaxes(T_attn, -1, -2) @ g_tv) @ w["wv"].data.T
+            if g_T is None:
+                return None
+            g_qk = softmax_grad(T_attn, g_T) * w["scale"]
+            g_y = ((g_qk @ np.swapaxes(kt, -1, -2)) @ w["wq"].data.T
+                   + (np.swapaxes(q, -1, -2) @ g_qk).transpose(0, 2, 1) @ w["wk"].data.T)
+            return (g_y if g_yv is None else g_y + g_yv).transpose(1, 0, 2)
+
+        return tv.transpose(1, 0, 2), T_attn, backward
 
 
 class LinearAttentionStub:

@@ -70,8 +70,9 @@ class GuidanceConfig:
                 f"need 0 <= t1 <= t2 <= total_steps and total_steps >= 1, got {self.t1}, "
                 f"{self.t2}, {self.total_steps}"
             )
-        if min(self.lambda_fg, self.lambda_bg, self.lambda_sp, self.lambda_syt) < 0:
-            raise InputError("loss weights must be nonnegative")
+        if min(self.lambda_fg, self.lambda_bg, self.lambda_sp, self.lambda_syt,
+               self.iters_spatial_per_step, self.iters_syntax_per_step) < 0:
+            raise InputError("loss weights and iteration counts must be nonnegative")
         if self.alpha <= 0 or self.eps <= 0:
             raise InputError("alpha and eps must be positive")
         if self.distance not in (KL_SYM, KL_FWD, COSINE):
@@ -144,25 +145,23 @@ def dist(p_map, q_map, kind=KL_SYM, eps=1e-8):
     p, q = Tensor._wrap(p_map), Tensor._wrap(q_map)
     _check_maps(p.data)
     _check_maps(q.data)
-    return _dist(p, q, kind, eps)
+    out, backward, swap = _distance(p.data, q.data, kind, eps)
+    return Tensor.node(out, (q, p) if swap else (p, q), backward)
 
 
-def _dist(p, q, kind, eps):
-    """`dist` on Tensors whose maps the caller has already checked, as one graph node.
+def _distance(x, y, kind, eps):
+    """`dist` of the arrays x and y: (value, backward, swap), checking all but the value.
 
-    The node runs the numpy operations of the composite form (eps smoothing,
-    normalising with the slice axis rotated to the front, logs, products and
-    sums, or the cosine's products, sums and square roots) and its backward
-    replays that form's backward in the order `Tensor.backward` took, so
-    values and gradients are bit-identical to it.
+    ``backward(g)`` gives the gradients of (x, y), or of (y, x) if ``swap``:
+    the composite's parent order, which fixes the sums upstream.
     """
-    if p.shape != q.shape:
-        raise DimensionError(f"maps of shapes {p.shape} and {q.shape} differ")
+    if x.shape != y.shape:
+        raise DimensionError(f"maps of shapes {x.shape} and {y.shape} differ")
     if kind == COSINE:
-        return _cosine(p, q)
+        return _cosine(x, y) + (False,)
     if kind not in (KL_SYM, KL_FWD):
         raise InputError(f"unknown distance kind {kind!r}")
-    return _kl(p, q, kind == KL_SYM, np.asarray(eps, dtype=np.float64))
+    return _kl(x, y, kind == KL_SYM, np.asarray(eps, dtype=np.float64)) + (kind == KL_SYM,)
 
 
 _ONE = np.asarray(1.0)
@@ -207,8 +206,8 @@ def _normalized_grad(g, saved):
 
 
 def _kl(p, q, symmetric, eps):
-    pn, p_saved = _normalized(p.data, eps)
-    qn, q_saved = _normalized(q.data, eps)
+    pn, p_saved = _normalized(p, eps)
+    qn, q_saved = _normalized(q, eps)
     lp, lq = np.log(pn), np.log(qn)
     d1 = lp + -lq  # Tensor subtraction is `a + (-b)`
     p1 = pn * d1
@@ -221,7 +220,7 @@ def _kl(p, q, symmetric, eps):
         total = out + kl_qp
         finite += [out, d2, p2, kl_qp, total]
         out = total * _HALF
-    check_finite(*finite)  # and Tensor.node checks `out`
+    check_finite(*finite)
 
     def backward(g):
         # pn and qn feed three ops each under KL_SYM; their gradients are
@@ -240,14 +239,10 @@ def _kl(p, q, symmetric, eps):
         g_p, g_q = _normalized_grad(g_pn, p_saved), _normalized_grad(g_qn, q_saved)
         return (g_q, g_p) if symmetric else (g_p, g_q)
 
-    # The parent order makes `Tensor.backward` reach p and q, and so the
-    # nodes upstream of them, in the order it reached them in the composite
-    # form, which fixes the order of the sums at shared upstream nodes.
-    return Tensor.node(out, (q, p) if symmetric else (p, q), backward)
+    return out, backward
 
 
-def _cosine(p, q):
-    x, y = p.data, q.data
+def _cosine(x, y):
     xy = x * y
     dot = xy.sum(axis=-1)
     xx, yy = x ** 2, y ** 2
@@ -256,7 +251,7 @@ def _cosine(p, q):
     norm = nx * ny
     ratio = dot / norm
     out = _ONE + -ratio
-    check_finite(xy, dot, xx, sx, nx, yy, sy, ny, norm, ratio)  # and Tensor.node checks `out`
+    check_finite(xy, dot, xx, sx, nx, yy, sy, ny, norm, ratio)
 
     def backward(g):
         g_ratio = -g
@@ -268,32 +263,61 @@ def _cosine(p, q):
         g_q = g_xy * x + 2.0 * y * sum_grad(g_sy, -1, yy.shape)
         return g_p, g_q
 
-    return Tensor.node(out, (p, q), backward)
+    return out, backward
+
+
+# -- losses on CA columns -----------------------------------------------------
+#
+# Each loss is one graph node on A, built from parts: (value, backward) pairs
+# whose backward(g) lists (column, gradient) pairs in the order
+# `Tensor.backward` reached the replaced chain's column takes.
+
+
+def _column_grad(visits, shape):
+    """A's gradient from (column, gradient) pairs, summed as the chain's takes summed them.
+
+    Each take added a full array, +0 outside its column: with two or more
+    columns a zero sum ends as +0.
+    """
+    sums = {}
+    for c, g in visits:
+        sums[c] = sums[c] + g if c in sums else g
+    full = np.zeros(shape)
+    for c, g in sums.items():
+        full[..., c] = g + 0.0 if len(sums) > 1 else g
+    return full
+
+
+def _column_node(value, backward, A):
+    return Tensor.node(value, (A,), lambda g: (_column_grad(backward(g), A.shape),))
+
+
+def _sum(parts):
+    """The left-fold sum of (value, backward) parts, checking each addend first."""
+    value = parts[0][0]
+    for v, _ in parts[1:]:
+        check_finite(value, v)
+        value = value + v
+    return value, lambda g: [visit for _, grad in parts for visit in grad(g)]
+
+
+def _mean_dist(Ad, a, b, kind, eps):
+    """Frame-mean `dist` between the CA columns a and b of the values `Ad`, as a part."""
+    out, grad, swap = _distance(Ad[..., a], Ad[..., b], kind, eps)
+    total = out.sum()
+    check_finite(out, total)
+    inv = 1.0 / out.size
+    cols = (b, a) if swap else (a, b)
+    return total * inv, lambda g: list(zip(cols, grad(sum_grad(g * inv, None, out.shape))))
 
 
 # -- spatial constraints ------------------------------------------------------
 
 
-def in_box_ratio(ca, masks, token_index, frame):
-    """Fraction of a token's attention mass inside its mask, in [0, 1].
+def in_box_ratios(ca, masks, token_index):
+    """Fraction of a token's attention mass inside its mask, per frame: [F] in [0, 1].
 
     ``ca`` holds CA map values [F, N, L]; ``masks`` is keyed by token index.
-    """
-    col = ca[frame, :, token_index]
-    total = col.sum()
-    if total <= 0:
-        raise DegenerateAttentionError(
-            f"token {token_index} frame {frame}: zero total attention mass"
-        )
-    m = masks.masks[token_index][frame].reshape(-1)
-    return float((col * m).sum() / total)
-
-
-def in_box_ratios(ca, masks, token_index):
-    """`in_box_ratio` of one token for every frame at once: [F] ratios.
-
-    Each row is summed exactly as the single-frame form sums it, so the
-    values are bit-identical.
     """
     cols = np.ascontiguousarray(ca[:, :, token_index])      # [F, N]
     totals = cols.sum(axis=1)
@@ -314,36 +338,30 @@ def _frame_masks(masks, key, shape):
 
 
 def _tracked(pairs, include_verbs):
-    tracked = []
-    for noun, verb in pairs.pairs:
-        tracked.append((noun, noun))
-        if include_verbs:
-            tracked.append((verb, noun))
-    return tracked
+    """(token, noun) for each pair's noun and, with `include_verbs`, its verb after it."""
+    return [(t, pair[0]) for pair in pairs.pairs for t in pair[:2 if include_verbs else 1]]
 
 
-def _mass_terms(A, masks, pairs, include_verbs, eps, outside):
-    F = A.shape[0]
-    acc = None
-    for token, noun in _tracked(pairs, include_verbs):
-        col = A.take_lastdim(token)
-        term = _mass_term(col, _frame_masks(masks, noun, col.shape), token, eps, outside)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return Tensor(0.0)
-    return acc * (1.0 / F)
+def _mass_terms(Ad, masks, pairs, include_verbs, eps, outside):
+    """Frame-mean of the tracked tokens' mass terms, as a part."""
+    value, grad = _sum([
+        _mass_term(Ad[..., token], _frame_masks(masks, noun, Ad.shape[:-1]), token, eps, outside)
+        for token, noun in _tracked(pairs, include_verbs)
+    ])
+    check_finite(value)
+    inv = 1.0 / Ad.shape[0]
+    return value * inv, lambda g: grad(g * inv)
 
 
-def _mass_term(col, M, token, eps, outside):
-    """One token's squared mass ratio summed over frames, as one graph node.
+def _mass_term(c, M, token, eps, outside):
+    """One token's squared mass ratio summed over frames, as a part.
 
-    ``col`` is the token's CA column [F, N] and ``M`` its masks [F, N].  The
+    ``c`` is the token's CA column [F, N] and ``M`` its masks [F, N].  The
     fg term is (1 - in/total)^2 and the bg term (out/total)^2, with the bg
     weight in the literal (1 - M) form, which equals the fg deficit for
-    binary masks.  The node runs the numpy operations of the composite form
-    and replays its backward, so values and gradients are bit-identical.
+    binary masks.  Runs the numpy operations of the composite form and
+    replays its backward, so values and gradients are bit-identical.
     """
-    c = col.data
     total = c.sum(axis=1)
     low = np.flatnonzero(total <= eps)
     if low.size:
@@ -357,34 +375,45 @@ def _mass_term(col, M, token, eps, outside):
     ratio = mass / total
     base = ratio if outside else _ONE + -ratio
     sq = base ** 2
-    out = sq.sum()
-    # Each array once: the bg term's `base` is `ratio`, and Tensor.node checks `out`.
+    # Each array once: the bg term's `base` is `ratio`; the value is the caller's.
     check_finite(total, weight, weighted, mass, ratio, *([] if base is ratio else [base]), sq)
 
     def backward(g):
         g_base = 2.0 * base * sum_grad(g, None, sq.shape)
         g_ratio = g_base if outside else -g_base
         g_total = -g_ratio * mass / (total * total)
-        return (sum_grad(g_ratio / total, 1, c.shape) * weight + sum_grad(g_total, 1, c.shape),)
+        return [(token, sum_grad(g_ratio / total, 1, c.shape) * weight
+                 + sum_grad(g_total, 1, c.shape))]
 
-    return Tensor.node(out, (col,), backward)
+    return sq.sum(), backward
 
 
 def loss_fg(A, masks, pairs, include_verbs=True, eps=1e-8):
     """Squared deficit of in-box attention mass, frame-averaged."""
-    return _mass_terms(A, masks, pairs, include_verbs, eps, outside=False)
+    if not pairs.pairs:
+        return Tensor(0.0)
+    return _column_node(*_mass_terms(A.data, masks, pairs, include_verbs, eps, False), A)
 
 
 def loss_bg(A, masks, pairs, include_verbs=True, eps=1e-8):
     """Squared out-of-box attention mass ratio, frame-averaged."""
-    return _mass_terms(A, masks, pairs, include_verbs, eps, outside=True)
+    if not pairs.pairs:
+        return Tensor(0.0)
+    return _column_node(*_mass_terms(A.data, masks, pairs, include_verbs, eps, True), A)
 
 
 def loss_sp(A, masks, pairs, config):
     """Weighted spatial constraint: lambda_fg * fg + lambda_bg * bg."""
-    fg = loss_fg(A, masks, pairs, config.apply_spatial_to_verbs, config.eps)
-    bg = loss_bg(A, masks, pairs, config.apply_spatial_to_verbs, config.eps)
-    return fg * config.lambda_fg + bg * config.lambda_bg
+    if not pairs.pairs:
+        return Tensor(0.0)
+    fg, fg_grad = _mass_terms(A.data, masks, pairs, config.apply_spatial_to_verbs,
+                              config.eps, False)
+    bg, bg_grad = _mass_terms(A.data, masks, pairs, config.apply_spatial_to_verbs,
+                              config.eps, True)
+    fg_w, bg_w = fg * config.lambda_fg, bg * config.lambda_bg
+    check_finite(fg, bg, fg_w, bg_w)
+    return _column_node(fg_w + bg_w, lambda g: fg_grad(g * config.lambda_fg)
+                        + bg_grad(g * config.lambda_bg), A)
 
 
 # -- syntax contrastive constraint --------------------------------------------
@@ -393,33 +422,41 @@ def loss_sp(A, masks, pairs, config):
 def loss_pos(A, pair, kind=KL_SYM, eps=1e-8):
     """Frame-mean distance between a pair's noun map and verb map."""
     _check_columns(A, pair)
-    return _pos(A, pair, kind, eps)
-
-
-def _pos(A, pair, kind, eps):
-    i, j = pair
-    return _dist(A.take_lastdim(i), A.take_lastdim(j), kind, eps).mean()
+    return _column_node(*_mean_dist(A.data, *pair, kind, eps), A)
 
 
 def loss_neg(A, pair, negatives, kind=KL_SYM, eps=1e-8, include_verb=False):
     """Summed frame-mean distance from the noun map to each negative map."""
     if negatives:
         _check_columns(A, {*pair, *negatives} if include_verb else {pair[0], *negatives})
-    return _neg(A, pair, negatives, kind, eps, include_verb)
+    value, backward = _neg(A.data, pair, negatives, kind, eps, include_verb)
+    return _column_node(value, backward, A) if negatives else Tensor(value)
 
 
-def _neg(A, pair, negatives, kind, eps, include_verb):
+def _neg(Ad, pair, negatives, kind, eps, include_verb):
     if not negatives:
         warnings.warn("empty negative set; loss_neg is 0", stacklevel=3)
-        return Tensor(0.0)
-    i, j = pair
-    anchors = [i, j] if include_verb else [i]
-    acc = None
-    for u in sorted(negatives):
-        for a in anchors:
-            d = _dist(A.take_lastdim(a), A.take_lastdim(u), kind, eps).mean()
-            acc = d if acc is None else acc + d
-    return acc
+        return 0.0, lambda g: []
+    anchors = pair if include_verb else pair[:1]
+    return _sum([_mean_dist(Ad, a, u, kind, eps) for u in sorted(negatives) for a in anchors])
+
+
+def _contrastive(pair, pos, neg, config):
+    """A pair's pos / (pos + neg), or pos + neg in SUM form, from its two parts."""
+    (pos, pos_grad), (neg, neg_grad) = pos, neg
+    check_finite(pos, neg)
+    denom = pos + neg
+    if config.contrastive_form == SUM:
+        return denom, lambda g: pos_grad(g) + neg_grad(g)
+    check_finite(denom)
+    if denom <= config.eps:
+        raise DegenerateAttentionError(f"pair {pair}: contrastive denominator <= {config.eps}")
+
+    def backward(g):
+        g_neg = -g * pos / (denom * denom)
+        return pos_grad(g / denom + g_neg) + neg_grad(g_neg)
+
+    return pos / denom, backward
 
 
 def loss_syt(A, pairs, config):
@@ -427,22 +464,13 @@ def loss_syt(A, pairs, config):
     if not pairs.pairs:
         raise ContractError("loss_syt needs at least one noun/verb pair")
     _check_columns(A, {c for pair in pairs.pairs for c in (*pair, *pairs.negatives_for(pair))})
-    acc = None
+    terms = []
     for pair in pairs.pairs:
-        pos = _pos(A, pair, config.distance, config.eps)
-        neg = _neg(A, pair, pairs.negatives_for(pair), config.distance, config.eps,
+        pos = _mean_dist(A.data, *pair, config.distance, config.eps)
+        neg = _neg(A.data, pair, pairs.negatives_for(pair), config.distance, config.eps,
                    config.neg_includes_verb)
-        denom = pos + neg
-        if config.contrastive_form == SUM:
-            term = denom
-        else:
-            if denom.item() <= config.eps:
-                raise DegenerateAttentionError(
-                    f"pair {pair}: contrastive denominator <= {config.eps}"
-                )
-            term = pos / denom
-        acc = term if acc is None else acc + term
-    return acc
+        terms.append(_contrastive(pair, pos, neg, config))
+    return _column_node(*_sum(terms), A)
 
 
 # -- latent updates -----------------------------------------------------------

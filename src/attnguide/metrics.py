@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ContractError, InputError
-from .guidance import KL_SYM, dist, in_box_ratio, in_box_ratios, run_guided_sampling  # noqa: F401
+from .guidance import KL_SYM, dist, in_box_ratios, run_guided_sampling
 
 
 def _square_map(ca, token_index, frame):
@@ -45,7 +45,8 @@ def count_components(ca, token_index, frame, rel_threshold=0.5):
 def verb_noun_alignment(ca, pair, kind=KL_SYM):
     """Frame-mean distance between a pair's noun and verb maps (lower is better)."""
     i, j = pair
-    return float(dist(ca[:, :, i], ca[:, :, j], kind).mean().item())
+    d = dist(ca[:, :, i], ca[:, :, j], kind).data
+    return float(d.sum() * (1.0 / d.size))
 
 
 def render_heatmap(ca, token_index, frame, out_path, upscale=1):

@@ -1,0 +1,278 @@
+"""Reference composites for the tests: the Tensor chains the fused nodes replace.
+
+The package runs `denoise_step`, `loss_sp` and `loss_syt` (and the public
+`loss_fg`, `loss_bg`, `loss_pos`, `loss_neg`) as single graph nodes, which
+must give the values and leaf gradients of the chains below byte for byte.
+Each chain is built exactly as the package built it before fusion: a graph
+node per take, sum, product and mean, around the fused distance, mass-term
+and cross-attention nodes (the defaults) or around the primitive-op forms of
+those (`composite_dist`, `composite_mass_term`, `composite_cross_attention`).
+
+The Tensor ops that only these references use live here as functions built
+with `Tensor.node`, as does `in_box_ratio`, the one-frame reference for
+`in_box_ratios`.
+"""
+
+import warnings
+
+import numpy as np
+
+from attnguide import guidance
+from attnguide.autodiff import Tensor
+from attnguide.errors import ContractError, DegenerateAttentionError, DimensionError
+from attnguide.guidance import COSINE, KL_FWD, KL_SYM, SUM
+
+# -- Tensor ops without a production caller --------------------------------------
+
+
+def square(x):
+    return Tensor.node(x.data ** 2, (x,), lambda g: (2.0 * x.data * g,))
+
+
+def log(x):
+    return Tensor.node(np.log(x.data), (x,), lambda g: (g / x.data,))
+
+
+def exp(x):
+    out = np.exp(x.data)
+    return Tensor.node(out, (x,), lambda g: (g * out,))
+
+
+def sqrt(x):
+    out = np.sqrt(x.data)
+    return Tensor.node(out, (x,), lambda g: (g * 0.5 / out,))
+
+
+def tanh(x):
+    out = np.tanh(x.data)
+    return Tensor.node(out, (x,), lambda g: (g * (1.0 - out * out),))
+
+
+def mean(x, axis=None, keepdims=False):
+    n = x.size if axis is None else x.shape[axis]
+    return x.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+
+
+def take_lastdim(x, index):
+    """Select one slice along the last dimension (gradient scatters back)."""
+    if not 0 <= index < x.shape[-1]:
+        raise DimensionError(f"index {index} out of range for shape {x.shape}")
+    src_shape = x.shape
+
+    def backward(g):
+        full = np.zeros(src_shape)
+        full[..., index] = g
+        return (full,)
+
+    return Tensor.node(x.data[..., index], (x,), backward)
+
+
+def in_box_ratio(ca, masks, token_index, frame):
+    """Fraction of a token's attention mass inside its mask in one frame, in [0, 1]."""
+    col = ca[frame, :, token_index]
+    total = col.sum()
+    if total <= 0:
+        raise DegenerateAttentionError(
+            f"token {token_index} frame {frame}: zero total attention mass"
+        )
+    m = masks.masks[token_index][frame].reshape(-1)
+    return float((col * m).sum() / total)
+
+
+# -- the fused pieces as nodes, and their primitive-op forms ----------------------
+
+
+def dist_node(p, q, kind, eps):
+    out, backward, swap = guidance._distance(p.data, q.data, kind, eps)
+    return Tensor.node(out, (q, p) if swap else (p, q), backward)
+
+
+def mass_term_node(col, M, token, eps, outside):
+    out, backward = guidance._mass_term(col.data, M, token, eps, outside)
+    return Tensor.node(out, (col,), lambda g: (backward(g)[0][1],))
+
+
+def cross_attention_node(model, x, keys, tag):
+    A, backward = model._cross_attention(x.data, keys, tag)
+    return Tensor.node(A, (x,), lambda g: (backward(g),))
+
+
+def composite_normalize_lastdim(t, eps):
+    te = t + eps
+    s = te.sum(axis=-1)
+    if te.data.ndim <= 1:
+        return te / s
+    ndim = te.data.ndim
+    perm = (ndim - 1,) + tuple(range(ndim - 1))
+    inv = tuple(range(1, ndim)) + (0,)
+    return (te.transpose(perm) * (1.0 / s)).transpose(inv)
+
+
+def composite_dist(p, q, kind, eps):
+    if kind == COSINE:
+        dot = (p * q).sum(axis=-1)
+        norm = sqrt(square(p).sum(axis=-1)) * sqrt(square(q).sum(axis=-1))
+        return 1.0 - dot / norm
+    pn = composite_normalize_lastdim(p, eps)
+    qn = composite_normalize_lastdim(q, eps)
+    kl_pq = (pn * (log(pn) - log(qn))).sum(axis=-1)
+    if kind == KL_FWD:
+        return kl_pq
+    kl_qp = (qn * (log(qn) - log(pn))).sum(axis=-1)
+    return (kl_pq + kl_qp) * 0.5
+
+
+def composite_mass_term(col, M, token, eps, outside):
+    total = col.sum(axis=1)
+    low = np.flatnonzero(total.data <= eps)
+    if low.size:
+        raise DegenerateAttentionError(
+            f"token {token} frame {int(low[0])}: total attention mass <= {eps}"
+        )
+    if outside:
+        term = square((col * (1.0 - M)).sum(axis=1) / total)
+    else:
+        term = square(1.0 - (col * M).sum(axis=1) / total)
+    return term.sum()
+
+
+def composite_cross_attention(model, x, keys, tag):
+    w = model._weights[tag]
+    scale = 1.0 / np.sqrt(model._dh)
+    maps = []
+    for wq, k in zip(w["wq"], keys):
+        q = x @ wq
+        maps.append((q @ k) * scale)
+    A = maps[0].softmax_lastdim()
+    for m in maps[1:]:
+        A = A + m.softmax_lastdim()
+    return A * (1.0 / len(maps))
+
+
+# -- the spatial losses ---------------------------------------------------------------
+
+
+def _mass_terms(A, masks, pairs, include_verbs, eps, outside, mass_term):
+    F = A.shape[0]
+    acc = None
+    for token, noun in guidance._tracked(pairs, include_verbs):
+        col = take_lastdim(A, token)
+        term = mass_term(col, guidance._frame_masks(masks, noun, col.shape), token, eps, outside)
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return Tensor(0.0)
+    return acc * (1.0 / F)
+
+
+def loss_fg(A, masks, pairs, include_verbs=True, eps=1e-8, mass_term=mass_term_node):
+    return _mass_terms(A, masks, pairs, include_verbs, eps, False, mass_term)
+
+
+def loss_bg(A, masks, pairs, include_verbs=True, eps=1e-8, mass_term=mass_term_node):
+    return _mass_terms(A, masks, pairs, include_verbs, eps, True, mass_term)
+
+
+def loss_sp(A, masks, pairs, config, mass_term=mass_term_node):
+    fg = loss_fg(A, masks, pairs, config.apply_spatial_to_verbs, config.eps, mass_term)
+    bg = loss_bg(A, masks, pairs, config.apply_spatial_to_verbs, config.eps, mass_term)
+    return fg * config.lambda_fg + bg * config.lambda_bg
+
+
+# -- the syntax losses ----------------------------------------------------------------
+
+
+def loss_pos(A, pair, kind=KL_SYM, eps=1e-8, dist=dist_node):
+    guidance._check_columns(A, pair)
+    return _pos(A, pair, kind, eps, dist)
+
+
+def _pos(A, pair, kind, eps, dist):
+    i, j = pair
+    return mean(dist(take_lastdim(A, i), take_lastdim(A, j), kind, eps))
+
+
+def loss_neg(A, pair, negatives, kind=KL_SYM, eps=1e-8, include_verb=False, dist=dist_node):
+    if negatives:
+        guidance._check_columns(A, {*pair, *negatives} if include_verb else {pair[0], *negatives})
+    return _neg(A, pair, negatives, kind, eps, include_verb, dist)
+
+
+def _neg(A, pair, negatives, kind, eps, include_verb, dist):
+    if not negatives:
+        warnings.warn("empty negative set; loss_neg is 0", stacklevel=3)
+        return Tensor(0.0)
+    i, j = pair
+    anchors = [i, j] if include_verb else [i]
+    acc = None
+    for u in sorted(negatives):
+        for a in anchors:
+            d = mean(dist(take_lastdim(A, a), take_lastdim(A, u), kind, eps))
+            acc = d if acc is None else acc + d
+    return acc
+
+
+def loss_syt(A, pairs, config, dist=dist_node):
+    if not pairs.pairs:
+        raise ContractError("loss_syt needs at least one noun/verb pair")
+    guidance._check_columns(
+        A, {c for pair in pairs.pairs for c in (*pair, *pairs.negatives_for(pair))})
+    acc = None
+    for pair in pairs.pairs:
+        pos = _pos(A, pair, config.distance, config.eps, dist)
+        neg = _neg(A, pair, pairs.negatives_for(pair), config.distance, config.eps,
+                   config.neg_includes_verb, dist)
+        denom = pos + neg
+        if config.contrastive_form == SUM:
+            term = denom
+        else:
+            if denom.item() <= config.eps:
+                raise DegenerateAttentionError(
+                    f"pair {pair}: contrastive denominator <= {config.eps}"
+                )
+            term = pos / denom
+        acc = term if acc is None else acc + term
+    return acc
+
+
+# -- the denoiser -----------------------------------------------------------------------
+
+
+def denoise_step(model, z, tau, text, cross_attention=cross_attention_node):
+    """`ToyDenoiser.denoise_step` as the chain of graph nodes it was."""
+    cfg = model.config
+    if not 0 <= tau < 1:
+        raise ContractError(f"schedule progress {tau} outside [0, 1)")
+    z = Tensor._wrap(z)
+    F, C = cfg.frames, cfg.latent_channels
+    HW = cfg.latent_h * cfg.latent_w
+    h = z.reshape(F, C, HW).transpose(0, 2, 1)   # [F, HW, C]
+    captured, ta = {}, None
+    for tag, g in cfg.levels:
+        P, U = model._pool[g], model._unpool[g]
+        x = P @ h                                 # [F, g*g, C]
+        keys, values = text.keys_values[tag]
+        A = cross_attention(model, x, keys, tag)
+        captured[tag] = A
+        out = A @ values
+        h = tanh(h + (U @ out) * model._weights[tag]["mix"]
+                 + model._weights[tag]["tau_bias"] * tau)
+        if tag == "mid":
+            h, ta = _temporal_block(model, h, P, U)
+
+    eps = (h @ model._out).transpose(0, 2, 1).reshape(*z.shape)
+    wanted = cfg.ca_capture.split("+")
+    A_cap = captured[wanted[0]]
+    for wname in wanted[1:]:
+        A_cap = A_cap + captured[wname]
+    return eps, A_cap * (1.0 / len(wanted)), ta
+
+
+def _temporal_block(model, h, P, U):
+    w = model._temporal
+    x = P @ h                                     # [F, N, C]
+    y = x.transpose(1, 0, 2)                      # [N, F, C]
+    logits = (y @ w["wq"]) @ (y @ w["wk"]).transpose(0, 2, 1) * w["scale"]
+    T_attn = logits.softmax_lastdim()             # [N, F, F]
+    out = (T_attn @ (y @ w["wv"])).transpose(1, 0, 2)
+    h = tanh(h + (U @ out) * 0.5)
+    return h, T_attn

@@ -24,12 +24,12 @@ from attnguide.guidance import (
 )
 from attnguide.metrics import (
     DEFAULT_ABLATION_AXES,
-    in_box_ratio,
     run_ablation,
     verb_noun_alignment,
 )
 from attnguide.syntax import SyntaxPairs
 
+from composites import in_box_ratio
 from conftest import (
     DOG_CAT_BOXES,
     TEMPLATE_PROMPT,

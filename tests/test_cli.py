@@ -289,6 +289,8 @@ BAD_INPUTS = {
     "guide_non_finite": ("guide", "lambda_sp = nan\nalpha = inf\n"),
     "guide_bad_boolean": ("guide", "neg_includes_verb = maybe\n"),
     "guide_zero_total_steps": ("guide", "total_steps = 0\nt1 = 0\nt2 = 0\n"),
+    "guide_negative_spatial_iters": ("guide", "iters_spatial_per_step = -3\n"),
+    "guide_negative_syntax_iters": ("guide", "iters_syntax_per_step = -1\n"),
     "grid_not_an_integer": ("grid", "t1 = x\n"),
     "grid_not_utf8": ("grid", b"t1 = 1, \xe9\n"),
     "boxes_string_id": ("boxes", _structured({"id": "0", "name": "man", "box": [0, 0, 9, 9]})),

@@ -17,6 +17,7 @@ from attnguide.denoiser import (
 from attnguide.errors import ContractError, DimensionError, InputError
 from attnguide.syntax import tokenize
 
+from composites import square
 from conftest import tiny_model_config
 
 
@@ -154,7 +155,7 @@ class TestDenoiseStep:
 
         def f(z):
             eps, ca, _ = model.denoise_step(z, tau=1 / 50, text=enc)
-            return ca.square().sum() + eps.square().sum() * 0.01
+            return square(ca).sum() + square(eps).sum() * 0.01
 
         assert finite_diff_check(f, Tensor(base), step=1e-4) <= 1e-5
 
@@ -237,7 +238,7 @@ class TestStub:
         stub = LinearAttentionStub(cfg, seed=3)
         base = _latent(cfg, rng)
         err = finite_diff_check(
-            lambda z: stub.ca_from_latent(z).square().sum(), Tensor(base), step=1e-4
+            lambda z: square(stub.ca_from_latent(z)).sum(), Tensor(base), step=1e-4
         )
         assert err <= 1e-6
 

@@ -1,16 +1,18 @@
 """The fused autodiff nodes against the composite Tensor chains they replace.
 
-Each fused node (the map distance, the per-token spatial mass term and the
-denoiser's cross-attention) must give the composite chain's value and
-leaf gradient byte for byte, because the guided dynamics amplify any
-rounding change.  The composites below are built from primitive Tensor
+Each fused node (the map distance, the per-token spatial mass term, the
+denoiser's cross-attention, and the whole `denoise_step`, `loss_sp`,
+`loss_syt` and their public parts) must give the composite chain's values
+and leaf gradient byte for byte, because the guided dynamics amplify any
+rounding change.  The composites in `composites.py` are built from Tensor
 ops exactly as the package built them before fusion.
 """
 
 import numpy as np
 import pytest
 
-from attnguide import guidance
+import composites
+from attnguide import autodiff, denoiser, guidance
 from attnguide.autodiff import Tensor
 from attnguide.boxes import MaskSet
 from attnguide.denoiser import TextEncoding, ToyDenoiser
@@ -22,72 +24,29 @@ from attnguide.guidance import (
     RATIO,
     SUM,
     GuidanceConfig,
-    _dist,
     loss_bg,
     loss_fg,
+    loss_neg,
+    loss_pos,
     loss_sp,
     loss_syt,
 )
 from attnguide.syntax import SyntaxPairs
 
+from composites import (
+    composite_cross_attention,
+    composite_dist,
+    composite_mass_term,
+    cross_attention_node,
+    dist_node,
+    mass_term_node,
+    mean,
+    square,
+    take_lastdim,
+)
 from conftest import tiny_model_config
 
 SEEDS = range(25)
-
-
-# -- composite references -----------------------------------------------------
-
-
-def composite_normalize_lastdim(t, eps):
-    te = t + eps
-    s = te.sum(axis=-1)
-    if te.data.ndim <= 1:
-        return te / s
-    ndim = te.data.ndim
-    perm = (ndim - 1,) + tuple(range(ndim - 1))
-    inv = tuple(range(1, ndim)) + (0,)
-    return (te.transpose(perm) * (1.0 / s)).transpose(inv)
-
-
-def composite_dist(p, q, kind, eps):
-    if kind == COSINE:
-        dot = (p * q).sum(axis=-1)
-        norm = (p.square().sum(axis=-1)).sqrt() * (q.square().sum(axis=-1)).sqrt()
-        return 1.0 - dot / norm
-    pn = composite_normalize_lastdim(p, eps)
-    qn = composite_normalize_lastdim(q, eps)
-    kl_pq = (pn * (pn.log() - qn.log())).sum(axis=-1)
-    if kind == KL_FWD:
-        return kl_pq
-    kl_qp = (qn * (qn.log() - pn.log())).sum(axis=-1)
-    return (kl_pq + kl_qp) * 0.5
-
-
-def composite_mass_term(col, M, token, eps, outside):
-    total = col.sum(axis=1)
-    low = np.flatnonzero(total.data <= eps)
-    if low.size:
-        raise DegenerateAttentionError(
-            f"token {token} frame {int(low[0])}: total attention mass <= {eps}"
-        )
-    if outside:
-        term = ((col * (1.0 - M)).sum(axis=1) / total).square()
-    else:
-        term = (1.0 - (col * M).sum(axis=1) / total).square()
-    return term.sum()
-
-
-def composite_cross_attention(model, x, keys, tag):
-    w = model._weights[tag]
-    scale = 1.0 / np.sqrt(model._dh)
-    maps = []
-    for wq, k in zip(w["wq"], keys):
-        q = x @ wq
-        maps.append((q @ k) * scale)
-    A = maps[0].softmax_lastdim()
-    for m in maps[1:]:
-        A = A + m.softmax_lastdim()
-    return A * (1.0 / len(maps))
 
 
 def same_bytes(a, b):
@@ -128,9 +87,9 @@ def distance_loss(dist_fn, vals, kind):
     X = Tensor(vals, requires_grad=True)
     loss, values = None, []
     for a, b in COLUMN_PAIRS:
-        d = dist_fn(X.take_lastdim(a), X.take_lastdim(b), kind, 1e-8)
+        d = dist_fn(take_lastdim(X, a), take_lastdim(X, b), kind, 1e-8)
         values.append(d.data)
-        term = d.mean()
+        term = mean(d)
         loss = term if loss is None else loss + term
     loss.backward()
     return values, loss.data, X.grad
@@ -143,23 +102,23 @@ def test_dist_matches_composite(kind, ndim):
         rng = np.random.default_rng([seed, ndim])
         lead = tuple(int(n) for n in rng.integers(1, 5, size=ndim - 1))
         vals = attention_values(rng, lead + (int(rng.integers(2, 20)), 4))
-        fused = distance_loss(_dist, vals, kind)
+        fused = distance_loss(dist_node, vals, kind)
         composite = distance_loss(composite_dist, vals, kind)
         assert all(same_bytes(a, b) for a, b in zip(fused[0], composite[0]))
         assert same_bytes(fused[1], composite[1])
         assert same_bytes(fused[2], composite[2])
 
 
-def loss_syt_run(vals, pairs, config):
+def loss_syt_run(vals, pairs, config, loss_fn=loss_syt):
     A = Tensor(vals, requires_grad=True)
-    loss = loss_syt(A, pairs, config)
+    loss = loss_fn(A, pairs, config)
     loss.backward()
     return loss.data, A.grad
 
 
 @pytest.mark.parametrize("kind", [KL_SYM, KL_FWD, COSINE])
 @pytest.mark.parametrize("form,include_verb", [(RATIO, False), (SUM, False), (RATIO, True)])
-def test_loss_syt_matches_composite(monkeypatch, kind, form, include_verb):
+def test_loss_syt_matches_composite(kind, form, include_verb):
     pairs = SyntaxPairs(
         pairs=[(1, 2), (4, 5)],
         negatives={(1, 2): frozenset({3, 4, 5, 6}), (4, 5): frozenset({1, 2, 3, 6})},
@@ -168,9 +127,8 @@ def test_loss_syt_matches_composite(monkeypatch, kind, form, include_verb):
     for seed in range(10):
         vals = attention_values(np.random.default_rng(seed), (3, 16, 8), zeros=0.0)
         fused = loss_syt_run(vals, pairs, config)
-        with monkeypatch.context() as patch:
-            patch.setattr(guidance, "_dist", composite_dist)
-            composite = loss_syt_run(vals, pairs, config)
+        composite = loss_syt_run(vals, pairs, config,
+                                 lambda A, p, c: composites.loss_syt(A, p, c, composite_dist))
         assert same_bytes(fused[0], composite[0])
         assert same_bytes(fused[1], composite[1])
 
@@ -185,21 +143,26 @@ def mass_run(loss_fn, vals, masks, pairs):
     return loss.data, A.grad
 
 
+MASS_LOSSES = {  # name -> (fused loss, composite loss around the primitive mass term)
+    "fg": (loss_fg, lambda ca, m, p: composites.loss_fg(ca, m, p, mass_term=composite_mass_term)),
+    "bg": (loss_bg, lambda ca, m, p: composites.loss_bg(ca, m, p, mass_term=composite_mass_term)),
+    "sp": (lambda ca, m, p: loss_sp(ca, m, p, GuidanceConfig()),
+           lambda ca, m, p: composites.loss_sp(ca, m, p, GuidanceConfig(), composite_mass_term)),
+}
+
+
 @pytest.mark.parametrize("fractional", [False, True])
-@pytest.mark.parametrize("loss_fn", [loss_fg, loss_bg,
-                                     lambda ca, m, p: loss_sp(ca, m, p, GuidanceConfig())],
-                         ids=["fg", "bg", "sp"])
-def test_mass_term_matches_composite(monkeypatch, loss_fn, fractional):
+@pytest.mark.parametrize("loss_fn", list(MASS_LOSSES), ids=list(MASS_LOSSES))
+def test_mass_term_matches_composite(loss_fn, fractional):
+    fused_fn, composite_fn = MASS_LOSSES[loss_fn]
     pairs = SyntaxPairs(pairs=[(1, 2), (4, 5)], negatives={})
     for seed in SEEDS:
         rng = np.random.default_rng([seed, fractional])
         frames, grid = int(rng.integers(1, 5)), int(rng.integers(2, 5))
         vals = attention_values(rng, (frames, grid * grid, 7))
         masks = mask_set(rng, (1, 4), frames, grid, fractional)
-        fused = mass_run(loss_fn, vals, masks, pairs)
-        with monkeypatch.context() as patch:
-            patch.setattr(guidance, "_mass_term", composite_mass_term)
-            composite = mass_run(loss_fn, vals, masks, pairs)
+        fused = mass_run(fused_fn, vals, masks, pairs)
+        composite = mass_run(composite_fn, vals, masks, pairs)
         assert same_bytes(fused[0], composite[0])
         assert same_bytes(fused[1], composite[1])
 
@@ -225,7 +188,7 @@ def test_cross_attention_matches_composite(heads):
             x_vals = rng.normal(0.0, 2.0, (cfg.frames, g * g, cfg.latent_channels))
             weights = rng.normal(size=(cfg.frames, g * g, cfg.token_budget))
             keys = kv[tag][0]
-            fused = cross_attention_run(ToyDenoiser._cross_attention, model, x_vals, weights,
+            fused = cross_attention_run(cross_attention_node, model, x_vals, weights,
                                         keys, tag)
             composite = cross_attention_run(composite_cross_attention, model, x_vals, weights,
                                             keys, tag)
@@ -234,26 +197,25 @@ def test_cross_attention_matches_composite(heads):
 
 
 @pytest.mark.parametrize("heads", [1, 3])
-def test_denoise_step_gradient_matches_composite(monkeypatch, heads):
+def test_denoise_step_gradient_matches_composite(heads):
     model = ToyDenoiser(tiny_model_config(heads=heads))
     cfg = model.config
     emb = Tensor(np.random.default_rng(0).normal(size=(cfg.token_budget, cfg.embed_dim)))
     text = TextEncoding(emb, model._keys_values(emb), columns={})
 
-    def run(z_vals, weights):
+    def run(step, z_vals, weights):
         z = Tensor(z_vals, requires_grad=True)
-        eps, ca, _ = model.denoise_step(z, 20 / 50, text)
-        ((eps * weights).sum() + ca.square().sum()).backward()
+        eps, ca, _ = step(z, 20 / 50, text)
+        ((eps * weights).sum() + square(ca).sum()).backward()
         return eps.data, ca.data, z.grad
 
     for seed in range(10):
         rng = np.random.default_rng(seed)
         z_vals = rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
         weights = rng.normal(size=z_vals.shape)
-        fused = run(z_vals, weights)
-        with monkeypatch.context() as patch:
-            patch.setattr(ToyDenoiser, "_cross_attention", composite_cross_attention)
-            composite = run(z_vals, weights)
+        fused = run(model.denoise_step, z_vals, weights)
+        composite = run(lambda *a: composites.denoise_step(
+            model, *a, cross_attention=composite_cross_attention), z_vals, weights)
         assert all(same_bytes(a, b) for a, b in zip(fused, composite))
 
 
@@ -265,7 +227,7 @@ def test_denoise_step_gradient_matches_composite(monkeypatch, heads):
 def test_dist_non_finite_intermediate_raises(kind, shape):
     p = Tensor(np.full(shape, 1e200 if kind == COSINE else 1e308), requires_grad=True)
     q = Tensor(np.ones(shape), requires_grad=True)
-    for fn in (_dist, composite_dist):
+    for fn in (dist_node, composite_dist):
         with np.errstate(all="ignore"), pytest.raises(NumericError):
             fn(p, q, kind, 1e-8)
 
@@ -275,7 +237,7 @@ def test_dist_non_finite_intermediate_raises(kind, shape):
 def test_mass_term_non_finite_intermediate_raises(outside, value):
     col = Tensor(np.full((2, 4), value), requires_grad=True)
     M = np.array([[1.0, 1.0, 0.0, 0.0]] * 2)
-    for fn in (guidance._mass_term, composite_mass_term):
+    for fn in (mass_term_node, composite_mass_term):
         with np.errstate(all="ignore"), pytest.raises(NumericError):
             fn(col, M, 0, 1e-8, outside)
 
@@ -283,7 +245,7 @@ def test_mass_term_non_finite_intermediate_raises(outside, value):
 @pytest.mark.parametrize("outside", [False, True])
 def test_mass_term_low_mass_is_degenerate(outside):
     col = Tensor(np.array([[0.5, 0.5], [0.0, 0.0]]), requires_grad=True)
-    for fn in (guidance._mass_term, composite_mass_term):
+    for fn in (mass_term_node, composite_mass_term):
         with pytest.raises(DegenerateAttentionError, match="token 3 frame 1"):
             fn(col, np.ones((2, 2)), 3, 1e-8, outside)
 
@@ -294,6 +256,272 @@ def test_cross_attention_non_finite_intermediate_raises(heads):
     cfg = model.config
     keys, _ = model._keys_values(Tensor(np.full((cfg.token_budget, cfg.embed_dim), 100.0)))["down"]
     x = Tensor(np.full((cfg.frames, 16, cfg.latent_channels), 1e307), requires_grad=True)
-    for fn in (ToyDenoiser._cross_attention, composite_cross_attention):
+    for fn in (cross_attention_node, composite_cross_attention):
         with np.errstate(all="ignore"), pytest.raises(NumericError):
             fn(model, x, keys, "down")
+
+
+# -- whole-step and whole-loss nodes --------------------------------------------------
+
+
+def text_encoding(model, seed=0):
+    cfg = model.config
+    emb = Tensor(np.random.default_rng(seed).normal(size=(cfg.token_budget, cfg.embed_dim)))
+    return TextEncoding(emb, model._keys_values(emb), columns={})
+
+
+def denoise_run(step, z_vals, weights, grads):
+    """Values of `step` and the latent's gradient for a loss on the outputs named in `grads`.
+
+    The loss is T + (eps + A): `Tensor.backward` explores a sum's right operand
+    first, so it reaches T_attn through the later layers before it reaches it
+    directly.
+    """
+    z = Tensor(z_vals, requires_grad=True)
+    outputs = dict(zip(("eps", "A", "T"), step(z)))
+    loss = None
+    for name in ("A", "eps", "T"):
+        if name in grads:
+            term = (outputs[name] * weights[name]).sum()
+            loss = term if loss is None else term + loss
+    loss.backward()
+    return [outputs[n].data for n in ("eps", "A", "T")], z.grad
+
+
+@pytest.mark.parametrize("grads", [("eps",), ("A",), ("T",), ("eps", "A", "T")],
+                         ids=["eps", "A", "T", "all"])
+@pytest.mark.parametrize("capture", ["down", "mid", "up", "down+up"])
+@pytest.mark.parametrize("heads", [1, 2, 3, 4])
+def test_denoise_step_matches_composite(heads, capture, grads):
+    model = ToyDenoiser(tiny_model_config(heads=heads, ca_capture=capture))
+    cfg = model.config
+    text = text_encoding(model, heads)
+    for seed in range(3):
+        rng = np.random.default_rng([seed, heads])
+        z_vals = rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
+        shapes = {"eps": z_vals.shape,
+                  "A": (cfg.frames, cfg.capture_grid ** 2, cfg.token_budget),
+                  "T": (dict(cfg.levels)["mid"] ** 2, cfg.frames, cfg.frames)}
+        weights = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        fused = denoise_run(lambda z: model.denoise_step(z, 0.4, text), z_vals, weights, grads)
+        composite = denoise_run(lambda z: composites.denoise_step(model, z, 0.4, text),
+                                z_vals, weights, grads)
+        assert all(same_bytes(a, b) for a, b in zip(fused[0], composite[0]))
+        assert same_bytes(fused[1], composite[1])
+        assert fused[1].strides == composite[1].strides  # the layout fixes later sums
+
+
+def test_denoise_step_without_grad_matches_with_grad():
+    model = ToyDenoiser(tiny_model_config())
+    cfg = model.config
+    text = text_encoding(model)
+    z_vals = np.random.default_rng(0).normal(
+        size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
+    free = model.denoise_step(Tensor(z_vals), 0.3, text)
+    graph = model.denoise_step(Tensor(z_vals, requires_grad=True), 0.3, text)
+    assert not any(t.requires_grad for t in free)
+    for a, b in zip(free, graph):
+        assert same_bytes(a.data, b.data) and a.data.strides == b.data.strides
+
+
+def leaf_run(loss_fn, vals):
+    A = Tensor(vals, requires_grad=True)
+    loss = loss_fn(A)
+    loss.backward()
+    return loss.data, A.grad
+
+
+SHARED_PAIRS = SyntaxPairs(  # columns shared across pairs, as nouns, verbs and negatives
+    pairs=[(1, 2), (4, 5)],
+    negatives={(1, 2): frozenset({3, 4, 5, 6}), (4, 5): frozenset({1, 2, 3, 6})},
+)
+
+
+@pytest.mark.parametrize("include_verb", [False, True])
+@pytest.mark.parametrize("form", [RATIO, SUM])
+@pytest.mark.parametrize("kind", [KL_SYM, KL_FWD, COSINE])
+def test_loss_syt_node_matches_chain(kind, form, include_verb):
+    config = GuidanceConfig(distance=kind, contrastive_form=form, neg_includes_verb=include_verb)
+    for seed in range(5):
+        vals = attention_values(np.random.default_rng([seed, 7]), (3, 16, 8), zeros=0.0)
+        fused = loss_syt_run(vals, SHARED_PAIRS, config)
+        composite = loss_syt_run(vals, SHARED_PAIRS, config, composites.loss_syt)
+        assert same_bytes(fused[0], composite[0])
+        assert same_bytes(fused[1], composite[1])
+
+
+@pytest.mark.parametrize("kind", [KL_SYM, COSINE])
+def test_loss_pos_and_neg_match_chain(kind):
+    pair, negatives = (1, 2), frozenset({3, 5, 6})
+    cases = [
+        (lambda A: loss_pos(A, pair, kind), lambda A: composites.loss_pos(A, pair, kind)),
+        (lambda A: loss_neg(A, pair, negatives, kind),
+         lambda A: composites.loss_neg(A, pair, negatives, kind)),
+        (lambda A: loss_neg(A, pair, negatives, kind, include_verb=True),
+         lambda A: composites.loss_neg(A, pair, negatives, kind, include_verb=True)),
+    ]
+    for seed in range(5):
+        vals = attention_values(np.random.default_rng([seed, 8]), (3, 16, 8), zeros=0.0)
+        for fused_fn, composite_fn in cases:
+            fused, composite = leaf_run(fused_fn, vals), leaf_run(composite_fn, vals)
+            assert same_bytes(fused[0], composite[0])
+            assert same_bytes(fused[1], composite[1])
+
+
+def test_loss_syt_empty_negatives_matches_chain():
+    pairs = SyntaxPairs(pairs=[(1, 2), (4, 5)],
+                        negatives={(1, 2): frozenset(), (4, 5): frozenset({3})})
+    vals = attention_values(np.random.default_rng(3), (2, 9, 6), zeros=0.0)
+    for form in (RATIO, SUM):
+        config = GuidanceConfig(contrastive_form=form)
+        with pytest.warns(UserWarning, match="empty negative set"):
+            fused = loss_syt_run(vals, pairs, config)
+        with pytest.warns(UserWarning, match="empty negative set"):
+            composite = loss_syt_run(vals, pairs, config, composites.loss_syt)
+        assert same_bytes(fused[0], composite[0])
+        assert same_bytes(fused[1], composite[1])
+
+
+@pytest.mark.parametrize("verbs", [False, True], ids=["nouns", "nouns+verbs"])
+@pytest.mark.parametrize("fractional", [False, True], ids=["binary", "fractional"])
+@pytest.mark.parametrize("n_pairs", [1, 2])
+def test_loss_sp_node_matches_chain(n_pairs, fractional, verbs):
+    pairs = SyntaxPairs(pairs=[(1, 2), (4, 5)][:n_pairs], negatives={})
+    config = GuidanceConfig(apply_spatial_to_verbs=verbs, lambda_fg=0.7, lambda_bg=1.3)
+    for seed in range(10):
+        rng = np.random.default_rng([seed, fractional, 9])
+        frames, grid = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+        vals = attention_values(rng, (frames, grid * grid, 7))
+        masks = mask_set(rng, (1, 4), frames, grid, fractional)
+        fused = leaf_run(lambda A: loss_sp(A, masks, pairs, config), vals)
+        composite = leaf_run(lambda A: composites.loss_sp(A, masks, pairs, config), vals)
+        assert same_bytes(fused[0], composite[0])
+        assert same_bytes(fused[1], composite[1])
+
+
+@pytest.mark.parametrize("include_verbs", [False, True])
+def test_column_gradient_signed_zeros_match_chain(include_verbs):
+    """A -0 column gradient stays -0 only when the loss takes no other column.
+
+    Each take of the chain adds a full array, +0 outside its column, into
+    A's gradient, so a second column turns a -0 sum into +0.
+    """
+    pairs = SyntaxPairs(pairs=[(0, 1)], negatives={})
+    vals = np.array([[[0.0, 1.0, 1.0], [2.0, 1.0, 1.0]]])   # one frame, 1x2 grid, 3 columns
+    masks = MaskSet({0: np.array([[[-0.0, 1.0]]])})
+    grads = [leaf_run(lambda A: fn(A, masks, pairs, include_verbs) * -1.0, vals)[1]
+             for fn in (loss_fg, composites.loss_fg)]
+    assert same_bytes(*grads)
+    assert grads[0][0, 0, 0] == 0.0 and np.signbit(grads[0][0, 0, 0]) == (not include_verbs)
+
+
+# -- finiteness checks ------------------------------------------------------------------
+
+
+def scanned_buffers(monkeypatch, call, inputs):
+    """The buffers `call` passes to `check_finite`, and how many arrays it passes twice.
+
+    A buffer is the memory an array views, so a value and its reshapes,
+    transposes and column takes count once.  The buffers of the ``inputs``
+    Tensors and of the Python numbers `Tensor._wrap` turns into constants
+    do not count: the composite chains scan those, the fused nodes do not.
+    """
+    arrays, numbers = [], set()
+    check, wrap = autodiff.check_finite, Tensor._wrap
+
+    def recording_check(*arrs):
+        arrays.extend(arrs)
+        check(*arrs)
+
+    def recording_wrap(other):
+        t = wrap(other)
+        if not isinstance(other, (Tensor, np.ndarray)):
+            numbers.add(id(t.data))
+        return t
+
+    with monkeypatch.context() as patch:
+        for module in (autodiff, denoiser, guidance):
+            patch.setattr(module, "check_finite", recording_check)
+        patch.setattr(Tensor, "_wrap", staticmethod(recording_wrap))
+        call()
+    buffers = {buffer(a) for a in arrays} - numbers - {buffer(t.data) for t in inputs}
+    return buffers, len(arrays) - len({id(a) for a in arrays})
+
+
+def buffer(a):
+    while isinstance(getattr(a, "base", None), np.ndarray):
+        a = a.base
+    return id(a)
+
+
+def assert_same_checks(monkeypatch, inputs, fused_call, composite_call):
+    fused, rescans = scanned_buffers(monkeypatch, fused_call, inputs)
+    composite, _ = scanned_buffers(monkeypatch, composite_call, inputs)
+    assert len(fused) == len(composite)
+    assert rescans == 0
+
+
+@pytest.fixture
+def default_scene():
+    from attnguide.boxes import parse_llm_boxes
+    from attnguide.guidance import prepare_inputs
+
+    from conftest import TEMPLATE_PROMPT, WOMAN_MAN_BOXES
+
+    model, config = ToyDenoiser(), GuidanceConfig()
+    pairs, text, masks = prepare_inputs(
+        TEMPLATE_PROMPT, parse_llm_boxes(WOMAN_MAN_BOXES), config, model)
+    cfg = model.config
+    z = np.random.default_rng(5).normal(
+        size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
+    A = model.denoise_step(Tensor(z), 45 / 50, text)[1].data
+    return model, config, pairs, text, masks, z, A
+
+
+@pytest.mark.parametrize("grad", [False, True], ids=["nograd", "grad"])
+def test_denoise_step_checks_what_the_chain_checked(monkeypatch, default_scene, grad):
+    model, _, _, text, _, z, _ = default_scene
+    leaf = Tensor(z, requires_grad=grad)
+    assert_same_checks(monkeypatch, [leaf], lambda: model.denoise_step(leaf, 0.9, text),
+                       lambda: composites.denoise_step(model, leaf, 0.9, text))
+
+
+def test_losses_check_what_the_chains_checked(monkeypatch, default_scene):
+    _, config, pairs, _, masks, _, A = default_scene
+    leaf = Tensor(A, requires_grad=True)
+    assert_same_checks(monkeypatch, [leaf], lambda: loss_sp(leaf, masks, pairs, config),
+                       lambda: composites.loss_sp(leaf, masks, pairs, config))
+    assert_same_checks(monkeypatch, [leaf], lambda: loss_syt(leaf, pairs, config),
+                       lambda: composites.loss_syt(leaf, pairs, config))
+
+
+@pytest.mark.parametrize("grad", [False, True], ids=["nograd", "grad"])
+def test_denoise_step_non_finite_intermediate_raises(grad):
+    model = ToyDenoiser(tiny_model_config())
+    cfg = model.config
+    text = text_encoding(model)
+    z = Tensor(np.full((cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w), 1e308),
+               requires_grad=grad)
+    for step in (model.denoise_step, lambda *a: composites.denoise_step(model, *a)):
+        with np.errstate(all="ignore"), pytest.raises(NumericError):
+            step(z, 0.5, text)
+
+
+def test_loss_sp_non_finite_weighted_term_raises():
+    pairs = SyntaxPairs(pairs=[(1, 2)], negatives={})
+    rng = np.random.default_rng(0)
+    A = Tensor(attention_values(rng, (2, 4, 4)), requires_grad=True)
+    masks = mask_set(rng, (1,), 2, 2, False)
+    config = GuidanceConfig(lambda_fg=1e308, lambda_bg=1e308)
+    for fn in (loss_sp, composites.loss_sp):
+        with np.errstate(all="ignore"), pytest.raises(NumericError):
+            fn(A, masks, pairs, config)
+
+
+@pytest.mark.parametrize("kind", [KL_SYM, KL_FWD, COSINE])
+def test_loss_syt_non_finite_intermediate_raises(kind):
+    A = Tensor(np.full((2, 3, 8), 1e308 if kind != COSINE else 1e200), requires_grad=True)
+    config = GuidanceConfig(distance=kind)
+    for fn in (loss_syt, composites.loss_syt):
+        with np.errstate(all="ignore"), pytest.raises(NumericError):
+            fn(A, SHARED_PAIRS, config)

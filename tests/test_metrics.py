@@ -17,7 +17,6 @@ from attnguide.metrics import (
     DEFAULT_ABLATION_AXES,
     MetricsReport,
     count_components,
-    in_box_ratio,
     render_heatmap,
     run_ablation,
     summarize_run,
@@ -25,6 +24,7 @@ from attnguide.metrics import (
 )
 from attnguide.syntax import SyntaxPairs
 
+from composites import in_box_ratio
 from conftest import TEMPLATE_PROMPT, static_two_box_prior, tiny_model_config
 
 
