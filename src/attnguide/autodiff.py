@@ -59,13 +59,6 @@ def check_finite(*arrays):
             raise NumericError("tensor contains non-finite values")
 
 
-class _Parts(dict):
-    """The gradients a multi-output node's results hand its hub, by result index."""
-
-    def __add__(self, other):
-        return _Parts({**self, **other})
-
-
 class Tensor:
     """Immutable float64 tensor, optionally a node in the autodiff graph."""
 
@@ -125,22 +118,6 @@ class Tensor:
             if p.requires_grad:
                 return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
         return Tensor(data)
-
-    @staticmethod
-    def nodes(results, parents, backward):
-        """Wrap the fresh results of one operation with several outputs, as ``node`` does.
-
-        With a gradient the results hand theirs to a hub node on ``parents``,
-        which ``backward`` reaches after them all: ``backward(*grads)`` gets
-        one per result, None where none arrived, and returns one per parent.
-        """
-        if not any(p.requires_grad for p in parents):
-            return tuple(Tensor.node(r, (), None) for r in results)
-        hub = Tensor.__new__(Tensor)  # no value of its own, so nothing to check
-        hub.data, hub.requires_grad, hub.grad, hub._parents = np.empty(0), True, None, parents
-        hub._backward = lambda parts: backward(*(parts.get(k) for k in range(len(results))))
-        return tuple(Tensor.node(r, (hub,), lambda g, k=k: (_Parts({k: g}),))
-                     for k, r in enumerate(results))
 
     # -- elementwise ------------------------------------------------------
 

@@ -49,6 +49,8 @@ class ToyModelConfig:
             raise InputError(f"levels grids {self.levels} exceed the "
                              f"{self.latent_h}x{self.latent_w} latent")
         tags = [tag for tag, _ in self.levels]
+        if len(set(tags)) != len(tags):
+            raise InputError(f"levels tags must be distinct, got {tags}")
         wanted = self.ca_capture.split("+")
         for w in wanted:
             if w not in tags:
@@ -112,14 +114,13 @@ class DDIMSchedule:
         return self.total_steps - step
 
 
-def ddim_step(state, noise_pred, step, schedule):
-    """Advance one deterministic DDIM step; decrements the timestep index."""
+def ddim_step(state, eps, step, schedule):
+    """Advance one deterministic DDIM step on noise prediction ``eps``; decrements the timestep."""
     t = schedule.t_for_step(step)
     if state.timestep_index != t:
         raise ContractError(
             f"state at timestep {state.timestep_index}, step {step} expects {t}"
         )
-    eps = noise_pred.data if isinstance(noise_pred, Tensor) else np.asarray(noise_pred)
     abar_t = schedule.alphas_cumprod[t]
     abar_prev = schedule.alphas_cumprod[t - 1] if t >= 1 else 1.0
     x0 = (state.z - np.sqrt(1.0 - abar_t) * eps) / np.sqrt(abar_t)
@@ -230,9 +231,11 @@ class ToyDenoiser:
         """One UNet-ish evaluation of latent `z` for the `TextEncoding` `text`.
 
         ``tau`` in [0, 1) is the schedule progress: timestep index over the
-        schedule length, as the sampler computes it.  Returns (noise_pred,
-        CA maps A [F, N, L], TA maps [N, F, F]): one graph node (`Tensor.nodes`),
-        bit-identical to the chain of Tensor ops it replaces.
+        schedule length, as the sampler computes it.  Returns (noise
+        prediction array, CA maps A [F, N, L], TA maps array [N, F, F] or None
+        without a mid level).  Guidance differentiates the latent only through
+        A, so A alone is a graph node, bit-identical to the chain of Tensor ops
+        it replaces.
         """
         cfg = self.config
         if not 0 <= tau < 1:
@@ -258,6 +261,7 @@ class ToyDenoiser:
                 grads.append((None, grad))
 
         eps = (h @ self._out.data).transpose(0, 2, 1).reshape(z.shape)
+        check_finite(eps)
         wanted = cfg.ca_capture.split("+")
         A_cap = captured[wanted[0]]
         for wname in wanted[1:]:
@@ -265,18 +269,13 @@ class ToyDenoiser:
             check_finite(A_cap)
         inv = 1.0 / len(wanted)
 
-        def backward(g_eps, g_A, g_T=None):
-            g_h = None
-            if g_eps is not None:
-                g_h = g_eps.reshape(F, C, HW).transpose(0, 2, 1) @ self._out.data.T
-            g_cap = None if g_A is None else g_A * inv
+        def backward(g_A):
+            g_h, g_cap = None, g_A * inv
             for tag, grad in reversed(grads):
-                g_h = grad(g_h, g_T if tag is None else g_cap if tag in wanted else None)
+                g_h = grad(g_h, g_cap if tag in wanted else None)
             return (g_h.transpose(0, 2, 1).reshape(z.shape),)
 
-        results = (eps, A_cap * inv) + (() if ta is None else (ta,))
-        eps, A, *rest = Tensor.nodes(results, (z,), backward)
-        return eps, A, (rest[0] if rest else None)
+        return eps, Tensor.node(A_cap * inv, (z,), backward), ta
 
     def _block(self, h, grid, attention, mix, bias, keep):
         """tanh(h + (U @ out) * mix [+ bias]) for (out, maps, _) = attention(P @ h).
@@ -338,27 +337,23 @@ class ToyDenoiser:
         qk = q @ kt
         logits = qk * w["scale"]
         check_finite(qk, logits)
-        T_attn = softmax(logits)                      # [N, F, F]; checked by its Tensor
+        T_attn = softmax(logits)                      # [N, F, F]
         v = y @ w["wv"].data
-        check_finite(v)
+        check_finite(T_attn, v)
         tv = T_attn @ v
         check_finite(tv)
 
-        def backward(g_out, g_T):
-            # y's three gradients add as (q + k) + v, the chain's order when the
-            # loss reaches T_attn through later layers before T_attn itself.
-            g_yv = None
-            if g_out is not None:
-                g_tv = g_out.transpose(1, 0, 2)
-                g_Tv = g_tv @ np.swapaxes(v, -1, -2)
-                g_T = g_Tv if g_T is None else g_T + g_Tv
-                g_yv = (np.swapaxes(T_attn, -1, -2) @ g_tv) @ w["wv"].data.T
-            if g_T is None:
+        def backward(g_out, _):
+            # T_attn carries no gradient of its own.  y's three gradients add as
+            # (q + k) + v, the chain's order.
+            if g_out is None:
                 return None
-            g_qk = softmax_grad(T_attn, g_T) * w["scale"]
+            g_tv = g_out.transpose(1, 0, 2)
+            g_qk = softmax_grad(T_attn, g_tv @ np.swapaxes(v, -1, -2)) * w["scale"]
+            g_yv = (np.swapaxes(T_attn, -1, -2) @ g_tv) @ w["wv"].data.T
             g_y = ((g_qk @ np.swapaxes(kt, -1, -2)) @ w["wq"].data.T
                    + (np.swapaxes(q, -1, -2) @ g_qk).transpose(0, 2, 1) @ w["wk"].data.T)
-            return (g_y if g_yv is None else g_y + g_yv).transpose(1, 0, 2)
+            return (g_y + g_yv).transpose(1, 0, 2)
 
         return tv.transpose(1, 0, 2), T_attn, backward
 

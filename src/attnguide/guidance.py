@@ -52,7 +52,6 @@ class GuidanceConfig:
     lambda_bg: float = 1.0
     lambda_sp: float = 30.0
     lambda_syt: float = 20.0
-    alpha: float = 1.0
     distance: str = KL_SYM
     contrastive_form: str = RATIO
     eps: float = 1e-8
@@ -61,10 +60,9 @@ class GuidanceConfig:
     negatives_exclude_other_pairs: bool = False
 
     def __post_init__(self):
-        reals = (self.lambda_fg, self.lambda_bg, self.lambda_sp, self.lambda_syt,
-                 self.alpha, self.eps)
+        reals = (self.lambda_fg, self.lambda_bg, self.lambda_sp, self.lambda_syt, self.eps)
         if not all(math.isfinite(v) for v in reals):
-            raise InputError("loss weights, alpha and eps must be finite")
+            raise InputError("loss weights and eps must be finite")
         if not (0 <= self.t1 <= self.t2 <= self.total_steps and self.total_steps >= 1):
             raise InputError(
                 f"need 0 <= t1 <= t2 <= total_steps and total_steps >= 1, got {self.t1}, "
@@ -73,8 +71,8 @@ class GuidanceConfig:
         if min(self.lambda_fg, self.lambda_bg, self.lambda_sp, self.lambda_syt,
                self.iters_spatial_per_step, self.iters_syntax_per_step) < 0:
             raise InputError("loss weights and iteration counts must be nonnegative")
-        if self.alpha <= 0 or self.eps <= 0:
-            raise InputError("alpha and eps must be positive")
+        if self.eps <= 0:
+            raise InputError("eps must be positive")
         if self.distance not in (KL_SYM, KL_FWD, COSINE):
             raise InputError(f"unknown distance kind {self.distance!r}")
         if self.contrastive_form not in (RATIO, SUM):
@@ -476,15 +474,15 @@ def loss_syt(A, pairs, config):
 # -- latent updates -----------------------------------------------------------
 
 
-def guide_latent(state, leaf, loss, lam, alpha):
-    """One gradient step on the latent; returns (new state, gradient norm)."""
+def guide_latent(state, leaf, loss, lam):
+    """One gradient step of size ``lam`` on the latent; returns (new state, gradient norm)."""
     if loss.size != 1:
         raise ContractError(f"guidance loss must be scalar, got shape {loss.shape}")
     loss.backward()
     grad = leaf.grad if leaf.grad is not None else np.zeros_like(state.z)
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite guidance gradient")
-    z_new = state.z - alpha * lam * grad
+    z_new = state.z - lam * grad
     return LatentState(z_new, state.timestep_index), float(np.sqrt((grad ** 2).sum()))
 
 
@@ -574,7 +572,7 @@ def run_guided_sampling(prompt, priors, config, model, seed):
                     else:
                         loss = loss_syt(A, column_pairs, config)
                     value = loss.item()
-                    state, gnorm = guide_latent(state, leaf, loss, lam, config.alpha)
+                    state, gnorm = guide_latent(state, leaf, loss, lam)
                     ratios = {noun: float(in_box_ratios(A.data, masks, noun).mean())
                               for noun, _ in column_pairs.pairs}
                 except AttnGuideError as exc:

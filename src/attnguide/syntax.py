@@ -129,6 +129,8 @@ def extract_pairs(tokens, negatives_exclude_other_pairs=False):
             words = " ".join(t.text for t in clause)
             raise ExtractionError(f"cannot resolve a noun/verb pair in clause: '{words}'")
         pairs.append((noun, verb))
+    if not pairs:
+        raise ExtractionError("prompt has no noun/verb pair")
 
     used = [i for p in pairs for i in p]
     if len(set(used)) != len(used):

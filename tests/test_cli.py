@@ -285,8 +285,9 @@ BAD_INPUTS = {
     "model_not_utf8": ("model", b"\xff\xfeframes = 2\n"),
     "model_total_steps": ("model", "total_steps = 12\n"),  # the guidance config's field
     "model_negative_seed": ("model", "seed = -1\n"),
+    "model_duplicate_level_tags": ("model", "levels = down:8, down:4, up:8\nca_capture = down\n"),
     "guide_not_a_number": ("guide", "lambda_sp = abc\n"),
-    "guide_non_finite": ("guide", "lambda_sp = nan\nalpha = inf\n"),
+    "guide_non_finite": ("guide", "lambda_sp = nan\n"),
     "guide_bad_boolean": ("guide", "neg_includes_verb = maybe\n"),
     "guide_zero_total_steps": ("guide", "total_steps = 0\nt1 = 0\nt2 = 0\n"),
     "guide_negative_spatial_iters": ("guide", "iters_spatial_per_step = -3\n"),
@@ -299,6 +300,7 @@ BAD_INPUTS = {
     "boxes_bad_frame_size": ("boxes", _structured(frame_size="wide")),
     "boxes_bad_frames": ("boxes", _structured(frames=5)),
     "boxes_not_utf8": ("boxes", b"\xff\xfe" + WOMAN_MAN_BOXES.encode()),
+    "prompt_without_pairs": ("prompt", "and"),
 }
 
 
@@ -314,6 +316,7 @@ def test_bad_input_is_one_parse_error(tmp_path, boxes_file, capsys, role, text):
                   "--config", str(path)],
         "grid": ["ablate", "--grid", str(path), "--out", out_dir],
         "boxes": ["parse-boxes", str(path)],
+        "prompt": ["parse-prompt", text],
     }[role]
     assert main(argv) == 2
     captured = capsys.readouterr()

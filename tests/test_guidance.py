@@ -257,13 +257,13 @@ class TestSyntaxLosses:
 
 class TestGuideLatent:
     def test_quadratic_lands_on_target(self, rng):
-        """loss = 0.5||z - c||^2 with alpha*lam = 1 jumps exactly to c."""
+        """loss = 0.5||z - c||^2 with lam = 1 jumps exactly to c."""
         c = rng.normal(size=(2, 2, 4, 4))
         z = rng.normal(size=c.shape)
         state = LatentState(z.copy(), 10)
         leaf = Tensor(z, requires_grad=True)
         loss = square(leaf - Tensor(c)).sum() * 0.5
-        new_state, gnorm = guide_latent(state, leaf, loss, lam=1.0, alpha=1.0)
+        new_state, gnorm = guide_latent(state, leaf, loss, lam=1.0)
         assert np.allclose(new_state.z, c, atol=1e-12)
         assert abs(gnorm - np.sqrt(((z - c) ** 2).sum())) <= 1e-9
         assert new_state.timestep_index == 10
@@ -272,7 +272,7 @@ class TestGuideLatent:
         z = rng.normal(size=(1, 1, 2, 2))
         leaf = Tensor(z, requires_grad=True)
         with pytest.raises(ContractError):
-            guide_latent(LatentState(z, 0), leaf, leaf * 2.0, 1.0, 1.0)
+            guide_latent(LatentState(z, 0), leaf, leaf * 2.0, 1.0)
 
     def test_descends_stub_spatial_loss(self, rng):
         cfg_m = tiny_model_config()
@@ -288,7 +288,7 @@ class TestGuideLatent:
         before = value(z)
         leaf = Tensor(z, requires_grad=True)
         loss = loss_sp(stub.ca_from_latent(leaf), masks, pairs, gcfg)
-        new_state, _ = guide_latent(LatentState(z, 0), leaf, loss, lam=1.0, alpha=0.05)
+        new_state, _ = guide_latent(LatentState(z, 0), leaf, loss, lam=0.05)
         assert value(new_state.z) < before
 
 
@@ -297,7 +297,7 @@ class TestConfig:
         cfg = GuidanceConfig()
         assert (cfg.total_steps, cfg.t1, cfg.t2) == (50, 5, 25)
         assert (cfg.iters_spatial_per_step, cfg.iters_syntax_per_step) == (10, 1)
-        assert (cfg.lambda_sp, cfg.lambda_syt, cfg.alpha) == (30.0, 20.0, 1.0)
+        assert (cfg.lambda_sp, cfg.lambda_syt) == (30.0, 20.0)
         assert cfg.distance == KL_SYM and cfg.contrastive_form == RATIO
 
     def test_validation(self):
@@ -305,8 +305,6 @@ class TestConfig:
             GuidanceConfig(t1=10, t2=5)
         with pytest.raises(InputError):
             GuidanceConfig(lambda_sp=-1.0)
-        with pytest.raises(InputError):
-            GuidanceConfig(alpha=0.0)
         with pytest.raises(InputError):
             GuidanceConfig(distance="manhattan")
         with pytest.raises(InputError):
@@ -517,6 +515,6 @@ class TestBitExactness:
         cfg = model.config
         z = rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
         _, ca, _ = model.denoise_step(Tensor(z, requires_grad=True), 45 / 50, text)
-        # the loss node, A's output node, the denoiser's hub and the latent
-        assert self._graph_nodes(loss_sp(ca, masks, pairs, config)) == 4
-        assert self._graph_nodes(loss_syt(ca, pairs, config)) == 4
+        # the loss node, the denoiser's A node and the latent
+        assert self._graph_nodes(loss_sp(ca, masks, pairs, config)) == 3
+        assert self._graph_nodes(loss_syt(ca, pairs, config)) == 3

@@ -112,7 +112,7 @@ def guidance_configs(draw):
         iters_spatial_per_step=draw(st.integers(0, 100)),
         iters_syntax_per_step=draw(st.integers(0, 100)),
         lambda_fg=draw(weight), lambda_bg=draw(weight), lambda_sp=draw(weight),
-        lambda_syt=draw(weight), alpha=draw(positive), eps=draw(positive),
+        lambda_syt=draw(weight), eps=draw(positive),
         distance=draw(st.sampled_from([KL_SYM, KL_FWD, COSINE])),
         contrastive_form=draw(st.sampled_from([RATIO, SUM])),
         apply_spatial_to_verbs=draw(st.booleans()), neg_includes_verb=draw(st.booleans()),

@@ -91,3 +91,9 @@ def test_idempotent_over_round_trip():
 def test_unresolvable_clause_reports_it():
     with pytest.raises(ExtractionError, match="the sky"):
         extract_pairs(tokenize("a dog is running and the sky"))
+
+
+@pytest.mark.parametrize("prompt", ["and", "and and"])
+def test_prompt_without_pairs_rejected(prompt):
+    with pytest.raises(ExtractionError, match="no noun/verb pair"):
+        extract_pairs(tokenize(prompt))
