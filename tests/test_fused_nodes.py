@@ -270,32 +270,57 @@ def text_encoding(model, seed=0):
     return TextEncoding(emb, model._keys_values(emb), columns={})
 
 
-def denoise_run(step, z_vals, weights):
-    """Values (eps, A, T_attn) of `step` and the latent's gradient for a loss on A."""
+def denoise_run(step, z_vals, weights, reads):
+    """Values (eps, A, T_attn) of `step`, a loss on the outputs named in `reads`
+    and the latent's gradient for it.
+
+    The loss is (A + eps) + T over weighted sums of the outputs as `step`
+    returns them, so only A's term can carry a gradient when eps and T_attn
+    are plain arrays.
+    """
     z = Tensor(z_vals, requires_grad=True)
-    outputs = step(z)
-    (outputs[1] * weights).sum().backward()
-    return [o.data if isinstance(o, Tensor) else o for o in outputs], z.grad
+    outputs = dict(zip(("eps", "A", "T"), step(z)))
+    loss = (outputs["A"] * weights["A"]).sum()
+    for name in ("eps", "T"):
+        if name in reads:
+            loss = loss + (outputs[name] * weights[name]).sum()
+    loss.backward()
+    values = [o.data if isinstance(o, Tensor) else o for o in outputs.values()]
+    return values, loss.data, z.grad
 
 
-@pytest.mark.parametrize("grads", ["A"])
+def composite_step(model, text):
+    """The composite chain with eps and T_attn taken as arrays, as `denoise_step` gives them."""
+    def step(z):
+        eps, A, T_attn = composites.denoise_step(model, z, 0.4, text)
+        return eps.data, A, T_attn.data
+    return step
+
+
+@pytest.mark.parametrize("reads", [("A", "eps"), ("A",), ("A", "T"), ("A", "eps", "T")],
+                         ids=["eps", "A", "T", "all"])
 @pytest.mark.parametrize("capture", ["down", "mid", "up", "down+up"])
 @pytest.mark.parametrize("heads", [1, 2, 3, 4])
-def test_denoise_step_matches_composite(heads, capture, grads):
+def test_denoise_step_matches_composite(heads, capture, reads):
+    """Values, loss and latent gradient byte for byte; a loss that also reads eps
+    or T_attn gets A's gradient alone, since neither is differentiable."""
     model = ToyDenoiser(tiny_model_config(heads=heads, ca_capture=capture))
     cfg = model.config
     text = text_encoding(model, heads)
     for seed in range(3):
         rng = np.random.default_rng([seed, heads])
         z_vals = rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
-        rng.normal(size=z_vals.shape)  # the draw ahead of A's weights: each case keeps its inputs
-        weights = rng.normal(size=(cfg.frames, cfg.capture_grid ** 2, cfg.token_budget))
-        fused = denoise_run(lambda z: model.denoise_step(z, 0.4, text), z_vals, weights)
-        composite = denoise_run(lambda z: composites.denoise_step(model, z, 0.4, text),
-                                z_vals, weights)
-        assert all(same_bytes(a, b) for a, b in zip(fused[0], composite[0]))
+        shapes = {"eps": z_vals.shape,
+                  "A": (cfg.frames, cfg.capture_grid ** 2, cfg.token_budget),
+                  "T": (dict(cfg.levels)["mid"] ** 2, cfg.frames, cfg.frames)}
+        weights = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        fused = denoise_run(lambda z: model.denoise_step(z, 0.4, text), z_vals, weights, reads)
+        composite = denoise_run(composite_step(model, text), z_vals, weights, reads)
+        assert all(same_bytes(a, b) and a.strides == b.strides
+                   for a, b in zip(fused[0], composite[0]))
         assert same_bytes(fused[1], composite[1])
-        assert fused[1].strides == composite[1].strides  # the layout fixes later sums
+        assert same_bytes(fused[2], composite[2])
+        assert fused[2].strides == composite[2].strides  # the layout fixes later sums
 
 
 def test_denoise_step_without_grad_matches_with_grad():
