@@ -103,8 +103,8 @@ def _clip_boxes(prior):
                 traj.boxes[f] = clipped
 
 
-def parse_llm_boxes(text, frame_width_px=DEFAULT_FRAME_W, frame_height_px=DEFAULT_FRAME_H):
-    """Parse the box-generator text format into a SpatialPriorSet."""
+def parse_llm_boxes(text):
+    """Parse the box-generator text format (576x320 frames) into a SpatialPriorSet."""
     frames, background = {}, None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -125,7 +125,7 @@ def parse_llm_boxes(text, frame_width_px=DEFAULT_FRAME_W, frame_height_px=DEFAUL
         except (ValueError, SyntaxError) as exc:
             raise BoxParseError(f"malformed record literal: {exc}", line_no) from exc
         frames[k] = (line_no, records)
-    return _build_prior(frames, background, frame_width_px, frame_height_px)
+    return _build_prior(frames, background, DEFAULT_FRAME_W, DEFAULT_FRAME_H)
 
 
 def _build_prior(frames, background, frame_width_px, frame_height_px):
@@ -209,6 +209,8 @@ def load_structured_boxes(text):
         raise BoxParseError(f"missing structured field: {exc}") from None
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise BoxParseError(f"malformed frame_size or background: {exc}") from None
+    if W < 1 or H < 1:
+        raise BoxParseError(f"frame_size must be positive, got {obj['frame_size']!r}")
     if not isinstance(frames, list):
         raise BoxParseError(f"frames must be a list of per-frame record lists, got {frames!r}")
     by_index = {

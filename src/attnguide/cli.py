@@ -194,7 +194,7 @@ def cmd_generate(args):
 
 def cmd_gradcheck(args):
     failures = []
-    for name, err, tol in gradcheck_suites(args.component, args.seed or 0,
+    for name, err, tol in gradcheck_suites(args.component, args.seed,
                                             corrupt=args.corrupt_gradient):
         status = "ok" if err <= tol else "FAIL"
         print(f"gradcheck {name}: worst_rel_err={err:.3e} tol={tol:.0e} {status}")

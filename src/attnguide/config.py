@@ -24,7 +24,8 @@ def read_text(path):
 
 
 def key_values(path):
-    """Yield (line_no, key, value) for each setting line of a file."""
+    """Yield (line_no, key, value) for each setting line of a file; a key may appear once."""
+    seen = {}
     for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -32,6 +33,9 @@ def key_values(path):
         if "=" not in line:
             raise InputError(f"line {line_no}: want 'key = value', got {raw.strip()!r}")
         key, value = (s.strip() for s in line.split("=", 1))
+        if key in seen:
+            raise InputError(f"line {line_no}: {key!r} already set on line {seen[key]}")
+        seen[key] = line_no
         yield line_no, key, value
 
 

@@ -51,7 +51,7 @@ class ToyModelConfig:
         tags = [tag for tag, _ in self.levels]
         if len(set(tags)) != len(tags):
             raise InputError(f"levels tags must be distinct, got {tags}")
-        wanted = self.ca_capture.split("+")
+        wanted = self.capture_tags
         for w in wanted:
             if w not in tags:
                 raise InputError(f"ca_capture level '{w}' not in levels {tags}")
@@ -61,9 +61,13 @@ class ToyModelConfig:
                 raise InputError("combined ca_capture levels must share a grid size")
 
     @property
+    def capture_tags(self):
+        """The level tags named by ``ca_capture``, in order."""
+        return tuple(self.ca_capture.split("+"))
+
+    @property
     def capture_grid(self):
-        wanted = self.ca_capture.split("+")[0]
-        return dict((t, g) for t, g in self.levels)[wanted]
+        return dict(self.levels)[self.capture_tags[0]]
 
     @classmethod
     def from_file(cls, path):
@@ -262,7 +266,7 @@ class ToyDenoiser:
 
         eps = (h @ self._out.data).transpose(0, 2, 1).reshape(z.shape)
         check_finite(eps)
-        wanted = cfg.ca_capture.split("+")
+        wanted = cfg.capture_tags
         A_cap = captured[wanted[0]]
         for wname in wanted[1:]:
             A_cap = A_cap + captured[wname]

@@ -31,7 +31,6 @@ from .errors import (
 from .syntax import SyntaxPairs, extract_pairs, tokenize
 
 KL_SYM = "KL_SYM"
-KL_FWD = "KL_FWD"
 COSINE = "COSINE"
 RATIO = "RATIO"
 SUM = "SUM"
@@ -48,32 +47,27 @@ class GuidanceConfig:
     t2: int = 25
     iters_spatial_per_step: int = 10
     iters_syntax_per_step: int = 1
-    lambda_fg: float = 1.0
-    lambda_bg: float = 1.0
     lambda_sp: float = 30.0
     lambda_syt: float = 20.0
     distance: str = KL_SYM
     contrastive_form: str = RATIO
     eps: float = 1e-8
     apply_spatial_to_verbs: bool = True
-    neg_includes_verb: bool = False
-    negatives_exclude_other_pairs: bool = False
 
     def __post_init__(self):
-        reals = (self.lambda_fg, self.lambda_bg, self.lambda_sp, self.lambda_syt, self.eps)
-        if not all(math.isfinite(v) for v in reals):
+        if not all(math.isfinite(v) for v in (self.lambda_sp, self.lambda_syt, self.eps)):
             raise InputError("loss weights and eps must be finite")
         if not (0 <= self.t1 <= self.t2 <= self.total_steps and self.total_steps >= 1):
             raise InputError(
                 f"need 0 <= t1 <= t2 <= total_steps and total_steps >= 1, got {self.t1}, "
                 f"{self.t2}, {self.total_steps}"
             )
-        if min(self.lambda_fg, self.lambda_bg, self.lambda_sp, self.lambda_syt,
+        if min(self.lambda_sp, self.lambda_syt,
                self.iters_spatial_per_step, self.iters_syntax_per_step) < 0:
             raise InputError("loss weights and iteration counts must be nonnegative")
         if self.eps <= 0:
             raise InputError("eps must be positive")
-        if self.distance not in (KL_SYM, KL_FWD, COSINE):
+        if self.distance not in (KL_SYM, COSINE):
             raise InputError(f"unknown distance kind {self.distance!r}")
         if self.contrastive_form not in (RATIO, SUM):
             raise InputError(f"unknown contrastive form {self.contrastive_form!r}")
@@ -137,7 +131,7 @@ def _check_columns(A, columns):
 def dist(p_map, q_map, kind=KL_SYM, eps=1e-8):
     """Distance between attention maps along the last (pixel) axis.
 
-    KL kinds smooth with eps and normalize to distributions first; cosine
+    KL_SYM smooths with eps and normalizes to distributions first; cosine
     works on the raw maps (and is therefore scale invariant).
     """
     p, q = Tensor._wrap(p_map), Tensor._wrap(q_map)
@@ -157,9 +151,9 @@ def _distance(x, y, kind, eps):
         raise DimensionError(f"maps of shapes {x.shape} and {y.shape} differ")
     if kind == COSINE:
         return _cosine(x, y) + (False,)
-    if kind not in (KL_SYM, KL_FWD):
+    if kind != KL_SYM:
         raise InputError(f"unknown distance kind {kind!r}")
-    return _kl(x, y, kind == KL_SYM, np.asarray(eps, dtype=np.float64)) + (kind == KL_SYM,)
+    return _kl(x, y, np.asarray(eps, dtype=np.float64)) + (True,)
 
 
 _ONE = np.asarray(1.0)
@@ -203,41 +197,33 @@ def _normalized_grad(g, saved):
     return g_te + sum_grad(g_s, -1, te.shape)
 
 
-def _kl(p, q, symmetric, eps):
+def _kl(p, q, eps):
+    """Symmetric KL of the normalized maps; the backward gives (g_q, g_p)."""
     pn, p_saved = _normalized(p, eps)
     qn, q_saved = _normalized(q, eps)
     lp, lq = np.log(pn), np.log(qn)
     d1 = lp + -lq  # Tensor subtraction is `a + (-b)`
     p1 = pn * d1
-    out = p1.sum(axis=-1)
-    finite = [*p_saved, pn, *q_saved, qn, lp, lq, d1, p1]
-    if symmetric:
-        d2 = lq + -lp
-        p2 = qn * d2
-        kl_qp = p2.sum(axis=-1)
-        total = out + kl_qp
-        finite += [out, d2, p2, kl_qp, total]
-        out = total * _HALF
-    check_finite(*finite)
+    kl_pq = p1.sum(axis=-1)
+    d2 = lq + -lp
+    p2 = qn * d2
+    kl_qp = p2.sum(axis=-1)
+    total = kl_pq + kl_qp
+    check_finite(*p_saved, pn, *q_saved, qn, lp, lq, d1, p1, kl_pq, d2, p2, kl_qp, total)
 
     def backward(g):
-        # pn and qn feed three ops each under KL_SYM; their gradients are
-        # added as the composite added them: (first two) + the third.
-        if symmetric:
-            g = g * _HALF
+        # pn and qn feed three ops each; their gradients are added as the
+        # composite added them: (first two) + the third.
+        g = g * _HALF
         g_p1 = sum_grad(g, -1, p1.shape)
         g_d1 = g_p1 * pn
-        g_pn = g_p1 * d1 + g_d1 / pn
-        g_qn = -g_d1 / qn
-        if symmetric:
-            g_p2 = sum_grad(g, -1, p2.shape)
-            g_d2 = g_p2 * qn
-            g_qn = g_qn + g_p2 * d2 + g_d2 / qn
-            g_pn = g_pn + -g_d2 / pn
-        g_p, g_q = _normalized_grad(g_pn, p_saved), _normalized_grad(g_qn, q_saved)
-        return (g_q, g_p) if symmetric else (g_p, g_q)
+        g_p2 = sum_grad(g, -1, p2.shape)
+        g_d2 = g_p2 * qn
+        g_qn = -g_d1 / qn + g_p2 * d2 + g_d2 / qn
+        g_pn = g_p1 * d1 + g_d1 / pn + -g_d2 / pn
+        return _normalized_grad(g_qn, q_saved), _normalized_grad(g_pn, p_saved)
 
-    return out, backward
+    return total * _HALF, backward
 
 
 def _cosine(x, y):
@@ -401,17 +387,15 @@ def loss_bg(A, masks, pairs, include_verbs=True, eps=1e-8):
 
 
 def loss_sp(A, masks, pairs, config):
-    """Weighted spatial constraint: lambda_fg * fg + lambda_bg * bg."""
+    """The spatial constraint: fg + bg."""
     if not pairs.pairs:
         return Tensor(0.0)
     fg, fg_grad = _mass_terms(A.data, masks, pairs, config.apply_spatial_to_verbs,
                               config.eps, False)
     bg, bg_grad = _mass_terms(A.data, masks, pairs, config.apply_spatial_to_verbs,
                               config.eps, True)
-    fg_w, bg_w = fg * config.lambda_fg, bg * config.lambda_bg
-    check_finite(fg, bg, fg_w, bg_w)
-    return _column_node(fg_w + bg_w, lambda g: fg_grad(g * config.lambda_fg)
-                        + bg_grad(g * config.lambda_bg), A)
+    check_finite(fg, bg)
+    return _column_node(fg + bg, lambda g: fg_grad(g) + bg_grad(g), A)
 
 
 # -- syntax contrastive constraint --------------------------------------------
@@ -423,20 +407,19 @@ def loss_pos(A, pair, kind=KL_SYM, eps=1e-8):
     return _column_node(*_mean_dist(A.data, *pair, kind, eps), A)
 
 
-def loss_neg(A, pair, negatives, kind=KL_SYM, eps=1e-8, include_verb=False):
+def loss_neg(A, pair, negatives, kind=KL_SYM, eps=1e-8):
     """Summed frame-mean distance from the noun map to each negative map."""
     if negatives:
-        _check_columns(A, {*pair, *negatives} if include_verb else {pair[0], *negatives})
-    value, backward = _neg(A.data, pair, negatives, kind, eps, include_verb)
+        _check_columns(A, {pair[0], *negatives})
+    value, backward = _neg(A.data, pair[0], negatives, kind, eps)
     return _column_node(value, backward, A) if negatives else Tensor(value)
 
 
-def _neg(Ad, pair, negatives, kind, eps, include_verb):
+def _neg(Ad, noun, negatives, kind, eps):
     if not negatives:
         warnings.warn("empty negative set; loss_neg is 0", stacklevel=3)
         return 0.0, lambda g: []
-    anchors = pair if include_verb else pair[:1]
-    return _sum([_mean_dist(Ad, a, u, kind, eps) for u in sorted(negatives) for a in anchors])
+    return _sum([_mean_dist(Ad, noun, u, kind, eps) for u in sorted(negatives)])
 
 
 def _contrastive(pair, pos, neg, config):
@@ -465,8 +448,7 @@ def loss_syt(A, pairs, config):
     terms = []
     for pair in pairs.pairs:
         pos = _mean_dist(A.data, *pair, config.distance, config.eps)
-        neg = _neg(A.data, pair, pairs.negatives_for(pair), config.distance, config.eps,
-                   config.neg_includes_verb)
+        neg = _neg(A.data, pair[0], pairs.negatives_for(pair), config.distance, config.eps)
         terms.append(_contrastive(pair, pos, neg, config))
     return _column_node(*_sum(terms), A)
 
@@ -511,7 +493,7 @@ def _pairs_to_columns(pairs, columns):
 def prepare_inputs(prompt, priors, config, model):
     """Tokenize, pair, resample, rasterize, and bind masks to noun columns."""
     tokens = tokenize(prompt)
-    pairs = extract_pairs(tokens, config.negatives_exclude_other_pairs)
+    pairs = extract_pairs(tokens)
     text = model.encode_text(tokens)
     column_pairs = _pairs_to_columns(pairs, text.columns)
     if priors.frame_count != model.config.frames:

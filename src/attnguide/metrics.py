@@ -8,6 +8,7 @@ files stay byte-exact without an image dependency.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -32,12 +33,10 @@ def _square_map(ca, token_index, frame):
     return col.reshape(side, side)
 
 
-def count_components(ca, token_index, frame, rel_threshold=0.5):
-    """Count 4-connected components of the map binarized at rel_threshold*max."""
-    if not 0 < rel_threshold < 1:
-        raise ContractError("rel_threshold must lie in (0, 1)")
+def count_components(ca, token_index, frame):
+    """Count 4-connected components of the map binarized at half its max."""
     grid = _square_map(ca, token_index, frame)
-    binary = grid >= rel_threshold * grid.max()
+    binary = grid >= 0.5 * grid.max()
     _, n = ndimage.label(binary)  # default structure is 4-connectivity
     return int(n)
 
@@ -156,20 +155,18 @@ DEFAULT_ABLATION_AXES = {
 }
 
 
-def _variants(axes, base_config, one_at_a_time):
+def _variants(axes, one_at_a_time):
+    """(axis, value, {field: value}) for each variant of the sweep."""
     if not axes:
-        yield "base", "base", base_config, None
-        return
-    if one_at_a_time:
+        yield "base", "base", {}
+    elif one_at_a_time:
         for axis, values in axes.items():
             for v in values:
-                yield axis, v, base_config, {axis: v}
+                yield axis, v, {axis: v}
     else:
-        import itertools
-
         names = list(axes)
         for combo in itertools.product(*(axes[n] for n in names)):
-            yield "+".join(names), str(combo), base_config, dict(zip(names, combo))
+            yield "+".join(names), str(combo), dict(zip(names, combo))
 
 
 def run_ablation(axes, base_config, seeds, prompt, priors, model_factory,
@@ -181,19 +178,15 @@ def run_ablation(axes, base_config, seeds, prompt, priors, model_factory,
     logged reason; rows come out sorted by (axis, value, seed).
     """
     rows = []
-    for axis, value, base, override in _variants(axes, base_config, one_at_a_time):
-        capture = None
-        cfg = base
-        if override:
-            capture = override.pop("ca_capture", None)
-            try:
-                cfg = replace(base, **override)
-            except (InputError, TypeError, ValueError) as exc:
-                if log:
-                    log(f"skipping {axis}={value}: {exc}")
-                continue
+    for axis, value, override in _variants(axes, one_at_a_time):
         try:
-            model = model_factory(capture)
+            cfg = replace(base_config, **{k: v for k, v in override.items() if k != "ca_capture"})
+        except (InputError, TypeError, ValueError) as exc:
+            if log:
+                log(f"skipping {axis}={value}: {exc}")
+            continue
+        try:
+            model = model_factory(override.get("ca_capture"))
         except InputError as exc:
             if log:
                 log(f"skipping {axis}={value}: {exc}")

@@ -113,12 +113,11 @@ def _find_verb(clause, noun_index):
     return None
 
 
-def extract_pairs(tokens, negatives_exclude_other_pairs=False):
+def extract_pairs(tokens):
     """One (noun, verb) pair per "and"-separated clause, with negatives.
 
-    By default U_i is every other token index (a literal reading of "other
-    words"), so members of other pairs repel each other; set
-    ``negatives_exclude_other_pairs`` to drop them from U_i.
+    U_i is every token index outside the pair (a literal reading of "other
+    words"), so members of other pairs repel each other.
     """
     clauses = _split_clauses(tokens)
     pairs = []
@@ -137,9 +136,7 @@ def extract_pairs(tokens, negatives_exclude_other_pairs=False):
         raise ExtractionError("a token index appears in two pairs")
 
     all_indices = {t.index for t in tokens}
-    pair_members = set(used)
     result = SyntaxPairs(pairs=pairs)
     for pair in pairs:
-        excluded = set(pair) | (pair_members if negatives_exclude_other_pairs else set(pair))
-        result.negatives[pair] = frozenset(sorted(all_indices - excluded))
+        result.negatives[pair] = frozenset(sorted(all_indices - set(pair)))
     return result

@@ -20,7 +20,7 @@ import numpy as np
 from attnguide import guidance
 from attnguide.autodiff import Tensor
 from attnguide.errors import ContractError, DegenerateAttentionError, DimensionError
-from attnguide.guidance import COSINE, KL_FWD, KL_SYM, SUM
+from attnguide.guidance import COSINE, KL_SYM, SUM
 
 # -- Tensor ops without a production caller --------------------------------------
 
@@ -116,8 +116,6 @@ def composite_dist(p, q, kind, eps):
     pn = composite_normalize_lastdim(p, eps)
     qn = composite_normalize_lastdim(q, eps)
     kl_pq = (pn * (log(pn) - log(qn))).sum(axis=-1)
-    if kind == KL_FWD:
-        return kl_pq
     kl_qp = (qn * (log(qn) - log(pn))).sum(axis=-1)
     return (kl_pq + kl_qp) * 0.5
 
@@ -175,7 +173,7 @@ def loss_bg(A, masks, pairs, include_verbs=True, eps=1e-8, mass_term=mass_term_n
 def loss_sp(A, masks, pairs, config, mass_term=mass_term_node):
     fg = loss_fg(A, masks, pairs, config.apply_spatial_to_verbs, config.eps, mass_term)
     bg = loss_bg(A, masks, pairs, config.apply_spatial_to_verbs, config.eps, mass_term)
-    return fg * config.lambda_fg + bg * config.lambda_bg
+    return fg + bg
 
 
 # -- the syntax losses ----------------------------------------------------------------
@@ -191,23 +189,20 @@ def _pos(A, pair, kind, eps, dist):
     return mean(dist(take_lastdim(A, i), take_lastdim(A, j), kind, eps))
 
 
-def loss_neg(A, pair, negatives, kind=KL_SYM, eps=1e-8, include_verb=False, dist=dist_node):
+def loss_neg(A, pair, negatives, kind=KL_SYM, eps=1e-8, dist=dist_node):
     if negatives:
-        guidance._check_columns(A, {*pair, *negatives} if include_verb else {pair[0], *negatives})
-    return _neg(A, pair, negatives, kind, eps, include_verb, dist)
+        guidance._check_columns(A, {pair[0], *negatives})
+    return _neg(A, pair[0], negatives, kind, eps, dist)
 
 
-def _neg(A, pair, negatives, kind, eps, include_verb, dist):
+def _neg(A, noun, negatives, kind, eps, dist):
     if not negatives:
         warnings.warn("empty negative set; loss_neg is 0", stacklevel=3)
         return Tensor(0.0)
-    i, j = pair
-    anchors = [i, j] if include_verb else [i]
     acc = None
     for u in sorted(negatives):
-        for a in anchors:
-            d = mean(dist(take_lastdim(A, a), take_lastdim(A, u), kind, eps))
-            acc = d if acc is None else acc + d
+        d = mean(dist(take_lastdim(A, noun), take_lastdim(A, u), kind, eps))
+        acc = d if acc is None else acc + d
     return acc
 
 
@@ -219,8 +214,7 @@ def loss_syt(A, pairs, config, dist=dist_node):
     acc = None
     for pair in pairs.pairs:
         pos = _pos(A, pair, config.distance, config.eps, dist)
-        neg = _neg(A, pair, pairs.negatives_for(pair), config.distance, config.eps,
-                   config.neg_includes_verb, dist)
+        neg = _neg(A, pair[0], pairs.negatives_for(pair), config.distance, config.eps, dist)
         denom = pos + neg
         if config.contrastive_form == SUM:
             term = denom
@@ -260,7 +254,7 @@ def denoise_step(model, z, tau, text, cross_attention=cross_attention_node):
             h, ta = _temporal_block(model, h, P, U)
 
     eps = (h @ model._out).transpose(0, 2, 1).reshape(*z.shape)
-    wanted = cfg.ca_capture.split("+")
+    wanted = cfg.capture_tags
     A_cap = captured[wanted[0]]
     for wname in wanted[1:]:
         A_cap = A_cap + captured[wname]

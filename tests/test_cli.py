@@ -288,16 +288,23 @@ BAD_INPUTS = {
     "model_duplicate_level_tags": ("model", "levels = down:8, down:4, up:8\nca_capture = down\n"),
     "guide_not_a_number": ("guide", "lambda_sp = abc\n"),
     "guide_non_finite": ("guide", "lambda_sp = nan\n"),
-    "guide_bad_boolean": ("guide", "neg_includes_verb = maybe\n"),
+    "guide_bad_boolean": ("guide", "apply_spatial_to_verbs = maybe\n"),
     "guide_zero_total_steps": ("guide", "total_steps = 0\nt1 = 0\nt2 = 0\n"),
     "guide_negative_spatial_iters": ("guide", "iters_spatial_per_step = -3\n"),
     "guide_negative_syntax_iters": ("guide", "iters_syntax_per_step = -1\n"),
+    "guide_duplicate_key": ("guide", "lambda_sp = 0\nlambda_syt = 0\nlambda_sp = 30\n"),
+    **{f"guide_removed_key_{key}": ("guide", f"{key} = {value}\n") for key, value in (
+        ("lambda_fg", "1.0"), ("lambda_bg", "1.0"), ("neg_includes_verb", "false"),
+        ("negatives_exclude_other_pairs", "false"))},
     "grid_not_an_integer": ("grid", "t1 = x\n"),
     "grid_not_utf8": ("grid", b"t1 = 1, \xe9\n"),
+    "grid_duplicate_axis": ("grid", "t1 = 1, 3\nt1 = 5\n"),
     "boxes_string_id": ("boxes", _structured({"id": "0", "name": "man", "box": [0, 0, 9, 9]})),
     "boxes_missing_name": ("boxes", _structured({"id": 0, "box": [0, 0, 9, 9]})),
     "boxes_bad_box_value": ("boxes", _structured({"id": 0, "name": "m", "box": [0, "w", 0, 9]})),
     "boxes_bad_frame_size": ("boxes", _structured(frame_size="wide")),
+    "boxes_zero_frame_size": ("boxes", _structured(frame_size=[0, 0])),
+    "boxes_negative_frame_size": ("boxes", _structured(frame_size=[-576, 320])),
     "boxes_bad_frames": ("boxes", _structured(frames=5)),
     "boxes_not_utf8": ("boxes", b"\xff\xfe" + WOMAN_MAN_BOXES.encode()),
     "prompt_without_pairs": ("prompt", "and"),

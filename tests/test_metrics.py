@@ -96,13 +96,6 @@ class TestCountComponents:
         ca = grid.reshape(1, 16, 1)
         assert count_components(ca, 0, 0) == 2
 
-    def test_threshold_bounds(self):
-        ca = np.ones((1, 16, 1))
-        with pytest.raises(ContractError):
-            count_components(ca, 0, 0, rel_threshold=1.0)
-        with pytest.raises(ContractError):
-            count_components(ca, 0, 0, rel_threshold=0.0)
-
     def test_raw_snapshot_array(self):
         """The [F, N, L] arrays in SamplingResult.ca_records are accepted as-is."""
         res = _small_run()

@@ -17,7 +17,7 @@ from attnguide.boxes import (
     serialize_boxes,
 )
 from attnguide.denoiser import ToyModelConfig
-from attnguide.guidance import COSINE, KL_FWD, KL_SYM, RATIO, SUM, GuidanceConfig
+from attnguide.guidance import COSINE, KL_SYM, RATIO, SUM, GuidanceConfig
 
 backgrounds = st.text(alphabet=string.ascii_letters + " ", min_size=1).map(str.strip).filter(bool)
 
@@ -111,12 +111,10 @@ def guidance_configs(draw):
         total_steps=total, t1=draw(st.integers(0, t2)), t2=t2,
         iters_spatial_per_step=draw(st.integers(0, 100)),
         iters_syntax_per_step=draw(st.integers(0, 100)),
-        lambda_fg=draw(weight), lambda_bg=draw(weight), lambda_sp=draw(weight),
-        lambda_syt=draw(weight), eps=draw(positive),
-        distance=draw(st.sampled_from([KL_SYM, KL_FWD, COSINE])),
+        lambda_sp=draw(weight), lambda_syt=draw(weight), eps=draw(positive),
+        distance=draw(st.sampled_from([KL_SYM, COSINE])),
         contrastive_form=draw(st.sampled_from([RATIO, SUM])),
-        apply_spatial_to_verbs=draw(st.booleans()), neg_includes_verb=draw(st.booleans()),
-        negatives_exclude_other_pairs=draw(st.booleans()),
+        apply_spatial_to_verbs=draw(st.booleans()),
     )
 
 

@@ -55,12 +55,6 @@ def test_literal_negatives_include_other_pairs():
     assert 8 in pairs.negatives_for((1, 3))
 
 
-def test_negatives_can_exclude_other_pairs():
-    toks = tokenize("a man is walking and a dog is running")
-    pairs = extract_pairs(toks, negatives_exclude_other_pairs=True)
-    assert pairs.negatives_for((1, 3)) == frozenset({0, 2, 4, 5, 7})
-
-
 @pytest.mark.parametrize("prompt,k", [
     ("a cat is sitting", 1),
     ("a man is walking and a dog is running", 2),
