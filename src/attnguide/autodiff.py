@@ -10,6 +10,8 @@ auditable.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ContractError, DimensionError, EvaluationError, NumericError
@@ -57,6 +59,25 @@ def check_finite(*arrays):
     for arr in arrays:
         if not np.isfinite(arr).all():
             raise NumericError("tensor contains non-finite values")
+
+
+def trapped(fn):
+    """``fn`` with every overflow, invalid result and division by zero a ``NumericError``.
+
+    The floating-point trap holds whatever the caller's ``np.errstate``, and
+    underflow stays silent, as the softmax needs.  A NaN operand propagates
+    without a trap, so values are checked where they enter (``Tensor``) and
+    where they leave.
+    """
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            try:
+                return fn(*args, **kwargs)
+            except FloatingPointError as exc:
+                raise NumericError(f"{fn.__qualname__}: {exc}") from None
+
+    return run
 
 
 class Tensor:

@@ -184,11 +184,18 @@ def serialize_boxes(prior):
     return "\n".join(lines) + "\n"
 
 
+def _json_int(v):
+    """int(v), except that a fractional number is a ValueError, not truncated."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
 def _int_box(rec):
-    """A JSON record with its box coordinates coerced by int(); _check_record does the rest."""
+    """A JSON record with integral box coordinates as ints; _check_record does the rest."""
     if isinstance(rec, dict) and isinstance(rec.get("box"), list):
         try:
-            return dict(rec, box=[int(v) for v in rec["box"]])
+            return dict(rec, box=[_json_int(v) for v in rec["box"]])
         except (TypeError, ValueError, OverflowError):
             raise BoxParseError(f"box must be four integers, got {rec['box']!r}") from None
     return rec
@@ -203,7 +210,7 @@ def load_structured_boxes(text):
     if not isinstance(obj, dict):
         raise BoxParseError("structured boxes must be a JSON object")
     try:
-        W, H = (int(v) for v in obj["frame_size"])
+        W, H = (_json_int(v) for v in obj["frame_size"])
         frames, background = obj["frames"], obj["background"].strip()
     except KeyError as exc:
         raise BoxParseError(f"missing structured field: {exc}") from None

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .autodiff import trapped
 from .boxes import (
     detect_and_parse,
     rasterize_masks,
@@ -153,6 +154,7 @@ def cmd_generate(args):
     config = _guidance_config(args)
     seed = args.seed if args.seed is not None else 0
     result = run_guided_sampling(args.prompt, prior, config, model, seed)
+    summary = _latent_summary(result)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -165,11 +167,6 @@ def cmd_generate(args):
     (out_dir / "metrics.jsonl").write_text(report.to_jsonl())
     (out_dir / "metrics.txt").write_text(report.table())
 
-    summary = {
-        "final_latent_norm": float(np.sqrt((result.final_state.z ** 2).sum())),
-        "per_step_latent_norm": [float(np.sqrt((z ** 2).sum())) for z in result.z_trajectory],
-        "guidance_records": len(result.trace.records),
-    }
     (out_dir / "latent_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
     np.savez(out_dir / "ca_records.npz",
@@ -190,6 +187,16 @@ def cmd_generate(args):
                     started, extra={"unguided": unguided, "prompt": args.prompt})
     print(f"ok records={len(result.trace.records)} out={out_dir}")
     return EXIT_OK
+
+
+@trapped
+def _latent_summary(result):
+    """The latent norms of a run; one too large for a float is a NumericError."""
+    return {
+        "final_latent_norm": float(np.sqrt((result.final_state.z ** 2).sum())),
+        "per_step_latent_norm": [float(np.sqrt((z ** 2).sum())) for z in result.z_trajectory],
+        "guidance_records": len(result.trace.records),
+    }
 
 
 def cmd_gradcheck(args):
@@ -225,6 +232,8 @@ def cmd_ablate(args):
         raise InputError(f"--seeds wants comma-separated integers, got {args.seeds!r}")
     if min(seeds) < 0:
         raise InputError(f"--seeds must be non-negative, got {args.seeds!r}")
+    if len(set(seeds)) != len(seeds):
+        raise InputError(f"--seeds must not repeat a seed, got {args.seeds!r}")
     base = _guidance_config(args)
 
     mcfg = ToyModelConfig.from_file(args.model_config) if args.model_config \

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .autodiff import Tensor, check_finite, softmax, softmax_grad
+from .autodiff import Tensor, softmax, softmax_grad, trapped
 from .config import read_config
 from .errors import ContractError, DimensionError, InputError
 
@@ -199,26 +199,14 @@ class ToyDenoiser:
     def _cross_attention(self, x, keys, tag):
         """Head-mean A of softmax((x @ wq) @ k * scale): (A, backward(g) -> x's gradient).
 
-        Checks each intermediate but A as it is made; of each head only its
-        softmax map, which the backward needs, outlives the loop.
+        Of each head only its softmax map [F, N, L], which the backward needs,
+        is kept.
         """
         wqs = self._weights[tag]["wq"]
         scale = np.asarray(1.0 / np.sqrt(self._dh))
         mean = np.asarray(1.0 / len(wqs))
-        maps, total = [], None
-        for wq, k in zip(wqs, keys):
-            q = x @ wq.data                          # [F, N, dh]
-            qk = q @ k.data                          # [F, N, L]
-            s = qk * scale
-            check_finite(q, qk, s)
-            m = softmax(s)
-            maps.append(m)
-            if total is None:
-                total = m
-                check_finite(m)
-            else:
-                total = total + m
-                check_finite(m, total)
+        maps = [softmax((x @ wq.data) @ k.data * scale) for wq, k in zip(wqs, keys)]
+        total = sum(maps[1:], maps[0])
 
         def backward(g):
             g = g * mean
@@ -231,6 +219,7 @@ class ToyDenoiser:
 
         return total * mean, backward
 
+    @trapped
     def denoise_step(self, z, tau, text):
         """One UNet-ish evaluation of latent `z` for the `TextEncoding` `text`.
 
@@ -265,12 +254,8 @@ class ToyDenoiser:
                 grads.append((None, grad))
 
         eps = (h @ self._out.data).transpose(0, 2, 1).reshape(z.shape)
-        check_finite(eps)
         wanted = cfg.capture_tags
-        A_cap = captured[wanted[0]]
-        for wname in wanted[1:]:
-            A_cap = A_cap + captured[wname]
-            check_finite(A_cap)
+        A_cap = sum((captured[tag] for tag in wanted[1:]), captured[wanted[0]])
         inv = 1.0 / len(wanted)
 
         def backward(g_A):
@@ -288,18 +273,11 @@ class ToyDenoiser:
         gradient at the input adds the update's part first, as the chain did.
         """
         P, U = self._pool[grid].data, self._unpool[grid].data
-        x = P @ h
-        check_finite(x)
-        out, maps, attention_grad = attention(x)
-        u = U @ out
-        m = u * mix
-        s = h + m
-        made = [u, m, s]
+        out, maps, attention_grad = attention(P @ h)
+        s = h + (U @ out) * mix
         if bias is not None:
             s = s + bias
-            made += [bias, s]
         h_out = np.tanh(s)
-        check_finite(*made, h_out)
         if not keep:
             return h_out, maps, None
 
@@ -320,7 +298,6 @@ class ToyDenoiser:
         """`_block`'s attention at a level: (A @ values, A, backward)."""
         A, ca_grad = self._cross_attention(x, keys, tag)
         out = A @ values
-        check_finite(A, out)
 
         def backward(g_out, g_A):
             if g_out is not None:
@@ -335,17 +312,10 @@ class ToyDenoiser:
         w = self._temporal
         y = x.transpose(1, 0, 2)                      # [N, F, C]
         q = y @ w["wq"].data
-        k = y @ w["wk"].data
-        check_finite(q, k)
-        kt = k.transpose(0, 2, 1)
-        qk = q @ kt
-        logits = qk * w["scale"]
-        check_finite(qk, logits)
-        T_attn = softmax(logits)                      # [N, F, F]
+        kt = (y @ w["wk"].data).transpose(0, 2, 1)
+        T_attn = softmax(q @ kt * w["scale"])         # [N, F, F]
         v = y @ w["wv"].data
-        check_finite(T_attn, v)
         tv = T_attn @ v
-        check_finite(tv)
 
         def backward(g_out, _):
             # T_attn carries no gradient of its own.  y's three gradients add as

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, check_finite, sum_grad
+from .autodiff import Tensor, sum_grad, trapped
 from .boxes import rasterize_masks, resample_frames
 from .config import read_config
 from .denoiser import DDIMSchedule, LatentState, ddim_step
@@ -128,6 +128,7 @@ def _check_columns(A, columns):
     _check_maps(A.data[..., sorted(columns)], axis=-2)
 
 
+@trapped
 def dist(p_map, q_map, kind=KL_SYM, eps=1e-8):
     """Distance between attention maps along the last (pixel) axis.
 
@@ -142,7 +143,7 @@ def dist(p_map, q_map, kind=KL_SYM, eps=1e-8):
 
 
 def _distance(x, y, kind, eps):
-    """`dist` of the arrays x and y: (value, backward, swap), checking all but the value.
+    """`dist` of the arrays x and y: (value, backward, swap).
 
     ``backward(g)`` gives the gradients of (x, y), or of (y, x) if ``swap``:
     the composite's parent order, which fixes the sums upstream.
@@ -207,9 +208,7 @@ def _kl(p, q, eps):
     kl_pq = p1.sum(axis=-1)
     d2 = lq + -lp
     p2 = qn * d2
-    kl_qp = p2.sum(axis=-1)
-    total = kl_pq + kl_qp
-    check_finite(*p_saved, pn, *q_saved, qn, lp, lq, d1, p1, kl_pq, d2, p2, kl_qp, total)
+    total = kl_pq + p2.sum(axis=-1)
 
     def backward(g):
         # pn and qn feed three ops each; their gradients are added as the
@@ -235,7 +234,6 @@ def _cosine(x, y):
     norm = nx * ny
     ratio = dot / norm
     out = _ONE + -ratio
-    check_finite(xy, dot, xx, sx, nx, yy, sy, ny, norm, ratio)
 
     def backward(g):
         g_ratio = -g
@@ -277,22 +275,17 @@ def _column_node(value, backward, A):
 
 
 def _sum(parts):
-    """The left-fold sum of (value, backward) parts, checking each addend first."""
-    value = parts[0][0]
-    for v, _ in parts[1:]:
-        check_finite(value, v)
-        value = value + v
+    """The left-fold sum of (value, backward) parts."""
+    value = sum((v for v, _ in parts[1:]), parts[0][0])
     return value, lambda g: [visit for _, grad in parts for visit in grad(g)]
 
 
 def _mean_dist(Ad, a, b, kind, eps):
     """Frame-mean `dist` between the CA columns a and b of the values `Ad`, as a part."""
     out, grad, swap = _distance(Ad[..., a], Ad[..., b], kind, eps)
-    total = out.sum()
-    check_finite(out, total)
     inv = 1.0 / out.size
     cols = (b, a) if swap else (a, b)
-    return total * inv, lambda g: list(zip(cols, grad(sum_grad(g * inv, None, out.shape))))
+    return out.sum() * inv, lambda g: list(zip(cols, grad(sum_grad(g * inv, None, out.shape))))
 
 
 # -- spatial constraints ------------------------------------------------------
@@ -332,7 +325,6 @@ def _mass_terms(Ad, masks, pairs, include_verbs, eps, outside):
         _mass_term(Ad[..., token], _frame_masks(masks, noun, Ad.shape[:-1]), token, eps, outside)
         for token, noun in _tracked(pairs, include_verbs)
     ])
-    check_finite(value)
     inv = 1.0 / Ad.shape[0]
     return value * inv, lambda g: grad(g * inv)
 
@@ -349,7 +341,6 @@ def _mass_term(c, M, token, eps, outside):
     total = c.sum(axis=1)
     low = np.flatnonzero(total <= eps)
     if low.size:
-        check_finite(total)  # a non-finite total is a NumericError first
         raise DegenerateAttentionError(
             f"token {token} frame {int(low[0])}: total attention mass <= {eps}"
         )
@@ -359,8 +350,6 @@ def _mass_term(c, M, token, eps, outside):
     ratio = mass / total
     base = ratio if outside else _ONE + -ratio
     sq = base ** 2
-    # Each array once: the bg term's `base` is `ratio`; the value is the caller's.
-    check_finite(total, weight, weighted, mass, ratio, *([] if base is ratio else [base]), sq)
 
     def backward(g):
         g_base = 2.0 * base * sum_grad(g, None, sq.shape)
@@ -372,6 +361,7 @@ def _mass_term(c, M, token, eps, outside):
     return sq.sum(), backward
 
 
+@trapped
 def loss_fg(A, masks, pairs, include_verbs=True, eps=1e-8):
     """Squared deficit of in-box attention mass, frame-averaged."""
     if not pairs.pairs:
@@ -379,6 +369,7 @@ def loss_fg(A, masks, pairs, include_verbs=True, eps=1e-8):
     return _column_node(*_mass_terms(A.data, masks, pairs, include_verbs, eps, False), A)
 
 
+@trapped
 def loss_bg(A, masks, pairs, include_verbs=True, eps=1e-8):
     """Squared out-of-box attention mass ratio, frame-averaged."""
     if not pairs.pairs:
@@ -386,6 +377,7 @@ def loss_bg(A, masks, pairs, include_verbs=True, eps=1e-8):
     return _column_node(*_mass_terms(A.data, masks, pairs, include_verbs, eps, True), A)
 
 
+@trapped
 def loss_sp(A, masks, pairs, config):
     """The spatial constraint: fg + bg."""
     if not pairs.pairs:
@@ -394,19 +386,20 @@ def loss_sp(A, masks, pairs, config):
                               config.eps, False)
     bg, bg_grad = _mass_terms(A.data, masks, pairs, config.apply_spatial_to_verbs,
                               config.eps, True)
-    check_finite(fg, bg)
     return _column_node(fg + bg, lambda g: fg_grad(g) + bg_grad(g), A)
 
 
 # -- syntax contrastive constraint --------------------------------------------
 
 
+@trapped
 def loss_pos(A, pair, kind=KL_SYM, eps=1e-8):
     """Frame-mean distance between a pair's noun map and verb map."""
     _check_columns(A, pair)
     return _column_node(*_mean_dist(A.data, *pair, kind, eps), A)
 
 
+@trapped
 def loss_neg(A, pair, negatives, kind=KL_SYM, eps=1e-8):
     """Summed frame-mean distance from the noun map to each negative map."""
     if negatives:
@@ -417,7 +410,7 @@ def loss_neg(A, pair, negatives, kind=KL_SYM, eps=1e-8):
 
 def _neg(Ad, noun, negatives, kind, eps):
     if not negatives:
-        warnings.warn("empty negative set; loss_neg is 0", stacklevel=3)
+        warnings.warn("empty negative set; loss_neg is 0", stacklevel=4)
         return 0.0, lambda g: []
     return _sum([_mean_dist(Ad, noun, u, kind, eps) for u in sorted(negatives)])
 
@@ -425,11 +418,9 @@ def _neg(Ad, noun, negatives, kind, eps):
 def _contrastive(pair, pos, neg, config):
     """A pair's pos / (pos + neg), or pos + neg in SUM form, from its two parts."""
     (pos, pos_grad), (neg, neg_grad) = pos, neg
-    check_finite(pos, neg)
     denom = pos + neg
     if config.contrastive_form == SUM:
         return denom, lambda g: pos_grad(g) + neg_grad(g)
-    check_finite(denom)
     if denom <= config.eps:
         raise DegenerateAttentionError(f"pair {pair}: contrastive denominator <= {config.eps}")
 
@@ -440,6 +431,7 @@ def _contrastive(pair, pos, neg, config):
     return pos / denom, backward
 
 
+@trapped
 def loss_syt(A, pairs, config):
     """Contrastive ratio summed over pairs (or plain sum in SUM form)."""
     if not pairs.pairs:
@@ -456,6 +448,7 @@ def loss_syt(A, pairs, config):
 # -- latent updates -----------------------------------------------------------
 
 
+@trapped
 def guide_latent(state, leaf, loss, lam):
     """One gradient step of size ``lam`` on the latent; returns (new state, gradient norm)."""
     if loss.size != 1:

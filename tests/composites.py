@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from attnguide import guidance
-from attnguide.autodiff import Tensor
+from attnguide.autodiff import Tensor, trapped
 from attnguide.errors import ContractError, DegenerateAttentionError, DimensionError
 from attnguide.guidance import COSINE, KL_SYM, SUM
 
@@ -80,18 +80,24 @@ def in_box_ratio(ca, masks, token_index, frame):
 
 
 # -- the fused pieces as nodes, and their primitive-op forms ----------------------
+#
+# The nodes call private helpers of the package, so they run them under the
+# floating-point trap the public entry points run under.
 
 
+@trapped
 def dist_node(p, q, kind, eps):
     out, backward, swap = guidance._distance(p.data, q.data, kind, eps)
     return Tensor.node(out, (q, p) if swap else (p, q), backward)
 
 
+@trapped
 def mass_term_node(col, M, token, eps, outside):
     out, backward = guidance._mass_term(col.data, M, token, eps, outside)
     return Tensor.node(out, (col,), lambda g: (backward(g)[0][1],))
 
 
+@trapped
 def cross_attention_node(model, x, keys, tag):
     A, backward = model._cross_attention(x.data, keys, tag)
     return Tensor.node(A, (x,), lambda g: (backward(g),))

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from attnguide.autodiff import Tensor, check_finite, finite_diff_check
+from attnguide.autodiff import Tensor, check_finite, finite_diff_check, trapped
 from attnguide.errors import ContractError, DimensionError, NumericError
 
 from composites import exp, log, sqrt, square, take_lastdim, tanh
@@ -149,6 +149,25 @@ class TestFiniteness:
         check_finite(np.ones(2), np.zeros((2, 2)))
         with pytest.raises(NumericError):
             check_finite(np.ones(2), np.array([1.0, np.inf]))
+
+    @pytest.mark.parametrize("op", [
+        lambda: np.full((64, 64), 1e200) @ np.full((64, 64), 1e200),
+        lambda: np.full((8, 64, 16), 1e200) @ np.full((16, 16), 1e200),
+        lambda: np.full(4, 1e308).sum(),
+        lambda: np.log(np.zeros(2)),
+        lambda: np.full(2, np.inf) - np.full(2, np.inf),
+    ], ids=["matmul", "batched_matmul", "sum", "log_zero", "inf_minus_inf"])
+    def test_trap_raises_on_this_build(self, op):
+        """The package checks no intermediate, so a numpy or BLAS build that
+        stops reporting floating-point status must fail here."""
+        with pytest.raises(NumericError, match="encountered in"):
+            trapped(op)()
+
+    def test_trap_ignores_underflow_and_restores_the_callers_state(self):
+        with np.errstate(all="raise"):
+            before = np.geterr()
+            assert trapped(np.exp)(np.array([-1000.0])).tolist() == [0.0]
+            assert np.geterr() == before
 
 
 class TestOwnership:

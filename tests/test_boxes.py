@@ -103,6 +103,24 @@ class TestParse:
         assert detect_and_parse(structured) == prior
         assert detect_and_parse(DOG_CAT_BOXES) == prior
 
+    @staticmethod
+    def one_box_json(frame_size, box):
+        return json.dumps({"frame_size": frame_size, "background": "room",
+                           "frames": [[{"id": 0, "name": "man", "box": box}]]})
+
+    @pytest.mark.parametrize("frame_size,box", [
+        ([576.9, 320], [10, 0, 100, 100]),
+        ([576, 320], [10.7, 0, 100.9, 100]),
+    ], ids=["frame_size", "box"])
+    def test_structured_fractional_number_rejected(self, frame_size, box):
+        with pytest.raises(BoxParseError, match="integer"):
+            load_structured_boxes(self.one_box_json(frame_size, box))
+
+    def test_structured_integral_numbers_load(self):
+        prior = load_structured_boxes(self.one_box_json([576, 320.0], [10.0, 0, 100, 100]))
+        assert (prior.frame_width_px, prior.frame_height_px) == (576, 320)
+        assert prior.trajectories[0].boxes == [[10, 0, 100, 100]]
+
 
 class TestValidate:
     def test_dog_velocity_violation(self):

@@ -200,6 +200,17 @@ class TestGenerate:
         assert len(errors) == 1 and errors[0].startswith("ERROR kind=parse")
         assert not (tmp_path / "run").exists()
 
+    def test_overflowing_latent_is_one_numeric_error(self, tmp_path, small_run_args, capsys,
+                                                     recwarn):
+        """A step size that drives the latent norms past float range writes nothing."""
+        with open(tmp_path / "guide.cfg", "a") as f:
+            f.write("lambda_sp = 1e300\n")
+        assert main(small_run_args("run")) == 3
+        assert capsys.readouterr().out.splitlines() == [
+            "ERROR kind=numeric reason=_latent_summary: overflow encountered in square"]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "run").exists()
+
 
 class TestGradcheck:
     def test_stub_and_losses_pass(self, capsys):
@@ -243,6 +254,12 @@ class TestAblate:
         assert main(["ablate", "--seeds", "a,b", "--out", str(tmp_path / "abl")]) == 2
         errors = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("ERROR")]
         assert len(errors) == 1 and errors[0].startswith("ERROR kind=parse")
+
+    def test_repeated_seeds_rejected(self, tmp_path, capsys):
+        assert main(["ablate", "--seeds", "0,1,0", "--out", str(tmp_path / "abl")]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "ERROR kind=parse reason=--seeds must not repeat a seed, got '0,1,0'"]
+        assert not (tmp_path / "abl").exists()
 
     @pytest.mark.parametrize("bad", ["--seeds", "--boxes", "--model-config", "--config"])
     def test_bad_input_writes_nothing(self, tmp_path, capsys, bad):
@@ -305,6 +322,8 @@ BAD_INPUTS = {
     "boxes_bad_frame_size": ("boxes", _structured(frame_size="wide")),
     "boxes_zero_frame_size": ("boxes", _structured(frame_size=[0, 0])),
     "boxes_negative_frame_size": ("boxes", _structured(frame_size=[-576, 320])),
+    "boxes_fractional_frame_size": ("boxes", _structured(frame_size=[576.9, 320])),
+    "boxes_fractional_box": ("boxes", _structured({"id": 0, "name": "m", "box": [10.7, 0, 9, 9]})),
     "boxes_bad_frames": ("boxes", _structured(frames=5)),
     "boxes_not_utf8": ("boxes", b"\xff\xfe" + WOMAN_MAN_BOXES.encode()),
     "prompt_without_pairs": ("prompt", "and"),

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 import composites
-from attnguide import autodiff, denoiser, guidance
 from attnguide.autodiff import Tensor
 from attnguide.boxes import MaskSet
-from attnguide.denoiser import TextEncoding, ToyDenoiser
+from attnguide.denoiser import LatentState, TextEncoding, ToyDenoiser
 from attnguide.errors import DegenerateAttentionError, NumericError
 from attnguide.guidance import (
     COSINE,
@@ -23,6 +22,7 @@ from attnguide.guidance import (
     RATIO,
     SUM,
     GuidanceConfig,
+    guide_latent,
     loss_bg,
     loss_fg,
     loss_neg,
@@ -434,50 +434,23 @@ def test_column_gradient_signed_zeros_match_chain(include_verbs):
     assert grads[0][0, 0, 0] == 0.0 and np.signbit(grads[0][0, 0, 0]) == (not include_verbs)
 
 
-# -- finiteness checks ------------------------------------------------------------------
+# -- the floating-point trap ------------------------------------------------------------
 
 
-def scanned_buffers(monkeypatch, call, inputs):
-    """The buffers `call` passes to `check_finite`, and how many arrays it passes twice.
+def assert_trapped(call, name=None):
+    """`call` returns (``name`` None) or raises the trap's NumericError naming ``name``.
 
-    A buffer is the memory an array views, so a value and its reshapes,
-    transposes and column takes count once.  The buffers of the ``inputs``
-    Tensors and of the Python numbers `Tensor._wrap` turns into constants
-    do not count: the composite chains scan those, the fused nodes do not.
+    Either way it runs under a caller's ``np.errstate(all="ignore")``, which
+    must neither switch the trap off nor change after the call.
     """
-    arrays, numbers = [], set()
-    check, wrap = autodiff.check_finite, Tensor._wrap
-
-    def recording_check(*arrs):
-        arrays.extend(arrs)
-        check(*arrs)
-
-    def recording_wrap(other):
-        t = wrap(other)
-        if not isinstance(other, (Tensor, np.ndarray)):
-            numbers.add(id(t.data))
-        return t
-
-    with monkeypatch.context() as patch:
-        for module in (autodiff, denoiser, guidance):
-            patch.setattr(module, "check_finite", recording_check)
-        patch.setattr(Tensor, "_wrap", staticmethod(recording_wrap))
-        call()
-    buffers = {buffer(a) for a in arrays} - numbers - {buffer(t.data) for t in inputs}
-    return buffers, len(arrays) - len({id(a) for a in arrays})
-
-
-def buffer(a):
-    while isinstance(getattr(a, "base", None), np.ndarray):
-        a = a.base
-    return id(a)
-
-
-def assert_same_checks(monkeypatch, inputs, fused_call, composite_call):
-    fused, rescans = scanned_buffers(monkeypatch, fused_call, inputs)
-    composite, _ = scanned_buffers(monkeypatch, composite_call, inputs)
-    assert len(fused) == len(composite)
-    assert rescans == 0
+    with np.errstate(all="ignore"):
+        before = np.geterr()
+        if name is None:
+            call()
+        else:
+            with pytest.raises(NumericError, match=f"^{name}: overflow"):
+                call()
+        assert np.geterr() == before
 
 
 @pytest.fixture
@@ -498,20 +471,39 @@ def default_scene():
 
 
 @pytest.mark.parametrize("grad", [False, True], ids=["nograd", "grad"])
-def test_denoise_step_checks_what_the_chain_checked(monkeypatch, default_scene, grad):
+def test_denoise_step_traps(default_scene, grad):
     model, _, _, text, _, z, _ = default_scene
-    leaf = Tensor(z, requires_grad=grad)
-    assert_same_checks(monkeypatch, [leaf], lambda: model.denoise_step(leaf, 0.9, text),
-                       lambda: composites.denoise_step(model, leaf, 0.9, text))
+    assert_trapped(lambda: model.denoise_step(Tensor(z, requires_grad=grad), 0.9, text))
+    assert_trapped(lambda: model.denoise_step(Tensor(np.full_like(z, 1e308), requires_grad=grad),
+                                              0.9, text), "ToyDenoiser.denoise_step")
 
 
-def test_losses_check_what_the_chains_checked(monkeypatch, default_scene):
+def test_losses_trap(default_scene):
     _, config, pairs, _, masks, _, A = default_scene
-    leaf = Tensor(A, requires_grad=True)
-    assert_same_checks(monkeypatch, [leaf], lambda: loss_sp(leaf, masks, pairs, config),
-                       lambda: composites.loss_sp(leaf, masks, pairs, config))
-    assert_same_checks(monkeypatch, [leaf], lambda: loss_syt(leaf, pairs, config),
-                       lambda: composites.loss_syt(leaf, pairs, config))
+    huge = Tensor(np.full_like(A, 1e308), requires_grad=True)
+    for loss, args in ((loss_sp, (masks, pairs, config)), (loss_syt, (pairs, config))):
+        assert_trapped(lambda: loss(Tensor(A, requires_grad=True), *args))
+        assert_trapped(lambda: loss(huge, *args), loss.__name__)
+
+
+def test_guide_latent_traps_the_backward():
+    z = np.ones((1, 1, 2, 2))
+    leaf = Tensor(z, requires_grad=True)
+    loss = Tensor.node(np.asarray(1.0), (leaf,), lambda g: (np.full(z.shape, 1e308) * (g + 1.0),))
+    assert_trapped(lambda: guide_latent(LatentState(z, 0), leaf, loss, 1.0), "guide_latent")
+
+
+@pytest.mark.parametrize("loss", [loss_fg, loss_sp])
+def test_nan_mask_fails_the_exit_check(default_scene, loss):
+    """A NaN operand propagates without a trap; the loss node's own scan catches it."""
+    _, config, pairs, _, masks, _, A = default_scene
+    noun = pairs.pairs[0][0]
+    nan_mask = masks.masks[noun].astype(np.float64)
+    nan_mask[0, 0, 0] = np.nan
+    nan_masks = MaskSet({**masks.masks, noun: nan_mask})
+    args = (nan_masks, pairs, config) if loss is loss_sp else (nan_masks, pairs)
+    with pytest.raises(NumericError, match="non-finite"):
+        loss(Tensor(A, requires_grad=True), *args)
 
 
 @pytest.mark.parametrize("grad", [False, True], ids=["nograd", "grad"])
