@@ -37,15 +37,18 @@ def _unbroadcast(grad, shape):
 
 
 def sum_grad(g, axis, shape):
-    """Gradient of a sum over ``axis`` (None: every axis) spread back to ``shape``."""
-    if axis is not None:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, shape).copy()
+    """Gradient of a sum over ``axis`` (None: every axis) spread back to ``shape``: a copy."""
+    out, unit = np.empty(shape), list(shape)
+    for a in () if axis is None else axis if isinstance(axis, tuple) else (axis,):
+        unit[a] = 1
+    out[...] = g if axis is None else np.reshape(g, unit)
+    return out
 
 
 def softmax(x):
     """Softmax of a float array along its last axis (max-shifted)."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    # The max runs over a copy with that axis first: vectorised across rows.
+    e = np.exp(x - np.moveaxis(x, -1, 0).copy().max(axis=0)[..., None])
     return e / e.sum(axis=-1, keepdims=True)
 
 

@@ -249,6 +249,8 @@ def detect_and_parse(text):
 
 def validate_trajectories(prior, max_step_px=60):
     """Out-of-frame (loading clips boxes), velocity and degenerate-box checks."""
+    if max_step_px < 0:
+        raise InputError(f"max_step_px must be non-negative, got {max_step_px}")
     violations = []
     W, H = prior.frame_width_px, prior.frame_height_px
     for traj in prior.trajectories:

@@ -140,8 +140,6 @@ def cmd_rasterize(args):
 
 def cmd_generate(args):
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    if args.upscale < 1:
-        raise InputError(f"--upscale must be >= 1, got {args.upscale}")
     prior = detect_and_parse(read_text(args.boxes))
     violations = validate_trajectories(prior, max_step_px=args.max_step_px)
     if violations and not args.force:
@@ -151,9 +149,13 @@ def cmd_generate(args):
                      f"{len(violations)} box violations (use --force to proceed)")
 
     model = _model_from_args(args)
+    grid = model.config.capture_grid
+    if not 1 <= args.upscale <= 65535 // grid:  # a heatmap side of 1..65535 px
+        raise InputError(f"--upscale must be 1..{65535 // grid}, got {args.upscale}")
     config = _guidance_config(args)
     seed = args.seed if args.seed is not None else 0
     result = run_guided_sampling(args.prompt, prior, config, model, seed)
+    warnings = prior.load_warnings + result.mask_set.warnings
     summary = _latent_summary(result)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -184,7 +186,9 @@ def cmd_generate(args):
     unguided = config.lambda_sp == 0 and config.lambda_syt == 0
     _write_manifest(out_dir, {"guidance": asdict(config), "model": asdict(model.config)},
                     seed, [args.boxes] + ([args.config] if args.config else []),
-                    started, extra={"unguided": unguided, "prompt": args.prompt})
+                    started, extra=dict(unguided=unguided, prompt=args.prompt, warnings=warnings))
+    for w in warnings:
+        print(f"warning: {w}")
     print(f"ok records={len(result.trace.records)} out={out_dir}")
     return EXIT_OK
 

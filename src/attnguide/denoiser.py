@@ -147,6 +147,8 @@ class ToyDenoiser:
             for g in {g for _, g in cfg.levels}
         }
         self._unpool = {g: Tensor((P.data > 0).astype(np.float64).T) for g, P in self._pool.items()}
+        # Each pixel's cell and pooling weight: U @ out and P.T @ g as one-product gathers.
+        self._cells = {g: (P.data.argmax(0), P.data.max(0)[:, None]) for g, P in self._pool.items()}
         self._weights = {}
         for tag, g in cfg.levels:
             self._weights[tag] = {
@@ -272,9 +274,9 @@ class ToyDenoiser:
         Returns (h, maps, backward(g_h, g_maps) or None without ``keep``); the
         gradient at the input adds the update's part first, as the chain did.
         """
-        P, U = self._pool[grid].data, self._unpool[grid].data
+        P, U, (cell, pw) = self._pool[grid].data, self._unpool[grid].data, self._cells[grid]
         out, maps, attention_grad = attention(P @ h)
-        s = h + (U @ out) * mix
+        s = h + np.take(out, cell, axis=-2) * mix
         if bias is not None:
             s = s + bias
         h_out = np.tanh(s)
@@ -289,7 +291,7 @@ class ToyDenoiser:
             g_x = attention_grad(g_out, g_maps)
             if g_x is None:
                 return g_in
-            g_x = P.T @ g_x
+            g_x = np.take(g_x, cell, axis=-2) * pw
             return g_x if g_in is None else g_in + g_x
 
         return h_out, maps, backward

@@ -9,6 +9,7 @@ steps between scheduler updates.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -138,23 +139,32 @@ def dist(p_map, q_map, kind=KL_SYM, eps=1e-8):
     p, q = Tensor._wrap(p_map), Tensor._wrap(q_map)
     _check_maps(p.data)
     _check_maps(q.data)
-    out, backward, swap = _distance(p.data, q.data, kind, eps)
+    if p.shape != q.shape:
+        raise DimensionError(f"maps of shapes {p.shape} and {q.shape} differ")
+    out, backward, swap = _distances((p.data, q.data), kind, eps)(0, 1)
     return Tensor.node(out, (q, p) if swap else (p, q), backward)
 
 
-def _distance(x, y, kind, eps):
-    """`dist` of the arrays x and y: (value, backward, swap).
+def _distances(maps, kind, eps):
+    """`dist` of the arrays maps[a] and maps[b] as a function of (a, b): (value, backward, swap).
 
-    ``backward(g)`` gives the gradients of (x, y), or of (y, x) if ``swap``:
-    the composite's parent order, which fixes the sums upstream.
+    ``backward(g)`` gives the gradients of (maps[a], maps[b]), or of the two
+    swapped if ``swap``: the composite's parent order, which fixes the sums
+    upstream.  For KL_SYM each map is normalized, and its log taken, once.
     """
-    if x.shape != y.shape:
-        raise DimensionError(f"maps of shapes {x.shape} and {y.shape} differ")
-    if kind == COSINE:
-        return _cosine(x, y) + (False,)
-    if kind != KL_SYM:
-        raise InputError(f"unknown distance kind {kind!r}")
-    return _kl(x, y, np.asarray(eps, dtype=np.float64)) + (True,)
+    @functools.cache
+    def log_normalized(c):
+        n, saved = _normalized(maps[c], eps)
+        return n, saved, np.log(n)
+
+    def distance(a, b):
+        if kind == COSINE:
+            return _cosine(maps[a], maps[b]) + (False,)
+        if kind != KL_SYM:
+            raise InputError(f"unknown distance kind {kind!r}")
+        return _kl(log_normalized(a), log_normalized(b)) + (True,)
+
+    return distance
 
 
 _ONE = np.asarray(1.0)
@@ -198,11 +208,10 @@ def _normalized_grad(g, saved):
     return g_te + sum_grad(g_s, -1, te.shape)
 
 
-def _kl(p, q, eps):
-    """Symmetric KL of the normalized maps; the backward gives (g_q, g_p)."""
-    pn, p_saved = _normalized(p, eps)
-    qn, q_saved = _normalized(q, eps)
-    lp, lq = np.log(pn), np.log(qn)
+def _kl(p, q):
+    """Symmetric KL of two maps given as (normalized, saved values, log), which
+    calls share and none writes to; the backward gives (g_q, g_p)."""
+    (pn, p_saved, lp), (qn, q_saved, lq) = p, q
     d1 = lp + -lq  # Tensor subtraction is `a + (-b)`
     p1 = pn * d1
     kl_pq = p1.sum(axis=-1)
@@ -280,9 +289,9 @@ def _sum(parts):
     return value, lambda g: [visit for _, grad in parts for visit in grad(g)]
 
 
-def _mean_dist(Ad, a, b, kind, eps):
-    """Frame-mean `dist` between the CA columns a and b of the values `Ad`, as a part."""
-    out, grad, swap = _distance(Ad[..., a], Ad[..., b], kind, eps)
+def _mean_dist(distance, a, b):
+    """Frame-mean `distance` (`_distances` of A's columns) between columns a and b, as a part."""
+    out, grad, swap = distance(a, b)
     inv = 1.0 / out.size
     cols = (b, a) if swap else (a, b)
     return out.sum() * inv, lambda g: list(zip(cols, grad(sum_grad(g * inv, None, out.shape))))
@@ -396,7 +405,7 @@ def loss_sp(A, masks, pairs, config):
 def loss_pos(A, pair, kind=KL_SYM, eps=1e-8):
     """Frame-mean distance between a pair's noun map and verb map."""
     _check_columns(A, pair)
-    return _column_node(*_mean_dist(A.data, *pair, kind, eps), A)
+    return _column_node(*_mean_dist(_distances(np.moveaxis(A.data, -1, 0), kind, eps), *pair), A)
 
 
 @trapped
@@ -404,15 +413,16 @@ def loss_neg(A, pair, negatives, kind=KL_SYM, eps=1e-8):
     """Summed frame-mean distance from the noun map to each negative map."""
     if negatives:
         _check_columns(A, {pair[0], *negatives})
-    value, backward = _neg(A.data, pair[0], negatives, kind, eps)
+    distance = _distances(np.moveaxis(A.data, -1, 0), kind, eps)
+    value, backward = _neg(distance, pair[0], negatives)
     return _column_node(value, backward, A) if negatives else Tensor(value)
 
 
-def _neg(Ad, noun, negatives, kind, eps):
+def _neg(distance, noun, negatives):
     if not negatives:
         warnings.warn("empty negative set; loss_neg is 0", stacklevel=4)
         return 0.0, lambda g: []
-    return _sum([_mean_dist(Ad, noun, u, kind, eps) for u in sorted(negatives)])
+    return _sum([_mean_dist(distance, noun, u) for u in sorted(negatives)])
 
 
 def _contrastive(pair, pos, neg, config):
@@ -437,10 +447,10 @@ def loss_syt(A, pairs, config):
     if not pairs.pairs:
         raise ContractError("loss_syt needs at least one noun/verb pair")
     _check_columns(A, {c for pair in pairs.pairs for c in (*pair, *pairs.negatives_for(pair))})
-    terms = []
+    distance, terms = _distances(np.moveaxis(A.data, -1, 0), config.distance, config.eps), []
     for pair in pairs.pairs:
-        pos = _mean_dist(A.data, *pair, config.distance, config.eps)
-        neg = _neg(A.data, pair[0], pairs.negatives_for(pair), config.distance, config.eps)
+        pos = _mean_dist(distance, *pair)
+        neg = _neg(distance, pair[0], pairs.negatives_for(pair))
         terms.append(_contrastive(pair, pos, neg, config))
     return _column_node(*_sum(terms), A)
 

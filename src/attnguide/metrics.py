@@ -57,6 +57,8 @@ def render_heatmap(ca, token_index, frame, out_path, upscale=1):
     if upscale < 1:
         raise ContractError("upscale must be >= 1")
     grid = _square_map(ca, token_index, frame)
+    if grid.shape[0] * upscale > 65535:
+        raise InputError(f"upscale {upscale} makes a heatmap side over 65535 px")
     lo, hi = grid.min(), grid.max()
     if hi > lo:
         img = np.rint((grid - lo) / (hi - lo) * 255.0).astype(np.uint8)

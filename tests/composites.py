@@ -87,7 +87,7 @@ def in_box_ratio(ca, masks, token_index, frame):
 
 @trapped
 def dist_node(p, q, kind, eps):
-    out, backward, swap = guidance._distance(p.data, q.data, kind, eps)
+    out, backward, swap = guidance._distances((p.data, q.data), kind, eps)(0, 1)
     return Tensor.node(out, (q, p) if swap else (p, q), backward)
 
 

@@ -131,6 +131,12 @@ class TestValidate:
         assert velocity[0].subject_id == 0
         assert velocity[0].frame == 7  # the 125px jump into the final frame
 
+    def test_negative_step_limit_rejected(self):
+        prior = parse_llm_boxes(WOMAN_MAN_BOXES)
+        with pytest.raises(InputError, match="max_step_px"):
+            validate_trajectories(prior, max_step_px=-5)
+        assert validate_trajectories(prior, max_step_px=0)  # every move exceeds 0 px
+
     def test_full_frame_static_box_clean(self):
         prior = SpatialPriorSet(
             frame_count=3,

@@ -186,7 +186,8 @@ class TestGenerate:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["unguided"] is True
 
-    @pytest.mark.parametrize("case", ["one_frame_boxes", "zero_upscale"])
+    @pytest.mark.parametrize("case", ["one_frame_boxes", "zero_upscale", "huge_upscale",
+                                      "upscale_past_65535_px"])
     def test_bad_input_writes_nothing(self, tmp_path, small_run_args, capsys, case):
         argv = small_run_args("run")
         if case == "one_frame_boxes":
@@ -194,11 +195,31 @@ class TestGenerate:
             boxes.write_text(WOMAN_MAN_BOXES.split("Frame 2:")[0] + "Background keyword: room\n")
             argv[2] = str(boxes)
         else:
-            argv += ["--upscale", "0"]
+            # The small model's heatmaps are 4 px a side: 4 * 16384 = 65536.
+            argv += ["--upscale", {"zero_upscale": "0", "huge_upscale": "1000000000000",
+                                   "upscale_past_65535_px": "16384"}[case]]
         assert main(argv) == 2
         errors = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("ERROR")]
         assert len(errors) == 1 and errors[0].startswith("ERROR kind=parse")
         assert not (tmp_path / "run").exists()
+
+    def test_prints_and_records_warnings(self, tmp_path, small_run_args, capsys):
+        """A clipped box (load warning); the man's end boxes cover no cell centre at 4x4."""
+        boxes = tmp_path / "clipped.txt"
+        boxes.write_text(WOMAN_MAN_BOXES.replace("[0, 70, 120, 200]", "[-30, 70, 150, 200]"))
+        argv = small_run_args("run")
+        argv[2] = str(boxes)
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        warned = [ln[len("warning: "):] for ln in lines if ln.startswith("warning: ")]
+        assert warned == [
+            "clipped box of subject 0 frame 0: [-30, 70, 150, 200] -> [0, 70, 120, 200]",
+            "all-zero mask for subject 1 frame 0 (box [380, 120, 120, 180] at 4x4)",
+            "all-zero mask for subject 1 frame 1 (box [380, 120, 120, 180] at 4x4)",
+        ]
+        assert lines[-1].startswith("ok records=")
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["warnings"] == warned
 
     def test_overflowing_latent_is_one_numeric_error(self, tmp_path, small_run_args, capsys,
                                                      recwarn):
@@ -327,6 +348,8 @@ BAD_INPUTS = {
     "boxes_bad_frames": ("boxes", _structured(frames=5)),
     "boxes_not_utf8": ("boxes", b"\xff\xfe" + WOMAN_MAN_BOXES.encode()),
     "prompt_without_pairs": ("prompt", "and"),
+    "validate_negative_max_step": ("validate_step", "-5"),
+    "generate_negative_max_step": ("generate_step", "-5"),
 }
 
 
@@ -343,12 +366,16 @@ def test_bad_input_is_one_parse_error(tmp_path, boxes_file, capsys, role, text):
         "grid": ["ablate", "--grid", str(path), "--out", out_dir],
         "boxes": ["parse-boxes", str(path)],
         "prompt": ["parse-prompt", text],
+        "validate_step": ["validate-boxes", boxes_file, "--max-step-px", text],
+        "generate_step": ["generate", TEMPLATE_PROMPT, boxes_file, "--out", out_dir,
+                          "--max-step-px", text],
     }[role]
     assert main(argv) == 2
     captured = capsys.readouterr()
     errors = [ln for ln in captured.out.splitlines() if ln.startswith("ERROR")]
     assert len(errors) == 1 and errors[0].startswith("ERROR kind=parse")
     assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_structured_boxes_with_quote_in_name(tmp_path, capsys):
@@ -376,7 +403,9 @@ class TestRender:
     def test_out_of_range_token_or_frame_rejected(self, tmp_path, small_run_args, capsys):
         assert main(small_run_args("run")) == 0
         capsys.readouterr()
-        for option, index in (("--token", "99"), ("--token", "-1"), ("--frame", "99")):
+        # The heatmaps are 4 px a side, and a side may not pass 65535 px.
+        for option, index in (("--token", "99"), ("--token", "-1"), ("--frame", "99"),
+                              ("--upscale", "16384"), ("--upscale", "1000000000000")):
             out = tmp_path / "x.pgm"
             argv = ["render", str(tmp_path / "run"), "--token", "2", "--step", "12",
                     "--out", str(out), option, index]
@@ -417,4 +446,5 @@ def test_negative_seed_is_one_parse_error(tmp_path, boxes_file, capsys, argv):
     assert len(errors) == 1 and errors[0].startswith("ERROR kind=parse")
     assert "non-negative" in errors[0]
     assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
     assert not (tmp_path / "out").exists()

@@ -158,6 +158,9 @@ class TestRenderHeatmap:
     def test_bad_upscale(self, tmp_path):
         with pytest.raises(ContractError):
             render_heatmap(np.ones((1, 4, 1)), 0, 0, tmp_path / "x.pgm", upscale=0)
+        with pytest.raises(InputError, match="65535"):  # a 2 px map made 65,536 px a side
+            render_heatmap(np.ones((1, 4, 1)), 0, 0, tmp_path / "x.pgm", upscale=32768)
+        assert not (tmp_path / "x.pgm").exists()
 
 
 class TestReport:
