@@ -1,11 +1,10 @@
-"""Minimal dense-tensor arithmetic with reverse-mode differentiation.
+"""Reverse-mode differentiation through a graph of fused nodes.
 
-Tensors carry float64 numpy data and, when an operation involves a node
-with ``requires_grad``, record a dynamic graph that ``backward`` walks in
-reverse topological order.  Broadcasting is deliberately restricted: an
-operand shape must be a suffix of the result shape (scalars included);
-anything richer raises ``DimensionError`` so every gradient rule stays
-auditable.
+A ``Tensor`` carries float64 numpy data, read-only, and is either a leaf or
+a graph node: the result of an operation, built by ``Tensor.node`` with its
+parents and a hand-written backward.  Tensors do no arithmetic of their own;
+each operation works on the arrays and wraps its result.  ``backward`` walks
+the nodes in reverse topological order.
 """
 
 from __future__ import annotations
@@ -14,26 +13,7 @@ import functools
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, EvaluationError, NumericError
-
-
-def _suffix_broadcast_shape(sa, sb):
-    """Result shape if one operand shape is a suffix of the other."""
-    if len(sa) < len(sb):
-        sa, sb = sb, sa
-    if sb == () or sb == sa[len(sa) - len(sb):]:
-        return sa
-    raise DimensionError(
-        f"shapes {sa} and {sb} do not broadcast (suffix rule only)"
-    )
-
-
-def _unbroadcast(grad, shape):
-    """Sum `grad` over the leading axes a suffix-broadcast introduced."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    return grad.reshape(shape)
+from .errors import ContractError, EvaluationError, NumericError
 
 
 def sum_grad(g, axis, shape):
@@ -84,7 +64,7 @@ def trapped(fn):
 
 
 class Tensor:
-    """Immutable float64 tensor, optionally a node in the autodiff graph."""
+    """Immutable float64 array: a leaf, or a node of the autodiff graph."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
@@ -125,8 +105,8 @@ class Tensor:
     def _wrap(other):
         return other if isinstance(other, Tensor) else Tensor(other)
 
-    @staticmethod
-    def node(data, parents, backward):
+    @classmethod
+    def node(cls, data, parents, backward):
         """Wrap the fresh result ``data`` of an operation on ``parents``.
 
         ``data`` is marked read-only and kept, not copied, so it must be an
@@ -134,113 +114,14 @@ class Tensor:
         gradient of the result to a tuple with one entry per parent: its
         gradient, or None for a parent without ``requires_grad``.  The result
         is a graph node when some parent requires a gradient, otherwise a
-        constant.  Fused operations build their nodes through this too.
+        constant.  Every operation builds its result through this.
         """
         data = np.asarray(data)
         data.flags.writeable = False
         for p in parents:
             if p.requires_grad:
-                return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
-        return Tensor(data)
-
-    # -- elementwise ------------------------------------------------------
-
-    def _elementwise(self, other, result, grad_a, grad_b):
-        """``result(a, b)`` of the operands' arrays, whose gradients are ``grad_*(g, a, b)``."""
-        a, b = self, self._wrap(other)
-        _suffix_broadcast_shape(a.shape, b.shape)
-
-        def backward(g):
-            return (_unbroadcast(grad_a(g, a.data, b.data), a.shape) if a.requires_grad else None,
-                    _unbroadcast(grad_b(g, a.data, b.data), b.shape) if b.requires_grad else None)
-
-        return self.node(result(a.data, b.data), (a, b), backward)
-
-    def __add__(self, other):
-        return self._elementwise(other, np.add, lambda g, a, b: g, lambda g, a, b: g)
-
-    def __mul__(self, other):
-        return self._elementwise(other, np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
-
-    def __truediv__(self, other):
-        return self._elementwise(other, np.divide, lambda g, a, b: g / b,
-                                 lambda g, a, b: -g * a / (b * b))
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __neg__(self):
-        return self.node(-self.data, (self,), lambda g: (-g,))
-
-    def __sub__(self, other):
-        return self + (-self._wrap(other))
-
-    def __rsub__(self, other):
-        return self._wrap(other) + (-self)
-
-    def __rtruediv__(self, other):
-        return self._wrap(other) / self
-
-    # -- shape ops ---------------------------------------------------------
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        src = self.shape
-        return self.node(
-            self.data.reshape(shape), (self,), lambda g: (g.reshape(src),)
-        )
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        inv = np.argsort(axes)
-        return self.node(
-            self.data.transpose(axes), (self,), lambda g: (g.transpose(inv),)
-        )
-
-    def sum(self, axis=None, keepdims=False):
-        out = self.data.sum(axis=axis, keepdims=keepdims)
-        src_shape = self.shape
-        return self.node(
-            out, (self,), lambda g: (sum_grad(g, None if keepdims else axis, src_shape),)
-        )
-
-    # -- linear algebra -----------------------------------------------------
-
-    def matmul(self, other):
-        other = self._wrap(other)
-        a, b = self, other
-        if a.data.ndim < 2 or b.data.ndim < 2:
-            raise DimensionError(
-                f"matmul needs ndim >= 2 operands, got {a.shape} and {b.shape}"
-            )
-        if a.shape[-1] != b.shape[-2]:
-            raise DimensionError(
-                f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
-            )
-        try:
-            out = np.matmul(a.data, b.data)
-        except ValueError as exc:
-            raise DimensionError(
-                f"matmul batch dimensions disagree: {a.shape} x {b.shape}"
-            ) from exc
-
-        def backward(g):
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape) \
-                if a.requires_grad else None
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape) \
-                if b.requires_grad else None
-            return ga, gb
-
-        return self.node(out, (a, b), backward)
-
-    __matmul__ = matmul
-
-    def softmax_lastdim(self):
-        if self.data.ndim < 1 or self.shape[-1] < 1:
-            raise DimensionError(f"softmax needs a non-empty last dim, got {self.shape}")
-        out = softmax(self.data)
-        return self.node(out, (self,), lambda g: (softmax_grad(out, g),))
+                return cls(data, requires_grad=True, _parents=parents, _backward=backward)
+        return cls(data)
 
     # -- reverse pass --------------------------------------------------------
 

@@ -29,6 +29,7 @@ from .gradcheck import gradcheck_suites
 from .guidance import GuidanceConfig, GuidanceError, run_guided_sampling
 from .metrics import (
     DEFAULT_ABLATION_AXES,
+    AblationInterrupted,
     MetricsReport,
     render_heatmap,
     run_ablation,
@@ -258,9 +259,8 @@ def cmd_ablate(args):
     try:
         report = run_ablation(axes, base, seeds, args.prompt, prior, model_factory,
                               one_at_a_time=not args.cartesian, log=print)
-    except KeyboardInterrupt:
-        complete = False
-        report = MetricsReport()
+    except AblationInterrupted as exc:
+        complete, report = False, exc.report
     (out_dir / "ablation.jsonl").write_text(report.to_jsonl())
     (out_dir / "ablation.txt").write_text(report.table())
     _write_manifest(out_dir, {"axes": {k: [str(v) for v in vs] for k, vs in axes.items()}},

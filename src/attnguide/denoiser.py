@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .autodiff import Tensor, softmax, softmax_grad, trapped
+from .autodiff import Tensor, check_finite, softmax, softmax_grad, trapped
 from .config import read_config
 from .errors import ContractError, DimensionError, InputError
 
@@ -82,7 +82,7 @@ class LatentState:
 
 @dataclass
 class TextEncoding:
-    emb: Tensor  # [token_budget, embed_dim]
+    emb: np.ndarray  # [token_budget, embed_dim]
     keys_values: dict  # level tag -> (per-head keys [dh, L], values [L, C])
     columns: dict  # prompt token index -> CA column
 
@@ -142,30 +142,27 @@ class ToyDenoiser:
         C, d, heads = cfg.latent_channels, cfg.embed_dim, cfg.heads
         dh = max(d // heads, 1)
         self._dh = dh
-        self._pool = {
-            g: Tensor(_pool_matrix(g, cfg.latent_h, cfg.latent_w))
-            for g in {g for _, g in cfg.levels}
-        }
-        self._unpool = {g: Tensor((P.data > 0).astype(np.float64).T) for g, P in self._pool.items()}
+        self._pool = {g: _pool_matrix(g, cfg.latent_h, cfg.latent_w) for _, g in cfg.levels}
+        self._unpool = {g: (P > 0).astype(np.float64).T for g, P in self._pool.items()}
         # Each pixel's cell and pooling weight: U @ out and P.T @ g as one-product gathers.
-        self._cells = {g: (P.data.argmax(0), P.data.max(0)[:, None]) for g, P in self._pool.items()}
+        self._cells = {g: (P.argmax(0), P.max(0)[:, None]) for g, P in self._pool.items()}
         self._weights = {}
         for tag, g in cfg.levels:
             self._weights[tag] = {
-                "wq": [Tensor(rng.normal(0, 1.0, (C, dh))) for _ in range(heads)],
-                "wk": [Tensor(rng.normal(0, 1.0, (d, dh))) for _ in range(heads)],
-                "wv": Tensor(rng.normal(0, 1.0 / np.sqrt(d), (d, C))),
+                "wq": [rng.normal(0, 1.0, (C, dh)) for _ in range(heads)],
+                "wk": [rng.normal(0, 1.0, (d, dh)) for _ in range(heads)],
+                "wv": rng.normal(0, 1.0 / np.sqrt(d), (d, C)),
                 "mix": 0.5,
-                "tau_bias": Tensor(rng.normal(0, 0.1, (C,))),
+                "tau_bias": rng.normal(0, 0.1, (C,)),
             }
         dt = max(C, 2)
         self._temporal = {
-            "wq": Tensor(rng.normal(0, 1.0, (C, dt))),
-            "wk": Tensor(rng.normal(0, 1.0, (C, dt))),
-            "wv": Tensor(rng.normal(0, 1.0 / np.sqrt(C), (C, C))),
+            "wq": rng.normal(0, 1.0, (C, dt)),
+            "wk": rng.normal(0, 1.0, (C, dt)),
+            "wv": rng.normal(0, 1.0 / np.sqrt(C), (C, C)),
             "scale": 1.0 / np.sqrt(dt),
         }
-        self._out = Tensor(rng.normal(0, 1.0 / np.sqrt(C), (C, C)))
+        self._out = rng.normal(0, 1.0 / np.sqrt(C), (C, C))
 
     # -- text ---------------------------------------------------------------
 
@@ -186,17 +183,17 @@ class ToyDenoiser:
             rows.append(_token_embedding(w, cfg.embed_dim, seed))
         rows.append(_token_embedding(END, cfg.embed_dim, seed))
         rows += [_token_embedding(PAD, cfg.embed_dim, seed)] * (cfg.token_budget - len(rows))
-        emb = Tensor(np.stack(rows))
+        emb = np.stack(rows)
         return TextEncoding(emb, self._keys_values(emb), columns)
 
     # -- forward ------------------------------------------------------------
 
     def _keys_values(self, emb):
-        """Per level: the text keys [dh, L] of each head and the values [L, C]."""
-        return {
-            tag: ([(emb @ wk).transpose(1, 0) for wk in w["wk"]], emb @ w["wv"])
-            for tag, w in self._weights.items()
-        }
+        """Per level: the text keys [dh, L] of each head and the values [L, C], all finite."""
+        kv = {tag: ([(emb @ wk).T for wk in w["wk"]], emb @ w["wv"])
+              for tag, w in self._weights.items()}
+        check_finite(*(a for keys, values in kv.values() for a in (*keys, values)))
+        return kv
 
     def _cross_attention(self, x, keys, tag):
         """Head-mean A of softmax((x @ wq) @ k * scale): (A, backward(g) -> x's gradient).
@@ -207,15 +204,15 @@ class ToyDenoiser:
         wqs = self._weights[tag]["wq"]
         scale = np.asarray(1.0 / np.sqrt(self._dh))
         mean = np.asarray(1.0 / len(wqs))
-        maps = [softmax((x @ wq.data) @ k.data * scale) for wq, k in zip(wqs, keys)]
+        maps = [softmax((x @ wq) @ k * scale) for wq, k in zip(wqs, keys)]
         total = sum(maps[1:], maps[0])
 
         def backward(g):
             g = g * mean
             gx = None
             for wq, k, m in zip(wqs, keys, maps):
-                g_q = (softmax_grad(m, g) * scale) @ np.swapaxes(k.data, -1, -2)
-                g_xh = g_q @ np.swapaxes(wq.data, -1, -2)
+                g_q = (softmax_grad(m, g) * scale) @ np.swapaxes(k, -1, -2)
+                g_xh = g_q @ np.swapaxes(wq, -1, -2)
                 gx = g_xh if gx is None else gx + g_xh
             return gx
 
@@ -246,16 +243,16 @@ class ToyDenoiser:
         for tag, g in cfg.levels:
             keys, values = text.keys_values[tag]
             w = self._weights[tag]
-            attention = partial(self._level_attention, keys, values.data, tag)
+            attention = partial(self._level_attention, keys, values, tag)
             h, captured[tag], grad = self._block(h, g, attention, w["mix"],
-                                                 w["tau_bias"].data * tau, z.requires_grad)
+                                                 w["tau_bias"] * tau, z.requires_grad)
             grads.append((tag, grad))
             if tag == "mid":
                 h, ta, grad = self._block(h, g, self._temporal_attention, 0.5, None,
                                           z.requires_grad)
                 grads.append((None, grad))
 
-        eps = (h @ self._out.data).transpose(0, 2, 1).reshape(z.shape)
+        eps = (h @ self._out).transpose(0, 2, 1).reshape(z.shape)
         wanted = cfg.capture_tags
         A_cap = sum((captured[tag] for tag in wanted[1:]), captured[wanted[0]])
         inv = 1.0 / len(wanted)
@@ -274,7 +271,7 @@ class ToyDenoiser:
         Returns (h, maps, backward(g_h, g_maps) or None without ``keep``); the
         gradient at the input adds the update's part first, as the chain did.
         """
-        P, U, (cell, pw) = self._pool[grid].data, self._unpool[grid].data, self._cells[grid]
+        P, U, (cell, pw) = self._pool[grid], self._unpool[grid], self._cells[grid]
         out, maps, attention_grad = attention(P @ h)
         s = h + np.take(out, cell, axis=-2) * mix
         if bias is not None:
@@ -313,10 +310,10 @@ class ToyDenoiser:
         """`_block`'s attention of each pixel over the frames: (out, T_attn, backward)."""
         w = self._temporal
         y = x.transpose(1, 0, 2)                      # [N, F, C]
-        q = y @ w["wq"].data
-        kt = (y @ w["wk"].data).transpose(0, 2, 1)
+        q = y @ w["wq"]
+        kt = (y @ w["wk"]).transpose(0, 2, 1)
         T_attn = softmax(q @ kt * w["scale"])         # [N, F, F]
-        v = y @ w["wv"].data
+        v = y @ w["wv"]
         tv = T_attn @ v
 
         def backward(g_out, _):
@@ -326,9 +323,9 @@ class ToyDenoiser:
                 return None
             g_tv = g_out.transpose(1, 0, 2)
             g_qk = softmax_grad(T_attn, g_tv @ np.swapaxes(v, -1, -2)) * w["scale"]
-            g_yv = (np.swapaxes(T_attn, -1, -2) @ g_tv) @ w["wv"].data.T
-            g_y = ((g_qk @ np.swapaxes(kt, -1, -2)) @ w["wq"].data.T
-                   + (np.swapaxes(q, -1, -2) @ g_qk).transpose(0, 2, 1) @ w["wk"].data.T)
+            g_yv = (np.swapaxes(T_attn, -1, -2) @ g_tv) @ w["wv"].T
+            g_y = ((g_qk @ np.swapaxes(kt, -1, -2)) @ w["wq"].T
+                   + (np.swapaxes(q, -1, -2) @ g_qk).transpose(0, 2, 1) @ w["wk"].T)
             return (g_y + g_yv).transpose(1, 0, 2)
 
         return tv.transpose(1, 0, 2), T_attn, backward
@@ -344,21 +341,42 @@ class LinearAttentionStub:
     def __init__(self, config=None, weights=None, bias=None, seed=1):
         self.config = config or ToyModelConfig()
         cfg = self.config
-        self._P = Tensor(_pool_matrix(cfg.capture_grid, cfg.latent_h, cfg.latent_w))
+        self._P = _pool_matrix(cfg.capture_grid, cfg.latent_h, cfg.latent_w)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x57AB]))
-        if weights is None:
-            weights = rng.normal(0, 1.0, (cfg.latent_channels, cfg.token_budget))
-        if bias is None:
-            bias = np.zeros(cfg.token_budget)
-        self.weights = Tensor(weights)
-        self.bias = Tensor(bias)
+        shape = (cfg.latent_channels, cfg.token_budget)
+        self.weights = _parameter(rng.normal(0, 1.0, shape) if weights is None else weights,
+                                  shape, "weights")
+        self.bias = _parameter(np.zeros(shape[1]) if bias is None else bias, shape[1:], "bias")
 
     def ca_from_latent(self, z):
-        return self.logits_from_latent(z).softmax_lastdim()
+        """CA maps [F, N, L]: the softmax of the logits, one node on the latent."""
+        z, logits, backward = self._logits(z)
+        out = softmax(logits)
+        return Tensor.node(out, (z,), lambda g: backward(softmax_grad(out, g)))
 
     def logits_from_latent(self, z):
         """Affine attention logits [F, N, L] of the pooled latent."""
+        z, logits, backward = self._logits(z)
+        return Tensor.node(logits, (z,), backward)
+
+    def _logits(self, z):
+        """(z as a Tensor, the logits, backward(g) -> (z's gradient,))."""
         z = Tensor._wrap(z)
         cfg = self.config
-        h = z.reshape(cfg.frames, cfg.latent_channels, cfg.latent_h * cfg.latent_w)
-        return (self._P @ h.transpose(0, 2, 1)) @ self.weights + self.bias
+        h = z.data.reshape(cfg.frames, cfg.latent_channels, cfg.latent_h * cfg.latent_w)
+        logits = (self._P @ h.transpose(0, 2, 1)) @ self.weights + self.bias
+
+        def backward(g):
+            g_h = self._P.T @ (g @ self.weights.T)
+            return (g_h.transpose(0, 2, 1).reshape(z.shape),)
+
+        return z, logits, backward
+
+
+def _parameter(values, shape, name):
+    """A float64 copy of a caller's stub parameter, which must be finite and of ``shape``."""
+    arr = np.array(values, dtype=np.float64)
+    if arr.shape != shape:
+        raise DimensionError(f"stub {name} of shape {arr.shape}, expected {shape}")
+    check_finite(arr)
+    return arr

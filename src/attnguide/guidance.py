@@ -494,15 +494,18 @@ def _pairs_to_columns(pairs, columns):
 
 
 def prepare_inputs(prompt, priors, config, model):
-    """Tokenize, pair, resample, rasterize, and bind masks to noun columns."""
+    """Tokenize, pair, resample (warning first), rasterize, and bind masks to noun columns."""
     tokens = tokenize(prompt)
     pairs = extract_pairs(tokens)
     text = model.encode_text(tokens)
     column_pairs = _pairs_to_columns(pairs, text.columns)
-    if priors.frame_count != model.config.frames:
-        priors = resample_frames(priors, model.config.frames)
+    frames, resampled = model.config.frames, []
+    if priors.frame_count != frames:
+        resampled.append(f"resampled {priors.frame_count} box frames to {frames} model frames")
+        priors = resample_frames(priors, frames)
     grid = model.config.capture_grid
     raw_masks = rasterize_masks(priors, grid, grid)
+    raw_masks.warnings[:0] = resampled
     if len(priors.trajectories) != len(column_pairs.pairs):
         raise InputError(
             f"{len(priors.trajectories)} box trajectories for "

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ContractError, InputError
-from .guidance import KL_SYM, dist, in_box_ratios, run_guided_sampling
+from .guidance import KL_SYM, GuidanceError, dist, in_box_ratios, run_guided_sampling
 
 
 def _square_map(ca, token_index, frame):
@@ -171,36 +171,51 @@ def _variants(axes, one_at_a_time):
             yield "+".join(names), str(combo), dict(zip(names, combo))
 
 
+class AblationInterrupted(KeyboardInterrupt):
+    """An interrupted sweep; ``report`` holds the rows finished before it."""
+
+    def __init__(self, report):
+        super().__init__()
+        self.report = report
+
+
 def run_ablation(axes, base_config, seeds, prompt, priors, model_factory,
                  one_at_a_time=True, log=None):
     """Sweep guidance-config axes, one run per (variant, seed).
 
     ``ca_capture`` is a model axis, so ``model_factory(ca_capture)`` builds
     the denoiser per variant.  Invalid combinations are skipped with a
-    logged reason; rows come out sorted by (axis, value, seed).
+    logged reason, and a run whose guidance fails is a logged row with its
+    ``error``; rows come out sorted by (axis, value, seed).  An interrupt
+    raises ``AblationInterrupted`` with the rows finished so far.
     """
-    rows = []
-    for axis, value, override in _variants(axes, one_at_a_time):
-        try:
-            cfg = replace(base_config, **{k: v for k, v in override.items() if k != "ca_capture"})
-        except (InputError, TypeError, ValueError) as exc:
-            if log:
+    log = log or (lambda message: None)
+    report = MetricsReport(config_echo={
+        "axes": {k: [str(v) for v in vals] for k, vals in axes.items()},
+        "seeds": list(seeds), "one_at_a_time": one_at_a_time})
+    try:
+        for axis, value, override in _variants(axes, one_at_a_time):
+            try:
+                cfg = replace(base_config,
+                              **{k: v for k, v in override.items() if k != "ca_capture"})
+            except (InputError, TypeError, ValueError) as exc:
                 log(f"skipping {axis}={value}: {exc}")
-            continue
-        try:
-            model = model_factory(override.get("ca_capture"))
-        except InputError as exc:
-            if log:
+                continue
+            try:
+                model = model_factory(override.get("ca_capture"))
+            except InputError as exc:
                 log(f"skipping {axis}={value}: {exc}")
-            continue
-        for seed in seeds:
-            result = run_guided_sampling(prompt, priors, cfg, model, seed)
-            row = {"axis": axis, "value": str(value), "seed": seed}
-            row.update(summarize_run(result))
-            rows.append(row)
-    rows.sort(key=lambda r: (r["axis"], r["value"], r["seed"]))
-    report = MetricsReport(rows=rows)
-    report.config_echo = {"axes": {k: [str(v) for v in vals] for k, vals in axes.items()},
-                          "seeds": list(seeds),
-                          "one_at_a_time": one_at_a_time}
+                continue
+            for seed in seeds:
+                row = {"axis": axis, "value": str(value), "seed": seed}
+                try:
+                    row.update(summarize_run(run_guided_sampling(prompt, priors, cfg, model, seed)))
+                except GuidanceError as exc:
+                    log(f"failed {axis}={value} seed={seed}: {exc}")
+                    row["error"] = str(exc)
+                report.add_row(**row)
+    except KeyboardInterrupt:
+        raise AblationInterrupted(report) from None
+    finally:
+        report.rows.sort(key=lambda r: (r["axis"], r["value"], r["seed"]))
     return report

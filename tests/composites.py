@@ -8,9 +8,10 @@ node per take, sum, product and mean, around the fused distance, mass-term
 and cross-attention nodes (the defaults) or around the primitive-op forms of
 those (`composite_dist`, `composite_mass_term`, `composite_cross_attention`).
 
-The Tensor ops that only these references use live here as functions built
-with `Tensor.node`, as does `in_box_ratio`, the one-frame reference for
-`in_box_ratios`.
+The chains are built from `RefTensor` (`reftensor.py`), the Tensor with the
+array ops the package no longer has.  The ops without an operator or method
+there live here as functions built with `RefTensor.node`, as does
+`in_box_ratio`, the one-frame reference for `in_box_ratios`.
 """
 
 import warnings
@@ -18,39 +19,41 @@ import warnings
 import numpy as np
 
 from attnguide import guidance
-from attnguide.autodiff import Tensor, trapped
+from attnguide.autodiff import trapped
 from attnguide.errors import ContractError, DegenerateAttentionError, DimensionError
 from attnguide.guidance import COSINE, KL_SYM, SUM
 
-# -- Tensor ops without a production caller --------------------------------------
+from reftensor import RefTensor, ref
+
+# -- ops without an operator or method ---------------------------------------------
 
 
 def square(x):
-    return Tensor.node(x.data ** 2, (x,), lambda g: (2.0 * x.data * g,))
+    return RefTensor.node(x.data ** 2, (x,), lambda g: (2.0 * x.data * g,))
 
 
 def log(x):
-    return Tensor.node(np.log(x.data), (x,), lambda g: (g / x.data,))
+    return RefTensor.node(np.log(x.data), (x,), lambda g: (g / x.data,))
 
 
 def exp(x):
     out = np.exp(x.data)
-    return Tensor.node(out, (x,), lambda g: (g * out,))
+    return RefTensor.node(out, (x,), lambda g: (g * out,))
 
 
 def sqrt(x):
     out = np.sqrt(x.data)
-    return Tensor.node(out, (x,), lambda g: (g * 0.5 / out,))
+    return RefTensor.node(out, (x,), lambda g: (g * 0.5 / out,))
 
 
 def tanh(x):
     out = np.tanh(x.data)
-    return Tensor.node(out, (x,), lambda g: (g * (1.0 - out * out),))
+    return RefTensor.node(out, (x,), lambda g: (g * (1.0 - out * out),))
 
 
 def mean(x, axis=None, keepdims=False):
     n = x.size if axis is None else x.shape[axis]
-    return x.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+    return ref(x).sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
 def take_lastdim(x, index):
@@ -64,7 +67,7 @@ def take_lastdim(x, index):
         full[..., index] = g
         return (full,)
 
-    return Tensor.node(x.data[..., index], (x,), backward)
+    return RefTensor.node(x.data[..., index], (x,), backward)
 
 
 def in_box_ratio(ca, masks, token_index, frame):
@@ -88,19 +91,19 @@ def in_box_ratio(ca, masks, token_index, frame):
 @trapped
 def dist_node(p, q, kind, eps):
     out, backward, swap = guidance._distances((p.data, q.data), kind, eps)(0, 1)
-    return Tensor.node(out, (q, p) if swap else (p, q), backward)
+    return RefTensor.node(out, (q, p) if swap else (p, q), backward)
 
 
 @trapped
 def mass_term_node(col, M, token, eps, outside):
     out, backward = guidance._mass_term(col.data, M, token, eps, outside)
-    return Tensor.node(out, (col,), lambda g: (backward(g)[0][1],))
+    return RefTensor.node(out, (col,), lambda g: (backward(g)[0][1],))
 
 
 @trapped
 def cross_attention_node(model, x, keys, tag):
     A, backward = model._cross_attention(x.data, keys, tag)
-    return Tensor.node(A, (x,), lambda g: (backward(g),))
+    return RefTensor.node(A, (x,), lambda g: (backward(g),))
 
 
 def composite_normalize_lastdim(t, eps):
@@ -164,7 +167,7 @@ def _mass_terms(A, masks, pairs, include_verbs, eps, outside, mass_term):
         term = mass_term(col, guidance._frame_masks(masks, noun, col.shape), token, eps, outside)
         acc = term if acc is None else acc + term
     if acc is None:
-        return Tensor(0.0)
+        return RefTensor(0.0)
     return acc * (1.0 / F)
 
 
@@ -204,7 +207,7 @@ def loss_neg(A, pair, negatives, kind=KL_SYM, eps=1e-8, dist=dist_node):
 def _neg(A, noun, negatives, kind, eps, dist):
     if not negatives:
         warnings.warn("empty negative set; loss_neg is 0", stacklevel=3)
-        return Tensor(0.0)
+        return RefTensor(0.0)
     acc = None
     for u in sorted(negatives):
         d = mean(dist(take_lastdim(A, noun), take_lastdim(A, u), kind, eps))
@@ -242,13 +245,13 @@ def denoise_step(model, z, tau, text, cross_attention=cross_attention_node):
     cfg = model.config
     if not 0 <= tau < 1:
         raise ContractError(f"schedule progress {tau} outside [0, 1)")
-    z = Tensor._wrap(z)
+    z = RefTensor._wrap(z)
     F, C = cfg.frames, cfg.latent_channels
     HW = cfg.latent_h * cfg.latent_w
     h = z.reshape(F, C, HW).transpose(0, 2, 1)   # [F, HW, C]
     captured, ta = {}, None
     for tag, g in cfg.levels:
-        P, U = model._pool[g], model._unpool[g]
+        P, U = RefTensor(model._pool[g]), RefTensor(model._unpool[g])
         x = P @ h                                 # [F, g*g, C]
         keys, values = text.keys_values[tag]
         A = cross_attention(model, x, keys, tag)

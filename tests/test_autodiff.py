@@ -3,79 +3,81 @@ import warnings
 import numpy as np
 import pytest
 
+from attnguide import autodiff
 from attnguide.autodiff import Tensor, check_finite, finite_diff_check, trapped
 from attnguide.errors import ContractError, DimensionError, NumericError
 
 from composites import exp, log, sqrt, square, take_lastdim, tanh
+from reftensor import RefTensor, ref
 
 
 class TestMatmul:
     def test_identity_left(self):
-        eye = Tensor(np.eye(2))
-        m = Tensor([[7.0, -1.0], [2.5, 4.0]])
+        eye = RefTensor(np.eye(2))
+        m = RefTensor([[7.0, -1.0], [2.5, 4.0]])
         assert np.array_equal((eye @ m).data, m.data)
 
     def test_identity_right(self):
-        m = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal((m @ Tensor(np.eye(2))).data, m.data)
+        m = RefTensor([[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal((m @ RefTensor(np.eye(2))).data, m.data)
 
     def test_hand_oracle(self):
-        out = Tensor([[1.0, 2.0], [3.0, 4.0]]) @ Tensor([[5.0], [6.0]])
+        out = RefTensor([[1.0, 2.0], [3.0, 4.0]]) @ RefTensor([[5.0], [6.0]])
         assert np.array_equal(out.data, [[17.0], [39.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 2)))
+            RefTensor(np.ones((2, 3))) @ RefTensor(np.ones((2, 2)))
 
     def test_batched(self, rng):
         a = rng.normal(size=(3, 4, 5))
         b = rng.normal(size=(5, 2))
-        out = Tensor(a) @ Tensor(b)
+        out = RefTensor(a) @ RefTensor(b)
         assert np.allclose(out.data, a @ b)
 
 
 class TestSoftmax:
     def test_symmetry(self):
-        assert np.allclose(Tensor([0.0, 0.0]).softmax_lastdim().data, [0.5, 0.5])
+        assert np.allclose(RefTensor([0.0, 0.0]).softmax_lastdim().data, [0.5, 0.5])
 
     def test_shift_invariance(self, rng):
         x = rng.normal(size=(4, 6))
-        a = Tensor(x).softmax_lastdim().data
-        b = Tensor(x + 123.456).softmax_lastdim().data
+        a = RefTensor(x).softmax_lastdim().data
+        b = RefTensor(x + 123.456).softmax_lastdim().data
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_constant_slice(self):
-        out = Tensor([3.7, 3.7, 3.7]).softmax_lastdim().data
+        out = RefTensor([3.7, 3.7, 3.7]).softmax_lastdim().data
         assert np.allclose(out, [1 / 3] * 3, atol=1e-15)
 
     def test_closed_form(self):
-        out = Tensor([np.log(1.0), np.log(3.0)]).softmax_lastdim().data
+        out = RefTensor([np.log(1.0), np.log(3.0)]).softmax_lastdim().data
         assert np.allclose(out, [0.25, 0.75], atol=1e-15)
 
     def test_sums_to_one(self, rng):
         x = rng.normal(scale=20.0, size=(5, 3, 7))
-        s = Tensor(x).softmax_lastdim().data
+        s = RefTensor(x).softmax_lastdim().data
         assert np.max(np.abs(s.sum(axis=-1) - 1.0)) <= 1e-12
         assert np.all(s >= 0)
 
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
-            Tensor(np.ones((2, 0))).softmax_lastdim()
+            RefTensor(np.ones((2, 0))).softmax_lastdim()
 
 
 class TestBackward:
     def test_sum_gives_ones(self, rng):
-        z = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        z = RefTensor(rng.normal(size=(3, 4)), requires_grad=True)
         z.sum().backward()
         assert np.array_equal(z.grad, np.ones((3, 4)))
 
     def test_quadratic(self):
-        z = Tensor([3.0, 4.0], requires_grad=True)
+        z = RefTensor([3.0, 4.0], requires_grad=True)
         (square(z).sum() * 0.5).backward()
         assert np.array_equal(z.grad, [3.0, 4.0])
 
     def test_non_scalar_loss_rejected(self):
-        z = Tensor([1.0, 2.0], requires_grad=True)
+        z = RefTensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractError):
             (z * 2.0).backward()
 
@@ -83,8 +85,8 @@ class TestBackward:
         base = rng.normal(size=(4, 4))
 
         def grad_once():
-            z = Tensor(base, requires_grad=True)
-            w = Tensor(np.arange(16.0).reshape(4, 4))
+            z = RefTensor(base, requires_grad=True)
+            w = RefTensor(np.arange(16.0).reshape(4, 4))
             loss = log(square((z @ w).softmax_lastdim()).sum() + (z * z).sum())
             loss.backward()
             return z.grad
@@ -93,21 +95,21 @@ class TestBackward:
         assert g1.tobytes() == g2.tobytes()
 
     def test_shared_subexpression(self):
-        z = Tensor([2.0], requires_grad=True)
+        z = RefTensor([2.0], requires_grad=True)
         y = z * 3.0
         (y * y).sum().backward()  # d/dz (3z)^2 = 18 z
         assert np.allclose(z.grad, [36.0])
 
     def test_constants_get_no_gradient(self, rng):
-        z = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 4)))
-        b = Tensor(rng.uniform(1.0, 2.0, size=(3,)))
+        z = RefTensor(rng.normal(size=(2, 3)), requires_grad=True)
+        w = RefTensor(rng.normal(size=(3, 4)))
+        b = RefTensor(rng.uniform(1.0, 2.0, size=(3,)))
         outs = [z @ w, w.transpose(1, 0) @ z.transpose(1, 0), z + b, b * z,
                 z / b, b / (square(z) + 1.0)]
         for out in outs:
             parents = out._backward(np.ones(out.shape))
             assert [g is None for g in parents] == [not p.requires_grad for p in out._parents]
-        loss = sum((out.sum() for out in outs), Tensor(0.0))
+        loss = sum((out.sum() for out in outs), RefTensor(0.0))
         loss.backward()
         assert z.grad is not None
         assert w.grad is None and b.grad is None
@@ -115,17 +117,17 @@ class TestBackward:
 
 class TestBroadcast:
     def test_trailing_expansion_allowed(self, rng):
-        a = Tensor(rng.normal(size=(2, 3, 4)))
-        b = Tensor(rng.normal(size=(4,)))
+        a = RefTensor(rng.normal(size=(2, 3, 4)))
+        b = RefTensor(rng.normal(size=(4,)))
         assert (a + b).shape == (2, 3, 4)
 
     def test_richer_broadcast_rejected(self):
         with pytest.raises(DimensionError):
-            Tensor(np.ones((3, 1))) + Tensor(np.ones((3, 4)))
+            RefTensor(np.ones((3, 1))) + RefTensor(np.ones((3, 4)))
 
     def test_gradient_sums_over_expanded_dims(self, rng):
-        b = Tensor(rng.normal(size=(4,)), requires_grad=True)
-        (Tensor(np.ones((2, 3, 4))) * b).sum().backward()
+        b = RefTensor(rng.normal(size=(4,)), requires_grad=True)
+        (RefTensor(np.ones((2, 3, 4))) * b).sum().backward()
         assert np.allclose(b.grad, np.full(4, 6.0))
 
 
@@ -136,7 +138,7 @@ class TestFiniteness:
 
     def test_inf_rejected_from_op(self):
         with np.errstate(over="ignore"), pytest.raises(NumericError):
-            Tensor([1e308]) * Tensor([1e308])
+            RefTensor([1e308]) * RefTensor([1e308])
 
     def test_large_finite_values_accepted_without_warning(self):
         with warnings.catch_warnings():
@@ -198,7 +200,7 @@ class TestOwnership:
 
 class TestFiniteDiff:
     def test_linear_exact(self, rng):
-        err = finite_diff_check(lambda z: z.sum(), Tensor(rng.normal(size=(3, 3))))
+        err = finite_diff_check(lambda z: ref(z).sum(), Tensor(rng.normal(size=(3, 3))))
         assert err <= 1e-12
 
     def test_quadratic(self, rng):
@@ -226,11 +228,41 @@ class TestFiniteDiff:
     def test_take_lastdim_gradient(self, rng):
         base = rng.normal(size=(3, 5))
         err = finite_diff_check(
-            lambda z: square(take_lastdim(z.softmax_lastdim(), 2)).sum(),
+            lambda z: square(take_lastdim(ref(z).softmax_lastdim(), 2)).sum(),
             Tensor(base),
         )
         assert err <= 1e-6
 
     def test_requires_positive_step(self):
         with pytest.raises(ContractError):
-            finite_diff_check(lambda z: z.sum(), Tensor([1.0]), step=0.0)
+            finite_diff_check(lambda z: ref(z).sum(), Tensor([1.0]), step=0.0)
+
+
+class TestGraphRecord:
+    """The package's Tensor is a leaf or a graph node; the array ops live in `reftensor.py`."""
+
+    REMOVED = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__neg__", "reshape", "transpose", "sum",
+               "matmul", "__matmul__", "softmax_lastdim", "_elementwise")
+
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_tensor_has_no_array_op(self, name):
+        assert not hasattr(Tensor, name)
+
+    @pytest.mark.parametrize("name", ["_suffix_broadcast_shape", "_unbroadcast"])
+    def test_module_has_no_broadcast_rule(self, name):
+        assert not hasattr(autodiff, name)
+
+    def test_node_backward_reaches_the_leaf(self):
+        leaf = Tensor([1.0, 2.0], requires_grad=True)
+        loss = Tensor.node(np.asarray(leaf.data @ leaf.data), (leaf,),
+                           lambda g: (2.0 * g * leaf.data,))
+        loss.backward()
+        assert loss.item() == 5.0 and leaf.grad.tolist() == [2.0, 4.0]
+
+    def test_ref_views_a_package_node(self):
+        leaf = Tensor([3.0, 4.0], requires_grad=True)
+        view = ref(leaf)
+        assert isinstance(view, RefTensor) and view.data is leaf.data and ref(view) is view
+        (view * view).sum().backward()
+        assert leaf.grad.tolist() == [6.0, 8.0]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from attnguide.cli import main
+from attnguide.denoiser import ToyDenoiser
 
 from conftest import DOG_CAT_BOXES, TEMPLATE_PROMPT, WOMAN_MAN_BOXES
 
@@ -204,7 +205,8 @@ class TestGenerate:
         assert not (tmp_path / "run").exists()
 
     def test_prints_and_records_warnings(self, tmp_path, small_run_args, capsys):
-        """A clipped box (load warning); the man's end boxes cover no cell centre at 4x4."""
+        """A clipped box (load warning), the 8 box frames resampled to the model's 2, and
+        the man's end boxes covering no cell centre at 4x4."""
         boxes = tmp_path / "clipped.txt"
         boxes.write_text(WOMAN_MAN_BOXES.replace("[0, 70, 120, 200]", "[-30, 70, 150, 200]"))
         argv = small_run_args("run")
@@ -214,6 +216,7 @@ class TestGenerate:
         warned = [ln[len("warning: "):] for ln in lines if ln.startswith("warning: ")]
         assert warned == [
             "clipped box of subject 0 frame 0: [-30, 70, 150, 200] -> [0, 70, 120, 200]",
+            "resampled 8 box frames to 2 model frames",
             "all-zero mask for subject 1 frame 0 (box [380, 120, 120, 180] at 4x4)",
             "all-zero mask for subject 1 frame 1 (box [380, 120, 120, 180] at 4x4)",
         ]
@@ -301,6 +304,50 @@ class TestAblate:
         assert main(["ablate", "--grid", str(tmp_path / "grid.txt"),
                      "--out", str(tmp_path / "abl")]) == 2
         assert "unknown axis" in capsys.readouterr().out
+
+    def _sweep_args(self, tmp_path, grid):
+        (tmp_path / "model.cfg").write_text(MODEL_CFG)
+        (tmp_path / "guide.cfg").write_text(GUIDE_CFG)
+        (tmp_path / "grid.txt").write_text(grid)
+        return ["ablate", "--grid", str(tmp_path / "grid.txt"), "--out", str(tmp_path / "abl"),
+                "--seeds", "1,0", "--model-config", str(tmp_path / "model.cfg"),
+                "--config", str(tmp_path / "guide.cfg")]
+
+    def test_failed_run_is_a_row(self, tmp_path, capsys):
+        assert main(self._sweep_args(tmp_path, "lambda_sp = 1e308, 10\n")) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [ln.split(":")[0] for ln in out[:-1]] == ["failed lambda_sp=1e+308 seed=1",
+                                                         "failed lambda_sp=1e+308 seed=0"]
+        assert out[-1].startswith("ok rows=4 ")
+        rows = [json.loads(r) for r in (tmp_path / "abl" / "ablation.jsonl").read_text()
+                .splitlines()[1:]]
+        assert [("error" in r, r["value"], r["seed"]) for r in rows] == [
+            (False, "10.0", 0), (False, "10.0", 1), (True, "1e+308", 0), (True, "1e+308", 1)]
+        manifest = json.loads((tmp_path / "abl" / "manifest.json").read_text())
+        assert manifest["complete"] is True
+
+    def test_interrupt_keeps_finished_rows(self, tmp_path, capsys, monkeypatch):
+        """Ctrl-C while building the second variant's model: the first variant's rows stay."""
+        import attnguide.cli as cli
+
+        built = []
+
+        def interrupting_model(cfg):
+            if built:
+                raise KeyboardInterrupt
+            built.append(cfg)
+            return ToyDenoiser(cfg)
+
+        monkeypatch.setattr(cli, "ToyDenoiser", interrupting_model)
+        assert main(self._sweep_args(tmp_path, "t1 = 2, 1\n")) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("ok rows=2 ")
+        report = (tmp_path / "abl" / "ablation.jsonl").read_text().splitlines()
+        assert json.loads(report[0])["config_echo"]["axes"] == {"t1": ["2", "1"]}
+        assert [(r["axis"], r["value"], r["seed"]) for r in map(json.loads, report[1:])] == [
+            ("t1", "2", 0), ("t1", "2", 1)]
+        assert "t1" in (tmp_path / "abl" / "ablation.txt").read_text()
+        manifest = json.loads((tmp_path / "abl" / "manifest.json").read_text())
+        assert manifest["complete"] is False
 
 
 def _structured(record=None, **overrides):

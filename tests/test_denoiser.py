@@ -14,11 +14,12 @@ from attnguide.denoiser import (
     _token_embedding,
     ddim_step,
 )
-from attnguide.errors import ContractError, DimensionError, InputError
+from attnguide.errors import ContractError, DimensionError, InputError, NumericError
 from attnguide.syntax import tokenize
 
 from composites import square
 from conftest import tiny_model_config
+from reftensor import ref
 
 
 @pytest.fixture
@@ -35,14 +36,14 @@ class TestEncodeText:
         toks = tokenize("a cat is sitting")
         a = model.encode_text(toks)
         b = model.encode_text(toks)
-        assert a.emb.data.tobytes() == b.emb.data.tobytes()
+        assert a.emb.tobytes() == b.emb.tobytes()
         assert a.columns == b.columns == {0: 1, 1: 2, 2: 3, 3: 4}
 
     def test_word_locality(self, model):
         """Changing one word changes only that word's embedding row."""
         a = model.encode_text(tokenize("a cat is sitting"))
         b = model.encode_text(tokenize("a dog is sitting"))
-        diff = np.abs(a.emb.data - b.emb.data).sum(axis=1)
+        diff = np.abs(a.emb - b.emb).sum(axis=1)
         assert diff[a.columns[1]] > 0
         mask = np.ones(len(diff), dtype=bool)
         mask[a.columns[1]] = False
@@ -57,11 +58,25 @@ class TestEncodeText:
         def row(word):
             return _token_embedding(word, model.config.embed_dim, model.config.seed)
 
-        rows = enc.emb.data
+        rows = enc.emb
         assert rows[0].tobytes() == row(BEGIN).tobytes()
         assert rows[5].tobytes() == row(END).tobytes()  # end marker right after the prompt
         assert len(rows[6:]) == budget - 6
         assert all(r.tobytes() == row(PAD).tobytes() for r in rows[6:])
+
+    def test_values_are_plain_arrays(self, model):
+        enc = model.encode_text(tokenize("a cat is sitting"))
+        values = [enc.emb, model._out, *model._pool.values(), *model._unpool.values()]
+        values += [a for keys, v in enc.keys_values.values() for a in (*keys, v)]
+        for w in (*model._weights.values(), model._temporal):
+            values += [a for v in w.values() for a in (v if isinstance(v, list) else [v])
+                       if not isinstance(v, float)]
+        assert all(type(v) is np.ndarray for v in values)
+
+    def test_non_finite_keys_values_rejected(self, model):
+        emb = np.full((model.config.token_budget, model.config.embed_dim), 1e308)
+        with np.errstate(all="ignore"), pytest.raises(NumericError):
+            model._keys_values(emb)
 
     def test_budget_overflow(self, model):
         words = " ".join(["cat"] * (model.config.token_budget - 1))
@@ -112,7 +127,7 @@ class TestDenoiseStep:
             enc = model.encode_text(tokenize(prompt))
             for leaf in (Tensor(z), Tensor(z, requires_grad=True)):
                 _, ca, _ = model.denoise_step(leaf, tau=2 / 50, text=enc)
-            ca.sum().backward()
+            ref(ca).sum().backward()
         assert {k: id(v) for k, v in vars(model).items()} == before
 
     def test_latent_sensitivity(self, model, rng):
@@ -227,9 +242,9 @@ class TestStub:
         cfg = tiny_model_config()
         stub = LinearAttentionStub(cfg, seed=7)
         z1, z2 = _latent(cfg, rng), _latent(cfg, rng)
-        l1 = stub.logits_from_latent(z1).data - stub.bias.data
-        l2 = stub.logits_from_latent(z2).data - stub.bias.data
-        l12 = stub.logits_from_latent(2.0 * z1 + 3.0 * z2).data - stub.bias.data
+        l1 = stub.logits_from_latent(z1).data - stub.bias
+        l2 = stub.logits_from_latent(z2).data - stub.bias
+        l12 = stub.logits_from_latent(2.0 * z1 + 3.0 * z2).data - stub.bias
         assert np.allclose(l12, 2.0 * l1 + 3.0 * l2, atol=1e-10)
 
     def test_ca_gradient(self, rng):
@@ -240,6 +255,30 @@ class TestStub:
             lambda z: square(stub.ca_from_latent(z)).sum(), Tensor(base), step=1e-4
         )
         assert err <= 1e-6
+
+    @pytest.mark.parametrize("name", ["weights", "bias"])
+    def test_non_finite_parameter_rejected(self, name):
+        cfg = tiny_model_config()
+        values = {"weights": np.zeros((cfg.latent_channels, cfg.token_budget)),
+                  "bias": np.zeros(cfg.token_budget)}[name]
+        values[0] = np.nan
+        with pytest.raises(NumericError):
+            LinearAttentionStub(cfg, **{name: values})
+
+    @pytest.mark.parametrize("name,shape", [
+        ("weights", (3, 16)), ("weights", (2, 15)), ("weights", (4, 2, 16)),
+        ("bias", (15,)), ("bias", (1, 16)), ("bias", ()),
+    ])
+    def test_wrong_parameter_shape_rejected(self, name, shape):
+        with pytest.raises(DimensionError, match=f"stub {name} of shape"):
+            LinearAttentionStub(tiny_model_config(), **{name: np.zeros(shape)})
+
+    def test_parameters_are_copied(self):
+        cfg = tiny_model_config()
+        weights = np.ones((cfg.latent_channels, cfg.token_budget))
+        stub = LinearAttentionStub(cfg, weights=weights)
+        weights[0, 0] = 5.0
+        assert stub.weights[0, 0] == 1.0
 
 
 class TestConfig:

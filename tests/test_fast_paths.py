@@ -82,7 +82,7 @@ def test_unpool_gathers_match_matmuls(rng, overrides):
     cfg = model.config
     assert set(model._cells) == {g for _, g in cfg.levels}
     for g, (cell, pw) in model._cells.items():
-        P, U = model._pool[g].data, model._unpool[g].data
+        P, U = model._pool[g], model._unpool[g]
         out = rng.normal(size=(cfg.frames, g * g, cfg.latent_channels))
         out[0, 0] = 0.0
         same_bytes(np.take(out, cell, axis=-2), U @ out)

@@ -4,8 +4,9 @@ Each fused node (the map distance, the per-token spatial mass term, the
 denoiser's cross-attention, and the whole `denoise_step`, `loss_sp`,
 `loss_syt` and their public parts) must give the composite chain's values
 and leaf gradient byte for byte, because the guided dynamics amplify any
-rounding change.  The composites in `composites.py` are built from Tensor
-ops exactly as the package built them before fusion.
+rounding change.  The composites in `composites.py` are built from the ops
+of `RefTensor` (`reftensor.py`), the ops the package built them from before
+fusion.
 """
 
 import numpy as np
@@ -44,6 +45,7 @@ from composites import (
     take_lastdim,
 )
 from conftest import tiny_model_config
+from reftensor import RefTensor, ref
 
 SEEDS = range(25)
 
@@ -170,7 +172,7 @@ def test_mass_term_matches_composite(loss_fn, fractional):
 
 
 def cross_attention_run(fn, model, x_vals, weights, keys, tag):
-    x = Tensor(x_vals, requires_grad=True)
+    x = RefTensor(x_vals, requires_grad=True)
     A = fn(model, x, keys, tag)
     (A * weights).sum().backward()
     return A.data, x.grad
@@ -182,7 +184,7 @@ def test_cross_attention_matches_composite(heads):
     cfg = model.config
     for seed in SEEDS:
         rng = np.random.default_rng([seed, heads])
-        kv = model._keys_values(Tensor(rng.normal(size=(cfg.token_budget, cfg.embed_dim))))
+        kv = model._keys_values(rng.normal(size=(cfg.token_budget, cfg.embed_dim)))
         for tag, g in cfg.levels:
             x_vals = rng.normal(0.0, 2.0, (cfg.frames, g * g, cfg.latent_channels))
             weights = rng.normal(size=(cfg.frames, g * g, cfg.token_budget))
@@ -199,12 +201,13 @@ def test_cross_attention_matches_composite(heads):
 def test_denoise_step_gradient_matches_composite(heads):
     model = ToyDenoiser(tiny_model_config(heads=heads))
     cfg = model.config
-    emb = Tensor(np.random.default_rng(0).normal(size=(cfg.token_budget, cfg.embed_dim)))
+    emb = np.random.default_rng(0).normal(size=(cfg.token_budget, cfg.embed_dim))
     text = TextEncoding(emb, model._keys_values(emb), columns={})
 
     def run(step, z_vals, weights):
         z = Tensor(z_vals, requires_grad=True)
         _, ca, _ = step(z, 20 / 50, text)
+        ca = ref(ca)
         ((ca * weights).sum() + square(ca).sum()).backward()
         return ca.data, z.grad
 
@@ -224,8 +227,8 @@ def test_denoise_step_gradient_matches_composite(heads):
 @pytest.mark.parametrize("kind", [KL_SYM, COSINE])
 @pytest.mark.parametrize("shape", [(3,), (2, 3)])
 def test_dist_non_finite_intermediate_raises(kind, shape):
-    p = Tensor(np.full(shape, 1e200 if kind == COSINE else 1e308), requires_grad=True)
-    q = Tensor(np.ones(shape), requires_grad=True)
+    p = RefTensor(np.full(shape, 1e200 if kind == COSINE else 1e308), requires_grad=True)
+    q = RefTensor(np.ones(shape), requires_grad=True)
     for fn in (dist_node, composite_dist):
         with np.errstate(all="ignore"), pytest.raises(NumericError):
             fn(p, q, kind, 1e-8)
@@ -234,7 +237,7 @@ def test_dist_non_finite_intermediate_raises(kind, shape):
 @pytest.mark.parametrize("outside", [False, True])
 @pytest.mark.parametrize("value", [1e308, -1e308])
 def test_mass_term_non_finite_intermediate_raises(outside, value):
-    col = Tensor(np.full((2, 4), value), requires_grad=True)
+    col = RefTensor(np.full((2, 4), value), requires_grad=True)
     M = np.array([[1.0, 1.0, 0.0, 0.0]] * 2)
     for fn in (mass_term_node, composite_mass_term):
         with np.errstate(all="ignore"), pytest.raises(NumericError):
@@ -243,7 +246,7 @@ def test_mass_term_non_finite_intermediate_raises(outside, value):
 
 @pytest.mark.parametrize("outside", [False, True])
 def test_mass_term_low_mass_is_degenerate(outside):
-    col = Tensor(np.array([[0.5, 0.5], [0.0, 0.0]]), requires_grad=True)
+    col = RefTensor(np.array([[0.5, 0.5], [0.0, 0.0]]), requires_grad=True)
     for fn in (mass_term_node, composite_mass_term):
         with pytest.raises(DegenerateAttentionError, match="token 3 frame 1"):
             fn(col, np.ones((2, 2)), 3, 1e-8, outside)
@@ -253,8 +256,8 @@ def test_mass_term_low_mass_is_degenerate(outside):
 def test_cross_attention_non_finite_intermediate_raises(heads):
     model = ToyDenoiser(tiny_model_config(heads=heads))
     cfg = model.config
-    keys, _ = model._keys_values(Tensor(np.full((cfg.token_budget, cfg.embed_dim), 100.0)))["down"]
-    x = Tensor(np.full((cfg.frames, 16, cfg.latent_channels), 1e307), requires_grad=True)
+    keys, _ = model._keys_values(np.full((cfg.token_budget, cfg.embed_dim), 100.0))["down"]
+    x = RefTensor(np.full((cfg.frames, 16, cfg.latent_channels), 1e307), requires_grad=True)
     for fn in (cross_attention_node, composite_cross_attention):
         with np.errstate(all="ignore"), pytest.raises(NumericError):
             fn(model, x, keys, "down")
@@ -265,7 +268,7 @@ def test_cross_attention_non_finite_intermediate_raises(heads):
 
 def text_encoding(model, seed=0):
     cfg = model.config
-    emb = Tensor(np.random.default_rng(seed).normal(size=(cfg.token_budget, cfg.embed_dim)))
+    emb = np.random.default_rng(seed).normal(size=(cfg.token_budget, cfg.embed_dim))
     return TextEncoding(emb, model._keys_values(emb), columns={})
 
 
@@ -279,7 +282,7 @@ def denoise_run(step, z_vals, weights, reads):
     """
     z = Tensor(z_vals, requires_grad=True)
     outputs = dict(zip(("eps", "A", "T"), step(z)))
-    loss = (outputs["A"] * weights["A"]).sum()
+    loss = (ref(outputs["A"]) * weights["A"]).sum()
     for name in ("eps", "T"):
         if name in reads:
             loss = loss + (outputs[name] * weights[name]).sum()
@@ -428,7 +431,7 @@ def test_column_gradient_signed_zeros_match_chain(include_verbs):
     pairs = SyntaxPairs(pairs=[(0, 1)], negatives={})
     vals = np.array([[[0.0, 1.0, 1.0], [2.0, 1.0, 1.0]]])   # one frame, 1x2 grid, 3 columns
     masks = MaskSet({0: np.array([[[-0.0, 1.0]]])})
-    grads = [leaf_run(lambda A: fn(A, masks, pairs, include_verbs) * -1.0, vals)[1]
+    grads = [leaf_run(lambda A: ref(fn(A, masks, pairs, include_verbs)) * -1.0, vals)[1]
              for fn in (loss_fg, composites.loss_fg)]
     assert same_bytes(*grads)
     assert grads[0][0, 0, 0] == 0.0 and np.signbit(grads[0][0, 0, 0]) == (not include_verbs)

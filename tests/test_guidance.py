@@ -37,6 +37,7 @@ from attnguide.syntax import SyntaxPairs
 
 from composites import square
 from conftest import TEMPLATE_PROMPT, WOMAN_MAN_BOXES, static_two_box_prior, tiny_model_config
+from reftensor import ref
 
 
 def ca_stack(A):
@@ -249,7 +250,7 @@ class TestGuideLatent:
         z = rng.normal(size=c.shape)
         state = LatentState(z.copy(), 10)
         leaf = Tensor(z, requires_grad=True)
-        loss = square(leaf - Tensor(c)).sum() * 0.5
+        loss = square(ref(leaf) - c).sum() * 0.5
         new_state, gnorm = guide_latent(state, leaf, loss, lam=1.0)
         assert np.allclose(new_state.z, c, atol=1e-12)
         assert abs(gnorm - np.sqrt(((z - c) ** 2).sum())) <= 1e-9
@@ -259,7 +260,7 @@ class TestGuideLatent:
         z = rng.normal(size=(1, 1, 2, 2))
         leaf = Tensor(z, requires_grad=True)
         with pytest.raises(ContractError):
-            guide_latent(LatentState(z, 0), leaf, leaf * 2.0, 1.0)
+            guide_latent(LatentState(z, 0), leaf, ref(leaf) * 2.0, 1.0)
 
     def test_descends_stub_spatial_loss(self, rng):
         cfg_m = tiny_model_config()
@@ -440,6 +441,13 @@ class TestPrepareInputs:
         _, _, masks = prepare_inputs(TEMPLATE_PROMPT, static_two_box_prior(8), GuidanceConfig(),
                                      model)
         assert masks.masks[2].shape[0] == 2  # second frame exists after resampling
+        assert masks.warnings == ["resampled 8 box frames to 2 model frames"]
+
+    def test_matching_frames_warn_nothing(self):
+        model = ToyDenoiser(tiny_model_config())
+        _, _, masks = prepare_inputs(TEMPLATE_PROMPT, static_two_box_prior(2), GuidanceConfig(),
+                                     model)
+        assert masks.warnings == []
 
     def test_pair_trajectory_count_mismatch(self):
         model = ToyDenoiser(tiny_model_config())

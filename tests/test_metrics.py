@@ -15,6 +15,7 @@ from attnguide.guidance import (
 )
 from attnguide.metrics import (
     DEFAULT_ABLATION_AXES,
+    AblationInterrupted,
     MetricsReport,
     count_components,
     render_heatmap,
@@ -250,6 +251,47 @@ class TestAblation:
                            static_two_box_prior(2), self._factory())
         assert [r["value"] for r in rep.rows] == ["down", "mid"]
         assert rep.rows[0]["mean_alignment_final"] != rep.rows[1]["mean_alignment_final"]
+
+    def test_diverging_run_is_an_error_row(self):
+        logs = []
+        axes = {"lambda_sp": [1e308, 10.0]}  # a 1e308 step overflows the latent
+        rep = run_ablation(axes, self._base_config(), [1, 0], TEMPLATE_PROMPT,
+                           static_two_box_prior(2), self._factory(), log=logs.append)
+        failed = [r for r in rep.rows if "error" in r]
+        assert [(r["value"], r["seed"]) for r in failed] == [("1e+308", 0), ("1e+308", 1)]
+        assert all(set(r) == {"axis", "value", "seed", "error"} for r in failed)
+        assert all(r["error"].startswith("step 1 iteration 2: ") for r in failed)
+        assert [m.split(":")[0] for m in logs] == ["failed lambda_sp=1e+308 seed=1",
+                                                    "failed lambda_sp=1e+308 seed=0"]
+        alone = run_ablation({"lambda_sp": [10.0]}, self._base_config(), [1, 0],
+                             TEMPLATE_PROMPT, static_two_box_prior(2), self._factory())
+        assert rep.rows[2:] == failed  # "10.0" sorts before "1e+308"
+        assert MetricsReport(rows=rep.rows[:2]).to_jsonl() == MetricsReport(
+            rows=alone.rows).to_jsonl()
+
+    def test_other_errors_abort(self):
+        with pytest.raises(InputError, match="trajectories"):
+            run_ablation({}, self._base_config(), [0], "a cat is sitting",
+                         static_two_box_prior(2), self._factory())
+
+    def test_interrupt_keeps_finished_rows(self):
+        made = []
+
+        def factory(capture):
+            if made:
+                raise KeyboardInterrupt
+            made.append(capture)
+            return self._factory()(capture)
+
+        axes = {"t1": [2, 1]}
+        with pytest.raises(AblationInterrupted) as exc:
+            run_ablation(axes, self._base_config(), [1, 0], TEMPLATE_PROMPT,
+                         static_two_box_prior(2), factory)
+        assert isinstance(exc.value, KeyboardInterrupt)
+        report = exc.value.report
+        assert [(r["value"], r["seed"]) for r in report.rows] == [("2", 0), ("2", 1)]
+        assert report.config_echo == {"axes": {"t1": ["2", "1"]}, "seeds": [1, 0],
+                                      "one_at_a_time": True}
 
     def test_default_axes_frozen(self):
         assert DEFAULT_ABLATION_AXES["t1"] == [1, 3, 5, 7]
