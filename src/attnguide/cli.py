@@ -123,6 +123,10 @@ def cmd_rasterize(args):
     except ValueError:
         raise InputError(f"--grid wants HxW, got {args.grid!r}")
     prior = detect_and_parse(read_text(args.file))
+    H, W = prior.frame_height_px, prior.frame_width_px
+    if grid_h > H or grid_w > W:
+        raise InputError(f"--grid {grid_h}x{grid_w} exceeds the frame: "
+                         f"at most {H}x{W} cells, one per pixel")
     masks = rasterize_masks(prior, grid_h, grid_w)
     for w in masks.warnings:
         print(f"warning: {w}")

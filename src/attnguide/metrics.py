@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ContractError, InputError
 from .guidance import KL_SYM, GuidanceError, dist, in_box_ratios, run_guided_sampling
@@ -36,9 +35,19 @@ def _square_map(ca, token_index, frame):
 def count_components(ca, token_index, frame):
     """Count 4-connected components of the map binarized at half its max."""
     grid = _square_map(ca, token_index, frame)
-    binary = grid >= 0.5 * grid.max()
-    _, n = ndimage.label(binary)  # default structure is 4-connectivity
-    return int(n)
+    rows, cols = np.nonzero(grid >= 0.5 * grid.max())
+    unseen = set(zip(rows.tolist(), cols.tolist()))
+    n = 0
+    while unseen:  # flood-fill one component per pass
+        n += 1
+        stack = [unseen.pop()]
+        while stack:
+            r, c = stack.pop()
+            for cell in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                if cell in unseen:  # cells off the grid are never in the set
+                    unseen.remove(cell)
+                    stack.append(cell)
+    return n
 
 
 def verb_noun_alignment(ca, pair, kind=KL_SYM):

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import attnguide
 from attnguide.cli import main
 from attnguide.denoiser import ToyDenoiser
 
@@ -130,8 +135,35 @@ class TestParseCommands:
     def test_rasterize_bad_grid(self, boxes_file, capsys):
         assert main(["rasterize", boxes_file, "--grid", "4by4"]) == 2
 
+    def test_rasterize_grid_up_to_frame_size(self, tmp_path, capsys):
+        """One cell per pixel is the finest grid; a side past the frame's is rejected."""
+        path = tmp_path / "boxes.json"
+        path.write_text(_structured(frame_size=[6, 4]))
+        assert main(["rasterize", str(path), "--grid", "4x6"]) == 0
+        assert "subject=0 frame=1" in capsys.readouterr().out
+        for grid in ("5x6", "4x7"):
+            assert main(["rasterize", str(path), "--grid", grid]) == 2
+            assert capsys.readouterr().out.splitlines() == [
+                f"ERROR kind=parse reason=--grid {grid} exceeds the frame: "
+                "at most 4x6 cells, one per pixel"]
+
 
 class TestGenerate:
+    def test_imports_no_scipy(self, small_run_args):
+        """A fresh process that imports the package and generates loads no scipy module."""
+        script = ("import json, sys\n"
+                  "import attnguide\n"
+                  "from attnguide.cli import main\n"
+                  "assert main(json.loads(sys.argv[1])) == 0\n"
+                  "print(json.dumps(sorted(m for m in sys.modules\n"
+                  "                        if m == 'scipy' or m.startswith('scipy.'))))\n")
+        src = str(Path(attnguide.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(small_run_args("run"))],
+                              capture_output=True, text=True, env=env, check=True)
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
     def test_end_to_end_outputs(self, tmp_path, small_run_args, capsys):
         assert main(small_run_args("run")) == 0
         out_dir = tmp_path / "run"
@@ -395,6 +427,7 @@ BAD_INPUTS = {
     "boxes_bad_frames": ("boxes", _structured(frames=5)),
     "boxes_not_utf8": ("boxes", b"\xff\xfe" + WOMAN_MAN_BOXES.encode()),
     "prompt_without_pairs": ("prompt", "and"),
+    "rasterize_huge_grid": ("rasterize_grid", "100000x100000"),
     "validate_negative_max_step": ("validate_step", "-5"),
     "generate_negative_max_step": ("generate_step", "-5"),
 }
@@ -413,6 +446,7 @@ def test_bad_input_is_one_parse_error(tmp_path, boxes_file, capsys, role, text):
         "grid": ["ablate", "--grid", str(path), "--out", out_dir],
         "boxes": ["parse-boxes", str(path)],
         "prompt": ["parse-prompt", text],
+        "rasterize_grid": ["rasterize", boxes_file, "--grid", text],
         "validate_step": ["validate-boxes", boxes_file, "--max-step-px", text],
         "generate_step": ["generate", TEMPLATE_PROMPT, boxes_file, "--out", out_dir,
                           "--max-step-px", text],

@@ -111,6 +111,51 @@ class TestCountComponents:
         with pytest.raises(ContractError, match="square"):
             render_heatmap(ca, 0, 0, tmp_path / "x.pgm")
 
+    @staticmethod
+    def count_drawn(*rows):
+        """Components of a map drawn as rows of `#` (1.0) and `.` (0.0)."""
+        grid = np.array([[float(c == "#") for c in row] for row in rows])
+        return count_components(grid.reshape(1, grid.size, 1), 0, 0)
+
+    def test_comb_joined_on_last_row(self):
+        """Arms a row-by-row scan meets apart merge only on the last row."""
+        assert self.count_drawn("#.#.#",
+                                "#.#.#",
+                                "#.#.#",
+                                "#.#.#",
+                                "#####") == 1
+        assert self.count_drawn("#..#",
+                                "#..#",
+                                "#..#",
+                                "####") == 1
+
+    def test_ring_with_hole(self):
+        assert self.count_drawn("#####",
+                                "#...#",
+                                "#...#",
+                                "#...#",
+                                "#####") == 1
+
+    def test_spiral(self):
+        assert self.count_drawn("#######",
+                                "......#",
+                                "#####.#",
+                                "#...#.#",
+                                "#.###.#",
+                                "#.....#",
+                                "#######") == 1
+
+    def test_checkerboard_cells_are_separate(self):
+        grid = np.indices((8, 8)).sum(axis=0) % 2 == 0
+        assert count_components(grid.astype(float).reshape(1, 64, 1), 0, 0) == 32
+
+    def test_one_cell_map(self):
+        assert count_components(np.full((1, 1, 1), 0.3), 0, 0) == 1
+
+    def test_constant_map_is_one_component(self):
+        """Every cell of a constant map is at or above half its max."""
+        assert count_components(np.full((1, 64, 1), 0.25), 0, 0) == 1
+
 
 class TestAlignment:
     def test_identical_maps_zero(self):

@@ -1,11 +1,15 @@
-"""Property tests: box text and JSON forms agree, and config files round-trip."""
+"""Property tests: box text and JSON forms agree, config files round-trip, and the
+component count agrees with scipy's labeller."""
 
 import json
 import string
 from dataclasses import fields
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from attnguide.boxes import (
     DEFAULT_FRAME_H,
@@ -18,6 +22,7 @@ from attnguide.boxes import (
 )
 from attnguide.denoiser import ToyModelConfig
 from attnguide.guidance import COSINE, KL_SYM, RATIO, SUM, GuidanceConfig
+from attnguide.metrics import count_components
 
 backgrounds = st.text(alphabet=string.ascii_letters + " ", min_size=1).map(str.strip).filter(bool)
 
@@ -124,3 +129,35 @@ def test_config_file_round_trip(tmp_path_factory, cfg):
     path = tmp_path_factory.mktemp("cfg") / "config.txt"
     path.write_text(_config_text(cfg))
     assert type(cfg).from_file(path) == cfg
+
+
+@pytest.fixture(scope="module")
+def ndimage():
+    return pytest.importorskip("scipy.ndimage")
+
+
+@st.composite
+def square_maps(draw):
+    """Maps of side 1-16, either of a few levels or of floats in [0, 1].
+
+    Levels are multiples of one scale, so a level of half the max ties with the
+    threshold exactly, and a single level makes a constant map.
+    """
+    side = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        low, levels = draw(st.integers(0, 2)), draw(st.integers(1, 4))
+        scale = draw(st.sampled_from([1.0, 0.1, 3e-5, 7.0]))
+        steps = draw(arrays(np.int64, (side, side), elements=st.integers(low, low + levels - 1)))
+        return steps * scale
+    return draw(arrays(np.float64, (side, side), elements=st.floats(0.0, 1.0)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(square_maps())
+@example(np.full((5, 5), 0.7))
+@example(np.zeros((1, 1)))
+@example(np.array([[1.0, 0.5], [0.5, 0.25]]))
+def test_count_components_matches_scipy_label(ndimage, grid):
+    """4-connected components of the map at or above half its max, as scipy labels them."""
+    _, expected = ndimage.label(grid >= 0.5 * grid.max())
+    assert count_components(grid.reshape(1, grid.size, 1), 0, 0) == expected
