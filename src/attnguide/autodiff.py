@@ -16,19 +16,10 @@ import numpy as np
 from .errors import ContractError, EvaluationError, NumericError
 
 
-def sum_grad(g, axis, shape):
-    """Gradient of a sum over ``axis`` (None: every axis) spread back to ``shape``: a copy."""
-    out, unit = np.empty(shape), list(shape)
-    for a in () if axis is None else axis if isinstance(axis, tuple) else (axis,):
-        unit[a] = 1
-    out[...] = g if axis is None else np.reshape(g, unit)
-    return out
-
-
 def softmax(x):
     """Softmax of a float array along its last axis (max-shifted)."""
     # The max runs over a copy with that axis first: vectorised across rows.
-    e = np.exp(x - np.moveaxis(x, -1, 0).copy().max(axis=0)[..., None])
+    e = np.exp(x - x.transpose(x.ndim - 1, *range(x.ndim - 1)).copy().max(axis=0)[..., None])
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -168,6 +159,17 @@ def finite_diff_check(f, z, step=1e-3):
     ``f`` maps a Tensor to a scalar Tensor.  Relative error per coordinate
     uses denominator max(|analytic|, |numeric|, 1e-8).
     """
+    return relative_error(*fd_gradients(f, z, step))
+
+
+def relative_error(analytic, numeric):
+    """Max over coordinates of |analytic - numeric| / max(|analytic|, |numeric|, 1e-8)."""
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def fd_gradients(f, z, step):
+    """The analytic and central-difference gradients of ``f`` at ``z``, flattened."""
     if step <= 0:
         raise ContractError("step must be positive")
     base = np.asarray(z.data if isinstance(z, Tensor) else z, dtype=np.float64)
@@ -189,6 +191,4 @@ def finite_diff_check(f, z, step=1e-3):
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise EvaluationError(f"probe function non-finite at coordinate {k}")
         numeric[k] = (fp - fm) / (2.0 * step)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    return analytic, numeric

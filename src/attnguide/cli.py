@@ -210,11 +210,11 @@ def _latent_summary(result):
 
 def cmd_gradcheck(args):
     failures = []
-    for name, err, tol in gradcheck_suites(args.component, args.seed,
-                                            corrupt=args.corrupt_gradient):
-        status = "ok" if err <= tol else "FAIL"
-        print(f"gradcheck {name}: worst_rel_err={err:.3e} tol={tol:.0e} {status}")
-        if err > tol:
+    for name, err, tol, passed in gradcheck_suites(args.component, args.seed,
+                                                    corrupt=args.corrupt_gradient):
+        print(f"gradcheck {name}: worst_rel_err={err:.3e} tol={tol:.0e} "
+              f"{'ok' if passed else 'FAIL'}")
+        if not passed:
             failures.append(name)
     if failures:
         return _fail(EXIT_GRADCHECK, "gradcheck", f"failed: {','.join(failures)}")

@@ -12,12 +12,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, sum_grad, trapped
+from .autodiff import Tensor, trapped
 from .boxes import rasterize_masks, resample_frames
 from .config import read_config
 from .denoiser import DDIMSchedule, LatentState, ddim_step
@@ -29,7 +30,7 @@ from .errors import (
     InputError,
     NumericError,
 )
-from .syntax import SyntaxPairs, extract_pairs, tokenize
+from .syntax import SyntaxPairs, extract_pairs, tokenize, words
 
 KL_SYM = "KL_SYM"
 COSINE = "COSINE"
@@ -114,19 +115,24 @@ class GuidanceTrace:
 
 
 # -- distance functions -----------------------------------------------------
+#
+# The losses gather the CA columns they read once, as a C-contiguous
+# token-major stack [K, F, N], so that every sum over pixels runs along a
+# contiguous row in numpy's pairwise order, as the replaced per-column chains
+# summed them.  Elementwise work on the stack gives the chains' bytes.
 
 
-def _check_maps(values, axis=-1):
-    """Reject maps (slices along the pixel `axis`) that are negative somewhere or all zero."""
+def _stack(A, cols):
+    """The columns `cols` of A [..., L] as a C-contiguous stack [K, ...]."""
+    return A.transpose(A.ndim - 1, *range(A.ndim - 1))[cols]
+
+
+def _check_maps(values):
+    """Reject maps (last-axis slices) that are negative somewhere or all zero."""
     if np.any(values < 0):
         raise DegenerateAttentionError("attention map has negative entries")
-    if np.any(values.sum(axis=axis) <= 0):
+    if np.any(values.sum(axis=-1) <= 0):
         raise DegenerateAttentionError("attention map slice is all zero")
-
-
-def _check_columns(A, columns):
-    """`_check_maps` over the CA columns [F, N] of the given tokens, in one pass."""
-    _check_maps(A.data[..., sorted(columns)], axis=-2)
 
 
 @trapped
@@ -141,160 +147,141 @@ def dist(p_map, q_map, kind=KL_SYM, eps=1e-8):
     _check_maps(q.data)
     if p.shape != q.shape:
         raise DimensionError(f"maps of shapes {p.shape} and {q.shape} differ")
-    out, backward, swap = _distances((p.data, q.data), kind, eps)(0, 1)
-    return Tensor.node(out, (q, p) if swap else (p, q), backward)
+    out, backward, swap = _distances(np.stack((p.data, q.data)), [0], [1], kind, eps)
+    return Tensor.node(out[0], (q, p) if swap else (p, q),
+                       lambda g: [grad[0] for grad in backward(g[None])])
 
 
-def _distances(maps, kind, eps):
-    """`dist` of the arrays maps[a] and maps[b] as a function of (a, b): (value, backward, swap).
+def _distances(X, a, b, kind, eps):
+    """Distances between the maps X[a] and X[b] of a stack X [K, ..., N].
 
-    ``backward(g)`` gives the gradients of (maps[a], maps[b]), or of the two
-    swapped if ``swap``: the composite's parent order, which fixes the sums
-    upstream.  For KL_SYM each map is normalized, and its log taken, once.
+    Returns ([D, ...] values, backward, swap).  ``backward(g)`` gives the
+    gradients [D, ..., N] of (X[a], X[b]), or of the two swapped if
+    ``swap``: the composite's parent order, which fixes the sums upstream.
+    Work on one map (KL's normalization and log, the cosine's norm) runs
+    once per map of X.
     """
-    @functools.cache
-    def log_normalized(c):
-        n, saved = _normalized(maps[c], eps)
-        return n, saved, np.log(n)
-
-    def distance(a, b):
-        if kind == COSINE:
-            return _cosine(maps[a], maps[b]) + (False,)
-        if kind != KL_SYM:
-            raise InputError(f"unknown distance kind {kind!r}")
-        return _kl(log_normalized(a), log_normalized(b)) + (True,)
-
-    return distance
-
-
-_ONE = np.asarray(1.0)
-_HALF = np.asarray(0.5)
+    if kind == COSINE:
+        return _cosine(X, a, b) + (False,)
+    if kind != KL_SYM:
+        raise InputError(f"unknown distance kind {kind!r}")
+    return _kl(X, a, b, eps) + (True,)
 
 
 def _normalized(x, eps):
     """Each last-axis slice of `x + eps` scaled to sum 1: (result, saved values).
 
-    Above one dimension the slice axis is rotated to the front, scaled by the
-    reciprocal sums and rotated back; these views decide the memory layout
-    of every later product and sum.
+    The slices of a stack [K, N] are divided by their sums, longer ones
+    scaled by the reciprocal sums, as the composite computed them.
     """
     te = x + eps
     s = te.sum(axis=-1)
-    if te.ndim <= 1:
-        return te / s, (te, s)
-    perm, inv = _slice_axis_first(te.ndim)
-    r = _ONE / s
-    return (te.transpose(perm) * r).transpose(inv), (te, s, r)
+    if te.ndim <= 2:
+        return te / s[..., None], (te, s)
+    r = 1.0 / s
+    return te * r[..., None], (te, s, r)
 
 
-def _slice_axis_first(ndim):
-    """Axis orders that move the last axis to the front, and back."""
-    return (ndim - 1,) + tuple(range(ndim - 1)), tuple(range(1, ndim)) + (0,)
-
-
-def _normalized_grad(g, saved):
-    """Gradient through `_normalized` for the gradient `g` of its result."""
-    if len(saved) == 2:
-        te, s = saved
-        g_te = g / s
-        g_s = (-g * te / (s * s)).sum(axis=0)
+def _normalized_grad(g, saved, idx):
+    """Gradient through `_normalized` of the slices `idx` for the gradient `g` of their results."""
+    te, s, *r = (v[idx] for v in saved)
+    if r:
+        g_te = g * r[0][..., None]
+        g_s = -(g * te).sum(axis=-1) / (s * s)
     else:
-        te, s, r = saved
-        perm, inv = _slice_axis_first(te.ndim)
-        g_m = g.transpose(perm)
-        g_te = (g_m * r).transpose(inv)
-        g_r = (g_m * te.transpose(perm)).sum(axis=0)
-        g_s = -g_r * _ONE / (s * s)
-    return g_te + sum_grad(g_s, -1, te.shape)
+        g_te = g / s[..., None]
+        g_s = (-g * te / (s * s)[..., None]).sum(axis=-1)
+    return g_te + g_s[..., None]
 
 
-def _kl(p, q):
-    """Symmetric KL of two maps given as (normalized, saved values, log), which
-    calls share and none writes to; the backward gives (g_q, g_p)."""
-    (pn, p_saved, lp), (qn, q_saved, lq) = p, q
-    d1 = lp + -lq  # Tensor subtraction is `a + (-b)`
-    p1 = pn * d1
-    kl_pq = p1.sum(axis=-1)
-    d2 = lq + -lp
-    p2 = qn * d2
-    total = kl_pq + p2.sum(axis=-1)
+def _kl(X, a, b, eps):
+    """Symmetric KL between the maps X[a] and X[b]; the backward gives (g_b, g_a)."""
+    n, saved = _normalized(X, eps)
+    logn = np.log(n)
+    pn, qn, lp, lq = n[a], n[b], logn[a], logn[b]
+    d1, d2 = lp - lq, lq - lp
+    total = (pn * d1).sum(axis=-1) + (qn * d2).sum(axis=-1)
 
     def backward(g):
         # pn and qn feed three ops each; their gradients are added as the
         # composite added them: (first two) + the third.
-        g = g * _HALF
-        g_p1 = sum_grad(g, -1, p1.shape)
-        g_d1 = g_p1 * pn
-        g_p2 = sum_grad(g, -1, p2.shape)
-        g_d2 = g_p2 * qn
-        g_qn = -g_d1 / qn + g_p2 * d2 + g_d2 / qn
-        g_pn = g_p1 * d1 + g_d1 / pn + -g_d2 / pn
-        return _normalized_grad(g_qn, q_saved), _normalized_grad(g_pn, p_saved)
+        g = (g * 0.5)[..., None]
+        g_d1, g_d2 = g * pn, g * qn
+        g_qn = -g_d1 / qn + g * d2 + g_d2 / qn
+        g_pn = g * d1 + g_d1 / pn - g_d2 / pn
+        return _normalized_grad(g_qn, saved, b), _normalized_grad(g_pn, saved, a)
 
-    return total * _HALF, backward
+    return total * 0.5, backward
 
 
-def _cosine(x, y):
-    xy = x * y
-    dot = xy.sum(axis=-1)
-    xx, yy = x ** 2, y ** 2
-    sx, sy = xx.sum(axis=-1), yy.sum(axis=-1)
-    nx, ny = np.sqrt(sx), np.sqrt(sy)
+def _cosine(X, a, b):
+    """One minus the cosine of the raw maps X[a] and X[b]; the backward gives (g_a, g_b)."""
+    x, y = X[a], X[b]
+    dot = (x * y).sum(axis=-1)
+    norms = np.sqrt((X ** 2).sum(axis=-1))
+    nx, ny = norms[a], norms[b]
     norm = nx * ny
-    ratio = dot / norm
-    out = _ONE + -ratio
 
     def backward(g):
-        g_ratio = -g
-        g_xy = sum_grad(g_ratio / norm, -1, xy.shape)
-        g_norm = -g_ratio * dot / (norm * norm)
-        g_sx = g_norm * ny * 0.5 / nx
-        g_sy = g_norm * nx * 0.5 / ny
-        g_p = g_xy * y + 2.0 * x * sum_grad(g_sx, -1, xx.shape)
-        g_q = g_xy * x + 2.0 * y * sum_grad(g_sy, -1, yy.shape)
-        return g_p, g_q
+        g_xy = (-g / norm)[..., None]
+        g_norm = g * dot / (norm * norm)
+        g_sx = (g_norm * ny * 0.5 / nx)[..., None]
+        g_sy = (g_norm * nx * 0.5 / ny)[..., None]
+        return g_xy * y + 2.0 * x * g_sx, g_xy * x + 2.0 * y * g_sy
 
-    return out, backward
+    return 1.0 - dot / norm, backward
 
 
 # -- losses on CA columns -----------------------------------------------------
 #
-# Each loss is one graph node on A, built from parts: (value, backward) pairs
-# whose backward(g) lists (column, gradient) pairs in the order
-# `Tensor.backward` reached the replaced chain's column takes.
+# Each loss is one graph node on A.  Its backward hands `_column_grad` the
+# gradient of each column take of the replaced chain, in the order
+# `Tensor.backward` reached the takes, and values are left-folded in the
+# chain's order: per-distance frame means, negatives, pairs and tokens.
 
 
-def _column_grad(visits, shape):
-    """A's gradient from (column, gradient) pairs, summed as the chain's takes summed them.
+def _fold(values):
+    """The left-fold sum of scalars, as the chain added them; 0.0 for none."""
+    return functools.reduce(operator.add, values) if len(values) else 0.0
 
-    Each take added a full array, +0 outside its column: with two or more
-    columns a zero sum ends as +0.
+
+def _column_grad(takes, shape):
+    """A's gradient from the (column, gradient) takes, added per column in visit order.
+
+    Each take of the chain added a full array, +0 outside its column: with
+    two or more columns a zero sum ends as +0.
     """
-    sums = {}
-    for c, g in visits:
-        sums[c] = sums[c] + g if c in sums else g
-    full = np.zeros(shape)
-    for c, g in sums.items():
-        full[..., c] = g + 0.0 if len(sums) > 1 else g
+    full, seen = np.zeros(shape), set()
+    for c, g in takes:
+        if c in seen:
+            full[..., c] += g
+        else:
+            full[..., c] = g
+            seen.add(c)
+    if len(seen) > 1:
+        full += 0.0
     return full
 
 
-def _column_node(value, backward, A):
-    return Tensor.node(value, (A,), lambda g: (_column_grad(backward(g), A.shape),))
+def _mean_distances(A, dpairs, kind, eps):
+    """Frame-mean distances between the CA columns of each pair in `dpairs`: ([D], grad).
 
+    ``grad(gd)`` turns the gradients [D] of the means into A's gradient.
+    """
+    cols = sorted({c for pair in dpairs for c in pair})
+    X = _stack(A.data, cols)
+    _check_maps(X)
+    a, b = ([cols.index(pair[i]) for pair in dpairs] for i in (0, 1))
+    out, backward, swap = _distances(X, a, b, kind, eps)
+    inv = 1.0 / out[0].size
+    visits = [c for pair in dpairs for c in (pair[::-1] if swap else pair)]
 
-def _sum(parts):
-    """The left-fold sum of (value, backward) parts."""
-    value = sum((v for v, _ in parts[1:]), parts[0][0])
-    return value, lambda g: [visit for _, grad in parts for visit in grad(g)]
+    def grad(gd):
+        firsts, seconds = backward((np.asarray(gd) * inv).reshape((-1,) + (1,) * (out.ndim - 1)))
+        return _column_grad(zip(visits, (g for pair in zip(firsts, seconds) for g in pair)),
+                            A.shape)
 
-
-def _mean_dist(distance, a, b):
-    """Frame-mean `distance` (`_distances` of A's columns) between columns a and b, as a part."""
-    out, grad, swap = distance(a, b)
-    inv = 1.0 / out.size
-    cols = (b, a) if swap else (a, b)
-    return out.sum() * inv, lambda g: list(zip(cols, grad(sum_grad(g * inv, None, out.shape))))
+    return out.reshape(len(dpairs), -1).sum(axis=-1) * inv, grad
 
 
 # -- spatial constraints ------------------------------------------------------
@@ -328,74 +315,71 @@ def _tracked(pairs, include_verbs):
     return [(t, pair[0]) for pair in pairs.pairs for t in pair[:2 if include_verbs else 1]]
 
 
-def _mass_terms(Ad, masks, pairs, include_verbs, eps, outside):
-    """Frame-mean of the tracked tokens' mass terms, as a part."""
-    value, grad = _sum([
-        _mass_term(Ad[..., token], _frame_masks(masks, noun, Ad.shape[:-1]), token, eps, outside)
-        for token, noun in _tracked(pairs, include_verbs)
-    ])
-    inv = 1.0 / Ad.shape[0]
-    return value * inv, lambda g: grad(g * inv)
+def _mass_terms(X, masks, tokens, eps, halves):
+    """Squared mass ratios of the token columns X [T, F, N], summed over frames: ([H, T], backward).
 
-
-def _mass_term(c, M, token, eps, outside):
-    """One token's squared mass ratio summed over frames, as a part.
-
-    ``c`` is the token's CA column [F, N] and ``M`` its masks [F, N].  The
-    fg term is (1 - in/total)^2 and the bg term (out/total)^2, with the bg
-    weight in the literal (1 - M) form, which equals the fg deficit for
-    binary masks.  Runs the numpy operations of the composite form and
-    replays its backward, so values and gradients are bit-identical.
+    ``masks`` yields each token's masks [F, N] in turn, taken after the
+    previous token's mass check.  Each half is fg (False): (1 - in/total)^2,
+    or bg (True): (out/total)^2, with the bg weight in the literal (1 - M)
+    form, which equals the fg deficit for binary masks.  ``backward(g)``
+    gives X's gradient per half, [H, T, F, N].
     """
-    total = c.sum(axis=1)
-    low = np.flatnonzero(total <= eps)
-    if low.size:
-        raise DegenerateAttentionError(
-            f"token {token} frame {int(low[0])}: total attention mass <= {eps}"
-        )
-    weight = 1.0 - M if outside else M
-    weighted = c * weight
-    mass = weighted.sum(axis=1)
+    total = X.sum(axis=-1)
+    low = total <= eps
+    bad = low.any(axis=-1)
+    stacked = []
+    for t, (token, M) in enumerate(zip(tokens, masks)):
+        stacked.append(M)
+        if bad[t]:
+            raise DegenerateAttentionError(f"token {token} frame {int(np.flatnonzero(low[t])[0])}: "
+                                           f"total attention mass <= {eps}")
+    M = np.stack(stacked)
+    W = np.stack([1.0 - M if outside else M for outside in halves])
+    mass = (X * W).sum(axis=-1)
     ratio = mass / total
-    base = ratio if outside else _ONE + -ratio
-    sq = base ** 2
+    fg = [h for h, outside in enumerate(halves) if not outside]
+    base = ratio.copy()
+    base[fg] = 1.0 - ratio[fg]
 
     def backward(g):
-        g_base = 2.0 * base * sum_grad(g, None, sq.shape)
-        g_ratio = g_base if outside else -g_base
+        g_ratio = 2.0 * base * g
+        g_ratio[fg] = -g_ratio[fg]
         g_total = -g_ratio * mass / (total * total)
-        return [(token, sum_grad(g_ratio / total, 1, c.shape) * weight
-                 + sum_grad(g_total, 1, c.shape))]
+        return (g_ratio / total)[..., None] * W + g_total[..., None]
 
-    return sq.sum(), backward
+    return (base ** 2).sum(axis=-1), backward
+
+
+def _mass_node(A, masks, pairs, include_verbs, eps, halves):
+    """Frame-mean mass terms of the tracked tokens, the halves added, as one node on A."""
+    if not pairs.pairs:
+        return Tensor(0.0)
+    tracked = _tracked(pairs, include_verbs)
+    tokens = [t for t, _ in tracked]
+    X = _stack(A.data, tokens)
+    terms, backward = _mass_terms(
+        X, (_frame_masks(masks, noun, X.shape[1:]) for _, noun in tracked), tokens, eps, halves)
+    inv = 1.0 / X.shape[1]
+    return Tensor.node(_fold([_fold(row) * inv for row in terms]), (A,), lambda g: (_column_grad(
+        zip(tokens * len(halves), backward(g * inv).reshape(-1, *X.shape[1:])), A.shape),))
 
 
 @trapped
 def loss_fg(A, masks, pairs, include_verbs=True, eps=1e-8):
     """Squared deficit of in-box attention mass, frame-averaged."""
-    if not pairs.pairs:
-        return Tensor(0.0)
-    return _column_node(*_mass_terms(A.data, masks, pairs, include_verbs, eps, False), A)
+    return _mass_node(A, masks, pairs, include_verbs, eps, (False,))
 
 
 @trapped
 def loss_bg(A, masks, pairs, include_verbs=True, eps=1e-8):
     """Squared out-of-box attention mass ratio, frame-averaged."""
-    if not pairs.pairs:
-        return Tensor(0.0)
-    return _column_node(*_mass_terms(A.data, masks, pairs, include_verbs, eps, True), A)
+    return _mass_node(A, masks, pairs, include_verbs, eps, (True,))
 
 
 @trapped
 def loss_sp(A, masks, pairs, config):
     """The spatial constraint: fg + bg."""
-    if not pairs.pairs:
-        return Tensor(0.0)
-    fg, fg_grad = _mass_terms(A.data, masks, pairs, config.apply_spatial_to_verbs,
-                              config.eps, False)
-    bg, bg_grad = _mass_terms(A.data, masks, pairs, config.apply_spatial_to_verbs,
-                              config.eps, True)
-    return _column_node(fg + bg, lambda g: fg_grad(g) + bg_grad(g), A)
+    return _mass_node(A, masks, pairs, config.apply_spatial_to_verbs, config.eps, (False, True))
 
 
 # -- syntax contrastive constraint --------------------------------------------
@@ -404,41 +388,18 @@ def loss_sp(A, masks, pairs, config):
 @trapped
 def loss_pos(A, pair, kind=KL_SYM, eps=1e-8):
     """Frame-mean distance between a pair's noun map and verb map."""
-    _check_columns(A, pair)
-    return _column_node(*_mean_dist(_distances(np.moveaxis(A.data, -1, 0), kind, eps), *pair), A)
+    means, grad = _mean_distances(A, [tuple(pair)], kind, eps)
+    return Tensor.node(means[0], (A,), lambda g: (grad([g]),))
 
 
 @trapped
 def loss_neg(A, pair, negatives, kind=KL_SYM, eps=1e-8):
     """Summed frame-mean distance from the noun map to each negative map."""
-    if negatives:
-        _check_columns(A, {pair[0], *negatives})
-    distance = _distances(np.moveaxis(A.data, -1, 0), kind, eps)
-    value, backward = _neg(distance, pair[0], negatives)
-    return _column_node(value, backward, A) if negatives else Tensor(value)
-
-
-def _neg(distance, noun, negatives):
     if not negatives:
-        warnings.warn("empty negative set; loss_neg is 0", stacklevel=4)
-        return 0.0, lambda g: []
-    return _sum([_mean_dist(distance, noun, u) for u in sorted(negatives)])
-
-
-def _contrastive(pair, pos, neg, config):
-    """A pair's pos / (pos + neg), or pos + neg in SUM form, from its two parts."""
-    (pos, pos_grad), (neg, neg_grad) = pos, neg
-    denom = pos + neg
-    if config.contrastive_form == SUM:
-        return denom, lambda g: pos_grad(g) + neg_grad(g)
-    if denom <= config.eps:
-        raise DegenerateAttentionError(f"pair {pair}: contrastive denominator <= {config.eps}")
-
-    def backward(g):
-        g_neg = -g * pos / (denom * denom)
-        return pos_grad(g / denom + g_neg) + neg_grad(g_neg)
-
-    return pos / denom, backward
+        warnings.warn("empty negative set; loss_neg is 0", stacklevel=3)
+        return Tensor(0.0)
+    means, grad = _mean_distances(A, [(pair[0], u) for u in sorted(negatives)], kind, eps)
+    return Tensor.node(_fold(means), (A,), lambda g: (grad([g] * len(means)),))
 
 
 @trapped
@@ -446,13 +407,29 @@ def loss_syt(A, pairs, config):
     """Contrastive ratio summed over pairs (or plain sum in SUM form)."""
     if not pairs.pairs:
         raise ContractError("loss_syt needs at least one noun/verb pair")
-    _check_columns(A, {c for pair in pairs.pairs for c in (*pair, *pairs.negatives_for(pair))})
-    distance, terms = _distances(np.moveaxis(A.data, -1, 0), config.distance, config.eps), []
-    for pair in pairs.pairs:
-        pos = _mean_dist(distance, *pair)
-        neg = _neg(distance, pair[0], pairs.negatives_for(pair))
-        terms.append(_contrastive(pair, pos, neg, config))
-    return _column_node(*_sum(terms), A)
+    negatives = [sorted(pairs.negatives_for(pair)) for pair in pairs.pairs]
+    means, grad = _mean_distances(A, [d for pair, negs in zip(pairs.pairs, negatives)
+                                      for d in [pair, *((pair[0], u) for u in negs)]],
+                                  config.distance, config.eps)
+    ratio, terms, i = config.contrastive_form == RATIO, [], 0
+    for pair, negs in zip(pairs.pairs, negatives):
+        if not negs:
+            warnings.warn("empty negative set; loss_neg is 0", stacklevel=3)
+        pos, denom = means[i], means[i] + _fold(means[i + 1:i + 1 + len(negs)])
+        i += 1 + len(negs)
+        if ratio and denom <= config.eps:
+            raise DegenerateAttentionError(f"pair {pair}: contrastive denominator <= {config.eps}")
+        terms.append((pos, denom, len(negs)))
+
+    def backward(g):
+        gd = []
+        for pos, denom, k in terms:
+            g_neg = -g * pos / (denom * denom) if ratio else g
+            gd += [g / denom + g_neg if ratio else g] + [g_neg] * k
+        return (grad(gd),)
+
+    return Tensor.node(_fold([pos / denom if ratio else denom for pos, denom, _ in terms]), (A,),
+                       backward)
 
 
 # -- latent updates -----------------------------------------------------------
@@ -494,7 +471,12 @@ def _pairs_to_columns(pairs, columns):
 
 
 def prepare_inputs(prompt, priors, config, model):
-    """Tokenize, pair, resample (warning first), rasterize, and bind masks to noun columns."""
+    """Tokenize, pair, resample (warning first), rasterize, and bind masks to noun columns.
+
+    Boxes bind to the prompt nouns their names hold when each holds one, one to one, and
+    by position (the k-th box to the k-th pair) when some name holds none.  Names that
+    all hold prompt nouns but fit neither way are an `InputError`.
+    """
     tokens = tokenize(prompt)
     pairs = extract_pairs(tokens)
     text = model.encode_text(tokens)
@@ -511,10 +493,17 @@ def prepare_inputs(prompt, priors, config, model):
             f"{len(priors.trajectories)} box trajectories for "
             f"{len(column_pairs.pairs)} noun/verb pairs"
         )
-    binding = {
-        traj.subject_id: noun
-        for traj, (noun, _) in zip(priors.trajectories, column_pairs.pairs)
-    }
+    nouns = [tokens[noun].text for noun, _ in pairs.pairs]
+    named = [[n for n in nouns if n in words(traj.name)] for traj in priors.trajectories]
+    order = range(len(nouns))
+    if all(named):  # every box names a prompt subject: bind by name, or fail
+        if all(len(held) == 1 for held in named) and len({h[0] for h in named}) == len(named):
+            order = [nouns.index(held[0]) for held in named]
+        elif any(set(held) - {nouns[k]} for k, held in enumerate(named)):
+            raise InputError(f"box names {[t.name for t in priors.trajectories]} do not match "
+                             f"the prompt's subjects {nouns} one to one")
+    binding = {traj.subject_id: column_pairs.pairs[k][0]
+               for traj, k in zip(priors.trajectories, order)}
     return column_pairs, text, raw_masks.rebind(binding)
 
 

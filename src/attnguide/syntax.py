@@ -58,14 +58,15 @@ def tokenize(prompt):
     """Whitespace-split, punctuation-stripped, lowercased tokens in order."""
     if not prompt or not prompt.strip():
         raise InputError("prompt is empty")
-    words = []
-    for raw in prompt.lower().split():
-        word = raw.strip(string.punctuation)
-        if word:
-            words.append(word)
-    if not words:
+    found = words(prompt)
+    if not found:
         raise InputError("prompt contains no words after normalization")
-    return [Token(w, i) for i, w in enumerate(words)]
+    return [Token(w, i) for i, w in enumerate(found)]
+
+
+def words(text):
+    """The whitespace-split, punctuation-stripped, lowercased words of `text`."""
+    return [w for w in (raw.strip(string.punctuation) for raw in text.lower().split()) if w]
 
 
 def _split_clauses(tokens):

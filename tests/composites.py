@@ -90,14 +90,24 @@ def in_box_ratio(ca, masks, token_index, frame):
 
 @trapped
 def dist_node(p, q, kind, eps):
-    out, backward, swap = guidance._distances((p.data, q.data), kind, eps)(0, 1)
-    return RefTensor.node(out, (q, p) if swap else (p, q), backward)
+    out, backward, swap = guidance._distances(np.stack((p.data, q.data)), [0], [1], kind, eps)
+    return RefTensor.node(out[0], (q, p) if swap else (p, q),
+                          lambda g: [grad[0] for grad in backward(g[None])])
 
 
 @trapped
 def mass_term_node(col, M, token, eps, outside):
-    out, backward = guidance._mass_term(col.data, M, token, eps, outside)
-    return RefTensor.node(out, (col,), lambda g: (backward(g)[0][1],))
+    terms, backward = guidance._mass_terms(col.data[None], [M], [token], eps, (outside,))
+    return RefTensor.node(terms[0, 0], (col,), lambda g: (backward(g)[0, 0],))
+
+
+def check_columns(A, columns):
+    """Reject CA columns [F, N] of the given tokens that are negative somewhere or all zero."""
+    values = A.data[..., sorted(columns)]
+    if np.any(values < 0):
+        raise DegenerateAttentionError("attention map has negative entries")
+    if np.any(values.sum(axis=-2) <= 0):
+        raise DegenerateAttentionError("attention map slice is all zero")
 
 
 @trapped
@@ -189,7 +199,7 @@ def loss_sp(A, masks, pairs, config, mass_term=mass_term_node):
 
 
 def loss_pos(A, pair, kind=KL_SYM, eps=1e-8, dist=dist_node):
-    guidance._check_columns(A, pair)
+    check_columns(A, pair)
     return _pos(A, pair, kind, eps, dist)
 
 
@@ -200,7 +210,7 @@ def _pos(A, pair, kind, eps, dist):
 
 def loss_neg(A, pair, negatives, kind=KL_SYM, eps=1e-8, dist=dist_node):
     if negatives:
-        guidance._check_columns(A, {pair[0], *negatives})
+        check_columns(A, {pair[0], *negatives})
     return _neg(A, pair[0], negatives, kind, eps, dist)
 
 
@@ -218,7 +228,7 @@ def _neg(A, noun, negatives, kind, eps, dist):
 def loss_syt(A, pairs, config, dist=dist_node):
     if not pairs.pairs:
         raise ContractError("loss_syt needs at least one noun/verb pair")
-    guidance._check_columns(
+    check_columns(
         A, {c for pair in pairs.pairs for c in (*pair, *pairs.negatives_for(pair))})
     acc = None
     for pair in pairs.pairs:

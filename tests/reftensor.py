@@ -13,8 +13,17 @@ of the result shape (scalars included); anything richer raises
 
 import numpy as np
 
-from attnguide.autodiff import Tensor, softmax, softmax_grad, sum_grad
+from attnguide.autodiff import Tensor, softmax, softmax_grad
 from attnguide.errors import DimensionError
+
+
+def sum_grad(g, axis, shape):
+    """Gradient of a sum over ``axis`` (None: every axis) spread back to ``shape``: a copy."""
+    out, unit = np.empty(shape), list(shape)
+    for a in () if axis is None else axis if isinstance(axis, tuple) else (axis,):
+        unit[a] = 1
+    out[...] = g if axis is None else np.reshape(g, unit)
+    return out
 
 
 def _suffix_broadcast_shape(sa, sb):

@@ -130,7 +130,7 @@ def test_criterion_2_gradient_oracle():
     ok = True
     for component, tol in (("stub", 1e-6), ("model", 1e-4)):
         for seed in SEEDS:
-            for name, err, _ in gradcheck_suites(component, seed):
+            for name, err, _, _ in gradcheck_suites(component, seed):
                 names.add(name.split("/")[1])
                 worst[component] = max(worst[component], err)
                 ok = ok and err <= tol

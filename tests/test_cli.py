@@ -236,6 +236,19 @@ class TestGenerate:
         assert len(errors) == 1 and errors[0].startswith("ERROR kind=parse")
         assert not (tmp_path / "run").exists()
 
+    def test_box_names_contradicting_the_prompt_are_one_error(self, tmp_path, small_run_args,
+                                                              capsys):
+        """Both boxes name the man, and the second sits where the dog's box belongs."""
+        boxes = tmp_path / "two_men.txt"
+        boxes.write_text(WOMAN_MAN_BOXES.replace("walking woman", "walking man"))
+        argv = small_run_args("run")
+        argv[2] = str(boxes)
+        assert main(argv) == 2
+        errors = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("ERROR")]
+        assert len(errors) == 1 and errors[0].startswith("ERROR kind=parse")
+        assert "do not match the prompt's subjects" in errors[0]
+        assert not (tmp_path / "run").exists()
+
     def test_prints_and_records_warnings(self, tmp_path, small_run_args, capsys):
         """A clipped box (load warning), the 8 box frames resampled to the model's 2, and
         the man's end boxes covering no cell centre at 4x4."""
@@ -275,6 +288,13 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "worst_rel_err" in out
+
+    @pytest.mark.parametrize("seed", [26, 27, 37])
+    def test_near_zero_coordinates_pass(self, capsys, seed):
+        """Seeds whose worst relative error, on coordinates near zero, exceeds the tolerance."""
+        assert main(["gradcheck", "all", "--seed", str(seed)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert main(["gradcheck", "all", "--seed", str(seed), "--corrupt-gradient"]) == 5
 
     def test_corrupted_gradient_detected(self, capsys):
         assert main(["gradcheck", "stub", "--corrupt-gradient"]) == 5

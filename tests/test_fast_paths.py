@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from attnguide import guidance
-from attnguide.autodiff import Tensor, softmax, sum_grad
+from attnguide.autodiff import Tensor, softmax
 from attnguide.denoiser import ToyDenoiser, ToyModelConfig
 from attnguide.guidance import GuidanceConfig, loss_syt
 from attnguide.syntax import extract_pairs, tokenize
 
 from conftest import TEMPLATE_PROMPT, tiny_model_config
+from reftensor import sum_grad
 
 
 def same_bytes(a, b):
@@ -89,8 +90,26 @@ def test_unpool_gathers_match_matmuls(rng, overrides):
         same_bytes(np.take(out, cell, axis=-2) * pw, P.T @ out)
 
 
-def test_loss_syt_normalizes_each_column_once(monkeypatch, rng):
-    """Template prompt: 2 pairs x (verb + 7 negatives) = 16 distances over 9 columns."""
+@pytest.mark.parametrize("pixels", [1, 7, 8, 9, 16, 64, 127, 128, 129, 256, 300])
+def test_stack_sums_match_strided_column_sums(rng, pixels):
+    """The losses sum the C-contiguous column stack along its rows; the replaced chains
+    summed the strided columns of A.  A numpy that sums the two in different orders
+    fails here rather than by a moved digest."""
+    A = rng.uniform(size=(5, pixels, 11)) * 10.0 ** rng.uniform(-3, 3, size=(5, pixels, 11))
+    cols = [7, 2, 9, 2, 0]
+    X = guidance._stack(A, cols)
+    assert X.flags.c_contiguous and X.shape == (5, 5, pixels)
+    sums = X.sum(axis=-1)
+    for k, c in enumerate(cols):
+        same_bytes(sums[k], A[..., c].sum(axis=-1))
+        for f in range(A.shape[0]):
+            same_bytes(sums[k, f], A[f, :, c].sum())   # a frame mean's 1-D sum
+    same_bytes(sums.T.copy().sum(axis=-1)[1], sums[:, 1].sum())
+
+
+def test_loss_syt_gathers_each_column_once(monkeypatch, rng):
+    """Template prompt: 2 pairs x (verb + 7 negatives) = 16 distances over 9 columns,
+    gathered into one stack and measured in one kernel call."""
     model = ToyDenoiser(tiny_model_config())
     tokens = tokenize(TEMPLATE_PROMPT)
     text = model.encode_text(tokens)
@@ -99,10 +118,13 @@ def test_loss_syt_normalizes_each_column_once(monkeypatch, rng):
     z = Tensor(rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w)),
                requires_grad=True)
     _, A, _ = model.denoise_step(z, 0.5, text)
-    calls = []
-    normalized = guidance._normalized
-    monkeypatch.setattr(guidance, "_normalized",
-                        lambda x, eps: calls.append(1) or normalized(x, eps))
+    gathers, kernels = [], []
+    stack, distances = guidance._stack, guidance._distances
+    monkeypatch.setattr(guidance, "_stack",
+                        lambda A, cols: gathers.append(list(cols)) or stack(A, cols))
+    monkeypatch.setattr(guidance, "_distances", lambda X, a, b, *rest: (
+        kernels.append((X.shape[0], len(a), len(b))) or distances(X, a, b, *rest)))
     loss_syt(A, pairs, GuidanceConfig()).backward()
     assert sum(1 + len(pairs.negatives_for(pair)) for pair in pairs.pairs) == 16
-    assert len(calls) == 9
+    assert len(gathers) == 1 and len(gathers[0]) == len(set(gathers[0])) == 9
+    assert kernels == [(9, 16, 16)]

@@ -436,6 +436,41 @@ class TestPrepareInputs:
         assert left[:, : g // 2].all() and not left[:, g // 2:].any()
         assert right[:, g // 2:].all() and not right[:, : g // 2].any()
 
+    @staticmethod
+    def _named_prior(*names):
+        prior = static_two_box_prior(2)  # the first box on the left half, the second right
+        for traj, name in zip(prior.trajectories, names):
+            traj.name = name
+        return prior
+
+    def test_binds_trajectories_by_name(self):
+        """Boxes listed as `walking man`, then `running dog`, bind to the man and the dog."""
+        model = ToyDenoiser(tiny_model_config())
+        prior = self._named_prior("walking man", "running dog")
+        column_pairs, _, masks = prepare_inputs("a dog is running and a man is walking", prior,
+                                                GuidanceConfig(), model)
+        (dog, _), (man, _) = column_pairs.pairs
+        g = model.config.capture_grid
+        assert masks.masks[man][0][:, : g // 2].all() and not masks.masks[man][0][:, g // 2:].any()
+        assert masks.masks[dog][0][:, g // 2:].all() and not masks.masks[dog][0][:, : g // 2].any()
+
+    def test_partly_named_boxes_bind_in_order(self):
+        """`woman` is no prompt noun, so the boxes bind by position, as before names counted."""
+        model = ToyDenoiser(tiny_model_config())
+        by_order = prepare_inputs(TEMPLATE_PROMPT, static_two_box_prior(2), GuidanceConfig(),
+                                  model)[2]
+        partly = prepare_inputs(TEMPLATE_PROMPT, self._named_prior("walking woman", "jumping man"),
+                                GuidanceConfig(), model)[2]
+        assert partly.masks.keys() == by_order.masks.keys()
+        assert all((partly.masks[k] == by_order.masks[k]).all() for k in by_order.masks)
+
+    @pytest.mark.parametrize("names", [("walking man", "running man"),
+                                       ("man and dog", "running dog")])
+    def test_names_contradicting_order_rejected(self, names):
+        with pytest.raises(InputError, match="do not match the prompt's subjects"):
+            prepare_inputs("a dog is running and a man is walking", self._named_prior(*names),
+                           GuidanceConfig(), ToyDenoiser(tiny_model_config()))
+
     def test_resamples_prior_frames(self):
         model = ToyDenoiser(tiny_model_config())  # 2 frames
         _, _, masks = prepare_inputs(TEMPLATE_PROMPT, static_two_box_prior(8), GuidanceConfig(),

@@ -1,8 +1,10 @@
-"""Property tests: box text and JSON forms agree, config files round-trip, and the
-component count agrees with scipy's labeller."""
+"""Property tests: box text and JSON forms agree, config files round-trip, the
+component count agrees with scipy's labeller, and the batched losses give the
+composite chains' bytes."""
 
 import json
 import string
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -11,6 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import composites
+from attnguide import guidance
+from attnguide.autodiff import Tensor
 from attnguide.boxes import (
     DEFAULT_FRAME_H,
     DEFAULT_FRAME_W,
@@ -23,6 +28,9 @@ from attnguide.boxes import (
 from attnguide.denoiser import ToyModelConfig
 from attnguide.guidance import COSINE, KL_SYM, RATIO, SUM, GuidanceConfig
 from attnguide.metrics import count_components
+from attnguide.syntax import SyntaxPairs
+
+from test_fused_nodes import attention_values, mask_set, same_bytes
 
 backgrounds = st.text(alphabet=string.ascii_letters + " ", min_size=1).map(str.strip).filter(bool)
 
@@ -161,3 +169,68 @@ def test_count_components_matches_scipy_label(ndimage, grid):
     """4-connected components of the map at or above half its max, as scipy labels them."""
     _, expected = ndimage.label(grid >= 0.5 * grid.max())
     assert count_components(grid.reshape(1, grid.size, 1), 0, 0) == expected
+
+
+@st.composite
+def loss_scenes(draw):
+    """CA values [F, N, L] with masks for 1-3 pairs whose negatives may hold another
+    pair's noun or verb, the pair's own verb or nothing at all."""
+    frames, grid = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    columns = draw(st.integers(3, 9))
+    order = draw(st.permutations(range(columns)))
+    n_pairs = draw(st.integers(1, columns // 2 if columns < 7 else 3))
+    pairs = [(order[2 * k], order[2 * k + 1]) for k in range(n_pairs)]
+    negatives = {pair: frozenset(draw(st.sets(st.sampled_from(
+        [c for c in range(columns) if c != pair[0]]), max_size=columns))) for pair in pairs}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = attention_values(rng, (frames, grid * grid, columns),
+                            zeros=draw(st.sampled_from([0.0, 0.2])))
+    masks = mask_set(rng, [noun for noun, _ in pairs], frames, grid, draw(st.booleans()))
+    config = GuidanceConfig(distance=draw(st.sampled_from([KL_SYM, COSINE])),
+                            contrastive_form=draw(st.sampled_from([RATIO, SUM])),
+                            apply_spatial_to_verbs=draw(st.booleans()))
+    return vals, SyntaxPairs(pairs=pairs, negatives=negatives), masks, config
+
+
+def _value_and_grad(loss_fn, vals):
+    """(value, A's gradient) of a loss, or the type and message of the error it raises."""
+    A = Tensor(vals, requires_grad=True)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            loss = loss_fn(A)
+            loss.backward()
+    except guidance.AttnGuideError as exc:
+        return type(exc), str(exc)
+    return loss.data, A.grad
+
+
+@settings(deadline=None, max_examples=150)
+@given(loss_scenes())
+def test_batched_losses_match_composite_chains(scene):
+    """All six losses against the chains of primitive ops, byte for byte in value and gradient."""
+    vals, pairs, masks, config = scene
+    pair, verbs = pairs.pairs[0], config.apply_spatial_to_verbs
+    negs = pairs.negatives_for(pair)
+    kind, eps, dist, mass = config.distance, config.eps, composites.composite_dist, \
+        composites.composite_mass_term
+    cases = [
+        (lambda A: guidance.loss_fg(A, masks, pairs, verbs),
+         lambda A: composites.loss_fg(A, masks, pairs, verbs, mass_term=mass)),
+        (lambda A: guidance.loss_bg(A, masks, pairs, verbs),
+         lambda A: composites.loss_bg(A, masks, pairs, verbs, mass_term=mass)),
+        (lambda A: guidance.loss_sp(A, masks, pairs, config),
+         lambda A: composites.loss_sp(A, masks, pairs, config, mass)),
+        (lambda A: guidance.loss_pos(A, pair, kind, eps),
+         lambda A: composites.loss_pos(A, pair, kind, eps, dist)),
+        (lambda A: guidance.loss_neg(A, pair, negs, kind, eps),
+         lambda A: composites.loss_neg(A, pair, negs, kind, eps, dist)),
+        (lambda A: guidance.loss_syt(A, pairs, config),
+         lambda A: composites.loss_syt(A, pairs, config, dist)),
+    ]
+    for fused_fn, composite_fn in cases:
+        fused, composite = _value_and_grad(fused_fn, vals), _value_and_grad(composite_fn, vals)
+        if isinstance(composite[0], type):
+            assert fused == composite
+        else:
+            assert same_bytes(fused[0], composite[0]) and same_bytes(fused[1], composite[1])
