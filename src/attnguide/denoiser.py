@@ -22,6 +22,12 @@ from .errors import ContractError, DimensionError, InputError
 
 BEGIN, END, PAD = "<begin>", "<end>", "<pad>"
 
+# The largest model sizes accepted (a level grid is capped by the latent's
+# sides).  They bound each size, not their product: a model at every cap at
+# once is far past desk scale.
+MODEL_CAPS = {"frames": 64, "latent_h": 64, "latent_w": 64, "latent_channels": 16,
+              "token_budget": 128, "embed_dim": 1024, "heads": 16}
+
 
 @dataclass
 class ToyModelConfig:
@@ -37,10 +43,9 @@ class ToyModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("frames", "latent_h", "latent_w", "latent_channels", "token_budget",
-                     "embed_dim", "heads"):
-            if getattr(self, name) < 1:
-                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, cap in MODEL_CAPS.items():
+            if not 1 <= getattr(self, name) <= cap:
+                raise InputError(f"{name} must be in 1..{cap}, got {getattr(self, name)}")
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
         if any(g < 1 for _, g in self.levels):
@@ -83,7 +88,7 @@ class LatentState:
 @dataclass
 class TextEncoding:
     emb: np.ndarray  # [token_budget, embed_dim]
-    keys_values: dict  # level tag -> (per-head keys [dh, L], values [L, C])
+    keys_values: dict  # level tag -> (keys [H, 1, dh, L], values [L, C])
     columns: dict  # prompt token index -> CA column
 
 
@@ -149,8 +154,8 @@ class ToyDenoiser:
         self._weights = {}
         for tag, g in cfg.levels:
             self._weights[tag] = {
-                "wq": [rng.normal(0, 1.0, (C, dh)) for _ in range(heads)],
-                "wk": [rng.normal(0, 1.0, (d, dh)) for _ in range(heads)],
+                "wq": rng.normal(0, 1.0, (heads, 1, C, dh)),
+                "wk": rng.normal(0, 1.0, (heads, 1, d, dh)),
                 "wv": rng.normal(0, 1.0 / np.sqrt(d), (d, C)),
                 "mix": 0.5,
                 "tau_bias": rng.normal(0, 0.1, (C,)),
@@ -189,34 +194,37 @@ class ToyDenoiser:
     # -- forward ------------------------------------------------------------
 
     def _keys_values(self, emb):
-        """Per level: the text keys [dh, L] of each head and the values [L, C], all finite."""
-        kv = {tag: ([(emb @ wk).T for wk in w["wk"]], emb @ w["wv"])
+        """Per level: the stacked text keys [H, 1, dh, L] and the values [L, C], all finite."""
+        kv = {tag: (np.swapaxes(emb @ w["wk"], -1, -2), emb @ w["wv"])
               for tag, w in self._weights.items()}
-        check_finite(*(a for keys, values in kv.values() for a in (*keys, values)))
+        check_finite(*(a for pair in kv.values() for a in pair))
         return kv
 
-    def _cross_attention(self, x, keys, tag):
-        """Head-mean A of softmax((x @ wq) @ k * scale): (A, backward(g) -> x's gradient).
+    def _cross_attention(self, x, keys_values, tag):
+        """`_block`'s attention at a level: (A @ values, A, backward(g_out, g_A)).
 
-        Of each head only its softmax map [F, N, L], which the backward needs,
-        is kept.
+        A is the head mean of softmax((x @ wq) @ keys * scale), one softmax over
+        the stacked heads [H, F, N, L].  The heads add as a left fold in head
+        order, forward and backward, which keeps the per-head chain's bytes.
         """
-        wqs = self._weights[tag]["wq"]
+        keys, values = keys_values
+        wq = self._weights[tag]["wq"]
         scale = np.asarray(1.0 / np.sqrt(self._dh))
-        mean = np.asarray(1.0 / len(wqs))
-        maps = [softmax((x @ wq) @ k * scale) for wq, k in zip(wqs, keys)]
-        total = sum(maps[1:], maps[0])
+        mean = np.asarray(1.0 / len(wq))
+        maps = softmax((x @ wq) @ keys * scale)
+        A = sum(maps[1:], maps[0]) * mean
 
-        def backward(g):
-            g = g * mean
-            gx = None
-            for wq, k, m in zip(wqs, keys, maps):
-                g_q = (softmax_grad(m, g) * scale) @ np.swapaxes(k, -1, -2)
-                g_xh = g_q @ np.swapaxes(wq, -1, -2)
-                gx = g_xh if gx is None else gx + g_xh
-            return gx
+        def backward(g_out, g_A):
+            if g_out is not None:
+                g_Av = g_out @ values.T
+                g_A = g_Av if g_A is None else g_A + g_Av
+            if g_A is None:
+                return None
+            g_q = (softmax_grad(maps, g_A * mean) * scale) @ np.swapaxes(keys, -1, -2)
+            g_x = g_q @ np.swapaxes(wq, -1, -2)
+            return sum(g_x[1:], g_x[0])
 
-        return total * mean, backward
+        return A @ values, A, backward
 
     @trapped
     def denoise_step(self, z, tau, text):
@@ -241,15 +249,13 @@ class ToyDenoiser:
         h = z.data.reshape(F, C, HW).transpose(0, 2, 1)   # [F, HW, C]
         grads, captured, ta = [], {}, None
         for tag, g in cfg.levels:
-            keys, values = text.keys_values[tag]
             w = self._weights[tag]
-            attention = partial(self._level_attention, keys, values, tag)
-            h, captured[tag], grad = self._block(h, g, attention, w["mix"],
-                                                 w["tau_bias"] * tau, z.requires_grad)
+            attention = partial(self._cross_attention, keys_values=text.keys_values[tag],
+                                tag=tag)
+            h, captured[tag], grad = self._block(h, g, attention, w["mix"], w["tau_bias"] * tau)
             grads.append((tag, grad))
             if tag == "mid":
-                h, ta, grad = self._block(h, g, self._temporal_attention, 0.5, None,
-                                          z.requires_grad)
+                h, ta, grad = self._block(h, g, self._temporal_attention, 0.5, None)
                 grads.append((None, grad))
 
         eps = (h @ self._out).transpose(0, 2, 1).reshape(z.shape)
@@ -265,11 +271,11 @@ class ToyDenoiser:
 
         return eps, Tensor.node(A_cap * inv, (z,), backward), ta
 
-    def _block(self, h, grid, attention, mix, bias, keep):
+    def _block(self, h, grid, attention, mix, bias):
         """tanh(h + (U @ out) * mix [+ bias]) for (out, maps, _) = attention(P @ h).
 
-        Returns (h, maps, backward(g_h, g_maps) or None without ``keep``); the
-        gradient at the input adds the update's part first, as the chain did.
+        Returns (h, maps, backward(g_h, g_maps)); the gradient at the input adds
+        the update's part first, as the chain did.
         """
         P, U, (cell, pw) = self._pool[grid], self._unpool[grid], self._cells[grid]
         out, maps, attention_grad = attention(P @ h)
@@ -277,8 +283,6 @@ class ToyDenoiser:
         if bias is not None:
             s = s + bias
         h_out = np.tanh(s)
-        if not keep:
-            return h_out, maps, None
 
         def backward(g_h, g_maps):
             g_in = g_out = None
@@ -292,19 +296,6 @@ class ToyDenoiser:
             return g_x if g_in is None else g_in + g_x
 
         return h_out, maps, backward
-
-    def _level_attention(self, keys, values, tag, x):
-        """`_block`'s attention at a level: (A @ values, A, backward)."""
-        A, ca_grad = self._cross_attention(x, keys, tag)
-        out = A @ values
-
-        def backward(g_out, g_A):
-            if g_out is not None:
-                g_Av = g_out @ values.T
-                g_A = g_Av if g_A is None else g_A + g_Av
-            return None if g_A is None else ca_grad(g_A)
-
-        return out, A, backward
 
     def _temporal_attention(self, x):
         """`_block`'s attention of each pixel over the frames: (out, T_attn, backward)."""

@@ -37,6 +37,9 @@ COSINE = "COSINE"
 RATIO = "RATIO"
 SUM = "SUM"
 
+# The longest schedule accepted: DDPM's 1000 training timesteps.
+MAX_TOTAL_STEPS = 1000
+
 
 class GuidanceError(AttnGuideError):
     """An inner guidance update failed; message carries (step, iteration)."""
@@ -59,6 +62,9 @@ class GuidanceConfig:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.lambda_sp, self.lambda_syt, self.eps)):
             raise InputError("loss weights and eps must be finite")
+        if self.total_steps > MAX_TOTAL_STEPS:
+            raise InputError(f"total_steps must be at most {MAX_TOTAL_STEPS}, "
+                             f"got {self.total_steps}")
         if not (0 <= self.t1 <= self.t2 <= self.total_steps and self.total_steps >= 1):
             raise InputError(
                 f"need 0 <= t1 <= t2 <= total_steps and total_steps >= 1, got {self.t1}, "
@@ -474,8 +480,8 @@ def prepare_inputs(prompt, priors, config, model):
     """Tokenize, pair, resample (warning first), rasterize, and bind masks to noun columns.
 
     Boxes bind to the prompt nouns their names hold when each holds one, one to one, and
-    by position (the k-th box to the k-th pair) when some name holds none.  Names that
-    all hold prompt nouns but fit neither way are an `InputError`.
+    by position (the k-th box to the k-th pair) when some name holds none, with a warning
+    per box.  Names that all hold prompt nouns but fit neither way are an `InputError`.
     """
     tokens = tokenize(prompt)
     pairs = extract_pairs(tokens)
@@ -502,6 +508,10 @@ def prepare_inputs(prompt, priors, config, model):
         elif any(set(held) - {nouns[k]} for k, held in enumerate(named)):
             raise InputError(f"box names {[t.name for t in priors.trajectories]} do not match "
                              f"the prompt's subjects {nouns} one to one")
+    else:
+        raw_masks.warnings += [f"box {traj.name!r} of subject {traj.subject_id} bound by "
+                               f"position to the noun {noun!r}"
+                               for traj, noun in zip(priors.trajectories, nouns)]
     binding = {traj.subject_id: column_pairs.pairs[k][0]
                for traj, k in zip(priors.trajectories, order)}
     return column_pairs, text, raw_masks.rebind(binding)

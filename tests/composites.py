@@ -111,9 +111,9 @@ def check_columns(A, columns):
 
 
 @trapped
-def cross_attention_node(model, x, keys, tag):
-    A, backward = model._cross_attention(x.data, keys, tag)
-    return RefTensor.node(A, (x,), lambda g: (backward(g),))
+def cross_attention_node(model, x, keys_values, tag):
+    _, A, backward = model._cross_attention(x.data, keys_values, tag)
+    return RefTensor.node(A, (x,), lambda g: (backward(None, g),))
 
 
 def composite_normalize_lastdim(t, eps):
@@ -153,11 +153,13 @@ def composite_mass_term(col, M, token, eps, outside):
     return term.sum()
 
 
-def composite_cross_attention(model, x, keys, tag):
+def composite_cross_attention(model, x, keys_values, tag):
+    """The heads one by one: each head's [1, C, dh] query weights and [1, dh, L] keys
+    of the stacked arrays, as [C, dh] and [dh, L]."""
     w = model._weights[tag]
     scale = 1.0 / np.sqrt(model._dh)
     maps = []
-    for wq, k in zip(w["wq"], keys):
+    for wq, k in zip(w["wq"][:, 0], keys_values[0][:, 0]):
         q = x @ wq
         maps.append((q @ k) * scale)
     A = maps[0].softmax_lastdim()
@@ -263,10 +265,9 @@ def denoise_step(model, z, tau, text, cross_attention=cross_attention_node):
     for tag, g in cfg.levels:
         P, U = RefTensor(model._pool[g]), RefTensor(model._unpool[g])
         x = P @ h                                 # [F, g*g, C]
-        keys, values = text.keys_values[tag]
-        A = cross_attention(model, x, keys, tag)
+        A = cross_attention(model, x, text.keys_values[tag], tag)
         captured[tag] = A
-        out = A @ values
+        out = A @ text.keys_values[tag][1]
         h = tanh(h + (U @ out) * model._weights[tag]["mix"]
                  + model._weights[tag]["tau_bias"] * tau)
         if tag == "mid":

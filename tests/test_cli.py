@@ -250,8 +250,9 @@ class TestGenerate:
         assert not (tmp_path / "run").exists()
 
     def test_prints_and_records_warnings(self, tmp_path, small_run_args, capsys):
-        """A clipped box (load warning), the 8 box frames resampled to the model's 2, and
-        the man's end boxes covering no cell centre at 4x4."""
+        """A clipped box (load warning), the 8 box frames resampled to the model's 2, the
+        man's end boxes covering no cell centre at 4x4, and both boxes bound by position
+        (`walking woman` names no prompt noun)."""
         boxes = tmp_path / "clipped.txt"
         boxes.write_text(WOMAN_MAN_BOXES.replace("[0, 70, 120, 200]", "[-30, 70, 150, 200]"))
         argv = small_run_args("run")
@@ -264,6 +265,8 @@ class TestGenerate:
             "resampled 8 box frames to 2 model frames",
             "all-zero mask for subject 1 frame 0 (box [380, 120, 120, 180] at 4x4)",
             "all-zero mask for subject 1 frame 1 (box [380, 120, 120, 180] at 4x4)",
+            "box 'walking woman' of subject 0 bound by position to the noun 'man'",
+            "box 'jumping man' of subject 1 bound by position to the noun 'dog'",
         ]
         assert lines[-1].startswith("ok records=")
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
@@ -423,10 +426,12 @@ BAD_INPUTS = {
     "model_total_steps": ("model", "total_steps = 12\n"),  # the guidance config's field
     "model_negative_seed": ("model", "seed = -1\n"),
     "model_duplicate_level_tags": ("model", "levels = down:8, down:4, up:8\nca_capture = down\n"),
+    "model_huge_frames": ("model", "frames = 99999999999999999999\n"),
     "guide_not_a_number": ("guide", "lambda_sp = abc\n"),
     "guide_non_finite": ("guide", "lambda_sp = nan\n"),
     "guide_bad_boolean": ("guide", "apply_spatial_to_verbs = maybe\n"),
     "guide_zero_total_steps": ("guide", "total_steps = 0\nt1 = 0\nt2 = 0\n"),
+    "guide_huge_total_steps": ("guide", "total_steps = 99999999999999999999\n"),
     "guide_negative_spatial_iters": ("guide", "iters_spatial_per_step = -3\n"),
     "guide_negative_syntax_iters": ("guide", "iters_syntax_per_step = -1\n"),
     "guide_duplicate_key": ("guide", "lambda_sp = 0\nlambda_syt = 0\nlambda_sp = 30\n"),

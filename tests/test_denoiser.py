@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from attnguide import denoiser
 from attnguide.autodiff import Tensor, finite_diff_check
 from attnguide.denoiser import (
     BEGIN,
     END,
+    MODEL_CAPS,
     PAD,
     DDIMSchedule,
     LatentState,
@@ -15,10 +17,11 @@ from attnguide.denoiser import (
     ddim_step,
 )
 from attnguide.errors import ContractError, DimensionError, InputError, NumericError
+from attnguide.guidance import GuidanceConfig, run_guided_sampling
 from attnguide.syntax import tokenize
 
 from composites import square
-from conftest import tiny_model_config
+from conftest import TEMPLATE_PROMPT, static_two_box_prior, tiny_model_config
 from reftensor import ref
 
 
@@ -67,10 +70,9 @@ class TestEncodeText:
     def test_values_are_plain_arrays(self, model):
         enc = model.encode_text(tokenize("a cat is sitting"))
         values = [enc.emb, model._out, *model._pool.values(), *model._unpool.values()]
-        values += [a for keys, v in enc.keys_values.values() for a in (*keys, v)]
+        values += [a for kv in enc.keys_values.values() for a in kv]
         for w in (*model._weights.values(), model._temporal):
-            values += [a for v in w.values() for a in (v if isinstance(v, list) else [v])
-                       if not isinstance(v, float)]
+            values += [v for v in w.values() if not isinstance(v, float)]
         assert all(type(v) is np.ndarray for v in values)
 
     def test_non_finite_keys_values_rejected(self, model):
@@ -172,6 +174,21 @@ class TestDenoiseStep:
             return square(ca).sum()
 
         assert finite_diff_check(f, Tensor(base), step=1e-4) <= 1e-5
+
+    @pytest.mark.parametrize("guided,calls", [(True, (480, 280)), (False, (200, 0))])
+    def test_softmax_calls_per_default_run(self, monkeypatch, guided, calls):
+        """One softmax per level over its stacked heads, and one for the temporal block:
+        4 per forward.  The default guided run makes 120 forwards (70 with a backward),
+        the unguided one 50."""
+        counts = {"softmax": 0, "softmax_grad": 0}
+        for name in counts:
+            fn = getattr(denoiser, name)
+            monkeypatch.setattr(denoiser, name, lambda *a, name=name, fn=fn: (
+                counts.__setitem__(name, counts[name] + 1) or fn(*a)))
+        config = GuidanceConfig() if guided else GuidanceConfig(lambda_sp=0.0, lambda_syt=0.0)
+        run_guided_sampling(TEMPLATE_PROMPT, static_two_box_prior(8), config, ToyDenoiser(),
+                            seed=0)
+        assert (counts["softmax"], counts["softmax_grad"]) == calls
 
 
 class TestDDIM:
@@ -311,3 +328,15 @@ class TestConfig:
         path.write_text("frames 2\n")
         with pytest.raises(InputError):
             ToyModelConfig.from_file(path)
+
+    @pytest.mark.parametrize("name", sorted(MODEL_CAPS))
+    def test_sizes_capped(self, tmp_path, name):
+        """Each size is read up to its cap and rejected past it; no model is built."""
+        path = tmp_path / "model.cfg"
+        cap = MODEL_CAPS[name]
+        path.write_text(f"{name} = {cap}\n")
+        assert getattr(ToyModelConfig.from_file(path), name) == cap
+        for value in (cap + 1, 10 ** 20):
+            path.write_text(f"{name} = {value}\n")
+            with pytest.raises(InputError, match=f"{name} must be in 1..{cap}, got {value}"):
+                ToyModelConfig.from_file(path)

@@ -15,7 +15,7 @@ import pytest
 import composites
 from attnguide.autodiff import Tensor
 from attnguide.boxes import MaskSet
-from attnguide.denoiser import LatentState, TextEncoding, ToyDenoiser
+from attnguide.denoiser import LatentState, TextEncoding, ToyDenoiser, ToyModelConfig
 from attnguide.errors import DegenerateAttentionError, NumericError
 from attnguide.guidance import (
     COSINE,
@@ -45,6 +45,7 @@ from composites import (
     take_lastdim,
 )
 from conftest import tiny_model_config
+from test_fast_paths import ABLATE_MODEL
 from reftensor import RefTensor, ref
 
 SEEDS = range(25)
@@ -171,28 +172,39 @@ def test_mass_term_matches_composite(loss_fn, fractional):
 # -- cross-attention --------------------------------------------------------------
 
 
-def cross_attention_run(fn, model, x_vals, weights, keys, tag):
+def cross_attention_run(fn, model, x_vals, weights, keys_values, tag):
     x = RefTensor(x_vals, requires_grad=True)
-    A = fn(model, x, keys, tag)
+    A = fn(model, x, keys_values, tag)
     (A * weights).sum().backward()
     return A.data, x.grad
 
 
-@pytest.mark.parametrize("heads", [1, 2, 3, 4])
-def test_cross_attention_matches_composite(heads):
-    model = ToyDenoiser(tiny_model_config(heads=heads))
+# `attnguide gradcheck`'s model; ABLATE_MODEL is the `ablate` CLI's default model.
+GRADCHECK_MODEL = dict(frames=2, latent_h=4, latent_w=4,
+                       levels=(("down", 4), ("mid", 2), ("up", 4)), token_budget=8, embed_dim=8)
+MODEL_SHAPES = [("default", {}), ("ablate", ABLATE_MODEL), ("gradcheck", GRADCHECK_MODEL)]
+
+
+@pytest.mark.parametrize("config", [
+    *(pytest.param(tiny_model_config(heads=heads), id=str(heads)) for heads in range(1, 5)),
+    *(pytest.param(ToyModelConfig(**shape, heads=heads), id=f"{name}-{heads}")
+      for name, shape in MODEL_SHAPES for heads in range(1, 5)),
+])
+def test_cross_attention_matches_composite(config):
+    """The stacked-head kernel against the per-head chain: a BLAS that runs a stacked
+    matmul other than as one product per slice fails here."""
+    model = ToyDenoiser(config)
     cfg = model.config
     for seed in SEEDS:
-        rng = np.random.default_rng([seed, heads])
+        rng = np.random.default_rng([seed, cfg.heads])
         kv = model._keys_values(rng.normal(size=(cfg.token_budget, cfg.embed_dim)))
         for tag, g in cfg.levels:
             x_vals = rng.normal(0.0, 2.0, (cfg.frames, g * g, cfg.latent_channels))
             weights = rng.normal(size=(cfg.frames, g * g, cfg.token_budget))
-            keys = kv[tag][0]
             fused = cross_attention_run(cross_attention_node, model, x_vals, weights,
-                                        keys, tag)
+                                        kv[tag], tag)
             composite = cross_attention_run(composite_cross_attention, model, x_vals, weights,
-                                            keys, tag)
+                                            kv[tag], tag)
             assert same_bytes(fused[0], composite[0])
             assert same_bytes(fused[1], composite[1])
 
@@ -256,11 +268,11 @@ def test_mass_term_low_mass_is_degenerate(outside):
 def test_cross_attention_non_finite_intermediate_raises(heads):
     model = ToyDenoiser(tiny_model_config(heads=heads))
     cfg = model.config
-    keys, _ = model._keys_values(np.full((cfg.token_budget, cfg.embed_dim), 100.0))["down"]
+    kv = model._keys_values(np.full((cfg.token_budget, cfg.embed_dim), 100.0))["down"]
     x = RefTensor(np.full((cfg.frames, 16, cfg.latent_channels), 1e307), requires_grad=True)
     for fn in (cross_attention_node, composite_cross_attention):
         with np.errstate(all="ignore"), pytest.raises(NumericError):
-            fn(model, x, keys, "down")
+            fn(model, x, kv, "down")
 
 
 # -- whole-step and whole-loss nodes --------------------------------------------------

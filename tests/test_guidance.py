@@ -16,6 +16,7 @@ from attnguide.errors import (
 from attnguide.guidance import (
     COSINE,
     KL_SYM,
+    MAX_TOTAL_STEPS,
     RATIO,
     SUM,
     GuidanceConfig,
@@ -305,6 +306,16 @@ class TestConfig:
             GuidanceConfig(iters_syntax_per_step=-1)
         GuidanceConfig(iters_spatial_per_step=0, iters_syntax_per_step=0)
 
+    def test_total_steps_capped(self, tmp_path):
+        """The schedule is read up to its cap and rejected past it, before any allocation."""
+        path = tmp_path / "guide.cfg"
+        path.write_text(f"total_steps = {MAX_TOTAL_STEPS}\n")
+        assert GuidanceConfig.from_file(path).total_steps == MAX_TOTAL_STEPS
+        for value in (MAX_TOTAL_STEPS + 1, 99999999999999999999):
+            path.write_text(f"total_steps = {value}\n")
+            with pytest.raises(InputError, match=f"at most {MAX_TOTAL_STEPS}, got {value}"):
+                GuidanceConfig.from_file(path)
+
     def test_from_file_and_overrides(self, tmp_path):
         path = tmp_path / "guide.cfg"
         path.write_text(
@@ -464,6 +475,17 @@ class TestPrepareInputs:
         assert partly.masks.keys() == by_order.masks.keys()
         assert all((partly.masks[k] == by_order.masks[k]).all() for k in by_order.masks)
 
+    def test_positional_binding_warns_per_box(self):
+        """The woman/man boxes on the man/dog prompt: `walking woman` names no prompt noun,
+        so both boxes bind by position, `jumping man` to the dog, and each says so."""
+        column_pairs, _, masks = prepare_inputs(TEMPLATE_PROMPT, parse_llm_boxes(WOMAN_MAN_BOXES),
+                                                GuidanceConfig(), ToyDenoiser())
+        assert sorted(masks.masks) == [noun for noun, _ in column_pairs.pairs] == [2, 7]
+        assert masks.warnings == [
+            "box 'walking woman' of subject 0 bound by position to the noun 'man'",
+            "box 'jumping man' of subject 1 bound by position to the noun 'dog'",
+        ]
+
     @pytest.mark.parametrize("names", [("walking man", "running man"),
                                        ("man and dog", "running dog")])
     def test_names_contradicting_order_rejected(self, names):
@@ -476,12 +498,17 @@ class TestPrepareInputs:
         _, _, masks = prepare_inputs(TEMPLATE_PROMPT, static_two_box_prior(8), GuidanceConfig(),
                                      model)
         assert masks.masks[2].shape[0] == 2  # second frame exists after resampling
-        assert masks.warnings == ["resampled 8 box frames to 2 model frames"]
+        assert masks.warnings == [
+            "resampled 8 box frames to 2 model frames",
+            "box 'left subject' of subject 0 bound by position to the noun 'man'",
+            "box 'right subject' of subject 1 bound by position to the noun 'dog'",
+        ]
 
     def test_matching_frames_warn_nothing(self):
+        """Two frames for a 2-frame model, and boxes bound by name."""
         model = ToyDenoiser(tiny_model_config())
-        _, _, masks = prepare_inputs(TEMPLATE_PROMPT, static_two_box_prior(2), GuidanceConfig(),
-                                     model)
+        prior = self._named_prior("walking man", "running dog")
+        _, _, masks = prepare_inputs(TEMPLATE_PROMPT, prior, GuidanceConfig(), model)
         assert masks.warnings == []
 
     def test_pair_trajectory_count_mismatch(self):

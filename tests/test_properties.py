@@ -25,8 +25,8 @@ from attnguide.boxes import (
     parse_llm_boxes,
     serialize_boxes,
 )
-from attnguide.denoiser import ToyModelConfig
-from attnguide.guidance import COSINE, KL_SYM, RATIO, SUM, GuidanceConfig
+from attnguide.denoiser import MODEL_CAPS, ToyModelConfig
+from attnguide.guidance import COSINE, KL_SYM, MAX_TOTAL_STEPS, RATIO, SUM, GuidanceConfig
 from attnguide.metrics import count_components
 from attnguide.syntax import SyntaxPairs
 
@@ -99,24 +99,26 @@ def _config_text(cfg):
 
 @st.composite
 def model_configs(draw):
-    positive = st.integers(1, 10**6)
+    def size(name, low=1):  # any accepted size
+        return draw(st.integers(low, MODEL_CAPS[name]))
+
     tags = draw(st.lists(st.text(string.ascii_lowercase, min_size=1, max_size=5),
                          min_size=1, max_size=4, unique=True))
     levels = tuple((tag, draw(st.integers(1, 64))) for tag in tags)
-    latent = st.integers(max(g for _, g in levels), 10**6)  # no grid exceeds the latent
+    grid = max(g for _, g in levels)  # no grid exceeds the latent
     return ToyModelConfig(
-        frames=draw(positive), latent_h=draw(latent), latent_w=draw(latent),
-        latent_channels=draw(positive),
+        frames=size("frames"), latent_h=size("latent_h", grid), latent_w=size("latent_w", grid),
+        latent_channels=size("latent_channels"),
         levels=levels,
-        ca_capture=draw(st.sampled_from(tags)), token_budget=draw(positive),
-        embed_dim=draw(positive), heads=draw(positive),
+        ca_capture=draw(st.sampled_from(tags)), token_budget=size("token_budget"),
+        embed_dim=size("embed_dim"), heads=size("heads"),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
 
 @st.composite
 def guidance_configs(draw):
-    total = draw(st.integers(1, 1000))
+    total = draw(st.integers(1, MAX_TOTAL_STEPS))
     t2 = draw(st.integers(0, total))
     weight = st.floats(0.0, 1e6)
     positive = st.floats(0.0, 1e6, exclude_min=True)
