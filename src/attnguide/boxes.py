@@ -19,6 +19,8 @@ from .errors import BoxParseError, InputError
 
 DEFAULT_FRAME_W = 576
 DEFAULT_FRAME_H = 320
+# The default limit on a box center's move between frames, in pixels.
+DEFAULT_MAX_STEP_PX = 60
 
 OUT_OF_FRAME = "OUT_OF_FRAME"
 VELOCITY = "VELOCITY"
@@ -76,15 +78,20 @@ _FRAME_RE = re.compile(r"^Frame\s+(\d+)\s*:\s*(\[.*\])\s*$")
 _BACKGROUND_RE = re.compile(r"^Background keyword\s*:\s*(.+?)\s*$")
 
 
+def _is_int(v):
+    """Whether `v` is an int; a bool is not, though Python makes it one."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_record(rec, line_no):
     if not isinstance(rec, dict) or set(rec) != {"id", "name", "box"}:
         raise BoxParseError(f"record must have keys id/name/box, got {rec!r}", line_no)
-    if not isinstance(rec["id"], int):
+    if not _is_int(rec["id"]):
         raise BoxParseError(f"id must be an integer, got {rec['id']!r}", line_no)
     if not isinstance(rec["name"], str):
         raise BoxParseError(f"name must be a string, got {rec['name']!r}", line_no)
     box = rec["box"]
-    if not (isinstance(box, list) and len(box) == 4 and all(isinstance(v, int) for v in box)):
+    if not (isinstance(box, list) and len(box) == 4 and all(_is_int(v) for v in box)):
         raise BoxParseError(f"box must be four integers, got {box!r}", line_no)
 
 
@@ -185,8 +192,8 @@ def serialize_boxes(prior):
 
 
 def _json_int(v):
-    """int(v), except that a fractional number is a ValueError, not truncated."""
-    if isinstance(v, float) and not v.is_integer():
+    """An int or integral float `v` as an int; anything else (a bool too) is a ValueError."""
+    if not (_is_int(v) or isinstance(v, float) and v.is_integer()):
         raise ValueError(f"{v!r} is not an integer")
     return int(v)
 
@@ -196,7 +203,7 @@ def _int_box(rec):
     if isinstance(rec, dict) and isinstance(rec.get("box"), list):
         try:
             return dict(rec, box=[_json_int(v) for v in rec["box"]])
-        except (TypeError, ValueError, OverflowError):
+        except ValueError:
             raise BoxParseError(f"box must be four integers, got {rec['box']!r}") from None
     return rec
 
@@ -214,7 +221,7 @@ def load_structured_boxes(text):
         frames, background = obj["frames"], obj["background"].strip()
     except KeyError as exc:
         raise BoxParseError(f"missing structured field: {exc}") from None
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise BoxParseError(f"malformed frame_size or background: {exc}") from None
     if W < 1 or H < 1:
         raise BoxParseError(f"frame_size must be positive, got {obj['frame_size']!r}")
@@ -247,7 +254,7 @@ def detect_and_parse(text):
     return parse_llm_boxes(text)
 
 
-def validate_trajectories(prior, max_step_px=60):
+def validate_trajectories(prior, max_step_px=DEFAULT_MAX_STEP_PX):
     """Out-of-frame (loading clips boxes), velocity and degenerate-box checks."""
     if max_step_px < 0:
         raise InputError(f"max_step_px must be non-negative, got {max_step_px}")
@@ -261,9 +268,9 @@ def validate_trajectories(prior, max_step_px=60):
                     OUT_OF_FRAME, traj.subject_id, f,
                     f"box {[x, y, w, h]} exceeds {W}x{H} frame",
                 ))
-            if w == 0 or h == 0:
+            if w <= 0 or h <= 0:
                 violations.append(Violation(
-                    DEGENERATE, traj.subject_id, f, f"box {[x, y, w, h]} has zero area",
+                    DEGENERATE, traj.subject_id, f, f"box {[x, y, w, h]} has no area",
                 ))
             center = (x + w / 2.0, y + h / 2.0)
             if prev_center is not None:

@@ -16,6 +16,7 @@ import numpy as np
 from . import __version__
 from .autodiff import trapped
 from .boxes import (
+    DEFAULT_MAX_STEP_PX,
     detect_and_parse,
     rasterize_masks,
     serialize_boxes,
@@ -43,10 +44,18 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 EXIT_GRADCHECK = 5
 
+# Pixels per CA cell side in the heatmaps that `generate` and `render` write.
+DEFAULT_UPSCALE = 8
+
 
 def _fail(code, kind, message):
     print(f"ERROR kind={kind} reason={message}")
     return code
+
+
+def _print_violations(violations):
+    for v in violations:
+        print(f"violation kind={v.kind} subject={v.subject_id} frame={v.frame} {v.message}")
 
 
 def _digest(path):
@@ -111,8 +120,7 @@ def cmd_validate_boxes(args):
     for w in prior.load_warnings:
         print(f"warning: {w}")
     violations = validate_trajectories(prior, max_step_px=args.max_step_px)
-    for v in violations:
-        print(f"violation kind={v.kind} subject={v.subject_id} frame={v.frame} {v.message}")
+    _print_violations(violations)
     print(f"violations={len(violations)}")
     return EXIT_OK
 
@@ -148,8 +156,7 @@ def cmd_generate(args):
     prior = detect_and_parse(read_text(args.boxes))
     violations = validate_trajectories(prior, max_step_px=args.max_step_px)
     if violations and not args.force:
-        for v in violations:
-            print(f"violation kind={v.kind} subject={v.subject_id} frame={v.frame} {v.message}")
+        _print_violations(violations)
         return _fail(EXIT_PARSE, "validation",
                      f"{len(violations)} box violations (use --force to proceed)")
 
@@ -261,8 +268,7 @@ def cmd_ablate(args):
 
     complete = True
     try:
-        report = run_ablation(axes, base, seeds, args.prompt, prior, model_factory,
-                              one_at_a_time=not args.cartesian, log=print)
+        report = run_ablation(axes, base, seeds, args.prompt, prior, model_factory, log=print)
     except AblationInterrupted as exc:
         complete, report = False, exc.report
     (out_dir / "ablation.jsonl").write_text(report.to_jsonl())
@@ -310,7 +316,7 @@ def build_parser():
 
     p = sub.add_parser("validate-boxes", help="diagnose box trajectories")
     p.add_argument("file")
-    p.add_argument("--max-step-px", type=int, default=60)
+    p.add_argument("--max-step-px", type=int, default=DEFAULT_MAX_STEP_PX)
     p.set_defaults(func=cmd_validate_boxes)
 
     p = sub.add_parser("rasterize", help="rasterize boxes to attention-grid masks")
@@ -324,8 +330,8 @@ def build_parser():
     p.add_argument("boxes")
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
-    p.add_argument("--max-step-px", type=int, default=60)
-    p.add_argument("--upscale", type=int, default=8)
+    p.add_argument("--max-step-px", type=int, default=DEFAULT_MAX_STEP_PX)
+    p.add_argument("--upscale", type=int, default=DEFAULT_UPSCALE)
     p.add_argument("--seed", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_generate)
@@ -341,7 +347,6 @@ def build_parser():
     p.add_argument("--grid", default=None, help="grid file (axis = v1, v2, ...)")
     p.add_argument("--seeds", default="0,1")
     p.add_argument("--out", required=True)
-    p.add_argument("--cartesian", action="store_true")
     p.add_argument("--prompt", default="a man is walking and a dog is running")
     p.add_argument("--boxes", default=None)
     common(p)
@@ -352,7 +357,7 @@ def build_parser():
     p.add_argument("--token", type=int, required=True)
     p.add_argument("--frame", type=int, default=0)
     p.add_argument("--step", type=int, required=True)
-    p.add_argument("--upscale", type=int, default=8)
+    p.add_argument("--upscale", type=int, default=DEFAULT_UPSCALE)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)
 

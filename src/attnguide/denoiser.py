@@ -111,7 +111,7 @@ def _pool_matrix(grid, latent_h, latent_w):
 class DDIMSchedule:
     """Linear-beta schedule (1e-4 to 0.02) with the deterministic (eta = 0) DDIM update."""
 
-    def __init__(self, total_steps=50):
+    def __init__(self, total_steps):
         self.total_steps = total_steps
         self.betas = np.linspace(1e-4, 0.02, total_steps)
         self.alphas_cumprod = np.cumprod(1.0 - self.betas)
@@ -340,28 +340,17 @@ class LinearAttentionStub:
         self.bias = _parameter(np.zeros(shape[1]) if bias is None else bias, shape[1:], "bias")
 
     def ca_from_latent(self, z):
-        """CA maps [F, N, L]: the softmax of the logits, one node on the latent."""
-        z, logits, backward = self._logits(z)
-        out = softmax(logits)
-        return Tensor.node(out, (z,), lambda g: backward(softmax_grad(out, g)))
-
-    def logits_from_latent(self, z):
-        """Affine attention logits [F, N, L] of the pooled latent."""
-        z, logits, backward = self._logits(z)
-        return Tensor.node(logits, (z,), backward)
-
-    def _logits(self, z):
-        """(z as a Tensor, the logits, backward(g) -> (z's gradient,))."""
+        """CA maps [F, N, L]: the softmax of affine logits of the pooled latent, one node."""
         z = Tensor._wrap(z)
         cfg = self.config
         h = z.data.reshape(cfg.frames, cfg.latent_channels, cfg.latent_h * cfg.latent_w)
-        logits = (self._P @ h.transpose(0, 2, 1)) @ self.weights + self.bias
+        out = softmax((self._P @ h.transpose(0, 2, 1)) @ self.weights + self.bias)
 
         def backward(g):
-            g_h = self._P.T @ (g @ self.weights.T)
+            g_h = self._P.T @ (softmax_grad(out, g) @ self.weights.T)
             return (g_h.transpose(0, 2, 1).reshape(z.shape),)
 
-        return z, logits, backward
+        return Tensor.node(out, (z,), backward)
 
 
 def _parameter(values, shape, name):

@@ -66,11 +66,11 @@ def _loss_probes(masks, col_pairs, gcfg):
     pair = col_pairs.pairs[0]
     negs = col_pairs.negatives_for(pair)
     return [
-        ("L_fg", lambda A: loss_fg(A, masks, col_pairs)),
-        ("L_bg", lambda A: loss_bg(A, masks, col_pairs)),
+        ("L_fg", lambda A: loss_fg(A, masks, col_pairs, gcfg)),
+        ("L_bg", lambda A: loss_bg(A, masks, col_pairs, gcfg)),
         ("L_sp", lambda A: loss_sp(A, masks, col_pairs, gcfg)),
-        ("L_pos", lambda A: loss_pos(A, pair, gcfg.distance, gcfg.eps)),
-        ("L_neg", lambda A: loss_neg(A, pair, negs, gcfg.distance, gcfg.eps)),
+        ("L_pos", lambda A: loss_pos(A, pair, gcfg)),
+        ("L_neg", lambda A: loss_neg(A, pair, negs, gcfg)),
         ("L_syt", lambda A: loss_syt(A, col_pairs, gcfg)),
     ]
 

@@ -269,8 +269,8 @@ def _column_grad(takes, shape):
     return full
 
 
-def _mean_distances(A, dpairs, kind, eps):
-    """Frame-mean distances between the CA columns of each pair in `dpairs`: ([D], grad).
+def _mean_distances(A, dpairs, config):
+    """Frame-mean `config.distance` between the CA columns of each pair in `dpairs`: ([D], grad).
 
     ``grad(gd)`` turns the gradients [D] of the means into A's gradient.
     """
@@ -278,7 +278,7 @@ def _mean_distances(A, dpairs, kind, eps):
     X = _stack(A.data, cols)
     _check_maps(X)
     a, b = ([cols.index(pair[i]) for pair in dpairs] for i in (0, 1))
-    out, backward, swap = _distances(X, a, b, kind, eps)
+    out, backward, swap = _distances(X, a, b, config.distance, config.eps)
     inv = 1.0 / out[0].size
     visits = [c for pair in dpairs for c in (pair[::-1] if swap else pair)]
 
@@ -356,55 +356,55 @@ def _mass_terms(X, masks, tokens, eps, halves):
     return (base ** 2).sum(axis=-1), backward
 
 
-def _mass_node(A, masks, pairs, include_verbs, eps, halves):
+def _mass_node(A, masks, pairs, config, halves):
     """Frame-mean mass terms of the tracked tokens, the halves added, as one node on A."""
     if not pairs.pairs:
         return Tensor(0.0)
-    tracked = _tracked(pairs, include_verbs)
+    tracked = _tracked(pairs, config.apply_spatial_to_verbs)
     tokens = [t for t, _ in tracked]
     X = _stack(A.data, tokens)
-    terms, backward = _mass_terms(
-        X, (_frame_masks(masks, noun, X.shape[1:]) for _, noun in tracked), tokens, eps, halves)
+    masks_of = (_frame_masks(masks, noun, X.shape[1:]) for _, noun in tracked)
+    terms, backward = _mass_terms(X, masks_of, tokens, config.eps, halves)
     inv = 1.0 / X.shape[1]
     return Tensor.node(_fold([_fold(row) * inv for row in terms]), (A,), lambda g: (_column_grad(
         zip(tokens * len(halves), backward(g * inv).reshape(-1, *X.shape[1:])), A.shape),))
 
 
 @trapped
-def loss_fg(A, masks, pairs, include_verbs=True, eps=1e-8):
+def loss_fg(A, masks, pairs, config):
     """Squared deficit of in-box attention mass, frame-averaged."""
-    return _mass_node(A, masks, pairs, include_verbs, eps, (False,))
+    return _mass_node(A, masks, pairs, config, (False,))
 
 
 @trapped
-def loss_bg(A, masks, pairs, include_verbs=True, eps=1e-8):
+def loss_bg(A, masks, pairs, config):
     """Squared out-of-box attention mass ratio, frame-averaged."""
-    return _mass_node(A, masks, pairs, include_verbs, eps, (True,))
+    return _mass_node(A, masks, pairs, config, (True,))
 
 
 @trapped
 def loss_sp(A, masks, pairs, config):
     """The spatial constraint: fg + bg."""
-    return _mass_node(A, masks, pairs, config.apply_spatial_to_verbs, config.eps, (False, True))
+    return _mass_node(A, masks, pairs, config, (False, True))
 
 
 # -- syntax contrastive constraint --------------------------------------------
 
 
 @trapped
-def loss_pos(A, pair, kind=KL_SYM, eps=1e-8):
+def loss_pos(A, pair, config):
     """Frame-mean distance between a pair's noun map and verb map."""
-    means, grad = _mean_distances(A, [tuple(pair)], kind, eps)
+    means, grad = _mean_distances(A, [tuple(pair)], config)
     return Tensor.node(means[0], (A,), lambda g: (grad([g]),))
 
 
 @trapped
-def loss_neg(A, pair, negatives, kind=KL_SYM, eps=1e-8):
+def loss_neg(A, pair, negatives, config):
     """Summed frame-mean distance from the noun map to each negative map."""
     if not negatives:
         warnings.warn("empty negative set; loss_neg is 0", stacklevel=3)
         return Tensor(0.0)
-    means, grad = _mean_distances(A, [(pair[0], u) for u in sorted(negatives)], kind, eps)
+    means, grad = _mean_distances(A, [(pair[0], u) for u in sorted(negatives)], config)
     return Tensor.node(_fold(means), (A,), lambda g: (grad([g] * len(means)),))
 
 
@@ -415,8 +415,7 @@ def loss_syt(A, pairs, config):
         raise ContractError("loss_syt needs at least one noun/verb pair")
     negatives = [sorted(pairs.negatives_for(pair)) for pair in pairs.pairs]
     means, grad = _mean_distances(A, [d for pair, negs in zip(pairs.pairs, negatives)
-                                      for d in [pair, *((pair[0], u) for u in negs)]],
-                                  config.distance, config.eps)
+                                      for d in [pair, *((pair[0], u) for u in negs)]], config)
     ratio, terms, i = config.contrastive_form == RATIO, [], 0
     for pair, negs in zip(pairs.pairs, negatives):
         if not negs:

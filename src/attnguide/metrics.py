@@ -8,7 +8,6 @@ files stay byte-exact without an image dependency.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -16,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ContractError, InputError
-from .guidance import KL_SYM, GuidanceError, dist, in_box_ratios, run_guided_sampling
+from .guidance import GuidanceError, dist, in_box_ratios, run_guided_sampling
 
 
 def _square_map(ca, token_index, frame):
@@ -50,10 +49,10 @@ def count_components(ca, token_index, frame):
     return n
 
 
-def verb_noun_alignment(ca, pair, kind=KL_SYM):
-    """Frame-mean distance between a pair's noun and verb maps (lower is better)."""
+def verb_noun_alignment(ca, pair):
+    """Frame-mean symmetric KL between a pair's noun and verb maps (lower is better)."""
     i, j = pair
-    d = dist(ca[:, :, i], ca[:, :, j], kind).data
+    d = dist(ca[:, :, i], ca[:, :, j]).data
     return float(d.sum() * (1.0 / d.size))
 
 
@@ -166,18 +165,13 @@ DEFAULT_ABLATION_AXES = {
 }
 
 
-def _variants(axes, one_at_a_time):
-    """(axis, value, {field: value}) for each variant of the sweep."""
+def _variants(axes):
+    """(axis, value, {axis: value}) for each variant: one axis set to one value at a time."""
     if not axes:
         yield "base", "base", {}
-    elif one_at_a_time:
-        for axis, values in axes.items():
-            for v in values:
-                yield axis, v, {axis: v}
-    else:
-        names = list(axes)
-        for combo in itertools.product(*(axes[n] for n in names)):
-            yield "+".join(names), str(combo), dict(zip(names, combo))
+    for axis, values in axes.items():
+        for v in values:
+            yield axis, v, {axis: v}
 
 
 class AblationInterrupted(KeyboardInterrupt):
@@ -188,12 +182,11 @@ class AblationInterrupted(KeyboardInterrupt):
         self.report = report
 
 
-def run_ablation(axes, base_config, seeds, prompt, priors, model_factory,
-                 one_at_a_time=True, log=None):
-    """Sweep guidance-config axes, one run per (variant, seed).
+def run_ablation(axes, base_config, seeds, prompt, priors, model_factory, log=None):
+    """Sweep guidance-config axes one at a time, one run per (variant, seed).
 
     ``ca_capture`` is a model axis, so ``model_factory(ca_capture)`` builds
-    the denoiser per variant.  Invalid combinations are skipped with a
+    the denoiser per variant.  Invalid variants are skipped with a
     logged reason, and a run whose guidance fails is a logged row with its
     ``error``; rows come out sorted by (axis, value, seed).  An interrupt
     raises ``AblationInterrupted`` with the rows finished so far.
@@ -201,9 +194,9 @@ def run_ablation(axes, base_config, seeds, prompt, priors, model_factory,
     log = log or (lambda message: None)
     report = MetricsReport(config_echo={
         "axes": {k: [str(v) for v in vals] for k, vals in axes.items()},
-        "seeds": list(seeds), "one_at_a_time": one_at_a_time})
+        "seeds": list(seeds)})
     try:
-        for axis, value, override in _variants(axes, one_at_a_time):
+        for axis, value, override in _variants(axes):
             try:
                 cfg = replace(base_config,
                               **{k: v for k, v in override.items() if k != "ca_capture"})

@@ -60,6 +60,10 @@ def _pair(negatives=(2,)):
     return SyntaxPairs(pairs=[(0, 1)], negatives={(0, 1): frozenset(negatives)})
 
 
+DEFAULTS = GuidanceConfig()
+NOUNS_ONLY = GuidanceConfig(apply_spatial_to_verbs=False)
+
+
 def _kl_sym_oracle(p, q, eps=1e-8):
     """Independent plain-numpy evaluation of the smoothed symmetric KL."""
     pn = (p + eps) / (p + eps).sum(axis=-1, keepdims=True)
@@ -75,8 +79,8 @@ def test_criterion_1_equation_identities():
     for _ in range(100):
         A = rng.uniform(0.01, 1.0, size=(2, 4, 3))
         masks = _masks(rng.integers(0, 2, size=(2, 2)).astype(float), frames=2)
-        fg = loss_fg(_ca(A), masks, _pair()).item()
-        bg = loss_bg(_ca(A), masks, _pair()).item()
+        fg = loss_fg(_ca(A), masks, _pair(), DEFAULTS).item()
+        bg = loss_bg(_ca(A), masks, _pair(), DEFAULTS).item()
         worst_gap = max(worst_gap, abs(fg - bg))
 
     errs = [worst_gap if worst_gap > 1e-12 else 0.0]
@@ -84,12 +88,11 @@ def test_criterion_1_equation_identities():
     # fg/bg: uniform attention, half-covering mask, nouns only -> 0.25
     uniform = np.full((2, 4, 3), 1.0 / 3)
     half = _masks([[1.0, 1.0], [0.0, 0.0]], frames=2)
-    errs.append(abs(loss_fg(_ca(uniform), half, _pair(), include_verbs=False).item() - 0.25))
-    errs.append(abs(loss_bg(_ca(uniform), half, _pair(), include_verbs=False).item() - 0.25))
+    errs.append(abs(loss_fg(_ca(uniform), half, _pair(), NOUNS_ONLY).item() - 0.25))
+    errs.append(abs(loss_bg(_ca(uniform), half, _pair(), NOUNS_ONLY).item() - 0.25))
 
     # weighted spatial loss: default unit weights -> 0.5
-    cfg = GuidanceConfig(apply_spatial_to_verbs=False)
-    errs.append(abs(loss_sp(_ca(uniform), half, _pair(), cfg).item() - 0.5))
+    errs.append(abs(loss_sp(_ca(uniform), half, _pair(), NOUNS_ONLY).item() - 0.5))
 
     # distances match the independent smoothed-KL formula
     p = rng.uniform(0.05, 1.0, size=(2, 4))
@@ -97,7 +100,7 @@ def test_criterion_1_equation_identities():
     errs.append(float(np.max(np.abs(dist(p, q, KL_SYM).data - _kl_sym_oracle(p, q)))))
     A = rng.uniform(0.05, 1.0, size=(2, 4, 3))
     pos_oracle = _kl_sym_oracle(A[..., 0], A[..., 1]).mean()
-    errs.append(abs(loss_pos(_ca(A), (0, 1)).item() - pos_oracle))
+    errs.append(abs(loss_pos(_ca(A), (0, 1), DEFAULTS).item() - pos_oracle))
 
     # contrastive: mirrored negative -> exactly 0.5; four mirrors -> 1/5; the
     # two-pair value is the sum of independently computed per-pair ratios.

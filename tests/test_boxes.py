@@ -155,13 +155,14 @@ class TestValidate:
         assert OUT_OF_FRAME in kinds
 
     def test_degenerate(self):
-        prior = SpatialPriorSet(
-            frame_count=1,
-            trajectories=[BoxTrajectory(0, "s", [[10, 10, 0, 5]])],
-            background_keyword="x",
-        )
-        kinds = {v.kind for v in validate_trajectories(prior)}
-        assert DEGENERATE in kinds
+        for box in ([10, 10, 0, 5], [300, 10, -50, 100], [10, 10, 5, -1]):
+            prior = SpatialPriorSet(
+                frame_count=1,
+                trajectories=[BoxTrajectory(0, "s", [box])],
+                background_keyword="x",
+            )
+            kinds = {v.kind for v in validate_trajectories(prior)}
+            assert DEGENERATE in kinds
 
 
 class TestResample:

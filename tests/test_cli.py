@@ -209,6 +209,19 @@ class TestGenerate:
         assert "ERROR kind=validation" in capsys.readouterr().out
         assert main(argv + ["--force"]) == 0
 
+    def test_negative_box_size_blocks_without_force(self, tmp_path, small_run_args, capsys):
+        boxes = tmp_path / "negative.txt"
+        boxes.write_text(WOMAN_MAN_BOXES.replace("[0, 70, 120, 200]", "[300, 10, -50, 100]"))
+        assert main(["validate-boxes", str(boxes)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert ("violation kind=DEGENERATE subject=0 frame=0 box [300, 10, -50, 100] has no area"
+                in out)
+        argv = small_run_args("run")
+        argv[2] = str(boxes)
+        assert main(argv) == 2
+        assert "ERROR kind=validation" in capsys.readouterr().out
+        assert not (tmp_path / "run").exists()
+
     def test_unguided_flagged_in_manifest(self, tmp_path, boxes_file):
         (tmp_path / "model.cfg").write_text(MODEL_CFG)
         (tmp_path / "guide.cfg").write_text(GUIDE_CFG + "lambda_sp = 0\nlambda_syt = 0\n")
@@ -450,6 +463,15 @@ BAD_INPUTS = {
     "boxes_fractional_frame_size": ("boxes", _structured(frame_size=[576.9, 320])),
     "boxes_fractional_box": ("boxes", _structured({"id": 0, "name": "m", "box": [10.7, 0, 9, 9]})),
     "boxes_bad_frames": ("boxes", _structured(frames=5)),
+    "boxes_boolean_box": ("boxes", _structured({"id": 0, "name": "m", "box": [True, 0, 100, 100]})),
+    "boxes_boolean_id": ("boxes", _structured({"id": True, "name": "m", "box": [0, 0, 9, 9]})),
+    "boxes_boolean_frame_size": ("boxes", _structured(frame_size=[True, 320])),
+    "boxes_string_box": ("boxes", _structured({"id": 0, "name": "m", "box": ["5", 0, 9, 9]})),
+    "boxes_string_frame_size": ("boxes", _structured(frame_size=["576", "320"])),
+    "boxes_text_boolean_id": ("boxes", "Frame 1: [{'id': True, 'name': 'm', 'box': [0, 0, 9, 9]}]"
+                                       "\nBackground keyword: room\n"),
+    "boxes_text_boolean_box": ("boxes", "Frame 1: [{'id': 0, 'name': 'm', 'box': [True, 10, 100, "
+                                        "100]}]\nBackground keyword: room\n"),
     "boxes_not_utf8": ("boxes", b"\xff\xfe" + WOMAN_MAN_BOXES.encode()),
     "prompt_without_pairs": ("prompt", "and"),
     "rasterize_huge_grid": ("rasterize_grid", "100000x100000"),

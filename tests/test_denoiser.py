@@ -256,12 +256,18 @@ class TestStub:
         assert np.allclose(ca.data, 1.0 / cfg.token_budget, atol=1e-15)
 
     def test_logits_linear_in_latent(self, rng):
+        """log A[..., j] - log A[..., 0] is the logits' difference: affine in the latent."""
         cfg = tiny_model_config()
         stub = LinearAttentionStub(cfg, seed=7)
+
+        def log_odds(z):
+            log_a = np.log(stub.ca_from_latent(z).data)
+            return log_a - log_a[..., :1]
+
         z1, z2 = _latent(cfg, rng), _latent(cfg, rng)
-        l1 = stub.logits_from_latent(z1).data - stub.bias
-        l2 = stub.logits_from_latent(z2).data - stub.bias
-        l12 = stub.logits_from_latent(2.0 * z1 + 3.0 * z2).data - stub.bias
+        at_zero = log_odds(np.zeros_like(z1))
+        l1, l2 = log_odds(z1) - at_zero, log_odds(z2) - at_zero
+        l12 = log_odds(2.0 * z1 + 3.0 * z2) - at_zero
         assert np.allclose(l12, 2.0 * l1 + 3.0 * l2, atol=1e-10)
 
     def test_ca_gradient(self, rng):

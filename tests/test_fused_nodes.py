@@ -146,8 +146,10 @@ def mass_run(loss_fn, vals, masks, pairs):
 
 
 MASS_LOSSES = {  # name -> (fused loss, composite loss around the primitive mass term)
-    "fg": (loss_fg, lambda ca, m, p: composites.loss_fg(ca, m, p, mass_term=composite_mass_term)),
-    "bg": (loss_bg, lambda ca, m, p: composites.loss_bg(ca, m, p, mass_term=composite_mass_term)),
+    "fg": (lambda ca, m, p: loss_fg(ca, m, p, GuidanceConfig()),
+           lambda ca, m, p: composites.loss_fg(ca, m, p, mass_term=composite_mass_term)),
+    "bg": (lambda ca, m, p: loss_bg(ca, m, p, GuidanceConfig()),
+           lambda ca, m, p: composites.loss_bg(ca, m, p, mass_term=composite_mass_term)),
     "sp": (lambda ca, m, p: loss_sp(ca, m, p, GuidanceConfig()),
            lambda ca, m, p: composites.loss_sp(ca, m, p, GuidanceConfig(), composite_mass_term)),
 }
@@ -388,10 +390,10 @@ def test_loss_syt_node_matches_chain(kind, form):
 
 @pytest.mark.parametrize("kind", [KL_SYM, COSINE])
 def test_loss_pos_and_neg_match_chain(kind):
-    pair, negatives = (1, 2), frozenset({3, 5, 6})
+    pair, negatives, config = (1, 2), frozenset({3, 5, 6}), GuidanceConfig(distance=kind)
     cases = [
-        (lambda A: loss_pos(A, pair, kind), lambda A: composites.loss_pos(A, pair, kind)),
-        (lambda A: loss_neg(A, pair, negatives, kind),
+        (lambda A: loss_pos(A, pair, config), lambda A: composites.loss_pos(A, pair, kind)),
+        (lambda A: loss_neg(A, pair, negatives, config),
          lambda A: composites.loss_neg(A, pair, negatives, kind)),
     ]
     for seed in range(5):
@@ -443,8 +445,10 @@ def test_column_gradient_signed_zeros_match_chain(include_verbs):
     pairs = SyntaxPairs(pairs=[(0, 1)], negatives={})
     vals = np.array([[[0.0, 1.0, 1.0], [2.0, 1.0, 1.0]]])   # one frame, 1x2 grid, 3 columns
     masks = MaskSet({0: np.array([[[-0.0, 1.0]]])})
-    grads = [leaf_run(lambda A: ref(fn(A, masks, pairs, include_verbs)) * -1.0, vals)[1]
-             for fn in (loss_fg, composites.loss_fg)]
+    config = GuidanceConfig(apply_spatial_to_verbs=include_verbs)
+    grads = [leaf_run(lambda A: ref(fn(A)) * -1.0, vals)[1]
+             for fn in (lambda A: loss_fg(A, masks, pairs, config),
+                        lambda A: composites.loss_fg(A, masks, pairs, include_verbs))]
     assert same_bytes(*grads)
     assert grads[0][0, 0, 0] == 0.0 and np.signbit(grads[0][0, 0, 0]) == (not include_verbs)
 
@@ -516,9 +520,8 @@ def test_nan_mask_fails_the_exit_check(default_scene, loss):
     nan_mask = masks.masks[noun].astype(np.float64)
     nan_mask[0, 0, 0] = np.nan
     nan_masks = MaskSet({**masks.masks, noun: nan_mask})
-    args = (nan_masks, pairs, config) if loss is loss_sp else (nan_masks, pairs)
     with pytest.raises(NumericError, match="non-finite"):
-        loss(Tensor(A, requires_grad=True), *args)
+        loss(Tensor(A, requires_grad=True), nan_masks, pairs, config)
 
 
 @pytest.mark.parametrize("grad", [False, True], ids=["nograd", "grad"])

@@ -58,38 +58,42 @@ def uniform_ca(frames=2, pixels=4, tokens=3):
     return ca_stack(np.full((frames, pixels, tokens), 1.0 / tokens))
 
 
+DEFAULTS = GuidanceConfig()
+NOUNS_ONLY = GuidanceConfig(apply_spatial_to_verbs=False)
+
+
 class TestSpatialLosses:
     def test_uniform_half_mask_oracle(self):
         """Half the mass lands inside a half-frame mask: fg = bg = 0.25."""
         ca = uniform_ca()
         masks = mask_set([[1.0, 1.0], [0.0, 0.0]], frames=2)
         pairs = single_pair()
-        fg = loss_fg(ca, masks, pairs, include_verbs=False)
-        bg = loss_bg(ca, masks, pairs, include_verbs=False)
+        fg = loss_fg(ca, masks, pairs, NOUNS_ONLY)
+        bg = loss_bg(ca, masks, pairs, NOUNS_ONLY)
         assert abs(fg.item() - 0.25) <= 1e-12
         assert abs(bg.item() - 0.25) <= 1e-12
         # the verb reuses the noun mask, doubling the tracked-token sum
-        assert abs(loss_fg(ca, masks, pairs).item() - 0.5) <= 1e-12
+        assert abs(loss_fg(ca, masks, pairs, DEFAULTS).item() - 0.5) <= 1e-12
 
     def test_all_ones_mask_is_zero(self):
         ca = uniform_ca()
         masks = mask_set(np.ones((2, 2)), frames=2)
-        assert loss_fg(ca, masks, single_pair()).item() == 0.0
-        assert loss_bg(ca, masks, single_pair()).item() == 0.0
+        assert loss_fg(ca, masks, single_pair(), DEFAULTS).item() == 0.0
+        assert loss_bg(ca, masks, single_pair(), DEFAULTS).item() == 0.0
 
     def test_all_zeros_mask_is_one_per_token(self):
         ca = uniform_ca()
         masks = mask_set(np.zeros((2, 2)), frames=2)
-        assert abs(loss_fg(ca, masks, single_pair(), include_verbs=False).item() - 1.0) <= 1e-12
-        assert abs(loss_fg(ca, masks, single_pair()).item() - 2.0) <= 1e-12
+        assert abs(loss_fg(ca, masks, single_pair(), NOUNS_ONLY).item() - 1.0) <= 1e-12
+        assert abs(loss_fg(ca, masks, single_pair(), DEFAULTS).item() - 2.0) <= 1e-12
 
     def test_fg_equals_bg_for_binary_masks(self, rng):
         for _ in range(100):
             A = rng.uniform(0.01, 1.0, size=(2, 4, 3))
             ca = ca_stack(A)
             masks = mask_set(rng.integers(0, 2, size=(2, 2)).astype(float), frames=2)
-            fg = loss_fg(ca, masks, single_pair()).item()
-            bg = loss_bg(ca, masks, single_pair()).item()
+            fg = loss_fg(ca, masks, single_pair(), DEFAULTS).item()
+            bg = loss_bg(ca, masks, single_pair(), DEFAULTS).item()
             assert abs(fg - bg) <= 1e-12
 
     def test_zero_attention_column_degenerate(self):
@@ -97,7 +101,7 @@ class TestSpatialLosses:
         A[0, :, 0] = 0.0
         masks = mask_set(np.ones((2, 2)), frames=1)
         with pytest.raises(DegenerateAttentionError, match="token 0"):
-            loss_fg(ca_stack(A), masks, single_pair())
+            loss_fg(ca_stack(A), masks, single_pair(), DEFAULTS)
 
     @pytest.mark.parametrize("mask_frames", [1, 3])
     def test_frame_count_mismatch_rejected(self, mask_frames):
@@ -106,14 +110,14 @@ class TestSpatialLosses:
         with pytest.raises(DimensionError, match="masks of shape"):
             in_box_ratios(A, masks, 0)
         with pytest.raises(DimensionError, match="masks of shape"):
-            loss_fg(ca_stack(A), masks, single_pair())
+            loss_fg(ca_stack(A), masks, single_pair(), DEFAULTS)
 
     def test_gradient_against_finite_differences(self, rng):
         masks = mask_set(rng.integers(0, 2, size=(2, 2)).astype(float) * 0 + np.eye(2), frames=2)
         base = rng.uniform(0.05, 1.0, size=(2, 4, 3))
 
         def f(a):
-            return loss_fg(a, masks, single_pair())
+            return loss_fg(a, masks, single_pair(), DEFAULTS)
 
         assert finite_diff_check(f, Tensor(base), step=1e-5) <= 1e-6
 
@@ -171,19 +175,19 @@ class TestSyntaxLosses:
         A = np.zeros((2, 4, 3))
         A[..., 0] = A[..., 1] = 0.4
         A[..., 2] = 0.2
-        assert abs(loss_pos(ca_stack(A), (0, 1)).item()) <= 1e-12
+        assert abs(loss_pos(ca_stack(A), (0, 1), DEFAULTS).item()) <= 1e-12
 
     def test_loss_neg_sums_over_negatives(self, rng):
         A = rng.uniform(0.05, 1.0, size=(2, 4, 4))
         ca = ca_stack(A)
         d2 = dist(A[..., 0], A[..., 2], KL_SYM).data.mean()
         d3 = dist(A[..., 0], A[..., 3], KL_SYM).data.mean()
-        got = loss_neg(ca, (0, 1), frozenset({2, 3})).item()
+        got = loss_neg(ca, (0, 1), frozenset({2, 3}), DEFAULTS).item()
         assert abs(got - (d2 + d3)) <= 1e-9
 
     def test_loss_neg_empty_warns_and_returns_zero(self):
         with pytest.warns(UserWarning, match="empty negative"):
-            out = loss_neg(uniform_ca(), (0, 1), frozenset())
+            out = loss_neg(uniform_ca(), (0, 1), frozenset(), DEFAULTS)
         assert out.item() == 0.0
 
     def test_ratio_half_when_negative_mirrors_verb(self, rng):
@@ -205,7 +209,8 @@ class TestSyntaxLosses:
         A = rng.uniform(0.05, 1.0, size=(2, 4, 3))
         ca = ca_stack(A)
         cfg = GuidanceConfig(contrastive_form=SUM)
-        expected = loss_pos(ca, (0, 1)).item() + loss_neg(ca, (0, 1), frozenset({2})).item()
+        expected = (loss_pos(ca, (0, 1), cfg).item()
+                    + loss_neg(ca, (0, 1), frozenset({2}), cfg).item())
         assert abs(loss_syt(ca, single_pair(), cfg).item() - expected) <= 1e-12
 
     def test_ratio_bounded_by_pair_count(self, rng):

@@ -6,9 +6,9 @@ from attnguide.boxes import MaskSet
 from attnguide.denoiser import ToyDenoiser
 from attnguide.errors import ContractError, DegenerateAttentionError, InputError
 from attnguide.guidance import (
-    COSINE,
     KL_SYM,
     GuidanceConfig,
+    dist,
     in_box_ratios,
     loss_fg,
     run_guided_sampling,
@@ -55,7 +55,8 @@ class TestInBoxRatio:
             expected = np.mean([
                 (1.0 - in_box_ratio(A, masks, 0, f)) ** 2 for f in range(2)
             ])
-            got = loss_fg(Tensor(A), masks, pairs, include_verbs=False).item()
+            got = loss_fg(Tensor(A), masks, pairs,
+                          GuidanceConfig(apply_spatial_to_verbs=False)).item()
             assert abs(np.sqrt(got) - np.sqrt(expected)) <= 1e-12
 
     def test_zero_mass_rejected(self):
@@ -163,12 +164,10 @@ class TestAlignment:
         A[..., 0] = A[..., 1] = 0.25
         assert verb_noun_alignment(A, (0, 1)) <= 1e-12
 
-    def test_cosine_kind(self, rng):
+    def test_is_frame_mean_kl_sym(self, rng):
         A = rng.uniform(0.05, 1.0, size=(2, 4, 2))
-        sym = verb_noun_alignment(A, (0, 1), kind=KL_SYM)
-        cos = verb_noun_alignment(A, (0, 1), kind=COSINE)
-        assert sym >= 0 and cos >= 0
-        assert sym != cos
+        expected = dist(A[..., 0], A[..., 1], KL_SYM).data.mean()
+        assert abs(verb_noun_alignment(A, (0, 1)) - expected) <= 1e-12
 
 
 class TestRenderHeatmap:
@@ -335,8 +334,7 @@ class TestAblation:
         assert isinstance(exc.value, KeyboardInterrupt)
         report = exc.value.report
         assert [(r["value"], r["seed"]) for r in report.rows] == [("2", 0), ("2", 1)]
-        assert report.config_echo == {"axes": {"t1": ["2", "1"]}, "seeds": [1, 0],
-                                      "one_at_a_time": True}
+        assert report.config_echo == {"axes": {"t1": ["2", "1"]}, "seeds": [1, 0]}
 
     def test_default_axes_frozen(self):
         assert DEFAULT_ABLATION_AXES["t1"] == [1, 3, 5, 7]

@@ -217,15 +217,15 @@ def test_batched_losses_match_composite_chains(scene):
     kind, eps, dist, mass = config.distance, config.eps, composites.composite_dist, \
         composites.composite_mass_term
     cases = [
-        (lambda A: guidance.loss_fg(A, masks, pairs, verbs),
+        (lambda A: guidance.loss_fg(A, masks, pairs, config),
          lambda A: composites.loss_fg(A, masks, pairs, verbs, mass_term=mass)),
-        (lambda A: guidance.loss_bg(A, masks, pairs, verbs),
+        (lambda A: guidance.loss_bg(A, masks, pairs, config),
          lambda A: composites.loss_bg(A, masks, pairs, verbs, mass_term=mass)),
         (lambda A: guidance.loss_sp(A, masks, pairs, config),
          lambda A: composites.loss_sp(A, masks, pairs, config, mass)),
-        (lambda A: guidance.loss_pos(A, pair, kind, eps),
+        (lambda A: guidance.loss_pos(A, pair, config),
          lambda A: composites.loss_pos(A, pair, kind, eps, dist)),
-        (lambda A: guidance.loss_neg(A, pair, negs, kind, eps),
+        (lambda A: guidance.loss_neg(A, pair, negs, config),
          lambda A: composites.loss_neg(A, pair, negs, kind, eps, dist)),
         (lambda A: guidance.loss_syt(A, pairs, config),
          lambda A: composites.loss_syt(A, pairs, config, dist)),

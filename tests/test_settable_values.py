@@ -1,0 +1,48 @@
+"""The number of settable values: every choice the package hands its users.
+
+Counted as ROADMAP counts them: the fields of the two configs, the options of
+every CLI subcommand, and the parameters with defaults of the other callables
+in `attnguide.__all__`.  A new knob must move this pin on purpose.
+"""
+
+import argparse
+import dataclasses
+import inspect
+
+import attnguide
+from attnguide.cli import build_parser
+
+CONFIGS = (attnguide.GuidanceConfig, attnguide.ToyModelConfig)
+
+
+def config_fields():
+    return [f"{cls.__name__}.{f.name}" for cls in CONFIGS for f in dataclasses.fields(cls)]
+
+
+def cli_options():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [f"{name} {action.option_strings[-1]}"
+            for name, sub in commands.choices.items() for action in sub._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)]
+
+
+def defaulted_parameters():
+    return [f"{name}({param.name})"
+            for name in attnguide.__all__ if getattr(attnguide, name) not in CONFIGS
+            for param in inspect.signature(getattr(attnguide, name)).parameters.values()
+            if param.default is not inspect.Parameter.empty]
+
+
+def test_settable_value_count():
+    counts = len(config_fields()), len(cli_options()), len(defaulted_parameters())
+    assert counts == (21, 24, 26), (config_fields(), cli_options(), defaulted_parameters())
+    assert sum(counts) == 71
+
+
+def test_losses_take_the_config():
+    """Each loss reads its choices from GuidanceConfig, with no defaults of its own."""
+    for name in ("loss_fg", "loss_bg", "loss_sp", "loss_pos", "loss_neg", "loss_syt"):
+        params = list(inspect.signature(getattr(attnguide, name)).parameters.values())
+        assert params[0].name == "A" and params[-1].name == "config"
+        assert all(p.default is inspect.Parameter.empty for p in params)
