@@ -39,10 +39,10 @@ def main():
           [b[0] for b in eight.trajectory_by_id(0).boxes], "\n")
 
     # Rasterize to the 8x8 grid the guidance losses actually see.
-    masks = rasterize_masks(eight, 8, 8)
+    masks, _ = rasterize_masks(eight, 8, 8)
     for sid in (0, 1):
         print(f"subject {sid}, frame 0:")
-        for row in masks.masks[sid][0].astype(int):
+        for row in masks[sid][0].astype(int):
             print("  " + "".join("#" if v else "." for v in row))
         print()
 

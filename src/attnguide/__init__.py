@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .autodiff import Tensor, finite_diff_check
 from .boxes import (
     BoxTrajectory,
-    MaskSet,
     SpatialPriorSet,
     parse_llm_boxes,
     rasterize_masks,
@@ -45,7 +44,7 @@ from .syntax import SyntaxPairs, Token, extract_pairs, tokenize
 
 __all__ = [
     "Tensor", "finite_diff_check",
-    "BoxTrajectory", "MaskSet", "SpatialPriorSet", "parse_llm_boxes", "rasterize_masks",
+    "BoxTrajectory", "SpatialPriorSet", "parse_llm_boxes", "rasterize_masks",
     "resample_frames", "serialize_boxes", "validate_trajectories",
     "DDIMSchedule", "LatentState", "LinearAttentionStub",
     "ToyDenoiser", "ToyModelConfig", "ddim_step",

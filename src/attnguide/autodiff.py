@@ -59,7 +59,7 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
         if arr.flags.writeable and (arr is data or arr.base is not None):
             # The caller's array (or a view of it): copy rather than freeze it.
@@ -70,8 +70,8 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = None
-        self._parents = _parents
-        self._backward = _backward
+        self._parents = ()
+        self._backward = None
 
     @property
     def shape(self):
@@ -111,7 +111,9 @@ class Tensor:
         data.flags.writeable = False
         for p in parents:
             if p.requires_grad:
-                return cls(data, requires_grad=True, _parents=parents, _backward=backward)
+                out = cls(data, requires_grad=True)
+                out._parents, out._backward = parents, backward
+                return out
         return cls(data)
 
     # -- reverse pass --------------------------------------------------------

@@ -21,6 +21,8 @@ DEFAULT_FRAME_W = 576
 DEFAULT_FRAME_H = 320
 # The default limit on a box center's move between frames, in pixels.
 DEFAULT_MAX_STEP_PX = 60
+# The largest frame side a JSON box file may give, in pixels (the largest PGM side).
+MAX_FRAME_SIDE_PX = 65535
 
 OUT_OF_FRAME = "OUT_OF_FRAME"
 VELOCITY = "VELOCITY"
@@ -56,22 +58,6 @@ class Violation:
     subject_id: int
     frame: int
     message: str
-
-
-@dataclass
-class MaskSet:
-    masks: dict  # key -> binary np.ndarray [F, grid_h, grid_w]
-    warnings: list = field(default_factory=list)
-
-    def stacked(self, key):
-        """The masks of `key` as an [F, grid_h * grid_w] view."""
-        M = self.masks[key]
-        return M.reshape(M.shape[0], -1)
-
-    def rebind(self, id_to_key):
-        """Re-key masks, e.g. from subject id to prompt token index."""
-        remapped = {id_to_key[k]: m for k, m in self.masks.items() if k in id_to_key}
-        return MaskSet(remapped, list(self.warnings))
 
 
 _FRAME_RE = re.compile(r"^Frame\s+(\d+)\s*:\s*(\[.*\])\s*$")
@@ -124,7 +110,10 @@ def parse_llm_boxes(text):
         m = _FRAME_RE.match(line)
         if m is None:
             raise BoxParseError(f"unrecognized line: {line!r}", line_no)
-        k = int(m.group(1))
+        try:
+            k = int(m.group(1))
+        except ValueError as exc:  # more digits than int() converts
+            raise BoxParseError(f"bad frame index: {exc}", line_no) from None
         if k in frames:
             raise BoxParseError(f"duplicate frame index {k}", line_no)
         try:
@@ -212,8 +201,8 @@ def load_structured_boxes(text):
     """Parse the equivalent JSON form: frame_size, frames, background."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BoxParseError(f"invalid JSON: {exc}", exc.lineno) from exc
+    except (ValueError, RecursionError) as exc:  # also a too-long integer or too-deep nesting
+        raise BoxParseError(f"invalid JSON: {exc}", getattr(exc, "lineno", None)) from None
     if not isinstance(obj, dict):
         raise BoxParseError("structured boxes must be a JSON object")
     try:
@@ -223,8 +212,8 @@ def load_structured_boxes(text):
         raise BoxParseError(f"missing structured field: {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise BoxParseError(f"malformed frame_size or background: {exc}") from None
-    if W < 1 or H < 1:
-        raise BoxParseError(f"frame_size must be positive, got {obj['frame_size']!r}")
+    if not (1 <= W <= MAX_FRAME_SIDE_PX and 1 <= H <= MAX_FRAME_SIDE_PX):
+        raise BoxParseError(f"frame_size sides must be 1..{MAX_FRAME_SIDE_PX}, got {[W, H]}")
     if not isinstance(frames, list):
         raise BoxParseError(f"frames must be a list of per-frame record lists, got {frames!r}")
     by_index = {
@@ -316,9 +305,10 @@ def resample_frames(prior, target_F):
 def rasterize_masks(prior, grid_h, grid_w):
     """Binary masks at attention resolution via cell-center-in-box sampling.
 
-    A cell is inside when its center lies in the half-open interval
-    [x, x+w) x [y, y+h), which keeps adjacent boxes from double-covering
-    shared edges.
+    Returns ``(masks, warnings)``: ``{subject id: read-only [F, grid_h,
+    grid_w] array}`` and a line per all-zero frame mask.  A cell is inside
+    when its center lies in the half-open interval [x, x+w) x [y, y+h),
+    which keeps adjacent boxes from double-covering shared edges.
     """
     if grid_h < 1 or grid_w < 1:
         raise InputError("grid dimensions must be >= 1")
@@ -339,4 +329,4 @@ def rasterize_masks(prior, grid_h, grid_w):
                 )
         stack.flags.writeable = False
         masks[traj.subject_id] = stack
-    return MaskSet(masks, warnings)
+    return masks, warnings

@@ -135,16 +135,16 @@ def cmd_rasterize(args):
     if grid_h > H or grid_w > W:
         raise InputError(f"--grid {grid_h}x{grid_w} exceeds the frame: "
                          f"at most {H}x{W} cells, one per pixel")
-    masks = rasterize_masks(prior, grid_h, grid_w)
-    for w in masks.warnings:
+    masks, warnings = rasterize_masks(prior, grid_h, grid_w)
+    for w in warnings:
         print(f"warning: {w}")
     if args.out:
-        np.savez(args.out, **{f"s{k}_f{f}": m for k, stack in masks.masks.items()
+        np.savez(args.out, **{f"s{k}_f{f}": m for k, stack in masks.items()
                               for f, m in enumerate(stack)})
         print(f"wrote {args.out}")
     else:
-        for sid in sorted(masks.masks):
-            for f, m in enumerate(masks.masks[sid]):
+        for sid in sorted(masks):
+            for f, m in enumerate(masks[sid]):
                 print(f"subject={sid} frame={f}")
                 for row in m.astype(int):
                     print("".join(str(v) for v in row))
@@ -167,7 +167,6 @@ def cmd_generate(args):
     config = _guidance_config(args)
     seed = args.seed if args.seed is not None else 0
     result = run_guided_sampling(args.prompt, prior, config, model, seed)
-    warnings = prior.load_warnings + result.mask_set.warnings
     summary = _latent_summary(result)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -198,8 +197,9 @@ def cmd_generate(args):
     unguided = config.lambda_sp == 0 and config.lambda_syt == 0
     _write_manifest(out_dir, {"guidance": asdict(config), "model": asdict(model.config)},
                     seed, [args.boxes] + ([args.config] if args.config else []),
-                    started, extra=dict(unguided=unguided, prompt=args.prompt, warnings=warnings))
-    for w in warnings:
+                    started, extra=dict(unguided=unguided, prompt=args.prompt,
+                                        warnings=result.warnings))
+    for w in result.warnings:
         print(f"warning: {w}")
     print(f"ok records={len(result.trace.records)} out={out_dir}")
     return EXIT_OK

@@ -57,6 +57,8 @@ class ToyModelConfig:
         if len(set(tags)) != len(tags):
             raise InputError(f"levels tags must be distinct, got {tags}")
         wanted = self.capture_tags
+        if len(set(wanted)) != len(wanted):
+            raise InputError(f"ca_capture tags must be distinct, got {self.ca_capture!r}")
         for w in wanted:
             if w not in tags:
                 raise InputError(f"ca_capture level '{w}' not in levels {tags}")

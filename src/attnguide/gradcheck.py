@@ -43,7 +43,7 @@ def gradcheck_suites(component, seed, corrupt=False):
     prior = static_two_box_prior(cfg.frames)
     prior.trajectories = prior.trajectories[:1]
     gcfg = GuidanceConfig()
-    col_pairs, text, masks = prepare_inputs("a cat is sitting", prior, gcfg, model)
+    col_pairs, text, masks, _ = prepare_inputs("a cat is sitting", prior, model)
 
     rng = np.random.default_rng(seed)
     z0 = rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))

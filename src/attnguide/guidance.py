@@ -296,7 +296,8 @@ def _mean_distances(A, dpairs, config):
 def in_box_ratios(ca, masks, token_index):
     """Fraction of a token's attention mass inside its mask, per frame: [F] in [0, 1].
 
-    ``ca`` holds CA map values [F, N, L]; ``masks`` is keyed by token index.
+    ``ca`` holds CA map values [F, N, L]; ``masks`` maps a token index to its
+    [F, grid_h, grid_w] masks.
     """
     cols = np.ascontiguousarray(ca[:, :, token_index])      # [F, N]
     totals = cols.sum(axis=1)
@@ -310,7 +311,8 @@ def in_box_ratios(ca, masks, token_index):
 
 def _frame_masks(masks, key, shape):
     """The masks of `key` as [F, N] for CA columns of `shape`; any other shape is an error."""
-    M = masks.stacked(key)
+    M = masks[key]
+    M = M.reshape(M.shape[0], -1)
     if M.shape != shape:
         raise DimensionError(f"masks of shape {M.shape} for a CA column of shape {shape}")
     return M
@@ -460,39 +462,37 @@ class SamplingResult:
     trace: GuidanceTrace
     ca_records: dict            # step -> CA map values [F, N, L]
     column_pairs: SyntaxPairs   # CA-column pairs
-    mask_set: object
+    masks: dict                 # noun column -> [F, grid_h, grid_w] masks
+    warnings: list              # the run's loading, resampling, mask and binding warnings
     config: GuidanceConfig
 
 
 def _pairs_to_columns(pairs, columns):
-    mapped = SyntaxPairs()
-    for noun, verb in pairs.pairs:
-        cp = (columns[noun], columns[verb])
-        mapped.pairs.append(cp)
-        mapped.negatives[cp] = frozenset(
-            columns[u] for u in pairs.negatives_for((noun, verb))
-        )
-    return mapped
+    return SyntaxPairs([(columns[n], columns[v]) for n, v in pairs.pairs],
+                       frozenset(columns[t] for t in pairs.tokens))
 
 
-def prepare_inputs(prompt, priors, config, model):
-    """Tokenize, pair, resample (warning first), rasterize, and bind masks to noun columns.
+def prepare_inputs(prompt, priors, model):
+    """Tokenize, pair, resample, rasterize, and bind masks to noun columns.
 
     Boxes bind to the prompt nouns their names hold when each holds one, one to one, and
     by position (the k-th box to the k-th pair) when some name holds none, with a warning
     per box.  Names that all hold prompt nouns but fit neither way are an `InputError`.
+    Returns ``(column_pairs, text, masks, warnings)``, the warnings in this order: the
+    prior's ``load_warnings``, a resampling of the boxes to the model's frame count, the
+    all-zero masks, then the boxes bound by position.
     """
     tokens = tokenize(prompt)
     pairs = extract_pairs(tokens)
     text = model.encode_text(tokens)
     column_pairs = _pairs_to_columns(pairs, text.columns)
-    frames, resampled = model.config.frames, []
+    frames, notes = model.config.frames, list(priors.load_warnings)
     if priors.frame_count != frames:
-        resampled.append(f"resampled {priors.frame_count} box frames to {frames} model frames")
+        notes.append(f"resampled {priors.frame_count} box frames to {frames} model frames")
         priors = resample_frames(priors, frames)
     grid = model.config.capture_grid
-    raw_masks = rasterize_masks(priors, grid, grid)
-    raw_masks.warnings[:0] = resampled
+    raw_masks, empty = rasterize_masks(priors, grid, grid)
+    notes += empty
     if len(priors.trajectories) != len(column_pairs.pairs):
         raise InputError(
             f"{len(priors.trajectories)} box trajectories for "
@@ -508,12 +508,12 @@ def prepare_inputs(prompt, priors, config, model):
             raise InputError(f"box names {[t.name for t in priors.trajectories]} do not match "
                              f"the prompt's subjects {nouns} one to one")
     else:
-        raw_masks.warnings += [f"box {traj.name!r} of subject {traj.subject_id} bound by "
-                               f"position to the noun {noun!r}"
-                               for traj, noun in zip(priors.trajectories, nouns)]
+        notes += [f"box {traj.name!r} of subject {traj.subject_id} bound by "
+                  f"position to the noun {noun!r}"
+                  for traj, noun in zip(priors.trajectories, nouns)]
     binding = {traj.subject_id: column_pairs.pairs[k][0]
                for traj, k in zip(priors.trajectories, order)}
-    return column_pairs, text, raw_masks.rebind(binding)
+    return column_pairs, text, {binding[k]: m for k, m in raw_masks.items()}, notes
 
 
 def run_guided_sampling(prompt, priors, config, model, seed):
@@ -527,7 +527,7 @@ def run_guided_sampling(prompt, priors, config, model, seed):
     """
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
-    column_pairs, text, masks = prepare_inputs(prompt, priors, config, model)
+    column_pairs, text, masks, notes = prepare_inputs(prompt, priors, model)
     cfg_m = model.config
     schedule = DDIMSchedule(config.total_steps)
     snapshot_steps = {1, config.t1, config.t2, config.total_steps} - {0}
@@ -577,6 +577,7 @@ def run_guided_sampling(prompt, priors, config, model, seed):
         trace=trace,
         ca_records=ca_records,
         column_pairs=column_pairs,
-        mask_set=masks,
+        masks=masks,
+        warnings=notes,
         config=config,
     )

@@ -135,7 +135,7 @@ def summarize_run(result):
         ratios, aligns, comps = [], [], []
         for pair in result.column_pairs.pairs:
             noun, _ = pair
-            ratios.extend(in_box_ratios(values, result.mask_set, noun))
+            ratios.extend(in_box_ratios(values, result.masks, noun))
             aligns.append(verb_noun_alignment(values, pair))
             comps.append(count_components(values, noun, 0))
         return {

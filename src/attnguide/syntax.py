@@ -9,7 +9,7 @@ the template still resolve.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ExtractionError, InputError
@@ -26,13 +26,18 @@ class Token:
 
 @dataclass
 class SyntaxPairs:
-    """Noun/verb index pairs plus per-pair negative index sets."""
+    """Noun/verb index pairs over the prompt's index set ``tokens``.
 
-    pairs: list = field(default_factory=list)
-    negatives: dict = field(default_factory=dict)
+    The indices are token indices, or CA columns.  A pair's negatives U_i are
+    every index of ``tokens`` outside it (a literal reading of "other words"),
+    so members of other pairs repel each other.
+    """
+
+    pairs: list
+    tokens: frozenset
 
     def negatives_for(self, pair):
-        return self.negatives[pair]
+        return self.tokens - set(pair)
 
 
 def _load_lexicon():
@@ -115,11 +120,7 @@ def _find_verb(clause, noun_index):
 
 
 def extract_pairs(tokens):
-    """One (noun, verb) pair per "and"-separated clause, with negatives.
-
-    U_i is every token index outside the pair (a literal reading of "other
-    words"), so members of other pairs repel each other.
-    """
+    """One (noun, verb) pair per "and"-separated clause, over the prompt's token indices."""
     clauses = _split_clauses(tokens)
     pairs = []
     for clause in clauses:
@@ -135,9 +136,4 @@ def extract_pairs(tokens):
     used = [i for p in pairs for i in p]
     if len(set(used)) != len(used):
         raise ExtractionError("a token index appears in two pairs")
-
-    all_indices = {t.index for t in tokens}
-    result = SyntaxPairs(pairs=pairs)
-    for pair in pairs:
-        result.negatives[pair] = frozenset(sorted(all_indices - set(pair)))
-    return result
+    return SyntaxPairs(pairs, frozenset(t.index for t in tokens))

@@ -78,7 +78,7 @@ def in_box_ratio(ca, masks, token_index, frame):
         raise DegenerateAttentionError(
             f"token {token_index} frame {frame}: zero total attention mass"
         )
-    m = masks.masks[token_index][frame].reshape(-1)
+    m = masks[token_index][frame].reshape(-1)
     return float((col * m).sum() / total)
 
 

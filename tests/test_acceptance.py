@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from attnguide.autodiff import Tensor
-from attnguide.boxes import MaskSet, parse_llm_boxes, serialize_boxes, validate_trajectories
+from attnguide.boxes import parse_llm_boxes, serialize_boxes, validate_trajectories
 from attnguide.gradcheck import gradcheck_suites
 from attnguide.denoiser import ToyDenoiser, ToyModelConfig
 from attnguide.guidance import (
@@ -53,11 +53,11 @@ def _ca(A):
 
 def _masks(mask, frames, key=0):
     mask = np.asarray(mask, dtype=float)
-    return MaskSet({key: np.stack([mask] * frames)})
+    return {key: np.stack([mask] * frames)}
 
 
-def _pair(negatives=(2,)):
-    return SyntaxPairs(pairs=[(0, 1)], negatives={(0, 1): frozenset(negatives)})
+def _pair():
+    return SyntaxPairs([(0, 1)], frozenset({0, 1, 2}))
 
 
 DEFAULTS = GuidanceConfig()
@@ -110,15 +110,15 @@ def test_criterion_1_equation_identities():
     A = rng.uniform(0.05, 1.0, size=(2, 4, 6))
     for u in range(2, 6):
         A[..., u] = A[..., 1]
-    five = SyntaxPairs(pairs=[(0, 1)], negatives={(0, 1): frozenset(range(2, 6))})
+    five = SyntaxPairs([(0, 1)], frozenset(range(6)))
     errs.append(abs(loss_syt(_ca(A), five, GuidanceConfig()).item() - 0.2))
     A = rng.uniform(0.05, 1.0, size=(2, 4, 4))
-    two = SyntaxPairs(pairs=[(0, 1), (2, 3)],
-                      negatives={(0, 1): frozenset({2, 3}), (2, 3): frozenset({0, 1})})
+    two = SyntaxPairs([(0, 1), (2, 3)], frozenset(range(4)))
     expected = 0.0
-    for (i, j), negs in two.negatives.items():
+    for i, j in two.pairs:
         pos = _kl_sym_oracle(A[..., i], A[..., j]).mean()
-        neg = sum(_kl_sym_oracle(A[..., i], A[..., u]).mean() for u in sorted(negs))
+        neg = sum(_kl_sym_oracle(A[..., i], A[..., u]).mean()
+                  for u in sorted(two.negatives_for((i, j))))
         expected += pos / (pos + neg)
     errs.append(abs(loss_syt(_ca(A), two, GuidanceConfig()).item() - expected))
 
@@ -174,7 +174,7 @@ def efficacy_runs():
 def _mean_in_box(result, step):
     values = result.ca_records[step]
     ratios = [
-        in_box_ratio(values, result.mask_set, noun, f)
+        in_box_ratio(values, result.masks, noun, f)
         for noun, _ in result.column_pairs.pairs
         for f in range(values.shape[0])
     ]

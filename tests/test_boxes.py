@@ -206,18 +206,18 @@ class TestRasterize:
         )
 
     def test_full_frame_all_ones(self):
-        masks = rasterize_masks(self._single([0, 0, 576, 320]), 4, 4)
-        assert np.array_equal(masks.masks[0][0], np.ones((4, 4)))
+        masks, _ = rasterize_masks(self._single([0, 0, 576, 320]), 4, 4)
+        assert np.array_equal(masks[0][0], np.ones((4, 4)))
 
     def test_zero_area_all_zeros_with_warning(self):
-        masks = rasterize_masks(self._single([10, 10, 0, 0]), 4, 4)
-        assert not masks.masks[0][0].any()
-        assert masks.warnings
+        masks, warnings = rasterize_masks(self._single([10, 10, 0, 0]), 4, 4)
+        assert not masks[0][0].any()
+        assert warnings
 
     def test_half_open_column_oracle(self):
         # centers x = 32, 96, ..., 544 (step 64); 288 excluded by half-open rule
-        masks = rasterize_masks(self._single([0, 0, 288, 320]), 5, 9)
-        m = masks.masks[0][0]
+        masks, _ = rasterize_masks(self._single([0, 0, 288, 320]), 5, 9)
+        m = masks[0][0]
         assert np.array_equal(m[:, :4], np.ones((5, 4)))
         assert np.array_equal(m[:, 4:], np.zeros((5, 5)))
 
@@ -228,17 +228,17 @@ class TestRasterize:
             dx1, dy1 = rng.integers(0, x + 1), rng.integers(0, y + 1)
             dx2 = rng.integers(0, 576 - (x + w) + 1)
             dy2 = rng.integers(0, 320 - (y + h) + 1)
-            small = rasterize_masks(self._single([x, y, w, h]), 8, 8).masks[0][0]
+            small = rasterize_masks(self._single([x, y, w, h]), 8, 8)[0][0][0]
             big = rasterize_masks(
                 self._single([x - dx1, y - dy1, w + dx1 + dx2, h + dy1 + dy2]), 8, 8
-            ).masks[0][0]
+            )[0][0][0]
             assert np.all(small <= big)
 
     def test_adjacent_boxes_do_not_double_cover(self, rng):
         for _ in range(50):
             split = int(rng.integers(1, 575))
-            left = rasterize_masks(self._single([0, 0, split, 320]), 8, 8).masks[0][0]
-            right = rasterize_masks(self._single([split, 0, 576 - split, 320]), 8, 8).masks[0][0]
+            left = rasterize_masks(self._single([0, 0, split, 320]), 8, 8)[0][0][0]
+            right = rasterize_masks(self._single([split, 0, 576 - split, 320]), 8, 8)[0][0][0]
             assert np.all(left + right <= 1)
 
     def test_grid_precondition(self):

@@ -440,6 +440,7 @@ BAD_INPUTS = {
     "model_negative_seed": ("model", "seed = -1\n"),
     "model_duplicate_level_tags": ("model", "levels = down:8, down:4, up:8\nca_capture = down\n"),
     "model_huge_frames": ("model", "frames = 99999999999999999999\n"),
+    "model_repeated_capture_tag": ("model", "ca_capture = down+down\n"),
     "guide_not_a_number": ("guide", "lambda_sp = abc\n"),
     "guide_non_finite": ("guide", "lambda_sp = nan\n"),
     "guide_bad_boolean": ("guide", "apply_spatial_to_verbs = maybe\n"),
@@ -461,6 +462,13 @@ BAD_INPUTS = {
     "boxes_zero_frame_size": ("boxes", _structured(frame_size=[0, 0])),
     "boxes_negative_frame_size": ("boxes", _structured(frame_size=[-576, 320])),
     "boxes_fractional_frame_size": ("boxes", _structured(frame_size=[576.9, 320])),
+    "boxes_huge_frame_size": ("boxes", _structured(frame_size=[10**400, 320])),
+    "boxes_frame_size_over_cap": ("boxes", _structured(frame_size=[576, 65536])),
+    # past the 4,300 digits int() converts, in JSON and as a text frame index
+    "boxes_many_digit_integer": ("boxes", _structured().replace("288", "1" * 5000)),
+    "boxes_text_many_digit_frame": ("boxes", f"Frame {'1' * 5000}: [{{'id': 0, 'name': 'm', "
+                                             "'box': [0, 0, 9, 9]}]\nBackground keyword: room\n"),
+    "boxes_deeply_nested": ("boxes", '{"frames": ' + "[" * 10000 + "]" * 10000 + "}"),
     "boxes_fractional_box": ("boxes", _structured({"id": 0, "name": "m", "box": [10.7, 0, 9, 9]})),
     "boxes_bad_frames": ("boxes", _structured(frames=5)),
     "boxes_boolean_box": ("boxes", _structured({"id": 0, "name": "m", "box": [True, 0, 100, 100]})),

@@ -14,7 +14,6 @@ import pytest
 
 import composites
 from attnguide.autodiff import Tensor
-from attnguide.boxes import MaskSet
 from attnguide.denoiser import LatentState, TextEncoding, ToyDenoiser, ToyModelConfig
 from attnguide.errors import DegenerateAttentionError, NumericError
 from attnguide.guidance import (
@@ -75,7 +74,7 @@ def mask_set(rng, keys, frames, grid, fractional):
             m = rng.uniform(0.0, 1.0, (grid, grid))
             stack.append(m if fractional else (m < 0.5).astype(np.float64))
         masks[key] = np.stack(stack)
-    return MaskSet(masks)
+    return masks
 
 
 # -- distance -------------------------------------------------------------------
@@ -121,10 +120,7 @@ def loss_syt_run(vals, pairs, config, loss_fn=loss_syt):
 @pytest.mark.parametrize("kind", [KL_SYM, COSINE])
 @pytest.mark.parametrize("form", [RATIO, SUM])
 def test_loss_syt_matches_composite(kind, form):
-    pairs = SyntaxPairs(
-        pairs=[(1, 2), (4, 5)],
-        negatives={(1, 2): frozenset({3, 4, 5, 6}), (4, 5): frozenset({1, 2, 3, 6})},
-    )
+    pairs = SyntaxPairs([(1, 2), (4, 5)], frozenset(range(1, 7)))
     config = GuidanceConfig(distance=kind, contrastive_form=form)
     for seed in range(10):
         vals = attention_values(np.random.default_rng(seed), (3, 16, 8), zeros=0.0)
@@ -159,7 +155,7 @@ MASS_LOSSES = {  # name -> (fused loss, composite loss around the primitive mass
 @pytest.mark.parametrize("loss_fn", list(MASS_LOSSES), ids=list(MASS_LOSSES))
 def test_mass_term_matches_composite(loss_fn, fractional):
     fused_fn, composite_fn = MASS_LOSSES[loss_fn]
-    pairs = SyntaxPairs(pairs=[(1, 2), (4, 5)], negatives={})
+    pairs = SyntaxPairs([(1, 2), (4, 5)], frozenset({1, 2, 4, 5}))
     for seed in SEEDS:
         rng = np.random.default_rng([seed, fractional])
         frames, grid = int(rng.integers(1, 5)), int(rng.integers(2, 5))
@@ -370,10 +366,8 @@ def leaf_run(loss_fn, vals):
     return loss.data, A.grad
 
 
-SHARED_PAIRS = SyntaxPairs(  # columns shared across pairs, as nouns, verbs and negatives
-    pairs=[(1, 2), (4, 5)],
-    negatives={(1, 2): frozenset({3, 4, 5, 6}), (4, 5): frozenset({1, 2, 3, 6})},
-)
+# columns shared across pairs, as nouns, verbs and negatives
+SHARED_PAIRS = SyntaxPairs([(1, 2), (4, 5)], frozenset(range(1, 7)))
 
 
 @pytest.mark.parametrize("form", [RATIO, SUM])
@@ -405,8 +399,7 @@ def test_loss_pos_and_neg_match_chain(kind):
 
 
 def test_loss_syt_empty_negatives_matches_chain():
-    pairs = SyntaxPairs(pairs=[(1, 2), (4, 5)],
-                        negatives={(1, 2): frozenset(), (4, 5): frozenset({3})})
+    pairs = SyntaxPairs([(1, 2)], frozenset({1, 2}))  # a prompt of one noun and one verb
     vals = attention_values(np.random.default_rng(3), (2, 9, 6), zeros=0.0)
     for form in (RATIO, SUM):
         config = GuidanceConfig(contrastive_form=form)
@@ -422,7 +415,7 @@ def test_loss_syt_empty_negatives_matches_chain():
 @pytest.mark.parametrize("fractional", [False, True], ids=["binary", "fractional"])
 @pytest.mark.parametrize("n_pairs", [1, 2])
 def test_loss_sp_node_matches_chain(n_pairs, fractional, verbs):
-    pairs = SyntaxPairs(pairs=[(1, 2), (4, 5)][:n_pairs], negatives={})
+    pairs = SyntaxPairs([(1, 2), (4, 5)][:n_pairs], frozenset({1, 2, 4, 5}))
     config = GuidanceConfig(apply_spatial_to_verbs=verbs)
     for seed in range(10):
         rng = np.random.default_rng([seed, fractional, 9])
@@ -442,9 +435,9 @@ def test_column_gradient_signed_zeros_match_chain(include_verbs):
     Each take of the chain adds a full array, +0 outside its column, into
     A's gradient, so a second column turns a -0 sum into +0.
     """
-    pairs = SyntaxPairs(pairs=[(0, 1)], negatives={})
+    pairs = SyntaxPairs([(0, 1)], frozenset({0, 1}))
     vals = np.array([[[0.0, 1.0, 1.0], [2.0, 1.0, 1.0]]])   # one frame, 1x2 grid, 3 columns
-    masks = MaskSet({0: np.array([[[-0.0, 1.0]]])})
+    masks = {0: np.array([[[-0.0, 1.0]]])}
     config = GuidanceConfig(apply_spatial_to_verbs=include_verbs)
     grads = [leaf_run(lambda A: ref(fn(A)) * -1.0, vals)[1]
              for fn in (lambda A: loss_fg(A, masks, pairs, config),
@@ -480,8 +473,8 @@ def default_scene():
     from conftest import TEMPLATE_PROMPT, WOMAN_MAN_BOXES
 
     model, config = ToyDenoiser(), GuidanceConfig()
-    pairs, text, masks = prepare_inputs(
-        TEMPLATE_PROMPT, parse_llm_boxes(WOMAN_MAN_BOXES), config, model)
+    pairs, text, masks, _ = prepare_inputs(TEMPLATE_PROMPT, parse_llm_boxes(WOMAN_MAN_BOXES),
+                                           model)
     cfg = model.config
     z = np.random.default_rng(5).normal(
         size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
@@ -517,9 +510,9 @@ def test_nan_mask_fails_the_exit_check(default_scene, loss):
     """A NaN operand propagates without a trap; the loss node's own scan catches it."""
     _, config, pairs, _, masks, _, A = default_scene
     noun = pairs.pairs[0][0]
-    nan_mask = masks.masks[noun].astype(np.float64)
+    nan_mask = masks[noun].astype(np.float64)
     nan_mask[0, 0, 0] = np.nan
-    nan_masks = MaskSet({**masks.masks, noun: nan_mask})
+    nan_masks = {**masks, noun: nan_mask}
     with pytest.raises(NumericError, match="non-finite"):
         loss(Tensor(A, requires_grad=True), nan_masks, pairs, config)
 

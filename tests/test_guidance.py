@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from attnguide.autodiff import Tensor, finite_diff_check
-from attnguide.boxes import MaskSet, parse_llm_boxes
+from attnguide.boxes import parse_llm_boxes
 from attnguide.denoiser import DDIMSchedule, LatentState, LinearAttentionStub, ToyDenoiser, ddim_step
 from attnguide.errors import (
     ContractError,
@@ -45,13 +45,13 @@ def ca_stack(A):
     return Tensor(np.asarray(A, dtype=float))
 
 
-def single_pair(negatives=(2,)):
-    return SyntaxPairs(pairs=[(0, 1)], negatives={(0, 1): frozenset(negatives)})
+def single_pair():
+    return SyntaxPairs([(0, 1)], frozenset({0, 1, 2}))
 
 
 def mask_set(mask, frames, key=0):
     mask = np.asarray(mask, dtype=float)
-    return MaskSet({key: np.stack([mask] * frames)})
+    return {key: np.stack([mask] * frames)}
 
 
 def uniform_ca(frames=2, pixels=4, tokens=3):
@@ -201,7 +201,7 @@ class TestSyntaxLosses:
         A = rng.uniform(0.05, 1.0, size=(2, 4, 11))
         for u in range(2, 11):
             A[..., u] = A[..., 1]
-        pairs = SyntaxPairs(pairs=[(0, 1)], negatives={(0, 1): frozenset(range(2, 11))})
+        pairs = SyntaxPairs([(0, 1)], frozenset(range(11)))
         got = loss_syt(ca_stack(A), pairs, GuidanceConfig()).item()
         assert abs(got - 0.1) <= 1e-9
 
@@ -214,10 +214,7 @@ class TestSyntaxLosses:
         assert abs(loss_syt(ca, single_pair(), cfg).item() - expected) <= 1e-12
 
     def test_ratio_bounded_by_pair_count(self, rng):
-        pairs = SyntaxPairs(
-            pairs=[(0, 1), (2, 3)],
-            negatives={(0, 1): frozenset({2, 3}), (2, 3): frozenset({0, 1})},
-        )
+        pairs = SyntaxPairs([(0, 1), (2, 3)], frozenset(range(4)))
         cfg = GuidanceConfig()
         for _ in range(50):
             A = rng.uniform(0.01, 1.0, size=(2, 4, 4))
@@ -226,7 +223,7 @@ class TestSyntaxLosses:
 
     def test_no_pairs_rejected(self):
         with pytest.raises(ContractError):
-            loss_syt(uniform_ca(), SyntaxPairs(), GuidanceConfig())
+            loss_syt(uniform_ca(), SyntaxPairs([], frozenset()), GuidanceConfig())
 
     @pytest.mark.parametrize("column", [0, 1, 2])  # noun, verb, negative
     @pytest.mark.parametrize("defect", ["negative", "all_zero"])
@@ -441,14 +438,12 @@ class TestRunGuidedSampling:
 class TestPrepareInputs:
     def test_binds_trajectories_in_order(self):
         model = ToyDenoiser(tiny_model_config())
-        cfg = GuidanceConfig()
-        column_pairs, text, masks = prepare_inputs(
-            TEMPLATE_PROMPT, static_two_box_prior(2), cfg, model
-        )
+        column_pairs, text, masks, _ = prepare_inputs(TEMPLATE_PROMPT, static_two_box_prior(2),
+                                                      model)
         assert [text.columns[i] for i in (1, 3, 6, 8)] == [2, 4, 7, 9]  # pairs (1, 3), (6, 8)
         assert column_pairs.pairs == [(2, 4), (7, 9)]
         g = model.config.capture_grid
-        left, right = masks.masks[2][0], masks.masks[7][0]
+        left, right = masks[2][0], masks[7][0]
         assert left[:, : g // 2].all() and not left[:, g // 2:].any()
         assert right[:, g // 2:].all() and not right[:, : g // 2].any()
 
@@ -463,30 +458,29 @@ class TestPrepareInputs:
         """Boxes listed as `walking man`, then `running dog`, bind to the man and the dog."""
         model = ToyDenoiser(tiny_model_config())
         prior = self._named_prior("walking man", "running dog")
-        column_pairs, _, masks = prepare_inputs("a dog is running and a man is walking", prior,
-                                                GuidanceConfig(), model)
+        column_pairs, _, masks, _ = prepare_inputs("a dog is running and a man is walking", prior,
+                                                   model)
         (dog, _), (man, _) = column_pairs.pairs
         g = model.config.capture_grid
-        assert masks.masks[man][0][:, : g // 2].all() and not masks.masks[man][0][:, g // 2:].any()
-        assert masks.masks[dog][0][:, g // 2:].all() and not masks.masks[dog][0][:, : g // 2].any()
+        assert masks[man][0][:, : g // 2].all() and not masks[man][0][:, g // 2:].any()
+        assert masks[dog][0][:, g // 2:].all() and not masks[dog][0][:, : g // 2].any()
 
     def test_partly_named_boxes_bind_in_order(self):
         """`woman` is no prompt noun, so the boxes bind by position, as before names counted."""
         model = ToyDenoiser(tiny_model_config())
-        by_order = prepare_inputs(TEMPLATE_PROMPT, static_two_box_prior(2), GuidanceConfig(),
-                                  model)[2]
+        by_order = prepare_inputs(TEMPLATE_PROMPT, static_two_box_prior(2), model)[2]
         partly = prepare_inputs(TEMPLATE_PROMPT, self._named_prior("walking woman", "jumping man"),
-                                GuidanceConfig(), model)[2]
-        assert partly.masks.keys() == by_order.masks.keys()
-        assert all((partly.masks[k] == by_order.masks[k]).all() for k in by_order.masks)
+                                model)[2]
+        assert partly.keys() == by_order.keys()
+        assert all((partly[k] == by_order[k]).all() for k in by_order)
 
     def test_positional_binding_warns_per_box(self):
         """The woman/man boxes on the man/dog prompt: `walking woman` names no prompt noun,
         so both boxes bind by position, `jumping man` to the dog, and each says so."""
-        column_pairs, _, masks = prepare_inputs(TEMPLATE_PROMPT, parse_llm_boxes(WOMAN_MAN_BOXES),
-                                                GuidanceConfig(), ToyDenoiser())
-        assert sorted(masks.masks) == [noun for noun, _ in column_pairs.pairs] == [2, 7]
-        assert masks.warnings == [
+        column_pairs, _, masks, warnings = prepare_inputs(
+            TEMPLATE_PROMPT, parse_llm_boxes(WOMAN_MAN_BOXES), ToyDenoiser())
+        assert sorted(masks) == [noun for noun, _ in column_pairs.pairs] == [2, 7]
+        assert warnings == [
             "box 'walking woman' of subject 0 bound by position to the noun 'man'",
             "box 'jumping man' of subject 1 bound by position to the noun 'dog'",
         ]
@@ -496,14 +490,16 @@ class TestPrepareInputs:
     def test_names_contradicting_order_rejected(self, names):
         with pytest.raises(InputError, match="do not match the prompt's subjects"):
             prepare_inputs("a dog is running and a man is walking", self._named_prior(*names),
-                           GuidanceConfig(), ToyDenoiser(tiny_model_config()))
+                           ToyDenoiser(tiny_model_config()))
 
     def test_resamples_prior_frames(self):
         model = ToyDenoiser(tiny_model_config())  # 2 frames
-        _, _, masks = prepare_inputs(TEMPLATE_PROMPT, static_two_box_prior(8), GuidanceConfig(),
-                                     model)
-        assert masks.masks[2].shape[0] == 2  # second frame exists after resampling
-        assert masks.warnings == [
+        prior = static_two_box_prior(8)
+        prior.load_warnings.append("clipped box of subject 0 frame 3: ...")
+        _, _, masks, warnings = prepare_inputs(TEMPLATE_PROMPT, prior, model)
+        assert masks[2].shape[0] == 2  # second frame exists after resampling
+        assert warnings == [
+            "clipped box of subject 0 frame 3: ...",  # the loading warnings come first
             "resampled 8 box frames to 2 model frames",
             "box 'left subject' of subject 0 bound by position to the noun 'man'",
             "box 'right subject' of subject 1 bound by position to the noun 'dog'",
@@ -513,13 +509,12 @@ class TestPrepareInputs:
         """Two frames for a 2-frame model, and boxes bound by name."""
         model = ToyDenoiser(tiny_model_config())
         prior = self._named_prior("walking man", "running dog")
-        _, _, masks = prepare_inputs(TEMPLATE_PROMPT, prior, GuidanceConfig(), model)
-        assert masks.warnings == []
+        assert prepare_inputs(TEMPLATE_PROMPT, prior, model)[3] == []
 
     def test_pair_trajectory_count_mismatch(self):
         model = ToyDenoiser(tiny_model_config())
         with pytest.raises(InputError, match="trajectories"):
-            prepare_inputs("a cat is sitting", static_two_box_prior(2), GuidanceConfig(), model)
+            prepare_inputs("a cat is sitting", static_two_box_prior(2), model)
 
 
 class TestBitExactness:
@@ -572,8 +567,8 @@ class TestBitExactness:
 
     def test_graph_nodes_per_iteration(self, rng):
         model, config = ToyDenoiser(), GuidanceConfig()
-        pairs, text, masks = prepare_inputs(
-            TEMPLATE_PROMPT, parse_llm_boxes(WOMAN_MAN_BOXES), config, model)
+        pairs, text, masks, _ = prepare_inputs(TEMPLATE_PROMPT, parse_llm_boxes(WOMAN_MAN_BOXES),
+                                               model)
         cfg = model.config
         z = rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
         _, ca, _ = model.denoise_step(Tensor(z, requires_grad=True), 45 / 50, text)

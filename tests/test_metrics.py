@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from attnguide.autodiff import Tensor
-from attnguide.boxes import MaskSet
 from attnguide.denoiser import ToyDenoiser
 from attnguide.errors import ContractError, DegenerateAttentionError, InputError
 from attnguide.guidance import (
@@ -31,7 +30,7 @@ from conftest import TEMPLATE_PROMPT, static_two_box_prior, tiny_model_config
 
 def mask_set(mask, frames=1, key=0):
     mask = np.asarray(mask, dtype=float)
-    return MaskSet({key: np.stack([mask] * frames)})
+    return {key: np.stack([mask] * frames)}
 
 
 class TestInBoxRatio:
@@ -51,7 +50,7 @@ class TestInBoxRatio:
         for _ in range(100):
             A = rng.uniform(0.01, 1.0, size=(2, 4, 2))
             masks = mask_set(rng.integers(0, 2, size=(2, 2)).astype(float), frames=2)
-            pairs = SyntaxPairs(pairs=[(0, 1)], negatives={(0, 1): frozenset()})
+            pairs = SyntaxPairs([(0, 1)], frozenset({0, 1}))
             expected = np.mean([
                 (1.0 - in_box_ratio(A, masks, 0, f)) ** 2 for f in range(2)
             ])
@@ -66,8 +65,7 @@ class TestInBoxRatio:
 
     def test_all_frames_match_per_frame_form_bit_exactly(self, rng):
         A = rng.uniform(0.0, 1.0, size=(5, 64, 3))
-        masks = MaskSet({1: np.stack([rng.integers(0, 2, size=(8, 8)).astype(float)
-                                            for f in range(5)])})
+        masks = {1: np.stack([rng.integers(0, 2, size=(8, 8)).astype(float) for f in range(5)])}
         got = in_box_ratios(A, masks, 1)
         assert got.tolist() == [in_box_ratio(A, masks, 1, f) for f in range(5)]
 

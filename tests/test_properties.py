@@ -1,7 +1,9 @@
-"""Property tests: box text and JSON forms agree, config files round-trip, the
-component count agrees with scipy's labeller, and the batched losses give the
-composite chains' bytes."""
+"""Property tests: box text and JSON forms agree, the box commands end in exit 0 or
+one ERROR line, config files round-trip, the component count agrees with scipy's
+labeller, and the batched losses give the composite chains' bytes."""
 
+import contextlib
+import io
 import json
 import string
 import warnings
@@ -25,6 +27,7 @@ from attnguide.boxes import (
     parse_llm_boxes,
     serialize_boxes,
 )
+from attnguide.cli import main
 from attnguide.denoiser import MODEL_CAPS, ToyModelConfig
 from attnguide.guidance import COSINE, KL_SYM, MAX_TOTAL_STEPS, RATIO, SUM, GuidanceConfig
 from attnguide.metrics import count_components
@@ -84,6 +87,69 @@ def test_json_load_equals_text_load(prior):
         "background": prior.background_keyword,
     })
     assert load_structured_boxes(structured) == parse_llm_boxes(serialize_boxes(prior))
+
+
+# A box-file number as (JSON text, Python-literal text).  The odd ones are huge and
+# many-digit integers (past the 4,300 digits int() converts), integral and non-finite
+# floats, booleans, strings and null.
+MANY_DIGITS = "1" * 5000
+plain_numbers = st.integers(-50, 700).map(lambda n: (str(n), str(n)))
+odd_numbers = st.one_of(
+    st.sampled_from([str(10**400), str(-2**64), MANY_DIGITS]).map(lambda t: (t, t)),
+    st.sampled_from([("320.0", "320.0"), ("1e3", "1e3"), ("1e400", "1e400"), ("NaN", "nan"),
+                     ("true", "True"), ("false", "False"), ('"5"', "'5'"), ("null", "None")]),
+)
+
+
+@st.composite
+def box_files(draw):
+    """A JSON or text box file with the same subjects in every frame, where a drawn share
+    of the numbers is odd, of the keys left out, and of the text form's frame indices
+    repeated, skipped or many digits long."""
+    as_json = draw(st.booleans())
+    quote = json.dumps if as_json else repr
+    rare = draw(st.sampled_from([0, 5, 30]))  # percent
+
+    def odd():
+        return draw(st.integers(0, 99)) < rare
+
+    def number():
+        return draw(odd_numbers if odd() else plain_numbers)[1 - as_json]
+
+    def record(sid, name):
+        fields = {"id": sid, "name": quote(name),
+                  "box": "[" + ", ".join(number() for _ in range(4)) + "]"}
+        return "{" + ", ".join(f"{quote(k)}: {v}" for k, v in fields.items() if not odd()) + "}"
+
+    subjects = [(number(), draw(st.text(alphabet="ab '\"\\", max_size=6)))
+                for _ in range(draw(st.integers(1, 2)))]
+    frames = ["[" + ", ".join(record(*subject) for subject in subjects) + "]"
+              for _ in range(draw(st.integers(1, 3)))]
+    if as_json:
+        parts = {"frame_size": f"[{number()}, {number()}]", "frames": "[" + ", ".join(frames) + "]",
+                 "background": '"garden"'}
+        return "{" + ", ".join(f'"{k}": {v}' for k, v in parts.items() if not odd()) + "}"
+    index = st.one_of(st.integers(0, 4).map(str), st.sampled_from([str(10**400), MANY_DIGITS]))
+    lines = [f"Frame {draw(index) if odd() else k}: {frame}"
+             for k, frame in enumerate(frames, start=1)]
+    return "\n".join(lines + ["Background keyword: garden"] * (not odd())) + "\n"
+
+
+@settings(deadline=None, max_examples=150)
+@given(box_files())
+@example('{"frame_size": [%s, 320], "frames": [[{"id": 0, "name": "a", "box": [0, 0, 9, 9]}]],'
+         ' "background": "garden"}' % 10**400)
+def test_box_commands_exit_0_or_one_error_line(tmp_path_factory, text):
+    """parse-boxes, validate-boxes and rasterize end in exit 0, or exit 2 and one ERROR line."""
+    path = tmp_path_factory.mktemp("boxes") / "boxes.txt"
+    path.write_text(text)
+    for argv in (["parse-boxes", path], ["validate-boxes", path],
+                 ["rasterize", path, "--grid", "4x4"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([str(a) for a in argv])
+        errors = [ln for ln in out.getvalue().splitlines() if ln.startswith("ERROR")]
+        assert (code, len(errors)) in ((0, 0), (2, 1)), (argv[0], code, errors)
 
 
 def _config_text(cfg):
@@ -175,15 +241,14 @@ def test_count_components_matches_scipy_label(ndimage, grid):
 
 @st.composite
 def loss_scenes(draw):
-    """CA values [F, N, L] with masks for 1-3 pairs whose negatives may hold another
-    pair's noun or verb, the pair's own verb or nothing at all."""
+    """CA values [F, N, L] with masks for 1-3 pairs over a drawn set of token columns, so
+    that a pair's negatives hold the other pairs' nouns and verbs, or nothing at all."""
     frames, grid = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     columns = draw(st.integers(3, 9))
     order = draw(st.permutations(range(columns)))
     n_pairs = draw(st.integers(1, columns // 2 if columns < 7 else 3))
     pairs = [(order[2 * k], order[2 * k + 1]) for k in range(n_pairs)]
-    negatives = {pair: frozenset(draw(st.sets(st.sampled_from(
-        [c for c in range(columns) if c != pair[0]]), max_size=columns))) for pair in pairs}
+    tokens = frozenset(draw(st.sets(st.sampled_from(range(columns)))) | {*sum(pairs, ())})
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vals = attention_values(rng, (frames, grid * grid, columns),
                             zeros=draw(st.sampled_from([0.0, 0.2])))
@@ -191,7 +256,7 @@ def loss_scenes(draw):
     config = GuidanceConfig(distance=draw(st.sampled_from([KL_SYM, COSINE])),
                             contrastive_form=draw(st.sampled_from([RATIO, SUM])),
                             apply_spatial_to_verbs=draw(st.booleans()))
-    return vals, SyntaxPairs(pairs=pairs, negatives=negatives), masks, config
+    return vals, SyntaxPairs(pairs, tokens), masks, config
 
 
 def _value_and_grad(loss_fn, vals):

@@ -79,7 +79,7 @@ def test_idempotent_over_round_trip():
     pairs = extract_pairs(toks)
     again = extract_pairs(tokenize(" ".join([t.text for t in toks])))
     assert again.pairs == pairs.pairs
-    assert again.negatives == pairs.negatives
+    assert again.tokens == pairs.tokens
 
 
 def test_unresolvable_clause_reports_it():
