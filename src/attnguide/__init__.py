@@ -23,7 +23,6 @@ from .denoiser import (
 from .guidance import (
     GuidanceConfig,
     GuidanceTrace,
-    dist,
     guide_latent,
     loss_bg,
     loss_fg,
@@ -48,7 +47,7 @@ __all__ = [
     "resample_frames", "serialize_boxes", "validate_trajectories",
     "DDIMSchedule", "LatentState", "LinearAttentionStub",
     "ToyDenoiser", "ToyModelConfig", "ddim_step",
-    "GuidanceConfig", "GuidanceTrace", "dist", "guide_latent",
+    "GuidanceConfig", "GuidanceTrace", "guide_latent",
     "loss_bg", "loss_fg", "loss_neg", "loss_pos", "loss_sp", "loss_syt",
     "run_guided_sampling",
     "MetricsReport", "count_components", "render_heatmap",

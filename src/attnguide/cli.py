@@ -24,7 +24,7 @@ from .boxes import (
     validate_trajectories,
 )
 from .config import key_values, parse_value, read_text
-from .denoiser import ToyDenoiser, ToyModelConfig
+from .denoiser import MODEL_CAPS, ToyDenoiser, ToyModelConfig
 from .errors import AttnGuideError, DegenerateAttentionError, InputError, NumericError
 from .gradcheck import gradcheck_suites
 from .guidance import GuidanceConfig, GuidanceError, run_guided_sampling
@@ -46,6 +46,9 @@ EXIT_GRADCHECK = 5
 
 # Pixels per CA cell side in the heatmaps that `generate` and `render` write.
 DEFAULT_UPSCALE = 8
+
+# No model level grid exceeds the latent's sides, so no mask grid needs to.
+MAX_GRID_SIDE = min(MODEL_CAPS["latent_h"], MODEL_CAPS["latent_w"])
 
 
 def _fail(code, kind, message):
@@ -130,6 +133,9 @@ def cmd_rasterize(args):
         grid_h, grid_w = (int(v) for v in args.grid.lower().split("x"))
     except ValueError:
         raise InputError(f"--grid wants HxW, got {args.grid!r}")
+    if max(grid_h, grid_w) > MAX_GRID_SIDE:
+        raise InputError(f"--grid {grid_h}x{grid_w} has a side over {MAX_GRID_SIDE}, "
+                         "the largest attention grid")
     prior = detect_and_parse(read_text(args.file))
     H, W = prior.frame_height_px, prior.frame_width_px
     if grid_h > H or grid_w > W:
@@ -289,6 +295,9 @@ def cmd_render(args):
         raise InputError(f"{path} is not an npz archive: {exc}") from None
     if values is None:
         raise InputError(f"no CA snapshot for step {args.step} in {args.run_dir}")
+    if values.dtype.kind != "f" or values.ndim != 3 or not np.isfinite(values).all():
+        raise InputError(f"step{args.step} in {path} is not a finite float [F, N, L] array: "
+                         f"{values.dtype} {values.shape}")
     render_heatmap(values, args.token, args.frame, args.out, upscale=args.upscale)
     print(f"wrote {args.out}")
     return EXIT_OK

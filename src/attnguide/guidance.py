@@ -141,23 +141,6 @@ def _check_maps(values):
         raise DegenerateAttentionError("attention map slice is all zero")
 
 
-@trapped
-def dist(p_map, q_map, kind=KL_SYM, eps=1e-8):
-    """Distance between attention maps along the last (pixel) axis.
-
-    KL_SYM smooths with eps and normalizes to distributions first; cosine
-    works on the raw maps (and is therefore scale invariant).
-    """
-    p, q = Tensor._wrap(p_map), Tensor._wrap(q_map)
-    _check_maps(p.data)
-    _check_maps(q.data)
-    if p.shape != q.shape:
-        raise DimensionError(f"maps of shapes {p.shape} and {q.shape} differ")
-    out, backward, swap = _distances(np.stack((p.data, q.data)), [0], [1], kind, eps)
-    return Tensor.node(out[0], (q, p) if swap else (p, q),
-                       lambda g: [grad[0] for grad in backward(g[None])])
-
-
 def _distances(X, a, b, kind, eps):
     """Distances between the maps X[a] and X[b] of a stack X [K, ..., N].
 
@@ -175,29 +158,19 @@ def _distances(X, a, b, kind, eps):
 
 
 def _normalized(x, eps):
-    """Each last-axis slice of `x + eps` scaled to sum 1: (result, saved values).
-
-    The slices of a stack [K, N] are divided by their sums, longer ones
-    scaled by the reciprocal sums, as the composite computed them.
-    """
+    """Each last-axis slice of `x + eps` scaled by its reciprocal sum, as the composite
+    computed it: (result, saved values)."""
     te = x + eps
     s = te.sum(axis=-1)
-    if te.ndim <= 2:
-        return te / s[..., None], (te, s)
     r = 1.0 / s
     return te * r[..., None], (te, s, r)
 
 
 def _normalized_grad(g, saved, idx):
     """Gradient through `_normalized` of the slices `idx` for the gradient `g` of their results."""
-    te, s, *r = (v[idx] for v in saved)
-    if r:
-        g_te = g * r[0][..., None]
-        g_s = -(g * te).sum(axis=-1) / (s * s)
-    else:
-        g_te = g / s[..., None]
-        g_s = (-g * te / (s * s)[..., None]).sum(axis=-1)
-    return g_te + g_s[..., None]
+    te, s, r = (v[idx] for v in saved)
+    g_s = -(g * te).sum(axis=-1) / (s * s)
+    return g * r[..., None] + g_s[..., None]
 
 
 def _kl(X, a, b, eps):

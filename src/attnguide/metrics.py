@@ -14,8 +14,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .autodiff import Tensor
 from .errors import ContractError, InputError
-from .guidance import GuidanceError, dist, in_box_ratios, run_guided_sampling
+from .guidance import (
+    KL_SYM,
+    GuidanceConfig,
+    GuidanceError,
+    in_box_ratios,
+    loss_pos,
+    run_guided_sampling,
+)
 
 
 def _square_map(ca, token_index, frame):
@@ -26,7 +34,7 @@ def _square_map(ca, token_index, frame):
                             f"{L} columns and {F} frames of the CA maps")
     col = ca[frame, :, token_index]
     side = math.isqrt(col.size)
-    if side * side != col.size:
+    if side == 0 or side * side != col.size:
         raise ContractError(f"{col.size} pixels do not form a square grid")
     return col.reshape(side, side)
 
@@ -51,9 +59,8 @@ def count_components(ca, token_index, frame):
 
 def verb_noun_alignment(ca, pair):
     """Frame-mean symmetric KL between a pair's noun and verb maps (lower is better)."""
-    i, j = pair
-    d = dist(ca[:, :, i], ca[:, :, j]).data
-    return float(d.sum() * (1.0 / d.size))
+    # spelled out, so the metric does not follow changes to GuidanceConfig's defaults
+    return loss_pos(Tensor(ca), pair, GuidanceConfig(distance=KL_SYM, eps=1e-8)).item()
 
 
 def render_heatmap(ca, token_index, frame, out_path, upscale=1):

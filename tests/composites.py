@@ -119,8 +119,6 @@ def cross_attention_node(model, x, keys_values, tag):
 def composite_normalize_lastdim(t, eps):
     te = t + eps
     s = te.sum(axis=-1)
-    if te.data.ndim <= 1:
-        return te / s
     ndim = te.data.ndim
     perm = (ndim - 1,) + tuple(range(ndim - 1))
     inv = tuple(range(1, ndim)) + (0,)

@@ -14,7 +14,6 @@ from attnguide.denoiser import ToyDenoiser, ToyModelConfig
 from attnguide.guidance import (
     KL_SYM,
     GuidanceConfig,
-    dist,
     loss_bg,
     loss_fg,
     loss_pos,
@@ -38,6 +37,7 @@ from conftest import (
     static_two_box_prior,
     tiny_model_config,
 )
+from test_guidance import frame_distances
 
 SEEDS = range(10)
 
@@ -97,7 +97,7 @@ def test_criterion_1_equation_identities():
     # distances match the independent smoothed-KL formula
     p = rng.uniform(0.05, 1.0, size=(2, 4))
     q = rng.uniform(0.05, 1.0, size=(2, 4))
-    errs.append(float(np.max(np.abs(dist(p, q, KL_SYM).data - _kl_sym_oracle(p, q)))))
+    errs.append(float(np.max(np.abs(frame_distances(p, q, KL_SYM) - _kl_sym_oracle(p, q)))))
     A = rng.uniform(0.05, 1.0, size=(2, 4, 3))
     pos_oracle = _kl_sym_oracle(A[..., 0], A[..., 1]).mean()
     errs.append(abs(loss_pos(_ca(A), (0, 1), DEFAULTS).item() - pos_oracle))

@@ -483,6 +483,7 @@ BAD_INPUTS = {
     "boxes_not_utf8": ("boxes", b"\xff\xfe" + WOMAN_MAN_BOXES.encode()),
     "prompt_without_pairs": ("prompt", "and"),
     "rasterize_huge_grid": ("rasterize_grid", "100000x100000"),
+    "rasterize_grid_over_cap": ("rasterize_grid", "65x65"),
     "validate_negative_max_step": ("validate_step", "-5"),
     "generate_negative_max_step": ("generate_step", "-5"),
 }
@@ -566,6 +567,21 @@ class TestRender:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR kind=parse")
         assert "not an npz archive" in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snapshot", [np.arange(4.0), np.array(["a", "b", "c", "d"]),
+                                          np.zeros((1, 0, 1)), np.full((1, 4, 1), np.nan)],
+                             ids=["one_axis", "strings", "no_pixels", "all_nan"])
+    def test_malformed_snapshot_rejected(self, tmp_path, capsys, snapshot):
+        (tmp_path / "run").mkdir()
+        np.savez(tmp_path / "run" / "ca_records.npz", step1=snapshot)
+        out = tmp_path / "x.pgm"
+        assert main(["render", str(tmp_path / "run"), "--token", "0", "--step", "1",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR kind=parse")
+        assert "Traceback" not in captured.err
         assert not out.exists()
 
 

@@ -96,8 +96,9 @@ def distance_loss(dist_fn, vals, kind):
     return values, loss.data, X.grad
 
 
-@pytest.mark.parametrize("ndim", [1, 2, 3])
-@pytest.mark.parametrize("kind", [KL_SYM, COSINE])
+# No package path measures KL between 1-D maps, so KL_SYM has no ndim 1 case.
+@pytest.mark.parametrize("kind,ndim", [(KL_SYM, 2), (KL_SYM, 3),
+                                       (COSINE, 1), (COSINE, 2), (COSINE, 3)])
 def test_dist_matches_composite(kind, ndim):
     for seed in SEEDS:
         rng = np.random.default_rng([seed, ndim])

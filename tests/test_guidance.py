@@ -22,7 +22,6 @@ from attnguide.guidance import (
     GuidanceConfig,
     GuidanceTrace,
     TraceRecord,
-    dist,
     guide_latent,
     in_box_ratios,
     loss_bg,
@@ -122,52 +121,62 @@ class TestSpatialLosses:
         assert finite_diff_check(f, Tensor(base), step=1e-5) <= 1e-6
 
 
+def frame_distances(p, q, kind):
+    """`kind` distance between the maps p and q [F, N], one frame at a time: `loss_pos` on
+    each frame's two-column A [1, N, 2]."""
+    config = GuidanceConfig(distance=kind)
+    return np.array([loss_pos(ca_stack(np.stack((pf, qf), axis=-1)[None]), (0, 1), config).item()
+                     for pf, qf in zip(np.atleast_2d(p), np.atleast_2d(q))])
+
+
 class TestDist:
     def test_self_distance_zero(self, rng):
         p = rng.uniform(0.1, 1.0, size=(3, 8))
         for kind in (KL_SYM, COSINE):
-            assert np.max(np.abs(dist(p, p, kind).data)) <= 1e-12
+            assert np.max(np.abs(frame_distances(p, p, kind))) <= 1e-12
 
     def test_symmetry(self, rng):
         p = rng.uniform(0.1, 1.0, size=(3, 8))
         q = rng.uniform(0.1, 1.0, size=(3, 8))
         for kind in (KL_SYM, COSINE):
-            assert np.allclose(dist(p, q, kind).data, dist(q, p, kind).data, atol=1e-12)
+            assert np.allclose(frame_distances(p, q, kind), frame_distances(q, p, kind),
+                               atol=1e-12)
 
     def test_kl_closed_form(self):
         p = np.array([0.5, 0.5])
         q = np.array([0.25, 0.75])
         kl_pq = 0.5 * np.log(0.5 / 0.25) + 0.5 * np.log(0.5 / 0.75)
         kl_qp = 0.25 * np.log(0.25 / 0.5) + 0.75 * np.log(0.75 / 0.5)
-        assert abs(dist(p, q, KL_SYM).item() - 0.5 * (kl_pq + kl_qp)) <= 1e-6
+        assert abs(frame_distances(p, q, KL_SYM)[0] - 0.5 * (kl_pq + kl_qp)) <= 1e-6
 
     def test_cosine_scale_invariant(self, rng):
         p = rng.uniform(0.1, 1.0, size=8)
         q = rng.uniform(0.1, 1.0, size=8)
-        a = dist(p, q, COSINE).item()
-        b = dist(7.5 * p, q * 0.01, COSINE).item()
+        a = frame_distances(p, q, COSINE)[0]
+        b = frame_distances(7.5 * p, q * 0.01, COSINE)[0]
         assert abs(a - b) <= 1e-12
 
     def test_kl_not_scale_invariant_before_normalization(self, rng):
         """KL normalizes internally, so scaling both maps changes nothing."""
         p = rng.uniform(0.1, 1.0, size=8)
         q = rng.uniform(0.1, 1.0, size=8)
-        assert abs(dist(p, q, KL_SYM).item() - dist(3 * p, 5 * q, KL_SYM).item()) <= 1e-7
+        assert abs(frame_distances(p, q, KL_SYM)[0]
+                   - frame_distances(3 * p, 5 * q, KL_SYM)[0]) <= 1e-7
 
     def test_negative_entries_rejected(self):
         with pytest.raises(DegenerateAttentionError):
-            dist(np.array([0.5, -0.1]), np.array([0.5, 0.5]))
+            frame_distances(np.array([0.5, -0.1]), np.array([0.5, 0.5]), KL_SYM)
 
     def test_all_zero_slice_rejected(self):
         with pytest.raises(DegenerateAttentionError):
-            dist(np.zeros(4), np.ones(4))
+            frame_distances(np.zeros(4), np.ones(4), KL_SYM)
 
     def test_nonnegative(self, rng):
         for kind in (KL_SYM, COSINE):
             for _ in range(20):
                 p = rng.uniform(0.01, 1.0, size=(2, 6))
                 q = rng.uniform(0.01, 1.0, size=(2, 6))
-                assert np.all(dist(p, q, kind).data >= -1e-12)
+                assert np.all(frame_distances(p, q, kind) >= -1e-12)
 
 
 class TestSyntaxLosses:
@@ -180,8 +189,8 @@ class TestSyntaxLosses:
     def test_loss_neg_sums_over_negatives(self, rng):
         A = rng.uniform(0.05, 1.0, size=(2, 4, 4))
         ca = ca_stack(A)
-        d2 = dist(A[..., 0], A[..., 2], KL_SYM).data.mean()
-        d3 = dist(A[..., 0], A[..., 3], KL_SYM).data.mean()
+        d2 = loss_pos(ca, (0, 2), DEFAULTS).item()
+        d3 = loss_pos(ca, (0, 3), DEFAULTS).item()
         got = loss_neg(ca, (0, 1), frozenset({2, 3}), DEFAULTS).item()
         assert abs(got - (d2 + d3)) <= 1e-9
 

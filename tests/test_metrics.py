@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from attnguide.autodiff import Tensor
+from attnguide.boxes import parse_llm_boxes
 from attnguide.denoiser import ToyDenoiser
 from attnguide.errors import ContractError, DegenerateAttentionError, InputError
 from attnguide.guidance import (
-    KL_SYM,
     GuidanceConfig,
-    dist,
     in_box_ratios,
     loss_fg,
     run_guided_sampling,
@@ -25,7 +24,8 @@ from attnguide.metrics import (
 from attnguide.syntax import SyntaxPairs
 
 from composites import in_box_ratio
-from conftest import TEMPLATE_PROMPT, static_two_box_prior, tiny_model_config
+from conftest import TEMPLATE_PROMPT, WOMAN_MAN_BOXES, static_two_box_prior, tiny_model_config
+from test_acceptance import _kl_sym_oracle
 
 
 def mask_set(mask, frames=1, key=0):
@@ -164,8 +164,35 @@ class TestAlignment:
 
     def test_is_frame_mean_kl_sym(self, rng):
         A = rng.uniform(0.05, 1.0, size=(2, 4, 2))
-        expected = dist(A[..., 0], A[..., 1], KL_SYM).data.mean()
+        expected = _kl_sym_oracle(A[..., 0], A[..., 1]).mean()
         assert abs(verb_noun_alignment(A, (0, 1)) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("seed,shape,pair,expected", [
+        (0, (2, 4, 3), (0, 1), "0x1.28ffb078fa9d8p+2"),
+        (1, (8, 64, 16), (2, 4), "0x1.ed20c43cc81b6p+0"),
+        # these two name the verb's column first
+        (2, (3, 16, 8), (6, 1), "0x1.ead625a911ccep+0"),
+        (3, (1, 9, 5), (4, 0), "0x1.5b4d937012229p+2"),
+    ])
+    def test_alignment_bytes(self, seed, shape, pair, expected):
+        ca = np.random.default_rng(seed).uniform(0.0, 1.0, shape) ** 3
+        assert verb_noun_alignment(ca, pair).hex() == expected
+
+    def test_default_run_metrics_bytes(self):
+        """The metrics row of `TestBitExactness.test_default_run_digest`'s run."""
+        res = run_guided_sampling(TEMPLATE_PROMPT, parse_llm_boxes(WOMAN_MAN_BOXES),
+                                  GuidanceConfig(), ToyDenoiser(), seed=0)
+        assert {k: v.hex() for k, v in summarize_run(res).items()} == {
+            "mean_alignment_final": "0x1.83e3c4dc2a0c8p+2",
+            "mean_alignment_t1": "0x1.639d5350e485bp+2",
+            "mean_alignment_t2": "0x1.73b7115846394p+2",
+            "mean_components_final": "0x1.4000000000000p+2",
+            "mean_components_t1": "0x1.4000000000000p+2",
+            "mean_components_t2": "0x1.6000000000000p+2",
+            "mean_in_box_ratio_final": "0x1.f1109fd50a04bp-2",
+            "mean_in_box_ratio_t1": "0x1.069979e49227cp-1",
+            "mean_in_box_ratio_t2": "0x1.0b043d18a9f67p-1",
+        }
 
 
 class TestRenderHeatmap:

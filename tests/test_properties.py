@@ -1,6 +1,7 @@
-"""Property tests: box text and JSON forms agree, the box commands end in exit 0 or
-one ERROR line, config files round-trip, the component count agrees with scipy's
-labeller, and the batched losses give the composite chains' bytes."""
+"""Property tests: box text and JSON forms agree, the box commands and `generate` with
+drawn config files end in exit 0 or one ERROR line, config files round-trip, the
+component count agrees with scipy's labeller, and the batched losses give the composite
+chains' bytes."""
 
 import contextlib
 import io
@@ -33,6 +34,7 @@ from attnguide.guidance import COSINE, KL_SYM, MAX_TOTAL_STEPS, RATIO, SUM, Guid
 from attnguide.metrics import count_components
 from attnguide.syntax import SyntaxPairs
 
+from conftest import TEMPLATE_PROMPT, WOMAN_MAN_BOXES
 from test_fused_nodes import attention_values, mask_set, same_bytes
 
 backgrounds = st.text(alphabet=string.ascii_letters + " ", min_size=1).map(str.strip).filter(bool)
@@ -150,6 +152,91 @@ def test_box_commands_exit_0_or_one_error_line(tmp_path_factory, text):
             code = main([str(a) for a in argv])
         errors = [ln for ln in out.getvalue().splitlines() if ln.startswith("ERROR")]
         assert (code, len(errors)) in ((0, 0), (2, 1)), (argv[0], code, errors)
+
+
+MALFORMED = ["abc", "nan", "inf", "", MANY_DIGITS]
+
+
+@st.composite
+def config_files(draw):
+    """A guidance and a model config file that set every field, where a drawn share of
+    the values is out of range (0, -1, cap + 1, 10**20) or malformed text, and of the
+    files repeats a key or adds an unknown one.
+
+    The valid values keep the model at 2 frames of 4x4 latents, `total_steps` at
+    most 6 and the iteration counts at most 2, which bounds each run.  The iteration
+    counts have no cap, so 10**20 would be a valid run of that many iterations: it is
+    not drawn for them."""
+    rare = draw(st.sampled_from([0, 5, 30]))  # percent
+
+    def odd():
+        return draw(st.integers(0, 99)) < rare
+
+    def value(valid, cap=None, huge=True):
+        if not odd():
+            return str(valid)
+        numbers = [0, -1] + ([] if cap is None else [cap + 1]) + ([10**20] if huge else [])
+        return str(draw(st.sampled_from(numbers))) if draw(st.booleans()) \
+            else draw(st.sampled_from(MALFORMED))
+
+    total = draw(st.integers(1, 6))
+    t2 = draw(st.integers(0, total))
+    count = st.integers(0, 2)
+    guide = {
+        "total_steps": value(total, MAX_TOTAL_STEPS), "t1": value(draw(st.integers(0, t2))),
+        "t2": value(t2),
+        "iters_spatial_per_step": value(draw(count), huge=False),
+        "iters_syntax_per_step": value(draw(count), huge=False),
+        "lambda_sp": value(draw(st.sampled_from([0.0, 1.0, 30.0]))),
+        "lambda_syt": value(draw(st.sampled_from([0.0, 1.0, 20.0]))),
+        "distance": value(draw(st.sampled_from([KL_SYM, COSINE]))),
+        "contrastive_form": value(draw(st.sampled_from([RATIO, SUM]))),
+        "eps": value(draw(st.sampled_from([1e-8, 1e-3]))),
+        "apply_spatial_to_verbs": value(draw(st.sampled_from(["true", "false"]))),
+    }
+    levels, capture = draw(st.sampled_from([("down:4, mid:2, up:4", "down+up"),
+                                            ("down:4, mid:2, up:4", "mid"),
+                                            ("down:2, up:2", "up"), ("mid:1", "mid")]))
+    model = {
+        "frames": value(2, MODEL_CAPS["frames"]),
+        "latent_h": value(4, MODEL_CAPS["latent_h"]), "latent_w": value(4, MODEL_CAPS["latent_w"]),
+        "latent_channels": value(draw(st.integers(1, 2)), MODEL_CAPS["latent_channels"]),
+        "levels": levels if not odd() else f"down:{value(4, MODEL_CAPS['latent_h'])}",
+        "ca_capture": value(capture),
+        "token_budget": value(draw(st.integers(11, 16)), MODEL_CAPS["token_budget"]),
+        "embed_dim": value(draw(st.integers(1, 8)), MODEL_CAPS["embed_dim"]),
+        "heads": value(draw(st.integers(1, 2)), MODEL_CAPS["heads"]),
+        "seed": value(draw(st.integers(0, 3))),
+    }
+
+    def text(settings):
+        lines = [f"{key} = {v}" for key, v in settings.items()]
+        if odd():
+            lines.append(draw(st.sampled_from(lines)))
+        if odd():
+            lines.append("lambda_fg = 1.0")
+        return "\n".join(draw(st.permutations(lines))) + "\n"
+
+    return text(guide), text(model)
+
+
+@settings(deadline=None, max_examples=100)
+@given(config_files())
+def test_generate_config_files_exit_0_or_one_error_line(tmp_path_factory, files):
+    """`generate` with drawn config files ends in exit 0, or in exit 2 or 3 with one ERROR
+    line and no --out."""
+    tmp = tmp_path_factory.mktemp("configs")
+    for name, text in zip(("guide.cfg", "model.cfg", "boxes.txt"), (*files, WOMAN_MAN_BOXES)):
+        (tmp / name).write_text(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty negative set
+        code = main(["generate", TEMPLATE_PROMPT, str(tmp / "boxes.txt"),
+                     "--out", str(tmp / "out"), "--config", str(tmp / "guide.cfg"),
+                     "--model-config", str(tmp / "model.cfg")])
+    errors = [ln for ln in out.getvalue().splitlines() if ln.startswith("ERROR")]
+    assert (code, len(errors)) in ((0, 0), (2, 1), (3, 1)), (code, errors)
+    assert code == 0 or not (tmp / "out").exists()
 
 
 def _config_text(cfg):
