@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .autodiff import Tensor, finite_diff_check
+from .autodiff import Tensor
 from .boxes import (
     BoxTrajectory,
     SpatialPriorSet,
@@ -42,7 +42,7 @@ from .metrics import (
 from .syntax import SyntaxPairs, Token, extract_pairs, tokenize
 
 __all__ = [
-    "Tensor", "finite_diff_check",
+    "Tensor",
     "BoxTrajectory", "SpatialPriorSet", "parse_llm_boxes", "rasterize_masks",
     "resample_frames", "serialize_boxes", "validate_trajectories",
     "DDIMSchedule", "LatentState", "LinearAttentionStub",

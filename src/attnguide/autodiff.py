@@ -13,7 +13,7 @@ import functools
 
 import numpy as np
 
-from .errors import ContractError, EvaluationError, NumericError
+from .errors import ContractError, NumericError
 
 
 def softmax(x):
@@ -92,10 +92,6 @@ class Tensor:
 
     # -- graph plumbing ---------------------------------------------------
 
-    @staticmethod
-    def _wrap(other):
-        return other if isinstance(other, Tensor) else Tensor(other)
-
     @classmethod
     def node(cls, data, parents, backward):
         """Wrap the fresh result ``data`` of an operation on ``parents``.
@@ -154,43 +150,3 @@ class Tensor:
                 else:
                     grads[parent] = pg
 
-
-def finite_diff_check(f, z, step=1e-3):
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f`` maps a Tensor to a scalar Tensor.  Relative error per coordinate
-    uses denominator max(|analytic|, |numeric|, 1e-8).
-    """
-    return relative_error(*fd_gradients(f, z, step))
-
-
-def relative_error(analytic, numeric):
-    """Max over coordinates of |analytic - numeric| / max(|analytic|, |numeric|, 1e-8)."""
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))
-
-
-def fd_gradients(f, z, step):
-    """The analytic and central-difference gradients of ``f`` at ``z``, flattened."""
-    if step <= 0:
-        raise ContractError("step must be positive")
-    base = np.asarray(z.data if isinstance(z, Tensor) else z, dtype=np.float64)
-    leaf = Tensor(base, requires_grad=True)
-    loss = f(leaf)
-    if loss.size != 1:
-        raise ContractError("finite_diff_check probes scalar functions only")
-    loss.backward()
-    analytic = leaf.grad.reshape(-1)
-
-    flat = base.reshape(-1)
-    numeric = np.empty_like(flat)
-    for k in range(flat.size):
-        plus, minus = flat.copy(), flat.copy()
-        plus[k] += step
-        minus[k] -= step
-        fp = f(Tensor(plus.reshape(base.shape))).item()
-        fm = f(Tensor(minus.reshape(base.shape))).item()
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise EvaluationError(f"probe function non-finite at coordinate {k}")
-        numeric[k] = (fp - fm) / (2.0 * step)
-    return analytic, numeric

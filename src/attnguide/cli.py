@@ -269,14 +269,14 @@ def cmd_ablate(args):
 
     prior = detect_and_parse(read_text(args.boxes)) if args.boxes \
         else static_two_box_prior(max(mcfg.frames, 2))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     complete = True
     try:
         report = run_ablation(axes, base, seeds, args.prompt, prior, model_factory, log=print)
     except AblationInterrupted as exc:
         complete, report = False, exc.report
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "ablation.jsonl").write_text(report.to_jsonl())
     (out_dir / "ablation.txt").write_text(report.table())
     _write_manifest(out_dir, {"axes": {k: [str(v) for v in vs] for k, vs in axes.items()}},
@@ -306,9 +306,15 @@ def cmd_render(args):
 # -- argument wiring -----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors: one ERROR line, exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="attnguide",
-                                     description="Cross-attention guidance toolkit")
+    parser = _Parser(prog="attnguide", description="Cross-attention guidance toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -374,8 +380,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (NumericError, DegenerateAttentionError, GuidanceError) as exc:
         return _fail(EXIT_NUMERIC, "numeric", str(exc))

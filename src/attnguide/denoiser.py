@@ -230,26 +230,24 @@ class ToyDenoiser:
 
     @trapped
     def denoise_step(self, z, tau, text):
-        """One UNet-ish evaluation of latent `z` for the `TextEncoding` `text`.
+        """One UNet-ish evaluation of the latent Tensor `z` for the `TextEncoding` `text`.
 
         ``tau`` in [0, 1) is the schedule progress: timestep index over the
         schedule length, as the sampler computes it.  Returns (noise
-        prediction array, CA maps A [F, N, L], TA maps array [N, F, F] or None
-        without a mid level).  Guidance differentiates the latent only through
-        A, so A alone is a graph node, bit-identical to the chain of Tensor ops
-        it replaces.
+        prediction array, CA maps A [F, N, L]).  Guidance differentiates the
+        latent only through A, so A alone is a graph node, bit-identical to the
+        chain of Tensor ops it replaces.
         """
         cfg = self.config
         if not 0 <= tau < 1:
             raise ContractError(f"schedule progress {tau} outside [0, 1)")
-        z = Tensor._wrap(z)
         expected = (cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w)
         if z.shape != expected:
             raise DimensionError(f"latent shape {z.shape}, model expects {expected}")
 
         F, C, HW = cfg.frames, cfg.latent_channels, cfg.latent_h * cfg.latent_w
         h = z.data.reshape(F, C, HW).transpose(0, 2, 1)   # [F, HW, C]
-        grads, captured, ta = [], {}, None
+        grads, captured = [], {}
         for tag, g in cfg.levels:
             w = self._weights[tag]
             attention = partial(self._cross_attention, keys_values=text.keys_values[tag],
@@ -257,7 +255,7 @@ class ToyDenoiser:
             h, captured[tag], grad = self._block(h, g, attention, w["mix"], w["tau_bias"] * tau)
             grads.append((tag, grad))
             if tag == "mid":
-                h, ta, grad = self._block(h, g, self._temporal_attention, 0.5, None)
+                h, _, grad = self._block(h, g, self._temporal_attention, 0.5, None)
                 grads.append((None, grad))
 
         eps = (h @ self._out).transpose(0, 2, 1).reshape(z.shape)
@@ -271,7 +269,7 @@ class ToyDenoiser:
                 g_h = grad(g_h, g_cap if tag in wanted else None)
             return (g_h.transpose(0, 2, 1).reshape(z.shape),)
 
-        return eps, Tensor.node(A_cap * inv, (z,), backward), ta
+        return eps, Tensor.node(A_cap * inv, (z,), backward)
 
     def _block(self, h, grid, attention, mix, bias):
         """tanh(h + (U @ out) * mix [+ bias]) for (out, maps, _) = attention(P @ h).
@@ -342,8 +340,7 @@ class LinearAttentionStub:
         self.bias = _parameter(np.zeros(shape[1]) if bias is None else bias, shape[1:], "bias")
 
     def ca_from_latent(self, z):
-        """CA maps [F, N, L]: the softmax of affine logits of the pooled latent, one node."""
-        z = Tensor._wrap(z)
+        """CA maps [F, N, L]: the softmax of affine logits of the pooled latent Tensor, one node."""
         cfg = self.config
         h = z.data.reshape(cfg.frames, cfg.latent_channels, cfg.latent_h * cfg.latent_w)
         out = softmax((self._P @ h.transpose(0, 2, 1)) @ self.weights + self.bias)

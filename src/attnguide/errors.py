@@ -37,7 +37,3 @@ class DegenerateAttentionError(AttnGuideError):
 
 class NumericError(AttnGuideError):
     """A non-finite value appeared where finiteness is guaranteed."""
-
-
-class EvaluationError(AttnGuideError):
-    """A probed function returned a non-finite value."""

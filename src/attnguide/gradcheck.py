@@ -1,4 +1,4 @@
-"""Finite-difference gradient suites for the guidance losses.
+"""Finite-difference gradient checks, and suites of them for the guidance losses.
 
 Each suite checks the six losses on a tiny one-subject scene, through the
 closed-form attention stub ("stub"), the full denoiser ("model"), or
@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, fd_gradients, relative_error
+from .autodiff import Tensor
 from .boxes import static_two_box_prior
 from .denoiser import LinearAttentionStub, ToyDenoiser, ToyModelConfig
+from .errors import ContractError
 from .guidance import (
     GuidanceConfig,
     loss_bg,
@@ -57,9 +58,40 @@ def gradcheck_suites(component, seed, corrupt=False):
         if component in (suite, "all"):
             for name, fn in _loss_probes(masks, col_pairs, gcfg):
                 a, n = fd_gradients(lambda x, fn=fn: fn(ca_of(_skew_identity(x) if corrupt else x)),
-                                    Tensor(x0), 3e-5)
+                                    x0, 3e-5)
                 passed = bool(np.all(np.abs(a - n) <= tol * np.abs(n) + tol * np.abs(n).max()))
                 yield f"{suite}/{name}", relative_error(a, n), tol, passed
+
+
+def relative_error(analytic, numeric):
+    """Max over coordinates of |analytic - numeric| / max(|analytic|, |numeric|, 1e-8)."""
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def fd_gradients(f, x0, step):
+    """The analytic and central-difference gradients of ``f`` at the array ``x0``, flattened.
+
+    ``f`` maps a Tensor to a scalar Tensor.  Every Tensor is scanned for
+    non-finite values as it is made, so each probe's value is finite.
+    """
+    if step <= 0:
+        raise ContractError("step must be positive")
+    base = np.asarray(x0, dtype=np.float64)
+    leaf = Tensor(base, requires_grad=True)
+    f(leaf).backward()
+    analytic = leaf.grad.reshape(-1)
+
+    flat = base.reshape(-1)
+    numeric = np.empty_like(flat)
+    for k in range(flat.size):
+        plus, minus = flat.copy(), flat.copy()
+        plus[k] += step
+        minus[k] -= step
+        fp = f(Tensor(plus.reshape(base.shape))).item()
+        fm = f(Tensor(minus.reshape(base.shape))).item()
+        numeric[k] = (fp - fm) / (2.0 * step)
+    return analytic, numeric
 
 
 def _loss_probes(masks, col_pairs, gcfg):

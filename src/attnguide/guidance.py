@@ -40,6 +40,10 @@ SUM = "SUM"
 # The longest schedule accepted: DDPM's 1000 training timesteps.
 MAX_TOTAL_STEPS = 1000
 
+# Added to each map before a KL normalization; a total mass or contrastive
+# denominator at or below it is degenerate.
+EPS = 1e-8
+
 
 class GuidanceError(AttnGuideError):
     """An inner guidance update failed; message carries (step, iteration)."""
@@ -56,12 +60,11 @@ class GuidanceConfig:
     lambda_syt: float = 20.0
     distance: str = KL_SYM
     contrastive_form: str = RATIO
-    eps: float = 1e-8
     apply_spatial_to_verbs: bool = True
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.lambda_sp, self.lambda_syt, self.eps)):
-            raise InputError("loss weights and eps must be finite")
+        if not all(math.isfinite(v) for v in (self.lambda_sp, self.lambda_syt)):
+            raise InputError("loss weights must be finite")
         if self.total_steps > MAX_TOTAL_STEPS:
             raise InputError(f"total_steps must be at most {MAX_TOTAL_STEPS}, "
                              f"got {self.total_steps}")
@@ -73,8 +76,6 @@ class GuidanceConfig:
         if min(self.lambda_sp, self.lambda_syt,
                self.iters_spatial_per_step, self.iters_syntax_per_step) < 0:
             raise InputError("loss weights and iteration counts must be nonnegative")
-        if self.eps <= 0:
-            raise InputError("eps must be positive")
         if self.distance not in (KL_SYM, COSINE):
             raise InputError(f"unknown distance kind {self.distance!r}")
         if self.contrastive_form not in (RATIO, SUM):
@@ -251,7 +252,7 @@ def _mean_distances(A, dpairs, config):
     X = _stack(A.data, cols)
     _check_maps(X)
     a, b = ([cols.index(pair[i]) for pair in dpairs] for i in (0, 1))
-    out, backward, swap = _distances(X, a, b, config.distance, config.eps)
+    out, backward, swap = _distances(X, a, b, config.distance, EPS)
     inv = 1.0 / out[0].size
     visits = [c for pair in dpairs for c in (pair[::-1] if swap else pair)]
 
@@ -339,7 +340,7 @@ def _mass_node(A, masks, pairs, config, halves):
     tokens = [t for t, _ in tracked]
     X = _stack(A.data, tokens)
     masks_of = (_frame_masks(masks, noun, X.shape[1:]) for _, noun in tracked)
-    terms, backward = _mass_terms(X, masks_of, tokens, config.eps, halves)
+    terms, backward = _mass_terms(X, masks_of, tokens, EPS, halves)
     inv = 1.0 / X.shape[1]
     return Tensor.node(_fold([_fold(row) * inv for row in terms]), (A,), lambda g: (_column_grad(
         zip(tokens * len(halves), backward(g * inv).reshape(-1, *X.shape[1:])), A.shape),))
@@ -397,8 +398,8 @@ def loss_syt(A, pairs, config):
             warnings.warn("empty negative set; loss_neg is 0", stacklevel=3)
         pos, denom = means[i], means[i] + _fold(means[i + 1:i + 1 + len(negs)])
         i += 1 + len(negs)
-        if ratio and denom <= config.eps:
-            raise DegenerateAttentionError(f"pair {pair}: contrastive denominator <= {config.eps}")
+        if ratio and denom <= EPS:
+            raise DegenerateAttentionError(f"pair {pair}: contrastive denominator <= {EPS}")
         terms.append((pos, denom, len(negs)))
 
     def backward(g):
@@ -418,8 +419,6 @@ def loss_syt(A, pairs, config):
 @trapped
 def guide_latent(state, leaf, loss, lam):
     """One gradient step of size ``lam`` on the latent; returns (new state, gradient norm)."""
-    if loss.size != 1:
-        raise ContractError(f"guidance loss must be scalar, got shape {loss.shape}")
     loss.backward()
     grad = leaf.grad if leaf.grad is not None else np.zeros_like(state.z)
     if not np.all(np.isfinite(grad)):
@@ -525,7 +524,7 @@ def run_guided_sampling(prompt, priors, config, model, seed):
             for it in range(1, iters + 1):
                 try:
                     leaf = Tensor(state.z, requires_grad=True)
-                    _, A, _ = model.denoise_step(leaf, tau, text)
+                    _, A = model.denoise_step(leaf, tau, text)
                     if loss_name == "spatial":
                         loss = loss_sp(A, masks, column_pairs, config)
                     else:
@@ -538,7 +537,7 @@ def run_guided_sampling(prompt, priors, config, model, seed):
                     raise GuidanceError(f"step {step} iteration {it}: {exc}") from exc
                 trace.add(TraceRecord(step, it, loss_name, value, gnorm, ratios))
 
-        eps_pred, A, _ = model.denoise_step(Tensor(state.z), tau, text)
+        eps_pred, A = model.denoise_step(Tensor(state.z), tau, text)
         if step in snapshot_steps:
             ca_records[step] = A.data.copy()
         state = ddim_step(state, eps_pred, step, schedule)

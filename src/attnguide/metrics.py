@@ -59,8 +59,8 @@ def count_components(ca, token_index, frame):
 
 def verb_noun_alignment(ca, pair):
     """Frame-mean symmetric KL between a pair's noun and verb maps (lower is better)."""
-    # spelled out, so the metric does not follow changes to GuidanceConfig's defaults
-    return loss_pos(Tensor(ca), pair, GuidanceConfig(distance=KL_SYM, eps=1e-8)).item()
+    # spelled out, so the metric does not follow changes to GuidanceConfig's default
+    return loss_pos(Tensor(ca), pair, GuidanceConfig(distance=KL_SYM)).item()
 
 
 def render_heatmap(ca, token_index, frame, out_path, upscale=1):
@@ -75,6 +75,8 @@ def render_heatmap(ca, token_index, frame, out_path, upscale=1):
     if grid.shape[0] * upscale > 65535:
         raise InputError(f"upscale {upscale} makes a heatmap side over 65535 px")
     lo, hi = grid.min(), grid.max()
+    if not math.isfinite(float(hi) - float(lo)):  # a range past the float range: halve it all
+        grid, lo, hi = grid / 2, lo / 2, hi / 2
     if hi > lo:
         img = np.rint((grid - lo) / (hi - lo) * 255.0).astype(np.uint8)
     else:

@@ -190,8 +190,8 @@ def loss_bg(A, masks, pairs, include_verbs=True, eps=1e-8, mass_term=mass_term_n
 
 
 def loss_sp(A, masks, pairs, config, mass_term=mass_term_node):
-    fg = loss_fg(A, masks, pairs, config.apply_spatial_to_verbs, config.eps, mass_term)
-    bg = loss_bg(A, masks, pairs, config.apply_spatial_to_verbs, config.eps, mass_term)
+    fg = loss_fg(A, masks, pairs, config.apply_spatial_to_verbs, guidance.EPS, mass_term)
+    bg = loss_bg(A, masks, pairs, config.apply_spatial_to_verbs, guidance.EPS, mass_term)
     return fg + bg
 
 
@@ -232,15 +232,15 @@ def loss_syt(A, pairs, config, dist=dist_node):
         A, {c for pair in pairs.pairs for c in (*pair, *pairs.negatives_for(pair))})
     acc = None
     for pair in pairs.pairs:
-        pos = _pos(A, pair, config.distance, config.eps, dist)
-        neg = _neg(A, pair[0], pairs.negatives_for(pair), config.distance, config.eps, dist)
+        pos = _pos(A, pair, config.distance, guidance.EPS, dist)
+        neg = _neg(A, pair[0], pairs.negatives_for(pair), config.distance, guidance.EPS, dist)
         denom = pos + neg
         if config.contrastive_form == SUM:
             term = denom
         else:
-            if denom.item() <= config.eps:
+            if denom.item() <= guidance.EPS:
                 raise DegenerateAttentionError(
-                    f"pair {pair}: contrastive denominator <= {config.eps}"
+                    f"pair {pair}: contrastive denominator <= {guidance.EPS}"
                 )
             term = pos / denom
         acc = term if acc is None else acc + term
@@ -259,7 +259,7 @@ def denoise_step(model, z, tau, text, cross_attention=cross_attention_node):
     F, C = cfg.frames, cfg.latent_channels
     HW = cfg.latent_h * cfg.latent_w
     h = z.reshape(F, C, HW).transpose(0, 2, 1)   # [F, HW, C]
-    captured, ta = {}, None
+    captured = {}
     for tag, g in cfg.levels:
         P, U = RefTensor(model._pool[g]), RefTensor(model._unpool[g])
         x = P @ h                                 # [F, g*g, C]
@@ -269,14 +269,14 @@ def denoise_step(model, z, tau, text, cross_attention=cross_attention_node):
         h = tanh(h + (U @ out) * model._weights[tag]["mix"]
                  + model._weights[tag]["tau_bias"] * tau)
         if tag == "mid":
-            h, ta = _temporal_block(model, h, P, U)
+            h = _temporal_block(model, h, P, U)
 
     eps = (h @ model._out).transpose(0, 2, 1).reshape(*z.shape)
     wanted = cfg.capture_tags
     A_cap = captured[wanted[0]]
     for wname in wanted[1:]:
         A_cap = A_cap + captured[wname]
-    return eps, A_cap * (1.0 / len(wanted)), ta
+    return eps, A_cap * (1.0 / len(wanted))
 
 
 def _temporal_block(model, h, P, U):
@@ -286,5 +286,4 @@ def _temporal_block(model, h, P, U):
     logits = (y @ w["wq"]) @ (y @ w["wk"]).transpose(0, 2, 1) * w["scale"]
     T_attn = logits.softmax_lastdim()             # [N, F, F]
     out = (T_attn @ (y @ w["wv"])).transpose(1, 0, 2)
-    h = tanh(h + (U @ out) * 0.5)
-    return h, T_attn
+    return tanh(h + (U @ out) * 0.5)

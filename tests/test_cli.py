@@ -362,10 +362,20 @@ class TestAblate:
         assert len(errors) == 1 and errors[0].startswith("ERROR kind=parse")
         assert not (tmp_path / "abl").exists()
 
-    def test_has_no_seed_option(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["ablate", "--seed", "7", "--out", str(tmp_path / "abl")])
-        assert exc.value.code == 2
+    def test_has_no_seed_option(self, tmp_path, capsys):
+        assert main(["ablate", "--seed", "7", "--out", str(tmp_path / "abl")]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "ERROR kind=parse reason=unrecognized arguments: --seed 7"]
+        assert not (tmp_path / "abl").exists()
+
+    def test_input_error_of_a_run_writes_nothing(self, tmp_path, capsys):
+        """A one-frame model cannot take the two-frame boxes: the first run fails on input."""
+        (tmp_path / "model.cfg").write_text(MODEL_CFG.replace("frames = 2", "frames = 1"))
+        assert main(["ablate", "--seeds", "0", "--out", str(tmp_path / "abl"),
+                     "--model-config", str(tmp_path / "model.cfg")]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "ERROR kind=parse reason=target frame count must be at least 2"]
+        assert not (tmp_path / "abl").exists()
 
     def test_unknown_axis_rejected(self, tmp_path, capsys):
         (tmp_path / "grid.txt").write_text("momentum = 0.9\n")
@@ -451,7 +461,7 @@ BAD_INPUTS = {
     "guide_duplicate_key": ("guide", "lambda_sp = 0\nlambda_syt = 0\nlambda_sp = 30\n"),
     **{f"guide_removed_key_{key}": ("guide", f"{key} = {value}\n") for key, value in (
         ("lambda_fg", "1.0"), ("lambda_bg", "1.0"), ("neg_includes_verb", "false"),
-        ("negatives_exclude_other_pairs", "false"))},
+        ("negatives_exclude_other_pairs", "false"), ("eps", "1e-08"))},
     "grid_not_an_integer": ("grid", "t1 = x\n"),
     "grid_not_utf8": ("grid", b"t1 = 1, \xe9\n"),
     "grid_duplicate_axis": ("grid", "t1 = 1, 3\nt1 = 5\n"),
@@ -484,6 +494,8 @@ BAD_INPUTS = {
     "prompt_without_pairs": ("prompt", "and"),
     "rasterize_huge_grid": ("rasterize_grid", "100000x100000"),
     "rasterize_grid_over_cap": ("rasterize_grid", "65x65"),
+    # argparse takes `-1x4` for an option: a usage error, which ends in the ERROR line too
+    "rasterize_grid_negative": ("rasterize_grid", "-1x4"),
     "validate_negative_max_step": ("validate_step", "-5"),
     "generate_negative_max_step": ("generate_step", "-5"),
 }
@@ -568,6 +580,17 @@ class TestRender:
         assert len(lines) == 1 and lines[0].startswith("ERROR kind=parse")
         assert "not an npz archive" in lines[0]
         assert not out.exists()
+
+    def test_range_past_the_float_range(self, tmp_path, capsys):
+        """A finite map from -1e308 to 1e308 scales without overflow: 0, 128 and 255."""
+        (tmp_path / "run").mkdir()
+        snapshot = np.full((1, 4, 3), 0.5)
+        snapshot[0, 0, 1], snapshot[0, 3, 1] = -1e308, 1e308
+        np.savez(tmp_path / "run" / "ca_records.npz", step1=snapshot)
+        out = tmp_path / "x.pgm"
+        assert main(["render", str(tmp_path / "run"), "--token", "1", "--step", "1",
+                     "--upscale", "1", "--out", str(out)]) == 0
+        assert out.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 128, 128, 255])
 
     @pytest.mark.parametrize("snapshot", [np.arange(4.0), np.array(["a", "b", "c", "d"]),
                                           np.zeros((1, 0, 1)), np.full((1, 4, 1), np.nan)],

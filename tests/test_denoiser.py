@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from attnguide import denoiser
-from attnguide.autodiff import Tensor, finite_diff_check
+from attnguide.autodiff import Tensor
 from attnguide.denoiser import (
     BEGIN,
     END,
@@ -17,6 +17,7 @@ from attnguide.denoiser import (
     ddim_step,
 )
 from attnguide.errors import ContractError, DimensionError, InputError, NumericError
+from attnguide.gradcheck import fd_gradients, relative_error
 from attnguide.guidance import GuidanceConfig, run_guided_sampling
 from attnguide.syntax import tokenize
 
@@ -89,21 +90,25 @@ class TestEncodeText:
 class TestDenoiseStep:
     def test_attention_rows_sum_to_one(self, model, rng):
         enc = model.encode_text(tokenize("a cat is sitting"))
-        _, ca, ta = model.denoise_step(_latent(model.config, rng), tau=1 / 50, text=enc)
+        _, ca = model.denoise_step(Tensor(_latent(model.config, rng)), tau=1 / 50, text=enc)
         cfg = model.config
         g = cfg.capture_grid
         assert ca.shape == (cfg.frames, g * g, cfg.token_budget)
         assert np.max(np.abs(ca.data.sum(axis=-1) - 1.0)) <= 1e-12
         assert np.all(ca.data >= 0)
+        mid = dict(cfg.levels)["mid"]
+        _, ta, _ = model._temporal_attention(rng.normal(size=(cfg.frames, mid * mid,
+                                                              cfg.latent_channels)))
+        assert ta.shape == (mid * mid, cfg.frames, cfg.frames)
         assert np.max(np.abs(ta.sum(axis=-1) - 1.0)) <= 1e-12
 
     def test_deterministic_across_instances(self, rng):
-        z = _latent(tiny_model_config(), rng)
+        z = Tensor(_latent(tiny_model_config(), rng))
         outs = []
         for _ in range(2):
             m = ToyDenoiser(tiny_model_config())
             enc = m.encode_text(tokenize("a cat is sitting"))
-            eps, ca, _ = m.denoise_step(z, tau=3 / 50, text=enc)
+            eps, ca = m.denoise_step(z, tau=3 / 50, text=enc)
             outs.append((eps.tobytes(), ca.data.tobytes()))
         assert outs[0] == outs[1]
 
@@ -117,8 +122,8 @@ class TestDenoiseStep:
             for m in (model, fresh):
                 enc = m.encode_text(tokenize(prompt))
                 for leaf in (Tensor(z), Tensor(z, requires_grad=True)):
-                    eps, ca, ta = m.denoise_step(leaf, tau=2 / 50, text=enc)
-                    outs.append((eps.tobytes(), ca.data.tobytes(), ta.tobytes()))
+                    eps, ca = m.denoise_step(leaf, tau=2 / 50, text=enc)
+                    outs.append((eps.tobytes(), ca.data.tobytes()))
             assert outs[:2] == outs[2:]
 
     def test_model_state_unchanged_by_use(self, model, rng):
@@ -128,39 +133,39 @@ class TestDenoiseStep:
         for prompt in ("a cat is sitting", "a dog is running"):
             enc = model.encode_text(tokenize(prompt))
             for leaf in (Tensor(z), Tensor(z, requires_grad=True)):
-                _, ca, _ = model.denoise_step(leaf, tau=2 / 50, text=enc)
+                _, ca = model.denoise_step(leaf, tau=2 / 50, text=enc)
             ref(ca).sum().backward()
         assert {k: id(v) for k, v in vars(model).items()} == before
 
     def test_latent_sensitivity(self, model, rng):
         enc = model.encode_text(tokenize("a cat is sitting"))
         z = _latent(model.config, rng)
-        _, ca_a, _ = model.denoise_step(z, tau=1 / 50, text=enc)
-        _, ca_b, _ = model.denoise_step(z + 0.5, tau=1 / 50, text=enc)
+        _, ca_a = model.denoise_step(Tensor(z), tau=1 / 50, text=enc)
+        _, ca_b = model.denoise_step(Tensor(z + 0.5), tau=1 / 50, text=enc)
         assert np.abs(ca_a.data - ca_b.data).max() > 0
 
     def test_timestep_sensitivity(self, model, rng):
         enc = model.encode_text(tokenize("a cat is sitting"))
         z = _latent(model.config, rng)
-        eps_a, _, _ = model.denoise_step(z, tau=1 / 50, text=enc)
-        eps_b, _, _ = model.denoise_step(z, tau=40 / 50, text=enc)
+        eps_a, _ = model.denoise_step(Tensor(z), tau=1 / 50, text=enc)
+        eps_b, _ = model.denoise_step(Tensor(z), tau=40 / 50, text=enc)
         assert np.abs(eps_a - eps_b).max() > 0
 
     def test_shape_and_range_contracts(self, model, rng):
         enc = model.encode_text(tokenize("a cat is sitting"))
         with pytest.raises(DimensionError):
-            model.denoise_step(np.zeros((1, 1, 2, 2)), tau=1 / 50, text=enc)
+            model.denoise_step(Tensor(np.zeros((1, 1, 2, 2))), tau=1 / 50, text=enc)
         for tau in (1.0, -0.02, float("nan")):
             with pytest.raises(ContractError):
-                model.denoise_step(_latent(model.config, rng), tau=tau, text=enc)
+                model.denoise_step(Tensor(_latent(model.config, rng)), tau=tau, text=enc)
 
     def test_capture_variants_share_grid_shape(self, rng):
-        z = _latent(tiny_model_config(), rng)
+        z = Tensor(_latent(tiny_model_config(), rng))
         maps = {}
         for cap in ("down", "up", "down+up"):
             m = ToyDenoiser(tiny_model_config(ca_capture=cap))
             enc = m.encode_text(tokenize("a cat is sitting"))
-            _, ca, _ = m.denoise_step(z, tau=1 / 50, text=enc)
+            _, ca = m.denoise_step(z, tau=1 / 50, text=enc)
             maps[cap] = ca.data
         assert maps["down"].shape == maps["up"].shape
         assert np.allclose(maps["down+up"], 0.5 * (maps["down"] + maps["up"]))
@@ -170,10 +175,10 @@ class TestDenoiseStep:
         base = _latent(model.config, rng)
 
         def f(z):
-            _, ca, _ = model.denoise_step(z, tau=1 / 50, text=enc)
+            _, ca = model.denoise_step(z, tau=1 / 50, text=enc)
             return square(ca).sum()
 
-        assert finite_diff_check(f, Tensor(base), step=1e-4) <= 1e-5
+        assert relative_error(*fd_gradients(f, base, 1e-4)) <= 1e-5
 
     @pytest.mark.parametrize("guided,calls", [(True, (480, 280)), (False, (200, 0))])
     def test_softmax_calls_per_default_run(self, monkeypatch, guided, calls):
@@ -252,7 +257,7 @@ class TestStub:
             weights=np.zeros((cfg.latent_channels, cfg.token_budget)),
             bias=np.zeros(cfg.token_budget),
         )
-        ca = stub.ca_from_latent(_latent(cfg, rng))
+        ca = stub.ca_from_latent(Tensor(_latent(cfg, rng)))
         assert np.allclose(ca.data, 1.0 / cfg.token_budget, atol=1e-15)
 
     def test_logits_linear_in_latent(self, rng):
@@ -261,7 +266,7 @@ class TestStub:
         stub = LinearAttentionStub(cfg, seed=7)
 
         def log_odds(z):
-            log_a = np.log(stub.ca_from_latent(z).data)
+            log_a = np.log(stub.ca_from_latent(Tensor(z)).data)
             return log_a - log_a[..., :1]
 
         z1, z2 = _latent(cfg, rng), _latent(cfg, rng)
@@ -274,9 +279,8 @@ class TestStub:
         cfg = tiny_model_config()
         stub = LinearAttentionStub(cfg, seed=3)
         base = _latent(cfg, rng)
-        err = finite_diff_check(
-            lambda z: square(stub.ca_from_latent(z)).sum(), Tensor(base), step=1e-4
-        )
+        err = relative_error(*fd_gradients(
+            lambda z: square(stub.ca_from_latent(z)).sum(), base, 1e-4))
         assert err <= 1e-6
 
     @pytest.mark.parametrize("name", ["weights", "bias"])

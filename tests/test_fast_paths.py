@@ -117,7 +117,7 @@ def test_loss_syt_gathers_each_column_once(monkeypatch, rng):
     cfg = model.config
     z = Tensor(rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w)),
                requires_grad=True)
-    _, A, _ = model.denoise_step(z, 0.5, text)
+    _, A = model.denoise_step(z, 0.5, text)
     gathers, kernels = [], []
     stack, distances = guidance._stack, guidance._distances
     monkeypatch.setattr(guidance, "_stack",

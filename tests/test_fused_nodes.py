@@ -217,7 +217,7 @@ def test_denoise_step_gradient_matches_composite(heads):
 
     def run(step, z_vals, weights):
         z = Tensor(z_vals, requires_grad=True)
-        _, ca, _ = step(z, 20 / 50, text)
+        _, ca = step(z, 20 / 50, text)
         ca = ref(ca)
         ((ca * weights).sum() + square(ca).sum()).backward()
         return ca.data, z.grad
@@ -284,39 +284,37 @@ def text_encoding(model, seed=0):
 
 
 def denoise_run(step, z_vals, weights, reads):
-    """Values (eps, A, T_attn) of `step`, a loss on the outputs named in `reads`
-    and the latent's gradient for it.
+    """Values (eps, A) of `step`, a loss on the outputs named in `reads` and the
+    latent's gradient for it.
 
-    The loss is (A + eps) + T over weighted sums of the outputs as `step`
-    returns them, so only A's term can carry a gradient when eps and T_attn
-    are plain arrays.
+    The loss is A + eps over weighted sums of the outputs as `step` returns
+    them, so only A's term can carry a gradient when eps is a plain array.
     """
     z = Tensor(z_vals, requires_grad=True)
-    outputs = dict(zip(("eps", "A", "T"), step(z)))
+    outputs = dict(zip(("eps", "A"), step(z)))
     loss = (ref(outputs["A"]) * weights["A"]).sum()
-    for name in ("eps", "T"):
-        if name in reads:
-            loss = loss + (outputs[name] * weights[name]).sum()
+    if "eps" in reads:
+        loss = loss + (outputs["eps"] * weights["eps"]).sum()
     loss.backward()
     values = [o.data if isinstance(o, Tensor) else o for o in outputs.values()]
     return values, loss.data, z.grad
 
 
 def composite_step(model, text):
-    """The composite chain with eps and T_attn taken as arrays, as `denoise_step` gives them."""
+    """The composite chain with eps taken as an array, as `denoise_step` gives it."""
     def step(z):
-        eps, A, T_attn = composites.denoise_step(model, z, 0.4, text)
-        return eps.data, A, T_attn.data
+        eps, A = composites.denoise_step(model, z, 0.4, text)
+        return eps.data, A
     return step
 
 
-@pytest.mark.parametrize("reads", [("A", "eps"), ("A",), ("A", "T"), ("A", "eps", "T")],
-                         ids=["eps", "A", "T", "all"])
+@pytest.mark.parametrize("reads", [("A", "eps"), ("A",)], ids=["eps", "A"])
 @pytest.mark.parametrize("capture", ["down", "mid", "up", "down+up"])
 @pytest.mark.parametrize("heads", [1, 2, 3, 4])
 def test_denoise_step_matches_composite(heads, capture, reads):
     """Values, loss and latent gradient byte for byte; a loss that also reads eps
-    or T_attn gets A's gradient alone, since neither is differentiable."""
+    gets A's gradient alone, since eps is not differentiable.  eps depends on the
+    temporal block, so its bytes pin that block too."""
     model = ToyDenoiser(tiny_model_config(heads=heads, ca_capture=capture))
     cfg = model.config
     text = text_encoding(model, heads)
@@ -324,8 +322,7 @@ def test_denoise_step_matches_composite(heads, capture, reads):
         rng = np.random.default_rng([seed, heads])
         z_vals = rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
         shapes = {"eps": z_vals.shape,
-                  "A": (cfg.frames, cfg.capture_grid ** 2, cfg.token_budget),
-                  "T": (dict(cfg.levels)["mid"] ** 2, cfg.frames, cfg.frames)}
+                  "A": (cfg.frames, cfg.capture_grid ** 2, cfg.token_budget)}
         weights = {name: rng.normal(size=shape) for name, shape in shapes.items()}
         fused = denoise_run(lambda z: model.denoise_step(z, 0.4, text), z_vals, weights, reads)
         composite = denoise_run(composite_step(model, text), z_vals, weights, reads)
@@ -345,7 +342,7 @@ def test_denoise_step_without_grad_matches_with_grad():
     free = model.denoise_step(Tensor(z_vals), 0.3, text)
     graph = model.denoise_step(Tensor(z_vals, requires_grad=True), 0.3, text)
     assert not free[1].requires_grad and graph[1].requires_grad
-    for a, b in zip((free[0], free[1].data, free[2]), (graph[0], graph[1].data, graph[2])):
+    for a, b in zip((free[0], free[1].data), (graph[0], graph[1].data)):
         assert same_bytes(a, b) and a.strides == b.strides
 
 
@@ -354,10 +351,11 @@ def test_denoise_step_returns_eps_and_t_attn_as_arrays(grad):
     model = ToyDenoiser(tiny_model_config())
     cfg = model.config
     z_vals = np.zeros((cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
-    eps, A, T_attn = model.denoise_step(Tensor(z_vals, requires_grad=grad), 0.3,
-                                        text_encoding(model))
+    outputs = model.denoise_step(Tensor(z_vals, requires_grad=grad), 0.3, text_encoding(model))
+    assert len(outputs) == 2  # (eps, A): the temporal attention stays inside the step
+    eps, A = outputs
     assert isinstance(A, Tensor) and A.requires_grad == grad
-    assert type(eps) is np.ndarray and type(T_attn) is np.ndarray
+    assert type(eps) is np.ndarray
 
 
 def leaf_run(loss_fn, vals):

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from attnguide.autodiff import Tensor, finite_diff_check
+from attnguide.autodiff import Tensor
 from attnguide.boxes import parse_llm_boxes
 from attnguide.denoiser import DDIMSchedule, LatentState, LinearAttentionStub, ToyDenoiser, ddim_step
 from attnguide.errors import (
@@ -13,6 +13,7 @@ from attnguide.errors import (
     InputError,
     NumericError,
 )
+from attnguide.gradcheck import fd_gradients, relative_error
 from attnguide.guidance import (
     COSINE,
     KL_SYM,
@@ -118,7 +119,7 @@ class TestSpatialLosses:
         def f(a):
             return loss_fg(a, masks, single_pair(), DEFAULTS)
 
-        assert finite_diff_check(f, Tensor(base), step=1e-5) <= 1e-6
+        assert relative_error(*fd_gradients(f, base, 1e-5)) <= 1e-6
 
 
 def frame_distances(p, q, kind):
@@ -252,7 +253,7 @@ class TestSyntaxLosses:
         def f(a):
             return loss_syt(a, single_pair(), cfg)
 
-        assert finite_diff_check(f, Tensor(base), step=1e-5) <= 1e-6
+        assert relative_error(*fd_gradients(f, base, 1e-5)) <= 1e-6
 
 
 class TestGuideLatent:
@@ -419,7 +420,7 @@ class TestRunGuidedSampling:
         z0 = rng.normal(size=(cfg_m.frames, cfg_m.latent_channels, cfg_m.latent_h, cfg_m.latent_w))
         state = LatentState(z0, 11)
         for step in range(1, 13):
-            eps, _, _ = model.denoise_step(Tensor(state.z), schedule.t_for_step(step) / 12, text)
+            eps, _ = model.denoise_step(Tensor(state.z), schedule.t_for_step(step) / 12, text)
             state = ddim_step(state, eps, step, schedule)
         assert res.final_state.z.tobytes() == state.z.tobytes()
 
@@ -580,7 +581,7 @@ class TestBitExactness:
                                                model)
         cfg = model.config
         z = rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
-        _, ca, _ = model.denoise_step(Tensor(z, requires_grad=True), 45 / 50, text)
+        _, ca = model.denoise_step(Tensor(z, requires_grad=True), 45 / 50, text)
         # the loss node, the denoiser's A node and the latent
         assert self._graph_nodes(loss_sp(ca, masks, pairs, config)) == 3
         assert self._graph_nodes(loss_syt(ca, pairs, config)) == 3

@@ -1,7 +1,7 @@
-"""Property tests: box text and JSON forms agree, the box commands and `generate` with
-drawn config files end in exit 0 or one ERROR line, config files round-trip, the
-component count agrees with scipy's labeller, and the batched losses give the composite
-chains' bytes."""
+"""Property tests: box text and JSON forms agree, the box commands, and `generate` and
+`ablate` with drawn config files, end in exit 0 or one ERROR line, config files
+round-trip, the component count agrees with scipy's labeller, and the batched losses
+give the composite chains' bytes."""
 
 import contextlib
 import io
@@ -163,7 +163,7 @@ def config_files(draw):
     the values is out of range (0, -1, cap + 1, 10**20) or malformed text, and of the
     files repeats a key or adds an unknown one.
 
-    The valid values keep the model at 2 frames of 4x4 latents, `total_steps` at
+    The valid values keep the model at 1 or 2 frames of 4x4 latents, `total_steps` at
     most 6 and the iteration counts at most 2, which bounds each run.  The iteration
     counts have no cap, so 10**20 would be a valid run of that many iterations: it is
     not drawn for them."""
@@ -191,14 +191,13 @@ def config_files(draw):
         "lambda_syt": value(draw(st.sampled_from([0.0, 1.0, 20.0]))),
         "distance": value(draw(st.sampled_from([KL_SYM, COSINE]))),
         "contrastive_form": value(draw(st.sampled_from([RATIO, SUM]))),
-        "eps": value(draw(st.sampled_from([1e-8, 1e-3]))),
         "apply_spatial_to_verbs": value(draw(st.sampled_from(["true", "false"]))),
     }
     levels, capture = draw(st.sampled_from([("down:4, mid:2, up:4", "down+up"),
                                             ("down:4, mid:2, up:4", "mid"),
                                             ("down:2, up:2", "up"), ("mid:1", "mid")]))
     model = {
-        "frames": value(2, MODEL_CAPS["frames"]),
+        "frames": value(draw(st.integers(1, 2)), MODEL_CAPS["frames"]),
         "latent_h": value(4, MODEL_CAPS["latent_h"]), "latent_w": value(4, MODEL_CAPS["latent_w"]),
         "latent_channels": value(draw(st.integers(1, 2)), MODEL_CAPS["latent_channels"]),
         "levels": levels if not odd() else f"down:{value(4, MODEL_CAPS['latent_h'])}",
@@ -220,23 +219,38 @@ def config_files(draw):
     return text(guide), text(model)
 
 
+def _run_with_config_files(tmp, files, argv):
+    """`main(argv + the config options)` with the drawn files written to `tmp`: exit 0, or
+    exit 2 or 3 with one ERROR line and no `tmp / "out"`."""
+    for name, text in zip(("guide.cfg", "model.cfg"), files):
+        (tmp / name).write_text(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty negative set
+        code = main(argv + ["--out", str(tmp / "out"), "--config", str(tmp / "guide.cfg"),
+                            "--model-config", str(tmp / "model.cfg")])
+    errors = [ln for ln in out.getvalue().splitlines() if ln.startswith("ERROR")]
+    assert (code, len(errors)) in ((0, 0), (2, 1), (3, 1)), (code, errors)
+    assert code == 0 or not (tmp / "out").exists()
+
+
 @settings(deadline=None, max_examples=100)
 @given(config_files())
 def test_generate_config_files_exit_0_or_one_error_line(tmp_path_factory, files):
     """`generate` with drawn config files ends in exit 0, or in exit 2 or 3 with one ERROR
     line and no --out."""
     tmp = tmp_path_factory.mktemp("configs")
-    for name, text in zip(("guide.cfg", "model.cfg", "boxes.txt"), (*files, WOMAN_MAN_BOXES)):
-        (tmp / name).write_text(text)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # an empty negative set
-        code = main(["generate", TEMPLATE_PROMPT, str(tmp / "boxes.txt"),
-                     "--out", str(tmp / "out"), "--config", str(tmp / "guide.cfg"),
-                     "--model-config", str(tmp / "model.cfg")])
-    errors = [ln for ln in out.getvalue().splitlines() if ln.startswith("ERROR")]
-    assert (code, len(errors)) in ((0, 0), (2, 1), (3, 1)), (code, errors)
-    assert code == 0 or not (tmp / "out").exists()
+    (tmp / "boxes.txt").write_text(WOMAN_MAN_BOXES)
+    _run_with_config_files(tmp, files, ["generate", TEMPLATE_PROMPT, str(tmp / "boxes.txt")])
+
+
+@settings(deadline=None, max_examples=100)
+@given(config_files())
+def test_ablate_config_files_exit_0_or_one_error_line(tmp_path_factory, files):
+    """`ablate --seeds 0` with drawn config files ends in exit 0, or in exit 2 or 3 with one
+    ERROR line and no --out."""
+    _run_with_config_files(tmp_path_factory.mktemp("configs"), files,
+                           ["ablate", "--seeds", "0"])
 
 
 def _config_text(cfg):
@@ -274,12 +288,11 @@ def guidance_configs(draw):
     total = draw(st.integers(1, MAX_TOTAL_STEPS))
     t2 = draw(st.integers(0, total))
     weight = st.floats(0.0, 1e6)
-    positive = st.floats(0.0, 1e6, exclude_min=True)
     return GuidanceConfig(
         total_steps=total, t1=draw(st.integers(0, t2)), t2=t2,
         iters_spatial_per_step=draw(st.integers(0, 100)),
         iters_syntax_per_step=draw(st.integers(0, 100)),
-        lambda_sp=draw(weight), lambda_syt=draw(weight), eps=draw(positive),
+        lambda_sp=draw(weight), lambda_syt=draw(weight),
         distance=draw(st.sampled_from([KL_SYM, COSINE])),
         contrastive_form=draw(st.sampled_from([RATIO, SUM])),
         apply_spatial_to_verbs=draw(st.booleans()),
@@ -366,7 +379,7 @@ def test_batched_losses_match_composite_chains(scene):
     vals, pairs, masks, config = scene
     pair, verbs = pairs.pairs[0], config.apply_spatial_to_verbs
     negs = pairs.negatives_for(pair)
-    kind, eps, dist, mass = config.distance, config.eps, composites.composite_dist, \
+    kind, eps, dist, mass = config.distance, guidance.EPS, composites.composite_dist, \
         composites.composite_mass_term
     cases = [
         (lambda A: guidance.loss_fg(A, masks, pairs, config),

@@ -37,8 +37,8 @@ def defaulted_parameters():
 
 def test_settable_value_count():
     counts = len(config_fields()), len(cli_options()), len(defaulted_parameters())
-    assert counts == (21, 24, 19), (config_fields(), cli_options(), defaulted_parameters())
-    assert sum(counts) == 64
+    assert counts == (20, 24, 18), (config_fields(), cli_options(), defaulted_parameters())
+    assert sum(counts) == 62
 
 
 def test_losses_take_the_config():
@@ -54,7 +54,7 @@ def test_public_names():
         "BoxTrajectory", "DDIMSchedule", "GuidanceConfig", "GuidanceTrace", "LatentState",
         "LinearAttentionStub", "MetricsReport", "SpatialPriorSet", "SyntaxPairs", "Tensor",
         "Token", "ToyDenoiser", "ToyModelConfig", "count_components", "ddim_step",
-        "extract_pairs", "finite_diff_check", "guide_latent", "loss_bg", "loss_fg", "loss_neg",
+        "extract_pairs", "guide_latent", "loss_bg", "loss_fg", "loss_neg",
         "loss_pos", "loss_sp", "loss_syt", "parse_llm_boxes", "rasterize_masks",
         "render_heatmap", "resample_frames", "run_ablation", "run_guided_sampling",
         "serialize_boxes", "tokenize", "validate_trajectories", "verb_noun_alignment",
