@@ -22,11 +22,15 @@ from .errors import ContractError, DimensionError, InputError
 
 BEGIN, END, PAD = "<begin>", "<end>", "<pad>"
 
+# Attention heads per cross-attention level and channels of the latent.  The
+# guidance reads head-averaged maps and depends on neither.
+HEADS = LATENT_CHANNELS = 2
+
 # The largest model sizes accepted (a level grid is capped by the latent's
 # sides).  They bound each size, not their product: a model at every cap at
 # once is far past desk scale.
-MODEL_CAPS = {"frames": 64, "latent_h": 64, "latent_w": 64, "latent_channels": 16,
-              "token_budget": 128, "embed_dim": 1024, "heads": 16}
+MODEL_CAPS = {"frames": 64, "latent_h": 64, "latent_w": 64, "token_budget": 128,
+              "embed_dim": 1024}
 
 
 @dataclass
@@ -34,12 +38,10 @@ class ToyModelConfig:
     frames: int = 8
     latent_h: int = 16
     latent_w: int = 16
-    latent_channels: int = 2
     levels: tuple = (("down", 8), ("mid", 4), ("up", 8))
     ca_capture: str = "down+up"  # down | up | mid | down+up
     token_budget: int = 16
     embed_dim: int = 32
-    heads: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -83,7 +85,7 @@ class ToyModelConfig:
 
 @dataclass
 class LatentState:
-    z: np.ndarray  # [F, C, h, w]
+    z: np.ndarray  # [F, LATENT_CHANNELS, h, w]
     timestep_index: int
 
 
@@ -100,14 +102,14 @@ def _token_embedding(text, dim, seed):
 
 
 def _pool_matrix(grid, latent_h, latent_w):
-    """Block-average pooling from the latent grid down to grid x grid."""
-    P = np.zeros((grid * grid, latent_h * latent_w))
-    for r in range(latent_h):
-        for c in range(latent_w):
-            cell = (r * grid // latent_h) * grid + (c * grid // latent_w)
-            P[cell, r * latent_w + c] = 1.0
+    """Block-average pooling from the latent grid down to grid x grid: (P, each pixel's cell)."""
+    rows = np.arange(latent_h) * grid // latent_h
+    cols = np.arange(latent_w) * grid // latent_w
+    cell = (rows[:, None] * grid + cols).reshape(-1)
+    P = np.zeros((grid * grid, cell.size))
+    P[cell, np.arange(cell.size)] = 1.0
     P /= P.sum(axis=1, keepdims=True)
-    return P
+    return P, cell
 
 
 class DDIMSchedule:
@@ -146,28 +148,29 @@ class ToyDenoiser:
         self.config = config or ToyModelConfig()
         cfg = self.config
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD0DE]))
-        C, d, heads = cfg.latent_channels, cfg.embed_dim, cfg.heads
-        dh = max(d // heads, 1)
+        C, d = LATENT_CHANNELS, cfg.embed_dim
+        dh = max(d // HEADS, 1)
         self._dh = dh
-        self._pool = {g: _pool_matrix(g, cfg.latent_h, cfg.latent_w) for _, g in cfg.levels}
+        self._pool, self._cells = {}, {}
+        for _, g in cfg.levels:
+            # Each pixel's cell and pooling weight: U @ out and P.T @ g as one-product gathers.
+            P, cell = _pool_matrix(g, cfg.latent_h, cfg.latent_w)
+            self._pool[g], self._cells[g] = P, (cell, P[cell, np.arange(cell.size)][:, None])
         self._unpool = {g: (P > 0).astype(np.float64).T for g, P in self._pool.items()}
-        # Each pixel's cell and pooling weight: U @ out and P.T @ g as one-product gathers.
-        self._cells = {g: (P.argmax(0), P.max(0)[:, None]) for g, P in self._pool.items()}
         self._weights = {}
         for tag, g in cfg.levels:
             self._weights[tag] = {
-                "wq": rng.normal(0, 1.0, (heads, 1, C, dh)),
-                "wk": rng.normal(0, 1.0, (heads, 1, d, dh)),
+                "wq": rng.normal(0, 1.0, (HEADS, 1, C, dh)),
+                "wk": rng.normal(0, 1.0, (HEADS, 1, d, dh)),
                 "wv": rng.normal(0, 1.0 / np.sqrt(d), (d, C)),
                 "mix": 0.5,
                 "tau_bias": rng.normal(0, 0.1, (C,)),
             }
-        dt = max(C, 2)
         self._temporal = {
-            "wq": rng.normal(0, 1.0, (C, dt)),
-            "wk": rng.normal(0, 1.0, (C, dt)),
+            "wq": rng.normal(0, 1.0, (C, C)),
+            "wk": rng.normal(0, 1.0, (C, C)),
             "wv": rng.normal(0, 1.0 / np.sqrt(C), (C, C)),
-            "scale": 1.0 / np.sqrt(dt),
+            "scale": 1.0 / np.sqrt(C),
         }
         self._out = rng.normal(0, 1.0 / np.sqrt(C), (C, C))
 
@@ -206,13 +209,13 @@ class ToyDenoiser:
         """`_block`'s attention at a level: (A @ values, A, backward(g_out, g_A)).
 
         A is the head mean of softmax((x @ wq) @ keys * scale), one softmax over
-        the stacked heads [H, F, N, L].  The heads add as a left fold in head
+        the stacked heads [HEADS, F, N, L].  The heads add as a left fold in head
         order, forward and backward, which keeps the per-head chain's bytes.
         """
         keys, values = keys_values
         wq = self._weights[tag]["wq"]
         scale = np.asarray(1.0 / np.sqrt(self._dh))
-        mean = np.asarray(1.0 / len(wq))
+        mean = np.asarray(1.0 / HEADS)
         maps = softmax((x @ wq) @ keys * scale)
         A = sum(maps[1:], maps[0]) * mean
 
@@ -241,12 +244,11 @@ class ToyDenoiser:
         cfg = self.config
         if not 0 <= tau < 1:
             raise ContractError(f"schedule progress {tau} outside [0, 1)")
-        expected = (cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w)
+        expected = (cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w)
         if z.shape != expected:
             raise DimensionError(f"latent shape {z.shape}, model expects {expected}")
 
-        F, C, HW = cfg.frames, cfg.latent_channels, cfg.latent_h * cfg.latent_w
-        h = z.data.reshape(F, C, HW).transpose(0, 2, 1)   # [F, HW, C]
+        h = z.data.reshape(cfg.frames, LATENT_CHANNELS, -1).transpose(0, 2, 1)   # [F, HW, C]
         grads, captured = [], {}
         for tag, g in cfg.levels:
             w = self._weights[tag]
@@ -323,39 +325,27 @@ class ToyDenoiser:
 
 
 class LinearAttentionStub:
-    """Closed-form attention oracle: softmax of an affine map of the latent.
+    """Closed-form attention oracle: softmax of a linear map of the pooled latent.
 
-    Keeps guidance math checkable independently of the UNet; with zero
-    weights the attention is uniform everywhere.
+    Keeps guidance math checkable independently of the UNet; the weights
+    [LATENT_CHANNELS, token_budget] are a seeded normal draw.
     """
 
-    def __init__(self, config=None, weights=None, bias=None, seed=1):
+    def __init__(self, config=None, seed=1):
         self.config = config or ToyModelConfig()
         cfg = self.config
-        self._P = _pool_matrix(cfg.capture_grid, cfg.latent_h, cfg.latent_w)
+        self._P, _ = _pool_matrix(cfg.capture_grid, cfg.latent_h, cfg.latent_w)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x57AB]))
-        shape = (cfg.latent_channels, cfg.token_budget)
-        self.weights = _parameter(rng.normal(0, 1.0, shape) if weights is None else weights,
-                                  shape, "weights")
-        self.bias = _parameter(np.zeros(shape[1]) if bias is None else bias, shape[1:], "bias")
+        self.weights = rng.normal(0, 1.0, (LATENT_CHANNELS, cfg.token_budget))
 
     def ca_from_latent(self, z):
-        """CA maps [F, N, L]: the softmax of affine logits of the pooled latent Tensor, one node."""
+        """CA maps [F, N, L]: the softmax of linear logits of the pooled latent Tensor, one node."""
         cfg = self.config
-        h = z.data.reshape(cfg.frames, cfg.latent_channels, cfg.latent_h * cfg.latent_w)
-        out = softmax((self._P @ h.transpose(0, 2, 1)) @ self.weights + self.bias)
+        h = z.data.reshape(cfg.frames, LATENT_CHANNELS, -1)
+        out = softmax((self._P @ h.transpose(0, 2, 1)) @ self.weights)
 
         def backward(g):
             g_h = self._P.T @ (softmax_grad(out, g) @ self.weights.T)
             return (g_h.transpose(0, 2, 1).reshape(z.shape),)
 
         return Tensor.node(out, (z,), backward)
-
-
-def _parameter(values, shape, name):
-    """A float64 copy of a caller's stub parameter, which must be finite and of ``shape``."""
-    arr = np.array(values, dtype=np.float64)
-    if arr.shape != shape:
-        raise DimensionError(f"stub {name} of shape {arr.shape}, expected {shape}")
-    check_finite(arr)
-    return arr

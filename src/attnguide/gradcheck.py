@@ -11,7 +11,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .boxes import static_two_box_prior
-from .denoiser import LinearAttentionStub, ToyDenoiser, ToyModelConfig
+from .denoiser import LATENT_CHANNELS, LinearAttentionStub, ToyDenoiser, ToyModelConfig
 from .errors import ContractError
 from .guidance import (
     GuidanceConfig,
@@ -37,9 +37,9 @@ def gradcheck_suites(component, seed, corrupt=False):
     routes the input through an identity op with a wrong gradient rule, so
     the suite must report failures.
     """
-    cfg = ToyModelConfig(frames=2, latent_h=4, latent_w=4, latent_channels=2,
+    cfg = ToyModelConfig(frames=2, latent_h=4, latent_w=4,
                          levels=(("down", 4), ("mid", 2), ("up", 4)),
-                         token_budget=8, embed_dim=8, heads=2, seed=seed)
+                         token_budget=8, embed_dim=8, seed=seed)
     model = ToyDenoiser(cfg)
     prior = static_two_box_prior(cfg.frames)
     prior.trajectories = prior.trajectories[:1]
@@ -47,7 +47,7 @@ def gradcheck_suites(component, seed, corrupt=False):
     col_pairs, text, masks, _ = prepare_inputs("a cat is sitting", prior, model)
 
     rng = np.random.default_rng(seed)
-    z0 = rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
+    z0 = rng.normal(size=(cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w))
     A0 = rng.uniform(0.05, 1.0, size=(cfg.frames, cfg.capture_grid ** 2, cfg.token_budget))
     suites = {  # name -> (input -> CA maps A, input, tolerance)
         "stub": (LinearAttentionStub(cfg, seed=seed).ca_from_latent, z0, 1e-6),

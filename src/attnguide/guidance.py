@@ -21,7 +21,7 @@ import numpy as np
 from .autodiff import Tensor, trapped
 from .boxes import rasterize_masks, resample_frames
 from .config import read_config
-from .denoiser import DDIMSchedule, LatentState, ddim_step
+from .denoiser import LATENT_CHANNELS, DDIMSchedule, LatentState, ddim_step
 from .errors import (
     AttnGuideError,
     ContractError,
@@ -39,6 +39,9 @@ SUM = "SUM"
 
 # The longest schedule accepted: DDPM's 1000 training timesteps.
 MAX_TOTAL_STEPS = 1000
+
+# The most guidance iterations of either phase per sampler step.
+MAX_ITERS_PER_STEP = 100
 
 # Added to each map before a KL normalization; a total mass or contrastive
 # denominator at or below it is degenerate.
@@ -68,6 +71,10 @@ class GuidanceConfig:
         if self.total_steps > MAX_TOTAL_STEPS:
             raise InputError(f"total_steps must be at most {MAX_TOTAL_STEPS}, "
                              f"got {self.total_steps}")
+        if max(self.iters_spatial_per_step, self.iters_syntax_per_step) > MAX_ITERS_PER_STEP:
+            raise InputError(f"iters_spatial_per_step and iters_syntax_per_step must be at "
+                             f"most {MAX_ITERS_PER_STEP}, got {self.iters_spatial_per_step} "
+                             f"and {self.iters_syntax_per_step}")
         if not (0 <= self.t1 <= self.t2 <= self.total_steps and self.total_steps >= 1):
             raise InputError(
                 f"need 0 <= t1 <= t2 <= total_steps and total_steps >= 1, got {self.t1}, "
@@ -505,7 +512,7 @@ def run_guided_sampling(prompt, priors, config, model, seed):
     snapshot_steps = {1, config.t1, config.t2, config.total_steps} - {0}
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A7E]))
-    z0 = rng.normal(size=(cfg_m.frames, cfg_m.latent_channels, cfg_m.latent_h, cfg_m.latent_w))
+    z0 = rng.normal(size=(cfg_m.frames, LATENT_CHANNELS, cfg_m.latent_h, cfg_m.latent_w))
     state = LatentState(z0, config.total_steps - 1)
     trace = GuidanceTrace()
     ca_records, z_trajectory = {}, []

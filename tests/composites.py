@@ -11,7 +11,8 @@ those (`composite_dist`, `composite_mass_term`, `composite_cross_attention`).
 The chains are built from `RefTensor` (`reftensor.py`), the Tensor with the
 array ops the package no longer has.  The ops without an operator or method
 there live here as functions built with `RefTensor.node`, as does
-`in_box_ratio`, the one-frame reference for `in_box_ratios`.
+`in_box_ratio`, the one-frame reference for `in_box_ratios`.  `pool_matrix` is
+the per-pixel loop that built the denoiser's pooling matrices.
 """
 
 import warnings
@@ -20,6 +21,7 @@ import numpy as np
 
 from attnguide import guidance
 from attnguide.autodiff import trapped
+from attnguide.denoiser import LATENT_CHANNELS
 from attnguide.errors import ContractError, DegenerateAttentionError, DimensionError
 from attnguide.guidance import COSINE, KL_SYM, SUM
 
@@ -250,13 +252,24 @@ def loss_syt(A, pairs, config, dist=dist_node):
 # -- the denoiser -----------------------------------------------------------------------
 
 
+def pool_matrix(grid, latent_h, latent_w):
+    """Block-average pooling from the latent grid down to grid x grid, pixel by pixel."""
+    P = np.zeros((grid * grid, latent_h * latent_w))
+    for r in range(latent_h):
+        for c in range(latent_w):
+            cell = (r * grid // latent_h) * grid + (c * grid // latent_w)
+            P[cell, r * latent_w + c] = 1.0
+    P /= P.sum(axis=1, keepdims=True)
+    return P
+
+
 def denoise_step(model, z, tau, text, cross_attention=cross_attention_node):
     """`ToyDenoiser.denoise_step` as the chain of graph nodes it was."""
     cfg = model.config
     if not 0 <= tau < 1:
         raise ContractError(f"schedule progress {tau} outside [0, 1)")
     z = RefTensor._wrap(z)
-    F, C = cfg.frames, cfg.latent_channels
+    F, C = cfg.frames, LATENT_CHANNELS
     HW = cfg.latent_h * cfg.latent_w
     h = z.reshape(F, C, HW).transpose(0, 2, 1)   # [F, HW, C]
     captured = {}

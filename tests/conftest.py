@@ -39,9 +39,9 @@ TEMPLATE_PROMPT = "a man is walking and a dog is running"
 
 def tiny_model_config(**overrides):
     kwargs = dict(
-        frames=2, latent_h=4, latent_w=4, latent_channels=2,
+        frames=2, latent_h=4, latent_w=4,
         levels=(("down", 4), ("mid", 2), ("up", 4)),
-        token_budget=16, embed_dim=8, heads=2, seed=0,
+        token_budget=16, embed_dim=8, seed=0,
     )
     kwargs.update(overrides)
     return ToyModelConfig(**kwargs)
@@ -49,9 +49,9 @@ def tiny_model_config(**overrides):
 
 def small_model_config(**overrides):
     kwargs = dict(
-        frames=4, latent_h=8, latent_w=8, latent_channels=2,
+        frames=4, latent_h=8, latent_w=8,
         levels=(("down", 4), ("mid", 2), ("up", 4)),
-        token_budget=16, embed_dim=16, heads=2, seed=0,
+        token_budget=16, embed_dim=16, seed=0,
     )
     kwargs.update(overrides)
     return ToyModelConfig(**kwargs)

@@ -127,6 +127,7 @@ def test_criterion_1_equation_identities():
             f"fg/bg gap {worst_gap:.2e}, worst oracle error {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_2_gradient_oracle():
     worst = {"stub": 0.0, "model": 0.0}
     names = set()
@@ -188,6 +189,7 @@ def _mean_alignment(result, step):
     ]))
 
 
+@pytest.mark.slow
 def test_criterion_4_spatial_efficacy(efficacy_runs):
     ratio_wins, descent_wins = 0, 0
     for guided, free in efficacy_runs:
@@ -200,6 +202,7 @@ def test_criterion_4_spatial_efficacy(efficacy_runs):
     _report(4, ok, f"in-box wins {ratio_wins}/10, L_sp descent {descent_wins}/10")
 
 
+@pytest.mark.slow
 def test_criterion_5_binding_efficacy(efficacy_runs):
     wins = sum(
         _mean_alignment(guided, 25) < _mean_alignment(free, 25)
@@ -245,6 +248,7 @@ def test_criterion_7_noop_and_determinism():
             f"zero-weight runs bit-exact: {noop_exact}, guided reruns byte-equal: {repro}")
 
 
+@pytest.mark.slow
 def test_criterion_8_ablation_harness():
     base = GuidanceConfig()
     mcfg = tiny_model_config(frames=2, latent_h=8, latent_w=8, embed_dim=16)

@@ -305,6 +305,7 @@ class TestGradcheck:
         assert "FAIL" not in out
         assert "worst_rel_err" in out
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("seed", [26, 27, 37])
     def test_near_zero_coordinates_pass(self, capsys, seed):
         """Seeds whose worst relative error, on coordinates near zero, exceeds the tolerance."""
@@ -441,7 +442,8 @@ BAD_INPUTS = {
     "model_unknown_key": ("model", "bogus = 3\n"),
     "model_bad_levels": ("model", "levels = down8\n"),
     "model_fractional_frames": ("model", "frames = 2.5\n"),
-    "model_zero_heads": ("model", "heads = 0\n"),
+    **{f"model_removed_key_{key}": ("model", f"{key} = 2\n")
+       for key in ("heads", "latent_channels")},
     "model_negative_embed_dim": ("model", "embed_dim = -4\n"),
     "model_zero_latent_h": ("model", "latent_h = 0\n"),
     "model_levels_exceed_latent": ("model", "latent_h = 4\nlatent_w = 4\n"),
@@ -458,6 +460,8 @@ BAD_INPUTS = {
     "guide_huge_total_steps": ("guide", "total_steps = 99999999999999999999\n"),
     "guide_negative_spatial_iters": ("guide", "iters_spatial_per_step = -3\n"),
     "guide_negative_syntax_iters": ("guide", "iters_syntax_per_step = -1\n"),
+    "guide_huge_spatial_iters": ("guide", "iters_spatial_per_step = 1000000000\n"),
+    "guide_syntax_iters_over_cap": ("guide", "iters_syntax_per_step = 101\n"),
     "guide_duplicate_key": ("guide", "lambda_sp = 0\nlambda_syt = 0\nlambda_sp = 30\n"),
     **{f"guide_removed_key_{key}": ("guide", f"{key} = {value}\n") for key, value in (
         ("lambda_fg", "1.0"), ("lambda_bg", "1.0"), ("neg_includes_verb", "false"),

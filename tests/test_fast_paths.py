@@ -10,10 +10,11 @@ import pytest
 
 from attnguide import guidance
 from attnguide.autodiff import Tensor, softmax
-from attnguide.denoiser import ToyDenoiser, ToyModelConfig
+from attnguide.denoiser import LATENT_CHANNELS, LinearAttentionStub, ToyDenoiser, ToyModelConfig
 from attnguide.guidance import GuidanceConfig, loss_syt
 from attnguide.syntax import extract_pairs, tokenize
 
+import composites
 from conftest import TEMPLATE_PROMPT, tiny_model_config
 from reftensor import sum_grad
 
@@ -71,20 +72,39 @@ def test_sum_grad_matches_broadcast_copy(rng, shape, axis, g_shape):
     assert out.flags.writeable and not np.shares_memory(out, g)
 
 
+# The `ablate` and `gradcheck` CLI models, and grids whose cells differ in size.
 ABLATE_MODEL = dict(frames=2, latent_h=8, latent_w=8,
                     levels=(("down", 4), ("mid", 2), ("up", 4)), embed_dim=16)
+GRADCHECK_MODEL = dict(frames=2, latent_h=4, latent_w=4,
+                       levels=(("down", 4), ("mid", 2), ("up", 4)), token_budget=8, embed_dim=8)
 UNEVEN_MODEL = dict(levels=(("down", 5), ("mid", 3), ("up", 5)))
+MODELS = [pytest.param(overrides, id=name) for name, overrides in [
+    ("default", {}), ("ablate", ABLATE_MODEL), ("gradcheck", GRADCHECK_MODEL),
+    ("uneven", UNEVEN_MODEL)]]
 
 
-@pytest.mark.parametrize("overrides", [{}, ABLATE_MODEL, UNEVEN_MODEL],
-                         ids=["default", "ablate", "uneven"])
+@pytest.mark.parametrize("overrides", MODELS)
+def test_pool_matrices_match_the_loop(overrides):
+    """P, each pixel's cell and its pooling weight, against P built pixel by pixel."""
+    model = ToyDenoiser(ToyModelConfig(**overrides))
+    cfg = model.config
+    for g, (cell, pw) in model._cells.items():
+        P = composites.pool_matrix(g, cfg.latent_h, cfg.latent_w)
+        same_bytes(model._pool[g], P)
+        same_bytes(cell, P.argmax(0))
+        same_bytes(pw, P.max(0)[:, None])
+    stub = LinearAttentionStub(cfg)
+    same_bytes(stub._P, composites.pool_matrix(cfg.capture_grid, cfg.latent_h, cfg.latent_w))
+
+
+@pytest.mark.parametrize("overrides", MODELS)
 def test_unpool_gathers_match_matmuls(rng, overrides):
     model = ToyDenoiser(ToyModelConfig(**overrides))
     cfg = model.config
     assert set(model._cells) == {g for _, g in cfg.levels}
     for g, (cell, pw) in model._cells.items():
         P, U = model._pool[g], model._unpool[g]
-        out = rng.normal(size=(cfg.frames, g * g, cfg.latent_channels))
+        out = rng.normal(size=(cfg.frames, g * g, LATENT_CHANNELS))
         out[0, 0] = 0.0
         same_bytes(np.take(out, cell, axis=-2), U @ out)
         same_bytes(np.take(out, cell, axis=-2) * pw, P.T @ out)
@@ -115,7 +135,7 @@ def test_loss_syt_gathers_each_column_once(monkeypatch, rng):
     text = model.encode_text(tokens)
     pairs = guidance._pairs_to_columns(extract_pairs(tokens), text.columns)
     cfg = model.config
-    z = Tensor(rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w)),
+    z = Tensor(rng.normal(size=(cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w)),
                requires_grad=True)
     _, A = model.denoise_step(z, 0.5, text)
     gathers, kernels = [], []

@@ -14,7 +14,13 @@ import pytest
 
 import composites
 from attnguide.autodiff import Tensor
-from attnguide.denoiser import LatentState, TextEncoding, ToyDenoiser, ToyModelConfig
+from attnguide.denoiser import (
+    LATENT_CHANNELS,
+    LatentState,
+    TextEncoding,
+    ToyDenoiser,
+    ToyModelConfig,
+)
 from attnguide.errors import DegenerateAttentionError, NumericError
 from attnguide.guidance import (
     COSINE,
@@ -44,7 +50,7 @@ from composites import (
     take_lastdim,
 )
 from conftest import tiny_model_config
-from test_fast_paths import ABLATE_MODEL
+from test_fast_paths import ABLATE_MODEL, GRADCHECK_MODEL
 from reftensor import RefTensor, ref
 
 SEEDS = range(25)
@@ -178,16 +184,12 @@ def cross_attention_run(fn, model, x_vals, weights, keys_values, tag):
     return A.data, x.grad
 
 
-# `attnguide gradcheck`'s model; ABLATE_MODEL is the `ablate` CLI's default model.
-GRADCHECK_MODEL = dict(frames=2, latent_h=4, latent_w=4,
-                       levels=(("down", 4), ("mid", 2), ("up", 4)), token_budget=8, embed_dim=8)
 MODEL_SHAPES = [("default", {}), ("ablate", ABLATE_MODEL), ("gradcheck", GRADCHECK_MODEL)]
 
 
 @pytest.mark.parametrize("config", [
-    *(pytest.param(tiny_model_config(heads=heads), id=str(heads)) for heads in range(1, 5)),
-    *(pytest.param(ToyModelConfig(**shape, heads=heads), id=f"{name}-{heads}")
-      for name, shape in MODEL_SHAPES for heads in range(1, 5)),
+    pytest.param(tiny_model_config(), id="tiny"),
+    *(pytest.param(ToyModelConfig(**shape), id=name) for name, shape in MODEL_SHAPES),
 ])
 def test_cross_attention_matches_composite(config):
     """The stacked-head kernel against the per-head chain: a BLAS that runs a stacked
@@ -195,10 +197,10 @@ def test_cross_attention_matches_composite(config):
     model = ToyDenoiser(config)
     cfg = model.config
     for seed in SEEDS:
-        rng = np.random.default_rng([seed, cfg.heads])
+        rng = np.random.default_rng([seed, 2])
         kv = model._keys_values(rng.normal(size=(cfg.token_budget, cfg.embed_dim)))
         for tag, g in cfg.levels:
-            x_vals = rng.normal(0.0, 2.0, (cfg.frames, g * g, cfg.latent_channels))
+            x_vals = rng.normal(0.0, 2.0, (cfg.frames, g * g, LATENT_CHANNELS))
             weights = rng.normal(size=(cfg.frames, g * g, cfg.token_budget))
             fused = cross_attention_run(cross_attention_node, model, x_vals, weights,
                                         kv[tag], tag)
@@ -208,9 +210,8 @@ def test_cross_attention_matches_composite(config):
             assert same_bytes(fused[1], composite[1])
 
 
-@pytest.mark.parametrize("heads", [1, 3])
-def test_denoise_step_gradient_matches_composite(heads):
-    model = ToyDenoiser(tiny_model_config(heads=heads))
+def test_denoise_step_gradient_matches_composite():
+    model = ToyDenoiser(tiny_model_config())
     cfg = model.config
     emb = np.random.default_rng(0).normal(size=(cfg.token_budget, cfg.embed_dim))
     text = TextEncoding(emb, model._keys_values(emb), columns={})
@@ -224,7 +225,7 @@ def test_denoise_step_gradient_matches_composite(heads):
 
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        z_vals = rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
+        z_vals = rng.normal(size=(cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w))
         weights = rng.normal(size=(cfg.frames, cfg.capture_grid ** 2, cfg.token_budget))
         fused = run(model.denoise_step, z_vals, weights)
         composite = run(lambda *a: composites.denoise_step(
@@ -263,12 +264,11 @@ def test_mass_term_low_mass_is_degenerate(outside):
             fn(col, np.ones((2, 2)), 3, 1e-8, outside)
 
 
-@pytest.mark.parametrize("heads", [1, 3])
-def test_cross_attention_non_finite_intermediate_raises(heads):
-    model = ToyDenoiser(tiny_model_config(heads=heads))
+def test_cross_attention_non_finite_intermediate_raises():
+    model = ToyDenoiser(tiny_model_config())
     cfg = model.config
     kv = model._keys_values(np.full((cfg.token_budget, cfg.embed_dim), 100.0))["down"]
-    x = RefTensor(np.full((cfg.frames, 16, cfg.latent_channels), 1e307), requires_grad=True)
+    x = RefTensor(np.full((cfg.frames, 16, LATENT_CHANNELS), 1e307), requires_grad=True)
     for fn in (cross_attention_node, composite_cross_attention):
         with np.errstate(all="ignore"), pytest.raises(NumericError):
             fn(model, x, kv, "down")
@@ -310,17 +310,16 @@ def composite_step(model, text):
 
 @pytest.mark.parametrize("reads", [("A", "eps"), ("A",)], ids=["eps", "A"])
 @pytest.mark.parametrize("capture", ["down", "mid", "up", "down+up"])
-@pytest.mark.parametrize("heads", [1, 2, 3, 4])
-def test_denoise_step_matches_composite(heads, capture, reads):
+def test_denoise_step_matches_composite(capture, reads):
     """Values, loss and latent gradient byte for byte; a loss that also reads eps
     gets A's gradient alone, since eps is not differentiable.  eps depends on the
     temporal block, so its bytes pin that block too."""
-    model = ToyDenoiser(tiny_model_config(heads=heads, ca_capture=capture))
+    model = ToyDenoiser(tiny_model_config(ca_capture=capture))
     cfg = model.config
-    text = text_encoding(model, heads)
+    text = text_encoding(model, 2)
     for seed in range(3):
-        rng = np.random.default_rng([seed, heads])
-        z_vals = rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
+        rng = np.random.default_rng([seed, 2])
+        z_vals = rng.normal(size=(cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w))
         shapes = {"eps": z_vals.shape,
                   "A": (cfg.frames, cfg.capture_grid ** 2, cfg.token_budget)}
         weights = {name: rng.normal(size=shape) for name, shape in shapes.items()}
@@ -338,7 +337,7 @@ def test_denoise_step_without_grad_matches_with_grad():
     cfg = model.config
     text = text_encoding(model)
     z_vals = np.random.default_rng(0).normal(
-        size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
+        size=(cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w))
     free = model.denoise_step(Tensor(z_vals), 0.3, text)
     graph = model.denoise_step(Tensor(z_vals, requires_grad=True), 0.3, text)
     assert not free[1].requires_grad and graph[1].requires_grad
@@ -350,7 +349,7 @@ def test_denoise_step_without_grad_matches_with_grad():
 def test_denoise_step_returns_eps_and_t_attn_as_arrays(grad):
     model = ToyDenoiser(tiny_model_config())
     cfg = model.config
-    z_vals = np.zeros((cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
+    z_vals = np.zeros((cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w))
     outputs = model.denoise_step(Tensor(z_vals, requires_grad=grad), 0.3, text_encoding(model))
     assert len(outputs) == 2  # (eps, A): the temporal attention stays inside the step
     eps, A = outputs
@@ -476,7 +475,7 @@ def default_scene():
                                            model)
     cfg = model.config
     z = np.random.default_rng(5).normal(
-        size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
+        size=(cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w))
     A = model.denoise_step(Tensor(z), 45 / 50, text)[1].data
     return model, config, pairs, text, masks, z, A
 
@@ -521,7 +520,7 @@ def test_denoise_step_non_finite_intermediate_raises(grad):
     model = ToyDenoiser(tiny_model_config())
     cfg = model.config
     text = text_encoding(model)
-    z = Tensor(np.full((cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w), 1e308),
+    z = Tensor(np.full((cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w), 1e308),
                requires_grad=grad)
     for step in (model.denoise_step, lambda *a: composites.denoise_step(model, *a)):
         with np.errstate(all="ignore"), pytest.raises(NumericError):

@@ -5,7 +5,14 @@ import pytest
 
 from attnguide.autodiff import Tensor
 from attnguide.boxes import parse_llm_boxes
-from attnguide.denoiser import DDIMSchedule, LatentState, LinearAttentionStub, ToyDenoiser, ddim_step
+from attnguide.denoiser import (
+    LATENT_CHANNELS,
+    DDIMSchedule,
+    LatentState,
+    LinearAttentionStub,
+    ToyDenoiser,
+    ddim_step,
+)
 from attnguide.errors import (
     ContractError,
     DegenerateAttentionError,
@@ -17,6 +24,7 @@ from attnguide.gradcheck import fd_gradients, relative_error
 from attnguide.guidance import (
     COSINE,
     KL_SYM,
+    MAX_ITERS_PER_STEP,
     MAX_TOTAL_STEPS,
     RATIO,
     SUM,
@@ -285,7 +293,7 @@ class TestGuideLatent:
         def value(z):
             return loss_sp(stub.ca_from_latent(Tensor(z)), masks, pairs, gcfg).item()
 
-        z = rng.normal(size=(cfg_m.frames, cfg_m.latent_channels, cfg_m.latent_h, cfg_m.latent_w))
+        z = rng.normal(size=(cfg_m.frames, LATENT_CHANNELS, cfg_m.latent_h, cfg_m.latent_w))
         before = value(z)
         leaf = Tensor(z, requires_grad=True)
         loss = loss_sp(stub.ca_from_latent(leaf), masks, pairs, gcfg)
@@ -326,6 +334,17 @@ class TestConfig:
         for value in (MAX_TOTAL_STEPS + 1, 99999999999999999999):
             path.write_text(f"total_steps = {value}\n")
             with pytest.raises(InputError, match=f"at most {MAX_TOTAL_STEPS}, got {value}"):
+                GuidanceConfig.from_file(path)
+
+    @pytest.mark.parametrize("name", ["iters_spatial_per_step", "iters_syntax_per_step"])
+    def test_iteration_counts_capped(self, tmp_path, name):
+        """Each phase's iterations per step are read up to the cap and rejected past it."""
+        path = tmp_path / "guide.cfg"
+        path.write_text(f"{name} = {MAX_ITERS_PER_STEP}\n")
+        assert getattr(GuidanceConfig.from_file(path), name) == MAX_ITERS_PER_STEP
+        for value in (MAX_ITERS_PER_STEP + 1, 1000000000):
+            path.write_text(f"{name} = {value}\n")
+            with pytest.raises(InputError, match=f"at most {MAX_ITERS_PER_STEP}, got .*{value}"):
                 GuidanceConfig.from_file(path)
 
     def test_from_file_and_overrides(self, tmp_path):
@@ -417,7 +436,7 @@ class TestRunGuidedSampling:
         text = model.encode_text(tokenize(TEMPLATE_PROMPT))
         schedule = DDIMSchedule(12)
         rng = np.random.default_rng(np.random.SeedSequence([3, 0x1A7E]))
-        z0 = rng.normal(size=(cfg_m.frames, cfg_m.latent_channels, cfg_m.latent_h, cfg_m.latent_w))
+        z0 = rng.normal(size=(cfg_m.frames, LATENT_CHANNELS, cfg_m.latent_h, cfg_m.latent_w))
         state = LatentState(z0, 11)
         for step in range(1, 13):
             eps, _ = model.denoise_step(Tensor(state.z), schedule.t_for_step(step) / 12, text)
@@ -552,10 +571,10 @@ class TestBitExactness:
     @pytest.mark.parametrize("guidance_overrides,model_overrides,digest", [
         (dict(distance=COSINE, contrastive_form=SUM), dict(ca_capture="mid"),
          "9f36b4f6778b537dcb3451190ee38b195c6a6de5fc9a20df504d77f0e0de68f5"),
-        (dict(), dict(ca_capture="up", heads=3),
-         "3c0a6dac6e1af15c109b0f2de15d7c44166f24dc1f36aa575ec7b9511aba71b5"),
-        (dict(apply_spatial_to_verbs=False), dict(ca_capture="down", heads=4),
-         "b2bc86ef2f15e07e8529f1195a40d0df9d2ca6895f9daee31ffa93c8cb258e8e"),
+        (dict(), dict(ca_capture="up"),
+         "5412db8fa3b33abf9d8f90286cf6da3b36b5ee50b990b06874a1a8918a32c4a1"),
+        (dict(apply_spatial_to_verbs=False), dict(ca_capture="down"),
+         "fa2c63d8dc9c8e5863a1f7a0481da73ae372a9768d7fd3f810ec12082d055e22"),
     ])
     def test_variant_run_digest(self, guidance_overrides, model_overrides, digest):
         cfg = GuidanceConfig(total_steps=12, t1=2, t2=6, iters_spatial_per_step=3,
@@ -580,7 +599,7 @@ class TestBitExactness:
         pairs, text, masks, _ = prepare_inputs(TEMPLATE_PROMPT, parse_llm_boxes(WOMAN_MAN_BOXES),
                                                model)
         cfg = model.config
-        z = rng.normal(size=(cfg.frames, cfg.latent_channels, cfg.latent_h, cfg.latent_w))
+        z = rng.normal(size=(cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w))
         _, ca = model.denoise_step(Tensor(z, requires_grad=True), 45 / 50, text)
         # the loss node, the denoiser's A node and the latent
         assert self._graph_nodes(loss_sp(ca, masks, pairs, config)) == 3
