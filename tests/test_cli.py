@@ -442,8 +442,8 @@ BAD_INPUTS = {
     "model_unknown_key": ("model", "bogus = 3\n"),
     "model_bad_levels": ("model", "levels = down8\n"),
     "model_fractional_frames": ("model", "frames = 2.5\n"),
-    **{f"model_removed_key_{key}": ("model", f"{key} = 2\n")
-       for key in ("heads", "latent_channels")},
+    "model_zero_heads": ("model", "heads = 0\n"),  # a removed key, whatever its value
+    "model_removed_key_latent_channels": ("model", "latent_channels = 2\n"),
     "model_negative_embed_dim": ("model", "embed_dim = -4\n"),
     "model_zero_latent_h": ("model", "latent_h = 0\n"),
     "model_levels_exceed_latent": ("model", "latent_h = 4\nlatent_w = 4\n"),

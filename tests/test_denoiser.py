@@ -251,6 +251,13 @@ class TestDDIM:
 
 
 class TestStub:
+    def test_zero_weights_give_uniform(self, rng):
+        cfg = tiny_model_config()
+        stub = LinearAttentionStub(cfg)
+        stub.weights[:] = 0.0
+        ca = stub.ca_from_latent(Tensor(_latent(cfg, rng)))
+        assert np.allclose(ca.data, 1.0 / cfg.token_budget, atol=1e-15)
+
     def test_logits_linear_in_latent(self, rng):
         """log A[..., j] - log A[..., 0] is the logits' difference: linear in the latent."""
         cfg = tiny_model_config()

@@ -15,6 +15,7 @@ import pytest
 import composites
 from attnguide.autodiff import Tensor
 from attnguide.denoiser import (
+    HEADS,
     LATENT_CHANNELS,
     LatentState,
     TextEncoding,
@@ -188,8 +189,8 @@ MODEL_SHAPES = [("default", {}), ("ablate", ABLATE_MODEL), ("gradcheck", GRADCHE
 
 
 @pytest.mark.parametrize("config", [
-    pytest.param(tiny_model_config(), id="tiny"),
-    *(pytest.param(ToyModelConfig(**shape), id=name) for name, shape in MODEL_SHAPES),
+    pytest.param(tiny_model_config(), id=str(HEADS)),
+    *(pytest.param(ToyModelConfig(**shape), id=f"{name}-{HEADS}") for name, shape in MODEL_SHAPES),
 ])
 def test_cross_attention_matches_composite(config):
     """The stacked-head kernel against the per-head chain: a BLAS that runs a stacked
@@ -197,7 +198,7 @@ def test_cross_attention_matches_composite(config):
     model = ToyDenoiser(config)
     cfg = model.config
     for seed in SEEDS:
-        rng = np.random.default_rng([seed, 2])
+        rng = np.random.default_rng([seed, HEADS])
         kv = model._keys_values(rng.normal(size=(cfg.token_budget, cfg.embed_dim)))
         for tag, g in cfg.levels:
             x_vals = rng.normal(0.0, 2.0, (cfg.frames, g * g, LATENT_CHANNELS))
@@ -310,15 +311,16 @@ def composite_step(model, text):
 
 @pytest.mark.parametrize("reads", [("A", "eps"), ("A",)], ids=["eps", "A"])
 @pytest.mark.parametrize("capture", ["down", "mid", "up", "down+up"])
-def test_denoise_step_matches_composite(capture, reads):
+@pytest.mark.parametrize("heads", [HEADS])
+def test_denoise_step_matches_composite(heads, capture, reads):
     """Values, loss and latent gradient byte for byte; a loss that also reads eps
     gets A's gradient alone, since eps is not differentiable.  eps depends on the
     temporal block, so its bytes pin that block too."""
     model = ToyDenoiser(tiny_model_config(ca_capture=capture))
     cfg = model.config
-    text = text_encoding(model, 2)
+    text = text_encoding(model, heads)
     for seed in range(3):
-        rng = np.random.default_rng([seed, 2])
+        rng = np.random.default_rng([seed, heads])
         z_vals = rng.normal(size=(cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w))
         shapes = {"eps": z_vals.shape,
                   "A": (cfg.frames, cfg.capture_grid ** 2, cfg.token_budget)}
