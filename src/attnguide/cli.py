@@ -223,8 +223,7 @@ def _latent_summary(result):
 
 def cmd_gradcheck(args):
     failures = []
-    for name, err, tol, passed in gradcheck_suites(args.component, args.seed,
-                                                    corrupt=args.corrupt_gradient):
+    for name, err, tol, passed in gradcheck_suites(args.component, args.seed):
         print(f"gradcheck {name}: worst_rel_err={err:.3e} tol={tol:.0e} "
               f"{'ok' if passed else 'FAIL'}")
         if not passed:
@@ -354,7 +353,6 @@ def build_parser():
     p = sub.add_parser("gradcheck", help="finite-difference gradient suites")
     p.add_argument("component", choices=["stub", "model", "losses", "all"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corrupt-gradient", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
     # no abbreviations, so `--seed` is not taken for `--seeds`

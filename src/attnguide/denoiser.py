@@ -25,6 +25,7 @@ BEGIN, END, PAD = "<begin>", "<end>", "<pad>"
 # Attention heads per cross-attention level and channels of the latent.  The
 # guidance reads head-averaged maps and depends on neither.
 HEADS = LATENT_CHANNELS = 2
+MIX = 0.5  # the weight of each block's attention update
 
 # The largest model sizes accepted (a level grid is capped by the latent's
 # sides).  They bound each size, not their product: a model at every cap at
@@ -101,6 +102,13 @@ def _token_embedding(text, dim, seed):
     return rng.normal(0.0, 1.0, size=dim)
 
 
+def _check_latent(z, cfg):
+    """A `DimensionError` unless the latent `z` has the shape the model `cfg` expects."""
+    expected = (cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w)
+    if z.shape != expected:
+        raise DimensionError(f"latent shape {z.shape}, model expects {expected}")
+
+
 def _pool_matrix(grid, latent_h, latent_w):
     """Block-average pooling from the latent grid down to grid x grid: (P, each pixel's cell)."""
     rows = np.arange(latent_h) * grid // latent_h
@@ -163,7 +171,6 @@ class ToyDenoiser:
                 "wq": rng.normal(0, 1.0, (HEADS, 1, C, dh)),
                 "wk": rng.normal(0, 1.0, (HEADS, 1, d, dh)),
                 "wv": rng.normal(0, 1.0 / np.sqrt(d), (d, C)),
-                "mix": 0.5,
                 "tau_bias": rng.normal(0, 0.1, (C,)),
             }
         self._temporal = {
@@ -223,8 +230,6 @@ class ToyDenoiser:
             if g_out is not None:
                 g_Av = g_out @ values.T
                 g_A = g_Av if g_A is None else g_A + g_Av
-            if g_A is None:
-                return None
             g_q = (softmax_grad(maps, g_A * mean) * scale) @ np.swapaxes(keys, -1, -2)
             g_x = g_q @ np.swapaxes(wq, -1, -2)
             return sum(g_x[1:], g_x[0])
@@ -244,9 +249,7 @@ class ToyDenoiser:
         cfg = self.config
         if not 0 <= tau < 1:
             raise ContractError(f"schedule progress {tau} outside [0, 1)")
-        expected = (cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w)
-        if z.shape != expected:
-            raise DimensionError(f"latent shape {z.shape}, model expects {expected}")
+        _check_latent(z, cfg)
 
         h = z.data.reshape(cfg.frames, LATENT_CHANNELS, -1).transpose(0, 2, 1)   # [F, HW, C]
         grads, captured = [], {}
@@ -254,16 +257,18 @@ class ToyDenoiser:
             w = self._weights[tag]
             attention = partial(self._cross_attention, keys_values=text.keys_values[tag],
                                 tag=tag)
-            h, captured[tag], grad = self._block(h, g, attention, w["mix"], w["tau_bias"] * tau)
+            h, captured[tag], grad = self._block(h, g, attention, w["tau_bias"] * tau)
             grads.append((tag, grad))
             if tag == "mid":
-                h, _, grad = self._block(h, g, self._temporal_attention, 0.5, None)
+                h, _, grad = self._block(h, g, self._temporal_attention, None)
                 grads.append((None, grad))
 
         eps = (h @ self._out).transpose(0, 2, 1).reshape(z.shape)
         wanted = cfg.capture_tags
         A_cap = sum((captured[tag] for tag in wanted[1:]), captured[wanted[0]])
         inv = 1.0 / len(wanted)
+        while grads[-1][0] not in wanted:  # the blocks after the last capture get no gradient
+            grads.pop()
 
         def backward(g_A):
             g_h, g_cap = None, g_A * inv
@@ -273,15 +278,15 @@ class ToyDenoiser:
 
         return eps, Tensor.node(A_cap * inv, (z,), backward)
 
-    def _block(self, h, grid, attention, mix, bias):
-        """tanh(h + (U @ out) * mix [+ bias]) for (out, maps, _) = attention(P @ h).
+    def _block(self, h, grid, attention, bias):
+        """tanh(h + (U @ out) * MIX [+ bias]) for (out, maps, _) = attention(P @ h).
 
-        Returns (h, maps, backward(g_h, g_maps)); the gradient at the input adds
-        the update's part first, as the chain did.
+        Returns (h, maps, backward(g_h, g_maps)), ``g_h`` None at the last captured
+        level; the gradient at the input adds the update's part first, as the chain did.
         """
         P, U, (cell, pw) = self._pool[grid], self._unpool[grid], self._cells[grid]
         out, maps, attention_grad = attention(P @ h)
-        s = h + np.take(out, cell, axis=-2) * mix
+        s = h + np.take(out, cell, axis=-2) * MIX
         if bias is not None:
             s = s + bias
         h_out = np.tanh(s)
@@ -290,11 +295,8 @@ class ToyDenoiser:
             g_in = g_out = None
             if g_h is not None:
                 g_in = g_h * (1.0 - h_out * h_out)
-                g_out = U.T @ (g_in * mix)
-            g_x = attention_grad(g_out, g_maps)
-            if g_x is None:
-                return g_in
-            g_x = np.take(g_x, cell, axis=-2) * pw
+                g_out = U.T @ (g_in * MIX)
+            g_x = np.take(attention_grad(g_out, g_maps), cell, axis=-2) * pw
             return g_x if g_in is None else g_in + g_x
 
         return h_out, maps, backward
@@ -312,8 +314,6 @@ class ToyDenoiser:
         def backward(g_out, _):
             # T_attn carries no gradient of its own.  y's three gradients add as
             # (q + k) + v, the chain's order.
-            if g_out is None:
-                return None
             g_tv = g_out.transpose(1, 0, 2)
             g_qk = softmax_grad(T_attn, g_tv @ np.swapaxes(v, -1, -2)) * w["scale"]
             g_yv = (np.swapaxes(T_attn, -1, -2) @ g_tv) @ w["wv"].T
@@ -341,6 +341,7 @@ class LinearAttentionStub:
     def ca_from_latent(self, z):
         """CA maps [F, N, L]: the softmax of linear logits of the pooled latent Tensor, one node."""
         cfg = self.config
+        _check_latent(z, cfg)
         h = z.data.reshape(cfg.frames, LATENT_CHANNELS, -1)
         out = softmax((self._P @ h.transpose(0, 2, 1)) @ self.weights)
 

@@ -25,7 +25,7 @@ from .guidance import (
 )
 
 
-def gradcheck_suites(component, seed, corrupt=False):
+def gradcheck_suites(component, seed):
     """Yield (name, worst_relative_error, tolerance, passed) per suite.
 
     A suite passes when every coordinate meets |a - n| <= tol*|n| +
@@ -33,9 +33,7 @@ def gradcheck_suites(component, seed, corrupt=False):
     relative error alone fails correct code on coordinates near zero, where
     finite-difference rounding dominates.
 
-    ``component`` is "stub", "model", "losses" or "all".  ``corrupt``
-    routes the input through an identity op with a wrong gradient rule, so
-    the suite must report failures.
+    ``component`` is "stub", "model", "losses" or "all".
     """
     cfg = ToyModelConfig(frames=2, latent_h=4, latent_w=4,
                          levels=(("down", 4), ("mid", 2), ("up", 4)),
@@ -57,8 +55,7 @@ def gradcheck_suites(component, seed, corrupt=False):
     for suite, (ca_of, x0, tol) in suites.items():
         if component in (suite, "all"):
             for name, fn in _loss_probes(masks, col_pairs, gcfg):
-                a, n = fd_gradients(lambda x, fn=fn: fn(ca_of(_skew_identity(x) if corrupt else x)),
-                                    x0, 3e-5)
+                a, n = fd_gradients(lambda x, fn=fn: fn(ca_of(x)), x0, 3e-5)
                 passed = bool(np.all(np.abs(a - n) <= tol * np.abs(n) + tol * np.abs(n).max()))
                 yield f"{suite}/{name}", relative_error(a, n), tol, passed
 
@@ -105,8 +102,3 @@ def _loss_probes(masks, col_pairs, gcfg):
         ("L_neg", lambda A: loss_neg(A, pair, negs, gcfg)),
         ("L_syt", lambda A: loss_syt(A, col_pairs, gcfg)),
     ]
-
-
-def _skew_identity(t):
-    # numerically the identity, but with a wrong gradient rule
-    return Tensor.node(np.array(t.data), (t,), lambda g: (1.5 * g,))

@@ -152,17 +152,12 @@ def _check_maps(values):
 def _distances(X, a, b, kind, eps):
     """Distances between the maps X[a] and X[b] of a stack X [K, ..., N].
 
-    Returns ([D, ...] values, backward, swap).  ``backward(g)`` gives the
-    gradients [D, ..., N] of (X[a], X[b]), or of the two swapped if
-    ``swap``: the composite's parent order, which fixes the sums upstream.
+    Returns ([D, ...] values, backward), where ``backward(g)`` gives the
+    gradients [D, ..., N] of (X[a], X[b]).  ``kind`` is KL_SYM or COSINE.
     Work on one map (KL's normalization and log, the cosine's norm) runs
     once per map of X.
     """
-    if kind == COSINE:
-        return _cosine(X, a, b) + (False,)
-    if kind != KL_SYM:
-        raise InputError(f"unknown distance kind {kind!r}")
-    return _kl(X, a, b, eps) + (True,)
+    return _cosine(X, a, b) if kind == COSINE else _kl(X, a, b, eps)
 
 
 def _normalized(x, eps):
@@ -182,7 +177,7 @@ def _normalized_grad(g, saved, idx):
 
 
 def _kl(X, a, b, eps):
-    """Symmetric KL between the maps X[a] and X[b]; the backward gives (g_b, g_a)."""
+    """Symmetric KL between the maps X[a] and X[b]; the backward gives (g_a, g_b)."""
     n, saved = _normalized(X, eps)
     logn = np.log(n)
     pn, qn, lp, lq = n[a], n[b], logn[a], logn[b]
@@ -196,7 +191,7 @@ def _kl(X, a, b, eps):
         g_d1, g_d2 = g * pn, g * qn
         g_qn = -g_d1 / qn + g * d2 + g_d2 / qn
         g_pn = g * d1 + g_d1 / pn - g_d2 / pn
-        return _normalized_grad(g_qn, saved, b), _normalized_grad(g_pn, saved, a)
+        return _normalized_grad(g_pn, saved, a), _normalized_grad(g_qn, saved, b)
 
     return total * 0.5, backward
 
@@ -259,9 +254,9 @@ def _mean_distances(A, dpairs, config):
     X = _stack(A.data, cols)
     _check_maps(X)
     a, b = ([cols.index(pair[i]) for pair in dpairs] for i in (0, 1))
-    out, backward, swap = _distances(X, a, b, config.distance, EPS)
+    out, backward = _distances(X, a, b, config.distance, EPS)
     inv = 1.0 / out[0].size
-    visits = [c for pair in dpairs for c in (pair[::-1] if swap else pair)]
+    visits = [c for pair in dpairs for c in pair]
 
     def grad(gd):
         firsts, seconds = backward((np.asarray(gd) * inv).reshape((-1,) + (1,) * (out.ndim - 1)))

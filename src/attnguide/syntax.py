@@ -1,9 +1,13 @@
 """Prompt tokenization and noun/verb pair extraction.
 
 Prompts follow the benchmark template "a(n) <subject> is <motion> and a(n)
-<subject> is <motion> ...".  Tagging falls back from template position to a
-shipped lexicon to an "-ing after is" heuristic, so mild deviations from
-the template still resolve.
+<subject> is <motion> ...", and each "and"-separated clause gives one pair.
+Its noun is the last word of the noun phrase after an article, which ends at
+the copula, the first action word (a lexicon action or any "-ing" word) or
+its first lexicon subject ("a tall man", "a man with a hat"); else the first
+lexicon subject; else the first word before the copula that is not an
+article.  Its verb is the action word right after the copula, else the first
+action word that is not the noun.
 """
 
 from __future__ import annotations
@@ -88,13 +92,23 @@ def _split_clauses(tokens):
     return clauses
 
 
+def _is_action(word):
+    return word in _ACTIONS or word.endswith("ing")
+
+
 def _find_noun(clause):
-    # template position: word right after a leading article
-    for k, tok in enumerate(clause[:-1]):
+    # template position: the last word of the noun phrase after an article
+    for k, tok in enumerate(clause):
         if tok.text in _ARTICLES:
-            nxt = clause[k + 1]
-            if nxt.text not in _COPULAS:
-                return nxt.index
+            noun = None
+            for nxt in clause[k + 1:]:
+                if nxt.text in _COPULAS or _is_action(nxt.text):
+                    break
+                noun = nxt.index
+                if nxt.text in _SUBJECTS:  # "a man with a hat": the phrase ends at "man"
+                    break
+            if noun is not None:
+                return noun
     for tok in clause:
         if tok.text in _SUBJECTS:
             return tok.index
@@ -111,10 +125,10 @@ def _find_verb(clause, noun_index):
     for k, tok in enumerate(clause):
         if tok.text in _COPULAS and k + 1 < len(clause):
             nxt = clause[k + 1]
-            if nxt.text in _ACTIONS or nxt.text.endswith("ing"):
+            if _is_action(nxt.text):
                 return nxt.index
     for tok in clause:
-        if tok.index != noun_index and (tok.text in _ACTIONS or tok.text.endswith("ing")):
+        if tok.index != noun_index and _is_action(tok.text):
             return tok.index
     return None
 

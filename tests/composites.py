@@ -21,7 +21,7 @@ import numpy as np
 
 from attnguide import guidance
 from attnguide.autodiff import trapped
-from attnguide.denoiser import LATENT_CHANNELS
+from attnguide.denoiser import LATENT_CHANNELS, MIX
 from attnguide.errors import ContractError, DegenerateAttentionError, DimensionError
 from attnguide.guidance import COSINE, KL_SYM, SUM
 
@@ -92,9 +92,8 @@ def in_box_ratio(ca, masks, token_index, frame):
 
 @trapped
 def dist_node(p, q, kind, eps):
-    out, backward, swap = guidance._distances(np.stack((p.data, q.data)), [0], [1], kind, eps)
-    return RefTensor.node(out[0], (q, p) if swap else (p, q),
-                          lambda g: [grad[0] for grad in backward(g[None])])
+    out, backward = guidance._distances(np.stack((p.data, q.data)), [0], [1], kind, eps)
+    return RefTensor.node(out[0], (p, q), lambda g: [grad[0] for grad in backward(g[None])])
 
 
 @trapped
@@ -279,8 +278,7 @@ def denoise_step(model, z, tau, text, cross_attention=cross_attention_node):
         A = cross_attention(model, x, text.keys_values[tag], tag)
         captured[tag] = A
         out = A @ text.keys_values[tag][1]
-        h = tanh(h + (U @ out) * model._weights[tag]["mix"]
-                 + model._weights[tag]["tau_bias"] * tau)
+        h = tanh(h + (U @ out) * MIX + model._weights[tag]["tau_bias"] * tau)
         if tag == "mid":
             h = _temporal_block(model, h, P, U)
 
@@ -299,4 +297,4 @@ def _temporal_block(model, h, P, U):
     logits = (y @ w["wq"]) @ (y @ w["wk"]).transpose(0, 2, 1) * w["scale"]
     T_attn = logits.softmax_lastdim()             # [N, F, F]
     out = (T_attn @ (y @ w["wv"])).transpose(1, 0, 2)
-    return tanh(h + (U @ out) * 0.5)
+    return tanh(h + (U @ out) * MIX)

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import attnguide
+from attnguide import gradcheck
+from attnguide.autodiff import Tensor
 from attnguide.cli import main
 from attnguide.denoiser import ToyDenoiser
 
@@ -297,6 +299,17 @@ class TestGenerate:
         assert not (tmp_path / "run").exists()
 
 
+def corrupt_gradients(monkeypatch):
+    """Route every gradcheck probe's input through the identity with a 1.5x gradient rule."""
+    fd = gradcheck.fd_gradients
+
+    def skew(t):
+        return Tensor.node(np.array(t.data), (t,), lambda g: (1.5 * g,))
+
+    monkeypatch.setattr(gradcheck, "fd_gradients",
+                        lambda f, x0, step: fd(lambda x: f(skew(x)), x0, step))
+
+
 class TestGradcheck:
     def test_stub_and_losses_pass(self, capsys):
         assert main(["gradcheck", "stub"]) == 0
@@ -307,14 +320,16 @@ class TestGradcheck:
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", [26, 27, 37])
-    def test_near_zero_coordinates_pass(self, capsys, seed):
+    def test_near_zero_coordinates_pass(self, capsys, monkeypatch, seed):
         """Seeds whose worst relative error, on coordinates near zero, exceeds the tolerance."""
         assert main(["gradcheck", "all", "--seed", str(seed)]) == 0
         assert "FAIL" not in capsys.readouterr().out
-        assert main(["gradcheck", "all", "--seed", str(seed), "--corrupt-gradient"]) == 5
+        corrupt_gradients(monkeypatch)
+        assert main(["gradcheck", "all", "--seed", str(seed)]) == 5
 
-    def test_corrupted_gradient_detected(self, capsys):
-        assert main(["gradcheck", "stub", "--corrupt-gradient"]) == 5
+    def test_corrupted_gradient_detected(self, capsys, monkeypatch):
+        corrupt_gradients(monkeypatch)
+        assert main(["gradcheck", "stub"]) == 5
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "ERROR kind=gradcheck" in out
@@ -495,6 +510,16 @@ BAD_INPUTS = {
     "boxes_text_boolean_box": ("boxes", "Frame 1: [{'id': 0, 'name': 'm', 'box': [True, 10, 100, "
                                         "100]}]\nBackground keyword: room\n"),
     "boxes_not_utf8": ("boxes", b"\xff\xfe" + WOMAN_MAN_BOXES.encode()),
+    "boxes_text_number_name": ("boxes", "Frame 1: [{'id': 0, 'name': 5, 'box': [0, 0, 9, 9]}]"
+                                        "\nBackground keyword: room\n"),
+    "boxes_text_repeated_frame": ("boxes", "Frame 1: [{'id': 0, 'name': 'm', 'box': [0, 0, 9, 9]}]"
+                                           "\nFrame 1: [{'id': 0, 'name': 'm', 'box': [0, 0, 9, 9]}]"
+                                           "\nBackground keyword: room\n"),
+    "boxes_frame_not_a_list": ("boxes", _structured(frames=[{"id": 0}])),
+    "boxes_background_only": ("boxes", "Background keyword: room\n"),
+    "boxes_subject_missing_from_frame": ("boxes", _structured(frames=[
+        [{"id": 0, "name": "m", "box": [0, 0, 9, 9]}, {"id": 1, "name": "d", "box": [9, 9, 9, 9]}],
+        [{"id": 0, "name": "m", "box": [0, 0, 9, 9]}]])),
     "prompt_without_pairs": ("prompt", "and"),
     "rasterize_huge_grid": ("rasterize_grid", "100000x100000"),
     "rasterize_grid_over_cap": ("rasterize_grid", "65x65"),

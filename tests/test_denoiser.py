@@ -273,6 +273,13 @@ class TestStub:
         l12 = log_odds(2.0 * z1 + 3.0 * z2) - at_zero
         assert np.allclose(l12, 2.0 * l1 + 3.0 * l2, atol=1e-10)
 
+    @pytest.mark.parametrize("shape", [(1, 2, 8, 4), (2, 2, 2, 8), (4, 2, 4, 4)])
+    def test_wrong_latent_shape_rejected(self, shape):
+        """Latents of the right size but the wrong shape, and one of the wrong size."""
+        stub = LinearAttentionStub(tiny_model_config())
+        with pytest.raises(DimensionError, match="model expects"):
+            stub.ca_from_latent(Tensor(np.zeros(shape)))
+
     def test_ca_gradient(self, rng):
         cfg = tiny_model_config()
         stub = LinearAttentionStub(cfg, seed=3)

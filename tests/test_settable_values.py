@@ -37,8 +37,8 @@ def defaulted_parameters():
 
 def test_settable_value_count():
     counts = len(config_fields()), len(cli_options()), len(defaulted_parameters())
-    assert counts == (18, 24, 16), (config_fields(), cli_options(), defaulted_parameters())
-    assert sum(counts) == 58
+    assert counts == (18, 23, 16), (config_fields(), cli_options(), defaulted_parameters())
+    assert sum(counts) == 57
 
 
 def test_config_fields():

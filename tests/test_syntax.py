@@ -1,5 +1,6 @@
 import pytest
 
+from attnguide import syntax
 from attnguide.errors import ExtractionError, InputError
 from attnguide.syntax import extract_pairs, tokenize
 
@@ -91,3 +92,33 @@ def test_unresolvable_clause_reports_it():
 def test_prompt_without_pairs_rejected(prompt):
     with pytest.raises(ExtractionError, match="no noun/verb pair"):
         extract_pairs(tokenize(prompt))
+
+
+@pytest.mark.parametrize("prompt,pairs", [
+    ("a tall man is walking and a small dog is running", [("man", "walking"), ("dog", "running")]),
+    ("a big red ball is rolling", [("ball", "rolling")]),
+    ("a dog with a man is running and a cat is sitting", [("dog", "running"), ("cat", "sitting")]),
+    ("the man in a red car is driving", [("man", "driving")]),
+    ("a zorblax is chasing a cat", [("zorblax", "chasing")]),
+    ("a man walking and a dog running", [("man", "walking"), ("dog", "running")]),
+    # no article: the lexicon's subject, else the first word before the copula
+    ("man is walking and dog is running", [("man", "walking"), ("dog", "running")]),
+    ("zorblax is walking", [("zorblax", "walking")]),
+    # no copula: the first action word that is not the noun
+    ("a man walking", [("man", "walking")]),
+])
+def test_noun_is_the_noun_phrase_last_word(prompt, pairs):
+    toks = tokenize(prompt)
+    assert [(toks[n].text, toks[v].text) for n, v in extract_pairs(toks).pairs] == pairs
+
+
+def test_every_lexicon_template_prompt_pairs_by_position():
+    """Each subject and action of the shipped lexicon in both clauses of the template."""
+    subjects, actions = sorted(syntax._SUBJECTS), sorted(syntax._ACTIONS)
+    article = {s: "an" if s[0] in "aeiou" else "a" for s in subjects}
+    prompts = [f"{article[s]} {s} is {a} and {article[s2]} {s2} is {a2}"
+               for s, s2 in zip(subjects, subjects[1:] + subjects[:1])
+               for a, a2 in zip(actions, actions[1:] + actions[:1])]
+    assert len(prompts) == 55 * 17
+    for prompt in prompts:
+        assert extract_pairs(tokenize(prompt)).pairs == [(1, 3), (6, 8)], prompt
