@@ -82,10 +82,9 @@ class Tensor:
         return self.data.size
 
     def item(self):
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._not_scalar()
-
-    def _not_scalar(self):
-        raise ContractError(f"expected scalar tensor, got shape {self.shape}")
+        if self.data.size != 1:
+            raise ContractError(f"expected scalar tensor, got shape {self.shape}")
+        return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -134,12 +133,10 @@ class Tensor:
                 if p.requires_grad and p not in seen:
                     stack.append((p, False))
 
+        # Each node gets its gradient from a consumer that the walk visits before it.
         grads = {self: np.ones(self.shape)}
         for node in reversed(topo):
-            g = grads.pop(node, None)
-            if g is None:
-                continue
-            node.grad = g
+            g = node.grad = grads.pop(node)
             if node._backward is None:
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):

@@ -142,7 +142,7 @@ def cmd_rasterize(args):
         raise InputError(f"--grid {grid_h}x{grid_w} exceeds the frame: "
                          f"at most {H}x{W} cells, one per pixel")
     masks, warnings = rasterize_masks(prior, grid_h, grid_w)
-    for w in warnings:
+    for w in prior.load_warnings + warnings:
         print(f"warning: {w}")
     if args.out:
         np.savez(args.out, **{f"s{k}_f{f}": m for k, stack in masks.items()
@@ -267,7 +267,7 @@ def cmd_ablate(args):
         return ToyDenoiser(cfg)
 
     prior = detect_and_parse(read_text(args.boxes)) if args.boxes \
-        else static_two_box_prior(max(mcfg.frames, 2))
+        else static_two_box_prior(mcfg.frames)
 
     complete = True
     try:
@@ -288,9 +288,9 @@ def cmd_ablate(args):
 def cmd_render(args):
     path = Path(args.run_dir) / "ca_records.npz"
     try:
-        with np.load(path) as data:  # a lone .npy array is no context manager: TypeError
+        with open(path, "rb") as fh, np.load(fh) as data:  # fh closes if np.load rejects it
             values = data.get(f"step{args.step}")
-    except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+    except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:  # TypeError: lone .npy
         raise InputError(f"{path} is not an npz archive: {exc}") from None
     if values is None:
         raise InputError(f"no CA snapshot for step {args.step} in {args.run_dir}")

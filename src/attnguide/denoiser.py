@@ -128,20 +128,12 @@ class DDIMSchedule:
         self.betas = np.linspace(1e-4, 0.02, total_steps)
         self.alphas_cumprod = np.cumprod(1.0 - self.betas)
 
-    def t_for_step(self, step):
-        """Timestep index for sampler step `step`, counted 1..T from noisiest."""
-        if not 1 <= step <= self.total_steps:
-            raise ContractError(f"step {step} outside 1..{self.total_steps}")
-        return self.total_steps - step
 
-
-def ddim_step(state, eps, step, schedule):
-    """Advance one deterministic DDIM step on noise prediction ``eps``; decrements the timestep."""
-    t = schedule.t_for_step(step)
-    if state.timestep_index != t:
-        raise ContractError(
-            f"state at timestep {state.timestep_index}, step {step} expects {t}"
-        )
+def ddim_step(state, eps, schedule):
+    """One deterministic DDIM step from ``state.timestep_index`` on noise prediction ``eps``."""
+    t = state.timestep_index
+    if not 0 <= t < schedule.total_steps:
+        raise ContractError(f"timestep {t} outside 0..{schedule.total_steps - 1}")
     abar_t = schedule.alphas_cumprod[t]
     abar_prev = schedule.alphas_cumprod[t - 1] if t >= 1 else 1.0
     x0 = (state.z - np.sqrt(1.0 - abar_t) * eps) / np.sqrt(abar_t)

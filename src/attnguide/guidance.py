@@ -254,16 +254,16 @@ def _mean_distances(A, dpairs, config):
     X = _stack(A.data, cols)
     _check_maps(X)
     a, b = ([cols.index(pair[i]) for pair in dpairs] for i in (0, 1))
-    out, backward = _distances(X, a, b, config.distance, EPS)
-    inv = 1.0 / out[0].size
+    out, backward = _distances(X, a, b, config.distance, EPS)  # [D, F]
+    inv = 1.0 / out.shape[1]
     visits = [c for pair in dpairs for c in pair]
 
     def grad(gd):
-        firsts, seconds = backward((np.asarray(gd) * inv).reshape((-1,) + (1,) * (out.ndim - 1)))
+        firsts, seconds = backward((np.asarray(gd) * inv)[:, None])
         return _column_grad(zip(visits, (g for pair in zip(firsts, seconds) for g in pair)),
                             A.shape)
 
-    return out.reshape(len(dpairs), -1).sum(axis=-1) * inv, grad
+    return out.sum(axis=-1) * inv, grad
 
 
 # -- spatial constraints ------------------------------------------------------
@@ -299,25 +299,20 @@ def _tracked(pairs, include_verbs):
     return [(t, pair[0]) for pair in pairs.pairs for t in pair[:2 if include_verbs else 1]]
 
 
-def _mass_terms(X, masks, tokens, eps, halves):
+def _mass_terms(X, M, tokens, eps, halves):
     """Squared mass ratios of the token columns X [T, F, N], summed over frames: ([H, T], backward).
 
-    ``masks`` yields each token's masks [F, N] in turn, taken after the
-    previous token's mass check.  Each half is fg (False): (1 - in/total)^2,
-    or bg (True): (out/total)^2, with the bg weight in the literal (1 - M)
-    form, which equals the fg deficit for binary masks.  ``backward(g)``
-    gives X's gradient per half, [H, T, F, N].
+    ``M`` [T, F, N] holds each token's masks.  Each half is fg (False):
+    (1 - in/total)^2, or bg (True): (out/total)^2, with the bg weight in the
+    literal (1 - M) form, which equals the fg deficit for binary masks.
+    ``backward(g)`` gives X's gradient per half, [H, T, F, N].
     """
     total = X.sum(axis=-1)
-    low = total <= eps
-    bad = low.any(axis=-1)
-    stacked = []
-    for t, (token, M) in enumerate(zip(tokens, masks)):
-        stacked.append(M)
-        if bad[t]:
-            raise DegenerateAttentionError(f"token {token} frame {int(np.flatnonzero(low[t])[0])}: "
-                                           f"total attention mass <= {eps}")
-    M = np.stack(stacked)
+    low = np.argwhere(total <= eps)
+    if low.size:
+        t, f = low[0]
+        raise DegenerateAttentionError(f"token {tokens[t]} frame {f}: "
+                                       f"total attention mass <= {eps}")
     W = np.stack([1.0 - M if outside else M for outside in halves])
     mass = (X * W).sum(axis=-1)
     ratio = mass / total
@@ -336,13 +331,12 @@ def _mass_terms(X, masks, tokens, eps, halves):
 
 def _mass_node(A, masks, pairs, config, halves):
     """Frame-mean mass terms of the tracked tokens, the halves added, as one node on A."""
-    if not pairs.pairs:
-        return Tensor(0.0)
     tracked = _tracked(pairs, config.apply_spatial_to_verbs)
     tokens = [t for t, _ in tracked]
     X = _stack(A.data, tokens)
-    masks_of = (_frame_masks(masks, noun, X.shape[1:]) for _, noun in tracked)
-    terms, backward = _mass_terms(X, masks_of, tokens, EPS, halves)
+    # every token's masks are checked before any token's attention mass
+    M = np.stack([_frame_masks(masks, noun, X.shape[1:]) for _, noun in tracked])
+    terms, backward = _mass_terms(X, M, tokens, EPS, halves)
     inv = 1.0 / X.shape[1]
     return Tensor.node(_fold([_fold(row) * inv for row in terms]), (A,), lambda g: (_column_grad(
         zip(tokens * len(halves), backward(g * inv).reshape(-1, *X.shape[1:])), A.shape),))
@@ -389,8 +383,6 @@ def loss_neg(A, pair, negatives, config):
 @trapped
 def loss_syt(A, pairs, config):
     """Contrastive ratio summed over pairs (or plain sum in SUM form)."""
-    if not pairs.pairs:
-        raise ContractError("loss_syt needs at least one noun/verb pair")
     negatives = [sorted(pairs.negatives_for(pair)) for pair in pairs.pairs]
     means, grad = _mean_distances(A, [d for pair, negs in zip(pairs.pairs, negatives)
                                       for d in [pair, *((pair[0], u) for u in negs)]], config)
@@ -513,7 +505,7 @@ def run_guided_sampling(prompt, priors, config, model, seed):
     ca_records, z_trajectory = {}, []
 
     for step in range(1, config.total_steps + 1):
-        tau = schedule.t_for_step(step) / config.total_steps
+        tau = state.timestep_index / config.total_steps
         if step <= config.t1 and config.lambda_sp > 0:
             phase = ("spatial", config.iters_spatial_per_step, config.lambda_sp)
         elif config.t1 < step <= config.t2 and config.lambda_syt > 0:
@@ -542,7 +534,7 @@ def run_guided_sampling(prompt, priors, config, model, seed):
         eps_pred, A = model.denoise_step(Tensor(state.z), tau, text)
         if step in snapshot_steps:
             ca_records[step] = A.data.copy()
-        state = ddim_step(state, eps_pred, step, schedule)
+        state = ddim_step(state, eps_pred, schedule)
         z_trajectory.append(state.z.copy())
 
     return SamplingResult(

@@ -175,12 +175,12 @@ DEFAULT_ABLATION_AXES = {
 
 
 def _variants(axes):
-    """(axis, value, {axis: value}) for each variant: one axis set to one value at a time."""
+    """(axis, value) for each variant: one axis set to one value at a time."""
     if not axes:
-        yield "base", "base", {}
+        yield "base", "base"
     for axis, values in axes.items():
         for v in values:
-            yield axis, v, {axis: v}
+            yield axis, v
 
 
 class AblationInterrupted(KeyboardInterrupt):
@@ -205,16 +205,12 @@ def run_ablation(axes, base_config, seeds, prompt, priors, model_factory, log=No
         "axes": {k: [str(v) for v in vals] for k, vals in axes.items()},
         "seeds": list(seeds)})
     try:
-        for axis, value, override in _variants(axes):
+        for axis, value in _variants(axes):
             try:
-                cfg = replace(base_config,
-                              **{k: v for k, v in override.items() if k != "ca_capture"})
+                cfg = (base_config if axis in ("base", "ca_capture")
+                       else replace(base_config, **{axis: value}))
+                model = model_factory(value if axis == "ca_capture" else None)
             except (InputError, TypeError, ValueError) as exc:
-                log(f"skipping {axis}={value}: {exc}")
-                continue
-            try:
-                model = model_factory(override.get("ca_capture"))
-            except InputError as exc:
                 log(f"skipping {axis}={value}: {exc}")
                 continue
             for seed in seeds:

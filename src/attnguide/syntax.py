@@ -16,7 +16,7 @@ import string
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import ExtractionError, InputError
+from .errors import ContractError, ExtractionError, InputError
 
 _ARTICLES = {"a", "an", "the"}
 _COPULAS = {"is", "are", "was", "were"}
@@ -30,7 +30,7 @@ class Token:
 
 @dataclass
 class SyntaxPairs:
-    """Noun/verb index pairs over the prompt's index set ``tokens``.
+    """Noun/verb index pairs over the prompt's index set ``tokens``, at least one pair.
 
     The indices are token indices, or CA columns.  A pair's negatives U_i are
     every index of ``tokens`` outside it (a literal reading of "other words"),
@@ -39,6 +39,10 @@ class SyntaxPairs:
 
     pairs: list
     tokens: frozenset
+
+    def __post_init__(self):
+        if not self.pairs:
+            raise ContractError("SyntaxPairs needs at least one noun/verb pair")
 
     def negatives_for(self, pair):
         return self.tokens - set(pair)
@@ -146,8 +150,4 @@ def extract_pairs(tokens):
         pairs.append((noun, verb))
     if not pairs:
         raise ExtractionError("prompt has no noun/verb pair")
-
-    used = [i for p in pairs for i in p]
-    if len(set(used)) != len(used):
-        raise ExtractionError("a token index appears in two pairs")
     return SyntaxPairs(pairs, frozenset(t.index for t in tokens))

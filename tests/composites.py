@@ -98,7 +98,7 @@ def dist_node(p, q, kind, eps):
 
 @trapped
 def mass_term_node(col, M, token, eps, outside):
-    terms, backward = guidance._mass_terms(col.data[None], [M], [token], eps, (outside,))
+    terms, backward = guidance._mass_terms(col.data[None], M[None], [token], eps, (outside,))
     return RefTensor.node(terms[0, 0], (col,), lambda g: (backward(g)[0, 0],))
 
 

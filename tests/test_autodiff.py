@@ -82,6 +82,10 @@ class TestBackward:
         with pytest.raises(ContractError):
             (z * 2.0).backward()
 
+    def test_item_of_non_scalar_rejected(self):
+        with pytest.raises(ContractError, match=r"expected scalar tensor, got shape \(2,\)"):
+            Tensor([1.0, 2.0]).item()
+
     def test_deterministic(self, rng):
         base = rng.normal(size=(4, 4))
 

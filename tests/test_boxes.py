@@ -82,6 +82,14 @@ class TestParse:
         assert prior.trajectories[0].boxes[0] == [560, 0, 16, 50]
         assert prior.load_warnings
 
+    def test_structured_form_must_be_an_object(self):
+        with pytest.raises(BoxParseError, match="must be a JSON object"):
+            load_structured_boxes("[1]")
+
+    def test_trajectory_by_id_of_a_missing_id(self):
+        with pytest.raises(KeyError):
+            parse_llm_boxes(WOMAN_MAN_BOXES).trajectory_by_id(7)
+
     def test_round_trip(self):
         for text in (WOMAN_MAN_BOXES, DOG_CAT_BOXES):
             prior = parse_llm_boxes(text)

@@ -134,6 +134,29 @@ class TestParseCommands:
         assert h.hexdigest() == (
             "3bbc462bbbe352eaf0fdbf421b34c77adcf0768583063692d66463aef574a5c6")
 
+    def test_rasterize_prints_loading_warnings(self, tmp_path, capsys):
+        path = tmp_path / "clipped.json"
+        path.write_text(_structured(frames=[[
+            {"id": 0, "name": "man", "box": [-20, 0, 288, 320]},
+            {"id": 1, "name": "dog", "box": [10, 0, 600, 320]}]]))
+        assert main(["rasterize", str(path), "--grid", "2x4"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "warning: clipped box of subject 0 frame 0: [-20, 0, 288, 320] -> [0, 0, 268, 320]",
+            "warning: clipped box of subject 1 frame 0: [10, 0, 600, 320] -> [10, 0, 566, 320]",
+            "subject=0 frame=0", "1100", "1100", "subject=1 frame=0", "1111", "1111"]
+
+    def test_rasterize_prints_loading_warnings_before_mask_warnings(self, tmp_path, capsys):
+        """The order `generate` uses: the file's clipped boxes, then the all-zero masks."""
+        path = tmp_path / "clipped.json"
+        path.write_text(_structured(frames=[[
+            {"id": 0, "name": "man", "box": [-20, 0, 288, 320]},
+            {"id": 1, "name": "dog", "box": [560, 0, 100, 320]}]]))
+        assert main(["rasterize", str(path), "--grid", "2x4"]) == 0
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            "warning: clipped box of subject 0 frame 0: [-20, 0, 288, 320] -> [0, 0, 268, 320]",
+            "warning: clipped box of subject 1 frame 0: [560, 0, 100, 320] -> [560, 0, 16, 320]",
+            "warning: all-zero mask for subject 1 frame 0 (box [560, 0, 16, 320] at 2x4)"]
+
     def test_rasterize_bad_grid(self, boxes_file, capsys):
         assert main(["rasterize", boxes_file, "--grid", "4by4"]) == 2
 
@@ -385,13 +408,23 @@ class TestAblate:
         assert not (tmp_path / "abl").exists()
 
     def test_input_error_of_a_run_writes_nothing(self, tmp_path, capsys):
-        """A one-frame model cannot take the two-frame boxes: the first run fails on input."""
-        (tmp_path / "model.cfg").write_text(MODEL_CFG.replace("frames = 2", "frames = 1"))
+        """A one-pair prompt cannot take the two default boxes: the first run fails on input."""
         assert main(["ablate", "--seeds", "0", "--out", str(tmp_path / "abl"),
-                     "--model-config", str(tmp_path / "model.cfg")]) == 2
+                     "--prompt", "a man is walking"]) == 2
         assert capsys.readouterr().out.splitlines() == [
-            "ERROR kind=parse reason=target frame count must be at least 2"]
+            "ERROR kind=parse reason=2 box trajectories for 1 noun/verb pairs"]
         assert not (tmp_path / "abl").exists()
+
+    def test_one_frame_model_ablates(self, tmp_path, capsys):
+        """The default boxes take the model's frame count, one frame included."""
+        (tmp_path / "model.cfg").write_text(MODEL_CFG.replace("frames = 2", "frames = 1"))
+        (tmp_path / "guide.cfg").write_text(GUIDE_CFG)
+        assert main(["ablate", "--seeds", "0", "--out", str(tmp_path / "abl"),
+                     "--model-config", str(tmp_path / "model.cfg"),
+                     "--config", str(tmp_path / "guide.cfg")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("ok rows=1 ")
+        row = json.loads((tmp_path / "abl" / "ablation.jsonl").read_text().splitlines()[1])
+        assert row["axis"] == "base" and "error" not in row
 
     def test_unknown_axis_rejected(self, tmp_path, capsys):
         (tmp_path / "grid.txt").write_text("momentum = 0.9\n")
@@ -406,6 +439,13 @@ class TestAblate:
         return ["ablate", "--grid", str(tmp_path / "grid.txt"), "--out", str(tmp_path / "abl"),
                 "--seeds", "1,0", "--model-config", str(tmp_path / "model.cfg"),
                 "--config", str(tmp_path / "guide.cfg")]
+
+    def test_invalid_capture_level_is_skipped(self, tmp_path, capsys):
+        assert main(self._sweep_args(tmp_path, "ca_capture = sideways, down\n")) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == ("skipping ca_capture=sideways: ca_capture level 'sideways' not in "
+                          "levels ['down', 'mid', 'up']")
+        assert out[-1].startswith("ok rows=2 ")
 
     def test_failed_run_is_a_row(self, tmp_path, capsys):
         assert main(self._sweep_args(tmp_path, "lambda_sp = 1e308, 10\n")) == 0
@@ -457,6 +497,7 @@ BAD_INPUTS = {
     "model_unknown_key": ("model", "bogus = 3\n"),
     "model_bad_levels": ("model", "levels = down8\n"),
     "model_fractional_frames": ("model", "frames = 2.5\n"),
+    "model_zero_level_grid": ("model", "levels = down:0, mid:2, up:4\n"),
     "model_zero_heads": ("model", "heads = 0\n"),  # a removed key, whatever its value
     "model_removed_key_latent_channels": ("model", "latent_channels = 2\n"),
     "model_negative_embed_dim": ("model", "embed_dim = -4\n"),
@@ -516,11 +557,14 @@ BAD_INPUTS = {
                                            "\nFrame 1: [{'id': 0, 'name': 'm', 'box': [0, 0, 9, 9]}]"
                                            "\nBackground keyword: room\n"),
     "boxes_frame_not_a_list": ("boxes", _structured(frames=[{"id": 0}])),
+    "boxes_record_not_an_object": ("boxes", _structured(frames=[[5]])),
     "boxes_background_only": ("boxes", "Background keyword: room\n"),
     "boxes_subject_missing_from_frame": ("boxes", _structured(frames=[
         [{"id": 0, "name": "m", "box": [0, 0, 9, 9]}, {"id": 1, "name": "d", "box": [9, 9, 9, 9]}],
         [{"id": 0, "name": "m", "box": [0, 0, 9, 9]}]])),
     "prompt_without_pairs": ("prompt", "and"),
+    "prompt_punctuation_only": ("prompt", "!!! ???"),
+    "prompt_copula_first": ("prompt", "is running"),  # the last-resort noun stops at "is"
     "rasterize_huge_grid": ("rasterize_grid", "100000x100000"),
     "rasterize_grid_over_cap": ("rasterize_grid", "65x65"),
     # argparse takes `-1x4` for an option: a usage error, which ends in the ERROR line too

@@ -198,21 +198,12 @@ class TestDenoiseStep:
 
 
 class TestDDIM:
-    def test_t_for_step(self):
-        sched = DDIMSchedule(total_steps=50)
-        assert sched.t_for_step(1) == 49
-        assert sched.t_for_step(50) == 0
-        with pytest.raises(ContractError):
-            sched.t_for_step(0)
-        with pytest.raises(ContractError):
-            sched.t_for_step(51)
-
     def test_zero_noise_closed_form(self, rng):
         """With eps = 0 the update is pure rescaling by sqrt(abar ratio)."""
         sched = DDIMSchedule(total_steps=50)
         z = rng.normal(size=(2, 2, 4, 4))
         state = LatentState(z.copy(), timestep_index=49)
-        out = ddim_step(state, np.zeros_like(z), step=1, schedule=sched)
+        out = ddim_step(state, np.zeros_like(z), schedule=sched)
         ratio = np.sqrt(sched.alphas_cumprod[48] / sched.alphas_cumprod[49])
         assert np.allclose(out.z, z * ratio, atol=1e-14)
         assert out.timestep_index == 48
@@ -223,7 +214,7 @@ class TestDDIM:
         z = rng.normal(size=(2, 2, 4, 4))
         eps = rng.normal(size=z.shape)
         t = 30
-        out = ddim_step(LatentState(z, t), eps, step=sched.total_steps - t, schedule=sched)
+        out = ddim_step(LatentState(z, t), eps, schedule=sched)
         x0_before = (z - np.sqrt(1 - sched.alphas_cumprod[t]) * eps) / np.sqrt(
             sched.alphas_cumprod[t]
         )
@@ -236,18 +227,19 @@ class TestDDIM:
         sched = DDIMSchedule(total_steps=50)
         z = rng.normal(size=(1, 1, 2, 2))
         eps = rng.normal(size=z.shape)
-        out = ddim_step(LatentState(z, 0), eps, step=50, schedule=sched)
+        out = ddim_step(LatentState(z, 0), eps, schedule=sched)
         x0 = (z - np.sqrt(1 - sched.alphas_cumprod[0]) * eps) / np.sqrt(
             sched.alphas_cumprod[0]
         )
         assert np.allclose(out.z, x0, atol=1e-12)
         assert out.timestep_index == -1
 
-    def test_mismatched_state_rejected(self, rng):
+    def test_timestep_outside_schedule_rejected(self, rng):
         sched = DDIMSchedule(total_steps=50)
         z = rng.normal(size=(1, 1, 2, 2))
-        with pytest.raises(ContractError):
-            ddim_step(LatentState(z, 10), np.zeros_like(z), step=1, schedule=sched)
+        for t in (-1, 50):
+            with pytest.raises(ContractError, match=f"timestep {t} outside 0..49"):
+                ddim_step(LatentState(z, t), np.zeros_like(z), schedule=sched)
 
 
 class TestStub:

@@ -120,6 +120,18 @@ class TestSpatialLosses:
         with pytest.raises(DimensionError, match="masks of shape"):
             loss_fg(ca_stack(A), masks, single_pair(), DEFAULTS)
 
+    def test_masks_checked_before_masses(self):
+        """A wrong-shaped mask is reported before the zero mass of an earlier token."""
+        A = np.full((2, 4, 6), 0.25)
+        A[0, :, 1] = 0.0  # noun 1: no attention mass at frame 0
+        masks = {1: np.ones((2, 2, 2)), 3: np.ones((2, 3, 3))}  # noun 3: 3x3 on a 2x2 grid
+        pairs = SyntaxPairs([(1, 2), (3, 4)], frozenset(range(6)))
+        with pytest.raises(DimensionError, match=r"masks of shape \(2, 9\)"):
+            loss_sp(ca_stack(A), masks, pairs, DEFAULTS)
+        masks[3] = np.ones((2, 2, 2))
+        with pytest.raises(DegenerateAttentionError, match="token 1 frame 0"):
+            loss_sp(ca_stack(A), masks, pairs, DEFAULTS)
+
     def test_gradient_against_finite_differences(self, rng):
         masks = mask_set(rng.integers(0, 2, size=(2, 2)).astype(float) * 0 + np.eye(2), frames=2)
         base = rng.uniform(0.05, 1.0, size=(2, 4, 3))
@@ -283,6 +295,13 @@ class TestGuideLatent:
         with pytest.raises(ContractError):
             guide_latent(LatentState(z, 0), leaf, ref(leaf) * 2.0, 1.0)
 
+    def test_non_finite_gradient_rejected(self):
+        z = np.ones((1, 1, 2, 2))
+        leaf = Tensor(z, requires_grad=True)
+        loss = Tensor.node(np.asarray(1.0), (leaf,), lambda g: (np.full(z.shape, np.nan),))
+        with pytest.raises(NumericError, match="non-finite guidance gradient"):
+            guide_latent(LatentState(z, 0), leaf, loss, 1.0)
+
     def test_descends_stub_spatial_loss(self, rng):
         cfg_m = tiny_model_config()
         stub = LinearAttentionStub(cfg_m, seed=5)
@@ -438,9 +457,9 @@ class TestRunGuidedSampling:
         rng = np.random.default_rng(np.random.SeedSequence([3, 0x1A7E]))
         z0 = rng.normal(size=(cfg_m.frames, LATENT_CHANNELS, cfg_m.latent_h, cfg_m.latent_w))
         state = LatentState(z0, 11)
-        for step in range(1, 13):
-            eps, _ = model.denoise_step(Tensor(state.z), schedule.t_for_step(step) / 12, text)
-            state = ddim_step(state, eps, step, schedule)
+        for _ in range(12):
+            eps, _ = model.denoise_step(Tensor(state.z), state.timestep_index / 12, text)
+            state = ddim_step(state, eps, schedule)
         assert res.final_state.z.tobytes() == state.z.tobytes()
 
     def test_reused_model_matches_fresh_model_per_prompt(self):

@@ -1,8 +1,8 @@
 import pytest
 
 from attnguide import syntax
-from attnguide.errors import ExtractionError, InputError
-from attnguide.syntax import extract_pairs, tokenize
+from attnguide.errors import ContractError, ExtractionError, InputError
+from attnguide.syntax import SyntaxPairs, extract_pairs, tokenize
 
 
 def test_tokenize_simple():
@@ -92,6 +92,22 @@ def test_unresolvable_clause_reports_it():
 def test_prompt_without_pairs_rejected(prompt):
     with pytest.raises(ExtractionError, match="no noun/verb pair"):
         extract_pairs(tokenize(prompt))
+
+
+def test_syntax_pairs_hold_at_least_one_pair():
+    with pytest.raises(ContractError, match="at least one noun/verb pair"):
+        SyntaxPairs([], frozenset({0, 1}))
+
+
+@pytest.mark.parametrize("prompt", [
+    "a man is walking and a dog is running and a cat is sitting",
+    "a man walking and a dog running",
+    "the dog running and and a cat is jumping and a boy is playing guitar",
+])
+def test_no_token_index_in_two_pairs(prompt):
+    """Each pair comes from its own "and" clause, and the clauses partition the tokens."""
+    used = [i for pair in extract_pairs(tokenize(prompt)).pairs for i in pair]
+    assert len(used) == len(set(used))
 
 
 @pytest.mark.parametrize("prompt,pairs", [
