@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,17 +135,21 @@ class GuidanceTrace:
 # summed them.  Elementwise work on the stack gives the chains' bytes.
 
 
-def _stack(A, cols):
-    """The columns `cols` of A [..., L] as a C-contiguous stack [K, ...]."""
-    return A.transpose(A.ndim - 1, *range(A.ndim - 1))[cols]
+def _columns(A, cols):
+    """The columns `cols` of A [F, N, L] as a C-contiguous stack [K, F, N], and their totals [K, F].
 
-
-def _check_maps(values):
-    """Reject maps (last-axis slices) that are negative somewhere or all zero."""
-    if np.any(values < 0):
-        raise DegenerateAttentionError("attention map has negative entries")
-    if np.any(values.sum(axis=-1) <= 0):
-        raise DegenerateAttentionError("attention map slice is all zero")
+    The one rule for a degenerate map: a column with a negative entry, or a total
+    at or below EPS, in some frame.  The first such (column, frame) is named.
+    """
+    X = A.transpose(2, 0, 1)[list(cols)]
+    total = X.sum(axis=-1)
+    negative = (X < 0).any(axis=-1)
+    bad = np.argwhere(negative | (total <= EPS))
+    if bad.size:
+        k, f = bad[0]
+        raise DegenerateAttentionError(f"token {cols[k]} frame {f}: " + (
+            "negative attention" if negative[k, f] else f"total attention mass <= {EPS}"))
+    return X, total
 
 
 def _distances(X, a, b, kind, eps):
@@ -251,8 +254,7 @@ def _mean_distances(A, dpairs, config):
     ``grad(gd)`` turns the gradients [D] of the means into A's gradient.
     """
     cols = sorted({c for pair in dpairs for c in pair})
-    X = _stack(A.data, cols)
-    _check_maps(X)
+    X, _ = _columns(A.data, cols)
     a, b = ([cols.index(pair[i]) for pair in dpairs] for i in (0, 1))
     out, backward = _distances(X, a, b, config.distance, EPS)  # [D, F]
     inv = 1.0 / out.shape[1]
@@ -269,20 +271,15 @@ def _mean_distances(A, dpairs, config):
 # -- spatial constraints ------------------------------------------------------
 
 
-def in_box_ratios(ca, masks, token_index):
-    """Fraction of a token's attention mass inside its mask, per frame: [F] in [0, 1].
+def in_box_ratios(ca, masks, tokens):
+    """Fraction of each token's attention mass inside its mask, per frame: [T, F] in [0, 1].
 
     ``ca`` holds CA map values [F, N, L]; ``masks`` maps a token index to its
     [F, grid_h, grid_w] masks.
     """
-    cols = np.ascontiguousarray(ca[:, :, token_index])      # [F, N]
-    totals = cols.sum(axis=1)
-    low = np.flatnonzero(totals <= 0)
-    if low.size:
-        raise DegenerateAttentionError(
-            f"token {token_index} frame {int(low[0])}: zero total attention mass"
-        )
-    return (cols * _frame_masks(masks, token_index, cols.shape)).sum(axis=1) / totals
+    M = np.stack([_frame_masks(masks, t, ca.shape[:2]) for t in tokens])
+    X, totals = _columns(ca, tokens)
+    return (X * M).sum(axis=-1) / totals
 
 
 def _frame_masks(masks, key, shape):
@@ -299,20 +296,15 @@ def _tracked(pairs, include_verbs):
     return [(t, pair[0]) for pair in pairs.pairs for t in pair[:2 if include_verbs else 1]]
 
 
-def _mass_terms(X, M, tokens, eps, halves):
+def _mass_terms(X, total, M, halves):
     """Squared mass ratios of the token columns X [T, F, N], summed over frames: ([H, T], backward).
 
-    ``M`` [T, F, N] holds each token's masks.  Each half is fg (False):
-    (1 - in/total)^2, or bg (True): (out/total)^2, with the bg weight in the
-    literal (1 - M) form, which equals the fg deficit for binary masks.
+    ``total`` [T, F] holds the columns' totals and ``M`` [T, F, N] each token's
+    masks.  Each half is fg (False): (1 - in/total)^2, or bg (True):
+    (out/total)^2, with the bg weight in the literal (1 - M) form, which equals
+    the fg deficit for binary masks.
     ``backward(g)`` gives X's gradient per half, [H, T, F, N].
     """
-    total = X.sum(axis=-1)
-    low = np.argwhere(total <= eps)
-    if low.size:
-        t, f = low[0]
-        raise DegenerateAttentionError(f"token {tokens[t]} frame {f}: "
-                                       f"total attention mass <= {eps}")
     W = np.stack([1.0 - M if outside else M for outside in halves])
     mass = (X * W).sum(axis=-1)
     ratio = mass / total
@@ -333,10 +325,10 @@ def _mass_node(A, masks, pairs, config, halves):
     """Frame-mean mass terms of the tracked tokens, the halves added, as one node on A."""
     tracked = _tracked(pairs, config.apply_spatial_to_verbs)
     tokens = [t for t, _ in tracked]
-    X = _stack(A.data, tokens)
     # every token's masks are checked before any token's attention mass
-    M = np.stack([_frame_masks(masks, noun, X.shape[1:]) for _, noun in tracked])
-    terms, backward = _mass_terms(X, M, tokens, EPS, halves)
+    M = np.stack([_frame_masks(masks, noun, A.shape[:2]) for _, noun in tracked])
+    X, total = _columns(A.data, tokens)
+    terms, backward = _mass_terms(X, total, M, halves)
     inv = 1.0 / X.shape[1]
     return Tensor.node(_fold([_fold(row) * inv for row in terms]), (A,), lambda g: (_column_grad(
         zip(tokens * len(halves), backward(g * inv).reshape(-1, *X.shape[1:])), A.shape),))
@@ -372,9 +364,8 @@ def loss_pos(A, pair, config):
 
 @trapped
 def loss_neg(A, pair, negatives, config):
-    """Summed frame-mean distance from the noun map to each negative map."""
+    """Summed frame-mean distance from the noun map to each negative map; 0 for none."""
     if not negatives:
-        warnings.warn("empty negative set; loss_neg is 0", stacklevel=3)
         return Tensor(0.0)
     means, grad = _mean_distances(A, [(pair[0], u) for u in sorted(negatives)], config)
     return Tensor.node(_fold(means), (A,), lambda g: (grad([g] * len(means)),))
@@ -388,8 +379,6 @@ def loss_syt(A, pairs, config):
                                       for d in [pair, *((pair[0], u) for u in negs)]], config)
     ratio, terms, i = config.contrastive_form == RATIO, [], 0
     for pair, negs in zip(pairs.pairs, negatives):
-        if not negs:
-            warnings.warn("empty negative set; loss_neg is 0", stacklevel=3)
         pos, denom = means[i], means[i] + _fold(means[i + 1:i + 1 + len(negs)])
         i += 1 + len(negs)
         if ratio and denom <= EPS:
@@ -429,7 +418,7 @@ class SamplingResult:
     ca_records: dict            # step -> CA map values [F, N, L]
     column_pairs: SyntaxPairs   # CA-column pairs
     masks: dict                 # noun column -> [F, grid_h, grid_w] masks
-    warnings: list              # the run's loading, resampling, mask and binding warnings
+    warnings: list              # the run's one warning list, as `prepare_inputs` returns it
     config: GuidanceConfig
 
 
@@ -441,12 +430,12 @@ def _pairs_to_columns(pairs, columns):
 def prepare_inputs(prompt, priors, model):
     """Tokenize, pair, resample, rasterize, and bind masks to noun columns.
 
-    Boxes bind to the prompt nouns their names hold when each holds one, one to one, and
-    by position (the k-th box to the k-th pair) when some name holds none, with a warning
-    per box.  Names that all hold prompt nouns but fit neither way are an `InputError`.
+    Boxes bind to the prompt nouns their names hold when each name holds exactly one, one
+    to one.  Names that all hold prompt nouns but contradict their positional nouns are an
+    `InputError`; otherwise the k-th box binds to the k-th pair, with a warning per box.
     Returns ``(column_pairs, text, masks, warnings)``, the warnings in this order: the
     prior's ``load_warnings``, a resampling of the boxes to the model's frame count, the
-    all-zero masks, then the boxes bound by position.
+    all-zero masks, the boxes bound by position, then the pairs with no negative tokens.
     """
     tokens = tokenize(prompt)
     pairs = extract_pairs(tokens)
@@ -466,17 +455,18 @@ def prepare_inputs(prompt, priors, model):
         )
     nouns = [tokens[noun].text for noun, _ in pairs.pairs]
     named = [[n for n in nouns if n in words(traj.name)] for traj in priors.trajectories]
-    order = range(len(nouns))
-    if all(named):  # every box names a prompt subject: bind by name, or fail
-        if all(len(held) == 1 for held in named) and len({h[0] for h in named}) == len(named):
-            order = [nouns.index(held[0]) for held in named]
-        elif any(set(held) - {nouns[k]} for k, held in enumerate(named)):
-            raise InputError(f"box names {[t.name for t in priors.trajectories]} do not match "
-                             f"the prompt's subjects {nouns} one to one")
+    if all(len(held) == 1 for held in named) and len({h[0] for h in named}) == len(named):
+        order = [nouns.index(held[0]) for held in named]
+    elif all(named) and any(set(held) - {nouns[k]} for k, held in enumerate(named)):
+        raise InputError(f"box names {[t.name for t in priors.trajectories]} do not match "
+                         f"the prompt's subjects {nouns} one to one")
     else:
+        order = range(len(nouns))
         notes += [f"box {traj.name!r} of subject {traj.subject_id} bound by "
                   f"position to the noun {noun!r}"
                   for traj, noun in zip(priors.trajectories, nouns)]
+    notes += [f"pair {tokens[n].text}/{tokens[v].text} has no negative tokens"
+              for n, v in pairs.pairs if not pairs.negatives_for((n, v))]
     binding = {traj.subject_id: column_pairs.pairs[k][0]
                for traj, k in zip(priors.trajectories, order)}
     return column_pairs, text, {binding[k]: m for k, m in raw_masks.items()}, notes
@@ -497,6 +487,7 @@ def run_guided_sampling(prompt, priors, config, model, seed):
     cfg_m = model.config
     schedule = DDIMSchedule(config.total_steps)
     snapshot_steps = {1, config.t1, config.t2, config.total_steps} - {0}
+    nouns = [noun for noun, _ in column_pairs.pairs]
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A7E]))
     z0 = rng.normal(size=(cfg_m.frames, LATENT_CHANNELS, cfg_m.latent_h, cfg_m.latent_w))
@@ -525,8 +516,8 @@ def run_guided_sampling(prompt, priors, config, model, seed):
                         loss = loss_syt(A, column_pairs, config)
                     value = loss.item()
                     state, gnorm = guide_latent(state, leaf, loss, lam)
-                    ratios = {noun: float(in_box_ratios(A.data, masks, noun).mean())
-                              for noun, _ in column_pairs.pairs}
+                    ratios = {noun: float(r.mean())
+                              for noun, r in zip(nouns, in_box_ratios(A.data, masks, nouns))}
                 except AttnGuideError as exc:
                     raise GuidanceError(f"step {step} iteration {it}: {exc}") from exc
                 trace.add(TraceRecord(step, it, loss_name, value, gnorm, ratios))

@@ -135,29 +135,18 @@ def _fmt(v):
 def summarize_run(result):
     """Per-run proxy metrics from a SamplingResult's CA snapshots."""
     cfg = result.config
+    nouns = [noun for noun, _ in result.column_pairs.pairs]
     out = {}
-
-    def snapshot_stats(step):
+    for label, step in (("t1", cfg.t1), ("t2", cfg.t2), ("final", cfg.total_steps)):
         values = result.ca_records.get(step)
         if values is None:
-            return None
-        ratios, aligns, comps = [], [], []
-        for pair in result.column_pairs.pairs:
-            noun, _ = pair
-            ratios.extend(in_box_ratios(values, result.masks, noun))
-            aligns.append(verb_noun_alignment(values, pair))
-            comps.append(count_components(values, noun, 0))
-        return {
-            "mean_in_box_ratio": float(np.mean(ratios)),
-            "mean_alignment": float(np.mean(aligns)),
-            "mean_components": float(np.mean(comps)),
-        }
-
-    for label, step in (("t1", cfg.t1), ("t2", cfg.t2), ("final", cfg.total_steps)):
-        stats = snapshot_stats(step)
-        if stats:
-            for k, v in stats.items():
-                out[f"{k}_{label}"] = v
+            continue
+        ratios = in_box_ratios(values, result.masks, nouns)
+        aligns = [verb_noun_alignment(values, pair) for pair in result.column_pairs.pairs]
+        comps = [count_components(values, noun, 0) for noun in nouns]
+        out[f"mean_in_box_ratio_{label}"] = float(np.mean(ratios))
+        out[f"mean_alignment_{label}"] = float(np.mean(aligns))
+        out[f"mean_components_{label}"] = float(np.mean(comps))
     return out
 
 
@@ -197,10 +186,11 @@ def run_ablation(axes, base_config, seeds, prompt, priors, model_factory, log=No
     ``ca_capture`` is a model axis, so ``model_factory(ca_capture)`` builds
     the denoiser per variant.  Invalid variants are skipped with a
     logged reason, and a run whose guidance fails is a logged row with its
-    ``error``; rows come out sorted by (axis, value, seed).  An interrupt
+    ``error``; rows come out sorted by (axis, value, seed).  Each distinct
+    warning of the runs is logged once, when first seen.  An interrupt
     raises ``AblationInterrupted`` with the rows finished so far.
     """
-    log = log or (lambda message: None)
+    log, warned = log or (lambda message: None), set()
     report = MetricsReport(config_echo={
         "axes": {k: [str(v) for v in vals] for k, vals in axes.items()},
         "seeds": list(seeds)})
@@ -216,7 +206,12 @@ def run_ablation(axes, base_config, seeds, prompt, priors, model_factory, log=No
             for seed in seeds:
                 row = {"axis": axis, "value": str(value), "seed": seed}
                 try:
-                    row.update(summarize_run(run_guided_sampling(prompt, priors, cfg, model, seed)))
+                    result = run_guided_sampling(prompt, priors, cfg, model, seed)
+                    for w in result.warnings:
+                        if w not in warned:
+                            warned.add(w)
+                            log(f"warning: {w}")
+                    row.update(summarize_run(result))
                 except GuidanceError as exc:
                     log(f"failed {axis}={value} seed={seed}: {exc}")
                     row["error"] = str(exc)

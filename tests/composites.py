@@ -15,8 +15,6 @@ there live here as functions built with `RefTensor.node`, as does
 the per-pixel loop that built the denoiser's pooling matrices.
 """
 
-import warnings
-
 import numpy as np
 
 from attnguide import guidance
@@ -96,19 +94,34 @@ def dist_node(p, q, kind, eps):
     return RefTensor.node(out[0], (p, q), lambda g: [grad[0] for grad in backward(g[None])])
 
 
+def check_mass(total, token, eps):
+    """Reject a token column [F, N] whose totals [F] are at or below `eps` in some frame."""
+    low = np.flatnonzero(total <= eps)
+    if low.size:
+        raise DegenerateAttentionError(
+            f"token {token} frame {int(low[0])}: total attention mass <= {eps}"
+        )
+
+
 @trapped
 def mass_term_node(col, M, token, eps, outside):
-    terms, backward = guidance._mass_terms(col.data[None], M[None], [token], eps, (outside,))
+    X = col.data[None]
+    total = X.sum(axis=-1)
+    check_mass(total[0], token, eps)
+    terms, backward = guidance._mass_terms(X, total, M[None], (outside,))
     return RefTensor.node(terms[0, 0], (col,), lambda g: (backward(g)[0, 0],))
 
 
 def check_columns(A, columns):
-    """Reject CA columns [F, N] of the given tokens that are negative somewhere or all zero."""
-    values = A.data[..., sorted(columns)]
-    if np.any(values < 0):
-        raise DegenerateAttentionError("attention map has negative entries")
-    if np.any(values.sum(axis=-2) <= 0):
-        raise DegenerateAttentionError("attention map slice is all zero")
+    """Reject CA columns [F, N] of the given tokens by the package's one rule: name the
+    first (column, frame) with a negative entry or a total at or below EPS."""
+    for c in sorted(columns):
+        for f, col in enumerate(A.data[..., c]):
+            negative = np.any(col < 0)
+            if negative or col.sum() <= guidance.EPS:
+                raise DegenerateAttentionError(f"token {c} frame {f}: " + (
+                    "negative attention" if negative
+                    else f"total attention mass <= {guidance.EPS}"))
 
 
 @trapped
@@ -140,11 +153,7 @@ def composite_dist(p, q, kind, eps):
 
 def composite_mass_term(col, M, token, eps, outside):
     total = col.sum(axis=1)
-    low = np.flatnonzero(total.data <= eps)
-    if low.size:
-        raise DegenerateAttentionError(
-            f"token {token} frame {int(low[0])}: total attention mass <= {eps}"
-        )
+    check_mass(total.data, token, eps)
     if outside:
         term = square((col * (1.0 - M)).sum(axis=1) / total)
     else:
@@ -217,7 +226,6 @@ def loss_neg(A, pair, negatives, kind=KL_SYM, eps=1e-8, dist=dist_node):
 
 def _neg(A, noun, negatives, kind, eps, dist):
     if not negatives:
-        warnings.warn("empty negative set; loss_neg is 0", stacklevel=3)
         return RefTensor(0.0)
     acc = None
     for u in sorted(negatives):

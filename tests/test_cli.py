@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,11 @@ MODEL_CFG = (
     "levels = down:4, mid:2, up:4\n"
     "embed_dim = 8\n"
 )
+# The default `ablate` scene: the man/dog prompt on the unnamed left/right boxes.
+POSITION_WARNINGS = [
+    "warning: box 'left subject' of subject 0 bound by position to the noun 'man'",
+    "warning: box 'right subject' of subject 1 bound by position to the noun 'dog'",
+]
 GUIDE_CFG = (
     "total_steps = 12\n"
     "t1 = 2\n"
@@ -310,6 +316,21 @@ class TestGenerate:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["warnings"] == warned
 
+    def test_pair_without_negatives_is_a_run_warning(self, tmp_path, small_run_args, capsys):
+        """`man walking` leaves the pair no other token to push away: the run says so in its
+        own warning list (stdout and manifest), and no Python warning escapes it."""
+        boxes = tmp_path / "man.txt"
+        boxes.write_text(re.sub(r", \{'id': 1[^}]*\}", "", WOMAN_MAN_BOXES)
+                         .replace("walking woman", "walking man"))
+        argv = small_run_args("run")
+        argv[1:3] = ["man walking", str(boxes)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == ["warning: resampled 8 box frames to 2 model frames",
+                              "warning: pair man/walking has no negative tokens"]
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["warnings"] == [ln[len("warning: "):] for ln in lines[:-1]]
+
     def test_overflowing_latent_is_one_numeric_error(self, tmp_path, small_run_args, capsys,
                                                      recwarn):
         """A step size that drives the latent norms past float range writes nothing."""
@@ -426,6 +447,16 @@ class TestAblate:
         row = json.loads((tmp_path / "abl" / "ablation.jsonl").read_text().splitlines()[1])
         assert row["axis"] == "base" and "error" not in row
 
+    def test_prints_each_run_warning_once(self, tmp_path, capsys):
+        """The default boxes bind by position; both seeds' runs say so, printed once."""
+        (tmp_path / "model.cfg").write_text(MODEL_CFG)
+        (tmp_path / "guide.cfg").write_text(GUIDE_CFG)
+        assert main(["ablate", "--out", str(tmp_path / "abl"),
+                     "--model-config", str(tmp_path / "model.cfg"),
+                     "--config", str(tmp_path / "guide.cfg")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:-1] == POSITION_WARNINGS and out[-1].startswith("ok rows=2 ")
+
     def test_unknown_axis_rejected(self, tmp_path, capsys):
         (tmp_path / "grid.txt").write_text("momentum = 0.9\n")
         assert main(["ablate", "--grid", str(tmp_path / "grid.txt"),
@@ -450,8 +481,9 @@ class TestAblate:
     def test_failed_run_is_a_row(self, tmp_path, capsys):
         assert main(self._sweep_args(tmp_path, "lambda_sp = 1e308, 10\n")) == 0
         out = capsys.readouterr().out.splitlines()
-        assert [ln.split(":")[0] for ln in out[:-1]] == ["failed lambda_sp=1e+308 seed=1",
-                                                         "failed lambda_sp=1e+308 seed=0"]
+        assert [ln.split(":")[0] for ln in out[:2]] == ["failed lambda_sp=1e+308 seed=1",
+                                                        "failed lambda_sp=1e+308 seed=0"]
+        assert out[2:-1] == POSITION_WARNINGS  # the finished runs' warnings, once each
         assert out[-1].startswith("ok rows=4 ")
         rows = [json.loads(r) for r in (tmp_path / "abl" / "ablation.jsonl").read_text()
                 .splitlines()[1:]]

@@ -117,9 +117,9 @@ def test_stack_sums_match_strided_column_sums(rng, pixels):
     fails here rather than by a moved digest."""
     A = rng.uniform(size=(5, pixels, 11)) * 10.0 ** rng.uniform(-3, 3, size=(5, pixels, 11))
     cols = [7, 2, 9, 2, 0]
-    X = guidance._stack(A, cols)
+    X, sums = guidance._columns(A, cols)
     assert X.flags.c_contiguous and X.shape == (5, 5, pixels)
-    sums = X.sum(axis=-1)
+    same_bytes(sums, X.sum(axis=-1))
     for k, c in enumerate(cols):
         same_bytes(sums[k], A[..., c].sum(axis=-1))
         for f in range(A.shape[0]):
@@ -139,9 +139,9 @@ def test_loss_syt_gathers_each_column_once(monkeypatch, rng):
                requires_grad=True)
     _, A = model.denoise_step(z, 0.5, text)
     gathers, kernels = [], []
-    stack, distances = guidance._stack, guidance._distances
-    monkeypatch.setattr(guidance, "_stack",
-                        lambda A, cols: gathers.append(list(cols)) or stack(A, cols))
+    columns, distances = guidance._columns, guidance._distances
+    monkeypatch.setattr(guidance, "_columns",
+                        lambda A, cols: gathers.append(list(cols)) or columns(A, cols))
     monkeypatch.setattr(guidance, "_distances", lambda X, a, b, *rest: (
         kernels.append((X.shape[0], len(a), len(b))) or distances(X, a, b, *rest)))
     loss_syt(A, pairs, GuidanceConfig()).backward()

@@ -111,12 +111,22 @@ class TestSpatialLosses:
         with pytest.raises(DegenerateAttentionError, match="token 0"):
             loss_fg(ca_stack(A), masks, single_pair(), DEFAULTS)
 
+    def test_negative_entry_degenerate(self):
+        """One rule for every CA column read: a negative entry, named with its frame."""
+        A = np.full((2, 4, 3), 0.25)
+        A[1, 2, 0] = -0.1
+        masks = mask_set(np.ones((2, 2)), frames=2)
+        with pytest.raises(DegenerateAttentionError, match="token 0 frame 1: negative"):
+            loss_sp(ca_stack(A), masks, single_pair(), DEFAULTS)
+        with pytest.raises(DegenerateAttentionError, match="token 0 frame 1: negative"):
+            in_box_ratios(A, masks, [0])
+
     @pytest.mark.parametrize("mask_frames", [1, 3])
     def test_frame_count_mismatch_rejected(self, mask_frames):
         A = np.full((2, 4, 3), 1.0 / 3)
         masks = mask_set(np.ones((2, 2)), frames=mask_frames)
         with pytest.raises(DimensionError, match="masks of shape"):
-            in_box_ratios(A, masks, 0)
+            in_box_ratios(A, masks, [0])
         with pytest.raises(DimensionError, match="masks of shape"):
             loss_fg(ca_stack(A), masks, single_pair(), DEFAULTS)
 
@@ -215,10 +225,17 @@ class TestSyntaxLosses:
         got = loss_neg(ca, (0, 1), frozenset({2, 3}), DEFAULTS).item()
         assert abs(got - (d2 + d3)) <= 1e-9
 
-    def test_loss_neg_empty_warns_and_returns_zero(self):
-        with pytest.warns(UserWarning, match="empty negative"):
-            out = loss_neg(uniform_ca(), (0, 1), frozenset(), DEFAULTS)
-        assert out.item() == 0.0
+    def test_tiny_mass_column_degenerate(self):
+        """A total in (0, EPS] is as degenerate for a distance as for a mass ratio."""
+        A = np.full((2, 4, 3), 0.25)
+        A[1, :, 1] = 1e-9 / 4
+        with pytest.raises(DegenerateAttentionError,
+                           match=r"token 1 frame 1: total attention mass <= 1e-08"):
+            loss_pos(ca_stack(A), (0, 1), DEFAULTS)
+
+    def test_loss_neg_empty_is_zero(self):
+        """No Python warning: a run lists a pair without negatives in its warnings."""
+        assert loss_neg(uniform_ca(), (0, 1), frozenset(), DEFAULTS).item() == 0.0
 
     def test_ratio_half_when_negative_mirrors_verb(self, rng):
         """Negative column identical to the verb column gives pos/(pos+pos)."""
@@ -531,6 +548,20 @@ class TestPrepareInputs:
         assert warnings == [
             "box 'walking woman' of subject 0 bound by position to the noun 'man'",
             "box 'jumping man' of subject 1 bound by position to the noun 'dog'",
+        ]
+
+    def test_duplicate_nouns_bind_by_position_with_warnings(self):
+        """Two men: every name holds `man` but none names one pair, so the boxes bind by
+        position, `running man` to the walking man, and each box says so."""
+        model = ToyDenoiser(tiny_model_config())
+        prompt = "a man is walking and a man is running"
+        by_order = prepare_inputs(prompt, static_two_box_prior(2), model)[2]
+        _, _, masks, warnings = prepare_inputs(
+            prompt, self._named_prior("running man", "walking man"), model)
+        assert all((masks[k] == by_order[k]).all() for k in by_order)
+        assert warnings == [
+            "box 'running man' of subject 0 bound by position to the noun 'man'",
+            "box 'walking man' of subject 1 bound by position to the noun 'man'",
         ]
 
     @pytest.mark.parametrize("names", [("walking man", "running man"),

@@ -65,15 +65,16 @@ class TestInBoxRatio:
 
     def test_all_frames_match_per_frame_form_bit_exactly(self, rng):
         A = rng.uniform(0.0, 1.0, size=(5, 64, 3))
-        masks = {1: np.stack([rng.integers(0, 2, size=(8, 8)).astype(float) for f in range(5)])}
-        got = in_box_ratios(A, masks, 1)
-        assert got.tolist() == [in_box_ratio(A, masks, 1, f) for f in range(5)]
+        masks = {t: np.stack([rng.integers(0, 2, size=(8, 8)).astype(float) for f in range(5)])
+                 for t in (1, 2)}
+        got = in_box_ratios(A, masks, [2, 1])
+        assert got.tolist() == [[in_box_ratio(A, masks, t, f) for f in range(5)] for t in (2, 1)]
 
     def test_all_frames_name_the_zero_mass_frame(self):
         A = np.full((3, 4, 1), 0.25)
         A[2] = 0.0
         with pytest.raises(DegenerateAttentionError, match="frame 2"):
-            in_box_ratios(A, mask_set(np.ones((2, 2)), frames=3), 0)
+            in_box_ratios(A, mask_set(np.ones((2, 2)), frames=3), [0])
 
 
 class TestCountComponents:
@@ -330,8 +331,11 @@ class TestAblation:
         assert [(r["value"], r["seed"]) for r in failed] == [("1e+308", 0), ("1e+308", 1)]
         assert all(set(r) == {"axis", "value", "seed", "error"} for r in failed)
         assert all(r["error"].startswith("step 1 iteration 2: ") for r in failed)
-        assert [m.split(":")[0] for m in logs] == ["failed lambda_sp=1e+308 seed=1",
-                                                    "failed lambda_sp=1e+308 seed=0"]
+        assert [m.split(":")[0] for m in logs[:2]] == ["failed lambda_sp=1e+308 seed=1",
+                                                        "failed lambda_sp=1e+308 seed=0"]
+        assert logs[2:] == [  # the finished runs' warnings, once each
+            f"warning: box '{side} subject' of subject {k} bound by position to the noun "
+            f"'{noun}'" for k, (side, noun) in enumerate([("left", "man"), ("right", "dog")])]
         alone = run_ablation({"lambda_sp": [10.0]}, self._base_config(), [1, 0],
                              TEMPLATE_PROMPT, static_two_box_prior(2), self._factory())
         assert rep.rows[2:] == failed  # "10.0" sorts before "1e+308"

@@ -7,7 +7,6 @@ import contextlib
 import io
 import json
 import string
-import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -227,12 +226,12 @@ def config_files(draw):
 
 def _run_with_config_files(tmp, files, argv):
     """`main(argv + the config options)` with the drawn files written to `tmp`: exit 0, or
-    exit 2 or 3 with one ERROR line and no `tmp / "out"`."""
+    exit 2 or 3 with one ERROR line and no `tmp / "out"`.  No warning filter: a Python
+    warning that escapes the run's own warning list is an error."""
     for name, text in zip(("guide.cfg", "model.cfg"), files):
         (tmp / name).write_text(text)
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # an empty negative set
+    with contextlib.redirect_stdout(out):
         code = main(argv + ["--out", str(tmp / "out"), "--config", str(tmp / "guide.cfg"),
                             "--model-config", str(tmp / "model.cfg")])
     errors = [ln for ln in out.getvalue().splitlines() if ln.startswith("ERROR")]
@@ -370,10 +369,8 @@ def _value_and_grad(loss_fn, vals):
     """(value, A's gradient) of a loss, or the type and message of the error it raises."""
     A = Tensor(vals, requires_grad=True)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            loss = loss_fn(A)
-            loss.backward()
+        loss = loss_fn(A)
+        loss.backward()
     except guidance.AttnGuideError as exc:
         return type(exc), str(exc)
     return loss.data, A.grad
