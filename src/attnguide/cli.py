@@ -65,30 +65,33 @@ def _digest(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_manifest(out_dir, config, seed, inputs, started, complete=True, extra=None):
-    manifest = {
-        "version": __version__,
-        "config": config,
-        "seed": seed,
-        "input_digests": {str(p): _digest(p) for p in inputs},
-        "started_at": started,
-        "finished_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "complete": complete,
-    }
-    if extra:
-        manifest.update(extra)
-    (Path(out_dir) / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+def _now():
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _model_from_args(args):
-    cfg = ToyModelConfig.from_file(args.model_config) if args.model_config else ToyModelConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return ToyDenoiser(cfg)
+def _fresh_out(path):
+    """`--out` as a path, refused unless missing or an empty directory: one run per directory."""
+    out = Path(path)
+    if out.exists() and not (out.is_dir() and not any(out.iterdir())):
+        raise InputError(f"--out {path} exists and is not an empty directory")
+    return out
 
 
-def _guidance_config(args):
-    return GuidanceConfig.from_file(args.config) if args.config else GuidanceConfig()
+def _write_manifest(args, started, **fields):
+    """`args.out`'s manifest.json: the run's prompt, `fields`, and the digests of the file
+    options given, keyed by option name so its bytes do not depend on where the files sit."""
+    digests = {k: _digest(getattr(args, k)) for k in ("boxes", "config", "model_config", "grid")
+               if getattr(args, k, None)}
+    manifest = {"version": __version__, "prompt": args.prompt, "input_digests": digests,
+                "started_at": started, "finished_at": _now(), **fields}
+    (Path(args.out) / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _configs(args, model):
+    """The model and guidance configs of `--model-config` and `--config`; `model` without one."""
+    if args.model_config:
+        model = ToyModelConfig.from_file(args.model_config)
+    return model, GuidanceConfig.from_file(args.config) if args.config else GuidanceConfig()
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -158,7 +161,7 @@ def cmd_rasterize(args):
 
 
 def cmd_generate(args):
-    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    started, out_dir = _now(), _fresh_out(args.out)
     prior = detect_and_parse(read_text(args.boxes))
     violations = validate_trajectories(prior, max_step_px=args.max_step_px)
     if violations and not args.force:
@@ -166,23 +169,20 @@ def cmd_generate(args):
         return _fail(EXIT_PARSE, "validation",
                      f"{len(violations)} box violations (use --force to proceed)")
 
-    model = _model_from_args(args)
+    model_config, config = _configs(args, ToyModelConfig())
+    seed = args.seed if args.seed is not None else 0
+    model = ToyDenoiser(model_config if args.seed is None else replace(model_config, seed=seed))
     grid = model.config.capture_grid
     if not 1 <= args.upscale <= 65535 // grid:  # a heatmap side of 1..65535 px
         raise InputError(f"--upscale must be 1..{65535 // grid}, got {args.upscale}")
-    config = _guidance_config(args)
-    seed = args.seed if args.seed is not None else 0
     result = run_guided_sampling(args.prompt, prior, config, model, seed)
+    configs = {"guidance": asdict(config), "model": asdict(model.config)}
     summary = _latent_summary(result)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     (out_dir / "trace.jsonl").write_text(result.trace.to_jsonl())
-    report = MetricsReport(config_echo={"guidance": asdict(config),
-                                        "model": asdict(model.config)})
-    row = {"seed": seed, "prompt": args.prompt}
-    row.update(summarize_run(result))
-    report.add_row(**row)
+    report = MetricsReport([{"seed": seed, "prompt": args.prompt, **summarize_run(result)}],
+                           configs)
     (out_dir / "metrics.jsonl").write_text(report.to_jsonl())
     (out_dir / "metrics.txt").write_text(report.table())
 
@@ -200,11 +200,9 @@ def cmd_generate(args):
                 render_heatmap(values, tok, 0, heat_dir / f"step{step}_tok{tok}.pgm",
                                upscale=args.upscale)
 
-    unguided = config.lambda_sp == 0 and config.lambda_syt == 0
-    _write_manifest(out_dir, {"guidance": asdict(config), "model": asdict(model.config)},
-                    seed, [args.boxes] + ([args.config] if args.config else []),
-                    started, extra=dict(unguided=unguided, prompt=args.prompt,
-                                        warnings=result.warnings))
+    _write_manifest(args, started, config=configs, seed=seed, complete=True,
+                    unguided=config.lambda_sp == 0 and config.lambda_syt == 0,
+                    warnings=result.warnings)
     for w in result.warnings:
         print(f"warning: {w}")
     print(f"ok records={len(result.trace.records)} out={out_dir}")
@@ -245,7 +243,7 @@ def _parse_grid_file(path):
 
 
 def cmd_ablate(args):
-    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    started, out_dir = _now(), _fresh_out(args.out)
     axes = _parse_grid_file(args.grid) if args.grid else {}
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
@@ -255,12 +253,9 @@ def cmd_ablate(args):
         raise InputError(f"--seeds must be non-negative, got {args.seeds!r}")
     if len(set(seeds)) != len(seeds):
         raise InputError(f"--seeds must not repeat a seed, got {args.seeds!r}")
-    base = _guidance_config(args)
-
-    mcfg = ToyModelConfig.from_file(args.model_config) if args.model_config \
-        else ToyModelConfig(frames=2, latent_h=8, latent_w=8,
-                            levels=(("down", 4), ("mid", 2), ("up", 4)),
-                            token_budget=16, embed_dim=16)
+    mcfg, base = _configs(args, ToyModelConfig(frames=2, latent_h=8, latent_w=8,
+                                               levels=(("down", 4), ("mid", 2), ("up", 4)),
+                                               token_budget=16, embed_dim=16))
 
     def model_factory(ca_capture):
         cfg = mcfg if ca_capture is None else replace(mcfg, ca_capture=ca_capture)
@@ -274,13 +269,12 @@ def cmd_ablate(args):
         report = run_ablation(axes, base, seeds, args.prompt, prior, model_factory, log=print)
     except AblationInterrupted as exc:
         complete, report = False, exc.report
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "ablation.jsonl").write_text(report.to_jsonl())
     (out_dir / "ablation.txt").write_text(report.table())
-    _write_manifest(out_dir, {"axes": {k: [str(v) for v in vs] for k, vs in axes.items()}},
-                    seeds, [p for p in (args.grid, args.boxes, args.config) if p],
-                    started, complete=complete)
+    _write_manifest(args, started, seed=seeds, complete=complete, warnings=report.warnings,
+                    config={"guidance": asdict(base), "model": asdict(mcfg),
+                            "axes": report.config_echo["axes"]})
     print(f"ok rows={len(report.rows)} out={out_dir}")
     return EXIT_OK
 

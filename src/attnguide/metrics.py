@@ -22,6 +22,7 @@ from .guidance import (
     GuidanceError,
     in_box_ratios,
     loss_pos,
+    prepare_inputs,
     run_guided_sampling,
 )
 
@@ -95,9 +96,7 @@ def render_heatmap(ca, token_index, frame, out_path, upscale=1):
 class MetricsReport:
     rows: list = field(default_factory=list)  # list of flat dicts
     config_echo: dict = field(default_factory=dict)
-
-    def add_row(self, **kv):
-        self.rows.append(dict(kv))
+    warnings: list = field(default_factory=list, init=False)  # a sweep's; to_jsonl omits them
 
     def to_jsonl(self):
         head = json.dumps({"config_echo": self.config_echo}, sort_keys=True)
@@ -186,11 +185,12 @@ def run_ablation(axes, base_config, seeds, prompt, priors, model_factory, log=No
     ``ca_capture`` is a model axis, so ``model_factory(ca_capture)`` builds
     the denoiser per variant.  Invalid variants are skipped with a
     logged reason, and a run whose guidance fails is a logged row with its
-    ``error``; rows come out sorted by (axis, value, seed).  Each distinct
-    warning of the runs is logged once, when first seen.  An interrupt
+    ``error``; rows come out sorted by (axis, value, seed).  Each variant's
+    input warnings (``prepare_inputs``') are logged before its first run, each
+    distinct one once, and kept in the report's ``warnings``.  An interrupt
     raises ``AblationInterrupted`` with the rows finished so far.
     """
-    log, warned = log or (lambda message: None), set()
+    log = log or (lambda message: None)
     report = MetricsReport(config_echo={
         "axes": {k: [str(v) for v in vals] for k, vals in axes.items()},
         "seeds": list(seeds)})
@@ -203,19 +203,18 @@ def run_ablation(axes, base_config, seeds, prompt, priors, model_factory, log=No
             except (InputError, TypeError, ValueError) as exc:
                 log(f"skipping {axis}={value}: {exc}")
                 continue
+            for w in prepare_inputs(prompt, priors, model)[3]:
+                if w not in report.warnings:
+                    report.warnings.append(w)
+                    log(f"warning: {w}")
             for seed in seeds:
                 row = {"axis": axis, "value": str(value), "seed": seed}
                 try:
-                    result = run_guided_sampling(prompt, priors, cfg, model, seed)
-                    for w in result.warnings:
-                        if w not in warned:
-                            warned.add(w)
-                            log(f"warning: {w}")
-                    row.update(summarize_run(result))
+                    row.update(summarize_run(run_guided_sampling(prompt, priors, cfg, model, seed)))
                 except GuidanceError as exc:
                     log(f"failed {axis}={value} seed={seed}: {exc}")
                     row["error"] = str(exc)
-                report.add_row(**row)
+                report.rows.append(row)
     except KeyboardInterrupt:
         raise AblationInterrupted(report) from None
     finally:

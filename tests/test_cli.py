@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ import attnguide
 from attnguide import gradcheck
 from attnguide.autodiff import Tensor
 from attnguide.cli import main
-from attnguide.denoiser import ToyDenoiser
+from attnguide.denoiser import ToyDenoiser, ToyModelConfig
+from attnguide.guidance import GuidanceConfig
 
 from conftest import DOG_CAT_BOXES, TEMPLATE_PROMPT, WOMAN_MAN_BOXES
 
@@ -36,6 +38,13 @@ GUIDE_CFG = (
     "iters_spatial_per_step = 2\n"
     "iters_syntax_per_step = 1\n"
 )
+
+
+def _subprocess_env():
+    """The environment of a fresh Python process that imports this checkout's package."""
+    src = str(Path(attnguide.__file__).parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture
@@ -188,14 +197,11 @@ class TestGenerate:
                   "assert main(json.loads(sys.argv[1])) == 0\n"
                   "print(json.dumps(sorted(m for m in sys.modules\n"
                   "                        if m == 'scipy' or m.startswith('scipy.'))))\n")
-        src = str(Path(attnguide.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(small_run_args("run"))],
-                              capture_output=True, text=True, env=env, check=True)
+                              capture_output=True, text=True, env=_subprocess_env(), check=True)
         assert json.loads(proc.stdout.splitlines()[-1]) == []
 
-    def test_end_to_end_outputs(self, tmp_path, small_run_args, capsys):
+    def test_end_to_end_outputs(self, tmp_path, boxes_file, small_run_args, capsys):
         assert main(small_run_args("run")) == 0
         out_dir = tmp_path / "run"
         assert "ok records=6" in capsys.readouterr().out
@@ -208,7 +214,10 @@ class TestGenerate:
         assert manifest["complete"] is True
         assert manifest["unguided"] is False
         assert manifest["seed"] == 0
-        assert len(manifest["input_digests"]) == 2
+        assert manifest["input_digests"] == {  # keyed by option name, every file given
+            name: hashlib.sha256(Path(path).read_bytes()).hexdigest() for name, path in (
+                ("boxes", boxes_file), ("config", tmp_path / "guide.cfg"),
+                ("model_config", tmp_path / "model.cfg"))}
 
         data = np.load(out_dir / "ca_records.npz")
         assert {"step1", "step2", "step4", "step12", "grid"} <= set(data.files)
@@ -481,9 +490,9 @@ class TestAblate:
     def test_failed_run_is_a_row(self, tmp_path, capsys):
         assert main(self._sweep_args(tmp_path, "lambda_sp = 1e308, 10\n")) == 0
         out = capsys.readouterr().out.splitlines()
-        assert [ln.split(":")[0] for ln in out[:2]] == ["failed lambda_sp=1e+308 seed=1",
-                                                        "failed lambda_sp=1e+308 seed=0"]
-        assert out[2:-1] == POSITION_WARNINGS  # the finished runs' warnings, once each
+        assert out[:2] == POSITION_WARNINGS  # before the first variant's runs, once each
+        assert [ln.split(":")[0] for ln in out[2:-1]] == ["failed lambda_sp=1e+308 seed=1",
+                                                          "failed lambda_sp=1e+308 seed=0"]
         assert out[-1].startswith("ok rows=4 ")
         rows = [json.loads(r) for r in (tmp_path / "abl" / "ablation.jsonl").read_text()
                 .splitlines()[1:]]
@@ -514,6 +523,32 @@ class TestAblate:
         assert "t1" in (tmp_path / "abl" / "ablation.txt").read_text()
         manifest = json.loads((tmp_path / "abl" / "manifest.json").read_text())
         assert manifest["complete"] is False
+        assert manifest["warnings"] == [w[len("warning: "):] for w in POSITION_WARNINGS]
+
+    def test_manifest_records_a_sweep_whose_runs_all_fail(self, tmp_path, capsys):
+        """Every run diverges, yet the sweep prints and records its inputs' warnings, and its
+        manifest holds the prompt, both configs and the digests of every file option given."""
+        assert main(self._sweep_args(tmp_path, "lambda_sp = 1e308\n")) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == POSITION_WARNINGS
+        assert [ln.split(":")[0] for ln in out[2:-1]] == ["failed lambda_sp=1e+308 seed=1",
+                                                          "failed lambda_sp=1e+308 seed=0"]
+        manifest = json.loads((tmp_path / "abl" / "manifest.json").read_text())
+        assert manifest["prompt"] == "a man is walking and a dog is running"
+        assert manifest["warnings"] == [w[len("warning: "):] for w in POSITION_WARNINGS]
+        assert manifest["seed"] == [1, 0]
+
+        def as_json(cfg):
+            return json.loads(json.dumps(asdict(cfg)))
+
+        assert manifest["config"] == {
+            "guidance": as_json(GuidanceConfig.from_file(tmp_path / "guide.cfg")),
+            "model": as_json(ToyModelConfig.from_file(tmp_path / "model.cfg")),
+            "axes": {"lambda_sp": ["1e+308"]}}
+        assert manifest["input_digests"] == {
+            name: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+            for name, file in (("config", "guide.cfg"), ("grid", "grid.txt"),
+                               ("model_config", "model.cfg"))}
 
 
 def _structured(record=None, **overrides):
@@ -697,6 +732,16 @@ class TestRender:
                      "--upscale", "1", "--out", str(out)]) == 0
         assert out.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 128, 128, 255])
 
+    def test_out_in_a_missing_directory_is_one_io_error(self, tmp_path, capsys):
+        (tmp_path / "run").mkdir()
+        np.savez(tmp_path / "run" / "ca_records.npz", step1=np.full((1, 4, 3), 0.5))
+        out = tmp_path / "missing" / "x.pgm"
+        assert main(["render", str(tmp_path / "run"), "--token", "1", "--step", "1",
+                     "--out", str(out)]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR kind=io reason=cannot write heatmap")
+        assert not (tmp_path / "missing").exists()
+
     @pytest.mark.parametrize("snapshot", [np.arange(4.0), np.array(["a", "b", "c", "d"]),
                                           np.zeros((1, 0, 1)), np.full((1, 4, 1), np.nan)],
                              ids=["one_axis", "strings", "no_pixels", "all_nan"])
@@ -728,3 +773,69 @@ def test_negative_seed_is_one_parse_error(tmp_path, boxes_file, capsys, argv):
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "out").exists()
+
+
+def _run_argv(command, out_dir, files):
+    """`generate` or a one-seed `ablate` of the small model on the file options in `files`."""
+    files = {k: str(v) for k, v in files.items()}
+    options = ["--out", str(out_dir), "--model-config", files["model_config"],
+               "--config", files["config"]]
+    if command == "generate":
+        return ["generate", TEMPLATE_PROMPT, files["boxes"], "--seed", "0", *options]
+    return ["ablate", "--seeds", "0", "--boxes", files["boxes"], *options]
+
+
+@pytest.mark.parametrize("command", ["generate", "ablate"])
+def test_manifest_bytes_do_not_depend_on_where_the_inputs_sit(tmp_path, capsys, command):
+    """The same boxes and configs under two directories give equal manifests, timestamps
+    aside: the digests are keyed by option name, not by path."""
+    records = []
+    for where in ("a", "a_much_longer_directory_name"):
+        inputs = tmp_path / where
+        inputs.mkdir()
+        files = {"boxes": inputs / "boxes.txt", "config": inputs / "guide.cfg",
+                 "model_config": inputs / "model.cfg"}
+        for name, text in (("boxes", WOMAN_MAN_BOXES), ("config", GUIDE_CFG),
+                           ("model_config", MODEL_CFG)):
+            files[name].write_text(text)
+        assert main(_run_argv(command, inputs / "out", files)) == 0
+        records.append(json.loads((inputs / "out" / "manifest.json").read_text()))
+        del records[-1]["started_at"], records[-1]["finished_at"]
+    assert records[0] == records[1]
+    assert sorted(records[0]["input_digests"]) == ["boxes", "config", "model_config"]
+
+
+@pytest.mark.parametrize("command", ["generate", "ablate"])
+@pytest.mark.parametrize("occupant", ["file_inside", "file_as_out"])
+def test_out_holding_files_is_refused(tmp_path, boxes_file, capsys, command, occupant):
+    """A run directory holds one run: an --out that holds a file, or is one, exits 2 with one
+    ERROR line before any sampling and is left as it was; an empty --out is used."""
+    (tmp_path / "model.cfg").write_text(MODEL_CFG)
+    (tmp_path / "guide.cfg").write_text(GUIDE_CFG)
+    files = {"boxes": boxes_file, "config": tmp_path / "guide.cfg",
+             "model_config": tmp_path / "model.cfg"}
+    out_dir = tmp_path / "run"
+    if occupant == "file_inside":
+        out_dir.mkdir()
+        (out_dir / "step8_tok2.pgm").write_bytes(b"an earlier run's heatmap")
+    else:
+        out_dir.write_bytes(b"a file")
+    before = sorted((p.relative_to(tmp_path), p.read_bytes()) for p in tmp_path.rglob("*")
+                    if p.is_file())
+    assert main(_run_argv(command, out_dir, files)) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"ERROR kind=parse reason=--out {out_dir} exists and is not an empty directory"]
+    assert sorted((p.relative_to(tmp_path), p.read_bytes()) for p in tmp_path.rglob("*")
+                  if p.is_file()) == before
+    (tmp_path / "empty").mkdir()
+    assert main(_run_argv(command, tmp_path / "empty", files)) == 0
+    assert (tmp_path / "empty" / "manifest.json").exists()
+
+
+def test_module_entry_point_exits_with_the_error_code():
+    """`python -m attnguide.cli` returns `main`'s exit code, after one ERROR line."""
+    proc = subprocess.run([sys.executable, "-m", "attnguide.cli", "parse-prompt", "and"],
+                          capture_output=True, text=True, env=_subprocess_env())
+    assert proc.returncode == 2
+    assert [ln.split(" reason=")[0] for ln in proc.stdout.splitlines()] == ["ERROR kind=parse"]
+    assert "Traceback" not in proc.stderr

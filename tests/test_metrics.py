@@ -236,9 +236,9 @@ class TestRenderHeatmap:
 
 class TestReport:
     def test_jsonl_round_trip(self):
-        rep = MetricsReport(config_echo={"seeds": [1, 2]})
-        rep.add_row(axis="t1", value="3", seed=1, mean_in_box_ratio_final=0.5)
-        rep.add_row(axis="t1", value="5", seed=1, mean_in_box_ratio_final=0.75)
+        rep = MetricsReport([dict(axis="t1", value="3", seed=1, mean_in_box_ratio_final=0.5),
+                             dict(axis="t1", value="5", seed=1, mean_in_box_ratio_final=0.75)],
+                            {"seeds": [1, 2]})
         again = MetricsReport.from_jsonl(rep.to_jsonl())
         assert again.rows == rep.rows
         assert again.config_echo == rep.config_echo
@@ -248,9 +248,8 @@ class TestReport:
             MetricsReport.from_jsonl("")
 
     def test_table_alignment(self):
-        rep = MetricsReport()
-        rep.add_row(axis="lambda_sp", value="10.0", seed=0)
-        rep.add_row(axis="t1", value="3", seed=12)
+        rep = MetricsReport([dict(axis="lambda_sp", value="10.0", seed=0),
+                             dict(axis="t1", value="3", seed=12)])
         lines = rep.table().splitlines()
         assert len(lines) == 3
         assert len({len(ln) for ln in lines}) == 1  # padded to equal width
@@ -331,11 +330,13 @@ class TestAblation:
         assert [(r["value"], r["seed"]) for r in failed] == [("1e+308", 0), ("1e+308", 1)]
         assert all(set(r) == {"axis", "value", "seed", "error"} for r in failed)
         assert all(r["error"].startswith("step 1 iteration 2: ") for r in failed)
-        assert [m.split(":")[0] for m in logs[:2]] == ["failed lambda_sp=1e+308 seed=1",
+        warned = [f"box '{side} subject' of subject {k} bound by position to the noun "
+                  f"'{noun}'" for k, (side, noun) in enumerate([("left", "man"), ("right", "dog")])]
+        # the first variant's input warnings come before its runs, and once for the sweep
+        assert logs[:2] == [f"warning: {w}" for w in warned]
+        assert [m.split(":")[0] for m in logs[2:]] == ["failed lambda_sp=1e+308 seed=1",
                                                         "failed lambda_sp=1e+308 seed=0"]
-        assert logs[2:] == [  # the finished runs' warnings, once each
-            f"warning: box '{side} subject' of subject {k} bound by position to the noun "
-            f"'{noun}'" for k, (side, noun) in enumerate([("left", "man"), ("right", "dog")])]
+        assert rep.warnings == warned
         alone = run_ablation({"lambda_sp": [10.0]}, self._base_config(), [1, 0],
                              TEMPLATE_PROMPT, static_two_box_prior(2), self._factory())
         assert rep.rows[2:] == failed  # "10.0" sorts before "1e+308"
