@@ -38,12 +38,12 @@ class BoxTrajectory:
 
 @dataclass
 class SpatialPriorSet:
+    frame_count: int
+    trajectories: list
+    background_keyword: str
     frame_width_px: int = DEFAULT_FRAME_W
     frame_height_px: int = DEFAULT_FRAME_H
-    frame_count: int = 0
-    trajectories: list = field(default_factory=list)
-    background_keyword: str = ""
-    load_warnings: list = field(default_factory=list)
+    load_warnings: list = field(default_factory=list, init=False)  # filled while loading
 
     def trajectory_by_id(self, subject_id):
         for traj in self.trajectories:

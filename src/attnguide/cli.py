@@ -44,7 +44,7 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 EXIT_GRADCHECK = 5
 
-# Pixels per CA cell side in the heatmaps that `generate` and `render` write.
+# Pixels per CA cell side in `generate`'s heatmaps, and `render`'s default.
 DEFAULT_UPSCALE = 8
 
 # No model level grid exceeds the latent's sides, so no mask grid needs to.
@@ -74,6 +74,9 @@ def _fresh_out(path):
     out = Path(path)
     if out.exists() and not (out.is_dir() and not any(out.iterdir())):
         raise InputError(f"--out {path} exists and is not an empty directory")
+    base = next(p for p in out.parents if p.exists())  # under a file: fail before the run
+    if not base.is_dir():
+        raise NotADirectoryError(f"--out {path} lies under {base}, which is not a directory")
     return out
 
 
@@ -148,8 +151,9 @@ def cmd_rasterize(args):
     for w in prior.load_warnings + warnings:
         print(f"warning: {w}")
     if args.out:
-        np.savez(args.out, **{f"s{k}_f{f}": m for k, stack in masks.items()
-                              for f, m in enumerate(stack)})
+        with open(args.out, "wb") as fh:  # a path would gain `.npz`; a handle writes `--out` itself
+            np.savez(fh, **{f"s{k}_f{f}": m for k, stack in masks.items()
+                            for f, m in enumerate(stack)})
         print(f"wrote {args.out}")
     else:
         for sid in sorted(masks):
@@ -172,9 +176,6 @@ def cmd_generate(args):
     model_config, config = _configs(args, ToyModelConfig())
     seed = args.seed if args.seed is not None else 0
     model = ToyDenoiser(model_config if args.seed is None else replace(model_config, seed=seed))
-    grid = model.config.capture_grid
-    if not 1 <= args.upscale <= 65535 // grid:  # a heatmap side of 1..65535 px
-        raise InputError(f"--upscale must be 1..{65535 // grid}, got {args.upscale}")
     result = run_guided_sampling(args.prompt, prior, config, model, seed)
     configs = {"guidance": asdict(config), "model": asdict(model.config)}
     summary = _latent_summary(result)
@@ -198,7 +199,7 @@ def cmd_generate(args):
         for noun, verb in result.column_pairs.pairs:
             for tok in (noun, verb):
                 render_heatmap(values, tok, 0, heat_dir / f"step{step}_tok{tok}.pgm",
-                               upscale=args.upscale)
+                               DEFAULT_UPSCALE)
 
     _write_manifest(args, started, config=configs, seed=seed, complete=True,
                     unguided=config.lambda_sp == 0 and config.lambda_syt == 0,
@@ -291,7 +292,7 @@ def cmd_render(args):
     if values.dtype.kind != "f" or values.ndim != 3 or not np.isfinite(values).all():
         raise InputError(f"step{args.step} in {path} is not a finite float [F, N, L] array: "
                          f"{values.dtype} {values.shape}")
-    render_heatmap(values, args.token, args.frame, args.out, upscale=args.upscale)
+    render_heatmap(values, args.token, args.frame, args.out, args.upscale)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -339,7 +340,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.add_argument("--max-step-px", type=int, default=DEFAULT_MAX_STEP_PX)
-    p.add_argument("--upscale", type=int, default=DEFAULT_UPSCALE)
     p.add_argument("--seed", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_generate)

@@ -323,12 +323,11 @@ class LinearAttentionStub:
     [LATENT_CHANNELS, token_budget] are a seeded normal draw.
     """
 
-    def __init__(self, config=None, seed=1):
-        self.config = config or ToyModelConfig()
-        cfg = self.config
-        self._P, _ = _pool_matrix(cfg.capture_grid, cfg.latent_h, cfg.latent_w)
+    def __init__(self, config, seed=1):
+        self.config = config
+        self._P, _ = _pool_matrix(config.capture_grid, config.latent_h, config.latent_w)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x57AB]))
-        self.weights = rng.normal(0, 1.0, (LATENT_CHANNELS, cfg.token_budget))
+        self.weights = rng.normal(0, 1.0, (LATENT_CHANNELS, config.token_budget))
 
     def ca_from_latent(self, z):
         """CA maps [F, N, L]: the softmax of linear logits of the pooled latent Tensor, one node."""

@@ -104,7 +104,7 @@ class TraceRecord:
 
 @dataclass
 class GuidanceTrace:
-    records: list = field(default_factory=list)
+    records: list = field(default_factory=list, init=False)  # filled by add
 
     def add(self, record):
         if self.records:

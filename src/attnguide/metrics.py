@@ -64,7 +64,7 @@ def verb_noun_alignment(ca, pair):
     return loss_pos(Tensor(ca), pair, GuidanceConfig(distance=KL_SYM)).item()
 
 
-def render_heatmap(ca, token_index, frame, out_path, upscale=1):
+def render_heatmap(ca, token_index, frame, out_path, upscale):
     """Write one token/frame map as an 8-bit binary PGM (P5), min-max scaled.
 
     A constant map renders as all zeros by convention.  Output bytes are

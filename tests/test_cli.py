@@ -126,10 +126,18 @@ class TestParseCommands:
         assert any(set(line) <= {"0", "1"} and line for line in out.splitlines())
 
     def test_rasterize_npz(self, boxes_file, tmp_path, capsys):
-        out = tmp_path / "masks.npz"
+        """`--out masks` writes an npz archive to `masks` itself, not to `masks.npz`; a
+        directory is one io error."""
+        out = tmp_path / "masks"
         assert main(["rasterize", boxes_file, "--grid", "4x4", "--out", str(out)]) == 0
-        data = np.load(out)
-        assert "s0_f0" in data and data["s0_f0"].shape == (4, 4)
+        assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}"
+        with np.load(out) as data:
+            assert "s0_f0" in data and data["s0_f0"].shape == (4, 4)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["boxes.txt", "masks"]
+        assert main(["rasterize", boxes_file, "--grid", "4x4", "--out", str(tmp_path)]) == 4
+        errors = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("ERROR")]
+        assert len(errors) == 1 and errors[0].startswith("ERROR kind=io ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["boxes.txt", "masks"]
 
     def test_rasterize_output_pinned(self, boxes_file, tmp_path, capsys):
         """Stdout (warnings and mask rows) and the npz arrays, keys in order, byte for byte."""
@@ -272,18 +280,14 @@ class TestGenerate:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["unguided"] is True
 
-    @pytest.mark.parametrize("case", ["one_frame_boxes", "zero_upscale", "huge_upscale",
-                                      "upscale_past_65535_px"])
-    def test_bad_input_writes_nothing(self, tmp_path, small_run_args, capsys, case):
+    @pytest.mark.parametrize("boxes_text", [
+        WOMAN_MAN_BOXES.split("Frame 2:")[0] + "Background keyword: room\n",
+    ], ids=["one_frame_boxes"])
+    def test_bad_input_writes_nothing(self, tmp_path, small_run_args, capsys, boxes_text):
         argv = small_run_args("run")
-        if case == "one_frame_boxes":
-            boxes = tmp_path / "one_frame.txt"
-            boxes.write_text(WOMAN_MAN_BOXES.split("Frame 2:")[0] + "Background keyword: room\n")
-            argv[2] = str(boxes)
-        else:
-            # The small model's heatmaps are 4 px a side: 4 * 16384 = 65536.
-            argv += ["--upscale", {"zero_upscale": "0", "huge_upscale": "1000000000000",
-                                   "upscale_past_65535_px": "16384"}[case]]
+        boxes = tmp_path / "bad_boxes.txt"
+        boxes.write_text(boxes_text)
+        argv[2] = str(boxes)
         assert main(argv) == 2
         errors = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("ERROR")]
         assert len(errors) == 1 and errors[0].startswith("ERROR kind=parse")
@@ -694,7 +698,8 @@ class TestRender:
         capsys.readouterr()
         # The heatmaps are 4 px a side, and a side may not pass 65535 px.
         for option, index in (("--token", "99"), ("--token", "-1"), ("--frame", "99"),
-                              ("--upscale", "16384"), ("--upscale", "1000000000000")):
+                              ("--upscale", "0"), ("--upscale", "16384"),
+                              ("--upscale", "1000000000000")):
             out = tmp_path / "x.pgm"
             argv = ["render", str(tmp_path / "run"), "--token", "2", "--step", "12",
                     "--out", str(out), option, index]
@@ -830,6 +835,30 @@ def test_out_holding_files_is_refused(tmp_path, boxes_file, capsys, command, occ
     (tmp_path / "empty").mkdir()
     assert main(_run_argv(command, tmp_path / "empty", files)) == 0
     assert (tmp_path / "empty" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "ablate"])
+def test_out_under_a_file_fails_before_the_run(tmp_path, boxes_file, capsys, monkeypatch,
+                                               command):
+    """An --out that no directory can hold exits 4 with one ERROR line, before sampling."""
+    import attnguide.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("sampled for an --out that cannot be written")
+
+    monkeypatch.setattr(cli, "run_guided_sampling", no_run)
+    monkeypatch.setattr(cli, "run_ablation", no_run)
+    (tmp_path / "model.cfg").write_text(MODEL_CFG)
+    (tmp_path / "guide.cfg").write_text(GUIDE_CFG)
+    files = {"boxes": boxes_file, "config": tmp_path / "guide.cfg",
+             "model_config": tmp_path / "model.cfg"}
+    (tmp_path / "afile").write_bytes(b"a file")
+    out_dir = tmp_path / "afile" / "sub" / "run"
+    assert main(_run_argv(command, out_dir, files)) == 4
+    assert capsys.readouterr().out.splitlines() == [
+        f"ERROR kind=io reason=--out {out_dir} lies under {tmp_path / 'afile'}, "
+        "which is not a directory"]
+    assert (tmp_path / "afile").read_bytes() == b"a file"
 
 
 def test_module_entry_point_exits_with_the_error_code():

@@ -109,7 +109,7 @@ class TestCountComponents:
         with pytest.raises(ContractError, match="square"):
             count_components(ca, 0, 0)
         with pytest.raises(ContractError, match="square"):
-            render_heatmap(ca, 0, 0, tmp_path / "x.pgm")
+            render_heatmap(ca, 0, 0, tmp_path / "x.pgm", upscale=1)
 
     @staticmethod
     def count_drawn(*rows):
@@ -200,13 +200,13 @@ class TestRenderHeatmap:
     def test_pixel_exact_fixture(self, tmp_path):
         A = np.array([[0.0], [1.0], [0.5], [0.25]]).reshape(1, 4, 1)
         path = tmp_path / "map.pgm"
-        render_heatmap(A, 0, 0, path)
+        render_heatmap(A, 0, 0, path, upscale=1)
         expected = b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64])
         assert path.read_bytes() == expected
 
     def test_constant_map_all_zeros(self, tmp_path):
         path = tmp_path / "flat.pgm"
-        render_heatmap(np.full((1, 4, 1), 0.3), 0, 0, path)
+        render_heatmap(np.full((1, 4, 1), 0.3), 0, 0, path, upscale=1)
         assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes(4)
 
     def test_upscale(self, tmp_path):
@@ -222,8 +222,8 @@ class TestRenderHeatmap:
     def test_deterministic_bytes(self, tmp_path, rng):
         A = rng.uniform(size=(1, 16, 1))
         p1, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
-        render_heatmap(A, 0, 0, p1)
-        render_heatmap(A, 0, 0, p2)
+        render_heatmap(A, 0, 0, p1, upscale=1)
+        render_heatmap(A, 0, 0, p2, upscale=1)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_upscale(self, tmp_path):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import composites
-from attnguide import guidance
+from attnguide import guidance, syntax
 from attnguide.autodiff import Tensor
 from attnguide.boxes import (
     DEFAULT_FRAME_H,
@@ -29,6 +29,7 @@ from attnguide.boxes import (
 )
 from attnguide.cli import main
 from attnguide.denoiser import MODEL_CAPS, ToyModelConfig
+from attnguide.errors import InputError
 from attnguide.guidance import (
     COSINE,
     KL_SYM,
@@ -39,7 +40,7 @@ from attnguide.guidance import (
     GuidanceConfig,
 )
 from attnguide.metrics import count_components
-from attnguide.syntax import SyntaxPairs
+from attnguide.syntax import SyntaxPairs, extract_pairs, tokenize
 
 from conftest import TEMPLATE_PROMPT, WOMAN_MAN_BOXES
 from test_fused_nodes import attention_values, mask_set, same_bytes
@@ -161,6 +162,38 @@ def test_box_commands_exit_0_or_one_error_line(tmp_path_factory, text):
             code = main([str(a) for a in argv])
         errors = [ln for ln in out.getvalue().splitlines() if ln.startswith("ERROR")]
         assert (code, len(errors)) in ((0, 0), (2, 1)), (argv[0], code, errors)
+
+
+PROMPT_WORDS = sorted(syntax._SUBJECTS | syntax._ACTIONS | syntax._ARTICLES | syntax._COPULAS) \
+    + ["and", "tall", "with", "hat", "quickly", "xyzzy", ",", "--"]
+
+
+@st.composite
+def prompts(draw):
+    """Lexicon subjects and actions, articles, copulas, "and", punctuation and a few words
+    outside the lexicon, each word perhaps with punctuation attached."""
+    marks = st.sampled_from(["", "", "", ",", ".", "!", "'s"])
+    return " ".join(draw(st.sampled_from(PROMPT_WORDS)) + draw(marks)
+                    for _ in range(draw(st.integers(0, 12))))
+
+
+@settings(deadline=None, max_examples=300)
+@given(prompts())
+@example("a man is")  # clauses that end at their copula
+@example("a man is walking and a dog is")
+def test_prompts_give_pairs_or_one_parse_error(prompt):
+    """extract_pairs raises only InputErrors; parse-prompt exits 0 with no ERROR line, or
+    exits 2 with one `ERROR kind=parse` line and nothing else."""
+    with contextlib.suppress(InputError):
+        extract_pairs(tokenize(prompt))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["parse-prompt", prompt])
+    lines = out.getvalue().splitlines()
+    if code == 0:
+        assert not any(ln.startswith("ERROR") for ln in lines)
+    else:
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("ERROR kind=parse "), lines
 
 
 MALFORMED = ["abc", "nan", "inf", "", MANY_DIGITS]
