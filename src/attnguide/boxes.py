@@ -17,12 +17,10 @@ import numpy as np
 
 from .errors import BoxParseError, InputError
 
-DEFAULT_FRAME_W = 576
-DEFAULT_FRAME_H = 320
+# The box generator's frame, in pixels: its text format cannot state another.
+FRAME_W, FRAME_H = 576, 320
 # The default limit on a box center's move between frames, in pixels.
 DEFAULT_MAX_STEP_PX = 60
-# The largest frame side a JSON box file may give, in pixels (the largest PGM side).
-MAX_FRAME_SIDE_PX = 65535
 
 OUT_OF_FRAME = "OUT_OF_FRAME"
 VELOCITY = "VELOCITY"
@@ -41,8 +39,6 @@ class SpatialPriorSet:
     frame_count: int
     trajectories: list
     background_keyword: str
-    frame_width_px: int = DEFAULT_FRAME_W
-    frame_height_px: int = DEFAULT_FRAME_H
     load_warnings: list = field(default_factory=list, init=False)  # filled while loading
 
     def trajectory_by_id(self, subject_id):
@@ -82,11 +78,10 @@ def _check_record(rec, line_no):
 
 
 def _clip_boxes(prior):
-    W, H = prior.frame_width_px, prior.frame_height_px
     for traj in prior.trajectories:
         for f, (x, y, w, h) in enumerate(traj.boxes):
-            x2, y2 = min(max(x + w, 0), W), min(max(y + h, 0), H)
-            xc, yc = min(max(x, 0), W), min(max(y, 0), H)
+            x2, y2 = min(max(x + w, 0), FRAME_W), min(max(y + h, 0), FRAME_H)
+            xc, yc = min(max(x, 0), FRAME_W), min(max(y, 0), FRAME_H)
             clipped = [xc, yc, x2 - xc, y2 - yc]
             if clipped != [x, y, w, h]:
                 prior.load_warnings.append(
@@ -121,10 +116,10 @@ def parse_llm_boxes(text):
         except (ValueError, SyntaxError) as exc:
             raise BoxParseError(f"malformed record literal: {exc}", line_no) from exc
         frames[k] = (line_no, records)
-    return _build_prior(frames, background, DEFAULT_FRAME_W, DEFAULT_FRAME_H)
+    return _build_prior(frames, background)
 
 
-def _build_prior(frames, background, frame_width_px, frame_height_px):
+def _build_prior(frames, background):
     """Check per-frame records, assemble trajectories by id, clip to the frame.
 
     ``frames`` maps the 1-based frame index to (source line or None, records).
@@ -156,13 +151,7 @@ def _build_prior(frames, background, frame_width_px, frame_height_px):
         boxes = [list(recs[sid]["box"]) for recs in by_id]
         trajectories.append(BoxTrajectory(sid, by_id[0][sid]["name"], boxes))
 
-    prior = SpatialPriorSet(
-        frame_width_px=frame_width_px,
-        frame_height_px=frame_height_px,
-        frame_count=len(expected),
-        trajectories=trajectories,
-        background_keyword=background,
-    )
+    prior = SpatialPriorSet(len(expected), trajectories, background)
     _clip_boxes(prior)
     return prior
 
@@ -206,21 +195,23 @@ def load_structured_boxes(text):
     if not isinstance(obj, dict):
         raise BoxParseError("structured boxes must be a JSON object")
     try:
-        W, H = (_json_int(v) for v in obj["frame_size"])
+        size = [_json_int(v) for v in obj["frame_size"]]
         frames, background = obj["frames"], obj["background"].strip()
     except KeyError as exc:
         raise BoxParseError(f"missing structured field: {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise BoxParseError(f"malformed frame_size or background: {exc}") from None
-    if not (1 <= W <= MAX_FRAME_SIDE_PX and 1 <= H <= MAX_FRAME_SIDE_PX):
-        raise BoxParseError(f"frame_size sides must be 1..{MAX_FRAME_SIDE_PX}, got {[W, H]}")
+    if size != [FRAME_W, FRAME_H]:
+        raise BoxParseError(f"frame_size must be [{FRAME_W}, {FRAME_H}], got {size}")
+    if len(background.splitlines()) > 1:  # the text form holds it on one line
+        raise BoxParseError(f"background must be one line, got {background!r}")
     if not isinstance(frames, list):
         raise BoxParseError(f"frames must be a list of per-frame record lists, got {frames!r}")
     by_index = {
         k: (None, [_int_box(r) for r in recs] if isinstance(recs, list) else recs)
         for k, recs in enumerate(frames, start=1)
     }
-    return _build_prior(by_index, background, W, H)
+    return _build_prior(by_index, background)
 
 
 def static_two_box_prior(frames):
@@ -248,14 +239,13 @@ def validate_trajectories(prior, max_step_px=DEFAULT_MAX_STEP_PX):
     if max_step_px < 0:
         raise InputError(f"max_step_px must be non-negative, got {max_step_px}")
     violations = []
-    W, H = prior.frame_width_px, prior.frame_height_px
     for traj in prior.trajectories:
         prev_center = None
         for f, (x, y, w, h) in enumerate(traj.boxes):
-            if x < 0 or y < 0 or x + w > W or y + h > H:
+            if x < 0 or y < 0 or x + w > FRAME_W or y + h > FRAME_H:
                 violations.append(Violation(
                     OUT_OF_FRAME, traj.subject_id, f,
-                    f"box {[x, y, w, h]} exceeds {W}x{H} frame",
+                    f"box {[x, y, w, h]} exceeds {FRAME_W}x{FRAME_H} frame",
                 ))
             if w <= 0 or h <= 0:
                 violations.append(Violation(
@@ -293,13 +283,7 @@ def resample_frames(prior, target_F):
             for x1, y1, x2, y2 in rounded
         ]
         out_trajs.append(BoxTrajectory(traj.subject_id, traj.name, boxes))
-    return SpatialPriorSet(
-        frame_width_px=prior.frame_width_px,
-        frame_height_px=prior.frame_height_px,
-        frame_count=target_F,
-        trajectories=out_trajs,
-        background_keyword=prior.background_keyword,
-    )
+    return SpatialPriorSet(target_F, out_trajs, prior.background_keyword)
 
 
 def rasterize_masks(prior, grid_h, grid_w):
@@ -312,9 +296,8 @@ def rasterize_masks(prior, grid_h, grid_w):
     """
     if grid_h < 1 or grid_w < 1:
         raise InputError("grid dimensions must be >= 1")
-    W, H = prior.frame_width_px, prior.frame_height_px
-    cx = (np.arange(grid_w) + 0.5) * (W / grid_w)
-    cy = (np.arange(grid_h) + 0.5) * (H / grid_h)
+    cx = (np.arange(grid_w) + 0.5) * (FRAME_W / grid_w)
+    cy = (np.arange(grid_h) + 0.5) * (FRAME_H / grid_h)
     masks, warnings = {}, []
     for traj in prior.trajectories:
         stack = np.zeros((len(traj.boxes), grid_h, grid_w))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 import zipfile
@@ -17,6 +18,8 @@ from . import __version__
 from .autodiff import trapped
 from .boxes import (
     DEFAULT_MAX_STEP_PX,
+    FRAME_H,
+    FRAME_W,
     detect_and_parse,
     rasterize_masks,
     serialize_boxes,
@@ -116,8 +119,7 @@ def cmd_parse_prompt(args):
 def cmd_parse_boxes(args):
     prior = detect_and_parse(read_text(args.file))
     print(f"frames={prior.frame_count} trajectories={len(prior.trajectories)} "
-          f"frame_size={prior.frame_width_px}x{prior.frame_height_px} "
-          f"background={prior.background_keyword}")
+          f"frame_size={FRAME_W}x{FRAME_H} background={prior.background_keyword}")
     for w in prior.load_warnings:
         print(f"warning: {w}")
     sys.stdout.write(serialize_boxes(prior))
@@ -143,10 +145,6 @@ def cmd_rasterize(args):
         raise InputError(f"--grid {grid_h}x{grid_w} has a side over {MAX_GRID_SIDE}, "
                          "the largest attention grid")
     prior = detect_and_parse(read_text(args.file))
-    H, W = prior.frame_height_px, prior.frame_width_px
-    if grid_h > H or grid_w > W:
-        raise InputError(f"--grid {grid_h}x{grid_w} exceeds the frame: "
-                         f"at most {H}x{W} cells, one per pixel")
     masks, warnings = rasterize_masks(prior, grid_h, grid_w)
     for w in prior.load_warnings + warnings:
         print(f"warning: {w}")
@@ -374,7 +372,12 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not as Python exits
+        return code
+    except BrokenPipeError:  # stdout is closed, so no ERROR line can be printed either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except (NumericError, DegenerateAttentionError, GuidanceError) as exc:
         return _fail(EXIT_NUMERIC, "numeric", str(exc))
     except AttnGuideError as exc:

@@ -153,9 +153,9 @@ class ToyDenoiser:
         self._dh = dh
         self._pool, self._cells = {}, {}
         for _, g in cfg.levels:
-            # Each pixel's cell and pooling weight: U @ out and P.T @ g as one-product gathers.
+            # Each pixel's cell and each cell's weight per channel: U @ out and P.T @ g as gathers.
             P, cell = _pool_matrix(g, cfg.latent_h, cfg.latent_w)
-            self._pool[g], self._cells[g] = P, (cell, P[cell, np.arange(cell.size)][:, None])
+            self._pool[g], self._cells[g] = P, (cell, np.tile(P.max(axis=1)[:, None], (1, C)))
         self._unpool = {g: (P > 0).astype(np.float64).T for g, P in self._pool.items()}
         self._weights = {}
         for tag, g in cfg.levels:
@@ -163,7 +163,7 @@ class ToyDenoiser:
                 "wq": rng.normal(0, 1.0, (HEADS, 1, C, dh)),
                 "wk": rng.normal(0, 1.0, (HEADS, 1, d, dh)),
                 "wv": rng.normal(0, 1.0 / np.sqrt(d), (d, C)),
-                "tau_bias": rng.normal(0, 0.1, (C,)),
+                "tau_bias": np.tile(rng.normal(0, 0.1, (C,)), (cfg.latent_h * cfg.latent_w, 1)),
             }
         self._temporal = {
             "wq": rng.normal(0, 1.0, (C, C)),
@@ -278,17 +278,17 @@ class ToyDenoiser:
         """
         P, U, (cell, pw) = self._pool[grid], self._unpool[grid], self._cells[grid]
         out, maps, attention_grad = attention(P @ h)
-        s = h + np.take(out, cell, axis=-2) * MIX
+        s = h + np.take(out * MIX, cell, axis=-2)
         if bias is not None:
-            s = s + bias
-        h_out = np.tanh(s)
+            s += bias
+        h_out = np.tanh(s, out=s)
 
         def backward(g_h, g_maps):
             g_in = g_out = None
             if g_h is not None:
                 g_in = g_h * (1.0 - h_out * h_out)
                 g_out = U.T @ (g_in * MIX)
-            g_x = np.take(attention_grad(g_out, g_maps), cell, axis=-2) * pw
+            g_x = np.take(attention_grad(g_out, g_maps) * pw, cell, axis=-2)
             return g_x if g_in is None else g_in + g_x
 
         return h_out, maps, backward

@@ -36,6 +36,11 @@ Background keyword: garden
 
 TEMPLATE_PROMPT = "a man is walking and a dog is running"
 
+# The woman/man coordinates with boxes named for TEMPLATE_PROMPT's subjects, which bind by
+# name to the columns that positional binding gives WOMAN_MAN_BOXES.
+MAN_DOG_BOXES = WOMAN_MAN_BOXES.replace("walking woman", "walking man").replace(
+    "jumping man", "running dog")
+
 
 def tiny_model_config(**overrides):
     kwargs = dict(

@@ -183,18 +183,6 @@ class TestParseCommands:
     def test_rasterize_bad_grid(self, boxes_file, capsys):
         assert main(["rasterize", boxes_file, "--grid", "4by4"]) == 2
 
-    def test_rasterize_grid_up_to_frame_size(self, tmp_path, capsys):
-        """One cell per pixel is the finest grid; a side past the frame's is rejected."""
-        path = tmp_path / "boxes.json"
-        path.write_text(_structured(frame_size=[6, 4]))
-        assert main(["rasterize", str(path), "--grid", "4x6"]) == 0
-        assert "subject=0 frame=1" in capsys.readouterr().out
-        for grid in ("5x6", "4x7"):
-            assert main(["rasterize", str(path), "--grid", grid]) == 2
-            assert capsys.readouterr().out.splitlines() == [
-                f"ERROR kind=parse reason=--grid {grid} exceeds the frame: "
-                "at most 4x6 cells, one per pixel"]
-
 
 class TestGenerate:
     def test_imports_no_scipy(self, small_run_args):
@@ -627,6 +615,7 @@ BAD_INPUTS = {
     "boxes_text_repeated_frame": ("boxes", "Frame 1: [{'id': 0, 'name': 'm', 'box': [0, 0, 9, 9]}]"
                                            "\nFrame 1: [{'id': 0, 'name': 'm', 'box': [0, 0, 9, 9]}]"
                                            "\nBackground keyword: room\n"),
+    "boxes_two_line_background": ("boxes", _structured(background="room\nFrame 3: []")),
     "boxes_frame_not_a_list": ("boxes", _structured(frames=[{"id": 0}])),
     "boxes_record_not_an_object": ("boxes", _structured(frames=[[5]])),
     "boxes_background_only": ("boxes", "Background keyword: room\n"),
@@ -669,6 +658,15 @@ def test_bad_input_is_one_parse_error(tmp_path, boxes_file, capsys, role, text):
     assert len(errors) == 1 and errors[0].startswith("ERROR kind=parse")
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "out").exists()
+
+
+def test_structured_boxes_of_another_frame_rejected(tmp_path, capsys):
+    """The box generator's frame is 576x320, the only one the text form can state."""
+    path = tmp_path / "boxes.json"
+    path.write_text(_structured(frame_size=[1000, 500]))
+    assert main(["parse-boxes", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "ERROR kind=parse reason=frame_size must be [576, 320], got [1000, 500]"]
 
 
 def test_structured_boxes_with_quote_in_name(tmp_path, capsys):
@@ -868,3 +866,33 @@ def test_module_entry_point_exits_with_the_error_code():
     assert proc.returncode == 2
     assert [ln.split(" reason=")[0] for ln in proc.stdout.splitlines()] == ["ERROR kind=parse"]
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command,head", [
+    (["rasterize", "--grid", "64x64"], b"subject=0 frame=0\n"),  # fails amid the masks
+    (["parse-boxes"], b""),  # a few lines, which fail only as the buffer is flushed
+], ids=["after_one_line", "before_any"])
+def test_closed_stdout_exits_4_without_traceback(tmp_path, command, head):
+    """A reader that goes once it has `head`, as `| head -1` does: the rest of the output
+    meets a closed pipe, and with no ERROR line to print the exit code alone tells."""
+    boxes = tmp_path / "boxes.txt"
+    boxes.write_text("".join(f"Frame {k}: [{{'id': 0, 'name': 'man', 'box': [0, 0, 288, 320]}}]\n"
+                             for k in range(1, 41)) + "Background keyword: room\n")
+    # `rasterize` writes about 170 KB of masks, well past what the pipe buffers
+    env = _subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as for any pipe
+    read_fd, write_fd = os.pipe()
+    reader = os.fdopen(read_fd, "rb", buffering=0)
+    if not head:
+        reader.close()
+    proc = subprocess.Popen([sys.executable, "-m", "attnguide.cli", command[0], str(boxes),
+                             *command[1:]], stdout=write_fd, stderr=subprocess.PIPE,
+                            env=env)
+    os.close(write_fd)
+    if head:
+        assert reader.readline() == head
+        reader.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 4
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr

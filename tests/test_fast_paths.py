@@ -85,14 +85,15 @@ MODELS = [pytest.param(overrides, id=name) for name, overrides in [
 
 @pytest.mark.parametrize("overrides", MODELS)
 def test_pool_matrices_match_the_loop(overrides):
-    """P, each pixel's cell and its pooling weight, against P built pixel by pixel."""
+    """P, each pixel's cell and each cell's pooling weight per channel, against P built
+    pixel by pixel."""
     model = ToyDenoiser(ToyModelConfig(**overrides))
     cfg = model.config
     for g, (cell, pw) in model._cells.items():
         P = composites.pool_matrix(g, cfg.latent_h, cfg.latent_w)
         same_bytes(model._pool[g], P)
         same_bytes(cell, P.argmax(0))
-        same_bytes(pw, P.max(0)[:, None])
+        same_bytes(pw, np.repeat(P.max(1)[:, None], LATENT_CHANNELS, axis=1))
     stub = LinearAttentionStub(cfg)
     same_bytes(stub._P, composites.pool_matrix(cfg.capture_grid, cfg.latent_h, cfg.latent_w))
 
@@ -107,7 +108,7 @@ def test_unpool_gathers_match_matmuls(rng, overrides):
         out = rng.normal(size=(cfg.frames, g * g, LATENT_CHANNELS))
         out[0, 0] = 0.0
         same_bytes(np.take(out, cell, axis=-2), U @ out)
-        same_bytes(np.take(out, cell, axis=-2) * pw, P.T @ out)
+        same_bytes(np.take(out * pw, cell, axis=-2), P.T @ out)
 
 
 @pytest.mark.parametrize("pixels", [1, 7, 8, 9, 16, 64, 127, 128, 129, 256, 300])

@@ -468,10 +468,10 @@ def default_scene():
     from attnguide.boxes import parse_llm_boxes
     from attnguide.guidance import prepare_inputs
 
-    from conftest import TEMPLATE_PROMPT, WOMAN_MAN_BOXES
+    from conftest import MAN_DOG_BOXES, TEMPLATE_PROMPT
 
     model, config = ToyDenoiser(), GuidanceConfig()
-    pairs, text, masks, _ = prepare_inputs(TEMPLATE_PROMPT, parse_llm_boxes(WOMAN_MAN_BOXES),
+    pairs, text, masks, _ = prepare_inputs(TEMPLATE_PROMPT, parse_llm_boxes(MAN_DOG_BOXES),
                                            model)
     cfg = model.config
     z = np.random.default_rng(5).normal(

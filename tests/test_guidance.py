@@ -45,7 +45,13 @@ from attnguide.guidance import (
 from attnguide.syntax import SyntaxPairs
 
 from composites import square
-from conftest import TEMPLATE_PROMPT, WOMAN_MAN_BOXES, static_two_box_prior, tiny_model_config
+from conftest import (
+    MAN_DOG_BOXES,
+    TEMPLATE_PROMPT,
+    WOMAN_MAN_BOXES,
+    static_two_box_prior,
+    tiny_model_config,
+)
 from reftensor import ref
 
 
@@ -613,7 +619,7 @@ class TestBitExactness:
         return h.hexdigest()
 
     def test_default_run_digest(self):
-        res = run_guided_sampling(TEMPLATE_PROMPT, parse_llm_boxes(WOMAN_MAN_BOXES),
+        res = run_guided_sampling(TEMPLATE_PROMPT, parse_llm_boxes(MAN_DOG_BOXES),
                                   GuidanceConfig(), ToyDenoiser(), seed=0)
         assert self._digest(res) == (
             "ac2cd5484e7a8a94fea640f741b6fe012cfa169e03382f491634b6bf002bb807")
@@ -646,7 +652,7 @@ class TestBitExactness:
 
     def test_graph_nodes_per_iteration(self, rng):
         model, config = ToyDenoiser(), GuidanceConfig()
-        pairs, text, masks, _ = prepare_inputs(TEMPLATE_PROMPT, parse_llm_boxes(WOMAN_MAN_BOXES),
+        pairs, text, masks, _ = prepare_inputs(TEMPLATE_PROMPT, parse_llm_boxes(MAN_DOG_BOXES),
                                                model)
         cfg = model.config
         z = rng.normal(size=(cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w))

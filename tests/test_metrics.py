@@ -24,7 +24,7 @@ from attnguide.metrics import (
 from attnguide.syntax import SyntaxPairs
 
 from composites import in_box_ratio
-from conftest import TEMPLATE_PROMPT, WOMAN_MAN_BOXES, static_two_box_prior, tiny_model_config
+from conftest import MAN_DOG_BOXES, TEMPLATE_PROMPT, static_two_box_prior, tiny_model_config
 from test_acceptance import _kl_sym_oracle
 
 
@@ -181,7 +181,7 @@ class TestAlignment:
 
     def test_default_run_metrics_bytes(self):
         """The metrics row of `TestBitExactness.test_default_run_digest`'s run."""
-        res = run_guided_sampling(TEMPLATE_PROMPT, parse_llm_boxes(WOMAN_MAN_BOXES),
+        res = run_guided_sampling(TEMPLATE_PROMPT, parse_llm_boxes(MAN_DOG_BOXES),
                                   GuidanceConfig(), ToyDenoiser(), seed=0)
         assert {k: v.hex() for k, v in summarize_run(res).items()} == {
             "mean_alignment_final": "0x1.83e3c4dc2a0c8p+2",

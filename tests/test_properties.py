@@ -1,13 +1,13 @@
-"""Property tests: box text and JSON forms agree, the box commands, and `generate` and
-`ablate` with drawn config files, end in exit 0 or one ERROR line, config files
-round-trip, the component count agrees with scipy's labeller, and the batched losses
-give the composite chains' bytes."""
+"""Property tests: box text and JSON forms agree, every box file that loads round-trips,
+the box commands, and `generate` and `ablate` with drawn config files, end in exit 0 or
+one ERROR line, config files round-trip, the component count agrees with scipy's
+labeller, and the batched losses give the composite chains' bytes."""
 
 import contextlib
 import io
 import json
 import string
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,17 +19,18 @@ import composites
 from attnguide import guidance, syntax
 from attnguide.autodiff import Tensor
 from attnguide.boxes import (
-    DEFAULT_FRAME_H,
-    DEFAULT_FRAME_W,
+    FRAME_H,
+    FRAME_W,
     BoxTrajectory,
     SpatialPriorSet,
+    detect_and_parse,
     load_structured_boxes,
     parse_llm_boxes,
     serialize_boxes,
 )
 from attnguide.cli import main
 from attnguide.denoiser import MODEL_CAPS, ToyModelConfig
-from attnguide.errors import InputError
+from attnguide.errors import BoxParseError, InputError
 from attnguide.guidance import (
     COSINE,
     KL_SYM,
@@ -50,9 +51,9 @@ backgrounds = st.text(alphabet=string.ascii_letters + " ", min_size=1).map(str.s
 
 @st.composite
 def in_frame_box(draw):
-    x = draw(st.integers(0, DEFAULT_FRAME_W))
-    y = draw(st.integers(0, DEFAULT_FRAME_H))
-    w, h = draw(st.integers(0, DEFAULT_FRAME_W - x)), draw(st.integers(0, DEFAULT_FRAME_H - y))
+    x = draw(st.integers(0, FRAME_W))
+    y = draw(st.integers(0, FRAME_H))
+    w, h = draw(st.integers(0, FRAME_W - x)), draw(st.integers(0, FRAME_H - y))
     return [x, y, w, h]
 
 
@@ -90,7 +91,7 @@ def test_text_round_trip_any_name(prior, name):
 @given(priors(box=any_box))
 def test_json_load_equals_text_load(prior):
     structured = json.dumps({
-        "frame_size": [DEFAULT_FRAME_W, DEFAULT_FRAME_H],
+        "frame_size": [FRAME_W, FRAME_H],
         "frames": [
             [{"id": t.subject_id, "name": t.name, "box": t.boxes[f]} for t in prior.trajectories]
             for f in range(prior.frame_count)
@@ -115,8 +116,9 @@ odd_numbers = st.one_of(
 @st.composite
 def box_files(draw):
     """A JSON or text box file with the same subjects in every frame, where a drawn share
-    of the numbers is odd, of the keys left out, and of the text form's frame indices
-    repeated, skipped or many digits long."""
+    of the numbers is odd, of the keys left out, of the backgrounds empty or holding a
+    line break, and of the text form's frame indices repeated, skipped or many digits
+    long.  Half the JSON files give the 576x320 frame, the rest a drawn `frame_size`."""
     as_json = draw(st.booleans())
     quote = json.dumps if as_json else repr
     rare = draw(st.sampled_from([0, 5, 30]))  # percent
@@ -136,14 +138,17 @@ def box_files(draw):
                 for _ in range(draw(st.integers(1, 2)))]
     frames = ["[" + ", ".join(record(*subject) for subject in subjects) + "]"
               for _ in range(draw(st.integers(1, 3)))]
+    background = draw(st.sampled_from(["", " ", "a\nb", "a\rb", "a\x1cb"])) if odd() \
+        else "garden"
     if as_json:
-        parts = {"frame_size": f"[{number()}, {number()}]", "frames": "[" + ", ".join(frames) + "]",
-                 "background": '"garden"'}
+        size = f"[{FRAME_W}, {FRAME_H}]" if draw(st.booleans()) else f"[{number()}, {number()}]"
+        parts = {"frame_size": size, "frames": "[" + ", ".join(frames) + "]",
+                 "background": json.dumps(background)}
         return "{" + ", ".join(f'"{k}": {v}' for k, v in parts.items() if not odd()) + "}"
     index = st.one_of(st.integers(0, 4).map(str), st.sampled_from([str(10**400), MANY_DIGITS]))
     lines = [f"Frame {draw(index) if odd() else k}: {frame}"
              for k, frame in enumerate(frames, start=1)]
-    return "\n".join(lines + ["Background keyword: garden"] * (not odd())) + "\n"
+    return "\n".join(lines + [f"Background keyword: {background}"] * (not odd())) + "\n"
 
 
 @pytest.mark.slow
@@ -162,6 +167,22 @@ def test_box_commands_exit_0_or_one_error_line(tmp_path_factory, text):
             code = main([str(a) for a in argv])
         errors = [ln for ln in out.getvalue().splitlines() if ln.startswith("ERROR")]
         assert (code, len(errors)) in ((0, 0), (2, 1)), (argv[0], code, errors)
+
+
+@settings(deadline=None, max_examples=150)
+@given(box_files())
+@example('{"frame_size": [1000, 500], "frames": [[{"id": 0, "name": "a", '
+         '"box": [600, 100, 300, 300]}]], "background": "garden"}')
+@example('{"frame_size": [576, 320], "frames": [[{"id": 0, "name": "a", "box": [0, 0, 9, 9]}]],'
+         ' "background": "a\\nb"}')
+def test_box_files_that_load_round_trip(text):
+    """A box file that loads prints as text that loads back to the same prior, with no load
+    warning: its boxes already lie in the one frame."""
+    try:
+        prior = detect_and_parse(text)
+    except BoxParseError:
+        return
+    assert parse_llm_boxes(serialize_boxes(prior)) == replace(prior)  # no load warnings
 
 
 PROMPT_WORDS = sorted(syntax._SUBJECTS | syntax._ACTIONS | syntax._ARTICLES | syntax._COPULAS) \

@@ -38,8 +38,8 @@ def defaulted_parameters():
 
 def test_settable_value_count():
     counts = len(config_fields()), len(cli_options()), len(defaulted_parameters())
-    assert counts == (18, 22, 9), (config_fields(), cli_options(), defaulted_parameters())
-    assert sum(counts) == 49
+    assert counts == (18, 22, 7), (config_fields(), cli_options(), defaulted_parameters())
+    assert sum(counts) == 47
 
 
 def test_config_fields():
@@ -67,8 +67,7 @@ def test_cli_options():
 
 def test_defaulted_parameters():
     assert defaulted_parameters() == [
-        "Tensor(requires_grad)", "SpatialPriorSet(frame_width_px)",
-        "SpatialPriorSet(frame_height_px)", "validate_trajectories(max_step_px)",
+        "Tensor(requires_grad)", "validate_trajectories(max_step_px)",
         "LinearAttentionStub(seed)", "ToyDenoiser(config)", "MetricsReport(rows)",
         "MetricsReport(config_echo)", "run_ablation(log)",
     ]
