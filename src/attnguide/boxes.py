@@ -148,6 +148,9 @@ def _build_prior(frames, background):
         for k, recs in enumerate(by_id, start=1):
             if sid not in recs:
                 raise BoxParseError(f"subject id {sid} missing from frame {k}")
+            if recs[sid]["name"] != by_id[0][sid]["name"]:  # it binds to the prompt by name
+                raise BoxParseError(f"subject id {sid} is named {by_id[0][sid]['name']!r} in "
+                                    f"frame 1 and {recs[sid]['name']!r} in frame {k}", frames[k][0])
         boxes = [list(recs[sid]["box"]) for recs in by_id]
         trajectories.append(BoxTrajectory(sid, by_id[0][sid]["name"], boxes))
 

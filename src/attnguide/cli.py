@@ -180,16 +180,13 @@ def cmd_generate(args):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     (out_dir / "trace.jsonl").write_text(result.trace.to_jsonl())
-    report = MetricsReport([{"seed": seed, "prompt": args.prompt, **summarize_run(result)}],
-                           configs)
+    report = MetricsReport([{"seed": seed, "prompt": args.prompt, **summarize_run(result)}])
     (out_dir / "metrics.jsonl").write_text(report.to_jsonl())
     (out_dir / "metrics.txt").write_text(report.table())
 
     (out_dir / "latent_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
-    np.savez(out_dir / "ca_records.npz",
-             **{f"step{s}": v for s, v in result.ca_records.items()},
-             grid=np.array([model.config.capture_grid, model.config.capture_grid]))
+    np.savez(out_dir / "ca_records.npz", **{f"step{s}": v for s, v in result.ca_records.items()})
 
     heat_dir = out_dir / "heatmaps"
     heat_dir.mkdir(exist_ok=True)
@@ -273,7 +270,7 @@ def cmd_ablate(args):
     (out_dir / "ablation.txt").write_text(report.table())
     _write_manifest(args, started, seed=seeds, complete=complete, warnings=report.warnings,
                     config={"guidance": asdict(base), "model": asdict(mcfg),
-                            "axes": report.config_echo["axes"]})
+                            "axes": {k: [str(v) for v in vals] for k, vals in axes.items()}})
     print(f"ok rows={len(report.rows)} out={out_dir}")
     return EXIT_OK
 

@@ -16,9 +16,10 @@ _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no"
 
 
 def read_text(path):
-    """The contents of a UTF-8 text file; bytes that do not decode are an input error."""
+    """The contents of a UTF-8 text file, without a leading byte-order mark; bytes that do
+    not decode are an input error."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 

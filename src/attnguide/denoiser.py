@@ -144,9 +144,8 @@ def ddim_step(state, eps, schedule):
 class ToyDenoiser:
     """Frozen random-weight denoiser; differentiable w.r.t. the latent."""
 
-    def __init__(self, config=None):
-        self.config = config or ToyModelConfig()
-        cfg = self.config
+    def __init__(self, config):
+        self.config = cfg = config
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD0DE]))
         C, d = LATENT_CHANNELS, cfg.embed_dim
         dh = max(d // HEADS, 1)
@@ -320,13 +319,13 @@ class LinearAttentionStub:
     """Closed-form attention oracle: softmax of a linear map of the pooled latent.
 
     Keeps guidance math checkable independently of the UNet; the weights
-    [LATENT_CHANNELS, token_budget] are a seeded normal draw.
+    [LATENT_CHANNELS, token_budget] are a normal draw seeded by the config's seed.
     """
 
-    def __init__(self, config, seed=1):
+    def __init__(self, config):
         self.config = config
         self._P, _ = _pool_matrix(config.capture_grid, config.latent_h, config.latent_w)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x57AB]))
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x57AB]))
         self.weights = rng.normal(0, 1.0, (LATENT_CHANNELS, config.token_budget))
 
     def ca_from_latent(self, z):

@@ -48,7 +48,7 @@ def gradcheck_suites(component, seed):
     z0 = rng.normal(size=(cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w))
     A0 = rng.uniform(0.05, 1.0, size=(cfg.frames, cfg.capture_grid ** 2, cfg.token_budget))
     suites = {  # name -> (input -> CA maps A, input, tolerance)
-        "stub": (LinearAttentionStub(cfg, seed=seed).ca_from_latent, z0, 1e-6),
+        "stub": (LinearAttentionStub(cfg).ca_from_latent, z0, 1e-6),
         "model": (lambda zt: model.denoise_step(zt, 10 / gcfg.total_steps, text)[1], z0, 1e-4),
         "losses": (lambda at: at, A0, 1e-5),
     }

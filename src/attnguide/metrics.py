@@ -94,23 +94,16 @@ def render_heatmap(ca, token_index, frame, out_path, upscale):
 
 @dataclass
 class MetricsReport:
-    rows: list = field(default_factory=list)  # list of flat dicts
-    config_echo: dict = field(default_factory=dict)
+    rows: list  # list of flat dicts; the run's configuration is in its manifest.json
     warnings: list = field(default_factory=list, init=False)  # a sweep's; to_jsonl omits them
 
     def to_jsonl(self):
-        head = json.dumps({"config_echo": self.config_echo}, sort_keys=True)
-        body = "\n".join(json.dumps(r, sort_keys=True) for r in self.rows)
-        return head + ("\n" + body if body else "") + "\n"
+        """One JSON object per row."""
+        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.rows)
 
     @classmethod
     def from_jsonl(cls, text):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise InputError("empty metrics report")
-        head = json.loads(lines[0])
-        return cls(rows=[json.loads(ln) for ln in lines[1:]],
-                   config_echo=head.get("config_echo", {}))
+        return cls([json.loads(ln) for ln in text.splitlines() if ln.strip()])
 
     def table(self):
         """Human-readable aligned-column rendering of the rows."""
@@ -191,9 +184,7 @@ def run_ablation(axes, base_config, seeds, prompt, priors, model_factory, log=No
     raises ``AblationInterrupted`` with the rows finished so far.
     """
     log = log or (lambda message: None)
-    report = MetricsReport(config_echo={
-        "axes": {k: [str(v) for v in vals] for k, vals in axes.items()},
-        "seeds": list(seeds)})
+    report = MetricsReport([])
     try:
         for axis, value in _variants(axes):
             try:

@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.slow
+@pytest.mark.kernel_bound
 def test_benchmark_selftest_passes():
     """`python3 benchmarks/selftest.py`: one smoke unit per workload, its scratch files in the
     git-ignored `.bench_out/`."""

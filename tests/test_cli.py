@@ -13,9 +13,12 @@ import pytest
 import attnguide
 from attnguide import gradcheck
 from attnguide.autodiff import Tensor
-from attnguide.cli import main
+from attnguide.boxes import detect_and_parse
+from attnguide.cli import _parse_grid_file, main
+from attnguide.config import read_text
 from attnguide.denoiser import ToyDenoiser, ToyModelConfig
 from attnguide.guidance import GuidanceConfig
+from attnguide.metrics import MetricsReport
 
 from conftest import DOG_CAT_BOXES, TEMPLATE_PROMPT, WOMAN_MAN_BOXES
 
@@ -216,7 +219,7 @@ class TestGenerate:
                 ("model_config", tmp_path / "model.cfg"))}
 
         data = np.load(out_dir / "ca_records.npz")
-        assert {"step1", "step2", "step4", "step12", "grid"} <= set(data.files)
+        assert set(data.files) == {"step1", "step2", "step4", "step12"}
 
         pgms = sorted(p.name for p in (out_dir / "heatmaps").glob("*.pgm"))
         assert "step1_tok2.pgm" in pgms and "step12_tok9.pgm" in pgms
@@ -388,8 +391,18 @@ class TestAblate:
                      "--model-config", str(tmp_path / "model.cfg"),
                      "--config", str(tmp_path / "guide.cfg")]) == 0
         assert "ok rows=2" in capsys.readouterr().out
-        rows = (tmp_path / "abl" / "ablation.jsonl").read_text().splitlines()[1:]
-        assert all(json.loads(r)["axis"] == "base" for r in rows)
+        rows = (tmp_path / "abl" / "ablation.jsonl").read_text().splitlines()
+        assert [json.loads(r)["axis"] for r in rows] == ["base", "base"]
+
+    def test_sweep_with_no_rows(self, tmp_path, capsys):
+        """Every variant skipped: no rows, an empty `ablation.jsonl` that reads back as none."""
+        assert main(self._sweep_args(tmp_path, "t1 = 99\n")) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("skipping t1=99: ")
+        assert out[-1].startswith("ok rows=0 ")
+        text = (tmp_path / "abl" / "ablation.jsonl").read_text()
+        assert text == "" and MetricsReport.from_jsonl(text).rows == []
+        assert (tmp_path / "abl" / "ablation.txt").read_text() == "(no rows)\n"
 
     def test_grid_sweep(self, tmp_path, capsys):
         (tmp_path / "model.cfg").write_text(MODEL_CFG)
@@ -445,7 +458,7 @@ class TestAblate:
                      "--model-config", str(tmp_path / "model.cfg"),
                      "--config", str(tmp_path / "guide.cfg")]) == 0
         assert capsys.readouterr().out.splitlines()[-1].startswith("ok rows=1 ")
-        row = json.loads((tmp_path / "abl" / "ablation.jsonl").read_text().splitlines()[1])
+        row = json.loads((tmp_path / "abl" / "ablation.jsonl").read_text())
         assert row["axis"] == "base" and "error" not in row
 
     def test_prints_each_run_warning_once(self, tmp_path, capsys):
@@ -487,7 +500,7 @@ class TestAblate:
                                                           "failed lambda_sp=1e+308 seed=0"]
         assert out[-1].startswith("ok rows=4 ")
         rows = [json.loads(r) for r in (tmp_path / "abl" / "ablation.jsonl").read_text()
-                .splitlines()[1:]]
+                .splitlines()]
         assert [("error" in r, r["value"], r["seed"]) for r in rows] == [
             (False, "10.0", 0), (False, "10.0", 1), (True, "1e+308", 0), (True, "1e+308", 1)]
         manifest = json.loads((tmp_path / "abl" / "manifest.json").read_text())
@@ -509,11 +522,11 @@ class TestAblate:
         assert main(self._sweep_args(tmp_path, "t1 = 2, 1\n")) == 0
         assert capsys.readouterr().out.splitlines()[-1].startswith("ok rows=2 ")
         report = (tmp_path / "abl" / "ablation.jsonl").read_text().splitlines()
-        assert json.loads(report[0])["config_echo"]["axes"] == {"t1": ["2", "1"]}
-        assert [(r["axis"], r["value"], r["seed"]) for r in map(json.loads, report[1:])] == [
+        assert [(r["axis"], r["value"], r["seed"]) for r in map(json.loads, report)] == [
             ("t1", "2", 0), ("t1", "2", 1)]
         assert "t1" in (tmp_path / "abl" / "ablation.txt").read_text()
         manifest = json.loads((tmp_path / "abl" / "manifest.json").read_text())
+        assert manifest["config"]["axes"] == {"t1": ["2", "1"]}
         assert manifest["complete"] is False
         assert manifest["warnings"] == [w[len("warning: "):] for w in POSITION_WARNINGS]
 
@@ -667,6 +680,45 @@ def test_structured_boxes_of_another_frame_rejected(tmp_path, capsys):
     assert main(["parse-boxes", str(path)]) == 2
     assert capsys.readouterr().out.splitlines() == [
         "ERROR kind=parse reason=frame_size must be [576, 320], got [1000, 500]"]
+
+
+RENAMED_SUBJECT = [{"id": 0, "name": "walking man", "box": [0, 0, 9, 9]},
+                   {"id": 0, "name": "running dog", "box": [9, 0, 9, 9]}]
+
+
+@pytest.mark.parametrize("text,line", [
+    ("".join(f"Frame {k}: [{rec!r}]\n" for k, rec in enumerate(RENAMED_SUBJECT, start=1))
+     + "Background keyword: room\n", "line 2: "),
+    (_structured(frames=[[rec] for rec in RENAMED_SUBJECT]), ""),
+], ids=["text", "json"])
+def test_subject_renamed_between_frames_rejected(tmp_path, capsys, text, line):
+    """A subject binds to the prompt by its name, so one id has one name in every frame."""
+    path = tmp_path / "boxes.txt"
+    path.write_text(text)
+    assert main(["parse-boxes", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"ERROR kind=parse reason={line}subject id 0 is named 'walking man' in frame 1 and "
+        "'running dog' in frame 2"]
+
+
+def _load_boxes(path):
+    return detect_and_parse(read_text(path))
+
+
+@pytest.mark.parametrize("text,load", [
+    (WOMAN_MAN_BOXES, _load_boxes),
+    (_structured(), _load_boxes),
+    ("lambda_sp = 10\nt1 = 3\n", GuidanceConfig.from_file),
+    (MODEL_CFG, ToyModelConfig.from_file),
+    ("t1 = 2, 3\nlambda_sp = 10\n", _parse_grid_file),
+], ids=["boxes_text", "boxes_json", "config", "model_config", "grid"])
+def test_byte_order_mark_is_ignored(tmp_path, text, load):
+    """Editors that save "UTF-8 with BOM" start the file with U+FEFF; it loads as without."""
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert load(marked) == load(plain)
 
 
 def test_structured_boxes_with_quote_in_name(tmp_path, capsys):

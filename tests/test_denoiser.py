@@ -192,7 +192,7 @@ class TestDenoiseStep:
             monkeypatch.setattr(denoiser, name, lambda *a, name=name, fn=fn: (
                 counts.__setitem__(name, counts[name] + 1) or fn(*a)))
         config = GuidanceConfig() if guided else GuidanceConfig(lambda_sp=0.0, lambda_syt=0.0)
-        run_guided_sampling(TEMPLATE_PROMPT, static_two_box_prior(8), config, ToyDenoiser(),
+        run_guided_sampling(TEMPLATE_PROMPT, static_two_box_prior(8), config, ToyDenoiser(ToyModelConfig()),
                             seed=0)
         assert (counts["softmax"], counts["softmax_grad"]) == calls
 
@@ -252,8 +252,8 @@ class TestStub:
 
     def test_logits_linear_in_latent(self, rng):
         """log A[..., j] - log A[..., 0] is the logits' difference: linear in the latent."""
-        cfg = tiny_model_config()
-        stub = LinearAttentionStub(cfg, seed=7)
+        cfg = tiny_model_config(seed=7)
+        stub = LinearAttentionStub(cfg)
 
         def log_odds(z):
             log_a = np.log(stub.ca_from_latent(Tensor(z)).data)
@@ -273,8 +273,8 @@ class TestStub:
             stub.ca_from_latent(Tensor(np.zeros(shape)))
 
     def test_ca_gradient(self, rng):
-        cfg = tiny_model_config()
-        stub = LinearAttentionStub(cfg, seed=3)
+        cfg = tiny_model_config(seed=3)
+        stub = LinearAttentionStub(cfg)
         base = _latent(cfg, rng)
         err = relative_error(*fd_gradients(
             lambda z: square(stub.ca_from_latent(z)).sum(), base, 1e-4))

@@ -470,7 +470,7 @@ def default_scene():
 
     from conftest import MAN_DOG_BOXES, TEMPLATE_PROMPT
 
-    model, config = ToyDenoiser(), GuidanceConfig()
+    model, config = ToyDenoiser(ToyModelConfig()), GuidanceConfig()
     pairs, text, masks, _ = prepare_inputs(TEMPLATE_PROMPT, parse_llm_boxes(MAN_DOG_BOXES),
                                            model)
     cfg = model.config

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from attnguide.autodiff import Tensor
 from attnguide.boxes import parse_llm_boxes
-from attnguide.denoiser import ToyDenoiser
+from attnguide.denoiser import ToyDenoiser, ToyModelConfig
 from attnguide.errors import ContractError, DegenerateAttentionError, InputError
 from attnguide.guidance import (
     GuidanceConfig,
@@ -179,10 +181,11 @@ class TestAlignment:
         ca = np.random.default_rng(seed).uniform(0.0, 1.0, shape) ** 3
         assert verb_noun_alignment(ca, pair).hex() == expected
 
+    @pytest.mark.kernel_bound
     def test_default_run_metrics_bytes(self):
         """The metrics row of `TestBitExactness.test_default_run_digest`'s run."""
         res = run_guided_sampling(TEMPLATE_PROMPT, parse_llm_boxes(MAN_DOG_BOXES),
-                                  GuidanceConfig(), ToyDenoiser(), seed=0)
+                                  GuidanceConfig(), ToyDenoiser(ToyModelConfig()), seed=0)
         assert {k: v.hex() for k, v in summarize_run(res).items()} == {
             "mean_alignment_final": "0x1.83e3c4dc2a0c8p+2",
             "mean_alignment_t1": "0x1.639d5350e485bp+2",
@@ -237,15 +240,10 @@ class TestRenderHeatmap:
 class TestReport:
     def test_jsonl_round_trip(self):
         rep = MetricsReport([dict(axis="t1", value="3", seed=1, mean_in_box_ratio_final=0.5),
-                             dict(axis="t1", value="5", seed=1, mean_in_box_ratio_final=0.75)],
-                            {"seeds": [1, 2]})
-        again = MetricsReport.from_jsonl(rep.to_jsonl())
-        assert again.rows == rep.rows
-        assert again.config_echo == rep.config_echo
-
-    def test_empty_text_rejected(self):
-        with pytest.raises(InputError):
-            MetricsReport.from_jsonl("")
+                             dict(axis="t1", value="5", seed=1, mean_in_box_ratio_final=0.75)])
+        text = rep.to_jsonl()
+        assert [json.loads(ln) for ln in text.splitlines()] == rep.rows  # one object per row
+        assert MetricsReport.from_jsonl(text).rows == rep.rows
 
     def test_table_alignment(self):
         rep = MetricsReport([dict(axis="lambda_sp", value="10.0", seed=0),
@@ -256,7 +254,7 @@ class TestReport:
         assert lines[0].split() == ["axis", "seed", "value"]
 
     def test_empty_table(self):
-        assert MetricsReport().table() == "(no rows)\n"
+        assert MetricsReport([]).table() == "(no rows)\n"
 
 
 def _small_run(**cfg_overrides):
@@ -364,7 +362,6 @@ class TestAblation:
         assert isinstance(exc.value, KeyboardInterrupt)
         report = exc.value.report
         assert [(r["value"], r["seed"]) for r in report.rows] == [("2", 0), ("2", 1)]
-        assert report.config_echo == {"axes": {"t1": ["2", "1"]}, "seeds": [1, 0]}
 
     def test_default_axes_frozen(self):
         assert DEFAULT_ABLATION_AXES["t1"] == [1, 3, 5, 7]

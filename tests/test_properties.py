@@ -115,10 +115,11 @@ odd_numbers = st.one_of(
 
 @st.composite
 def box_files(draw):
-    """A JSON or text box file with the same subjects in every frame, where a drawn share
-    of the numbers is odd, of the keys left out, of the backgrounds empty or holding a
-    line break, and of the text form's frame indices repeated, skipped or many digits
-    long.  Half the JSON files give the 576x320 frame, the rest a drawn `frame_size`."""
+    """A JSON or text box file with the same subject ids in every frame, where a drawn share
+    of the numbers is odd, of the keys left out, of the later frames' subject names changed,
+    of the backgrounds empty or holding a line break, and of the text form's frame indices
+    repeated, skipped or many digits long.  Half the JSON files give the 576x320 frame, the
+    rest a drawn `frame_size`."""
     as_json = draw(st.booleans())
     quote = json.dumps if as_json else repr
     rare = draw(st.sampled_from([0, 5, 30]))  # percent
@@ -136,8 +137,9 @@ def box_files(draw):
 
     subjects = [(number(), draw(st.text(alphabet="ab '\"\\", max_size=6)))
                 for _ in range(draw(st.integers(1, 2)))]
-    frames = ["[" + ", ".join(record(*subject) for subject in subjects) + "]"
-              for _ in range(draw(st.integers(1, 3)))]
+    frames = ["[" + ", ".join(record(sid, name + "b" if k and odd() else name)
+                              for sid, name in subjects) + "]"
+              for k in range(draw(st.integers(1, 3)))]
     background = draw(st.sampled_from(["", " ", "a\nb", "a\rb", "a\x1cb"])) if odd() \
         else "garden"
     if as_json:
