@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -15,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .autodiff import trapped
 from .boxes import (
     DEFAULT_MAX_STEP_PX,
     FRAME_H,
@@ -65,6 +63,7 @@ def _print_violations(violations):
 
 
 def _digest(path):
+    import hashlib  # it loads OpenSSL, which only the manifests of generate and ablate need
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -176,7 +175,9 @@ def cmd_generate(args):
     model = ToyDenoiser(model_config if args.seed is None else replace(model_config, seed=seed))
     result = run_guided_sampling(args.prompt, prior, config, model, seed)
     configs = {"guidance": asdict(config), "model": asdict(model.config)}
-    summary = _latent_summary(result)
+    norms = result.latent_norms  # inf where a latent grew past float range
+    if not np.isfinite(norms).all():
+        raise NumericError(f"latent norm past float range at step {np.isfinite(norms).argmin() + 1}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     (out_dir / "trace.jsonl").write_text(result.trace.to_jsonl())
@@ -184,6 +185,8 @@ def cmd_generate(args):
     (out_dir / "metrics.jsonl").write_text(report.to_jsonl())
     (out_dir / "metrics.txt").write_text(report.table())
 
+    summary = {"final_latent_norm": norms[-1], "per_step_latent_norm": norms,
+               "guidance_records": len(result.trace.records)}
     (out_dir / "latent_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
     np.savez(out_dir / "ca_records.npz", **{f"step{s}": v for s, v in result.ca_records.items()})
@@ -203,16 +206,6 @@ def cmd_generate(args):
         print(f"warning: {w}")
     print(f"ok records={len(result.trace.records)} out={out_dir}")
     return EXIT_OK
-
-
-@trapped
-def _latent_summary(result):
-    """The latent norms of a run; one too large for a float is a NumericError."""
-    return {
-        "final_latent_norm": float(np.sqrt((result.final_state.z ** 2).sum())),
-        "per_step_latent_norm": [float(np.sqrt((z ** 2).sum())) for z in result.z_trajectory],
-        "guidance_records": len(result.trace.records),
-    }
 
 
 def cmd_gradcheck(args):

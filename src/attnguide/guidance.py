@@ -413,7 +413,7 @@ def guide_latent(state, leaf, loss, lam):
 @dataclass
 class SamplingResult:
     final_state: LatentState
-    z_trajectory: list          # per-step latent after the scheduler update
+    latent_norms: list          # per-step L2 norm of the latent after the scheduler update
     trace: GuidanceTrace
     ca_records: dict            # step -> CA map values [F, N, L]
     column_pairs: SyntaxPairs   # CA-column pairs
@@ -493,7 +493,7 @@ def run_guided_sampling(prompt, priors, config, model, seed):
     z0 = rng.normal(size=(cfg_m.frames, LATENT_CHANNELS, cfg_m.latent_h, cfg_m.latent_w))
     state = LatentState(z0, config.total_steps - 1)
     trace = GuidanceTrace()
-    ca_records, z_trajectory = {}, []
+    ca_records, latent_norms = {}, []
 
     for step in range(1, config.total_steps + 1):
         tau = state.timestep_index / config.total_steps
@@ -524,13 +524,14 @@ def run_guided_sampling(prompt, priors, config, model, seed):
 
         eps_pred, A = model.denoise_step(Tensor(state.z), tau, text)
         if step in snapshot_steps:
-            ca_records[step] = A.data.copy()
+            ca_records[step] = A.data
         state = ddim_step(state, eps_pred, schedule)
-        z_trajectory.append(state.z.copy())
+        with np.errstate(over="ignore"):  # a norm past float range is inf; `generate` rejects it
+            latent_norms.append(float(np.sqrt((state.z ** 2).sum())))
 
     return SamplingResult(
         final_state=state,
-        z_trajectory=z_trajectory,
+        latent_norms=latent_norms,
         trace=trace,
         ca_records=ca_records,
         column_pairs=column_pairs,

@@ -342,7 +342,7 @@ class TestGenerate:
             f.write("lambda_sp = 1e300\n")
         assert main(small_run_args("run")) == 3
         assert capsys.readouterr().out.splitlines() == [
-            "ERROR kind=numeric reason=_latent_summary: overflow encountered in square"]
+            "ERROR kind=numeric reason=latent norm past float range at step 1"]
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "run").exists()
 

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -445,9 +447,31 @@ class TestRunGuidedSampling:
         assert {r.step for r in spatial} == {1, 2}
         assert {r.step for r in syntax} == {3, 4, 5}
         assert all(r.iteration in (1, 2) for r in spatial)
-        assert len(res.z_trajectory) == 12
+        assert len(res.latent_norms) == 12
         assert res.final_state.timestep_index == -1
         assert set(res.ca_records) == {1, 2, 5, 12}
+
+    def test_retained_result_does_not_grow_with_steps(self):
+        """The arrays an unguided result holds take the same bytes at 12 steps as at 48: it
+        keeps each step's latent norm, a Python float, not the latent.  Only numpy's buffer
+        domain is counted, since the whole traced heap varies by kilobytes from process to
+        process with what numpy's caches hold."""
+        model, prior = ToyDenoiser(tiny_model_config()), static_two_box_prior(2)
+        buffers = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+
+        def held(steps):
+            cfg = GuidanceConfig(total_steps=steps, t1=2, t2=5, lambda_sp=0.0, lambda_syt=0.0)
+            tracemalloc.start()
+            try:
+                result = run_guided_sampling(TEMPLATE_PROMPT, prior, cfg, model, 0)
+                gc.collect()
+                snapshot = tracemalloc.take_snapshot().filter_traces([buffers])
+            finally:
+                tracemalloc.stop()
+            del result  # alive until the snapshot
+            return sum(trace.size for trace in snapshot.traces)
+
+        assert held(48) == held(12)
 
     def test_trace_reports_in_box_ratios_for_nouns(self):
         res = self._run()
