@@ -17,15 +17,24 @@ from .errors import ContractError, NumericError
 
 
 def softmax(x):
-    """Softmax of a float array along its last axis (max-shifted)."""
+    """Softmax of a float array along its last axis (max-shifted); ``x`` is left as it is."""
     # The max runs over a copy with that axis first: vectorised across rows.
-    e = np.exp(x - x.transpose(x.ndim - 1, *range(x.ndim - 1)).copy().max(axis=0)[..., None])
-    return e / e.sum(axis=-1, keepdims=True)
+    # The shifted copy is the function's own, so exp and the division run in place on it.
+    e = x - x.transpose(x.ndim - 1, *range(x.ndim - 1)).copy().max(axis=0)[..., None]
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_grad(out, g):
-    """Gradient through a softmax with result ``out`` for the result's gradient ``g``."""
-    return out * (g - (g * out).sum(axis=-1, keepdims=True))
+    """Gradient through a softmax with result ``out`` for the result's gradient ``g``.
+
+    ``g`` may broadcast against ``out``; neither is changed.
+    """
+    # out * (g - ...), taken in place on the fresh difference: the product commutes.
+    d = g - (g * out).sum(axis=-1, keepdims=True)
+    d *= out
+    return d
 
 
 def check_finite(*arrays):

@@ -214,14 +214,19 @@ class ToyDenoiser:
         wq = self._weights[tag]["wq"]
         scale = np.asarray(1.0 / np.sqrt(self._dh))
         mean = np.asarray(1.0 / HEADS)
-        maps = softmax((x @ wq) @ keys * scale)
-        A = sum(maps[1:], maps[0]) * mean
+        logits = (x @ wq) @ keys
+        logits *= scale
+        maps = softmax(logits)
+        A = sum(maps[1:], maps[0])  # a fresh array: HEADS > 1
+        A *= mean
 
         def backward(g_out, g_A):
             if g_out is not None:
                 g_Av = g_out @ values.T
                 g_A = g_Av if g_A is None else g_A + g_Av
-            g_q = (softmax_grad(maps, g_A * mean) * scale) @ np.swapaxes(keys, -1, -2)
+            g_logits = softmax_grad(maps, g_A * mean)
+            g_logits *= scale
+            g_q = g_logits @ np.swapaxes(keys, -1, -2)
             g_x = g_q @ np.swapaxes(wq, -1, -2)
             return sum(g_x[1:], g_x[0])
 
@@ -243,27 +248,37 @@ class ToyDenoiser:
         _check_latent(z, cfg)
 
         h = z.data.reshape(cfg.frames, LATENT_CHANNELS, -1).transpose(0, 2, 1)   # [F, HW, C]
+        # Each block's backward closure holds its maps: a forward without a
+        # gradient keeps none, so each is freed once the next block runs.
         grads, captured = [], {}
         for tag, g in cfg.levels:
             w = self._weights[tag]
             attention = partial(self._cross_attention, keys_values=text.keys_values[tag],
                                 tag=tag)
             h, captured[tag], grad = self._block(h, g, attention, w["tau_bias"] * tau)
-            grads.append((tag, grad))
+            if z.requires_grad:
+                grads.append((tag, grad))
             if tag == "mid":
                 h, _, grad = self._block(h, g, self._temporal_attention, None)
-                grads.append((None, grad))
+                if z.requires_grad:
+                    grads.append((None, grad))
 
         eps = (h @ self._out).transpose(0, 2, 1).reshape(z.shape)
         wanted = cfg.capture_tags
         A_cap = sum((captured[tag] for tag in wanted[1:]), captured[wanted[0]])
         inv = 1.0 / len(wanted)
-        while grads[-1][0] not in wanted:  # the blocks after the last capture get no gradient
+        # The blocks after the last capture get no gradient.
+        while grads and grads[-1][0] not in wanted:
             grads.pop()
 
         def backward(g_A):
+            # Single use: each block's closure is popped as it runs, so its saved
+            # maps are freed once their gradient is taken.
+            if not grads:
+                raise ContractError("denoise_step's graph was already walked by a backward")
             g_h, g_cap = None, g_A * inv
-            for tag, grad in reversed(grads):
+            while grads:
+                tag, grad = grads.pop()
                 g_h = grad(g_h, g_cap if tag in wanted else None)
             return (g_h.transpose(0, 2, 1).reshape(z.shape),)
 

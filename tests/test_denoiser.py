@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,6 +140,40 @@ class TestDenoiseStep:
                 _, ca = model.denoise_step(leaf, tau=2 / 50, text=enc)
             ref(ca).sum().backward()
         assert {k: id(v) for k, v in vars(model).items()} == before
+
+    def test_second_backward_is_a_contract_error(self, model, rng):
+        """The backward frees each block's saved maps as it walks them: a graph is walked once."""
+        enc = model.encode_text(tokenize("a cat is sitting"))
+        leaf = Tensor(_latent(model.config, rng), requires_grad=True)
+        _, ca = model.denoise_step(leaf, tau=2 / 50, text=enc)
+        loss = ref(ca).sum()
+        loss.backward()
+        assert leaf.grad is not None
+        with pytest.raises(ContractError, match="already walked"):
+            loss.backward()
+
+    def test_forward_without_gradient_holds_no_graph(self, rng):
+        """A default forward without a gradient keeps no block's backward, so its traced
+        peak stays well below that of a forward with one.  tracemalloc keeps one peak over
+        all domains; numpy's array buffers make nearly all of it."""
+        model = ToyDenoiser(ToyModelConfig())
+        enc = model.encode_text(tokenize("a cat is sitting"))
+        z = _latent(model.config, rng)
+
+        def peak(requires_grad):
+            leaf = Tensor(z, requires_grad=requires_grad)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                model.denoise_step(leaf, tau=2 / 50, text=enc)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        for requires_grad in (False, True):  # warm numpy's caches
+            peak(requires_grad)
+        assert peak(False) < 0.75 * peak(True)
 
     def test_latent_sensitivity(self, model, rng):
         enc = model.encode_text(tokenize("a cat is sitting"))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from attnguide import guidance
-from attnguide.autodiff import Tensor, softmax
+from attnguide.autodiff import Tensor, softmax, softmax_grad
 from attnguide.denoiser import LATENT_CHANNELS, LinearAttentionStub, ToyDenoiser, ToyModelConfig
 from attnguide.guidance import GuidanceConfig, loss_syt
 from attnguide.syntax import extract_pairs, tokenize
@@ -53,6 +53,44 @@ def test_softmax_propagates_nan(rng):
     out = softmax(x)
     assert np.isnan(out[2]).all()
     same_bytes(np.delete(out, 2, axis=0), reference_softmax(np.delete(x, 2, axis=0)))
+
+
+def reference_softmax_grad(out, g):
+    return out * (g - (g * out).sum(axis=-1, keepdims=True))
+
+
+def frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("case", ["same_shape", "broadcast_heads", "transposed", "read_only"])
+def test_softmax_grad_matches_out_of_place(rng, case):
+    """The in-place gradient against the out-of-place form it replaced, byte for byte,
+    with both inputs left as they were.  `RefTensor` calls the same function, so the
+    fused-vs-composite pins cannot see a change in it.  `broadcast_heads` is
+    `_cross_attention`'s `[F, N, L]` gradient against its `[H, F, N, L]` maps."""
+    out, g = {
+        "same_shape": lambda: (softmax(rng.normal(size=(8, 64, 16))), rng.normal(size=(8, 64, 16))),
+        "broadcast_heads": lambda: (softmax(rng.normal(size=(2, 8, 64, 16))),
+                                    rng.normal(size=(8, 64, 16)) * 0.5),
+        "transposed": lambda: (softmax(rng.normal(size=(16, 64, 8)).transpose(2, 1, 0)),
+                               rng.normal(size=(16, 64, 8)).transpose(2, 1, 0)),
+        "read_only": lambda: (frozen(softmax(rng.normal(size=(2, 4, 9, 5)))),
+                              frozen(rng.normal(size=(4, 9, 5)))),
+    }[case]()
+    before = out.tobytes(), g.tobytes()
+    same_bytes(softmax_grad(out, g), reference_softmax_grad(out, g))
+    assert (out.tobytes(), g.tobytes()) == before
+
+
+@pytest.mark.parametrize("writeable", [True, False])
+def test_softmax_leaves_its_input(rng, writeable):
+    x = rng.normal(size=(3, 8, 5))
+    x.flags.writeable = writeable
+    before = x.tobytes()
+    same_bytes(softmax(x), reference_softmax(x))
+    assert x.tobytes() == before
 
 
 @pytest.mark.parametrize("shape,axis,g_shape", [
