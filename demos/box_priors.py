@@ -28,8 +28,9 @@ def main():
           f"{len(prior.trajectories)} trajectories, "
           f"background {prior.background_keyword!r}\n")
 
-    # The dog teleports 140px between frames 3 and 4 -- the validator flags it.
-    for v in validate_trajectories(prior, max_step_px=60):
+    # The dog teleports 140px between the file's Frame 3 and Frame 4 -- the validator
+    # flags it, counting frames from 0 as everything after loading does.
+    for v in validate_trajectories(prior):
         print(f"violation: {v.kind} subject={v.subject_id} frame={v.frame} -- {v.message}")
     print()
 

@@ -13,11 +13,11 @@ from .boxes import (
     validate_trajectories,
 )
 from .denoiser import (
-    DDIMSchedule,
     LatentState,
     LinearAttentionStub,
     ToyDenoiser,
     ToyModelConfig,
+    ddim_schedule,
     ddim_step,
 )
 from .guidance import (
@@ -45,8 +45,8 @@ __all__ = [
     "Tensor",
     "BoxTrajectory", "SpatialPriorSet", "parse_llm_boxes", "rasterize_masks",
     "resample_frames", "serialize_boxes", "validate_trajectories",
-    "DDIMSchedule", "LatentState", "LinearAttentionStub",
-    "ToyDenoiser", "ToyModelConfig", "ddim_step",
+    "LatentState", "LinearAttentionStub",
+    "ToyDenoiser", "ToyModelConfig", "ddim_schedule", "ddim_step",
     "GuidanceConfig", "GuidanceTrace", "guide_latent",
     "loss_bg", "loss_fg", "loss_neg", "loss_pos", "loss_sp", "loss_syt",
     "run_guided_sampling",

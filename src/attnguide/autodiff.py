@@ -123,7 +123,8 @@ class Tensor:
     # -- reverse pass --------------------------------------------------------
 
     def backward(self):
-        """Accumulate d(self)/d(leaf) into ``.grad`` of every grad-requiring leaf."""
+        """Set ``.grad`` of every node walked (self, each grad-requiring node and leaf) to
+        d(self)/d(node), replacing any earlier value: nothing accumulates across calls."""
         if self.size != 1:
             raise ContractError(f"backward requires a scalar loss, got shape {self.shape}")
         # Tensors hash and compare by identity, so they key the sets and dicts.

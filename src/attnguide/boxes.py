@@ -19,8 +19,8 @@ from .errors import BoxParseError, InputError
 
 # The box generator's frame, in pixels: its text format cannot state another.
 FRAME_W, FRAME_H = 576, 320
-# The default limit on a box center's move between frames, in pixels.
-DEFAULT_MAX_STEP_PX = 60
+# The limit on a box center's move between frames, in pixels.
+MAX_STEP_PX = 60
 
 OUT_OF_FRAME = "OUT_OF_FRAME"
 VELOCITY = "VELOCITY"
@@ -237,10 +237,8 @@ def detect_and_parse(text):
     return parse_llm_boxes(text)
 
 
-def validate_trajectories(prior, max_step_px=DEFAULT_MAX_STEP_PX):
+def validate_trajectories(prior):
     """Out-of-frame (loading clips boxes), velocity and degenerate-box checks."""
-    if max_step_px < 0:
-        raise InputError(f"max_step_px must be non-negative, got {max_step_px}")
     violations = []
     for traj in prior.trajectories:
         prev_center = None
@@ -257,11 +255,11 @@ def validate_trajectories(prior, max_step_px=DEFAULT_MAX_STEP_PX):
             center = (x + w / 2.0, y + h / 2.0)
             if prev_center is not None:
                 step = float(np.hypot(center[0] - prev_center[0], center[1] - prev_center[1]))
-                if step > max_step_px:
+                if step > MAX_STEP_PX:
                     violations.append(Violation(
                         VELOCITY, traj.subject_id, f,
-                        f"center moved {step:.1f}px between frames {f} and {f + 1} "
-                        f"(limit {max_step_px})",
+                        f"center moved {step:.1f}px between frames {f - 1} and {f} "
+                        f"(limit {MAX_STEP_PX})",
                     ))
             prev_center = center
     return violations

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import __version__
 from .boxes import (
-    DEFAULT_MAX_STEP_PX,
     FRAME_H,
     FRAME_W,
     detect_and_parse,
@@ -129,7 +128,7 @@ def cmd_validate_boxes(args):
     prior = detect_and_parse(read_text(args.file))
     for w in prior.load_warnings:
         print(f"warning: {w}")
-    violations = validate_trajectories(prior, max_step_px=args.max_step_px)
+    violations = validate_trajectories(prior)
     _print_violations(violations)
     print(f"violations={len(violations)}")
     return EXIT_OK
@@ -164,7 +163,7 @@ def cmd_rasterize(args):
 def cmd_generate(args):
     started, out_dir = _now(), _fresh_out(args.out)
     prior = detect_and_parse(read_text(args.boxes))
-    violations = validate_trajectories(prior, max_step_px=args.max_step_px)
+    violations = validate_trajectories(prior)
     if violations and not args.force:
         _print_violations(violations)
         return _fail(EXIT_PARSE, "validation",
@@ -181,13 +180,12 @@ def cmd_generate(args):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     (out_dir / "trace.jsonl").write_text(result.trace.to_jsonl())
-    report = MetricsReport([{"seed": seed, "prompt": args.prompt, **summarize_run(result)}])
+    report = MetricsReport([summarize_run(result)])
     (out_dir / "metrics.jsonl").write_text(report.to_jsonl())
     (out_dir / "metrics.txt").write_text(report.table())
 
-    summary = {"final_latent_norm": norms[-1], "per_step_latent_norm": norms,
-               "guidance_records": len(result.trace.records)}
-    (out_dir / "latent_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    (out_dir / "latent_summary.json").write_text(
+        json.dumps({"per_step_latent_norm": norms}, indent=2) + "\n")
 
     np.savez(out_dir / "ca_records.npz", **{f"step{s}": v for s, v in result.ca_records.items()})
 
@@ -200,7 +198,6 @@ def cmd_generate(args):
                                DEFAULT_UPSCALE)
 
     _write_manifest(args, started, config=configs, seed=seed, complete=True,
-                    unguided=config.lambda_sp == 0 and config.lambda_syt == 0,
                     warnings=result.warnings)
     for w in result.warnings:
         print(f"warning: {w}")
@@ -313,7 +310,6 @@ def build_parser():
 
     p = sub.add_parser("validate-boxes", help="diagnose box trajectories")
     p.add_argument("file")
-    p.add_argument("--max-step-px", type=int, default=DEFAULT_MAX_STEP_PX)
     p.set_defaults(func=cmd_validate_boxes)
 
     p = sub.add_parser("rasterize", help="rasterize boxes to attention-grid masks")
@@ -327,7 +323,6 @@ def build_parser():
     p.add_argument("boxes")
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
-    p.add_argument("--max-step-px", type=int, default=DEFAULT_MAX_STEP_PX)
     p.add_argument("--seed", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_generate)

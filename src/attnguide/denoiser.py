@@ -120,22 +120,18 @@ def _pool_matrix(grid, latent_h, latent_w):
     return P, cell
 
 
-class DDIMSchedule:
-    """Linear-beta schedule (1e-4 to 0.02) with the deterministic (eta = 0) DDIM update."""
-
-    def __init__(self, total_steps):
-        self.total_steps = total_steps
-        self.betas = np.linspace(1e-4, 0.02, total_steps)
-        self.alphas_cumprod = np.cumprod(1.0 - self.betas)
+def ddim_schedule(total_steps):
+    """The cumulative alphas of the linear-beta schedule (1e-4 to 0.02), one per timestep."""
+    return np.cumprod(1.0 - np.linspace(1e-4, 0.02, total_steps))
 
 
 def ddim_step(state, eps, schedule):
-    """One deterministic DDIM step from ``state.timestep_index`` on noise prediction ``eps``."""
+    """One deterministic (eta = 0) DDIM step from ``state.timestep_index`` on ``eps``."""
     t = state.timestep_index
-    if not 0 <= t < schedule.total_steps:
-        raise ContractError(f"timestep {t} outside 0..{schedule.total_steps - 1}")
-    abar_t = schedule.alphas_cumprod[t]
-    abar_prev = schedule.alphas_cumprod[t - 1] if t >= 1 else 1.0
+    if not 0 <= t < len(schedule):
+        raise ContractError(f"timestep {t} outside 0..{len(schedule) - 1}")
+    abar_t = schedule[t]
+    abar_prev = schedule[t - 1] if t >= 1 else 1.0
     x0 = (state.z - np.sqrt(1.0 - abar_t) * eps) / np.sqrt(abar_t)
     z_next = np.sqrt(abar_prev) * x0 + np.sqrt(1.0 - abar_prev) * eps
     return LatentState(z_next, t - 1)

@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import Tensor, trapped
 from .boxes import rasterize_masks, resample_frames
 from .config import read_config
-from .denoiser import LATENT_CHANNELS, DDIMSchedule, LatentState, ddim_step
+from .denoiser import LATENT_CHANNELS, LatentState, ddim_schedule, ddim_step
 from .errors import (
     AttnGuideError,
     ContractError,
@@ -152,21 +152,16 @@ def _columns(A, cols):
     return X, total
 
 
-def _distances(X, a, b, kind, eps):
-    """Distances between the maps X[a] and X[b] of a stack X [K, ..., N].
-
-    Returns ([D, ...] values, backward), where ``backward(g)`` gives the
-    gradients [D, ..., N] of (X[a], X[b]).  ``kind`` is KL_SYM or COSINE.
-    Work on one map (KL's normalization and log, the cosine's norm) runs
-    once per map of X.
-    """
-    return _cosine(X, a, b) if kind == COSINE else _kl(X, a, b, eps)
+# The two distance kernels, `_kl` and `_cosine`, measure the maps X[a] and X[b]
+# of a stack X [K, ..., N].  Each returns ([D, ...] values, backward), where
+# `backward(g)` gives the gradients [D, ..., N] of (X[a], X[b]).  Work on one
+# map (KL's normalization and log, the cosine's norm) runs once per map of X.
 
 
-def _normalized(x, eps):
-    """Each last-axis slice of `x + eps` scaled by its reciprocal sum, as the composite
+def _normalized(x):
+    """Each last-axis slice of `x + EPS` scaled by its reciprocal sum, as the composite
     computed it: (result, saved values)."""
-    te = x + eps
+    te = x + EPS
     s = te.sum(axis=-1)
     r = 1.0 / s
     return te * r[..., None], (te, s, r)
@@ -179,9 +174,9 @@ def _normalized_grad(g, saved, idx):
     return g * r[..., None] + g_s[..., None]
 
 
-def _kl(X, a, b, eps):
+def _kl(X, a, b):
     """Symmetric KL between the maps X[a] and X[b]; the backward gives (g_a, g_b)."""
-    n, saved = _normalized(X, eps)
+    n, saved = _normalized(X)
     logn = np.log(n)
     pn, qn, lp, lq = n[a], n[b], logn[a], logn[b]
     d1, d2 = lp - lq, lq - lp
@@ -256,7 +251,7 @@ def _mean_distances(A, dpairs, config):
     cols = sorted({c for pair in dpairs for c in pair})
     X, _ = _columns(A.data, cols)
     a, b = ([cols.index(pair[i]) for pair in dpairs] for i in (0, 1))
-    out, backward = _distances(X, a, b, config.distance, EPS)  # [D, F]
+    out, backward = (_cosine if config.distance == COSINE else _kl)(X, a, b)  # [D, F]
     inv = 1.0 / out.shape[1]
     visits = [c for pair in dpairs for c in pair]
 
@@ -485,7 +480,7 @@ def run_guided_sampling(prompt, priors, config, model, seed):
         raise InputError(f"seed must be non-negative, got {seed}")
     column_pairs, text, masks, notes = prepare_inputs(prompt, priors, model)
     cfg_m = model.config
-    schedule = DDIMSchedule(config.total_steps)
+    schedule = ddim_schedule(config.total_steps)
     snapshot_steps = {1, config.t1, config.t2, config.total_steps} - {0}
     nouns = [noun for noun, _ in column_pairs.pairs]
 

@@ -217,8 +217,7 @@ def test_criterion_6_parser_fixtures():
     dog_cat = parse_llm_boxes(DOG_CAT_BOXES)
     woman_x = [b[0] for b in woman_man.trajectory_by_id(0).boxes]
     cat_boxes = dog_cat.trajectory_by_id(1).boxes
-    velocity = [v for v in validate_trajectories(dog_cat, max_step_px=60)
-                if v.kind == "VELOCITY"]
+    velocity = [v for v in validate_trajectories(dog_cat) if v.kind == "VELOCITY"]
     ok = (woman_x == [0, 35, 70, 105, 140, 175, 210, 245]
           and all(b == [350, 200, 80, 60] for b in cat_boxes)
           and woman_man.background_keyword == "room"

@@ -99,6 +99,17 @@ class TestBackward:
         g1, g2 = grad_once(), grad_once()
         assert g1.tobytes() == g2.tobytes()
 
+    def test_second_backward_replaces_grad(self):
+        """A second walk sets every node's `.grad` afresh: the leaf's is not doubled."""
+        z = RefTensor([3.0, 4.0], requires_grad=True)
+        y = square(z)
+        loss = y.sum() * 0.5
+        loss.backward()
+        first = z.grad
+        loss.backward()
+        assert z.grad is not first and np.array_equal(z.grad, [3.0, 4.0])
+        assert np.array_equal(y.grad, [0.5, 0.5]) and np.array_equal(loss.grad, 1.0)
+
     def test_shared_subexpression(self):
         z = RefTensor([2.0], requires_grad=True)
         y = z * 3.0

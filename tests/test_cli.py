@@ -104,14 +104,16 @@ class TestParseCommands:
         assert "ERROR kind=io" in capsys.readouterr().out
 
     def test_validate_boxes(self, tmp_path, capsys):
+        """Frames count from 0 after loading, in the text as in `frame=`: the dog's jump
+        from the file's `Frame 7:` to its `Frame 8:`."""
         path = tmp_path / "dogcat.txt"
         path.write_text(DOG_CAT_BOXES)
         assert main(["validate-boxes", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "violation kind=VELOCITY subject=0 frame=7" in out
-        assert "violations=1" in out
-        assert main(["validate-boxes", str(path), "--max-step-px", "130"]) == 0
-        assert "violations=0" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines() == [
+            "violation kind=VELOCITY subject=0 frame=7 center moved 125.0px "
+            "between frames 6 and 7 (limit 60)",
+            "violations=1",
+        ]
 
     def test_validate_boxes_reports_clipping(self, tmp_path, capsys):
         path = tmp_path / "offscreen.txt"
@@ -211,7 +213,6 @@ class TestGenerate:
 
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["complete"] is True
-        assert manifest["unguided"] is False
         assert manifest["seed"] == 0
         assert manifest["input_digests"] == {  # keyed by option name, every file given
             name: hashlib.sha256(Path(path).read_bytes()).hexdigest() for name, path in (
@@ -226,6 +227,26 @@ class TestGenerate:
 
         metrics = (out_dir / "metrics.jsonl").read_text()
         assert "mean_in_box_ratio_final" in metrics
+
+    def test_run_directory_layout(self, tmp_path, small_run_args):
+        """A run directory stores each value once: its exact files and keys, so that no
+        derived copy (a final norm, a record count, a seed or prompt per row) comes back."""
+        assert main(small_run_args("run")) == 0
+        out_dir = tmp_path / "run"
+        heatmaps = {f"heatmaps/step{s}_tok{c}.pgm" for s in (1, 2, 4, 12) for c in (2, 4, 7, 9)}
+        assert {str(p.relative_to(out_dir)) for p in out_dir.rglob("*")} == {
+            "ca_records.npz", "heatmaps", "latent_summary.json", "manifest.json",
+            "metrics.jsonl", "metrics.txt", "trace.jsonl"} | heatmaps
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert sorted(manifest) == ["complete", "config", "finished_at", "input_digests",
+                                    "prompt", "seed", "started_at", "version", "warnings"]
+        summary = json.loads((out_dir / "latent_summary.json").read_text())
+        assert sorted(summary) == ["per_step_latent_norm"]
+        assert len(summary["per_step_latent_norm"]) == 12
+        rows = MetricsReport.from_jsonl((out_dir / "metrics.jsonl").read_text()).rows
+        assert [sorted(row) for row in rows] == [[
+            f"mean_{name}_{at}" for name in ("alignment", "components", "in_box_ratio")
+            for at in ("final", "t1", "t2")]]
 
     def test_byte_reproducible(self, tmp_path, small_run_args):
         assert main(small_run_args("a")) == 0
@@ -262,6 +283,7 @@ class TestGenerate:
         assert not (tmp_path / "run").exists()
 
     def test_unguided_flagged_in_manifest(self, tmp_path, boxes_file):
+        """A run is unguided when both loss weights in the manifest's guidance config are 0."""
         (tmp_path / "model.cfg").write_text(MODEL_CFG)
         (tmp_path / "guide.cfg").write_text(GUIDE_CFG + "lambda_sp = 0\nlambda_syt = 0\n")
         assert main(["generate", TEMPLATE_PROMPT, boxes_file,
@@ -269,7 +291,8 @@ class TestGenerate:
                      "--model-config", str(tmp_path / "model.cfg"),
                      "--config", str(tmp_path / "guide.cfg")]) == 0
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-        assert manifest["unguided"] is True
+        guidance = manifest["config"]["guidance"]
+        assert (guidance["lambda_sp"], guidance["lambda_syt"]) == (0, 0)
 
     @pytest.mark.parametrize("boxes_text", [
         WOMAN_MAN_BOXES.split("Frame 2:")[0] + "Background keyword: room\n",
@@ -642,8 +665,9 @@ BAD_INPUTS = {
     "rasterize_grid_over_cap": ("rasterize_grid", "65x65"),
     # argparse takes `-1x4` for an option: a usage error, which ends in the ERROR line too
     "rasterize_grid_negative": ("rasterize_grid", "-1x4"),
-    "validate_negative_max_step": ("validate_step", "-5"),
-    "generate_negative_max_step": ("generate_step", "-5"),
+    # the velocity limit is the constant `boxes.MAX_STEP_PX`: the option is gone
+    "validate_removed_max_step_px": ("validate_step", "60"),
+    "generate_removed_max_step_px": ("generate_step", "60"),
 }
 
 

@@ -12,12 +12,12 @@ from attnguide.denoiser import (
     LATENT_CHANNELS,
     MODEL_CAPS,
     PAD,
-    DDIMSchedule,
     LatentState,
     LinearAttentionStub,
     ToyDenoiser,
     ToyModelConfig,
     _token_embedding,
+    ddim_schedule,
     ddim_step,
 )
 from attnguide.errors import ContractError, DimensionError, InputError, NumericError
@@ -237,42 +237,36 @@ class TestDenoiseStep:
 class TestDDIM:
     def test_zero_noise_closed_form(self, rng):
         """With eps = 0 the update is pure rescaling by sqrt(abar ratio)."""
-        sched = DDIMSchedule(total_steps=50)
+        sched = ddim_schedule(50)
         z = rng.normal(size=(2, 2, 4, 4))
         state = LatentState(z.copy(), timestep_index=49)
         out = ddim_step(state, np.zeros_like(z), schedule=sched)
-        ratio = np.sqrt(sched.alphas_cumprod[48] / sched.alphas_cumprod[49])
+        ratio = np.sqrt(sched[48] / sched[49])
         assert np.allclose(out.z, z * ratio, atol=1e-14)
         assert out.timestep_index == 48
 
     def test_x0_consistency(self, rng):
         """Implied x0 estimate is preserved exactly across one step."""
-        sched = DDIMSchedule(total_steps=50)
+        sched = ddim_schedule(50)
         z = rng.normal(size=(2, 2, 4, 4))
         eps = rng.normal(size=z.shape)
         t = 30
         out = ddim_step(LatentState(z, t), eps, schedule=sched)
-        x0_before = (z - np.sqrt(1 - sched.alphas_cumprod[t]) * eps) / np.sqrt(
-            sched.alphas_cumprod[t]
-        )
-        x0_after = (out.z - np.sqrt(1 - sched.alphas_cumprod[t - 1]) * eps) / np.sqrt(
-            sched.alphas_cumprod[t - 1]
-        )
+        x0_before = (z - np.sqrt(1 - sched[t]) * eps) / np.sqrt(sched[t])
+        x0_after = (out.z - np.sqrt(1 - sched[t - 1]) * eps) / np.sqrt(sched[t - 1])
         assert np.allclose(x0_before, x0_after, atol=1e-12)
 
     def test_final_step_reaches_x0(self, rng):
-        sched = DDIMSchedule(total_steps=50)
+        sched = ddim_schedule(50)
         z = rng.normal(size=(1, 1, 2, 2))
         eps = rng.normal(size=z.shape)
         out = ddim_step(LatentState(z, 0), eps, schedule=sched)
-        x0 = (z - np.sqrt(1 - sched.alphas_cumprod[0]) * eps) / np.sqrt(
-            sched.alphas_cumprod[0]
-        )
+        x0 = (z - np.sqrt(1 - sched[0]) * eps) / np.sqrt(sched[0])
         assert np.allclose(out.z, x0, atol=1e-12)
         assert out.timestep_index == -1
 
     def test_timestep_outside_schedule_rejected(self, rng):
-        sched = DDIMSchedule(total_steps=50)
+        sched = ddim_schedule(50)
         z = rng.normal(size=(1, 1, 2, 2))
         for t in (-1, 50):
             with pytest.raises(ContractError, match=f"timestep {t} outside 0..49"):

@@ -178,11 +178,12 @@ def test_loss_syt_gathers_each_column_once(monkeypatch, rng):
                requires_grad=True)
     _, A = model.denoise_step(z, 0.5, text)
     gathers, kernels = [], []
-    columns, distances = guidance._columns, guidance._distances
+    columns = guidance._columns
     monkeypatch.setattr(guidance, "_columns",
                         lambda A, cols: gathers.append(list(cols)) or columns(A, cols))
-    monkeypatch.setattr(guidance, "_distances", lambda X, a, b, *rest: (
-        kernels.append((X.shape[0], len(a), len(b))) or distances(X, a, b, *rest)))
+    for name in ("_kl", "_cosine"):
+        monkeypatch.setattr(guidance, name, lambda X, a, b, kernel=getattr(guidance, name): (
+            kernels.append((X.shape[0], len(a), len(b))) or kernel(X, a, b)))
     loss_syt(A, pairs, GuidanceConfig()).backward()
     assert sum(1 + len(pairs.negatives_for(pair)) for pair in pairs.pairs) == 16
     assert len(gathers) == 1 and len(gathers[0]) == len(set(gathers[0])) == 9

@@ -9,11 +9,11 @@ from attnguide.autodiff import Tensor
 from attnguide.boxes import parse_llm_boxes
 from attnguide.denoiser import (
     LATENT_CHANNELS,
-    DDIMSchedule,
     LatentState,
     LinearAttentionStub,
     ToyDenoiser,
     ToyModelConfig,
+    ddim_schedule,
     ddim_step,
 )
 from attnguide.errors import (
@@ -501,7 +501,7 @@ class TestRunGuidedSampling:
         from attnguide.syntax import tokenize
 
         text = model.encode_text(tokenize(TEMPLATE_PROMPT))
-        schedule = DDIMSchedule(12)
+        schedule = ddim_schedule(12)
         rng = np.random.default_rng(np.random.SeedSequence([3, 0x1A7E]))
         z0 = rng.normal(size=(cfg_m.frames, LATENT_CHANNELS, cfg_m.latent_h, cfg_m.latent_w))
         state = LatentState(z0, 11)

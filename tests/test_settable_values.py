@@ -38,8 +38,8 @@ def defaulted_parameters():
 
 def test_settable_value_count():
     counts = len(config_fields()), len(cli_options()), len(defaulted_parameters())
-    assert counts == (18, 22, 3), (config_fields(), cli_options(), defaulted_parameters())
-    assert sum(counts) == 43
+    assert counts == (18, 20, 2), (config_fields(), cli_options(), defaulted_parameters())
+    assert sum(counts) == 40
 
 
 def test_config_fields():
@@ -56,8 +56,8 @@ def test_config_fields():
 
 def test_cli_options():
     assert cli_options() == [
-        "validate-boxes --max-step-px", "rasterize --grid", "rasterize --out",
-        "generate --out", "generate --force", "generate --max-step-px", "generate --seed",
+        "rasterize --grid", "rasterize --out",
+        "generate --out", "generate --force", "generate --seed",
         "generate --config", "generate --model-config", "gradcheck --seed",
         "ablate --grid", "ablate --seeds", "ablate --out", "ablate --prompt", "ablate --boxes",
         "ablate --config", "ablate --model-config",
@@ -67,7 +67,7 @@ def test_cli_options():
 
 def test_defaulted_parameters():
     assert defaulted_parameters() == [
-        "Tensor(requires_grad)", "validate_trajectories(max_step_px)", "run_ablation(log)",
+        "Tensor(requires_grad)", "run_ablation(log)",
     ]
 
 
@@ -81,9 +81,9 @@ def test_losses_take_the_config():
 
 def test_public_names():
     assert sorted(attnguide.__all__) == [
-        "BoxTrajectory", "DDIMSchedule", "GuidanceConfig", "GuidanceTrace", "LatentState",
+        "BoxTrajectory", "GuidanceConfig", "GuidanceTrace", "LatentState",
         "LinearAttentionStub", "MetricsReport", "SpatialPriorSet", "SyntaxPairs", "Tensor",
-        "Token", "ToyDenoiser", "ToyModelConfig", "count_components", "ddim_step",
+        "Token", "ToyDenoiser", "ToyModelConfig", "count_components", "ddim_schedule", "ddim_step",
         "extract_pairs", "guide_latent", "loss_bg", "loss_fg", "loss_neg",
         "loss_pos", "loss_sp", "loss_syt", "parse_llm_boxes", "rasterize_masks",
         "render_heatmap", "resample_frames", "run_ablation", "run_guided_sampling",
