@@ -37,7 +37,7 @@ def main():
     # Stretch the 4-frame prior to 8 frames by linear corner interpolation.
     eight = resample_frames(prior, 8)
     print("dog x after resampling to 8 frames:",
-          [b[0] for b in eight.trajectory_by_id(0).boxes], "\n")
+          [b[0] for b in eight.trajectories[0].boxes], "\n")
 
     # Rasterize to the 8x8 grid the guidance losses actually see.
     masks, _ = rasterize_masks(eight, 8, 8)

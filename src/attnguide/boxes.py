@@ -41,12 +41,6 @@ class SpatialPriorSet:
     background_keyword: str
     load_warnings: list = field(default_factory=list, init=False)  # filled while loading
 
-    def trajectory_by_id(self, subject_id):
-        for traj in self.trajectories:
-            if traj.subject_id == subject_id:
-                return traj
-        raise KeyError(subject_id)
-
 
 @dataclass
 class Violation:

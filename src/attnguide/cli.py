@@ -44,9 +44,6 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 EXIT_GRADCHECK = 5
 
-# Pixels per CA cell side in `generate`'s heatmaps, and `render`'s default.
-DEFAULT_UPSCALE = 8
-
 # No model level grid exceeds the latent's sides, so no mask grid needs to.
 MAX_GRID_SIDE = min(MODEL_CAPS["latent_h"], MODEL_CAPS["latent_w"])
 
@@ -180,22 +177,12 @@ def cmd_generate(args):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     (out_dir / "trace.jsonl").write_text(result.trace.to_jsonl())
-    report = MetricsReport([summarize_run(result)])
-    (out_dir / "metrics.jsonl").write_text(report.to_jsonl())
-    (out_dir / "metrics.txt").write_text(report.table())
+    (out_dir / "metrics.jsonl").write_text(MetricsReport([summarize_run(result)]).to_jsonl())
 
     (out_dir / "latent_summary.json").write_text(
         json.dumps({"per_step_latent_norm": norms}, indent=2) + "\n")
 
     np.savez(out_dir / "ca_records.npz", **{f"step{s}": v for s, v in result.ca_records.items()})
-
-    heat_dir = out_dir / "heatmaps"
-    heat_dir.mkdir(exist_ok=True)
-    for step, values in sorted(result.ca_records.items()):
-        for noun, verb in result.column_pairs.pairs:
-            for tok in (noun, verb):
-                render_heatmap(values, tok, 0, heat_dir / f"step{step}_tok{tok}.pgm",
-                               DEFAULT_UPSCALE)
 
     _write_manifest(args, started, config=configs, seed=seed, complete=True,
                     warnings=result.warnings)
@@ -347,7 +334,7 @@ def build_parser():
     p.add_argument("--token", type=int, required=True)
     p.add_argument("--frame", type=int, default=0)
     p.add_argument("--step", type=int, required=True)
-    p.add_argument("--upscale", type=int, default=DEFAULT_UPSCALE)
+    p.add_argument("--upscale", type=int, default=8)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)
 

@@ -215,8 +215,8 @@ def test_criterion_5_binding_efficacy(efficacy_runs):
 def test_criterion_6_parser_fixtures():
     woman_man = parse_llm_boxes(WOMAN_MAN_BOXES)
     dog_cat = parse_llm_boxes(DOG_CAT_BOXES)
-    woman_x = [b[0] for b in woman_man.trajectory_by_id(0).boxes]
-    cat_boxes = dog_cat.trajectory_by_id(1).boxes
+    woman_x = [b[0] for b in woman_man.trajectories[0].boxes]
+    cat_boxes = dog_cat.trajectories[1].boxes
     velocity = [v for v in validate_trajectories(dog_cat) if v.kind == "VELOCITY"]
     ok = (woman_x == [0, 35, 70, 105, 140, 175, 210, 245]
           and all(b == [350, 200, 80, 60] for b in cat_boxes)

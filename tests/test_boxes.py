@@ -27,7 +27,8 @@ class TestParse:
         prior = parse_llm_boxes(WOMAN_MAN_BOXES)
         assert prior.frame_count == 8
         assert len(prior.trajectories) == 2
-        woman = prior.trajectory_by_id(0)
+        woman = prior.trajectories[0]
+        assert woman.subject_id == 0
         assert woman.name == "walking woman"
         assert [b[0] for b in woman.boxes] == [0, 35, 70, 105, 140, 175, 210, 245]
         assert all(b[1:] == [70, 120, 200] for b in woman.boxes)
@@ -35,7 +36,8 @@ class TestParse:
 
     def test_dog_cat_example(self):
         prior = parse_llm_boxes(DOG_CAT_BOXES)
-        cat = prior.trajectory_by_id(1)
+        cat = prior.trajectories[1]
+        assert cat.subject_id == 1
         assert all(b == [350, 200, 80, 60] for b in cat.boxes)
         assert prior.background_keyword == "garden"
 
@@ -85,10 +87,6 @@ class TestParse:
     def test_structured_form_must_be_an_object(self):
         with pytest.raises(BoxParseError, match="must be a JSON object"):
             load_structured_boxes("[1]")
-
-    def test_trajectory_by_id_of_a_missing_id(self):
-        with pytest.raises(KeyError):
-            parse_llm_boxes(WOMAN_MAN_BOXES).trajectory_by_id(7)
 
     def test_round_trip(self):
         for text in (WOMAN_MAN_BOXES, DOG_CAT_BOXES):
@@ -184,7 +182,7 @@ class TestResample:
     def test_woman_to_sixteen_frames(self):
         prior = parse_llm_boxes(WOMAN_MAN_BOXES)
         out = resample_frames(prior, 16)
-        xs = [b[0] for b in out.trajectory_by_id(0).boxes]
+        xs = [b[0] for b in out.trajectories[0].boxes]
         expected = [int(round(245 * k / 15)) for k in range(16)]
         assert xs == expected
         assert xs[0] == 0 and xs[-1] == 245

@@ -222,21 +222,18 @@ class TestGenerate:
         data = np.load(out_dir / "ca_records.npz")
         assert set(data.files) == {"step1", "step2", "step4", "step12"}
 
-        pgms = sorted(p.name for p in (out_dir / "heatmaps").glob("*.pgm"))
-        assert "step1_tok2.pgm" in pgms and "step12_tok9.pgm" in pgms
-
         metrics = (out_dir / "metrics.jsonl").read_text()
         assert "mean_in_box_ratio_final" in metrics
 
     def test_run_directory_layout(self, tmp_path, small_run_args):
         """A run directory stores each value once: its exact files and keys, so that no
-        derived copy (a final norm, a record count, a seed or prompt per row) comes back."""
+        derived copy (a final norm, a record count, a seed or prompt per row, a heatmap that
+        `render` draws, a table of the metrics row) comes back."""
         assert main(small_run_args("run")) == 0
         out_dir = tmp_path / "run"
-        heatmaps = {f"heatmaps/step{s}_tok{c}.pgm" for s in (1, 2, 4, 12) for c in (2, 4, 7, 9)}
         assert {str(p.relative_to(out_dir)) for p in out_dir.rglob("*")} == {
-            "ca_records.npz", "heatmaps", "latent_summary.json", "manifest.json",
-            "metrics.jsonl", "metrics.txt", "trace.jsonl"} | heatmaps
+            "ca_records.npz", "latent_summary.json", "manifest.json", "metrics.jsonl",
+            "trace.jsonl"}
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert sorted(manifest) == ["complete", "config", "finished_at", "input_digests",
                                     "prompt", "seed", "started_at", "version", "warnings"]
@@ -251,11 +248,8 @@ class TestGenerate:
     def test_byte_reproducible(self, tmp_path, small_run_args):
         assert main(small_run_args("a")) == 0
         assert main(small_run_args("b")) == 0
-        for name in ("trace.jsonl", "metrics.jsonl", "metrics.txt", "latent_summary.json"):
+        for name in ("trace.jsonl", "metrics.jsonl", "latent_summary.json", "ca_records.npz"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-        for pgm in sorted((tmp_path / "a" / "heatmaps").glob("*.pgm")):
-            twin = tmp_path / "b" / "heatmaps" / pgm.name
-            assert pgm.read_bytes() == twin.read_bytes()
 
     def test_velocity_violation_blocks_without_force(self, tmp_path, capsys):
         boxes = tmp_path / "dogcat.txt"
@@ -760,6 +754,10 @@ class TestRender:
                      "--step", "12", "--upscale", "2", "--out", str(out)]) == 0
         body = out.read_bytes()
         assert body.startswith(b"P5\n8 8\n255\n")
+        # Without --upscale, each cell of the 4x4 capture grid is 8 px a side.
+        assert main(["render", str(tmp_path / "run"), "--token", "2",
+                     "--step", "12", "--out", str(out)]) == 0
+        assert out.read_bytes().startswith(b"P5\n32 32\n255\n")
 
     def test_missing_step_rejected(self, tmp_path, small_run_args, capsys):
         assert main(small_run_args("run")) == 0
@@ -896,7 +894,7 @@ def test_out_holding_files_is_refused(tmp_path, boxes_file, capsys, command, occ
     out_dir = tmp_path / "run"
     if occupant == "file_inside":
         out_dir.mkdir()
-        (out_dir / "step8_tok2.pgm").write_bytes(b"an earlier run's heatmap")
+        (out_dir / "trace.jsonl").write_bytes(b"an earlier run's trace")
     else:
         out_dir.write_bytes(b"a file")
     before = sorted((p.relative_to(tmp_path), p.read_bytes()) for p in tmp_path.rglob("*")
