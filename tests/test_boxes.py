@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -9,8 +7,6 @@ from attnguide.boxes import (
     VELOCITY,
     BoxTrajectory,
     SpatialPriorSet,
-    detect_and_parse,
-    load_structured_boxes,
     parse_llm_boxes,
     rasterize_masks,
     resample_frames,
@@ -84,48 +80,11 @@ class TestParse:
         assert prior.trajectories[0].boxes[0] == [560, 0, 16, 50]
         assert prior.load_warnings
 
-    def test_structured_form_must_be_an_object(self):
-        with pytest.raises(BoxParseError, match="must be a JSON object"):
-            load_structured_boxes("[1]")
-
     def test_round_trip(self):
         for text in (WOMAN_MAN_BOXES, DOG_CAT_BOXES):
             prior = parse_llm_boxes(text)
             again = parse_llm_boxes(serialize_boxes(prior))
             assert again == prior
-
-    def test_structured_form_equivalent(self):
-        prior = parse_llm_boxes(DOG_CAT_BOXES)
-        structured = json.dumps({
-            "frame_size": [576, 320],
-            "frames": [
-                [{"id": t.subject_id, "name": t.name, "box": t.boxes[f]}
-                 for t in prior.trajectories]
-                for f in range(prior.frame_count)
-            ],
-            "background": prior.background_keyword,
-        })
-        assert load_structured_boxes(structured) == prior
-        assert detect_and_parse(structured) == prior
-        assert detect_and_parse(DOG_CAT_BOXES) == prior
-
-    @staticmethod
-    def one_box_json(frame_size, box):
-        return json.dumps({"frame_size": frame_size, "background": "room",
-                           "frames": [[{"id": 0, "name": "man", "box": box}]]})
-
-    @pytest.mark.parametrize("frame_size,box", [
-        ([576.9, 320], [10, 0, 100, 100]),
-        ([576, 320], [10.7, 0, 100.9, 100]),
-    ], ids=["frame_size", "box"])
-    def test_structured_fractional_number_rejected(self, frame_size, box):
-        with pytest.raises(BoxParseError, match="integer"):
-            load_structured_boxes(self.one_box_json(frame_size, box))
-
-    def test_structured_integral_numbers_load(self):
-        # 320.0 reads as 320, the frame's height: only [576, 320] is accepted
-        prior = load_structured_boxes(self.one_box_json([576, 320.0], [10.0, 0, 100, 100]))
-        assert prior.trajectories[0].boxes == [[10, 0, 100, 100]]
 
 
 class TestValidate:

@@ -13,7 +13,7 @@ import pytest
 import attnguide
 from attnguide import gradcheck
 from attnguide.autodiff import Tensor
-from attnguide.boxes import detect_and_parse
+from attnguide.boxes import parse_llm_boxes
 from attnguide.cli import _parse_grid_file, main
 from attnguide.config import read_text
 from attnguide.denoiser import ToyDenoiser, ToyModelConfig
@@ -117,7 +117,8 @@ class TestParseCommands:
 
     def test_validate_boxes_reports_clipping(self, tmp_path, capsys):
         path = tmp_path / "offscreen.txt"
-        path.write_text(_structured({"id": 0, "name": "man", "box": [-40, 0, 100, 320]}))
+        offscreen = [{"id": 0, "name": "man", "box": [-40, 0, 100, 320]}]
+        path.write_text(_text_boxes(offscreen, offscreen))
         assert main(["validate-boxes", str(path)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == ("warning: clipped box of subject 0 frame 0: "
@@ -163,10 +164,9 @@ class TestParseCommands:
             "3bbc462bbbe352eaf0fdbf421b34c77adcf0768583063692d66463aef574a5c6")
 
     def test_rasterize_prints_loading_warnings(self, tmp_path, capsys):
-        path = tmp_path / "clipped.json"
-        path.write_text(_structured(frames=[[
-            {"id": 0, "name": "man", "box": [-20, 0, 288, 320]},
-            {"id": 1, "name": "dog", "box": [10, 0, 600, 320]}]]))
+        path = tmp_path / "clipped.txt"
+        path.write_text(_text_boxes([{"id": 0, "name": "man", "box": [-20, 0, 288, 320]},
+                                     {"id": 1, "name": "dog", "box": [10, 0, 600, 320]}]))
         assert main(["rasterize", str(path), "--grid", "2x4"]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "warning: clipped box of subject 0 frame 0: [-20, 0, 288, 320] -> [0, 0, 268, 320]",
@@ -175,10 +175,9 @@ class TestParseCommands:
 
     def test_rasterize_prints_loading_warnings_before_mask_warnings(self, tmp_path, capsys):
         """The order `generate` uses: the file's clipped boxes, then the all-zero masks."""
-        path = tmp_path / "clipped.json"
-        path.write_text(_structured(frames=[[
-            {"id": 0, "name": "man", "box": [-20, 0, 288, 320]},
-            {"id": 1, "name": "dog", "box": [560, 0, 100, 320]}]]))
+        path = tmp_path / "clipped.txt"
+        path.write_text(_text_boxes([{"id": 0, "name": "man", "box": [-20, 0, 288, 320]},
+                                     {"id": 1, "name": "dog", "box": [560, 0, 100, 320]}]))
         assert main(["rasterize", str(path), "--grid", "2x4"]) == 0
         assert capsys.readouterr().out.splitlines()[:3] == [
             "warning: clipped box of subject 0 frame 0: [-20, 0, 288, 320] -> [0, 0, 268, 320]",
@@ -573,12 +572,14 @@ class TestAblate:
                                ("model_config", "model.cfg"))}
 
 
-def _structured(record=None, **overrides):
-    """A two-frame JSON box prior holding `record` in each frame."""
-    record = record or {"id": 0, "name": "walking man", "box": [0, 0, 288, 320]}
-    obj = {"frame_size": [576, 320], "frames": [[record]] * 2, "background": "room"}
-    obj.update(overrides)
-    return json.dumps(obj)
+MAN = {"id": 0, "name": "walking man", "box": [0, 0, 288, 320]}
+DOG = {"id": 1, "name": "running dog", "box": [288, 0, 288, 320]}
+
+
+def _text_boxes(*frames):
+    """A box file whose `Frame k:` lines hold the record lists `frames`, in a room."""
+    return "".join(f"Frame {k}: {records!r}\n" for k, records in enumerate(frames, start=1)) \
+        + "Background keyword: room\n"
 
 
 # (file role, file contents): every one is a user input error and must exit 2.
@@ -614,27 +615,20 @@ BAD_INPUTS = {
     "grid_not_an_integer": ("grid", "t1 = x\n"),
     "grid_not_utf8": ("grid", b"t1 = 1, \xe9\n"),
     "grid_duplicate_axis": ("grid", "t1 = 1, 3\nt1 = 5\n"),
-    "boxes_string_id": ("boxes", _structured({"id": "0", "name": "man", "box": [0, 0, 9, 9]})),
-    "boxes_missing_name": ("boxes", _structured({"id": 0, "box": [0, 0, 9, 9]})),
-    "boxes_bad_box_value": ("boxes", _structured({"id": 0, "name": "m", "box": [0, "w", 0, 9]})),
-    "boxes_bad_frame_size": ("boxes", _structured(frame_size="wide")),
-    "boxes_zero_frame_size": ("boxes", _structured(frame_size=[0, 0])),
-    "boxes_negative_frame_size": ("boxes", _structured(frame_size=[-576, 320])),
-    "boxes_fractional_frame_size": ("boxes", _structured(frame_size=[576.9, 320])),
-    "boxes_huge_frame_size": ("boxes", _structured(frame_size=[10**400, 320])),
-    "boxes_frame_size_over_cap": ("boxes", _structured(frame_size=[576, 65536])),
-    # past the 4,300 digits int() converts, in JSON and as a text frame index
-    "boxes_many_digit_integer": ("boxes", _structured().replace("288", "1" * 5000)),
+    "boxes_string_id": ("boxes", _text_boxes([{"id": "0", "name": "man", "box": [0, 0, 9, 9]}])),
+    "boxes_missing_name": ("boxes", _text_boxes([{"id": 0, "box": [0, 0, 9, 9]}])),
+    "boxes_bad_box_value": ("boxes", _text_boxes([{"id": 0, "name": "m", "box": [0, "w", 0, 9]}])),
+    # past the 4,300 digits int() converts, as a box number and as a frame index
+    "boxes_many_digit_integer": ("boxes", _text_boxes([MAN]).replace("288", "1" * 5000)),
     "boxes_text_many_digit_frame": ("boxes", f"Frame {'1' * 5000}: [{{'id': 0, 'name': 'm', "
                                              "'box': [0, 0, 9, 9]}]\nBackground keyword: room\n"),
-    "boxes_deeply_nested": ("boxes", '{"frames": ' + "[" * 10000 + "]" * 10000 + "}"),
-    "boxes_fractional_box": ("boxes", _structured({"id": 0, "name": "m", "box": [10.7, 0, 9, 9]})),
-    "boxes_bad_frames": ("boxes", _structured(frames=5)),
-    "boxes_boolean_box": ("boxes", _structured({"id": 0, "name": "m", "box": [True, 0, 100, 100]})),
-    "boxes_boolean_id": ("boxes", _structured({"id": True, "name": "m", "box": [0, 0, 9, 9]})),
-    "boxes_boolean_frame_size": ("boxes", _structured(frame_size=[True, 320])),
-    "boxes_string_box": ("boxes", _structured({"id": 0, "name": "m", "box": ["5", 0, 9, 9]})),
-    "boxes_string_frame_size": ("boxes", _structured(frame_size=["576", "320"])),
+    "boxes_deeply_nested": ("boxes", "Frame 1: " + "[" * 10000 + "]" * 10000
+                                     + "\nBackground keyword: room\n"),
+    "boxes_fractional_box": ("boxes", _text_boxes([{"id": 0, "name": "m", "box": [10.7, 0, 9, 9]}])),
+    # in frame 2, where `False` would read as the id 0 and `True` as the number 1
+    "boxes_boolean_box": ("boxes", _text_boxes([MAN], [dict(MAN, box=[0, 0, 9, True])])),
+    "boxes_boolean_id": ("boxes", _text_boxes([MAN], [dict(MAN, id=False)])),
+    "boxes_string_box": ("boxes", _text_boxes([{"id": 0, "name": "m", "box": ["5", 0, 9, 9]}])),
     "boxes_text_boolean_id": ("boxes", "Frame 1: [{'id': True, 'name': 'm', 'box': [0, 0, 9, 9]}]"
                                        "\nBackground keyword: room\n"),
     "boxes_text_boolean_box": ("boxes", "Frame 1: [{'id': 0, 'name': 'm', 'box': [True, 10, 100, "
@@ -645,13 +639,11 @@ BAD_INPUTS = {
     "boxes_text_repeated_frame": ("boxes", "Frame 1: [{'id': 0, 'name': 'm', 'box': [0, 0, 9, 9]}]"
                                            "\nFrame 1: [{'id': 0, 'name': 'm', 'box': [0, 0, 9, 9]}]"
                                            "\nBackground keyword: room\n"),
-    "boxes_two_line_background": ("boxes", _structured(background="room\nFrame 3: []")),
-    "boxes_frame_not_a_list": ("boxes", _structured(frames=[{"id": 0}])),
-    "boxes_record_not_an_object": ("boxes", _structured(frames=[[5]])),
+    # `literal_eval` reads the two lists as a tuple
+    "boxes_frame_not_a_list": ("boxes", f"Frame 1: [{MAN!r}], [1]\nBackground keyword: room\n"),
+    "boxes_record_not_an_object": ("boxes", _text_boxes([5])),
     "boxes_background_only": ("boxes", "Background keyword: room\n"),
-    "boxes_subject_missing_from_frame": ("boxes", _structured(frames=[
-        [{"id": 0, "name": "m", "box": [0, 0, 9, 9]}, {"id": 1, "name": "d", "box": [9, 9, 9, 9]}],
-        [{"id": 0, "name": "m", "box": [0, 0, 9, 9]}]])),
+    "boxes_subject_missing_from_frame": ("boxes", _text_boxes([MAN, DOG], [MAN])),
     "prompt_without_pairs": ("prompt", "and"),
     "prompt_punctuation_only": ("prompt", "!!! ???"),
     "prompt_copula_first": ("prompt", "is running"),  # the last-resort noun stops at "is"
@@ -691,45 +683,53 @@ def test_bad_input_is_one_parse_error(tmp_path, boxes_file, capsys, role, text):
     assert not (tmp_path / "out").exists()
 
 
-def test_structured_boxes_of_another_frame_rejected(tmp_path, capsys):
-    """The box generator's frame is 576x320, the only one the text form can state."""
+@pytest.mark.parametrize("command", ["parse-boxes", "validate-boxes", "rasterize", "generate"])
+def test_json_box_file_rejected(tmp_path, capsys, command):
+    """A JSON box file fails at its first line, like any text the box generator does not
+    write, and `generate` makes no run directory."""
+    text = json.dumps({"frame_size": [576, 320], "frames": [[MAN]] * 2, "background": "room"})
     path = tmp_path / "boxes.json"
-    path.write_text(_structured(frame_size=[1000, 500]))
-    assert main(["parse-boxes", str(path)]) == 2
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = {"parse-boxes": [command, str(path)], "validate-boxes": [command, str(path)],
+            "rasterize": [command, str(path), "--grid", "4x4"],
+            "generate": [command, TEMPLATE_PROMPT, str(path), "--out", str(out)]}[command]
+    assert main(argv) == 2
     assert capsys.readouterr().out.splitlines() == [
-        "ERROR kind=parse reason=frame_size must be [576, 320], got [1000, 500]"]
+        f"ERROR kind=parse reason=line 1: unrecognized line: {text!r}"]
+    assert not out.exists()
 
 
-RENAMED_SUBJECT = [{"id": 0, "name": "walking man", "box": [0, 0, 9, 9]},
-                   {"id": 0, "name": "running dog", "box": [9, 0, 9, 9]}]
+WALKING = [{"id": 0, "name": "walking man", "box": [0, 0, 9, 9]}]
+RUNNING = [{"id": 0, "name": "running dog", "box": [9, 0, 9, 9]}]  # the same id, renamed
 
 
-@pytest.mark.parametrize("text,line", [
-    ("".join(f"Frame {k}: [{rec!r}]\n" for k, rec in enumerate(RENAMED_SUBJECT, start=1))
-     + "Background keyword: room\n", "line 2: "),
-    (_structured(frames=[[rec] for rec in RENAMED_SUBJECT]), ""),
-], ids=["text", "json"])
-def test_subject_renamed_between_frames_rejected(tmp_path, capsys, text, line):
-    """A subject binds to the prompt by its name, so one id has one name in every frame."""
+@pytest.mark.parametrize("text,line,frame", [
+    (_text_boxes(WALKING, RUNNING), 2, 2),
+    # the line number counts the lines the parser skips
+    ("Reasoning: the man walks.\n" + _text_boxes(WALKING, WALKING, RUNNING), 4, 3),
+], ids=["text", "text_after_reasoning"])
+def test_subject_renamed_between_frames_rejected(tmp_path, capsys, text, line, frame):
+    """A subject binds to the prompt by its name, so one id has one name in every frame; the
+    error names the renaming frame's source line."""
     path = tmp_path / "boxes.txt"
     path.write_text(text)
     assert main(["parse-boxes", str(path)]) == 2
     assert capsys.readouterr().out.splitlines() == [
-        f"ERROR kind=parse reason={line}subject id 0 is named 'walking man' in frame 1 and "
-        "'running dog' in frame 2"]
+        f"ERROR kind=parse reason=line {line}: subject id 0 is named 'walking man' in frame 1 "
+        f"and 'running dog' in frame {frame}"]
 
 
 def _load_boxes(path):
-    return detect_and_parse(read_text(path))
+    return parse_llm_boxes(read_text(path))
 
 
 @pytest.mark.parametrize("text,load", [
     (WOMAN_MAN_BOXES, _load_boxes),
-    (_structured(), _load_boxes),
     ("lambda_sp = 10\nt1 = 3\n", GuidanceConfig.from_file),
     (MODEL_CFG, ToyModelConfig.from_file),
     ("t1 = 2, 3\nlambda_sp = 10\n", _parse_grid_file),
-], ids=["boxes_text", "boxes_json", "config", "model_config", "grid"])
+], ids=["boxes_text", "config", "model_config", "grid"])
 def test_byte_order_mark_is_ignored(tmp_path, text, load):
     """Editors that save "UTF-8 with BOM" start the file with U+FEFF; it loads as without."""
     plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
@@ -740,8 +740,8 @@ def test_byte_order_mark_is_ignored(tmp_path, text, load):
 
 
 def test_structured_boxes_with_quote_in_name(tmp_path, capsys):
-    path = tmp_path / "boxes.json"
-    path.write_text(_structured({"id": 0, "name": "man's dog", "box": [0, 0, 9, 9]}))
+    path = tmp_path / "boxes.txt"
+    path.write_text(_text_boxes([{"id": 0, "name": "man's dog", "box": [0, 0, 9, 9]}]))
     assert main(["parse-boxes", str(path)]) == 0
     assert "'name': \"man's dog\"" in capsys.readouterr().out
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,25 @@ class TestRenderHeatmap:
         render_heatmap(A, 0, 0, p1, upscale=1)
         render_heatmap(A, 0, 0, p2, upscale=1)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_upscale_repeats_each_cell(self, tmp_path, rng):
+        A = rng.uniform(size=(1, 9, 1))
+        render_heatmap(A, 0, 0, tmp_path / "one.pgm", upscale=1)
+        render_heatmap(A, 0, 0, tmp_path / "up.pgm", upscale=3)
+        cells = np.frombuffer(tmp_path.joinpath("one.pgm").read_bytes()[-9:], np.uint8)
+        expected = np.repeat(np.repeat(cells.reshape(3, 3), 3, axis=0), 3, axis=1)
+        assert tmp_path.joinpath("up.pgm").read_bytes() == b"P5\n9 9\n255\n" + expected.tobytes()
+
+    def test_large_upscale_holds_one_row(self, tmp_path, rng):
+        """A 2,048 px side from an 8x8 map: about 12.6 MB held when the whole image was."""
+        tracemalloc.start()
+        try:
+            render_heatmap(rng.uniform(size=(1, 64, 1)), 0, 0, tmp_path / "big.pgm", upscale=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tmp_path.joinpath("big.pgm").stat().st_size == len(b"P5\n2048 2048\n255\n") + 2048**2
+        assert peak < 1_000_000
 
     def test_bad_upscale(self, tmp_path):
         with pytest.raises(ContractError):

@@ -9,6 +9,7 @@ benchmark loads it: from its path, unedited.
 import importlib.util
 from pathlib import Path
 
+import attnguide.boxes
 import attnguide.guidance
 from attnguide.denoiser import ToyDenoiser
 from attnguide.guidance import GuidanceConfig
@@ -47,3 +48,9 @@ def test_tracer_sees_every_layer_and_three_node_graphs():
     assert metrics["autodiff.backward.calls"] == 6 and metrics["autodiff.tensors"] > 0
     assert all(metrics[f"{layer}.errors"] == 0 for layer in bench.LAYERS)
     assert attnguide.guidance.loss_sp is original
+
+
+def test_benchmark_box_parser_is_the_one_parser():
+    """The benchmark parses and times box files by `boxes.detect_and_parse`: a second name
+    of the one parser, never a second parser."""
+    assert attnguide.boxes.detect_and_parse is attnguide.parse_llm_boxes
