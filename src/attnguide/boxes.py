@@ -85,7 +85,10 @@ def _clip_boxes(prior):
 
 
 def parse_llm_boxes(text):
-    """Parse the box-generator text format (576x320 frames) into a SpatialPriorSet."""
+    """Parse the box-generator text format (576x320 frames) into a SpatialPriorSet.
+
+    Every line is read before any record is checked, so line errors are reported first.
+    """
     frames, background = {}, None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -93,6 +96,8 @@ def parse_llm_boxes(text):
             continue
         m = _BACKGROUND_RE.match(line)
         if m:
+            if background is not None:
+                raise BoxParseError("duplicate 'Background keyword:' line", line_no)
             background = m.group(1)
             continue
         m = _FRAME_RE.match(line)
@@ -109,14 +114,7 @@ def parse_llm_boxes(text):
         except (ValueError, SyntaxError) as exc:
             raise BoxParseError(f"malformed record literal: {exc}", line_no) from exc
         frames[k] = (line_no, records)
-    return _build_prior(frames, background)
 
-
-def _build_prior(frames, background):
-    """Check per-frame records, assemble trajectories by id, clip to the frame.
-
-    ``frames`` maps the 1-based frame index to (source line, records).
-    """
     for k, (line_no, records) in frames.items():
         if not isinstance(records, list):
             raise BoxParseError(f"frame {k} payload must be a list", line_no)

@@ -212,6 +212,8 @@ def _parse_grid_file(path):
             raise InputError(f"grid line {line_no}: unknown axis {key!r}")
         cls = ToyModelConfig if key == "ca_capture" else GuidanceConfig
         axes[key] = [parse_value(cls, key, v.strip(), line_no) for v in vals.split(",")]
+        if len(set(axes[key])) != len(axes[key]):
+            raise InputError(f"grid line {line_no}: {key} repeats a value: {vals.strip()!r}")
     return axes
 
 

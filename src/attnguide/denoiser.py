@@ -90,13 +90,6 @@ class LatentState:
     timestep_index: int
 
 
-@dataclass
-class TextEncoding:
-    emb: np.ndarray  # [token_budget, embed_dim]
-    keys_values: dict  # level tag -> (keys [H, 1, dh, L], values [L, C])
-    columns: dict  # prompt token index -> CA column
-
-
 def _token_embedding(text, dim, seed):
     rng = np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(text.encode())]))
     return rng.normal(0.0, 1.0, size=dim)
@@ -171,24 +164,21 @@ class ToyDenoiser:
     # -- text ---------------------------------------------------------------
 
     def encode_text(self, tokens):
-        """Per-word embedding lookup padded to budget, with each level's keys/values."""
+        """Per level tag, the text keys [H, 1, dh, L] and values [L, C].
+
+        The L rows embed the begin marker, the words, the end marker and pads up to the
+        budget, so word i is CA column i + 1.
+        """
         cfg = self.config
-        seed = cfg.seed
         words = [t.text for t in tokens]
         if len(words) + 2 > cfg.token_budget:
             raise InputError(
                 f"prompt has {len(words)} tokens; budget {cfg.token_budget} "
                 "minus begin/end specials exceeded"
             )
-        rows, columns = [], {}
-        rows.append(_token_embedding(BEGIN, cfg.embed_dim, seed))
-        for i, w in enumerate(words):
-            columns[i] = len(rows)
-            rows.append(_token_embedding(w, cfg.embed_dim, seed))
-        rows.append(_token_embedding(END, cfg.embed_dim, seed))
-        rows += [_token_embedding(PAD, cfg.embed_dim, seed)] * (cfg.token_budget - len(rows))
-        emb = np.stack(rows)
-        return TextEncoding(emb, self._keys_values(emb), columns)
+        rows = [_token_embedding(w, cfg.embed_dim, cfg.seed) for w in (BEGIN, *words, END)]
+        rows += [_token_embedding(PAD, cfg.embed_dim, cfg.seed)] * (cfg.token_budget - len(rows))
+        return self._keys_values(np.stack(rows))
 
     # -- forward ------------------------------------------------------------
 
@@ -230,7 +220,7 @@ class ToyDenoiser:
 
     @trapped
     def denoise_step(self, z, tau, text):
-        """One UNet-ish evaluation of the latent Tensor `z` for the `TextEncoding` `text`.
+        """One UNet-ish evaluation of the latent Tensor `z` for the `encode_text` dict `text`.
 
         ``tau`` in [0, 1) is the schedule progress: timestep index over the
         schedule length, as the sampler computes it.  Returns (noise
@@ -249,8 +239,7 @@ class ToyDenoiser:
         grads, captured = [], {}
         for tag, g in cfg.levels:
             w = self._weights[tag]
-            attention = partial(self._cross_attention, keys_values=text.keys_values[tag],
-                                tag=tag)
+            attention = partial(self._cross_attention, keys_values=text[tag], tag=tag)
             h, captured[tag], grad = self._block(h, g, attention, w["tau_bias"] * tau)
             if z.requires_grad:
                 grads.append((tag, grad))

@@ -18,13 +18,10 @@ class InputError(AttnGuideError):
 
 
 class BoxParseError(InputError):
-    """Box prior text could not be parsed; carries a 1-based line number."""
+    """Box prior text could not be parsed; the message names the 1-based line if there is one."""
 
     def __init__(self, message, line_no=None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
 
 
 class ExtractionError(InputError):

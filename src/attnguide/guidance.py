@@ -417,9 +417,10 @@ class SamplingResult:
     config: GuidanceConfig
 
 
-def _pairs_to_columns(pairs, columns):
-    return SyntaxPairs([(columns[n], columns[v]) for n, v in pairs.pairs],
-                       frozenset(columns[t] for t in pairs.tokens))
+def _pairs_to_columns(pairs):
+    """`pairs` of token indices as CA columns: column 0 is the begin marker, so token i is i + 1."""
+    return SyntaxPairs([(n + 1, v + 1) for n, v in pairs.pairs],
+                       frozenset(t + 1 for t in pairs.tokens))
 
 
 def prepare_inputs(prompt, priors, model):
@@ -435,7 +436,7 @@ def prepare_inputs(prompt, priors, model):
     tokens = tokenize(prompt)
     pairs = extract_pairs(tokens)
     text = model.encode_text(tokens)
-    column_pairs = _pairs_to_columns(pairs, text.columns)
+    column_pairs = _pairs_to_columns(pairs)
     frames, notes = model.config.frames, list(priors.load_warnings)
     if priors.frame_count != frames:
         notes.append(f"resampled {priors.frame_count} box frames to {frames} model frames")

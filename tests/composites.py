@@ -18,10 +18,10 @@ the per-pixel loop that built the denoiser's pooling matrices.
 import numpy as np
 
 from attnguide import guidance
-from attnguide.autodiff import trapped
+from attnguide.autodiff import Tensor, trapped
 from attnguide.denoiser import LATENT_CHANNELS, MIX
 from attnguide.errors import ContractError, DegenerateAttentionError, DimensionError
-from attnguide.guidance import COSINE, KL_SYM, SUM
+from attnguide.guidance import COSINE, KL_SYM, SUM, GuidanceConfig
 
 from reftensor import RefTensor, ref
 
@@ -80,6 +80,24 @@ def in_box_ratio(ca, masks, token_index, frame):
         )
     m = masks[token_index][frame].reshape(-1)
     return float((col * m).sum() / total)
+
+
+def frame_distances(p, q, kind):
+    """`kind` distance between the maps p and q [F, N], one frame at a time: the package's
+    `loss_pos` on each frame's two-column A [1, N, 2]."""
+    config = GuidanceConfig(distance=kind)
+    frames = zip(np.atleast_2d(p), np.atleast_2d(q))
+    return np.array([guidance.loss_pos(Tensor(np.stack(pq, axis=-1)[None]), (0, 1), config).item()
+                     for pq in frames])
+
+
+def kl_sym_oracle(p, q, eps=1e-8):
+    """Independent plain-numpy evaluation of the smoothed symmetric KL."""
+    pn = (p + eps) / (p + eps).sum(axis=-1, keepdims=True)
+    qn = (q + eps) / (q + eps).sum(axis=-1, keepdims=True)
+    fwd = (pn * (np.log(pn) - np.log(qn))).sum(axis=-1)
+    rev = (qn * (np.log(qn) - np.log(pn))).sum(axis=-1)
+    return 0.5 * (fwd + rev)
 
 
 # -- the fused pieces as nodes, and their primitive-op forms ----------------------
@@ -285,9 +303,9 @@ def denoise_step(model, z, tau, text, cross_attention=cross_attention_node):
     for tag, g in cfg.levels:
         P, U = RefTensor(model._pool[g]), RefTensor(model._unpool[g])
         x = P @ h                                 # [F, g*g, C]
-        A = cross_attention(model, x, text.keys_values[tag], tag)
+        A = cross_attention(model, x, text[tag], tag)
         captured[tag] = A
-        out = A @ text.keys_values[tag][1]
+        out = A @ text[tag][1]
         h = tanh(h + (U @ out) * MIX + model._weights[tag]["tau_bias"] * tau)
         if tag == "mid":
             h = _temporal_block(model, h, P, U)

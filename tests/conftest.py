@@ -42,6 +42,13 @@ MAN_DOG_BOXES = WOMAN_MAN_BOXES.replace("walking woman", "walking man").replace(
     "jumping man", "running dog")
 
 
+# The `ablate` and `gradcheck` CLI models.
+ABLATE_MODEL = dict(frames=2, latent_h=8, latent_w=8,
+                    levels=(("down", 4), ("mid", 2), ("up", 4)), embed_dim=16)
+GRADCHECK_MODEL = dict(frames=2, latent_h=4, latent_w=4,
+                       levels=(("down", 4), ("mid", 2), ("up", 4)), token_budget=8, embed_dim=8)
+
+
 def tiny_model_config(**overrides):
     kwargs = dict(
         frames=2, latent_h=4, latent_w=4,
@@ -60,6 +67,32 @@ def small_model_config(**overrides):
     )
     kwargs.update(overrides)
     return ToyModelConfig(**kwargs)
+
+
+def same_bytes(a, b):
+    """Whether two arrays have one shape, one dtype and the same bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def attention_values(rng, shape, zeros=0.1):
+    """Positive maps with some exact zeros and a wide spread of magnitudes."""
+    vals = rng.uniform(0.0, 1.0, shape) ** 3 * 10.0 ** rng.uniform(-3, 3)
+    vals[rng.random(shape) < zeros] = 0.0
+    vals[..., 0, :] = rng.uniform(0.1, 1.0, vals[..., 0, :].shape)  # no all-zero map
+    return vals
+
+
+def random_masks(rng, keys, frames, grid, fractional):
+    """Per key, [frames, grid, grid] masks: uniform draws, or those draws below 0.5 as 0/1."""
+    masks = {}
+    for key in keys:
+        stack = []
+        for f in range(frames):
+            m = rng.uniform(0.0, 1.0, (grid, grid))
+            stack.append(m if fractional else (m < 0.5).astype(np.float64))
+        masks[key] = np.stack(stack)
+    return masks
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from attnguide.metrics import (
 )
 from attnguide.syntax import SyntaxPairs
 
-from composites import in_box_ratio
+from composites import frame_distances, in_box_ratio, kl_sym_oracle
 from conftest import (
     DOG_CAT_BOXES,
     TEMPLATE_PROMPT,
@@ -38,7 +38,6 @@ from conftest import (
     static_two_box_prior,
     tiny_model_config,
 )
-from test_guidance import frame_distances
 
 SEEDS = range(10)
 
@@ -65,15 +64,6 @@ DEFAULTS = GuidanceConfig()
 NOUNS_ONLY = GuidanceConfig(apply_spatial_to_verbs=False)
 
 
-def _kl_sym_oracle(p, q, eps=1e-8):
-    """Independent plain-numpy evaluation of the smoothed symmetric KL."""
-    pn = (p + eps) / (p + eps).sum(axis=-1, keepdims=True)
-    qn = (q + eps) / (q + eps).sum(axis=-1, keepdims=True)
-    fwd = (pn * (np.log(pn) - np.log(qn))).sum(axis=-1)
-    rev = (qn * (np.log(qn) - np.log(pn))).sum(axis=-1)
-    return 0.5 * (fwd + rev)
-
-
 def test_criterion_1_equation_identities():
     rng = np.random.default_rng(0)
     worst_gap = 0.0
@@ -98,9 +88,9 @@ def test_criterion_1_equation_identities():
     # distances match the independent smoothed-KL formula
     p = rng.uniform(0.05, 1.0, size=(2, 4))
     q = rng.uniform(0.05, 1.0, size=(2, 4))
-    errs.append(float(np.max(np.abs(frame_distances(p, q, KL_SYM) - _kl_sym_oracle(p, q)))))
+    errs.append(float(np.max(np.abs(frame_distances(p, q, KL_SYM) - kl_sym_oracle(p, q)))))
     A = rng.uniform(0.05, 1.0, size=(2, 4, 3))
-    pos_oracle = _kl_sym_oracle(A[..., 0], A[..., 1]).mean()
+    pos_oracle = kl_sym_oracle(A[..., 0], A[..., 1]).mean()
     errs.append(abs(loss_pos(_ca(A), (0, 1), DEFAULTS).item() - pos_oracle))
 
     # contrastive: mirrored negative -> exactly 0.5; four mirrors -> 1/5; the
@@ -117,8 +107,8 @@ def test_criterion_1_equation_identities():
     two = SyntaxPairs([(0, 1), (2, 3)], frozenset(range(4)))
     expected = 0.0
     for i, j in two.pairs:
-        pos = _kl_sym_oracle(A[..., i], A[..., j]).mean()
-        neg = sum(_kl_sym_oracle(A[..., i], A[..., u]).mean()
+        pos = kl_sym_oracle(A[..., i], A[..., j]).mean()
+        neg = sum(kl_sym_oracle(A[..., i], A[..., u]).mean()
                   for u in sorted(two.negatives_for((i, j))))
         expected += pos / (pos + neg)
     errs.append(abs(loss_syt(_ca(A), two, GuidanceConfig()).item() - expected))

@@ -615,6 +615,7 @@ BAD_INPUTS = {
     "grid_not_an_integer": ("grid", "t1 = x\n"),
     "grid_not_utf8": ("grid", b"t1 = 1, \xe9\n"),
     "grid_duplicate_axis": ("grid", "t1 = 1, 3\nt1 = 5\n"),
+    "grid_repeated_value": ("grid", "lambda_sp = 10, 10.0\n"),  # equal once parsed, as 3, 3
     "boxes_string_id": ("boxes", _text_boxes([{"id": "0", "name": "man", "box": [0, 0, 9, 9]}])),
     "boxes_missing_name": ("boxes", _text_boxes([{"id": 0, "box": [0, 0, 9, 9]}])),
     "boxes_bad_box_value": ("boxes", _text_boxes([{"id": 0, "name": "m", "box": [0, "w", 0, 9]}])),
@@ -643,6 +644,8 @@ BAD_INPUTS = {
     "boxes_frame_not_a_list": ("boxes", f"Frame 1: [{MAN!r}], [1]\nBackground keyword: room\n"),
     "boxes_record_not_an_object": ("boxes", _text_boxes([5])),
     "boxes_background_only": ("boxes", "Background keyword: room\n"),
+    "boxes_two_backgrounds": ("boxes", f"Frame 1: [{MAN!r}]\nBackground keyword: park\n"
+                                       f"Frame 2: [{MAN!r}]\nBackground keyword: beach\n"),
     "boxes_subject_missing_from_frame": ("boxes", _text_boxes([MAN, DOG], [MAN])),
     "prompt_without_pairs": ("prompt", "and"),
     "prompt_punctuation_only": ("prompt", "!!! ???"),

@@ -39,43 +39,52 @@ def _latent(cfg, rng):
     return rng.normal(size=(cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w))
 
 
+def _arrays(text):
+    """The arrays of an `encode_text` dict, level by level: keys, then values."""
+    return [a for tag in sorted(text) for a in text[tag]]
+
+
 class TestEncodeText:
     def test_deterministic(self, model):
         toks = tokenize("a cat is sitting")
-        a = model.encode_text(toks)
-        b = model.encode_text(toks)
-        assert a.emb.tobytes() == b.emb.tobytes()
-        assert a.columns == b.columns == {0: 1, 1: 2, 2: 3, 3: 4}
+        a, b = model.encode_text(toks), model.encode_text(toks)
+        assert sorted(a) == sorted(b) == sorted(tag for tag, _ in model.config.levels)
+        assert [x.tobytes() for x in _arrays(a)] == [x.tobytes() for x in _arrays(b)]
 
     def test_word_locality(self, model):
-        """Changing one word changes only that word's embedding row."""
+        """Changing one word changes only its column: key column and value row 2 (token 1)."""
         a = model.encode_text(tokenize("a cat is sitting"))
         b = model.encode_text(tokenize("a dog is sitting"))
-        diff = np.abs(a.emb - b.emb).sum(axis=1)
-        assert diff[a.columns[1]] > 0
-        mask = np.ones(len(diff), dtype=bool)
-        mask[a.columns[1]] = False
-        assert np.all(diff[mask] == 0)
+        for tag in a:
+            (ka, va), (kb, vb) = a[tag], b[tag]
+            keys = np.abs(ka - kb).sum(axis=(0, 1, 2))
+            values = np.abs(va - vb).sum(axis=1)
+            for diff in (keys, values):
+                assert diff.shape == (model.config.token_budget,)
+                assert diff[2] > 0 and np.all(np.delete(diff, 2) == 0)
 
     def test_specials_and_pads(self, model):
-        enc = model.encode_text(tokenize("a cat is sitting"))
-        budget = model.config.token_budget
-        assert enc.emb.shape == (budget, model.config.embed_dim)
-        assert sorted(enc.columns.values()) == [1, 2, 3, 4]
+        """Begin marker, words, end marker, pads: the columns of `_keys_values` on those rows."""
+        cfg = model.config
+        words = ["a", "cat", "is", "sitting"]
 
         def row(word):
-            return _token_embedding(word, model.config.embed_dim, model.config.seed)
+            return _token_embedding(word, cfg.embed_dim, cfg.seed)
 
-        rows = enc.emb
-        assert rows[0].tobytes() == row(BEGIN).tobytes()
-        assert rows[5].tobytes() == row(END).tobytes()  # end marker right after the prompt
-        assert len(rows[6:]) == budget - 6
-        assert all(r.tobytes() == row(PAD).tobytes() for r in rows[6:])
+        rows = [row(BEGIN), *map(row, words), row(END)]
+        rows += [row(PAD)] * (cfg.token_budget - len(rows))
+        expected = model._keys_values(np.stack(rows))
+        enc = model.encode_text(tokenize(" ".join(words)))
+        specials = [0, 5, *range(6, cfg.token_budget)]  # the end marker right after the words
+        assert len(specials) == cfg.token_budget - len(words)
+        for tag, (keys, values) in enc.items():
+            assert keys.shape[-1] == values.shape[0] == cfg.token_budget
+            assert keys[..., specials].tobytes() == expected[tag][0][..., specials].tobytes()
+            assert values[specials].tobytes() == expected[tag][1][specials].tobytes()
 
     def test_values_are_plain_arrays(self, model):
         enc = model.encode_text(tokenize("a cat is sitting"))
-        values = [enc.emb, model._out, *model._pool.values(), *model._unpool.values()]
-        values += [a for kv in enc.keys_values.values() for a in kv]
+        values = [*_arrays(enc), model._out, *model._pool.values(), *model._unpool.values()]
         for w in (*model._weights.values(), model._temporal):
             values += [v for v in w.values() if not isinstance(v, float)]
         assert all(type(v) is np.ndarray for v in values)

@@ -15,14 +15,14 @@ from attnguide.guidance import GuidanceConfig, loss_syt
 from attnguide.syntax import extract_pairs, tokenize
 
 import composites
-from conftest import TEMPLATE_PROMPT, tiny_model_config
+from conftest import (
+    ABLATE_MODEL,
+    GRADCHECK_MODEL,
+    TEMPLATE_PROMPT,
+    same_bytes,
+    tiny_model_config,
+)
 from reftensor import sum_grad
-
-
-def same_bytes(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.shape == b.shape and a.dtype == b.dtype
-    assert a.tobytes() == b.tobytes()
 
 
 def reference_softmax(x):
@@ -44,7 +44,7 @@ def test_softmax_matches_last_axis_max(rng, case):
         "last_axis_17": lambda: rng.normal(size=(3, 4, 17)) * 30.0,
         "signed_zeros": lambda: SIGNED_ZEROS,
     }[case]()
-    same_bytes(softmax(x), reference_softmax(x))
+    assert same_bytes(softmax(x), reference_softmax(x))
 
 
 def test_softmax_propagates_nan(rng):
@@ -52,7 +52,7 @@ def test_softmax_propagates_nan(rng):
     x[2, 3] = np.nan
     out = softmax(x)
     assert np.isnan(out[2]).all()
-    same_bytes(np.delete(out, 2, axis=0), reference_softmax(np.delete(x, 2, axis=0)))
+    assert same_bytes(np.delete(out, 2, axis=0), reference_softmax(np.delete(x, 2, axis=0)))
 
 
 def reference_softmax_grad(out, g):
@@ -80,7 +80,7 @@ def test_softmax_grad_matches_out_of_place(rng, case):
                               frozen(rng.normal(size=(4, 9, 5)))),
     }[case]()
     before = out.tobytes(), g.tobytes()
-    same_bytes(softmax_grad(out, g), reference_softmax_grad(out, g))
+    assert same_bytes(softmax_grad(out, g), reference_softmax_grad(out, g))
     assert (out.tobytes(), g.tobytes()) == before
 
 
@@ -89,7 +89,7 @@ def test_softmax_leaves_its_input(rng, writeable):
     x = rng.normal(size=(3, 8, 5))
     x.flags.writeable = writeable
     before = x.tobytes()
-    same_bytes(softmax(x), reference_softmax(x))
+    assert same_bytes(softmax(x), reference_softmax(x))
     assert x.tobytes() == before
 
 
@@ -106,15 +106,11 @@ def test_sum_grad_matches_broadcast_copy(rng, shape, axis, g_shape):
     g = rng.normal(size=g_shape)
     ref = np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape).copy()
     out = sum_grad(g, axis, shape)
-    same_bytes(out, ref)
+    assert same_bytes(out, ref)
     assert out.flags.writeable and not np.shares_memory(out, g)
 
 
-# The `ablate` and `gradcheck` CLI models, and grids whose cells differ in size.
-ABLATE_MODEL = dict(frames=2, latent_h=8, latent_w=8,
-                    levels=(("down", 4), ("mid", 2), ("up", 4)), embed_dim=16)
-GRADCHECK_MODEL = dict(frames=2, latent_h=4, latent_w=4,
-                       levels=(("down", 4), ("mid", 2), ("up", 4)), token_budget=8, embed_dim=8)
+# Grids whose cells differ in size.
 UNEVEN_MODEL = dict(levels=(("down", 5), ("mid", 3), ("up", 5)))
 MODELS = [pytest.param(overrides, id=name) for name, overrides in [
     ("default", {}), ("ablate", ABLATE_MODEL), ("gradcheck", GRADCHECK_MODEL),
@@ -129,11 +125,11 @@ def test_pool_matrices_match_the_loop(overrides):
     cfg = model.config
     for g, (cell, pw) in model._cells.items():
         P = composites.pool_matrix(g, cfg.latent_h, cfg.latent_w)
-        same_bytes(model._pool[g], P)
-        same_bytes(cell, P.argmax(0))
-        same_bytes(pw, np.repeat(P.max(1)[:, None], LATENT_CHANNELS, axis=1))
+        assert same_bytes(model._pool[g], P)
+        assert same_bytes(cell, P.argmax(0))
+        assert same_bytes(pw, np.repeat(P.max(1)[:, None], LATENT_CHANNELS, axis=1))
     stub = LinearAttentionStub(cfg)
-    same_bytes(stub._P, composites.pool_matrix(cfg.capture_grid, cfg.latent_h, cfg.latent_w))
+    assert same_bytes(stub._P, composites.pool_matrix(cfg.capture_grid, cfg.latent_h, cfg.latent_w))
 
 
 @pytest.mark.parametrize("overrides", MODELS)
@@ -145,8 +141,8 @@ def test_unpool_gathers_match_matmuls(rng, overrides):
         P, U = model._pool[g], model._unpool[g]
         out = rng.normal(size=(cfg.frames, g * g, LATENT_CHANNELS))
         out[0, 0] = 0.0
-        same_bytes(np.take(out, cell, axis=-2), U @ out)
-        same_bytes(np.take(out * pw, cell, axis=-2), P.T @ out)
+        assert same_bytes(np.take(out, cell, axis=-2), U @ out)
+        assert same_bytes(np.take(out * pw, cell, axis=-2), P.T @ out)
 
 
 @pytest.mark.parametrize("pixels", [1, 7, 8, 9, 16, 64, 127, 128, 129, 256, 300])
@@ -158,12 +154,12 @@ def test_stack_sums_match_strided_column_sums(rng, pixels):
     cols = [7, 2, 9, 2, 0]
     X, sums = guidance._columns(A, cols)
     assert X.flags.c_contiguous and X.shape == (5, 5, pixels)
-    same_bytes(sums, X.sum(axis=-1))
+    assert same_bytes(sums, X.sum(axis=-1))
     for k, c in enumerate(cols):
-        same_bytes(sums[k], A[..., c].sum(axis=-1))
+        assert same_bytes(sums[k], A[..., c].sum(axis=-1))
         for f in range(A.shape[0]):
-            same_bytes(sums[k, f], A[f, :, c].sum())   # a frame mean's 1-D sum
-    same_bytes(sums.T.copy().sum(axis=-1)[1], sums[:, 1].sum())
+            assert same_bytes(sums[k, f], A[f, :, c].sum())   # a frame mean's 1-D sum
+    assert same_bytes(sums.T.copy().sum(axis=-1)[1], sums[:, 1].sum())
 
 
 def test_loss_syt_gathers_each_column_once(monkeypatch, rng):
@@ -172,7 +168,7 @@ def test_loss_syt_gathers_each_column_once(monkeypatch, rng):
     model = ToyDenoiser(tiny_model_config())
     tokens = tokenize(TEMPLATE_PROMPT)
     text = model.encode_text(tokens)
-    pairs = guidance._pairs_to_columns(extract_pairs(tokens), text.columns)
+    pairs = guidance._pairs_to_columns(extract_pairs(tokens))
     cfg = model.config
     z = Tensor(rng.normal(size=(cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w)),
                requires_grad=True)

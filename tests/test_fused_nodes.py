@@ -18,7 +18,6 @@ from attnguide.denoiser import (
     HEADS,
     LATENT_CHANNELS,
     LatentState,
-    TextEncoding,
     ToyDenoiser,
     ToyModelConfig,
 )
@@ -50,38 +49,17 @@ from composites import (
     square,
     take_lastdim,
 )
-from conftest import tiny_model_config
-from test_fast_paths import ABLATE_MODEL, GRADCHECK_MODEL
+from conftest import (
+    ABLATE_MODEL,
+    GRADCHECK_MODEL,
+    attention_values,
+    random_masks,
+    same_bytes,
+    tiny_model_config,
+)
 from reftensor import RefTensor, ref
 
 SEEDS = range(25)
-
-
-def same_bytes(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-# -- inputs ---------------------------------------------------------------------
-
-
-def attention_values(rng, shape, zeros=0.1):
-    """Positive maps with some exact zeros and a wide spread of magnitudes."""
-    vals = rng.uniform(0.0, 1.0, shape) ** 3 * 10.0 ** rng.uniform(-3, 3)
-    vals[rng.random(shape) < zeros] = 0.0
-    vals[..., 0, :] = rng.uniform(0.1, 1.0, vals[..., 0, :].shape)  # no all-zero map
-    return vals
-
-
-def mask_set(rng, keys, frames, grid, fractional):
-    masks = {}
-    for key in keys:
-        stack = []
-        for f in range(frames):
-            m = rng.uniform(0.0, 1.0, (grid, grid))
-            stack.append(m if fractional else (m < 0.5).astype(np.float64))
-        masks[key] = np.stack(stack)
-    return masks
 
 
 # -- distance -------------------------------------------------------------------
@@ -168,7 +146,7 @@ def test_mass_term_matches_composite(loss_fn, fractional):
         rng = np.random.default_rng([seed, fractional])
         frames, grid = int(rng.integers(1, 5)), int(rng.integers(2, 5))
         vals = attention_values(rng, (frames, grid * grid, 7))
-        masks = mask_set(rng, (1, 4), frames, grid, fractional)
+        masks = random_masks(rng, (1, 4), frames, grid, fractional)
         fused = mass_run(fused_fn, vals, masks, pairs)
         composite = mass_run(composite_fn, vals, masks, pairs)
         assert same_bytes(fused[0], composite[0])
@@ -214,8 +192,7 @@ def test_cross_attention_matches_composite(config):
 def test_denoise_step_gradient_matches_composite():
     model = ToyDenoiser(tiny_model_config())
     cfg = model.config
-    emb = np.random.default_rng(0).normal(size=(cfg.token_budget, cfg.embed_dim))
-    text = TextEncoding(emb, model._keys_values(emb), columns={})
+    text = random_text(model)
 
     def run(step, z_vals, weights):
         z = Tensor(z_vals, requires_grad=True)
@@ -278,10 +255,11 @@ def test_cross_attention_non_finite_intermediate_raises():
 # -- whole-step and whole-loss nodes --------------------------------------------------
 
 
-def text_encoding(model, seed=0):
+def random_text(model, seed=0):
+    """Text keys and values, as `encode_text` returns them, of normal embedding rows."""
     cfg = model.config
     emb = np.random.default_rng(seed).normal(size=(cfg.token_budget, cfg.embed_dim))
-    return TextEncoding(emb, model._keys_values(emb), columns={})
+    return model._keys_values(emb)
 
 
 def denoise_run(step, z_vals, weights, reads):
@@ -318,7 +296,7 @@ def test_denoise_step_matches_composite(heads, capture, reads):
     temporal block, so its bytes pin that block too."""
     model = ToyDenoiser(tiny_model_config(ca_capture=capture))
     cfg = model.config
-    text = text_encoding(model, heads)
+    text = random_text(model, heads)
     for seed in range(3):
         rng = np.random.default_rng([seed, heads])
         z_vals = rng.normal(size=(cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w))
@@ -337,7 +315,7 @@ def test_denoise_step_matches_composite(heads, capture, reads):
 def test_denoise_step_without_grad_matches_with_grad():
     model = ToyDenoiser(tiny_model_config())
     cfg = model.config
-    text = text_encoding(model)
+    text = random_text(model)
     z_vals = np.random.default_rng(0).normal(
         size=(cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w))
     free = model.denoise_step(Tensor(z_vals), 0.3, text)
@@ -352,7 +330,7 @@ def test_denoise_step_returns_eps_and_t_attn_as_arrays(grad):
     model = ToyDenoiser(tiny_model_config())
     cfg = model.config
     z_vals = np.zeros((cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w))
-    outputs = model.denoise_step(Tensor(z_vals, requires_grad=grad), 0.3, text_encoding(model))
+    outputs = model.denoise_step(Tensor(z_vals, requires_grad=grad), 0.3, random_text(model))
     assert len(outputs) == 2  # (eps, A): the temporal attention stays inside the step
     eps, A = outputs
     assert isinstance(A, Tensor) and A.requires_grad == grad
@@ -419,7 +397,7 @@ def test_loss_sp_node_matches_chain(n_pairs, fractional, verbs):
         rng = np.random.default_rng([seed, fractional, 9])
         frames, grid = int(rng.integers(1, 5)), int(rng.integers(2, 5))
         vals = attention_values(rng, (frames, grid * grid, 7))
-        masks = mask_set(rng, (1, 4), frames, grid, fractional)
+        masks = random_masks(rng, (1, 4), frames, grid, fractional)
         fused = leaf_run(lambda A: loss_sp(A, masks, pairs, config), vals)
         composite = leaf_run(lambda A: composites.loss_sp(A, masks, pairs, config), vals)
         assert same_bytes(fused[0], composite[0])
@@ -519,7 +497,7 @@ def test_nan_mask_fails_the_exit_check(default_scene, loss):
 def test_denoise_step_non_finite_intermediate_raises(grad):
     model = ToyDenoiser(tiny_model_config())
     cfg = model.config
-    text = text_encoding(model)
+    text = random_text(model)
     z = Tensor(np.full((cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w), 1e308),
                requires_grad=grad)
     for step in (model.denoise_step, lambda *a: composites.denoise_step(model, *a)):

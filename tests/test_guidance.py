@@ -45,9 +45,9 @@ from attnguide.guidance import (
     prepare_inputs,
     run_guided_sampling,
 )
-from attnguide.syntax import SyntaxPairs
+from attnguide.syntax import SyntaxPairs, extract_pairs, tokenize
 
-from composites import square
+from composites import frame_distances, square
 from conftest import (
     MAN_DOG_BOXES,
     TEMPLATE_PROMPT,
@@ -159,14 +159,6 @@ class TestSpatialLosses:
             return loss_fg(a, masks, single_pair(), DEFAULTS)
 
         assert relative_error(*fd_gradients(f, base, 1e-5)) <= 1e-6
-
-
-def frame_distances(p, q, kind):
-    """`kind` distance between the maps p and q [F, N], one frame at a time: `loss_pos` on
-    each frame's two-column A [1, N, 2]."""
-    config = GuidanceConfig(distance=kind)
-    return np.array([loss_pos(ca_stack(np.stack((pf, qf), axis=-1)[None]), (0, 1), config).item()
-                     for pf, qf in zip(np.atleast_2d(p), np.atleast_2d(q))])
 
 
 class TestDist:
@@ -498,8 +490,6 @@ class TestRunGuidedSampling:
 
         model = ToyDenoiser(tiny_model_config())
         cfg_m = model.config
-        from attnguide.syntax import tokenize
-
         text = model.encode_text(tokenize(TEMPLATE_PROMPT))
         schedule = ddim_schedule(12)
         rng = np.random.default_rng(np.random.SeedSequence([3, 0x1A7E]))
@@ -536,8 +526,13 @@ class TestPrepareInputs:
         model = ToyDenoiser(tiny_model_config())
         column_pairs, text, masks, _ = prepare_inputs(TEMPLATE_PROMPT, static_two_box_prior(2),
                                                       model)
-        assert [text.columns[i] for i in (1, 3, 6, 8)] == [2, 4, 7, 9]  # pairs (1, 3), (6, 8)
-        assert column_pairs.pairs == [(2, 4), (7, 9)]
+        tokens = tokenize(TEMPLATE_PROMPT)
+        assert extract_pairs(tokens).pairs == [(1, 3), (6, 8)]
+        assert column_pairs.pairs == [(2, 4), (7, 9)]  # token i is CA column i + 1
+        for i in (1, 3, 6, 8):  # and that column holds the word's values
+            alone = model.encode_text(tokens[i:i + 1])
+            for tag, (_, values) in text.items():
+                assert values[i + 1].tobytes() == alone[tag][1][1].tobytes()
         g = model.config.capture_grid
         left, right = masks[2][0], masks[7][0]
         assert left[:, : g // 2].all() and not left[:, g // 2:].any()

@@ -26,9 +26,8 @@ from attnguide.metrics import (
 )
 from attnguide.syntax import SyntaxPairs
 
-from composites import in_box_ratio
+from composites import in_box_ratio, kl_sym_oracle
 from conftest import MAN_DOG_BOXES, TEMPLATE_PROMPT, static_two_box_prior, tiny_model_config
-from test_acceptance import _kl_sym_oracle
 
 
 def mask_set(mask, frames=1, key=0):
@@ -168,7 +167,7 @@ class TestAlignment:
 
     def test_is_frame_mean_kl_sym(self, rng):
         A = rng.uniform(0.05, 1.0, size=(2, 4, 2))
-        expected = _kl_sym_oracle(A[..., 0], A[..., 1]).mean()
+        expected = kl_sym_oracle(A[..., 0], A[..., 1]).mean()
         assert abs(verb_noun_alignment(A, (0, 1)) - expected) <= 1e-12
 
     @pytest.mark.parametrize("seed,shape,pair,expected", [

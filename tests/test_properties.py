@@ -40,8 +40,13 @@ from attnguide.guidance import (
 from attnguide.metrics import count_components
 from attnguide.syntax import SyntaxPairs, extract_pairs, tokenize
 
-from conftest import TEMPLATE_PROMPT, WOMAN_MAN_BOXES
-from test_fused_nodes import attention_values, mask_set, same_bytes
+from conftest import (
+    TEMPLATE_PROMPT,
+    WOMAN_MAN_BOXES,
+    attention_values,
+    random_masks,
+    same_bytes,
+)
 
 backgrounds = st.text(alphabet=string.ascii_letters + " ", min_size=1).map(str.strip).filter(bool)
 
@@ -380,7 +385,7 @@ def loss_scenes(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vals = attention_values(rng, (frames, grid * grid, columns),
                             zeros=draw(st.sampled_from([0.0, 0.2])))
-    masks = mask_set(rng, [noun for noun, _ in pairs], frames, grid, draw(st.booleans()))
+    masks = random_masks(rng, [noun for noun, _ in pairs], frames, grid, draw(st.booleans()))
     config = GuidanceConfig(distance=draw(st.sampled_from([KL_SYM, COSINE])),
                             contrastive_form=draw(st.sampled_from([RATIO, SUM])),
                             apply_spatial_to_verbs=draw(st.booleans()))
