@@ -53,9 +53,9 @@ def _fail(code, kind, message):
     return code
 
 
-def _print_violations(violations):
-    for v in violations:
-        print(f"violation kind={v.kind} subject={v.subject_id} frame={v.frame} {v.message}")
+def _violation_lines(violations):
+    return [f"violation kind={v.kind} subject={v.subject_id} frame={v.frame} {v.message}"
+            for v in violations]
 
 
 def _digest(path):
@@ -125,9 +125,8 @@ def cmd_validate_boxes(args):
     prior = parse_llm_boxes(read_text(args.file))
     for w in prior.load_warnings:
         print(f"warning: {w}")
-    violations = validate_trajectories(prior)
-    _print_violations(violations)
-    print(f"violations={len(violations)}")
+    violations = _violation_lines(validate_trajectories(prior))
+    print("\n".join(violations + [f"violations={len(violations)}"]))
     return EXIT_OK
 
 
@@ -160,9 +159,9 @@ def cmd_rasterize(args):
 def cmd_generate(args):
     started, out_dir = _now(), _fresh_out(args.out)
     prior = parse_llm_boxes(read_text(args.boxes))
-    violations = validate_trajectories(prior)
+    violations = _violation_lines(validate_trajectories(prior))
     if violations and not args.force:
-        _print_violations(violations)
+        print("\n".join(violations))
         return _fail(EXIT_PARSE, "validation",
                      f"{len(violations)} box violations (use --force to proceed)")
 
@@ -184,9 +183,9 @@ def cmd_generate(args):
 
     np.savez(out_dir / "ca_records.npz", **{f"step{s}": v for s, v in result.ca_records.items()})
 
-    _write_manifest(args, started, config=configs, seed=seed, complete=True,
-                    warnings=result.warnings)
-    for w in result.warnings:
+    warnings = violations + result.warnings  # the violations `--force` overrode come first
+    _write_manifest(args, started, config=configs, seed=seed, complete=True, warnings=warnings)
+    for w in warnings:
         print(f"warning: {w}")
     print(f"ok records={len(result.trace.records)} out={out_dir}")
     return EXIT_OK

@@ -1,9 +1,8 @@
 """The `key = value` file format shared by model, guidance and grid files.
 
 One setting per line, `#` starts a comment, blank lines are skipped.  Each
-value is typed by the default of the dataclass field it sets: `bool`
-(true/1/yes, false/0/no), `int`, `float`, `str`, or a `tuple` of
-`tag:int` pairs such as `levels = down:8, mid:4, up:8`.
+value is typed by the default of the dataclass field it sets: `int`, `float`,
+`str`, or a `tuple` of `tag:int` pairs such as `levels = down:8, mid:4, up:8`.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import InputError
-
-_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def read_text(path):
@@ -47,13 +44,11 @@ def parse_value(cls, key, text, line_no):
         raise InputError(f"line {line_no}: unknown key {key!r}")
     kind = type(field.default)
     try:
-        if kind is bool:
-            return _BOOLS[text.lower()]
         if kind is tuple:
             return tuple((tag.strip(), int(n)) for tag, n in
                          (item.split(":") for item in text.split(",")))
         return kind(text)
-    except (KeyError, ValueError):
+    except ValueError:
         wants = "'tag:int, ...'" if kind is tuple else kind.__name__
         raise InputError(f"line {line_no}: {key} wants {wants}, got {text!r}") from None
 

@@ -9,10 +9,8 @@ steps between scheduler updates.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +60,6 @@ class GuidanceConfig:
     lambda_syt: float = 20.0
     distance: str = KL_SYM
     contrastive_form: str = RATIO
-    apply_spatial_to_verbs: bool = True
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.lambda_sp, self.lambda_syt)):
@@ -216,30 +213,15 @@ def _cosine(X, a, b):
 #
 # Each loss is one graph node on A.  Its backward hands `_column_grad` the
 # gradient of each column take of the replaced chain, in the order
-# `Tensor.backward` reached the takes, and values are left-folded in the
-# chain's order: per-distance frame means, negatives, pairs and tokens.
-
-
-def _fold(values):
-    """The left-fold sum of scalars, as the chain added them; 0.0 for none."""
-    return functools.reduce(operator.add, values) if len(values) else 0.0
+# `Tensor.backward` reached the takes, and values are summed left to right in
+# the chain's order: per-distance frame means, negatives, pairs and tokens.
 
 
 def _column_grad(takes, shape):
-    """A's gradient from the (column, gradient) takes, added per column in visit order.
-
-    Each take of the chain added a full array, +0 outside its column: with
-    two or more columns a zero sum ends as +0.
-    """
-    full, seen = np.zeros(shape), set()
+    """A's gradient from the (column, gradient) takes, added onto zeros in visit order."""
+    full = np.zeros(shape)
     for c, g in takes:
-        if c in seen:
-            full[..., c] += g
-        else:
-            full[..., c] = g
-            seen.add(c)
-    if len(seen) > 1:
-        full += 0.0
+        full[..., c] += g
     return full
 
 
@@ -286,9 +268,9 @@ def _frame_masks(masks, key, shape):
     return M
 
 
-def _tracked(pairs, include_verbs):
-    """(token, noun) for each pair's noun and, with `include_verbs`, its verb after it."""
-    return [(t, pair[0]) for pair in pairs.pairs for t in pair[:2 if include_verbs else 1]]
+def _tracked(pairs):
+    """(token, noun) for each pair's noun and then its verb: both track the noun's mask."""
+    return [(t, pair[0]) for pair in pairs.pairs for t in pair]
 
 
 def _mass_terms(X, total, M, halves):
@@ -316,35 +298,35 @@ def _mass_terms(X, total, M, halves):
     return (base ** 2).sum(axis=-1), backward
 
 
-def _mass_node(A, masks, pairs, config, halves):
+def _mass_node(A, masks, pairs, halves):
     """Frame-mean mass terms of the tracked tokens, the halves added, as one node on A."""
-    tracked = _tracked(pairs, config.apply_spatial_to_verbs)
+    tracked = _tracked(pairs)
     tokens = [t for t, _ in tracked]
     # every token's masks are checked before any token's attention mass
     M = np.stack([_frame_masks(masks, noun, A.shape[:2]) for _, noun in tracked])
     X, total = _columns(A.data, tokens)
     terms, backward = _mass_terms(X, total, M, halves)
     inv = 1.0 / X.shape[1]
-    return Tensor.node(_fold([_fold(row) * inv for row in terms]), (A,), lambda g: (_column_grad(
+    return Tensor.node(sum(sum(row) * inv for row in terms), (A,), lambda g: (_column_grad(
         zip(tokens * len(halves), backward(g * inv).reshape(-1, *X.shape[1:])), A.shape),))
 
 
 @trapped
 def loss_fg(A, masks, pairs, config):
     """Squared deficit of in-box attention mass, frame-averaged."""
-    return _mass_node(A, masks, pairs, config, (False,))
+    return _mass_node(A, masks, pairs, (False,))
 
 
 @trapped
 def loss_bg(A, masks, pairs, config):
     """Squared out-of-box attention mass ratio, frame-averaged."""
-    return _mass_node(A, masks, pairs, config, (True,))
+    return _mass_node(A, masks, pairs, (True,))
 
 
 @trapped
 def loss_sp(A, masks, pairs, config):
-    """The spatial constraint: fg + bg."""
-    return _mass_node(A, masks, pairs, config, (False, True))
+    """The spatial constraint: fg + bg of each pair's noun and verb in the noun's masks."""
+    return _mass_node(A, masks, pairs, (False, True))
 
 
 # -- syntax contrastive constraint --------------------------------------------
@@ -363,7 +345,7 @@ def loss_neg(A, pair, negatives, config):
     if not negatives:
         return Tensor(0.0)
     means, grad = _mean_distances(A, [(pair[0], u) for u in sorted(negatives)], config)
-    return Tensor.node(_fold(means), (A,), lambda g: (grad([g] * len(means)),))
+    return Tensor.node(sum(means), (A,), lambda g: (grad([g] * len(means)),))
 
 
 @trapped
@@ -374,7 +356,7 @@ def loss_syt(A, pairs, config):
                                       for d in [pair, *((pair[0], u) for u in negs)]], config)
     ratio, terms, i = config.contrastive_form == RATIO, [], 0
     for pair, negs in zip(pairs.pairs, negatives):
-        pos, denom = means[i], means[i] + _fold(means[i + 1:i + 1 + len(negs)])
+        pos, denom = means[i], means[i] + sum(means[i + 1:i + 1 + len(negs)])
         i += 1 + len(negs)
         if ratio and denom <= EPS:
             raise DegenerateAttentionError(f"pair {pair}: contrastive denominator <= {EPS}")
@@ -387,7 +369,7 @@ def loss_syt(A, pairs, config):
             gd += [g / denom + g_neg if ratio else g] + [g_neg] * k
         return (grad(gd),)
 
-    return Tensor.node(_fold([pos / denom if ratio else denom for pos, denom, _ in terms]), (A,),
+    return Tensor.node(sum(pos / denom if ratio else denom for pos, denom, _ in terms), (A,),
                        backward)
 
 

@@ -106,9 +106,16 @@ def kl_sym_oracle(p, q, eps=1e-8):
 # floating-point trap the public entry points run under.
 
 
+def check_kind(kind):
+    """Reject a distance kind other than KL_SYM and COSINE, such as a config passed as one."""
+    if kind not in (KL_SYM, COSINE):
+        raise ContractError(f"unknown distance kind {kind!r}")
+
+
 @trapped
 def dist_node(p, q, kind, eps):
     assert eps == guidance.EPS, "the package's distance kernels read guidance.EPS"
+    check_kind(kind)
     kernel = guidance._cosine if kind == COSINE else guidance._kl
     out, backward = kernel(np.stack((p.data, q.data)), [0], [1])
     return RefTensor.node(out[0], (p, q), lambda g: [grad[0] for grad in backward(g[None])])
@@ -160,6 +167,7 @@ def composite_normalize_lastdim(t, eps):
 
 
 def composite_dist(p, q, kind, eps):
+    check_kind(kind)
     if kind == COSINE:
         dot = (p * q).sum(axis=-1)
         norm = sqrt(square(p).sum(axis=-1)) * sqrt(square(q).sum(axis=-1))
@@ -199,10 +207,10 @@ def composite_cross_attention(model, x, keys_values, tag):
 # -- the spatial losses ---------------------------------------------------------------
 
 
-def _mass_terms(A, masks, pairs, include_verbs, eps, outside, mass_term):
+def _mass_terms(A, masks, pairs, eps, outside, mass_term):
     F = A.shape[0]
     acc = None
-    for token, noun in guidance._tracked(pairs, include_verbs):
+    for token, noun in guidance._tracked(pairs):
         col = take_lastdim(A, token)
         term = mass_term(col, guidance._frame_masks(masks, noun, col.shape), token, eps, outside)
         acc = term if acc is None else acc + term
@@ -211,17 +219,17 @@ def _mass_terms(A, masks, pairs, include_verbs, eps, outside, mass_term):
     return acc * (1.0 / F)
 
 
-def loss_fg(A, masks, pairs, include_verbs=True, eps=1e-8, mass_term=mass_term_node):
-    return _mass_terms(A, masks, pairs, include_verbs, eps, False, mass_term)
+def loss_fg(A, masks, pairs, eps=1e-8, mass_term=mass_term_node):
+    return _mass_terms(A, masks, pairs, eps, False, mass_term)
 
 
-def loss_bg(A, masks, pairs, include_verbs=True, eps=1e-8, mass_term=mass_term_node):
-    return _mass_terms(A, masks, pairs, include_verbs, eps, True, mass_term)
+def loss_bg(A, masks, pairs, eps=1e-8, mass_term=mass_term_node):
+    return _mass_terms(A, masks, pairs, eps, True, mass_term)
 
 
 def loss_sp(A, masks, pairs, config, mass_term=mass_term_node):
-    fg = loss_fg(A, masks, pairs, config.apply_spatial_to_verbs, guidance.EPS, mass_term)
-    bg = loss_bg(A, masks, pairs, config.apply_spatial_to_verbs, guidance.EPS, mass_term)
+    fg = loss_fg(A, masks, pairs, guidance.EPS, mass_term)
+    bg = loss_bg(A, masks, pairs, guidance.EPS, mass_term)
     return fg + bg
 
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from attnguide.autodiff import Tensor
 from attnguide.boxes import static_two_box_prior  # noqa: F401  (shared by the tests)
 from attnguide.denoiser import ToyModelConfig
+from attnguide.guidance import GuidanceConfig
+from attnguide.syntax import SyntaxPairs
 
 # First in-context example of the box-generator prompt (woman/man, 8 frames).
 WOMAN_MAN_BOXES = """\
@@ -67,6 +70,25 @@ def small_model_config(**overrides):
     )
     kwargs.update(overrides)
     return ToyModelConfig(**kwargs)
+
+
+DEFAULTS = GuidanceConfig()
+
+
+def ca_stack(A):
+    """CA values [F, N, L] as a graph leaf."""
+    return Tensor(np.asarray(A, dtype=float))
+
+
+def single_pair():
+    """Token 0 is a noun, 1 its verb, 2 a negative."""
+    return SyntaxPairs([(0, 1)], frozenset({0, 1, 2}))
+
+
+def mask_set(mask, frames, key=0):
+    """One [grid_h, grid_w] mask repeated over `frames`, under `key`."""
+    mask = np.asarray(mask, dtype=float)
+    return {key: np.stack([mask] * frames)}
 
 
 def same_bytes(a, b):

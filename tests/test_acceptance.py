@@ -7,7 +7,6 @@ assertions, so a -s run gives a compact scoreboard.
 import numpy as np
 import pytest
 
-from attnguide.autodiff import Tensor
 from attnguide.boxes import parse_llm_boxes, serialize_boxes, validate_trajectories
 from attnguide import guidance
 from attnguide.gradcheck import gradcheck_suites
@@ -31,9 +30,13 @@ from attnguide.syntax import SyntaxPairs
 
 from composites import frame_distances, in_box_ratio, kl_sym_oracle
 from conftest import (
+    DEFAULTS,
     DOG_CAT_BOXES,
     TEMPLATE_PROMPT,
     WOMAN_MAN_BOXES,
+    ca_stack,
+    mask_set,
+    single_pair,
     small_model_config,
     static_two_box_prior,
     tiny_model_config,
@@ -47,43 +50,27 @@ def _report(n, ok, detail):
     assert ok, f"criterion {n}: {detail}"
 
 
-def _ca(A):
-    return Tensor(np.asarray(A, dtype=float))
-
-
-def _masks(mask, frames, key=0):
-    mask = np.asarray(mask, dtype=float)
-    return {key: np.stack([mask] * frames)}
-
-
-def _pair():
-    return SyntaxPairs([(0, 1)], frozenset({0, 1, 2}))
-
-
-DEFAULTS = GuidanceConfig()
-NOUNS_ONLY = GuidanceConfig(apply_spatial_to_verbs=False)
-
-
 def test_criterion_1_equation_identities():
     rng = np.random.default_rng(0)
     worst_gap = 0.0
     for _ in range(100):
         A = rng.uniform(0.01, 1.0, size=(2, 4, 3))
-        masks = _masks(rng.integers(0, 2, size=(2, 2)).astype(float), frames=2)
-        fg = loss_fg(_ca(A), masks, _pair(), DEFAULTS).item()
-        bg = loss_bg(_ca(A), masks, _pair(), DEFAULTS).item()
+        masks = mask_set(rng.integers(0, 2, size=(2, 2)).astype(float), frames=2)
+        fg = loss_fg(ca_stack(A), masks, single_pair(), DEFAULTS).item()
+        bg = loss_bg(ca_stack(A), masks, single_pair(), DEFAULTS).item()
         worst_gap = max(worst_gap, abs(fg - bg))
 
     errs = [worst_gap if worst_gap > 1e-12 else 0.0]
 
-    # fg/bg: uniform attention, half-covering mask, nouns only -> 0.25
+    # fg/bg: uniform attention, half-covering mask -> 0.25 for each tracked token, the
+    # noun and its verb
     uniform = np.full((2, 4, 3), 1.0 / 3)
-    half = _masks([[1.0, 1.0], [0.0, 0.0]], frames=2)
-    errs.append(abs(loss_fg(_ca(uniform), half, _pair(), NOUNS_ONLY).item() - 0.25))
-    errs.append(abs(loss_bg(_ca(uniform), half, _pair(), NOUNS_ONLY).item() - 0.25))
+    half = mask_set([[1.0, 1.0], [0.0, 0.0]], frames=2)
+    errs.append(abs(loss_fg(ca_stack(uniform), half, single_pair(), DEFAULTS).item() - 0.5))
+    errs.append(abs(loss_bg(ca_stack(uniform), half, single_pair(), DEFAULTS).item() - 0.5))
 
-    # weighted spatial loss: default unit weights -> 0.5
-    errs.append(abs(loss_sp(_ca(uniform), half, _pair(), NOUNS_ONLY).item() - 0.5))
+    # weighted spatial loss: default unit weights -> 1.0
+    errs.append(abs(loss_sp(ca_stack(uniform), half, single_pair(), DEFAULTS).item() - 1.0))
 
     # distances match the independent smoothed-KL formula
     p = rng.uniform(0.05, 1.0, size=(2, 4))
@@ -91,18 +78,18 @@ def test_criterion_1_equation_identities():
     errs.append(float(np.max(np.abs(frame_distances(p, q, KL_SYM) - kl_sym_oracle(p, q)))))
     A = rng.uniform(0.05, 1.0, size=(2, 4, 3))
     pos_oracle = kl_sym_oracle(A[..., 0], A[..., 1]).mean()
-    errs.append(abs(loss_pos(_ca(A), (0, 1), DEFAULTS).item() - pos_oracle))
+    errs.append(abs(loss_pos(ca_stack(A), (0, 1), DEFAULTS).item() - pos_oracle))
 
     # contrastive: mirrored negative -> exactly 0.5; four mirrors -> 1/5; the
     # two-pair value is the sum of independently computed per-pair ratios.
     A = rng.uniform(0.05, 1.0, size=(2, 4, 3))
     A[..., 2] = A[..., 1]
-    errs.append(abs(loss_syt(_ca(A), _pair(), GuidanceConfig()).item() - 0.5))
+    errs.append(abs(loss_syt(ca_stack(A), single_pair(), GuidanceConfig()).item() - 0.5))
     A = rng.uniform(0.05, 1.0, size=(2, 4, 6))
     for u in range(2, 6):
         A[..., u] = A[..., 1]
     five = SyntaxPairs([(0, 1)], frozenset(range(6)))
-    errs.append(abs(loss_syt(_ca(A), five, GuidanceConfig()).item() - 0.2))
+    errs.append(abs(loss_syt(ca_stack(A), five, GuidanceConfig()).item() - 0.2))
     A = rng.uniform(0.05, 1.0, size=(2, 4, 4))
     two = SyntaxPairs([(0, 1), (2, 3)], frozenset(range(4)))
     expected = 0.0
@@ -111,7 +98,7 @@ def test_criterion_1_equation_identities():
         neg = sum(kl_sym_oracle(A[..., i], A[..., u]).mean()
                   for u in sorted(two.negatives_for((i, j))))
         expected += pos / (pos + neg)
-    errs.append(abs(loss_syt(_ca(A), two, GuidanceConfig()).item() - expected))
+    errs.append(abs(loss_syt(ca_stack(A), two, GuidanceConfig()).item() - expected))
 
     worst = max(errs)
     _report(1, worst_gap <= 1e-12 and worst <= 1e-9,

@@ -259,8 +259,15 @@ class TestGenerate:
                 "--model-config", str(tmp_path / "model.cfg"),
                 "--config", str(tmp_path / "guide.cfg")]
         assert main(argv) == 2
-        assert "ERROR kind=validation" in capsys.readouterr().out
+        violation = "violation kind=VELOCITY subject=0 frame=7 center moved 125.0px between " \
+                    "frames 6 and 7 (limit 60)"
+        assert capsys.readouterr().out.splitlines() == [
+            violation, "ERROR kind=validation reason=1 box violations (use --force to proceed)"]
         assert main(argv + ["--force"]) == 0
+        # the forced run records the violation it overrode, first among its warnings
+        assert f"warning: {violation}" == capsys.readouterr().out.splitlines()[0]
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["warnings"][0] == violation
 
     def test_negative_box_size_blocks_without_force(self, tmp_path, small_run_args, capsys):
         boxes = tmp_path / "negative.txt"
@@ -601,7 +608,7 @@ BAD_INPUTS = {
     "model_repeated_capture_tag": ("model", "ca_capture = down+down\n"),
     "guide_not_a_number": ("guide", "lambda_sp = abc\n"),
     "guide_non_finite": ("guide", "lambda_sp = nan\n"),
-    "guide_bad_boolean": ("guide", "apply_spatial_to_verbs = maybe\n"),
+    "guide_removed_apply_spatial_to_verbs": ("guide", "apply_spatial_to_verbs = true\n"),
     "guide_zero_total_steps": ("guide", "total_steps = 0\nt1 = 0\nt2 = 0\n"),
     "guide_huge_total_steps": ("guide", "total_steps = 99999999999999999999\n"),
     "guide_negative_spatial_iters": ("guide", "iters_spatial_per_step = -3\n"),

@@ -21,7 +21,7 @@ from attnguide.denoiser import (
     ToyDenoiser,
     ToyModelConfig,
 )
-from attnguide.errors import DegenerateAttentionError, NumericError
+from attnguide.errors import ContractError, DegenerateAttentionError, NumericError
 from attnguide.guidance import (
     COSINE,
     KL_SYM,
@@ -376,6 +376,15 @@ def test_loss_pos_and_neg_match_chain(kind):
             assert same_bytes(fused[1], composite[1])
 
 
+@pytest.mark.parametrize("dist", [dist_node, composite_dist])
+def test_reference_chain_rejects_a_config_for_a_kind(dist):
+    """The package's losses take the config last and the chains a distance kind: a config
+    passed to a chain is an error, not a silent KL."""
+    vals = attention_values(np.random.default_rng(8), (2, 9, 4), zeros=0.0)
+    with pytest.raises(ContractError, match="unknown distance kind"):
+        composites.loss_pos(Tensor(vals), (1, 2), GuidanceConfig(), dist=dist)
+
+
 def test_loss_syt_empty_negatives_matches_chain():
     pairs = SyntaxPairs([(1, 2)], frozenset({1, 2}))  # a prompt of one noun and one verb
     vals = attention_values(np.random.default_rng(3), (2, 9, 6), zeros=0.0)
@@ -387,12 +396,11 @@ def test_loss_syt_empty_negatives_matches_chain():
         assert same_bytes(fused[1], composite[1])
 
 
-@pytest.mark.parametrize("verbs", [False, True], ids=["nouns", "nouns+verbs"])
+@pytest.mark.parametrize("config", [GuidanceConfig()], ids=["nouns+verbs"])
 @pytest.mark.parametrize("fractional", [False, True], ids=["binary", "fractional"])
 @pytest.mark.parametrize("n_pairs", [1, 2])
-def test_loss_sp_node_matches_chain(n_pairs, fractional, verbs):
+def test_loss_sp_node_matches_chain(n_pairs, fractional, config):
     pairs = SyntaxPairs([(1, 2), (4, 5)][:n_pairs], frozenset({1, 2, 4, 5}))
-    config = GuidanceConfig(apply_spatial_to_verbs=verbs)
     for seed in range(10):
         rng = np.random.default_rng([seed, fractional, 9])
         frames, grid = int(rng.integers(1, 5)), int(rng.integers(2, 5))
@@ -404,20 +412,20 @@ def test_loss_sp_node_matches_chain(n_pairs, fractional, verbs):
         assert same_bytes(fused[1], composite[1])
 
 
-@pytest.mark.parametrize("include_verbs", [False, True])
+@pytest.mark.parametrize("include_verbs", [True])
 def test_column_gradient_signed_zeros_match_chain(include_verbs):
-    """A -0 column gradient stays -0 only when the loss takes no other column.
+    """A -0 column gradient ends as +0, as in the chain.
 
     Each take of the chain adds a full array, +0 outside its column, into
-    A's gradient, so a second column turns a -0 sum into +0.
+    A's gradient, so the verb's column turns the noun's -0 sum into +0.
     """
     pairs = SyntaxPairs([(0, 1)], frozenset({0, 1}))
     vals = np.array([[[0.0, 1.0, 1.0], [2.0, 1.0, 1.0]]])   # one frame, 1x2 grid, 3 columns
     masks = {0: np.array([[[-0.0, 1.0]]])}
-    config = GuidanceConfig(apply_spatial_to_verbs=include_verbs)
+    config = GuidanceConfig()
     grads = [leaf_run(lambda A: ref(fn(A)) * -1.0, vals)[1]
              for fn in (lambda A: loss_fg(A, masks, pairs, config),
-                        lambda A: composites.loss_fg(A, masks, pairs, include_verbs))]
+                        lambda A: composites.loss_fg(A, masks, pairs))]
     assert same_bytes(*grads)
     assert grads[0][0, 0, 0] == 0.0 and np.signbit(grads[0][0, 0, 0]) == (not include_verbs)
 

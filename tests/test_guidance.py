@@ -49,48 +49,31 @@ from attnguide.syntax import SyntaxPairs, extract_pairs, tokenize
 
 from composites import frame_distances, square
 from conftest import (
+    DEFAULTS,
     MAN_DOG_BOXES,
     TEMPLATE_PROMPT,
     WOMAN_MAN_BOXES,
+    ca_stack,
+    mask_set,
+    single_pair,
     static_two_box_prior,
     tiny_model_config,
 )
 from reftensor import ref
 
 
-def ca_stack(A):
-    return Tensor(np.asarray(A, dtype=float))
-
-
-def single_pair():
-    return SyntaxPairs([(0, 1)], frozenset({0, 1, 2}))
-
-
-def mask_set(mask, frames, key=0):
-    mask = np.asarray(mask, dtype=float)
-    return {key: np.stack([mask] * frames)}
-
-
 def uniform_ca(frames=2, pixels=4, tokens=3):
     return ca_stack(np.full((frames, pixels, tokens), 1.0 / tokens))
 
 
-DEFAULTS = GuidanceConfig()
-NOUNS_ONLY = GuidanceConfig(apply_spatial_to_verbs=False)
-
-
 class TestSpatialLosses:
     def test_uniform_half_mask_oracle(self):
-        """Half the mass lands inside a half-frame mask: fg = bg = 0.25."""
+        """Half the mass lands inside a half-frame mask: 0.25 per tracked token for fg and bg."""
         ca = uniform_ca()
         masks = mask_set([[1.0, 1.0], [0.0, 0.0]], frames=2)
-        pairs = single_pair()
-        fg = loss_fg(ca, masks, pairs, NOUNS_ONLY)
-        bg = loss_bg(ca, masks, pairs, NOUNS_ONLY)
-        assert abs(fg.item() - 0.25) <= 1e-12
-        assert abs(bg.item() - 0.25) <= 1e-12
-        # the verb reuses the noun mask, doubling the tracked-token sum
-        assert abs(loss_fg(ca, masks, pairs, DEFAULTS).item() - 0.5) <= 1e-12
+        # the noun and its verb, both against the noun's mask
+        for loss in (loss_fg, loss_bg):
+            assert abs(loss(ca, masks, single_pair(), DEFAULTS).item() - 0.5) <= 1e-12
 
     def test_all_ones_mask_is_zero(self):
         ca = uniform_ca()
@@ -101,7 +84,6 @@ class TestSpatialLosses:
     def test_all_zeros_mask_is_one_per_token(self):
         ca = uniform_ca()
         masks = mask_set(np.zeros((2, 2)), frames=2)
-        assert abs(loss_fg(ca, masks, single_pair(), NOUNS_ONLY).item() - 1.0) <= 1e-12
         assert abs(loss_fg(ca, masks, single_pair(), DEFAULTS).item() - 2.0) <= 1e-12
 
     def test_fg_equals_bg_for_binary_masks(self, rng):
@@ -387,12 +369,11 @@ class TestConfig:
     def test_from_file_and_overrides(self, tmp_path):
         path = tmp_path / "guide.cfg"
         path.write_text(
-            "t1 = 3\nlambda_syt = 12.5\ndistance = COSINE\n"
-            "apply_spatial_to_verbs = false\n# comment\n"
+            "t1 = 3\nlambda_syt = 12.5\ndistance = COSINE\n# comment\n"
         )
         cfg = GuidanceConfig.from_file(path)
         assert cfg.t1 == 3 and cfg.lambda_syt == 12.5
-        assert cfg.distance == COSINE and cfg.apply_spatial_to_verbs is False
+        assert cfg.distance == COSINE
 
     def test_from_file_unknown_key(self, tmp_path):
         path = tmp_path / "guide.cfg"
@@ -651,8 +632,8 @@ class TestBitExactness:
          "9f36b4f6778b537dcb3451190ee38b195c6a6de5fc9a20df504d77f0e0de68f5"),
         (dict(), dict(ca_capture="up"),
          "5412db8fa3b33abf9d8f90286cf6da3b36b5ee50b990b06874a1a8918a32c4a1"),
-        (dict(apply_spatial_to_verbs=False), dict(ca_capture="down"),
-         "fa2c63d8dc9c8e5863a1f7a0481da73ae372a9768d7fd3f810ec12082d055e22"),
+        (dict(), dict(ca_capture="down"),
+         "7728904f23f800ae6a8748db18037d4eb27e7ef730d72c721da29b5772be8cfc"),
     ])
     @pytest.mark.kernel_bound
     def test_variant_run_digest(self, guidance_overrides, model_overrides, digest):

@@ -27,43 +27,44 @@ from attnguide.metrics import (
 from attnguide.syntax import SyntaxPairs
 
 from composites import in_box_ratio, kl_sym_oracle
-from conftest import MAN_DOG_BOXES, TEMPLATE_PROMPT, static_two_box_prior, tiny_model_config
-
-
-def mask_set(mask, frames=1, key=0):
-    mask = np.asarray(mask, dtype=float)
-    return {key: np.stack([mask] * frames)}
+from conftest import (
+    MAN_DOG_BOXES,
+    TEMPLATE_PROMPT,
+    mask_set,
+    static_two_box_prior,
+    tiny_model_config,
+)
 
 
 class TestInBoxRatio:
     def test_uniform_half_mask(self):
         ca = np.full((1, 4, 2), 0.5)
-        masks = mask_set([[1.0, 1.0], [0.0, 0.0]])
+        masks = mask_set([[1.0, 1.0], [0.0, 0.0]], frames=1)
         assert abs(in_box_ratio(ca, masks, 0, 0) - 0.5) <= 1e-12
 
     def test_all_mass_inside(self):
         A = np.zeros((1, 4, 1))
         A[0, :2, 0] = 0.5
-        masks = mask_set([[1.0, 1.0], [0.0, 0.0]])
+        masks = mask_set([[1.0, 1.0], [0.0, 0.0]], frames=1)
         assert in_box_ratio(A, masks, 0, 0) == 1.0
 
     def test_relates_to_loss_fg_by_square(self, rng):
-        """loss_fg == frame-mean (1 - ratio)^2 for a single tracked noun."""
+        """loss_fg == frame-mean (1 - ratio)^2 summed over the noun and its verb, both
+        against the noun's mask."""
         for _ in range(100):
             A = rng.uniform(0.01, 1.0, size=(2, 4, 2))
             masks = mask_set(rng.integers(0, 2, size=(2, 2)).astype(float), frames=2)
             pairs = SyntaxPairs([(0, 1)], frozenset({0, 1}))
-            expected = np.mean([
-                (1.0 - in_box_ratio(A, masks, 0, f)) ** 2 for f in range(2)
-            ])
-            got = loss_fg(Tensor(A), masks, pairs,
-                          GuidanceConfig(apply_spatial_to_verbs=False)).item()
+            expected = sum(np.mean([
+                (1.0 - in_box_ratio(A, {t: masks[0]}, t, f)) ** 2 for f in range(2)
+            ]) for t in (0, 1))
+            got = loss_fg(Tensor(A), masks, pairs, GuidanceConfig()).item()
             assert abs(np.sqrt(got) - np.sqrt(expected)) <= 1e-12
 
     def test_zero_mass_rejected(self):
         ca = np.zeros((1, 4, 1))
         with pytest.raises(DegenerateAttentionError):
-            in_box_ratio(ca, mask_set(np.ones((2, 2))), 0, 0)
+            in_box_ratio(ca, mask_set(np.ones((2, 2)), frames=1), 0, 0)
 
     def test_all_frames_match_per_frame_form_bit_exactly(self, rng):
         A = rng.uniform(0.0, 1.0, size=(5, 64, 3))

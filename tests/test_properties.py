@@ -225,7 +225,6 @@ def config_files(draw):
         "lambda_syt": value(draw(st.sampled_from([0.0, 1.0, 20.0]))),
         "distance": value(draw(st.sampled_from([KL_SYM, COSINE]))),
         "contrastive_form": value(draw(st.sampled_from([RATIO, SUM]))),
-        "apply_spatial_to_verbs": value(draw(st.sampled_from(["true", "false"]))),
     }
     levels, capture = draw(st.sampled_from([("down:4, mid:2, up:4", "down+up"),
                                             ("down:4, mid:2, up:4", "mid"),
@@ -328,7 +327,6 @@ def guidance_configs(draw):
         lambda_sp=draw(weight), lambda_syt=draw(weight),
         distance=draw(st.sampled_from([KL_SYM, COSINE])),
         contrastive_form=draw(st.sampled_from([RATIO, SUM])),
-        apply_spatial_to_verbs=draw(st.booleans()),
     )
 
 
@@ -387,8 +385,7 @@ def loss_scenes(draw):
                             zeros=draw(st.sampled_from([0.0, 0.2])))
     masks = random_masks(rng, [noun for noun, _ in pairs], frames, grid, draw(st.booleans()))
     config = GuidanceConfig(distance=draw(st.sampled_from([KL_SYM, COSINE])),
-                            contrastive_form=draw(st.sampled_from([RATIO, SUM])),
-                            apply_spatial_to_verbs=draw(st.booleans()))
+                            contrastive_form=draw(st.sampled_from([RATIO, SUM])))
     return vals, SyntaxPairs(pairs, tokens), masks, config
 
 
@@ -409,15 +406,15 @@ def _value_and_grad(loss_fn, vals):
 def test_batched_losses_match_composite_chains(scene):
     """All six losses against the chains of primitive ops, byte for byte in value and gradient."""
     vals, pairs, masks, config = scene
-    pair, verbs = pairs.pairs[0], config.apply_spatial_to_verbs
+    pair = pairs.pairs[0]
     negs = pairs.negatives_for(pair)
     kind, eps, dist, mass = config.distance, guidance.EPS, composites.composite_dist, \
         composites.composite_mass_term
     cases = [
         (lambda A: guidance.loss_fg(A, masks, pairs, config),
-         lambda A: composites.loss_fg(A, masks, pairs, verbs, mass_term=mass)),
+         lambda A: composites.loss_fg(A, masks, pairs, mass_term=mass)),
         (lambda A: guidance.loss_bg(A, masks, pairs, config),
-         lambda A: composites.loss_bg(A, masks, pairs, verbs, mass_term=mass)),
+         lambda A: composites.loss_bg(A, masks, pairs, mass_term=mass)),
         (lambda A: guidance.loss_sp(A, masks, pairs, config),
          lambda A: composites.loss_sp(A, masks, pairs, config, mass)),
         (lambda A: guidance.loss_pos(A, pair, config),

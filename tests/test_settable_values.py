@@ -38,8 +38,8 @@ def defaulted_parameters():
 
 def test_settable_value_count():
     counts = len(config_fields()), len(cli_options()), len(defaulted_parameters())
-    assert counts == (18, 20, 2), (config_fields(), cli_options(), defaulted_parameters())
-    assert sum(counts) == 40
+    assert counts == (17, 20, 2), (config_fields(), cli_options(), defaulted_parameters())
+    assert sum(counts) == 39
 
 
 def test_config_fields():
@@ -47,7 +47,7 @@ def test_config_fields():
         "GuidanceConfig.total_steps", "GuidanceConfig.t1", "GuidanceConfig.t2",
         "GuidanceConfig.iters_spatial_per_step", "GuidanceConfig.iters_syntax_per_step",
         "GuidanceConfig.lambda_sp", "GuidanceConfig.lambda_syt", "GuidanceConfig.distance",
-        "GuidanceConfig.contrastive_form", "GuidanceConfig.apply_spatial_to_verbs",
+        "GuidanceConfig.contrastive_form",
         "ToyModelConfig.frames", "ToyModelConfig.latent_h", "ToyModelConfig.latent_w",
         "ToyModelConfig.levels", "ToyModelConfig.ca_capture", "ToyModelConfig.token_budget",
         "ToyModelConfig.embed_dim", "ToyModelConfig.seed",
