@@ -32,7 +32,7 @@ def main():
     pairs = extract_pairs(tokens)
     print(f"prompt: {PROMPT!r}")
     for noun, verb in pairs.pairs:
-        print(f"  pair: {tokens[noun].text} / {tokens[verb].text} "
+        print(f"  pair: {tokens[noun]} / {tokens[verb]} "
               f"(negatives: {sorted(pairs.negatives_for((noun, verb)))})")
 
     # A small model keeps the demo quick; the defaults mirror a 16x16 latent.

@@ -39,7 +39,7 @@ from .metrics import (
     run_ablation,
     verb_noun_alignment,
 )
-from .syntax import SyntaxPairs, Token, extract_pairs, tokenize
+from .syntax import SyntaxPairs, extract_pairs, tokenize
 
 __all__ = [
     "Tensor",
@@ -52,5 +52,5 @@ __all__ = [
     "run_guided_sampling",
     "MetricsReport", "count_components", "render_heatmap",
     "run_ablation", "verb_noun_alignment",
-    "SyntaxPairs", "Token", "extract_pairs", "tokenize",
+    "SyntaxPairs", "extract_pairs", "tokenize",
 ]

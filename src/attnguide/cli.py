@@ -101,12 +101,12 @@ def _configs(args, model):
 def cmd_parse_prompt(args):
     tokens = tokenize(args.prompt)
     pairs = extract_pairs(tokens)
-    for i, tok in enumerate(tokens):
-        print(f"token index={i} text={tok.text}")
+    for i, word in enumerate(tokens):
+        print(f"token index={i} text={word}")
     for pair in pairs.pairs:
         noun, verb = pair
         negs = ",".join(str(u) for u in sorted(pairs.negatives_for(pair)))
-        print(f"pair noun={noun}:{tokens[noun].text} verb={verb}:{tokens[verb].text} "
+        print(f"pair noun={noun}:{tokens[noun]} verb={verb}:{tokens[verb]} "
               f"negatives={negs}")
     return EXIT_OK
 

@@ -163,14 +163,13 @@ class ToyDenoiser:
 
     # -- text ---------------------------------------------------------------
 
-    def encode_text(self, tokens):
-        """Per level tag, the text keys [H, 1, dh, L] and values [L, C].
+    def encode_text(self, words):
+        """Per level tag, the text keys [H, 1, dh, L] and values [L, C] of a prompt's words.
 
         The L rows embed the begin marker, the words, the end marker and pads up to the
         budget, so word i is CA column i + 1.
         """
         cfg = self.config
-        words = [t.text for t in tokens]
         if len(words) + 2 > cfg.token_budget:
             raise InputError(
                 f"prompt has {len(words)} tokens; budget {cfg.token_budget} "

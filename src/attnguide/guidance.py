@@ -312,19 +312,19 @@ def _mass_node(A, masks, pairs, halves):
 
 
 @trapped
-def loss_fg(A, masks, pairs, config):
+def loss_fg(A, masks, pairs):
     """Squared deficit of in-box attention mass, frame-averaged."""
     return _mass_node(A, masks, pairs, (False,))
 
 
 @trapped
-def loss_bg(A, masks, pairs, config):
+def loss_bg(A, masks, pairs):
     """Squared out-of-box attention mass ratio, frame-averaged."""
     return _mass_node(A, masks, pairs, (True,))
 
 
 @trapped
-def loss_sp(A, masks, pairs, config):
+def loss_sp(A, masks, pairs):
     """The spatial constraint: fg + bg of each pair's noun and verb in the noun's masks."""
     return _mass_node(A, masks, pairs, (False, True))
 
@@ -431,7 +431,7 @@ def prepare_inputs(prompt, priors, model):
             f"{len(priors.trajectories)} box trajectories for "
             f"{len(column_pairs.pairs)} noun/verb pairs"
         )
-    nouns = [tokens[noun].text for noun, _ in pairs.pairs]
+    nouns = [tokens[noun] for noun, _ in pairs.pairs]
     named = [[n for n in nouns if n in words(traj.name)] for traj in priors.trajectories]
     if all(len(held) == 1 for held in named) and len({h[0] for h in named}) == len(named):
         order = [nouns.index(held[0]) for held in named]
@@ -443,7 +443,7 @@ def prepare_inputs(prompt, priors, model):
         notes += [f"box {traj.name!r} of subject {traj.subject_id} bound by "
                   f"position to the noun {noun!r}"
                   for traj, noun in zip(priors.trajectories, nouns)]
-    notes += [f"pair {tokens[n].text}/{tokens[v].text} has no negative tokens"
+    notes += [f"pair {tokens[n]}/{tokens[v]} has no negative tokens"
               for n, v in pairs.pairs if not pairs.negatives_for((n, v))]
     binding = {traj.subject_id: column_pairs.pairs[k][0]
                for traj, k in zip(priors.trajectories, order)}
@@ -489,7 +489,7 @@ def run_guided_sampling(prompt, priors, config, model, seed):
                     leaf = Tensor(state.z, requires_grad=True)
                     _, A = model.denoise_step(leaf, tau, text)
                     if loss_name == "spatial":
-                        loss = loss_sp(A, masks, column_pairs, config)
+                        loss = loss_sp(A, masks, column_pairs)
                     else:
                         loss = loss_syt(A, column_pairs, config)
                     value = loss.item()

@@ -227,7 +227,7 @@ def loss_bg(A, masks, pairs, eps=1e-8, mass_term=mass_term_node):
     return _mass_terms(A, masks, pairs, eps, True, mass_term)
 
 
-def loss_sp(A, masks, pairs, config, mass_term=mass_term_node):
+def loss_sp(A, masks, pairs, mass_term=mass_term_node):
     fg = loss_fg(A, masks, pairs, guidance.EPS, mass_term)
     bg = loss_bg(A, masks, pairs, guidance.EPS, mass_term)
     return fg + bg

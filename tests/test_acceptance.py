@@ -56,8 +56,8 @@ def test_criterion_1_equation_identities():
     for _ in range(100):
         A = rng.uniform(0.01, 1.0, size=(2, 4, 3))
         masks = mask_set(rng.integers(0, 2, size=(2, 2)).astype(float), frames=2)
-        fg = loss_fg(ca_stack(A), masks, single_pair(), DEFAULTS).item()
-        bg = loss_bg(ca_stack(A), masks, single_pair(), DEFAULTS).item()
+        fg = loss_fg(ca_stack(A), masks, single_pair()).item()
+        bg = loss_bg(ca_stack(A), masks, single_pair()).item()
         worst_gap = max(worst_gap, abs(fg - bg))
 
     errs = [worst_gap if worst_gap > 1e-12 else 0.0]
@@ -66,11 +66,11 @@ def test_criterion_1_equation_identities():
     # noun and its verb
     uniform = np.full((2, 4, 3), 1.0 / 3)
     half = mask_set([[1.0, 1.0], [0.0, 0.0]], frames=2)
-    errs.append(abs(loss_fg(ca_stack(uniform), half, single_pair(), DEFAULTS).item() - 0.5))
-    errs.append(abs(loss_bg(ca_stack(uniform), half, single_pair(), DEFAULTS).item() - 0.5))
+    errs.append(abs(loss_fg(ca_stack(uniform), half, single_pair()).item() - 0.5))
+    errs.append(abs(loss_bg(ca_stack(uniform), half, single_pair()).item() - 0.5))
 
     # weighted spatial loss: default unit weights -> 1.0
-    errs.append(abs(loss_sp(ca_stack(uniform), half, single_pair(), DEFAULTS).item() - 1.0))
+    errs.append(abs(loss_sp(ca_stack(uniform), half, single_pair()).item() - 1.0))
 
     # distances match the independent smoothed-KL formula
     p = rng.uniform(0.05, 1.0, size=(2, 4))

@@ -128,12 +128,12 @@ def mass_run(loss_fn, vals, masks, pairs):
 
 
 MASS_LOSSES = {  # name -> (fused loss, composite loss around the primitive mass term)
-    "fg": (lambda ca, m, p: loss_fg(ca, m, p, GuidanceConfig()),
+    "fg": (lambda ca, m, p: loss_fg(ca, m, p),
            lambda ca, m, p: composites.loss_fg(ca, m, p, mass_term=composite_mass_term)),
-    "bg": (lambda ca, m, p: loss_bg(ca, m, p, GuidanceConfig()),
+    "bg": (lambda ca, m, p: loss_bg(ca, m, p),
            lambda ca, m, p: composites.loss_bg(ca, m, p, mass_term=composite_mass_term)),
-    "sp": (lambda ca, m, p: loss_sp(ca, m, p, GuidanceConfig()),
-           lambda ca, m, p: composites.loss_sp(ca, m, p, GuidanceConfig(), composite_mass_term)),
+    "sp": (lambda ca, m, p: loss_sp(ca, m, p),
+           lambda ca, m, p: composites.loss_sp(ca, m, p, composite_mass_term)),
 }
 
 
@@ -396,24 +396,22 @@ def test_loss_syt_empty_negatives_matches_chain():
         assert same_bytes(fused[1], composite[1])
 
 
-@pytest.mark.parametrize("config", [GuidanceConfig()], ids=["nouns+verbs"])
 @pytest.mark.parametrize("fractional", [False, True], ids=["binary", "fractional"])
 @pytest.mark.parametrize("n_pairs", [1, 2])
-def test_loss_sp_node_matches_chain(n_pairs, fractional, config):
+def test_loss_sp_node_matches_chain(n_pairs, fractional):
     pairs = SyntaxPairs([(1, 2), (4, 5)][:n_pairs], frozenset({1, 2, 4, 5}))
     for seed in range(10):
         rng = np.random.default_rng([seed, fractional, 9])
         frames, grid = int(rng.integers(1, 5)), int(rng.integers(2, 5))
         vals = attention_values(rng, (frames, grid * grid, 7))
         masks = random_masks(rng, (1, 4), frames, grid, fractional)
-        fused = leaf_run(lambda A: loss_sp(A, masks, pairs, config), vals)
-        composite = leaf_run(lambda A: composites.loss_sp(A, masks, pairs, config), vals)
+        fused = leaf_run(lambda A: loss_sp(A, masks, pairs), vals)
+        composite = leaf_run(lambda A: composites.loss_sp(A, masks, pairs), vals)
         assert same_bytes(fused[0], composite[0])
         assert same_bytes(fused[1], composite[1])
 
 
-@pytest.mark.parametrize("include_verbs", [True])
-def test_column_gradient_signed_zeros_match_chain(include_verbs):
+def test_column_gradient_signed_zeros_match_chain():
     """A -0 column gradient ends as +0, as in the chain.
 
     Each take of the chain adds a full array, +0 outside its column, into
@@ -422,12 +420,11 @@ def test_column_gradient_signed_zeros_match_chain(include_verbs):
     pairs = SyntaxPairs([(0, 1)], frozenset({0, 1}))
     vals = np.array([[[0.0, 1.0, 1.0], [2.0, 1.0, 1.0]]])   # one frame, 1x2 grid, 3 columns
     masks = {0: np.array([[[-0.0, 1.0]]])}
-    config = GuidanceConfig()
     grads = [leaf_run(lambda A: ref(fn(A)) * -1.0, vals)[1]
-             for fn in (lambda A: loss_fg(A, masks, pairs, config),
+             for fn in (lambda A: loss_fg(A, masks, pairs),
                         lambda A: composites.loss_fg(A, masks, pairs))]
     assert same_bytes(*grads)
-    assert grads[0][0, 0, 0] == 0.0 and np.signbit(grads[0][0, 0, 0]) == (not include_verbs)
+    assert grads[0][0, 0, 0] == 0.0 and not np.signbit(grads[0][0, 0, 0])
 
 
 # -- the floating-point trap ------------------------------------------------------------
@@ -477,7 +474,7 @@ def test_denoise_step_traps(default_scene, grad):
 def test_losses_trap(default_scene):
     _, config, pairs, _, masks, _, A = default_scene
     huge = Tensor(np.full_like(A, 1e308), requires_grad=True)
-    for loss, args in ((loss_sp, (masks, pairs, config)), (loss_syt, (pairs, config))):
+    for loss, args in ((loss_sp, (masks, pairs)), (loss_syt, (pairs, config))):
         assert_trapped(lambda: loss(Tensor(A, requires_grad=True), *args))
         assert_trapped(lambda: loss(huge, *args), loss.__name__)
 
@@ -492,13 +489,13 @@ def test_guide_latent_traps_the_backward():
 @pytest.mark.parametrize("loss", [loss_fg, loss_sp])
 def test_nan_mask_fails_the_exit_check(default_scene, loss):
     """A NaN operand propagates without a trap; the loss node's own scan catches it."""
-    _, config, pairs, _, masks, _, A = default_scene
+    _, _, pairs, _, masks, _, A = default_scene
     noun = pairs.pairs[0][0]
     nan_mask = masks[noun].astype(np.float64)
     nan_mask[0, 0, 0] = np.nan
     nan_masks = {**masks, noun: nan_mask}
     with pytest.raises(NumericError, match="non-finite"):
-        loss(Tensor(A, requires_grad=True), nan_masks, pairs, config)
+        loss(Tensor(A, requires_grad=True), nan_masks, pairs)
 
 
 @pytest.mark.parametrize("grad", [False, True], ids=["nograd", "grad"])

@@ -73,26 +73,26 @@ class TestSpatialLosses:
         masks = mask_set([[1.0, 1.0], [0.0, 0.0]], frames=2)
         # the noun and its verb, both against the noun's mask
         for loss in (loss_fg, loss_bg):
-            assert abs(loss(ca, masks, single_pair(), DEFAULTS).item() - 0.5) <= 1e-12
+            assert abs(loss(ca, masks, single_pair()).item() - 0.5) <= 1e-12
 
     def test_all_ones_mask_is_zero(self):
         ca = uniform_ca()
         masks = mask_set(np.ones((2, 2)), frames=2)
-        assert loss_fg(ca, masks, single_pair(), DEFAULTS).item() == 0.0
-        assert loss_bg(ca, masks, single_pair(), DEFAULTS).item() == 0.0
+        assert loss_fg(ca, masks, single_pair()).item() == 0.0
+        assert loss_bg(ca, masks, single_pair()).item() == 0.0
 
     def test_all_zeros_mask_is_one_per_token(self):
         ca = uniform_ca()
         masks = mask_set(np.zeros((2, 2)), frames=2)
-        assert abs(loss_fg(ca, masks, single_pair(), DEFAULTS).item() - 2.0) <= 1e-12
+        assert abs(loss_fg(ca, masks, single_pair()).item() - 2.0) <= 1e-12
 
     def test_fg_equals_bg_for_binary_masks(self, rng):
         for _ in range(100):
             A = rng.uniform(0.01, 1.0, size=(2, 4, 3))
             ca = ca_stack(A)
             masks = mask_set(rng.integers(0, 2, size=(2, 2)).astype(float), frames=2)
-            fg = loss_fg(ca, masks, single_pair(), DEFAULTS).item()
-            bg = loss_bg(ca, masks, single_pair(), DEFAULTS).item()
+            fg = loss_fg(ca, masks, single_pair()).item()
+            bg = loss_bg(ca, masks, single_pair()).item()
             assert abs(fg - bg) <= 1e-12
 
     def test_zero_attention_column_degenerate(self):
@@ -100,7 +100,7 @@ class TestSpatialLosses:
         A[0, :, 0] = 0.0
         masks = mask_set(np.ones((2, 2)), frames=1)
         with pytest.raises(DegenerateAttentionError, match="token 0"):
-            loss_fg(ca_stack(A), masks, single_pair(), DEFAULTS)
+            loss_fg(ca_stack(A), masks, single_pair())
 
     def test_negative_entry_degenerate(self):
         """One rule for every CA column read: a negative entry, named with its frame."""
@@ -108,7 +108,7 @@ class TestSpatialLosses:
         A[1, 2, 0] = -0.1
         masks = mask_set(np.ones((2, 2)), frames=2)
         with pytest.raises(DegenerateAttentionError, match="token 0 frame 1: negative"):
-            loss_sp(ca_stack(A), masks, single_pair(), DEFAULTS)
+            loss_sp(ca_stack(A), masks, single_pair())
         with pytest.raises(DegenerateAttentionError, match="token 0 frame 1: negative"):
             in_box_ratios(A, masks, [0])
 
@@ -119,7 +119,7 @@ class TestSpatialLosses:
         with pytest.raises(DimensionError, match="masks of shape"):
             in_box_ratios(A, masks, [0])
         with pytest.raises(DimensionError, match="masks of shape"):
-            loss_fg(ca_stack(A), masks, single_pair(), DEFAULTS)
+            loss_fg(ca_stack(A), masks, single_pair())
 
     def test_masks_checked_before_masses(self):
         """A wrong-shaped mask is reported before the zero mass of an earlier token."""
@@ -128,17 +128,17 @@ class TestSpatialLosses:
         masks = {1: np.ones((2, 2, 2)), 3: np.ones((2, 3, 3))}  # noun 3: 3x3 on a 2x2 grid
         pairs = SyntaxPairs([(1, 2), (3, 4)], frozenset(range(6)))
         with pytest.raises(DimensionError, match=r"masks of shape \(2, 9\)"):
-            loss_sp(ca_stack(A), masks, pairs, DEFAULTS)
+            loss_sp(ca_stack(A), masks, pairs)
         masks[3] = np.ones((2, 2, 2))
         with pytest.raises(DegenerateAttentionError, match="token 1 frame 0"):
-            loss_sp(ca_stack(A), masks, pairs, DEFAULTS)
+            loss_sp(ca_stack(A), masks, pairs)
 
     def test_gradient_against_finite_differences(self, rng):
         masks = mask_set(rng.integers(0, 2, size=(2, 2)).astype(float) * 0 + np.eye(2), frames=2)
         base = rng.uniform(0.05, 1.0, size=(2, 4, 3))
 
         def f(a):
-            return loss_fg(a, masks, single_pair(), DEFAULTS)
+            return loss_fg(a, masks, single_pair())
 
         assert relative_error(*fd_gradients(f, base, 1e-5)) <= 1e-6
 
@@ -307,15 +307,14 @@ class TestGuideLatent:
         stub = LinearAttentionStub(cfg_m)
         masks = mask_set(np.eye(cfg_m.capture_grid), frames=cfg_m.frames)
         pairs = single_pair()
-        gcfg = GuidanceConfig()
 
         def value(z):
-            return loss_sp(stub.ca_from_latent(Tensor(z)), masks, pairs, gcfg).item()
+            return loss_sp(stub.ca_from_latent(Tensor(z)), masks, pairs).item()
 
         z = rng.normal(size=(cfg_m.frames, LATENT_CHANNELS, cfg_m.latent_h, cfg_m.latent_w))
         before = value(z)
         leaf = Tensor(z, requires_grad=True)
-        loss = loss_sp(stub.ca_from_latent(leaf), masks, pairs, gcfg)
+        loss = loss_sp(stub.ca_from_latent(leaf), masks, pairs)
         new_state, _ = guide_latent(LatentState(z, 0), leaf, loss, lam=0.05)
         assert value(new_state.z) < before
 
@@ -662,5 +661,5 @@ class TestBitExactness:
         z = rng.normal(size=(cfg.frames, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w))
         _, ca = model.denoise_step(Tensor(z, requires_grad=True), 45 / 50, text)
         # the loss node, the denoiser's A node and the latent
-        assert self._graph_nodes(loss_sp(ca, masks, pairs, config)) == 3
+        assert self._graph_nodes(loss_sp(ca, masks, pairs)) == 3
         assert self._graph_nodes(loss_syt(ca, pairs, config)) == 3

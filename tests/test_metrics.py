@@ -58,7 +58,7 @@ class TestInBoxRatio:
             expected = sum(np.mean([
                 (1.0 - in_box_ratio(A, {t: masks[0]}, t, f)) ** 2 for f in range(2)
             ]) for t in (0, 1))
-            got = loss_fg(Tensor(A), masks, pairs, GuidanceConfig()).item()
+            got = loss_fg(Tensor(A), masks, pairs).item()
             assert abs(np.sqrt(got) - np.sqrt(expected)) <= 1e-12
 
     def test_zero_mass_rejected(self):

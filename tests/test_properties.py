@@ -190,6 +190,21 @@ def test_prompts_give_pairs_or_one_parse_error(prompt):
         assert code == 2 and len(lines) == 1 and lines[0].startswith("ERROR kind=parse "), lines
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from(sorted(syntax._SUBJECTS)),
+                          st.sampled_from(sorted(syntax._ACTIONS))), min_size=1, max_size=4),
+       st.lists(st.sampled_from([", ", " and ", ". "]), min_size=3, max_size=3))
+@example([("man", "walking"), ("dog", "running"), ("bird", "flying")], [", ", " and ", ". "])
+def test_joined_template_clauses_give_one_pair_each(clauses, separators):
+    """k template clauses joined by ", ", " and " or ". " give k pairs, the k-th of them the
+    k-th clause's subject and action (no lexicon subject reads as an action)."""
+    prompt = "".join(("" if k == 0 else separators[k - 1])
+                     + f"{'an' if subject[0] in 'aeiou' else 'a'} {subject} is {action}"
+                     for k, (subject, action) in enumerate(clauses))
+    tokens = tokenize(prompt)
+    assert [(tokens[n], tokens[v]) for n, v in extract_pairs(tokens).pairs] == clauses
+
+
 MALFORMED = ["abc", "nan", "inf", "", MANY_DIGITS]
 
 
@@ -411,12 +426,12 @@ def test_batched_losses_match_composite_chains(scene):
     kind, eps, dist, mass = config.distance, guidance.EPS, composites.composite_dist, \
         composites.composite_mass_term
     cases = [
-        (lambda A: guidance.loss_fg(A, masks, pairs, config),
+        (lambda A: guidance.loss_fg(A, masks, pairs),
          lambda A: composites.loss_fg(A, masks, pairs, mass_term=mass)),
-        (lambda A: guidance.loss_bg(A, masks, pairs, config),
+        (lambda A: guidance.loss_bg(A, masks, pairs),
          lambda A: composites.loss_bg(A, masks, pairs, mass_term=mass)),
-        (lambda A: guidance.loss_sp(A, masks, pairs, config),
-         lambda A: composites.loss_sp(A, masks, pairs, config, mass)),
+        (lambda A: guidance.loss_sp(A, masks, pairs),
+         lambda A: composites.loss_sp(A, masks, pairs, mass)),
         (lambda A: guidance.loss_pos(A, pair, config),
          lambda A: composites.loss_pos(A, pair, kind, eps, dist)),
         (lambda A: guidance.loss_neg(A, pair, negs, config),

@@ -72,10 +72,19 @@ def test_defaulted_parameters():
 
 
 def test_losses_take_the_config():
-    """Each loss reads its choices from GuidanceConfig, with no defaults of its own."""
-    for name in ("loss_fg", "loss_bg", "loss_sp", "loss_pos", "loss_neg", "loss_syt"):
+    """The syntax losses read their choices from GuidanceConfig and the mass losses read
+    none; no loss has a default of its own."""
+    expected = {
+        "loss_fg": ["A", "masks", "pairs"],
+        "loss_bg": ["A", "masks", "pairs"],
+        "loss_sp": ["A", "masks", "pairs"],
+        "loss_pos": ["A", "pair", "config"],
+        "loss_neg": ["A", "pair", "negatives", "config"],
+        "loss_syt": ["A", "pairs", "config"],
+    }
+    for name, names in expected.items():
         params = list(inspect.signature(getattr(attnguide, name)).parameters.values())
-        assert params[0].name == "A" and params[-1].name == "config"
+        assert [p.name for p in params] == names
         assert all(p.default is inspect.Parameter.empty for p in params)
 
 
@@ -83,7 +92,7 @@ def test_public_names():
     assert sorted(attnguide.__all__) == [
         "BoxTrajectory", "GuidanceConfig", "GuidanceTrace", "LatentState",
         "LinearAttentionStub", "MetricsReport", "SpatialPriorSet", "SyntaxPairs", "Tensor",
-        "Token", "ToyDenoiser", "ToyModelConfig", "count_components", "ddim_schedule", "ddim_step",
+        "ToyDenoiser", "ToyModelConfig", "count_components", "ddim_schedule", "ddim_step",
         "extract_pairs", "guide_latent", "loss_bg", "loss_fg", "loss_neg",
         "loss_pos", "loss_sp", "loss_syt", "parse_llm_boxes", "rasterize_masks",
         "render_heatmap", "resample_frames", "run_ablation", "run_guided_sampling",

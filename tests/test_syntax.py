@@ -6,9 +6,7 @@ from attnguide.syntax import SyntaxPairs, extract_pairs, tokenize
 
 
 def test_tokenize_simple():
-    toks = tokenize("a man is walking")
-    assert [t.text for t in toks] == ["a", "man", "is", "walking"]
-    assert [t.index for t in toks] == [0, 1, 2, 3]
+    assert tokenize("a man is walking") == ["a", "man", "is", "walking"]
 
 
 def test_tokenize_two_clause_prompt():
@@ -19,7 +17,7 @@ def test_tokenize_two_clause_prompt():
 def test_tokenize_strips_punctuation_and_case():
     toks = tokenize("A boy is walking, and a dog is sitting.")
     assert len(toks) == 9
-    assert toks[1].text == "boy"
+    assert toks[1] == "boy"
 
 
 def test_tokenize_empty_rejected():
@@ -33,6 +31,10 @@ def test_pairs_two_clauses():
     assert pairs.pairs == [(1, 3), (6, 8)]
 
 
+def test_pairs_of_a_plain_word_list():
+    assert extract_pairs(["a", "man", "is", "walking"]).pairs == [(1, 3)]
+
+
 def test_pairs_single_clause_negatives():
     toks = tokenize("a cat is sitting")
     pairs = extract_pairs(toks)
@@ -44,7 +46,7 @@ def test_compound_verb_object_is_negative_for_both_pairs():
     toks = tokenize("a woman is jumping and a boy is playing guitar")
     pairs = extract_pairs(toks)
     assert len(pairs.pairs) == 2
-    guitar = [t.text for t in toks].index("guitar")
+    guitar = toks.index("guitar")
     for pair in pairs.pairs:
         assert guitar in pairs.negatives_for(pair)
 
@@ -68,7 +70,7 @@ def test_one_pair_per_clause(prompt, k):
 def test_partition_property():
     toks = tokenize("a man is walking and a dog is running")
     pairs = extract_pairs(toks)
-    all_indices = {t.index for t in toks}
+    all_indices = set(range(len(toks)))
     for pair in pairs.pairs:
         assert set(pair) | set(pairs.negatives_for(pair)) == all_indices
         assert not set(pair) & set(pairs.negatives_for(pair))
@@ -78,7 +80,7 @@ def test_idempotent_over_round_trip():
     prompt = "a woman is jumping and a boy is playing guitar"
     toks = tokenize(prompt)
     pairs = extract_pairs(toks)
-    again = extract_pairs(tokenize(" ".join([t.text for t in toks])))
+    again = extract_pairs(tokenize(" ".join(toks)))
     assert again.pairs == pairs.pairs
     assert again.tokens == pairs.tokens
 
@@ -125,7 +127,7 @@ def test_no_token_index_in_two_pairs(prompt):
 ])
 def test_noun_is_the_noun_phrase_last_word(prompt, pairs):
     toks = tokenize(prompt)
-    assert [(toks[n].text, toks[v].text) for n, v in extract_pairs(toks).pairs] == pairs
+    assert [(toks[n], toks[v]) for n, v in extract_pairs(toks).pairs] == pairs
 
 
 def test_every_lexicon_template_prompt_pairs_by_position():
