@@ -3,7 +3,8 @@
 The text format is the LLM box-generator output: per-frame lines
 ``Frame k: [{'id': 0, 'name': ..., 'box': [x, y, w, h]}, ...]`` followed by
 a ``Background keyword:`` line.  Coordinates are pixels of a 576x320 frame
-(x rightward, y downward); boxes are stored as [x, y, w, h].
+(x rightward, y downward); boxes are stored as [x, y, w, h].  A prior checks
+and clips its boxes where it is made, whether loaded or built in code.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ FRAME_W, FRAME_H = 576, 320
 # The limit on a box center's move between frames, in pixels.
 MAX_STEP_PX = 60
 
-OUT_OF_FRAME = "OUT_OF_FRAME"
 VELOCITY = "VELOCITY"
 DEGENERATE = "DEGENERATE"
 
@@ -35,10 +35,29 @@ class BoxTrajectory:
 
 @dataclass
 class SpatialPriorSet:
+    """`frame_count` boxes per distinct subject id, clipped into the frame when made."""
+
     frame_count: int
     trajectories: list
     background_keyword: str
-    load_warnings: list = field(default_factory=list, init=False)  # filled while loading
+    load_warnings: list = field(default_factory=list, init=False)  # one line per clipped box
+
+    def __post_init__(self):
+        ids = [t.subject_id for t in self.trajectories]
+        for traj in self.trajectories:
+            if ids.count(traj.subject_id) > 1:
+                raise InputError(f"subject id {traj.subject_id} is repeated")
+            if len(traj.boxes) != self.frame_count:
+                raise InputError(f"subject id {traj.subject_id} has {len(traj.boxes)} boxes "
+                                 f"for {self.frame_count} frames")
+            for f, (x, y, w, h) in enumerate(traj.boxes):
+                x2, y2 = min(max(x + w, 0), FRAME_W), min(max(y + h, 0), FRAME_H)
+                xc, yc = min(max(x, 0), FRAME_W), min(max(y, 0), FRAME_H)
+                clipped = [xc, yc, x2 - xc, y2 - yc]
+                if clipped != [x, y, w, h]:
+                    self.load_warnings.append(f"clipped box of subject {traj.subject_id} "
+                                              f"frame {f}: {[x, y, w, h]} -> {clipped}")
+                    traj.boxes[f] = clipped
 
 
 @dataclass
@@ -68,20 +87,6 @@ def _check_record(rec, line_no):
     box = rec["box"]
     if not (isinstance(box, list) and len(box) == 4 and all(_is_int(v) for v in box)):
         raise BoxParseError(f"box must be four integers, got {box!r}", line_no)
-
-
-def _clip_boxes(prior):
-    for traj in prior.trajectories:
-        for f, (x, y, w, h) in enumerate(traj.boxes):
-            x2, y2 = min(max(x + w, 0), FRAME_W), min(max(y + h, 0), FRAME_H)
-            xc, yc = min(max(x, 0), FRAME_W), min(max(y, 0), FRAME_H)
-            clipped = [xc, yc, x2 - xc, y2 - yc]
-            if clipped != [x, y, w, h]:
-                prior.load_warnings.append(
-                    f"clipped box of subject {traj.subject_id} frame {f}: "
-                    f"{[x, y, w, h]} -> {clipped}"
-                )
-                traj.boxes[f] = clipped
 
 
 def parse_llm_boxes(text):
@@ -145,9 +150,7 @@ def parse_llm_boxes(text):
         boxes = [list(recs[sid]["box"]) for recs in by_id]
         trajectories.append(BoxTrajectory(sid, by_id[0][sid]["name"], boxes))
 
-    prior = SpatialPriorSet(len(expected), trajectories, background)
-    _clip_boxes(prior)
-    return prior
+    return SpatialPriorSet(len(expected), trajectories, background)
 
 
 def serialize_boxes(prior):
@@ -180,16 +183,11 @@ detect_and_parse = parse_llm_boxes
 
 
 def validate_trajectories(prior):
-    """Out-of-frame (loading clips boxes), velocity and degenerate-box checks."""
+    """Velocity and degenerate-box checks; a prior's boxes are in the frame once made."""
     violations = []
     for traj in prior.trajectories:
         prev_center = None
         for f, (x, y, w, h) in enumerate(traj.boxes):
-            if x < 0 or y < 0 or x + w > FRAME_W or y + h > FRAME_H:
-                violations.append(Violation(
-                    OUT_OF_FRAME, traj.subject_id, f,
-                    f"box {[x, y, w, h]} exceeds {FRAME_W}x{FRAME_H} frame",
-                ))
             if w <= 0 or h <= 0:
                 violations.append(Violation(
                     DEGENERATE, traj.subject_id, f, f"box {[x, y, w, h]} has no area",

@@ -177,9 +177,10 @@ def run_ablation(axes, base_config, seeds, prompt, priors, model_factory, log=No
     """Sweep guidance-config axes one at a time, one run per (variant, seed).
 
     ``ca_capture`` is a model axis, so ``model_factory(ca_capture)`` builds
-    the denoiser per variant.  Invalid variants are skipped with a
-    logged reason, and a run whose guidance fails is a logged row with its
-    ``error``; rows come out sorted by (axis, value, seed).  Each variant's
+    the denoiser per variant.  A value the config or model rejects with
+    ``InputError`` is a skipped variant with a logged reason (a wrong axis name
+    or value type raises), and a run whose guidance fails is a logged row with
+    its ``error``; rows come out sorted by (axis, value, seed).  Each variant's
     input warnings (``prepare_inputs``') are logged before its first run, each
     distinct one once, and kept in the report's ``warnings``.  An interrupt
     raises ``AblationInterrupted`` with the rows finished so far.
@@ -192,7 +193,7 @@ def run_ablation(axes, base_config, seeds, prompt, priors, model_factory, log=No
                 cfg = (base_config if axis in ("base", "ca_capture")
                        else replace(base_config, **{axis: value}))
                 model = model_factory(value if axis == "ca_capture" else None)
-            except (InputError, TypeError, ValueError) as exc:
+            except InputError as exc:
                 log(f"skipping {axis}={value}: {exc}")
                 continue
             for w in prepare_inputs(prompt, priors, model)[3]:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from attnguide.autodiff import Tensor
+from attnguide.boxes import BoxTrajectory, SpatialPriorSet
 from attnguide.boxes import static_two_box_prior  # noqa: F401  (shared by the tests)
 from attnguide.denoiser import ToyModelConfig
 from attnguide.guidance import GuidanceConfig
@@ -43,6 +44,12 @@ TEMPLATE_PROMPT = "a man is walking and a dog is running"
 # name to the columns that positional binding gives WOMAN_MAN_BOXES.
 MAN_DOG_BOXES = WOMAN_MAN_BOXES.replace("walking woman", "walking man").replace(
     "jumping man", "running dog")
+
+
+def one_subject_prior(boxes):
+    """A prior of subject 0, named "s", with one of `boxes` per frame."""
+    return SpatialPriorSet(frame_count=len(boxes), trajectories=[BoxTrajectory(0, "s", boxes)],
+                           background_keyword="x")
 
 
 # The `ablate` and `gradcheck` CLI models.

@@ -3,7 +3,6 @@ import pytest
 
 from attnguide.boxes import (
     DEGENERATE,
-    OUT_OF_FRAME,
     VELOCITY,
     BoxTrajectory,
     SpatialPriorSet,
@@ -15,7 +14,7 @@ from attnguide.boxes import (
 )
 from attnguide.errors import BoxParseError, InputError
 
-from conftest import DOG_CAT_BOXES, WOMAN_MAN_BOXES
+from conftest import DOG_CAT_BOXES, WOMAN_MAN_BOXES, one_subject_prior
 
 
 class TestParse:
@@ -87,6 +86,29 @@ class TestParse:
             assert again == prior
 
 
+class TestMake:
+    """A prior checks its box counts and subject ids, and clips its boxes, when made."""
+
+    @pytest.mark.parametrize("frames, boxes", [(8, 2), (2, 8)])
+    def test_box_count_must_match_frames(self, frames, boxes):
+        trajs = [BoxTrajectory(0, "a", [[0, 0, 5, 5]] * frames),
+                 BoxTrajectory(1, "b", [[0, 0, 5, 5]] * boxes)]
+        with pytest.raises(InputError, match=f"^subject id 1 has {boxes} boxes for {frames} "):
+            SpatialPriorSet(frames, trajs, "x")
+
+    def test_repeated_subject_id(self):
+        trajs = [BoxTrajectory(0, name, [[0, 0, 5, 5]]) for name in ("a", "b")]
+        with pytest.raises(InputError, match="^subject id 0 is repeated$"):
+            SpatialPriorSet(1, trajs, "x")
+
+    def test_code_built_box_clipped_as_loading_clips(self):
+        prior = one_subject_prior([[-20, 0, 288, 320]])
+        assert prior.load_warnings == ["clipped box of subject 0 frame 0: "
+                                       "[-20, 0, 288, 320] -> [0, 0, 268, 320]"]
+        assert prior == parse_llm_boxes("Frame 1: [{'id': 0, 'name': 's', 'box': "
+                                        "[-20, 0, 288, 320]}]\nBackground keyword: x\n")
+
+
 class TestValidate:
     def test_dog_velocity_violation(self):
         prior = parse_llm_boxes(DOG_CAT_BOXES)
@@ -97,29 +119,20 @@ class TestValidate:
         assert velocity[0].frame == 7  # the 125px jump into the final frame
 
     def test_full_frame_static_box_clean(self):
-        prior = SpatialPriorSet(
-            frame_count=3,
-            trajectories=[BoxTrajectory(0, "s", [[0, 0, 576, 320]] * 3)],
-            background_keyword="x",
-        )
+        prior = one_subject_prior([[0, 0, 576, 320]] * 3)
         assert validate_trajectories(prior) == []
 
     def test_out_of_frame(self):
-        prior = SpatialPriorSet(
-            frame_count=1,
-            trajectories=[BoxTrajectory(0, "s", [[600, 0, 50, 50]])],
-            background_keyword="x",
-        )
-        kinds = {v.kind for v in validate_trajectories(prior)}
-        assert OUT_OF_FRAME in kinds
+        """A box right of the frame is clipped to no width when made, so it is degenerate."""
+        prior = one_subject_prior([[600, 0, 50, 50]])
+        assert prior.trajectories[0].boxes == [[576, 0, 0, 50]]
+        assert prior.load_warnings == ["clipped box of subject 0 frame 0: "
+                                       "[600, 0, 50, 50] -> [576, 0, 0, 50]"]
+        assert [v.kind for v in validate_trajectories(prior)] == [DEGENERATE]
 
     def test_degenerate(self):
         for box in ([10, 10, 0, 5], [300, 10, -50, 100], [10, 10, 5, -1]):
-            prior = SpatialPriorSet(
-                frame_count=1,
-                trajectories=[BoxTrajectory(0, "s", [box])],
-                background_keyword="x",
-            )
+            prior = one_subject_prior([box])
             kinds = {v.kind for v in validate_trajectories(prior)}
             assert DEGENERATE in kinds
 
@@ -130,11 +143,7 @@ class TestResample:
         assert resample_frames(prior, 8) == prior
 
     def test_linear_midpoint(self):
-        prior = SpatialPriorSet(
-            frame_count=2,
-            trajectories=[BoxTrajectory(0, "s", [[0, 10, 20, 30], [70, 10, 20, 30]])],
-            background_keyword="x",
-        )
+        prior = one_subject_prior([[0, 10, 20, 30], [70, 10, 20, 30]])
         out = resample_frames(prior, 3)
         assert [b[0] for b in out.trajectories[0].boxes] == [0, 35, 70]
 
@@ -147,35 +156,24 @@ class TestResample:
         assert xs[0] == 0 and xs[-1] == 245
 
     def test_too_few_frames_rejected(self):
-        prior = SpatialPriorSet(
-            frame_count=1,
-            trajectories=[BoxTrajectory(0, "s", [[0, 0, 5, 5]])],
-            background_keyword="x",
-        )
+        prior = one_subject_prior([[0, 0, 5, 5]])
         with pytest.raises(InputError):
             resample_frames(prior, 4)
 
 
 class TestRasterize:
-    def _single(self, box, frames=1):
-        return SpatialPriorSet(
-            frame_count=frames,
-            trajectories=[BoxTrajectory(0, "s", [list(box)] * frames)],
-            background_keyword="x",
-        )
-
     def test_full_frame_all_ones(self):
-        masks, _ = rasterize_masks(self._single([0, 0, 576, 320]), 4, 4)
+        masks, _ = rasterize_masks(one_subject_prior([[0, 0, 576, 320]]), 4, 4)
         assert np.array_equal(masks[0][0], np.ones((4, 4)))
 
     def test_zero_area_all_zeros_with_warning(self):
-        masks, warnings = rasterize_masks(self._single([10, 10, 0, 0]), 4, 4)
+        masks, warnings = rasterize_masks(one_subject_prior([[10, 10, 0, 0]]), 4, 4)
         assert not masks[0][0].any()
         assert warnings
 
     def test_half_open_column_oracle(self):
         # centers x = 32, 96, ..., 544 (step 64); 288 excluded by half-open rule
-        masks, _ = rasterize_masks(self._single([0, 0, 288, 320]), 5, 9)
+        masks, _ = rasterize_masks(one_subject_prior([[0, 0, 288, 320]]), 5, 9)
         m = masks[0][0]
         assert np.array_equal(m[:, :4], np.ones((5, 4)))
         assert np.array_equal(m[:, 4:], np.zeros((5, 5)))
@@ -187,19 +185,20 @@ class TestRasterize:
             dx1, dy1 = rng.integers(0, x + 1), rng.integers(0, y + 1)
             dx2 = rng.integers(0, 576 - (x + w) + 1)
             dy2 = rng.integers(0, 320 - (y + h) + 1)
-            small = rasterize_masks(self._single([x, y, w, h]), 8, 8)[0][0][0]
+            small = rasterize_masks(one_subject_prior([[x, y, w, h]]), 8, 8)[0][0][0]
             big = rasterize_masks(
-                self._single([x - dx1, y - dy1, w + dx1 + dx2, h + dy1 + dy2]), 8, 8
+                one_subject_prior([[x - dx1, y - dy1, w + dx1 + dx2, h + dy1 + dy2]]), 8, 8
             )[0][0][0]
             assert np.all(small <= big)
 
     def test_adjacent_boxes_do_not_double_cover(self, rng):
         for _ in range(50):
             split = int(rng.integers(1, 575))
-            left = rasterize_masks(self._single([0, 0, split, 320]), 8, 8)[0][0][0]
-            right = rasterize_masks(self._single([split, 0, 576 - split, 320]), 8, 8)[0][0][0]
+            left = rasterize_masks(one_subject_prior([[0, 0, split, 320]]), 8, 8)[0][0][0]
+            right = rasterize_masks(
+                one_subject_prior([[split, 0, 576 - split, 320]]), 8, 8)[0][0][0]
             assert np.all(left + right <= 1)
 
     def test_grid_precondition(self):
         with pytest.raises(InputError):
-            rasterize_masks(self._single([0, 0, 5, 5]), 0, 4)
+            rasterize_masks(one_subject_prior([[0, 0, 5, 5]]), 0, 4)

@@ -361,6 +361,11 @@ class TestAblation:
         assert MetricsReport(rows=rep.rows[:2]).to_jsonl() == MetricsReport(
             rows=alone.rows).to_jsonl()
 
+    def test_misspelled_axis_raises(self):
+        with pytest.raises(TypeError, match="lamda_sp"):
+            run_ablation({"lamda_sp": [1.0]}, self._base_config(), [0], TEMPLATE_PROMPT,
+                         static_two_box_prior(2), self._factory())
+
     def test_other_errors_abort(self):
         with pytest.raises(InputError, match="trajectories"):
             run_ablation({}, self._base_config(), [0], "a cat is sitting",

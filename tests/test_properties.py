@@ -59,14 +59,18 @@ def in_frame_box(draw):
     return [x, y, w, h]
 
 
+# Four integers that may put a box partly or wholly outside the frame.
+any_box = st.lists(st.integers(-100, FRAME_W + 100), min_size=4, max_size=4)
+
+
 @st.composite
-def priors(draw, names=st.text(max_size=12)):
+def priors(draw, names=st.text(max_size=12), boxes=in_frame_box()):
     frames = draw(st.integers(1, 4))
     ids = draw(st.lists(st.integers(0, 99), min_size=1, max_size=3, unique=True))
     return SpatialPriorSet(
         frame_count=frames,
         trajectories=[
-            BoxTrajectory(sid, draw(names), [draw(in_frame_box()) for _ in range(frames)])
+            BoxTrajectory(sid, draw(names), [draw(boxes) for _ in range(frames)])
             for sid in ids
         ],
         background_keyword=draw(backgrounds),
@@ -85,6 +89,12 @@ def test_text_round_trip_any_name(prior, name):
     parsed = parse_llm_boxes(serialize_boxes(prior))
     assert parsed == prior
     assert parse_llm_boxes(serialize_boxes(parsed)) == parsed
+
+
+@given(priors(names=st.just("s"), boxes=any_box))
+def test_code_built_prior_round_trips(prior):
+    """A prior made in code holds its boxes clipped, so the text it writes reads back to it."""
+    assert parse_llm_boxes(serialize_boxes(prior)).trajectories == prior.trajectories
 
 
 # A box-file number as Python-literal text.  The odd ones are huge and many-digit
