@@ -43,6 +43,8 @@ class SpatialPriorSet:
     load_warnings: list = field(default_factory=list, init=False)  # one line per clipped box
 
     def __post_init__(self):
+        if self.frame_count < 1:
+            raise InputError(f"a prior needs at least one frame, got {self.frame_count}")
         ids = [t.subject_id for t in self.trajectories]
         for traj in self.trajectories:
             if ids.count(traj.subject_id) > 1:
@@ -50,6 +52,7 @@ class SpatialPriorSet:
             if len(traj.boxes) != self.frame_count:
                 raise InputError(f"subject id {traj.subject_id} has {len(traj.boxes)} boxes "
                                  f"for {self.frame_count} frames")
+            traj.boxes = list(traj.boxes)  # clipped in a copy: the caller's list is not edited
             for f, (x, y, w, h) in enumerate(traj.boxes):
                 x2, y2 = min(max(x + w, 0), FRAME_W), min(max(y + h, 0), FRAME_H)
                 xc, yc = min(max(x, 0), FRAME_W), min(max(y, 0), FRAME_H)

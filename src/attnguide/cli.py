@@ -25,9 +25,9 @@ from .boxes import (
 )
 from .config import key_values, parse_value, read_text
 from .denoiser import MODEL_CAPS, ToyDenoiser, ToyModelConfig
-from .errors import AttnGuideError, DegenerateAttentionError, InputError, NumericError
+from .errors import AttnGuideError, InputError, NumericError
 from .gradcheck import gradcheck_suites
-from .guidance import GuidanceConfig, GuidanceError, run_guided_sampling
+from .guidance import GuidanceConfig, run_guided_sampling
 from .metrics import (
     DEFAULT_ABLATION_AXES,
     AblationInterrupted,
@@ -170,16 +170,13 @@ def cmd_generate(args):
     model = ToyDenoiser(model_config if args.seed is None else replace(model_config, seed=seed))
     result = run_guided_sampling(args.prompt, prior, config, model, seed)
     configs = {"guidance": asdict(config), "model": asdict(model.config)}
-    norms = result.latent_norms  # inf where a latent grew past float range
-    if not np.isfinite(norms).all():
-        raise NumericError(f"latent norm past float range at step {np.isfinite(norms).argmin() + 1}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     (out_dir / "trace.jsonl").write_text(result.trace.to_jsonl())
     (out_dir / "metrics.jsonl").write_text(MetricsReport([summarize_run(result)]).to_jsonl())
 
     (out_dir / "latent_summary.json").write_text(
-        json.dumps({"per_step_latent_norm": norms}, indent=2) + "\n")
+        json.dumps({"per_step_latent_norm": result.latent_norms}, indent=2) + "\n")
 
     np.savez(out_dir / "ca_records.npz", **{f"step{s}": v for s, v in result.ca_records.items()})
 
@@ -351,7 +348,7 @@ def main(argv=None):
     except BrokenPipeError:  # stdout is closed, so no ERROR line can be printed either
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
-    except (NumericError, DegenerateAttentionError, GuidanceError) as exc:
+    except NumericError as exc:
         return _fail(EXIT_NUMERIC, "numeric", str(exc))
     except AttnGuideError as exc:
         return _fail(EXIT_PARSE, "parse", str(exc))

@@ -118,6 +118,7 @@ def ddim_schedule(total_steps):
     return np.cumprod(1.0 - np.linspace(1e-4, 0.02, total_steps))
 
 
+@trapped
 def ddim_step(state, eps, schedule):
     """One deterministic (eta = 0) DDIM step from ``state.timestep_index`` on ``eps``."""
     t = state.timestep_index

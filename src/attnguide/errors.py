@@ -28,9 +28,13 @@ class ExtractionError(InputError):
     """No noun/verb pair could be resolved for a clause."""
 
 
-class DegenerateAttentionError(AttnGuideError):
+class NumericError(AttnGuideError):
+    """A non-finite value appeared where finiteness is guaranteed; the family of exit 3."""
+
+
+class DegenerateAttentionError(NumericError):
     """An attention map carries no usable mass for a token/frame."""
 
 
-class NumericError(AttnGuideError):
-    """A non-finite value appeared where finiteness is guaranteed."""
+class GuidanceError(NumericError):
+    """A step of a sampling run failed; the message names the step (and iteration)."""

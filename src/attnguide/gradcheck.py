@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor
-from .boxes import static_two_box_prior
+from .boxes import SpatialPriorSet, static_two_box_prior
 from .denoiser import LATENT_CHANNELS, LinearAttentionStub, ToyDenoiser, ToyModelConfig
 from .errors import ContractError
 from .guidance import (
@@ -39,8 +39,7 @@ def gradcheck_suites(component, seed):
                          levels=(("down", 4), ("mid", 2), ("up", 4)),
                          token_budget=8, embed_dim=8, seed=seed)
     model = ToyDenoiser(cfg)
-    prior = static_two_box_prior(cfg.frames)
-    prior.trajectories = prior.trajectories[:1]
+    prior = SpatialPriorSet(cfg.frames, static_two_box_prior(cfg.frames).trajectories[:1], "plain")
     gcfg = GuidanceConfig()
     col_pairs, text, masks, _ = prepare_inputs("a cat is sitting", prior, model)
 

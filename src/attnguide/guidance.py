@@ -20,10 +20,10 @@ from .boxes import rasterize_masks, resample_frames
 from .config import read_config
 from .denoiser import LATENT_CHANNELS, LatentState, ddim_schedule, ddim_step
 from .errors import (
-    AttnGuideError,
     ContractError,
     DegenerateAttentionError,
     DimensionError,
+    GuidanceError,
     InputError,
     NumericError,
 )
@@ -43,10 +43,6 @@ MAX_ITERS_PER_STEP = 100
 # Added to each map before a KL normalization; a total mass or contrastive
 # denominator at or below it is degenerate.
 EPS = 1e-8
-
-
-class GuidanceError(AttnGuideError):
-    """An inner guidance update failed; message carries (step, iteration)."""
 
 
 @dataclass
@@ -457,7 +453,8 @@ def run_guided_sampling(prompt, priors, config, model, seed):
     steps t1+1..t2 apply the syntax loss ``iters_syntax_per_step`` times,
     later steps denoise freely.  Zero loss weights skip guidance entirely,
     reproducing the unguided trajectory bit-exactly.  The CA maps of steps
-    1, t1, t2 and the last are kept in ``ca_records``.
+    1, t1, t2 and the last are kept in ``ca_records``.  A step's ``NumericError``, or
+    a latent norm past float range, is a ``GuidanceError`` naming the step.
     """
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
@@ -474,38 +471,37 @@ def run_guided_sampling(prompt, priors, config, model, seed):
     ca_records, latent_norms = {}, []
 
     for step in range(1, config.total_steps + 1):
-        tau = state.timestep_index / config.total_steps
+        tau, iters = state.timestep_index / config.total_steps, 0
         if step <= config.t1 and config.lambda_sp > 0:
-            phase = ("spatial", config.iters_spatial_per_step, config.lambda_sp)
+            loss_name, iters, lam = "spatial", config.iters_spatial_per_step, config.lambda_sp
         elif config.t1 < step <= config.t2 and config.lambda_syt > 0:
-            phase = ("syntax", config.iters_syntax_per_step, config.lambda_syt)
-        else:
-            phase = None
+            loss_name, iters, lam = "syntax", config.iters_syntax_per_step, config.lambda_syt
 
-        if phase is not None:
-            loss_name, iters, lam = phase
+        try:
             for it in range(1, iters + 1):
-                try:
-                    leaf = Tensor(state.z, requires_grad=True)
-                    _, A = model.denoise_step(leaf, tau, text)
-                    if loss_name == "spatial":
-                        loss = loss_sp(A, masks, column_pairs)
-                    else:
-                        loss = loss_syt(A, column_pairs, config)
-                    value = loss.item()
-                    state, gnorm = guide_latent(state, leaf, loss, lam)
-                    ratios = {noun: float(r.mean())
-                              for noun, r in zip(nouns, in_box_ratios(A.data, masks, nouns))}
-                except AttnGuideError as exc:
-                    raise GuidanceError(f"step {step} iteration {it}: {exc}") from exc
+                where = f"step {step} iteration {it}"
+                leaf = Tensor(state.z, requires_grad=True)
+                _, A = model.denoise_step(leaf, tau, text)
+                if loss_name == "spatial":
+                    loss = loss_sp(A, masks, column_pairs)
+                else:
+                    loss = loss_syt(A, column_pairs, config)
+                value = loss.item()
+                state, gnorm = guide_latent(state, leaf, loss, lam)
+                ratios = {noun: float(r.mean())
+                          for noun, r in zip(nouns, in_box_ratios(A.data, masks, nouns))}
                 trace.add(TraceRecord(step, it, loss_name, value, gnorm, ratios))
-
-        eps_pred, A = model.denoise_step(Tensor(state.z), tau, text)
-        if step in snapshot_steps:
-            ca_records[step] = A.data
-        state = ddim_step(state, eps_pred, schedule)
-        with np.errstate(over="ignore"):  # a norm past float range is inf; `generate` rejects it
-            latent_norms.append(float(np.sqrt((state.z ** 2).sum())))
+            where = f"step {step}"
+            eps_pred, A = model.denoise_step(Tensor(state.z), tau, text)
+            if step in snapshot_steps:
+                ca_records[step] = A.data
+            state = ddim_step(state, eps_pred, schedule)
+            with np.errstate(over="ignore"):  # a norm past float range is inf
+                latent_norms.append(float(np.sqrt((state.z ** 2).sum())))
+            if not math.isfinite(latent_norms[-1]):
+                raise NumericError("latent norm past float range")
+        except NumericError as exc:
+            raise GuidanceError(f"{where}: {exc}") from exc
 
     return SamplingResult(
         final_state=state,

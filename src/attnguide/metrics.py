@@ -15,11 +15,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ContractError, InputError
+from .errors import ContractError, GuidanceError, InputError
 from .guidance import (
     KL_SYM,
     GuidanceConfig,
-    GuidanceError,
     in_box_ratios,
     loss_pos,
     prepare_inputs,
@@ -179,11 +178,11 @@ def run_ablation(axes, base_config, seeds, prompt, priors, model_factory, log=No
     ``ca_capture`` is a model axis, so ``model_factory(ca_capture)`` builds
     the denoiser per variant.  A value the config or model rejects with
     ``InputError`` is a skipped variant with a logged reason (a wrong axis name
-    or value type raises), and a run whose guidance fails is a logged row with
-    its ``error``; rows come out sorted by (axis, value, seed).  Each variant's
-    input warnings (``prepare_inputs``') are logged before its first run, each
-    distinct one once, and kept in the report's ``warnings``.  An interrupt
-    raises ``AblationInterrupted`` with the rows finished so far.
+    or value type raises), and a run that fails in any step (its ``GuidanceError``)
+    is a logged row with its ``error``; rows come out sorted by (axis, value,
+    seed).  Each variant's input warnings (``prepare_inputs``') are logged before
+    its first run, each distinct one once, and kept in the report's ``warnings``.
+    An interrupt raises ``AblationInterrupted`` with the rows finished so far.
     """
     log = log or (lambda message: None)
     report = MetricsReport([])

@@ -101,6 +101,22 @@ class TestMake:
         with pytest.raises(InputError, match="^subject id 0 is repeated$"):
             SpatialPriorSet(1, trajs, "x")
 
+    @pytest.mark.parametrize("frames", [0, -1])
+    def test_needs_a_frame(self, frames):
+        """A prior of no frames would serialize to text its own parser rejects."""
+        with pytest.raises(InputError, match=f"^a prior needs at least one frame, got {frames}$"):
+            SpatialPriorSet(frames, [], "x")
+
+    def test_subjects_on_one_list_each_clip_their_own_boxes(self):
+        """Each subject warns for its clipped boxes, and the caller's list is left as it was."""
+        boxes = [[600, 0, 50, 50]] * 2
+        prior = SpatialPriorSet(2, [BoxTrajectory(k, "s", boxes) for k in (0, 1)], "x")
+        assert prior.load_warnings == [f"clipped box of subject {k} frame {f}: "
+                                       "[600, 0, 50, 50] -> [576, 0, 0, 50]"
+                                       for k in (0, 1) for f in (0, 1)]
+        assert [t.boxes for t in prior.trajectories] == [[[576, 0, 0, 50]] * 2] * 2
+        assert boxes == [[600, 0, 50, 50]] * 2
+
     def test_code_built_box_clipped_as_loading_clips(self):
         prior = one_subject_prior([[-20, 0, 288, 320]])
         assert prior.load_warnings == ["clipped box of subject 0 frame 0: "

@@ -13,7 +13,7 @@ import pytest
 import attnguide
 from attnguide import gradcheck
 from attnguide.autodiff import Tensor
-from attnguide.boxes import parse_llm_boxes
+from attnguide.boxes import parse_llm_boxes, serialize_boxes, static_two_box_prior
 from attnguide.cli import _parse_grid_file, main
 from attnguide.config import read_text
 from attnguide.denoiser import ToyDenoiser, ToyModelConfig
@@ -365,7 +365,7 @@ class TestGenerate:
             f.write("lambda_sp = 1e300\n")
         assert main(small_run_args("run")) == 3
         assert capsys.readouterr().out.splitlines() == [
-            "ERROR kind=numeric reason=latent norm past float range at step 1"]
+            "ERROR kind=numeric reason=step 1: latent norm past float range"]
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "run").exists()
 
@@ -528,6 +528,40 @@ class TestAblate:
             (False, "10.0", 0), (False, "10.0", 1), (True, "1e+308", 0), (True, "1e+308", 1)]
         manifest = json.loads((tmp_path / "abl" / "manifest.json").read_text())
         assert manifest["complete"] is True
+
+    def test_run_failing_in_a_free_step_is_a_row(self, tmp_path, capsys):
+        """A run that overflows past its one guidance iteration is a row naming its step, and
+        the sweep keeps every row."""
+        argv = self._sweep_args(tmp_path, "lambda_sp = 1e308, 10\n")
+        (tmp_path / "guide.cfg").write_text(GUIDE_CFG.replace("t1 = 2", "t1 = 1").replace(
+            "iters_spatial_per_step = 2", "iters_spatial_per_step = 1"))
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("ok rows=4 ")
+        rows = [json.loads(r) for r in (tmp_path / "abl" / "ablation.jsonl").read_text()
+                .splitlines()]
+        assert [(r["value"], r["seed"]) for r in rows] == [
+            ("10.0", 0), ("10.0", 1), ("1e+308", 0), ("1e+308", 1)]
+        assert ["error" in r for r in rows] == [False, False, True, True]
+        assert all(r["error"].startswith("step 1: ") for r in rows[2:])
+
+    def test_latent_past_float_range_is_the_verdict_generate_gives(self, tmp_path, capsys):
+        """A latent norm past float range is an error row in a sweep, and the same error in
+        `generate` on that config."""
+        (tmp_path / "boxes.txt").write_text(serialize_boxes(static_two_box_prior(2)))
+        (tmp_path / "syt.cfg").write_text("lambda_syt = 1e300\n")
+        argv = self._sweep_args(tmp_path, "lambda_syt = 1e300\n")
+        argv[argv.index("--config") + 1] = str(tmp_path / "syt.cfg")
+        assert main(argv) == 0
+        rows = [json.loads(r) for r in (tmp_path / "abl" / "ablation.jsonl").read_text()
+                .splitlines()]
+        reason = "step 6: latent norm past float range"  # the default t1 is 5
+        assert [(r["seed"], r.get("error")) for r in rows] == [(0, reason), (1, reason)]
+        capsys.readouterr()
+        assert main(["generate", "a man is walking and a dog is running",
+                     str(tmp_path / "boxes.txt"), "--out", str(tmp_path / "run"),
+                     "--model-config", str(tmp_path / "model.cfg"),
+                     "--config", str(tmp_path / "syt.cfg")]) == 3
+        assert capsys.readouterr().out.splitlines() == [f"ERROR kind=numeric reason={reason}"]
 
     def test_interrupt_keeps_finished_rows(self, tmp_path, capsys, monkeypatch):
         """Ctrl-C while building the second variant's model: the first variant's rows stay."""

@@ -20,6 +20,7 @@ from attnguide.errors import (
     ContractError,
     DegenerateAttentionError,
     DimensionError,
+    GuidanceError,
     InputError,
     NumericError,
 )
@@ -499,6 +500,21 @@ class TestRunGuidedSampling:
     def test_negative_seed_rejected(self):
         with pytest.raises(InputError, match="seed"):
             self._run(seed=-1)
+
+    @pytest.mark.parametrize("lam, reason", [
+        (1e306, "step 1: latent norm past float range"),
+        (1e307, "step 1: ddim_step: overflow encountered in divide"),
+        (1e308, "step 1: ToyDenoiser.denoise_step: overflow encountered in matmul"),
+    ], ids=["norm", "ddim", "forward"])
+    def test_failed_step_is_one_guidance_error(self, lam, reason):
+        """One guidance step of size `lam` fails the step's norm check, DDIM update or free
+        forward: each is a `GuidanceError` naming the step, with no Python warning."""
+        cfg = GuidanceConfig(total_steps=1000, t1=1, t2=1, iters_spatial_per_step=1,
+                             lambda_sp=lam)
+        with pytest.raises(GuidanceError, match=f"^{reason}$") as exc:
+            run_guided_sampling(TEMPLATE_PROMPT, static_two_box_prior(2), cfg,
+                                ToyDenoiser(tiny_model_config()), 0)
+        assert isinstance(exc.value, NumericError)
 
 
 class TestPrepareInputs:

@@ -27,7 +27,7 @@ from attnguide.boxes import (
 )
 from attnguide.cli import main
 from attnguide.denoiser import MODEL_CAPS, ToyModelConfig
-from attnguide.errors import BoxParseError, InputError
+from attnguide.errors import AttnGuideError, BoxParseError, InputError
 from attnguide.guidance import (
     COSINE,
     KL_SYM,
@@ -275,10 +275,10 @@ def config_files(draw):
     return text(guide), text(model)
 
 
-def _run_with_config_files(tmp, files, argv):
+def _run_with_config_files(tmp, files, argv, codes=(0, 2, 3)):
     """`main(argv + the config options)` with the drawn files written to `tmp`: exit 0, or
-    exit 2 or 3 with one ERROR line and no `tmp / "out"`.  No warning filter: a Python
-    warning that escapes the run's own warning list is an error."""
+    an error exit of `codes` with one ERROR line and no `tmp / "out"`.  No warning filter:
+    a Python warning that escapes the run's own warning list is an error."""
     for name, text in zip(("guide.cfg", "model.cfg"), files):
         (tmp / name).write_text(text)
     out = io.StringIO()
@@ -286,7 +286,7 @@ def _run_with_config_files(tmp, files, argv):
         code = main(argv + ["--out", str(tmp / "out"), "--config", str(tmp / "guide.cfg"),
                             "--model-config", str(tmp / "model.cfg")])
     errors = [ln for ln in out.getvalue().splitlines() if ln.startswith("ERROR")]
-    assert (code, len(errors)) in ((0, 0), (2, 1), (3, 1)), (code, errors)
+    assert code in codes and len(errors) == (code != 0), (code, errors)
     assert code == 0 or not (tmp / "out").exists()
 
 
@@ -305,10 +305,10 @@ def test_generate_config_files_exit_0_or_one_error_line(tmp_path_factory, files)
 @settings(deadline=None, max_examples=100)
 @given(config_files())
 def test_ablate_config_files_exit_0_or_one_error_line(tmp_path_factory, files):
-    """`ablate --seeds 0` with drawn config files ends in exit 0, or in exit 2 or 3 with one
-    ERROR line and no --out."""
+    """`ablate --seeds 0` with drawn config files ends in exit 0, or in exit 2 with one ERROR
+    line and no --out: a run's numeric failure is a row, not the sweep's end."""
     _run_with_config_files(tmp_path_factory.mktemp("configs"), files,
-                           ["ablate", "--seeds", "0"])
+                           ["ablate", "--seeds", "0"], codes=(0, 2))
 
 
 def _config_text(cfg):
@@ -420,7 +420,7 @@ def _value_and_grad(loss_fn, vals):
     try:
         loss = loss_fn(A)
         loss.backward()
-    except guidance.AttnGuideError as exc:
+    except AttnGuideError as exc:
         return type(exc), str(exc)
     return loss.data, A.grad
 
